@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot check chaos bench bench-json bench-sim-json trace telemetry churn doctor self-heal
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-json bench-sim-json trace telemetry churn doctor self-heal
 
 all: check
 
@@ -24,12 +24,19 @@ race:
 	$(GO) test -race ./...
 
 # race-hot doubles down on the packages with the most schedule-sensitive
-# surface — the scheduler core itself, the collective schedule
-# generators, the proxy engine, the strategy autotuner, the lifecycle
+# surface — the scheduler core itself, the collective schedule IR and
+# its lowerings, the proxy engine, the strategy autotuner, the lifecycle
 # orchestrator, and the diagnosis engine (whose recorder tap runs inside
 # span emission) — running them twice under the detector.
 race-hot:
 	$(GO) test -race -count=2 ./internal/sim/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/remediation/
+
+# fuzz runs the native fuzz target over the schedule IR for 10 s: random
+# (algorithm, op, ranks, root, size, ring orders, channels) are lowered,
+# checked against the program invariants and executed against the oracle
+# (the seed corpus also runs as part of `test`).
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzLowerExecute -fuzztime 10s ./internal/collective/
 
 # check is the CI gate: everything must build, vet clean, and pass the
 # full test suite twice — once plain, once under the race detector.

@@ -60,8 +60,8 @@ func TestParseSkipsNonResultLines(t *testing.T) {
 }
 
 func TestParseNoGomaxprocsSuffix(t *testing.T) {
-	recs := parse("BenchmarkSteps 100 1042 ns/op")
-	if len(recs) != 1 || recs[0].Bench != "BenchmarkSteps" || recs[0].Value != 1042 {
-		t.Fatalf("got %v, want one BenchmarkSteps ns/op=1042 record", recs)
+	recs := parse("BenchmarkLower 100 1042 ns/op")
+	if len(recs) != 1 || recs[0].Bench != "BenchmarkLower" || recs[0].Value != 1042 {
+		t.Fatalf("got %v, want one BenchmarkLower ns/op=1042 record", recs)
 	}
 }

@@ -61,7 +61,8 @@ func buildScript(sc Scenario, rng *rand.Rand) ([]opSpec, error) {
 			}
 			inputs[r] = in
 		}
-		expected, err := collective.ExecuteRing(op, ring, 0, inputs)
+		progs := collective.LowerAll(collective.AlgoRing, op, []*collective.Ring{ring}, 0, count)
+		expected, err := collective.Execute(op, progs, inputs)
 		if err != nil {
 			return nil, err
 		}

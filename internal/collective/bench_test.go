@@ -5,32 +5,34 @@ import (
 	"testing"
 )
 
-// BenchmarkSteps measures schedule generation (runs on every collective
-// launch in the proxy).
-func BenchmarkSteps(b *testing.B) {
-	ring := IdentityRing(32)
+// BenchmarkLower measures ring lowering (runs on every collective launch
+// in the proxy, once per channel).
+func BenchmarkLower(b *testing.B) {
+	rings := []*Ring{IdentityRing(32)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Steps(AllReduce, ring, i%32, 0)
+		_ = Lower(AlgoRing, AllReduce, rings, i%32, 0, 0, 1<<20)
 	}
 }
 
-// BenchmarkExecuteRing measures the in-memory verification executor.
-func BenchmarkExecuteRing(b *testing.B) {
+// BenchmarkExecute measures the in-memory verification executor.
+func BenchmarkExecute(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	in := randInputs(rng, 8, 4096)
-	ring := IdentityRing(8)
+	progs := LowerAll(AlgoRing, AllReduce, []*Ring{IdentityRing(8)}, 0, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ExecuteRing(AllReduce, ring, 0, in); err != nil {
+		if _, err := Execute(AllReduce, progs, in); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkTreeRounds measures tree schedule generation.
-func BenchmarkTreeRounds(b *testing.B) {
+// BenchmarkLowerTree measures tree lowering.
+func BenchmarkLowerTree(b *testing.B) {
+	rings := []*Ring{IdentityRing(32)}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = TreeAllReduceRounds(32, i%32, 0)
+		_ = Lower(AlgoTree, AllReduce, rings, i%32, 0, 0, 1<<10)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -26,16 +25,6 @@ func randInputs(rng *rand.Rand, n int, count int) [][]float32 {
 		}
 	}
 	return in
-}
-
-func sums(in [][]float32) []float32 {
-	out := make([]float32, len(in[0]))
-	for _, row := range in {
-		for i, v := range row {
-			out[i] += v
-		}
-	}
-	return out
 }
 
 func TestNewRingValidation(t *testing.T) {
@@ -63,26 +52,6 @@ func TestNewRingValidation(t *testing.T) {
 	}
 }
 
-func TestReversedAndRotated(t *testing.T) {
-	r, _ := NewRing([]int{3, 1, 0, 2})
-	rev := r.Reversed()
-	for _, rank := range []int{0, 1, 2, 3} {
-		if rev.Next(rank) != r.Prev(rank) {
-			t.Errorf("rev.Next(%d) = %d, want r.Prev = %d", rank, rev.Next(rank), r.Prev(rank))
-		}
-	}
-	rot := r.RotatedTo(0)
-	if rot.RankAt(0) != 0 {
-		t.Errorf("rotated root at pos %d", rot.PosOf(0))
-	}
-	// Cyclic order preserved.
-	for _, rank := range []int{0, 1, 2, 3} {
-		if rot.Next(rank) != r.Next(rank) {
-			t.Errorf("rotation changed Next(%d)", rank)
-		}
-	}
-}
-
 func TestRegionsBalanced(t *testing.T) {
 	for _, tc := range []struct{ count, n int64 }{{10, 3}, {7, 7}, {5, 8}, {1000, 4}, {1, 1}} {
 		starts, lens := Regions(tc.count, int(tc.n))
@@ -99,124 +68,8 @@ func TestRegionsBalanced(t *testing.T) {
 		if total != tc.count {
 			t.Errorf("Regions(%d,%d): total %d", tc.count, tc.n, total)
 		}
-	}
-}
-
-func TestAllReduceIdentityRing(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := 4
-	in := randInputs(rng, n, 20)
-	want := sums(in)
-	out, err := ExecuteRing(AllReduce, IdentityRing(n), 0, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < n; r++ {
-		for i := range want {
-			if out[r][i] != want[i] {
-				t.Fatalf("rank %d elem %d = %g, want %g", r, i, out[r][i], want[i])
-			}
-		}
-	}
-}
-
-func TestAllGatherLayoutIsRankIndexed(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n := 5
-	count := 6
-	in := randInputs(rng, n, count)
-	// A non-trivial ring: the output must still be laid out by rank.
-	ring := randRing(rng, n)
-	out, err := ExecuteRing(AllGather, ring, 0, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < n; r++ {
-		for k := 0; k < n; k++ {
-			for i := 0; i < count; i++ {
-				if out[r][k*count+i] != in[k][i] {
-					t.Fatalf("rank %d: span %d elem %d = %g, want rank %d's input %g",
-						r, k, i, out[r][k*count+i], k, in[k][i])
-				}
-			}
-		}
-	}
-}
-
-func TestReduceScatterOwnership(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 4
-	count := 10
-	in := randInputs(rng, n, count)
-	want := sums(in)
-	ring := randRing(rng, n)
-	out, err := ExecuteRing(ReduceScatter, ring, 0, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	starts, lens := Regions(int64(count), n)
-	for r := 0; r < n; r++ {
-		off, l := starts[r], lens[r]
-		for i := off; i < off+l; i++ {
-			if out[r][i] != want[i] {
-				t.Fatalf("rank %d region elem %d = %g, want %g", r, i, out[r][i], want[i])
-			}
-		}
-	}
-}
-
-func TestBroadcastAndReduce(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 5
-	count := 8
-	for root := 0; root < n; root++ {
-		ring := randRing(rng, n)
-		in := randInputs(rng, n, count)
-		out, err := ExecuteRing(Broadcast, ring, root, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < n; r++ {
-			for i := 0; i < count; i++ {
-				if out[r][i] != in[root][i] {
-					t.Fatalf("broadcast root %d: rank %d elem %d = %g, want %g",
-						root, r, i, out[r][i], in[root][i])
-				}
-			}
-		}
-		in2 := randInputs(rng, n, count)
-		want := sums(in2)
-		out2, err := ExecuteRing(Reduce, ring, root, in2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < count; i++ {
-			if out2[root][i] != want[i] {
-				t.Fatalf("reduce root %d elem %d = %g, want %g", root, i, out2[root][i], want[i])
-			}
-		}
-	}
-}
-
-func TestStepsShape(t *testing.T) {
-	n := 6
-	ring := IdentityRing(n)
-	for rank := 0; rank < n; rank++ {
-		ar := Steps(AllReduce, ring, rank, 0)
-		if len(ar) != 2*(n-1) {
-			t.Fatalf("AllReduce steps = %d, want %d", len(ar), 2*(n-1))
-		}
-		for s, st := range ar {
-			if st.SendRegion < 0 || st.RecvRegion < 0 {
-				t.Fatalf("AllReduce step %d has idle side", s)
-			}
-			if (s < n-1) != st.RecvReduce {
-				t.Fatalf("AllReduce step %d reduce flag wrong", s)
-			}
-		}
-		ag := Steps(AllGather, ring, rank, 0)
-		if len(ag) != n-1 {
-			t.Fatalf("AllGather steps = %d, want %d", len(ag), n-1)
+		if end, _ := Part(tc.count, int(tc.n), int(tc.n)); end != tc.count {
+			t.Errorf("Part(%d,%d) end boundary = %d", tc.count, tc.n, end)
 		}
 	}
 }
@@ -242,105 +95,5 @@ func TestAlgBW(t *testing.T) {
 	}
 	if got := AlgBW(1e9, 0); got != 0 {
 		t.Errorf("AlgBW with zero time = %g, want 0", got)
-	}
-}
-
-// Property: every op computes the right answer on every random ring order,
-// size and root — the key guarantee that lets MCCS reconfigure rings
-// freely without corrupting tenant data.
-func TestQuickAllOpsAllRings(t *testing.T) {
-	ops := []Op{AllReduce, AllGather, ReduceScatter, Broadcast, Reduce}
-	f := func(seed int64, nRaw, countRaw uint8, opRaw uint8) bool {
-		n := int(nRaw%7) + 2          // 2..8 ranks
-		count := int(countRaw%32) + n // at least one element per region
-		op := ops[int(opRaw)%len(ops)]
-		rng := rand.New(rand.NewSource(seed))
-		ring := randRing(rng, n)
-		root := rng.Intn(n)
-		in := randInputs(rng, n, count)
-		out, err := ExecuteRing(op, ring, root, in)
-		if err != nil {
-			return false
-		}
-		switch op {
-		case AllReduce:
-			want := sums(in)
-			for r := 0; r < n; r++ {
-				for i := range want {
-					if out[r][i] != want[i] {
-						return false
-					}
-				}
-			}
-		case AllGather:
-			for r := 0; r < n; r++ {
-				for k := 0; k < n; k++ {
-					for i := 0; i < count; i++ {
-						if out[r][k*count+i] != in[k][i] {
-							return false
-						}
-					}
-				}
-			}
-		case ReduceScatter:
-			want := sums(in)
-			starts, lens := Regions(int64(count), n)
-			for r := 0; r < n; r++ {
-				for i := starts[r]; i < starts[r]+lens[r]; i++ {
-					if out[r][i] != want[i] {
-						return false
-					}
-				}
-			}
-		case Broadcast:
-			for r := 0; r < n; r++ {
-				for i := 0; i < count; i++ {
-					if out[r][i] != in[root][i] {
-						return false
-					}
-				}
-			}
-		case Reduce:
-			want := sums(in)
-			for i := 0; i < count; i++ {
-				if out[root][i] != want[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: schedules are internally consistent — what a rank sends at
-// step s is exactly what its peer expects to receive at step s. The
-// verification executor enforces this; here we assert it directly for the
-// dense ops.
-func TestQuickScheduleConsistency(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw%10) + 2
-		rng := rand.New(rand.NewSource(seed))
-		ring := randRing(rng, n)
-		for _, op := range []Op{AllReduce, AllGather, ReduceScatter} {
-			all := make([][]StepIO, n)
-			for r := 0; r < n; r++ {
-				all[r] = Steps(op, ring, r, 0)
-			}
-			for r := 0; r < n; r++ {
-				peer := ring.Next(r)
-				for s := range all[r] {
-					if all[r][s].SendRegion != all[peer][s].RecvRegion {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -8,7 +8,7 @@ import "fmt"
 // binomial tree, halving-doubling) to: algorithm choice may change
 // timing, never data.
 //
-// Output shapes match ExecuteRing's contract. For Reduce, non-root
+// Output shapes match Execute's contract. For Reduce, non-root
 // outputs are the unchanged inputs (the collective leaves them
 // unspecified; callers compare only the root).
 func Oracle(op Op, root int, inputs [][]float32) ([][]float32, error) {
@@ -66,12 +66,14 @@ func Oracle(op Op, root int, inputs [][]float32) ([][]float32, error) {
 	return out, nil
 }
 
-// ExecuteRing runs op's ring schedule step-synchronously over plain
-// in-memory buffers and returns the per-rank results. It exists so tests
-// can prove schedule correctness independent of the transport and GPU
-// layers: if this executor produces the right sums for every ring order,
-// and the engines execute the same StepIO sequences, the system computes
-// correct collectives.
+// Execute runs the programs progs[ch][rank] of op round-synchronously
+// over plain in-memory buffers and returns the per-rank results. It
+// exists so tests can prove schedule correctness independent of the
+// transport and GPU layers: if this executor produces the oracle's
+// results for every lowering, and the proxy interprets the same steps,
+// the system computes correct collectives. It also checks what the
+// proxy's blocking receives rely on: within a round every send is
+// consumed by exactly one receive of equal length on the named peer.
 //
 // Buffer shapes per op (count = elements per rank's input):
 //   - AllReduce: inputs[r] has count elements; result[r] = elementwise sum.
@@ -81,102 +83,89 @@ func Oracle(op Op, root int, inputs [][]float32) ([][]float32, error) {
 //     rank k's contribution at span k.
 //   - Broadcast: inputs[root] propagates to every rank.
 //   - Reduce: result[root] = elementwise sum; other ranks unspecified.
-func ExecuteRing(op Op, ring *Ring, root int, inputs [][]float32) ([][]float32, error) {
-	n := ring.Size()
-	if len(inputs) != n {
-		return nil, fmt.Errorf("collective: %d inputs for %d ranks", len(inputs), n)
+func Execute(op Op, progs [][]Program, inputs [][]float32) ([][]float32, error) {
+	n := len(inputs)
+	if n == 0 {
+		return nil, fmt.Errorf("collective: execute over empty communicator")
 	}
-	count := int64(len(inputs[0]))
+	count := len(inputs[0])
+	work := make([][]float32, n)
 	for r, in := range inputs {
-		if int64(len(in)) != count {
+		if len(in) != count {
 			return nil, fmt.Errorf("collective: rank %d input length %d, want %d", r, len(in), count)
 		}
-	}
-
-	// Working buffers.
-	var work [][]float32
-	var regionElems int64
-	switch op {
-	case AllGather:
-		regionElems = count
-		work = make([][]float32, n)
-		for r := range work {
-			work[r] = make([]float32, count*int64(n))
-			copy(work[r][int64(r)*count:], inputs[r])
-		}
-	default:
-		regionElems = count
-		work = make([][]float32, n)
-		for r := range work {
-			work[r] = append([]float32(nil), inputs[r]...)
+		if op == AllGather {
+			work[r] = make([]float32, count*n)
+			copy(work[r][r*count:], in)
+		} else {
+			work[r] = append([]float32(nil), in...)
 		}
 	}
-
-	nRegions := NumRegions(op, n)
-	var starts, lens []int64
-	if nRegions == 1 {
-		starts, lens = []int64{0}, []int64{regionElems}
-	} else if op == AllGather {
-		starts = make([]int64, n)
-		lens = make([]int64, n)
-		for i := range starts {
-			starts[i] = int64(i) * count
-			lens[i] = count
+	// span bounds-checks a step range against rank r's buffer.
+	span := func(r int, off, l int64) ([]float32, error) {
+		if off < 0 || l < 0 || off+l > int64(len(work[r])) {
+			return nil, fmt.Errorf("rank %d range [%d,+%d) outside buffer of %d", r, off, l, len(work[r]))
 		}
-	} else {
-		starts, lens = Regions(count, n)
+		return work[r][off : off+l], nil
 	}
 
-	steps := make([][]StepIO, n)
-	nSteps := 0
-	for r := 0; r < n; r++ {
-		steps[r] = Steps(op, ring, r, root)
-		if len(steps[r]) > nSteps {
-			nSteps = len(steps[r])
+	for ch, ranks := range progs {
+		if len(ranks) != n {
+			return nil, fmt.Errorf("collective: channel %d has %d programs for %d ranks", ch, len(ranks), n)
 		}
-	}
-
-	for s := 0; s < nSteps; s++ {
-		// Snapshot sends before applying receives so that simultaneous
-		// transfers within a step use pre-step data.
-		type xfer struct {
-			to     int
-			region int
-			reduce bool
-			data   []float32
+		rounds := len(ranks[0].Steps)
+		for r, prog := range ranks {
+			if len(prog.Steps) != rounds {
+				return nil, fmt.Errorf("collective: channel %d rank %d has %d rounds, want %d", ch, r, len(prog.Steps), rounds)
+			}
 		}
-		var xfers []xfer
-		for r := 0; r < n; r++ {
-			if s >= len(steps[r]) {
-				continue
+		sent := make([][]float32, n)
+		for s := 0; s < rounds; s++ {
+			fail := func(format string, a ...any) error {
+				return fmt.Errorf("collective: channel %d round %d: %s", ch, s, fmt.Sprintf(format, a...))
 			}
-			st := steps[r][s]
-			if st.SendRegion < 0 {
-				continue
-			}
-			off, l := starts[st.SendRegion], lens[st.SendRegion]
-			snap := append([]float32(nil), work[r][off:off+l]...)
-			peer := SendPeer(op, ring, r, root)
-			xfers = append(xfers, xfer{to: peer, region: st.SendRegion, data: snap})
-		}
-		// Match each transfer against the receiver's declared step.
-		for _, x := range xfers {
-			if s >= len(steps[x.to]) {
-				return nil, fmt.Errorf("collective: step %d: rank %d has no receive slot", s, x.to)
-			}
-			st := steps[x.to][s]
-			if st.RecvRegion != x.region {
-				return nil, fmt.Errorf("collective: step %d: rank %d expects region %d, got %d",
-					s, x.to, st.RecvRegion, x.region)
-			}
-			off := starts[x.region]
-			dst := work[x.to][off : off+int64(len(x.data))]
-			if st.RecvReduce {
-				for i := range dst {
-					dst[i] += x.data[i]
+			// Snapshot sends before applying receives so that simultaneous
+			// transfers within a round use pre-round data.
+			for r := range ranks {
+				st := ranks[r].Steps[s]
+				sent[r] = nil
+				if st.SendPeer < 0 {
+					continue
 				}
-			} else {
-				copy(dst, x.data)
+				src, err := span(r, st.SendOff, st.SendLen)
+				if err != nil {
+					return nil, fail("send: %v", err)
+				}
+				sent[r] = append([]float32{}, src...)
+			}
+			for r := range ranks {
+				st := ranks[r].Steps[s]
+				if st.RecvPeer < 0 {
+					continue
+				}
+				if st.RecvPeer >= n || sent[st.RecvPeer] == nil || ranks[st.RecvPeer].Steps[s].SendPeer != r {
+					return nil, fail("rank %d receives from %d, which does not send to it", r, st.RecvPeer)
+				}
+				data := sent[st.RecvPeer]
+				if int64(len(data)) != st.RecvLen {
+					return nil, fail("rank %d expects %d elements from %d, got %d", r, st.RecvLen, st.RecvPeer, len(data))
+				}
+				dst, err := span(r, st.RecvOff, st.RecvLen)
+				if err != nil {
+					return nil, fail("recv: %v", err)
+				}
+				if st.RecvReduce {
+					for i := range dst {
+						dst[i] += data[i]
+					}
+				} else {
+					copy(dst, data)
+				}
+			}
+			for r := range ranks {
+				if to := ranks[r].Steps[s].SendPeer; to >= 0 && (to >= n || ranks[to].Steps[s].RecvPeer != r) {
+					return nil, fail("rank %d sends to %d, which does not receive from it", r, to)
+				}
 			}
 		}
 	}
@@ -184,13 +173,10 @@ func ExecuteRing(op Op, ring *Ring, root int, inputs [][]float32) ([][]float32, 
 	// For ReduceScatter, blank out the regions a rank does not own so
 	// tests cannot accidentally rely on partial garbage.
 	if op == ReduceScatter {
-		for r := 0; r < n; r++ {
-			for q := 0; q < n; q++ {
-				if q == r {
-					continue
-				}
-				off, l := starts[q], lens[q]
-				for i := off; i < off+l; i++ {
+		for r := range work {
+			off, l := Part(int64(count), n, r)
+			for i := range work[r] {
+				if int64(i) < off || int64(i) >= off+l {
 					work[r][i] = 0
 				}
 			}

@@ -10,8 +10,8 @@ import (
 )
 
 // execute runs one collective to completion for this rank. Execution is
-// lock-step with the peers through the data dependencies of the ring:
-// each step's receive blocks until the predecessor's send completes.
+// lock-step with the peers through the data dependencies of the
+// schedule: each step's receive blocks until the peer's send completes.
 func (r *Runner) execute(p *sim.Proc, op *OpRequest) {
 	start := p.Now()
 	op.AppEvent.WaitHost(p)
@@ -31,35 +31,18 @@ func (r *Runner) execute(p *sim.Proc, op *OpRequest) {
 		outBytes *= int64(n)
 	}
 
-	nch := len(cs.conns)
-	switch {
-	case n <= 1:
-		// Single-rank communicator: the initial copy is the whole op.
-	case r.useTree(op, cs, outBytes):
-		r.runTree(p, op, cs)
-	case r.useHD(op, cs):
-		if nch == 1 {
-			r.runHD(p, op, cs, 0)
-		} else {
-			latch := sim.NewLatch(nch)
-			for ch := 0; ch < nch; ch++ {
-				ch := ch
-				r.comm.s.Go(fmt.Sprintf("proxy:c%d:r%d:hd%d", r.comm.Info.ID, r.rank, ch), func(p2 *sim.Proc) {
-					r.runHD(p2, op, cs, ch)
-					latch.Done(r.comm.s)
-				})
-			}
-			latch.Wait(p)
-		}
-	default:
-		if nch == 1 {
-			r.runChannel(p, op, cs, 0)
+	// A single-rank communicator has no schedule: the initial copy is
+	// the whole op.
+	if n > 1 {
+		algo := collective.Select(&cs.strategy, op.Op, n, op.Root, outBytes)
+		if nch := collective.Channels(algo, cs.rings); nch == 1 {
+			r.run(p, op, cs, algo, 0)
 		} else {
 			latch := sim.NewLatch(nch)
 			for ch := 0; ch < nch; ch++ {
 				ch := ch
 				r.comm.s.Go(fmt.Sprintf("proxy:c%d:r%d:ch%d", r.comm.Info.ID, r.rank, ch), func(p2 *sim.Proc) {
-					r.runChannel(p2, op, cs, ch)
+					r.run(p2, op, cs, algo, ch)
 					latch.Done(r.comm.s)
 				})
 			}
@@ -115,195 +98,6 @@ func (r *Runner) initialCopy(p *sim.Proc, op *OpRequest, n int) {
 	}
 }
 
-// regionLayout returns the element offsets/lengths of op's data regions
-// over the output buffer.
-func regionLayout(op *OpRequest, n int) (starts, lens []int64) {
-	switch op.Op {
-	case collective.AllGather:
-		starts = make([]int64, n)
-		lens = make([]int64, n)
-		for i := range starts {
-			starts[i] = int64(i) * op.Count
-			lens[i] = op.Count
-		}
-		return starts, lens
-	case collective.Broadcast, collective.Reduce:
-		return []int64{0}, []int64{op.Count}
-	default:
-		return collective.Regions(op.Count, n)
-	}
-}
-
-// channelSlice returns the element sub-range of a region handled by
-// channel ch out of nch (channels split every region evenly).
-func channelSlice(start, length int64, nch, ch int) (int64, int64) {
-	if nch == 1 {
-		return start, length
-	}
-	starts, lens := collective.Regions(length, nch)
-	return start + starts[ch], lens[ch]
-}
-
-// useTree reports whether this op should run on the binomial tree: the
-// strategy enables trees, the op is a dense rooted collective at root 0
-// (the provisioned tree), and it is below the size threshold.
-func (r *Runner) useTree(op *OpRequest, cs *connSet, outBytes int64) bool {
-	if cs.tree == nil || outBytes >= cs.strategy.TreeThreshold {
-		return false
-	}
-	switch op.Op {
-	case collective.AllReduce:
-		return true
-	case collective.Broadcast, collective.Reduce:
-		return op.Root == 0
-	default:
-		return false
-	}
-}
-
-// runTree executes a binomial-tree schedule: each round moves the full
-// buffer to/from one peer. Latency-optimal for the small messages the
-// threshold admits.
-func (r *Runner) runTree(p *sim.Proc, op *OpRequest, cs *connSet) {
-	n := r.comm.Info.NumRanks()
-	rounds, err := collective.TreeRoundsFor(op.Op, n, r.rank, op.Root)
-	if err != nil {
-		panic(err)
-	}
-	p.Sleep(r.comm.cfg.KernelLaunch)
-	backed := op.RecvBuf != nil && op.RecvBuf.Backed()
-	for ri, round := range rounds {
-		if !round.Active {
-			// Peers in this round exchange without us; nothing blocks
-			// our round counter because each transfer pairs sender and
-			// receiver explicitly.
-			continue
-		}
-		r.comm.telSteps.Inc()
-		tr := round.T
-		if tr.Send {
-			conn := cs.tree[[2]int{r.rank, tr.Peer}]
-			var data []float32
-			if backed {
-				data = append([]float32(nil), op.RecvBuf.Data()[:op.Count]...)
-			}
-			conn.SendTagged(op.Count*4, data, nil, trace.FlowTag{
-				Comm: int32(r.comm.Info.ID), From: int32(r.rank), To: int32(tr.Peer),
-				Channel: 0, Gen: int32(r.gen), Step: int32(ri),
-				Op: int32(op.Op), Seq: op.seq,
-			})
-			continue
-		}
-		conn := cs.tree[[2]int{tr.Peer, r.rank}]
-		d := conn.Recv(p)
-		passes := 1.0
-		if tr.Reduce {
-			passes = 2.0
-		}
-		p.Sleep(r.dev.TransferTime(op.Count*4, passes))
-		if d.Data != nil && backed {
-			dst := op.RecvBuf.Data()[:op.Count]
-			if tr.Reduce {
-				for i := range dst {
-					dst[i] += d.Data[i]
-				}
-			} else {
-				copy(dst, d.Data)
-			}
-		}
-	}
-}
-
-// useHD reports whether this op runs the halving-doubling schedule: the
-// strategy selected AlgoHD (so butterfly connections exist) and the op
-// is a dense AllReduce. Small messages below the tree threshold still
-// prefer the tree (checked first by execute), mirroring how a tuner
-// composes the two.
-func (r *Runner) useHD(op *OpRequest, cs *connSet) bool {
-	return cs.hd != nil && op.Op == collective.AllReduce
-}
-
-// runHD executes the halving-doubling AllReduce rounds of one channel.
-// Channels split the buffer into contiguous ceil-balanced sub-ranges
-// (same split the rings use), each running an independent butterfly
-// over its own connections. Sends are asynchronous and receives block,
-// so paired exchanges within a round cannot deadlock; per-connection
-// FIFO order keeps rounds matched without explicit tags.
-func (r *Runner) runHD(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
-	n := r.comm.Info.NumRanks()
-	nch := len(cs.conns)
-	chStart, chLen := channelSlice(0, op.Count, nch, ch)
-	steps := collective.HDSchedule(n, chLen, r.rank)
-	cfg := r.comm.cfg
-
-	p.Sleep(cfg.KernelLaunch)
-
-	rec := r.comm.rec
-	traceSteps := rec.Enabled(trace.KindStep)
-	backed := op.RecvBuf != nil && op.RecvBuf.Backed()
-	for si, st := range steps {
-		if !st.Active {
-			continue
-		}
-		r.comm.telSteps.Inc()
-		var stepStart sim.Time
-		var busy sim.Duration
-		if traceSteps {
-			stepStart = p.Now()
-		}
-		if st.SendLen > 0 {
-			conn := cs.hd[ch][[2]int{r.rank, st.Peer}]
-			off, l := chStart+st.SendLo, st.SendLen
-			var data []float32
-			if backed {
-				data = append([]float32(nil), op.RecvBuf.Data()[off:off+l]...)
-			}
-			conn.SendTagged(l*4, data, nil, trace.FlowTag{
-				Comm: int32(r.comm.Info.ID), From: int32(r.rank), To: int32(st.Peer),
-				Channel: int32(ch), Gen: int32(r.gen), Step: int32(si),
-				Op: int32(op.Op), Seq: op.seq,
-			})
-		}
-		if st.RecvLen > 0 {
-			conn := cs.hd[ch][[2]int{st.Peer, r.rank}]
-			d := conn.Recv(p)
-			passes := 1.0
-			if st.RecvReduce {
-				passes = 2.0
-			}
-			dt := r.dev.TransferTime(st.RecvLen*4, passes)
-			p.Sleep(dt)
-			busy += dt
-			if d.Data != nil && backed {
-				off := chStart + st.RecvLo
-				dst := op.RecvBuf.Data()[off : off+st.RecvLen]
-				if int64(len(d.Data)) != st.RecvLen {
-					panic(fmt.Sprintf("proxy: hd size mismatch: got %d elems, want %d", len(d.Data), st.RecvLen))
-				}
-				if st.RecvReduce {
-					for i := range dst {
-						dst[i] += d.Data[i]
-					}
-				} else {
-					copy(dst, d.Data)
-				}
-			}
-		}
-		if traceSteps {
-			rec.Emit(trace.Span{
-				Kind: trace.KindStep, Op: int32(op.Op),
-				Start: stepStart, End: p.Now(), Busy: busy,
-				Host: int32(r.comm.Info.Ranks[r.rank].Host),
-				GPU:  int32(r.comm.Info.Ranks[r.rank].GPU),
-				Comm: int32(r.comm.Info.ID), Rank: int32(r.rank), Peer: int32(st.Peer),
-				Channel: int32(ch), Gen: int32(r.gen), Step: int32(si),
-				Seq: op.seq, Bytes: (st.SendLen + st.RecvLen) * 4,
-				Flow: -1, Src: -1, Dst: -1,
-			})
-		}
-	}
-}
-
 // sliceCount returns how many pipeline slices a chunk of bytes is cut
 // into under the config's slice model.
 func sliceCount(cfg Config, bytes int64) int {
@@ -328,29 +122,22 @@ func sliceCount(cfg Config, bytes int64) int {
 	return k
 }
 
-// runChannel executes the ring schedule of one channel.
+// run interprets this rank's program for one channel of op under algo.
+// It is the only place collectives touch connections: a fused kernel
+// launch, then for every round the rank takes part in, the round's send
+// and its receive with the receive-side GPU work.
 //
-// Each step's chunk is cut into slices that stream independently
-// (NCCL's FIFO-slot pipelining): a rank forwards slice k of a step as
-// soon as it has received slice k of the previous step, so a transient
-// phase skew between ranks costs one slice, not one chunk, of pipeline
-// stall.
-func (r *Runner) runChannel(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
-	ring := cs.rings[ch]
-	n := ring.Size()
-	steps := collective.Steps(op.Op, ring, r.rank, op.Root)
-	starts, lens := regionLayout(op, n)
-	nch := len(cs.conns)
+// A pipelined program's step is cut into slices that stream
+// independently (NCCL's FIFO-slot pipelining): a rank forwards slice k
+// of a step as soon as it has received slice k of the previous step, so
+// a transient phase skew between ranks costs one slice, not one chunk,
+// of pipeline stall. Otherwise a step is one message. Sends are
+// asynchronous and receives block, so paired exchanges within a round
+// cannot deadlock; per-connection FIFO order keeps rounds matched
+// without explicit tags.
+func (r *Runner) run(p *sim.Proc, op *OpRequest, cs *connSet, algo collective.Algo, ch int) {
+	prog := collective.Lower(algo, op.Op, cs.rings, r.rank, ch, op.Root, op.Count)
 	cfg := r.comm.cfg
-
-	var sendConn, recvConn *transport.Conn
-	sendPeer := collective.SendPeer(op.Op, ring, r.rank, op.Root)
-	if sendPeer != r.rank {
-		sendConn = cs.conns[ch][[2]int{r.rank, sendPeer}]
-	}
-	if rp := collective.RecvPeer(op.Op, ring, r.rank, op.Root); rp != r.rank {
-		recvConn = cs.conns[ch][[2]int{rp, r.rank}]
-	}
 
 	// Fused communication kernel launch, once per channel.
 	p.Sleep(cfg.KernelLaunch)
@@ -358,14 +145,20 @@ func (r *Runner) runChannel(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
 	rec := r.comm.rec
 	traceSteps := rec.Enabled(trace.KindStep)
 	backed := op.RecvBuf != nil && op.RecvBuf.Backed()
-	for si, st := range steps {
+	for si, st := range prog.Steps {
+		if st.Idle() {
+			// Peers in this round exchange without us; nothing blocks
+			// our round counter because each transfer pairs sender and
+			// receiver explicitly.
+			continue
+		}
 		r.comm.telSteps.Inc()
 		// The tag rides every message of this step onto its fabric flow,
 		// joining network transfers back to (comm, seq, step) in the
 		// trace. Building it is stack-only, so it costs nothing when
 		// recording is off.
 		tag := trace.FlowTag{
-			Comm: int32(r.comm.Info.ID), From: int32(r.rank), To: int32(sendPeer),
+			Comm: int32(r.comm.Info.ID), From: int32(r.rank), To: int32(st.SendPeer),
 			Channel: int32(ch), Gen: int32(r.gen), Step: int32(si),
 			Op: int32(op.Op), Seq: op.seq,
 		}
@@ -374,69 +167,68 @@ func (r *Runner) runChannel(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
 		if traceSteps {
 			stepStart = p.Now()
 		}
-		var sOff, sLen, rOff, rLen int64
-		if st.SendRegion >= 0 {
-			sOff, sLen = channelSlice(starts[st.SendRegion], lens[st.SendRegion], nch, ch)
+		var sendConn, recvConn *transport.Conn
+		if st.SendPeer >= 0 {
+			sendConn = cs.conns[collective.Edge{Algo: algo, Channel: ch, From: r.rank, To: st.SendPeer}]
 		}
-		if st.RecvRegion >= 0 {
-			rOff, rLen = channelSlice(starts[st.RecvRegion], lens[st.RecvRegion], nch, ch)
+		if st.RecvPeer >= 0 {
+			recvConn = cs.conns[collective.Edge{Algo: algo, Channel: ch, From: st.RecvPeer, To: r.rank}]
 		}
-		ks := sliceCount(cfg, sLen*4)
-		kr := sliceCount(cfg, rLen*4)
-		var sStarts, sLens, rStarts, rLens []int64
-		if ks > 0 {
-			sStarts, sLens = collective.Regions(sLen, ks)
+		ks, kr := 1, 1
+		if prog.Pipelined {
+			ks, kr = sliceCount(cfg, st.SendLen*4), sliceCount(cfg, st.RecvLen*4)
 		}
-		if kr > 0 {
-			rStarts, rLens = collective.Regions(rLen, kr)
-		}
-		kmax := ks
-		if kr > kmax {
-			kmax = kr
-		}
-		for k := 0; k < kmax; k++ {
-			if k < ks && sLens[k] > 0 {
-				off, l := sOff+sStarts[k], sLens[k]
-				var data []float32
-				if backed {
-					data = append([]float32(nil), op.RecvBuf.Data()[off:off+l]...)
-				}
-				sendConn.SendTagged(l*4, data, nil, tag)
-			}
-			if k < kr && rLens[k] > 0 {
-				off, l := rOff+rStarts[k], rLens[k]
-				d := recvConn.Recv(p)
-				passes := 1.0
-				if st.RecvReduce {
-					passes = 2.0
-				}
-				dt := r.dev.TransferTime(l*4, passes)
-				p.Sleep(dt)
-				busy += dt
-				if d.Data != nil && backed {
-					dst := op.RecvBuf.Data()[off : off+l]
-					if int64(len(d.Data)) != l {
-						panic(fmt.Sprintf("proxy: slice size mismatch: got %d elems, want %d", len(d.Data), l))
+		for k := 0; k < ks || k < kr; k++ {
+			if k < ks {
+				if off, l := collective.Part(st.SendLen, ks, k); l > 0 {
+					off += st.SendOff
+					var data []float32
+					if backed {
+						data = append([]float32(nil), op.RecvBuf.Data()[off:off+l]...)
 					}
+					sendConn.SendTagged(l*4, data, nil, tag)
+				}
+			}
+			if k < kr {
+				if off, l := collective.Part(st.RecvLen, kr, k); l > 0 {
+					off += st.RecvOff
+					d := recvConn.Recv(p)
+					passes := 1.0
 					if st.RecvReduce {
-						for i := range dst {
-							dst[i] += d.Data[i]
+						passes = 2.0
+					}
+					dt := r.dev.TransferTime(l*4, passes)
+					p.Sleep(dt)
+					busy += dt
+					if d.Data != nil && backed {
+						dst := op.RecvBuf.Data()[off : off+l]
+						if int64(len(d.Data)) != l {
+							panic(fmt.Sprintf("proxy: slice size mismatch: got %d elems, want %d", len(d.Data), l))
 						}
-					} else {
-						copy(dst, d.Data)
+						if st.RecvReduce {
+							for i := range dst {
+								dst[i] += d.Data[i]
+							}
+						} else {
+							copy(dst, d.Data)
+						}
 					}
 				}
 			}
 		}
 		if traceSteps {
+			peer := st.SendPeer
+			if peer < 0 {
+				peer = st.RecvPeer
+			}
 			rec.Emit(trace.Span{
 				Kind: trace.KindStep, Op: int32(op.Op),
 				Start: stepStart, End: p.Now(), Busy: busy,
 				Host: int32(r.comm.Info.Ranks[r.rank].Host),
 				GPU:  int32(r.comm.Info.Ranks[r.rank].GPU),
-				Comm: int32(r.comm.Info.ID), Rank: int32(r.rank), Peer: int32(sendPeer),
+				Comm: int32(r.comm.Info.ID), Rank: int32(r.rank), Peer: int32(peer),
 				Channel: int32(ch), Gen: int32(r.gen), Step: int32(si),
-				Seq: op.seq, Bytes: (sLen + rLen) * 4,
+				Seq: op.seq, Bytes: (st.SendLen + st.RecvLen) * 4,
 				Flow: -1, Src: -1, Dst: -1,
 			})
 		}

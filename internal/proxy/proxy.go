@@ -1,11 +1,11 @@
 // Package proxy implements the MCCS proxy engine (paper §4.2): the per-GPU
 // component that bridges high-level communicators to low-level resources.
 // A Runner executes one rank of one communicator: it dequeues collective
-// requests from the frontend, runs the ring schedule over the transport
-// connections, and implements the dynamic reconfiguration protocol of
-// Fig. 4 — stall, sequence-number AllGather on the control ring, drain to
-// the maximum launched sequence, tear down and rebuild connections under
-// the new strategy.
+// requests from the frontend, interprets the rank's schedule program
+// (collective.Lower) over the transport connections, and implements the
+// dynamic reconfiguration protocol of Fig. 4 — stall, sequence-number
+// AllGather on the control ring, drain to the maximum launched sequence,
+// tear down and rebuild connections under the new strategy.
 package proxy
 
 import (
@@ -169,16 +169,36 @@ type Comm struct {
 	p2p map[[2]int]*transport.Conn
 }
 
-// connSet is one generation of connections: conns[ch][{from,to}] for both
-// ring directions of every channel, plus (when the strategy enables tree
-// collectives) the binomial-tree edges and (when the strategy selects
-// halving-doubling) the per-channel butterfly edges.
+// connSet is one generation of connections: one per edge the strategy
+// provisions (collective.Edges), whichever schedule family uses it.
 type connSet struct {
 	strategy spec.Strategy
 	rings    []*collective.Ring
-	conns    []map[[2]int]*transport.Conn // per channel: (from,to) -> conn
-	tree     map[[2]int]*transport.Conn   // (from,to) -> conn along tree edges
-	hd       []map[[2]int]*transport.Conn // per channel: (from,to) -> conn along hd edges
+	edges    []collective.Edge // establishment order
+	conns    map[collective.Edge]*transport.Conn
+}
+
+// at returns the connections behind a management-plane key: the ring
+// edge and, when the strategy provisions them, the tree and butterfly
+// edges between the same ranks on the same channel.
+func (cs *connSet) at(k spec.ConnKey) []*transport.Conn {
+	var out []*transport.Conn
+	for _, algo := range []collective.Algo{collective.AlgoRing, collective.AlgoTree, collective.AlgoHD} {
+		if conn, ok := cs.conns[collective.Edge{Algo: algo, Channel: k.Channel, From: k.FromRank, To: k.ToRank}]; ok {
+			out = append(out, conn)
+		}
+	}
+	return out
+}
+
+// closeFrom closes the generation's connections whose sender is rank
+// (every connection when rank < 0).
+func (cs *connSet) closeFrom(rank int) {
+	for _, e := range cs.edges {
+		if rank < 0 || e.From == rank {
+			cs.conns[e].Close()
+		}
+	}
 }
 
 // NewComm wires up a communicator: control ring, generation-0 connections
@@ -235,80 +255,23 @@ func (c *Comm) connsFor(gen int, strategy spec.Strategy) (*connSet, error) {
 	if cs, ok := c.gens[gen]; ok {
 		return cs, nil
 	}
-	n := c.Info.NumRanks()
-	cs := &connSet{strategy: strategy.Clone()}
-	for ci, ch := range strategy.Channels {
-		ring, err := collective.NewRing(ch.Order)
+	rings, err := collective.Rings(&strategy)
+	if err != nil {
+		return nil, fmt.Errorf("proxy: %w", err)
+	}
+	cs := &connSet{
+		strategy: strategy.Clone(), rings: rings,
+		edges: collective.Edges(&strategy, rings),
+		conns: make(map[collective.Edge]*transport.Conn),
+	}
+	for _, e := range cs.edges {
+		fi, ti := c.Info.Ranks[e.From], c.Info.Ranks[e.To]
+		label := connLabel(c.cfg.LabelSalt, c.Info.ID, gen, e.LabelChannel(), e.From, e.To)
+		conn, err := c.engines[fi.Host].Connect(c.Info.App, fi.NIC, ti.NIC, e.Route(&strategy), label)
 		if err != nil {
-			return nil, fmt.Errorf("proxy: channel %d: %w", ci, err)
+			return nil, fmt.Errorf("proxy: comm %d %v ch %d conn %d->%d: %w", c.Info.ID, e.Algo, e.Channel, e.From, e.To, err)
 		}
-		cs.rings = append(cs.rings, ring)
-		m := make(map[[2]int]*transport.Conn, 2*n)
-		for pos := 0; pos < n; pos++ {
-			from := ring.RankAt(pos)
-			for _, to := range []int{ring.Next(from), ring.Prev(from)} {
-				if from == to {
-					continue // single-rank communicator
-				}
-				key := [2]int{from, to}
-				if _, dup := m[key]; dup {
-					continue // n == 2: next == prev
-				}
-				fi, ti := c.Info.Ranks[from], c.Info.Ranks[to]
-				route := strategy.RouteFor(spec.ConnKey{Channel: ci, FromRank: from, ToRank: to})
-				label := connLabel(c.cfg.LabelSalt, c.Info.ID, gen, ci, from, to)
-				conn, err := c.engines[fi.Host].Connect(c.Info.App, fi.NIC, ti.NIC, route, label)
-				if err != nil {
-					return nil, fmt.Errorf("proxy: comm %d ch %d conn %d->%d: %w", c.Info.ID, ci, from, to, err)
-				}
-				m[key] = conn
-			}
-		}
-		cs.conns = append(cs.conns, m)
-	}
-	if strategy.TreeThreshold > 0 && n > 1 {
-		cs.tree = make(map[[2]int]*transport.Conn)
-		for rank := 0; rank < n; rank++ {
-			for _, peer := range collective.TreePeers(n, rank, 0) {
-				key := [2]int{rank, peer}
-				if _, dup := cs.tree[key]; dup {
-					continue
-				}
-				fi, ti := c.Info.Ranks[rank], c.Info.Ranks[peer]
-				label := connLabel(c.cfg.LabelSalt, c.Info.ID, gen, 1<<20, rank, peer)
-				conn, err := c.engines[fi.Host].Connect(c.Info.App, fi.NIC, ti.NIC, spec.RouteECMP, label)
-				if err != nil {
-					return nil, fmt.Errorf("proxy: comm %d tree conn %d->%d: %w", c.Info.ID, rank, peer, err)
-				}
-				cs.tree[key] = conn
-			}
-		}
-	}
-	if strategy.Algorithm == spec.AlgoHD && n > 1 {
-		// The halving-doubling butterfly needs its own edge set: XOR
-		// peers, not ring neighbors. Each channel gets its own directed
-		// connections so channel route pins apply to it exactly as they
-		// do to the rings.
-		for ci := range strategy.Channels {
-			m := make(map[[2]int]*transport.Conn)
-			for rank := 0; rank < n; rank++ {
-				for _, peer := range collective.HDPeers(n, rank) {
-					key := [2]int{rank, peer}
-					if _, dup := m[key]; dup {
-						continue
-					}
-					fi, ti := c.Info.Ranks[rank], c.Info.Ranks[peer]
-					route := strategy.RouteFor(spec.ConnKey{Channel: ci, FromRank: rank, ToRank: peer})
-					label := connLabel(c.cfg.LabelSalt, c.Info.ID, gen, (1<<21)+ci, rank, peer)
-					conn, err := c.engines[fi.Host].Connect(c.Info.App, fi.NIC, ti.NIC, route, label)
-					if err != nil {
-						return nil, fmt.Errorf("proxy: comm %d hd ch %d conn %d->%d: %w", c.Info.ID, ci, rank, peer, err)
-					}
-					m[key] = conn
-				}
-			}
-			cs.hd = append(cs.hd, m)
-		}
+		cs.conns[e] = conn
 	}
 	c.gens[gen] = cs
 	return cs, nil
@@ -324,29 +287,37 @@ func connLabel(salt uint64, id spec.CommID, gen, ch, from, to int) uint64 {
 	return h
 }
 
-// UpdateRoutes re-pins connections of the current generation immediately
-// (no barrier): route-only changes are safe because they affect only
-// future messages. This is the FFA/PFA push path.
-func (c *Comm) UpdateRoutes(routes map[spec.ConnKey]int) error {
-	// All runners share a generation outside of reconfigurations; apply
-	// to the newest built generation.
+// newest returns the newest built generation. All runners share a
+// generation outside of reconfigurations.
+func (c *Comm) newest() *connSet {
 	maxGen := 0
 	for g := range c.gens {
 		if g > maxGen {
 			maxGen = g
 		}
 	}
-	cs := c.gens[maxGen]
+	return c.gens[maxGen]
+}
+
+// UpdateRoutes re-pins connections of the current generation immediately
+// (no barrier): route-only changes are safe because they affect only
+// future messages. This is the FFA/PFA push path. A key re-pins every
+// connection behind it, so a strategy that runs halving-doubling or the
+// tree between two ranks moves those connections with the ring's. (The
+// remembered override outlives the generation for ring and butterfly
+// edges; tree edges are reconnected by ECMP, as collective.Edge.Route
+// says.)
+func (c *Comm) UpdateRoutes(routes map[spec.ConnKey]int) error {
+	cs := c.newest()
 	for k, idx := range routes {
-		if k.Channel >= len(cs.conns) {
-			return fmt.Errorf("proxy: route for unknown channel %d", k.Channel)
-		}
-		conn, ok := cs.conns[k.Channel][[2]int{k.FromRank, k.ToRank}]
-		if !ok {
+		conns := cs.at(k)
+		if len(conns) == 0 {
 			return fmt.Errorf("proxy: route for unknown conn %d->%d ch %d", k.FromRank, k.ToRank, k.Channel)
 		}
-		if err := conn.SetRoute(idx); err != nil {
-			return err
+		for _, conn := range conns {
+			if err := conn.SetRoute(idx); err != nil {
+				return err
+			}
 		}
 	}
 	// Remember the overrides so future reconfigurations keep them.
@@ -359,58 +330,34 @@ func (c *Comm) UpdateRoutes(routes map[spec.ConnKey]int) error {
 	return nil
 }
 
-// ConnRoutes reports, for every inter-host connection of the newest
-// generation, the fabric links its messages currently traverse. This is
-// the mapping a congestion watcher needs to attribute link load to
-// communicators.
+// ConnRoutes reports, for every inter-host connection key of the newest
+// generation, the fabric links its messages currently traverse — over
+// all the connections behind the key, so a link appears once per
+// connection crossing it. This is the mapping remediation and a
+// congestion watcher need to attribute link load to communicators.
 func (c *Comm) ConnRoutes() map[spec.ConnKey][]netsim.LinkID {
-	maxGen := 0
-	for g := range c.gens {
-		if g > maxGen {
-			maxGen = g
-		}
-	}
-	cs := c.gens[maxGen]
+	cs := c.newest()
 	out := make(map[spec.ConnKey][]netsim.LinkID)
-	for ci, chConns := range cs.conns {
-		for key, conn := range chConns {
-			if p := conn.CurrentPath(); p != nil {
-				out[spec.ConnKey{Channel: ci, FromRank: key[0], ToRank: key[1]}] = p
-			}
+	for _, e := range cs.edges {
+		if p := cs.conns[e].CurrentPath(); p != nil {
+			out[e.Key()] = append(out[e.Key()], p...)
 		}
 	}
 	return out
 }
 
-// PathCountFor returns the equal-cost path count of one connection of the
-// newest generation (0 if unknown).
+// PathCountFor returns the equal-cost path count of one connection key
+// of the newest generation (0 if unknown).
 func (c *Comm) PathCountFor(k spec.ConnKey) int {
-	maxGen := 0
-	for g := range c.gens {
-		if g > maxGen {
-			maxGen = g
-		}
+	for _, conn := range c.newest().at(k) {
+		return conn.PathCount()
 	}
-	cs := c.gens[maxGen]
-	if k.Channel >= len(cs.conns) {
-		return 0
-	}
-	conn, ok := cs.conns[k.Channel][[2]int{k.FromRank, k.ToRank}]
-	if !ok {
-		return 0
-	}
-	return conn.PathCount()
+	return 0
 }
 
 // Strategy returns the strategy of the newest connection generation.
 func (c *Comm) Strategy() spec.Strategy {
-	maxGen := 0
-	for g := range c.gens {
-		if g > maxGen {
-			maxGen = g
-		}
-	}
-	return c.gens[maxGen].strategy.Clone()
+	return c.newest().strategy.Clone()
 }
 
 // Runner executes one rank of the communicator. It is split the way the
@@ -545,19 +492,7 @@ func (c *Comm) Destroy() {
 		r.Shutdown()
 	}
 	for _, cs := range c.gens {
-		for _, chConns := range cs.conns {
-			for _, conn := range chConns {
-				conn.Close()
-			}
-		}
-		for _, conn := range cs.tree {
-			conn.Close()
-		}
-		for _, chConns := range cs.hd {
-			for _, conn := range chConns {
-				conn.Close()
-			}
-		}
+		cs.closeFrom(-1)
 	}
 	for _, conn := range c.p2p {
 		conn.Close()
@@ -658,26 +593,7 @@ func (r *Runner) reconfigure(p *sim.Proc, req *ReconfigRequest) {
 	// 4. Tear down this rank's send connections and switch to the next
 	//    generation, rebuilding connections under the new strategy.
 	tearStart := p.Now()
-	old := r.comm.gens[r.gen]
-	for _, chConns := range old.conns {
-		for key, conn := range chConns {
-			if key[0] == r.rank {
-				conn.Close()
-			}
-		}
-	}
-	for key, conn := range old.tree {
-		if key[0] == r.rank {
-			conn.Close()
-		}
-	}
-	for _, chConns := range old.hd {
-		for key, conn := range chConns {
-			if key[0] == r.rank {
-				conn.Close()
-			}
-		}
-	}
+	r.comm.gens[r.gen].closeFrom(r.rank)
 	p.Sleep(r.comm.cfg.ConnTeardown)
 	r.emitPhase(p, trace.PhaseTeardown, tearStart)
 	rebuildStart := p.Now()

@@ -50,7 +50,8 @@ const (
 	// KindOp is one collective executed by one proxy runner, from issue
 	// reaching the proxy to rank-local completion.
 	KindOp Kind = iota
-	// KindStep is one ring/tree step of a collective on one channel.
+	// KindStep is one non-idle schedule step of a collective on one
+	// channel, whatever the algorithm.
 	KindStep
 	// KindBarrier is one phase of the Fig. 4 reconfiguration barrier;
 	// Span.Op holds the Phase* code.

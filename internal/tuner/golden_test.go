@@ -88,8 +88,8 @@ func TestPredictedOrderMatchesMeasured(t *testing.T) {
 		if slow.Name == "" || fast.Name == "" {
 			t.Fatalf("candidate set missing %v", pair)
 		}
-		pSlow := m.Predict(info, &slow.Strategy, collective.AllReduce, bytes)
-		pFast := m.Predict(info, &fast.Strategy, collective.AllReduce, bytes)
+		pSlow := m.Predict(info, &slow.Strategy, collective.AllReduce, 0, bytes)
+		pFast := m.Predict(info, &fast.Strategy, collective.AllReduce, 0, bytes)
 		if pFast >= pSlow {
 			t.Errorf("model: %s (%v) not predicted faster than %s (%v)",
 				fast.Name, pFast, slow.Name, pSlow)
@@ -130,8 +130,8 @@ func TestPredictedTreeCrossoverMatchesMeasured(t *testing.T) {
 		{16 << 10, true},
 		{64 << 20, false},
 	} {
-		pTree := m.Predict(info, &tree, collective.AllReduce, tc.bytes)
-		pRing := m.Predict(info, &ring, collective.AllReduce, tc.bytes)
+		pTree := m.Predict(info, &tree, collective.AllReduce, 0, tc.bytes)
+		pRing := m.Predict(info, &ring, collective.AllReduce, 0, tc.bytes)
 		if (pTree < pRing) != tc.treeWins {
 			t.Errorf("model at %d bytes: tree %v ring %v, want treeWins=%v",
 				tc.bytes, pTree, pRing, tc.treeWins)

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"fmt"
 	"time"
 
 	"mccs/internal/collective"
@@ -50,11 +51,12 @@ func DefaultModel(c *topo.Cluster) *Model {
 	}
 }
 
-// conn is one directed transfer in a phase of the modeled schedule.
+// conn is one directed transfer of a round of the modeled schedule: the
+// edge it runs on and the route that edge is connected with (a pin
+// index, or spec.RouteECMP).
 type conn struct {
-	from, to int // ranks
-	route    int // pin index, or spec.RouteECMP
-	bytes    float64
+	collective.Edge
+	route int
 }
 
 // minBps floors available capacity so a fully stolen link predicts "very
@@ -70,7 +72,7 @@ func (m *Model) rates(info *spec.CommInfo, conns []conn) []float64 {
 	load := make(map[netsim.LinkID]float64)
 	paths := make([][][]netsim.LinkID, len(conns))
 	for i, c := range conns {
-		a, b := info.Ranks[c.from], info.Ranks[c.to]
+		a, b := info.Ranks[c.From], info.Ranks[c.To]
 		if a.Host == b.Host {
 			continue
 		}
@@ -146,156 +148,95 @@ func (m *Model) rates(info *spec.CommInfo, conns []conn) []float64 {
 	return out
 }
 
-// Predict estimates the completion time of op moving bytes (output bytes,
-// as in AlgBW) under strategy st. Dispatch mirrors the proxy exactly:
-// trivial communicator, then tree below threshold, then halving-doubling
-// for AllReduce under AlgoHD, then rings.
-func (m *Model) Predict(info *spec.CommInfo, st *spec.Strategy, op collective.Op, bytes int64) time.Duration {
+// Predict estimates the completion time of op (rooted at root, where it
+// has one) moving bytes (output bytes, as in AlgBW) under strategy st. It
+// prices the very programs the proxy will interpret — the algorithm
+// collective.Select picks, lowered by collective.Lower, over the routes
+// collective.Edges connects — as Σ over rounds of α + the round's largest
+// transfer at the rate of its slowest concurrent connection.
+//
+// Which connections are concurrent is the program's Pipelined property:
+// barrier rounds (tree, halving-doubling) load the fabric with their own
+// transfers only, while a pipelined ring streams slices of consecutive
+// rounds at once, so every connection the program ever uses shares the
+// fabric in every round. Ring rounds all move one region of (nearly) the
+// same size over that one set, which is why this equals the familiar
+// steps × (α + stepBytes / min-rate of the slowest channel).
+func (m *Model) Predict(info *spec.CommInfo, st *spec.Strategy, op collective.Op, root int, bytes int64) time.Duration {
 	n := info.NumRanks()
 	if n <= 1 {
 		return m.Fixed
 	}
-	if st.TreeThreshold > 0 && bytes < st.TreeThreshold && treeOp(op) {
-		return m.Fixed + m.predictTree(info, st, op, bytes)
+	rings, err := collective.Rings(st)
+	if err != nil {
+		panic(fmt.Sprintf("tuner: predicting an invalid strategy: %v", err))
 	}
-	if op == collective.AllReduce && st.Algorithm == spec.AlgoHD {
-		return m.Fixed + m.predictHD(info, st, bytes)
-	}
-	return m.Fixed + m.predictRing(info, st, op, bytes)
-}
-
-func treeOp(op collective.Op) bool {
-	switch op {
-	case collective.AllReduce, collective.Broadcast, collective.Reduce:
-		return true
-	}
-	return false
-}
-
-// predictRing models the pipelined ring schedules: every channel runs its
-// steps concurrently, a channel advances at the rate of its slowest
-// connection, and the op finishes when the slowest channel does.
-func (m *Model) predictRing(info *spec.CommInfo, st *spec.Strategy, op collective.Op, bytes int64) time.Duration {
-	n := info.NumRanks()
-	nch := len(st.Channels)
-	var steps int
-	var stepBytes float64
-	switch op {
-	case collective.AllReduce:
-		steps, stepBytes = 2*(n-1), float64(bytes)/float64(n*nch)
-	case collective.AllGather, collective.ReduceScatter:
-		steps, stepBytes = n-1, float64(bytes)/float64(n*nch)
-	default: // Broadcast, Reduce: the whole buffer hops along the chain.
-		steps, stepBytes = n-1, float64(bytes)/float64(nch)
-	}
-	// All channels' forward connections are concurrently active.
-	var conns []conn
-	chFirst := make([]int, nch) // index of channel ci's first conn
-	for ci, ch := range st.Channels {
-		chFirst[ci] = len(conns)
-		for pos, from := range ch.Order {
-			to := ch.Order[(pos+1)%n]
-			conns = append(conns, conn{
-				from: from, to: to,
-				route: st.RouteFor(spec.ConnKey{Channel: ci, FromRank: from, ToRank: to}),
-				bytes: stepBytes,
-			})
-		}
-	}
-	rs := m.rates(info, conns)
-	worst := time.Duration(0)
-	for ci := range st.Channels {
-		min := rs[chFirst[ci]]
-		for i := chFirst[ci] + 1; i < chFirst[ci]+n; i++ {
-			if rs[i] < min {
-				min = rs[i]
-			}
-		}
-		t := time.Duration(steps) * (m.Alpha + seconds(stepBytes/min))
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
-// predictTree models the binomial tree at root 0 (the provisioned tree):
-// rounds are barriers, each round costs α plus the slowest of its
-// concurrent full-buffer transfers.
-func (m *Model) predictTree(info *spec.CommInfo, st *spec.Strategy, op collective.Op, bytes int64) time.Duration {
-	n := info.NumRanks()
-	var perRound [][]conn
-	for rank := 0; rank < n; rank++ {
-		rounds, err := collective.TreeRoundsFor(op, n, rank, 0)
-		if err != nil {
-			return m.predictRing(info, st, op, bytes)
-		}
-		for ri, rd := range rounds {
-			if !rd.Active || !rd.T.Send {
-				continue
-			}
-			for len(perRound) <= ri {
-				perRound = append(perRound, nil)
-			}
-			perRound[ri] = append(perRound[ri], conn{
-				from: rank, to: rd.T.Peer,
-				route: st.RouteFor(spec.ConnKey{Channel: 0, FromRank: rank, ToRank: rd.T.Peer}),
-				bytes: float64(bytes),
-			})
-		}
-	}
-	var total time.Duration
-	for _, conns := range perRound {
-		total += m.Alpha + slowest(m, info, conns)
-	}
-	return total
-}
-
-// predictHD models recursive halving-doubling: per channel the exact
-// per-round byte counts come from the real schedule, rounds are
-// barriers, and channels run concurrently within each round.
-func (m *Model) predictHD(info *spec.CommInfo, st *spec.Strategy, bytes int64) time.Duration {
-	n := info.NumRanks()
-	nch := len(st.Channels)
 	count := bytes / 4 // float32 elements
-	_, chLens := collective.Regions(count, nch)
-	rounds := collective.HDRounds(n)
-	perRound := make([][]conn, rounds)
-	for ci := 0; ci < nch; ci++ {
-		for rank := 0; rank < n; rank++ {
-			for ri, step := range collective.HDSchedule(n, chLens[ci], rank) {
-				if !step.Active || step.SendLen == 0 {
+	if op == collective.AllGather {
+		count /= int64(n)
+	}
+	algo := collective.Select(st, op, n, root, bytes)
+	progs := collective.LowerAll(algo, op, rings, root, count)
+
+	// rounds[s] holds round s's transfers over all channels and ranks,
+	// sizes[s] the largest of them in elements.
+	rounds := make([][]conn, len(progs[0][0].Steps))
+	sizes := make([]int64, len(rounds))
+	for ch, ranks := range progs {
+		for rank, prog := range ranks {
+			for s, step := range prog.Steps {
+				if step.SendLen == 0 {
 					continue
 				}
-				perRound[ri] = append(perRound[ri], conn{
-					from: rank, to: step.Peer,
-					route: st.RouteFor(spec.ConnKey{Channel: ci, FromRank: rank, ToRank: step.Peer}),
-					bytes: float64(step.SendLen * 4),
-				})
+				e := collective.Edge{Algo: algo, Channel: ch, From: rank, To: step.SendPeer}
+				rounds[s] = append(rounds[s], conn{e, e.Route(st)})
+				if step.SendLen > sizes[s] {
+					sizes[s] = step.SendLen
+				}
 			}
 		}
 	}
-	var total time.Duration
-	for _, conns := range perRound {
-		total += m.Alpha + slowest(m, info, conns)
+	pipelined := progs[0][0].Pipelined
+	var pipelineRate float64
+	if pipelined {
+		var all []conn
+		seen := make(map[conn]bool)
+		for _, conns := range rounds {
+			for _, c := range conns {
+				if !seen[c] {
+					seen[c] = true
+					all = append(all, c)
+				}
+			}
+		}
+		pipelineRate = m.slowest(info, all)
+	}
+	total := m.Fixed
+	for s, conns := range rounds {
+		total += m.Alpha
+		if len(conns) == 0 {
+			continue
+		}
+		rate := pipelineRate
+		if !pipelined {
+			rate = m.slowest(info, conns)
+		}
+		total += seconds(float64(sizes[s]*4) / rate)
 	}
 	return total
 }
 
-// slowest returns the transfer time of the slowest connection when all of
-// conns run concurrently.
-func slowest(m *Model, info *spec.CommInfo, conns []conn) time.Duration {
-	if len(conns) == 0 {
-		return 0
-	}
+// slowest returns the rate of the slowest connection when all of conns
+// run concurrently.
+func (m *Model) slowest(info *spec.CommInfo, conns []conn) float64 {
 	rs := m.rates(info, conns)
-	worst := time.Duration(0)
-	for i, c := range conns {
-		if t := seconds(c.bytes / rs[i]); t > worst {
-			worst = t
+	min := rs[0]
+	for _, r := range rs[1:] {
+		if r < min {
+			min = r
 		}
 	}
-	return worst
+	return min
 }
 
 func seconds(s float64) time.Duration {

@@ -70,7 +70,7 @@ func (m *Model) Search(info *spec.CommInfo, cands []Candidate, op collective.Op,
 		if err := c.Strategy.Validate(info.NumRanks()); err != nil {
 			return Decision{}, fmt.Errorf("tuner: candidate %q: %w", c.Name, err)
 		}
-		d.Scored = append(d.Scored, Scored{Candidate: c, Predicted: m.Predict(info, &c.Strategy, op, bytes)})
+		d.Scored = append(d.Scored, Scored{Candidate: c, Predicted: m.Predict(info, &c.Strategy, op, 0, bytes)})
 	}
 	sort.SliceStable(d.Scored, func(i, j int) bool {
 		if d.Scored[i].Predicted != d.Scored[j].Predicted {

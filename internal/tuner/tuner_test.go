@@ -138,8 +138,8 @@ func TestLocalityBeatsInterleavedRing(t *testing.T) {
 	locality := ringStrategy([]int{0, 1, 2, 3, 4, 5, 6, 7}, 1, false)
 	interleaved := ringStrategy([]int{0, 4, 1, 5, 2, 6, 3, 7}, 1, false)
 	const bytes = 64 << 20
-	tl := m.Predict(info, &locality, collective.AllReduce, bytes)
-	ti := m.Predict(info, &interleaved, collective.AllReduce, bytes)
+	tl := m.Predict(info, &locality, collective.AllReduce, 0, bytes)
+	ti := m.Predict(info, &interleaved, collective.AllReduce, 0, bytes)
 	if tl >= ti {
 		t.Fatalf("locality %v not faster than interleaved %v", tl, ti)
 	}
@@ -154,10 +154,10 @@ func TestTreeSmallRingLarge(t *testing.T) {
 	tree := ringStrategy([]int{0, 1, 2, 3}, 1, false)
 	tree.TreeThreshold = 1 << 62
 	small, large := int64(1<<10), int64(64<<20)
-	if ts, tr := m.Predict(info, &tree, collective.AllReduce, small), m.Predict(info, &ring, collective.AllReduce, small); ts >= tr {
+	if ts, tr := m.Predict(info, &tree, collective.AllReduce, 0, small), m.Predict(info, &ring, collective.AllReduce, 0, small); ts >= tr {
 		t.Fatalf("small: tree %v not faster than ring %v", ts, tr)
 	}
-	if ts, tr := m.Predict(info, &tree, collective.AllReduce, large), m.Predict(info, &ring, collective.AllReduce, large); ts <= tr {
+	if ts, tr := m.Predict(info, &tree, collective.AllReduce, 0, large), m.Predict(info, &ring, collective.AllReduce, 0, large); ts <= tr {
 		t.Fatalf("large: tree %v not slower than ring %v", ts, tr)
 	}
 }
@@ -176,8 +176,8 @@ func TestHDWinsLatencyBoundAllReduce(t *testing.T) {
 	hd := ringStrategy([]int{0, 1, 2, 3, 4, 5, 6, 7}, 1, false)
 	hd.Algorithm = spec.AlgoHD
 	const bytes = 32 << 10
-	th := m.Predict(info, &hd, collective.AllReduce, bytes)
-	tr := m.Predict(info, &ring, collective.AllReduce, bytes)
+	th := m.Predict(info, &hd, collective.AllReduce, 0, bytes)
+	tr := m.Predict(info, &ring, collective.AllReduce, 0, bytes)
 	if th >= tr {
 		t.Fatalf("hd %v not faster than ring %v at %d bytes", th, tr, bytes)
 	}
@@ -205,7 +205,7 @@ func TestExtLoadFlipsRingDirection(t *testing.T) {
 	const bytes = 64 << 20
 
 	// Idle fabric: directions are symmetric.
-	if tf, tr := m.Predict(info, &fwd, collective.AllReduce, bytes), m.Predict(info, &rev, collective.AllReduce, bytes); tf != tr {
+	if tf, tr := m.Predict(info, &fwd, collective.AllReduce, 0, bytes), m.Predict(info, &rev, collective.AllReduce, 0, bytes); tf != tr {
 		t.Fatalf("idle fabric: fwd %v != rev %v", tf, tr)
 	}
 	m.ExtLoad = func(l netsim.LinkID) float64 {
@@ -214,8 +214,8 @@ func TestExtLoadFlipsRingDirection(t *testing.T) {
 		}
 		return 0
 	}
-	tf := m.Predict(info, &fwd, collective.AllReduce, bytes)
-	tr := m.Predict(info, &rev, collective.AllReduce, bytes)
+	tf := m.Predict(info, &fwd, collective.AllReduce, 0, bytes)
+	tr := m.Predict(info, &rev, collective.AllReduce, 0, bytes)
 	if tr >= tf {
 		t.Fatalf("under congestion: reversed %v not faster than forward %v", tr, tf)
 	}
@@ -230,8 +230,8 @@ func TestPinnedNotWorseThanECMP(t *testing.T) {
 	ecmp := ringStrategy([]int{0, 1, 2, 3}, 2, false)
 	pin := ringStrategy([]int{0, 1, 2, 3}, 2, true)
 	const bytes = 64 << 20
-	tp := m.Predict(info, &pin, collective.AllReduce, bytes)
-	te := m.Predict(info, &ecmp, collective.AllReduce, bytes)
+	tp := m.Predict(info, &pin, collective.AllReduce, 0, bytes)
+	te := m.Predict(info, &ecmp, collective.AllReduce, 0, bytes)
 	if tp > te {
 		t.Fatalf("pinned %v worse than ecmp %v", tp, te)
 	}
@@ -242,7 +242,7 @@ func TestPredictTrivialComm(t *testing.T) {
 	info := commOver(c, []topo.GPUID{0})
 	m := DefaultModel(c)
 	st := ringStrategy([]int{0}, 1, false)
-	if got := m.Predict(info, &st, collective.AllReduce, 1<<20); got != m.Fixed {
+	if got := m.Predict(info, &st, collective.AllReduce, 0, 1<<20); got != m.Fixed {
 		t.Fatalf("single rank predict = %v, want fixed %v", got, m.Fixed)
 	}
 }
@@ -254,5 +254,46 @@ func TestSearchRejectsInvalidCandidate(t *testing.T) {
 	bad := []Candidate{{Name: "bad", Strategy: ringStrategy([]int{0, 1}, 1, false)}}
 	if _, err := m.Search(info, bad, collective.AllReduce, 1<<20); err == nil {
 		t.Fatal("search accepted a strategy sized for the wrong communicator")
+	}
+}
+
+// The model prices what the proxy connects: tree edges are always ECMP,
+// whatever channel 0 is pinned to, so a pinned strategy and its ECMP twin
+// predict the same tree time (they differ on the rings).
+func TestTreePricedAsECMPUnderPinnedStrategy(t *testing.T) {
+	c := testbed(t)
+	info := commOver(c, fourHostGPUs())
+	m := DefaultModel(c)
+	pinned := ringStrategy([]int{0, 1, 2, 3}, 1, true)
+	ecmp := ringStrategy([]int{0, 1, 2, 3}, 1, false)
+	const small, large = 16 << 10, 64 << 20
+	if p, e := m.Predict(info, &pinned, collective.AllReduce, 0, large), m.Predict(info, &ecmp, collective.AllReduce, 0, large); p == e {
+		t.Fatalf("rings: pinned %v == ecmp %v; the pin should matter there", p, e)
+	}
+	pinned.TreeThreshold, ecmp.TreeThreshold = 1<<20, 1<<20
+	if p, e := m.Predict(info, &pinned, collective.AllReduce, 0, small), m.Predict(info, &ecmp, collective.AllReduce, 0, small); p != e {
+		t.Fatalf("tree: pinned strategy predicts %v, its ECMP twin %v", p, e)
+	}
+}
+
+// A rooted op away from the provisioned root stays on the rings in the
+// proxy, so it must be priced there: same as under a strategy with no
+// tree at all, and unlike the same op at root 0.
+func TestRootedOpOffTheTreeRootPricedOnRings(t *testing.T) {
+	c := testbed(t)
+	info := commOver(c, fourHostGPUs())
+	m := DefaultModel(c)
+	ring := ringStrategy([]int{0, 1, 2, 3}, 1, false)
+	tree := ringStrategy([]int{0, 1, 2, 3}, 1, false)
+	tree.TreeThreshold = 1 << 20
+	const bytes = 16 << 10
+	for _, op := range []collective.Op{collective.Broadcast, collective.Reduce} {
+		onRing := m.Predict(info, &ring, op, 3, bytes)
+		if got := m.Predict(info, &tree, op, 3, bytes); got != onRing {
+			t.Errorf("%v root 3 under a tree strategy = %v, want the ring's %v", op, got, onRing)
+		}
+		if got := m.Predict(info, &tree, op, 0, bytes); got == onRing {
+			t.Errorf("%v root 0 under a tree strategy = %v, the ring's price; want the tree's", op, got)
+		}
 	}
 }
