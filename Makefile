@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-json bench-sim-json trace telemetry churn doctor self-heal
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-json bench-sim-json bench-e2e bench-compare trace telemetry churn doctor self-heal
 
 all: check
 
@@ -24,12 +24,13 @@ race:
 	$(GO) test -race ./...
 
 # race-hot doubles down on the packages with the most schedule-sensitive
-# surface — the scheduler core itself, the collective schedule IR and
+# surface — the scheduler core itself (goroutine and stackless
+# processes), the transport message path, the collective schedule IR and
 # its lowerings, the proxy engine, the strategy autotuner, the lifecycle
 # orchestrator, and the diagnosis engine (whose recorder tap runs inside
 # span emission) — running them twice under the detector.
 race-hot:
-	$(GO) test -race -count=2 ./internal/sim/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/remediation/
+	$(GO) test -race -count=2 ./internal/sim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/remediation/
 
 # fuzz runs the native fuzz target over the schedule IR for 10 s: random
 # (algorithm, op, ranks, root, size, ring orders, channels) are lowered,
@@ -57,7 +58,8 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchtime=1x . | $(GO) run ./cmd/mccs-benchjson > BENCH.json
 
 # bench-sim-json measures the scheduler core's hot paths (timer-churn,
-# same-instant-wake, proc-handoff) with allocation reporting and writes
+# same-instant-wake, proc-handoff and its step-function twin
+# stackless-handoff, queue-backlog) with allocation reporting and writes
 # BENCH.sim.json; DESIGN.md §10 quotes these entries and CI uploads the
 # file as a build artifact. The pooled paths must report 0 allocs/op
 # (asserted by TestHotPathsDoNotAllocate as well).
@@ -68,6 +70,17 @@ bench-json:
 bench-sim-json:
 	( $(GO) test -run '^$$' -bench BenchmarkSimCore -benchtime=10000x ./internal/sim/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkRemediationLoop|BenchmarkSelfHealBaseline' -benchtime=3x ./internal/remediation/ ) | $(GO) run ./cmd/mccs-benchjson > BENCH.sim.json
+
+# bench-e2e runs the repository benchmark (bench/README.md): all five
+# workloads, untraced and traced, about 3.5 minutes, results in $(OUT).
+# bench-compare prints the per-workload, per-metric verdicts between two
+# such files and fails on any "worse": make bench-compare A=base.json B=new.json
+OUT ?= bench.out.json
+bench-e2e:
+	bash bench/run.sh --seed 1 --out $(OUT)
+
+bench-compare:
+	bash bench/run.sh --compare $(A) $(B)
 
 # trace records a short Fig. 7 reconfiguration run with the flight
 # recorder and prints the bottleneck-attribution summary. The JSON also

@@ -199,6 +199,7 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 		res.Err = fmt.Errorf("chaos: building testbed: %w", err)
 		return res, &DoctorRun{}
 	}
+	defer env.S.Shutdown() // everything returned is copied out first; see harness.Env
 	rec := trace.Of(env.S)
 	env.S.SetPicker(&fuzzPicker{rng: sched})
 	tr := newTracer()

@@ -191,6 +191,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer env.S.Shutdown()
 	var doctor *diagnosis.Engine
 	if cfg.DoctorPath != "" {
 		if doctor, err = AttachDoctor(env.S); err != nil {

@@ -28,6 +28,11 @@ import (
 )
 
 // Env is one experiment environment.
+//
+// Whoever builds one calls S.Shutdown once it has copied the results out
+// (the Run* drivers defer it): the deployment's service loops are daemons
+// parked forever, and each parked goroutine keeps the whole environment —
+// trace ring, telemetry samples, fabric — reachable until it is unwound.
 type Env struct {
 	S          *sim.Scheduler
 	Cluster    *topo.Cluster
@@ -497,6 +502,7 @@ func runSingleTrialMutated(cfg SingleAppConfig, salt uint64, mutate func(*mccsd.
 	if err != nil {
 		return nil, err
 	}
+	defer env.S.Shutdown()
 	var doctor *diagnosis.Engine
 	if cfg.DoctorPath != "" {
 		if doctor, err = AttachDoctor(env.S); err != nil {

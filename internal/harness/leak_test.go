@@ -1,0 +1,71 @@
+package harness
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"mccs/internal/collective"
+	"mccs/internal/ncclsim"
+)
+
+// TestDriversShutTheirSchedulerDown: every Run* driver must unwind its
+// deployment's parked daemons once the results are out (see Env), or each
+// call leaves its goroutines — and through them its whole environment —
+// behind.
+func TestDriversShutTheirSchedulerDown(t *testing.T) {
+	single := SingleAppConfig{System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 1 << 20, NumGPUs: 8, Warmup: 1, Iters: 2}
+	drivers := []struct {
+		name string
+		run  func() error
+	}{
+		{"RunSingleApp", func() error { _, err := RunSingleApp(single); return err }},
+		{"RunSingleAppWithSlices", func() error { _, err := RunSingleAppWithSlices(single, 1); return err }},
+		{"RunMultiApp", func() error {
+			env, err := NewTestbedEnv(ncclsim.MCCS) // only for its cluster; nothing runs on it
+			if err != nil {
+				return err
+			}
+			defer env.S.Shutdown()
+			apps, err := Setup(env.Cluster, 3)
+			if err != nil {
+				return err
+			}
+			_, err = RunMultiApp(MultiAppConfig{System: ncclsim.MCCS, Apps: apps, Bytes: 1 << 20, Warmup: 1, Iters: 2})
+			return err
+		}},
+		{"RunQoS", func() error {
+			_, err := RunQoS(QoSConfig{Solution: SolutionPFATS, IterationsA: 2, IterationsBC: 2})
+			return err
+		}},
+		{"RunDynamic", func() error {
+			_, err := RunDynamic(DynamicConfig{T1: time.Second, T2: 2 * time.Second, T3: 3 * time.Second, T4: 4 * time.Second, RunFor: 5 * time.Second})
+			return err
+		}},
+		{"RunReconfigShowcase", func() error {
+			cfg := DefaultReconfigConfig()
+			cfg.RunFor, cfg.BgStart, cfg.ReconfigAt = 3*time.Second, time.Second, 2*time.Second
+			_, err := RunReconfigShowcase(cfg)
+			return err
+		}},
+		{"RunChurn", func() error {
+			cfg := DefaultChurnConfig()
+			cfg.Jobs = 2
+			_, err := RunChurn(cfg)
+			return err
+		}},
+	}
+	for _, d := range drivers {
+		base := runtime.NumGoroutine()
+		if err := d.run(); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%s left %d goroutines behind", d.name, n-base)
+		}
+	}
+}

@@ -165,6 +165,7 @@ func runMultiTrial(cfg MultiAppConfig, salt uint64) (map[spec.AppID][]float64, e
 	if err != nil {
 		return nil, err
 	}
+	defer env.S.Shutdown()
 	for app, prio := range cfg.Priorities {
 		env.Deployment.SetPriority(app, prio)
 	}

@@ -92,6 +92,7 @@ func RunQoS(cfg QoSConfig) (QoSResult, error) {
 	if err != nil {
 		return QoSResult{}, err
 	}
+	defer env.S.Shutdown()
 	d := env.Deployment
 	d.SetPriority("A", 2)
 	d.SetPriority("B", 1)
@@ -254,6 +255,7 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 	if err != nil {
 		return DynamicResult{}, err
 	}
+	defer env.S.Shutdown()
 	d := env.Deployment
 	d.SetPriority("A", 2)
 	d.SetPriority("B", 1)

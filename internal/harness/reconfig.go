@@ -105,6 +105,7 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 		return ReconfigResult{}, err
 	}
 	s := sim.New()
+	defer s.Shutdown() // see Env
 	if cfg.TracePath != "" || cfg.DoctorPath != "" {
 		trace.Attach(s, trace.NewRecorder(trace.LevelFull, trace.DefaultCapacity))
 	}

@@ -54,8 +54,9 @@ type Flow struct {
 	external bool    // traffic outside the service's management
 	group    *Group
 
-	doneEv   *sim.Event
-	onDone   []func()
+	doneEv   sim.Event
+	onDone   sim.Handler // FlowOpts.OnDone
+	doneArg  uint64
 	finished bool
 	canceled bool
 
@@ -65,17 +66,6 @@ type Flow struct {
 	start     sim.Time
 	samples   []trace.RateSample
 	traceDone bool
-}
-
-// OnDone registers a callback invoked (in scheduler context) when the flow
-// completes normally. Callbacks registered after completion run
-// immediately.
-func (f *Flow) OnDone(fn func()) {
-	if f.finished {
-		fn()
-		return
-	}
-	f.onDone = append(f.onDone, fn)
 }
 
 // Rate returns the currently allocated rate in bytes per second. Reading
@@ -95,7 +85,7 @@ func (f *Flow) Transferred() float64 {
 
 // Done returns the completion event; it fires when the full byte demand has
 // been delivered (never, for endless flows, unless canceled).
-func (f *Flow) Done() *sim.Event { return f.doneEv }
+func (f *Flow) Done() *sim.Event { return &f.doneEv }
 
 // Finished reports whether the flow completed normally.
 func (f *Flow) Finished() bool { return f.finished }
@@ -131,6 +121,12 @@ type FlowOpts struct {
 	// Tag labels the flow with the collective step it carries, for the
 	// flight recorder.
 	Tag trace.FlowTag
+	// OnDone, if non-nil, has OnDone.OnEvent(OnDoneArg) called (in
+	// scheduler context, right after the Done event fires) when the flow
+	// completes normally. A receiver plus an argument instead of a
+	// closure: the transport starts a flow per message.
+	OnDone    sim.Handler
+	OnDoneArg uint64
 }
 
 // Fabric is the dynamic state of the network: the set of active flows and
@@ -165,6 +161,7 @@ type Fabric struct {
 
 	lastUpdate sim.Time
 	timer      sim.Timer
+	onTimerFn  func() // fb.onTimer, bound once so arming the timer allocates nothing
 
 	// linkRate[l] is the currently allocated aggregate rate on link l,
 	// maintained by recompute for monitoring queries; externalRate[l]
@@ -215,6 +212,7 @@ func NewFabric(s *sim.Scheduler, net *Network) *Fabric {
 		nActive:      make([]int, net.NumLinks()),
 		linkMark:     make([]bool, net.NumLinks()),
 	}
+	fb.onTimerFn = fb.onTimer
 	reg := telemetry.Of(s)
 	fb.telStarted = reg.Counter("mccs_fabric_flows_started_total", "flows")
 	fb.telCompleted = reg.Counter("mccs_fabric_flows_completed_total", "flows")
@@ -271,8 +269,8 @@ func (fb *Fabric) StartFlow(o FlowOpts) *Flow {
 		fb:  fb, slot: len(fb.flows),
 		bytes: bytes, maxRate: maxRate, priority: priority, external: o.External,
 		group:  o.Group,
-		doneEv: &sim.Event{},
-		start:  fb.s.Now(),
+		onDone: o.OnDone, doneArg: o.OnDoneArg,
+		start: fb.s.Now(),
 	}
 	fb.flows = append(fb.flows, fl)
 	fb.telStarted.Inc()
@@ -911,7 +909,7 @@ func (fb *Fabric) schedule() {
 	if d < time.Nanosecond {
 		d = time.Nanosecond
 	}
-	fb.timer = fb.s.After(d, fb.onTimer)
+	fb.timer = fb.s.After(d, fb.onTimerFn)
 }
 
 func (fb *Fabric) onTimer() {
@@ -938,9 +936,8 @@ func (fb *Fabric) onTimer() {
 	fb.flush()
 	for _, fl := range completed {
 		fl.doneEv.Signal(fb.s)
-		for _, fn := range fl.onDone {
-			fn()
+		if fl.onDone != nil {
+			fl.onDone.OnEvent(fl.doneArg)
 		}
-		fl.onDone = nil
 	}
 }

@@ -1,0 +1,141 @@
+package proxy
+
+import (
+	"fmt"
+	"testing"
+
+	"mccs/internal/collective"
+	"mccs/internal/gpusim"
+	"mccs/internal/sim"
+	"mccs/internal/spec"
+	"mccs/internal/topo"
+)
+
+// TestInterpreterAgainstOracle runs a sequence of differently-sized
+// collectives back to back on one communicator, with slices small enough
+// that every step pipelines, and checks each result against the
+// schedule-free oracle: for one channel (the step function hosted on the
+// runner's process) and two (spawned stackless processes), under the ring,
+// tree and halving-doubling schedules. Back to back matters: the message
+// snapshots of one op are recycled into the next, at other sizes.
+func TestInterpreterAgainstOracle(t *testing.T) {
+	type opCase struct {
+		op    collective.Op
+		root  int
+		count int64
+	}
+	ops := []opCase{
+		{collective.AllReduce, 0, 1000},
+		{collective.AllGather, 0, 37},
+		{collective.ReduceScatter, 0, 531},
+		{collective.Broadcast, 2, 2048},
+		{collective.Reduce, 1, 777},
+		{collective.AllReduce, 0, 4099},
+		{collective.AllReduce, 0, 5},
+	}
+	for _, tc := range []struct {
+		name     string
+		ranks    int
+		channels int
+		algo     spec.Algorithm
+		tree     int64
+	}{
+		{"ring/1ch", 8, 1, spec.AlgoRing, 0},
+		{"ring/2ch", 8, 2, spec.AlgoRing, 0},
+		{"tree", 8, 1, spec.AlgoRing, 1 << 30},
+		{"hd/1ch", 8, 1, spec.AlgoHD, 0},
+		{"hd/2ch/n6", 6, 2, spec.AlgoHD, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			gpus := r.allGPUs()[:tc.ranks]
+			info := spec.CommInfo{ID: 9, App: "oracle"}
+			order := make([]int, tc.ranks)
+			for i, g := range gpus {
+				order[i] = i
+				info.Ranks = append(info.Ranks, spec.RankInfo{
+					Rank: i, GPU: g, Host: r.cluster.HostOfGPU(g), NIC: r.cluster.NICOfGPU(g),
+				})
+			}
+			for ci := 0; ci < tc.channels; ci++ {
+				info.Strategy.Channels = append(info.Strategy.Channels, spec.ChannelSpec{Order: order, Route: ci})
+			}
+			info.Strategy.Algorithm, info.Strategy.TreeThreshold = tc.algo, tc.tree
+			cfg := DefaultConfig()
+			cfg.MinSliceBytes = 64
+			comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.s.Go("driver", func(p *sim.Proc) {
+				for oi, oc := range ops {
+					if err := runAgainstOracle(p, r, comm, gpus, oc.op, oc.root, oc.count, oi); err != nil {
+						t.Errorf("op %d (%v count %d): %v", oi, oc.op, oc.count, err)
+						return
+					}
+				}
+			})
+			if err := r.s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func runAgainstOracle(p *sim.Proc, r *rig, comm *Comm, gpus []topo.GPUID, op collective.Op, root int, count int64, salt int) error {
+	n := len(gpus)
+	inputs := make([][]float32, n)
+	for rank := range inputs {
+		inputs[rank] = make([]float32, count)
+		for j := range inputs[rank] {
+			inputs[rank][j] = float32((rank + 1 + salt) * (j%7 + 1) % 13)
+		}
+	}
+	want, err := collective.Oracle(op, root, inputs)
+	if err != nil {
+		return err
+	}
+	outElems := count
+	if op == collective.AllGather {
+		outElems *= int64(n)
+	}
+	outs := make([]*gpusim.Buffer, n)
+	futs := make([]*sim.Future[OpResult], n)
+	for rank, g := range gpus {
+		out, err := r.devices[g].AllocBacked(outElems * 4)
+		if err != nil {
+			return err
+		}
+		in := out
+		if op == collective.AllGather {
+			if in, err = r.devices[g].AllocBacked(count * 4); err != nil {
+				return err
+			}
+		}
+		copy(in.Data(), inputs[rank])
+		outs[rank], futs[rank] = out, sim.NewFuture[OpResult]()
+		comm.Runners[rank].Enqueue(&OpRequest{
+			Op: op, Root: root, Count: count, SendBuf: in, RecvBuf: out, Done: futs[rank],
+		})
+	}
+	for _, f := range futs {
+		f.Wait(p)
+	}
+	starts, lens := collective.Regions(count, n)
+	for rank := range outs {
+		lo, hi := int64(0), int64(len(want[rank]))
+		switch {
+		case op == collective.Reduce && rank != root:
+			continue // unspecified off the root
+		case op == collective.ReduceScatter:
+			lo, hi = starts[rank], starts[rank]+lens[rank] // only the owned region is specified
+		}
+		got := outs[rank].Data()
+		for j := lo; j < hi; j++ {
+			if got[j] != want[rank][j] {
+				return fmt.Errorf("rank %d elem %d = %g, want %g", rank, j, got[j], want[rank][j])
+			}
+		}
+	}
+	return nil
+}

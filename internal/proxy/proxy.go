@@ -167,6 +167,8 @@ type Comm struct {
 	// p2p holds communicator-lifetime point-to-point connections (see
 	// p2p.go).
 	p2p map[[2]int]*transport.Conn
+
+	snaps snapPool // message data snapshots (exec.go)
 }
 
 // connSet is one generation of connections: one per edge the strategy
@@ -384,6 +386,8 @@ type Runner struct {
 	// reconfiguration drain is already in progress.
 	pendingReconfigs []*ReconfigRequest
 	stopped          bool
+
+	chanNames []string // per-channel process names, built on first use
 }
 
 // Enqueue delivers a message to the runner's command queue. Call from

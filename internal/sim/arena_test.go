@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTimerStopAfterFire(t *testing.T) {
@@ -284,4 +285,51 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(500, wakeStep); n != 0 {
 		t.Errorf("wake path allocates %v per op, want 0", n)
 	}
+
+	// Stackless path: a step function alternating a queue park and a
+	// sleep; each step is a push, two wakes, two inline dispatches, two
+	// parks — and an argument-carrying event doing the push.
+	s3 := New()
+	q := NewQueue[int]()
+	popped := 0
+	s3.GoStep("stepper", func(p *Proc) bool {
+		if _, ok := q.TryPop(); !ok {
+			q.Park(p)
+			return false
+		}
+		popped++
+		p.ParkSleep(time.Microsecond)
+		return false
+	}).daemon = true
+	push := &pushHandler{s3, q}
+	stepStep := func() {
+		s3.AfterCall(time.Microsecond, push, 1)
+		if err := s3.RunUntil(s3.Now().Add(2 * time.Microsecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		stepStep()
+	}
+	if n := testing.AllocsPerRun(500, stepStep); n != 0 {
+		t.Errorf("stackless path allocates %v per op, want 0", n)
+	}
+	if popped < 600 {
+		t.Errorf("stepper popped %d items, want one per step", popped)
+	}
 }
+
+// TestEventIsOneCacheLine guards the arena slot size the loop's memory
+// traffic was measured at (64-bit platforms).
+func TestEventIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 64 && unsafe.Sizeof(uintptr(0)) == 8 {
+		t.Errorf("event is %d bytes, want at most 64", size)
+	}
+}
+
+type pushHandler struct {
+	s *Scheduler
+	q *Queue[int]
+}
+
+func (h *pushHandler) OnEvent(arg uint64) { h.q.Push(h.s, int(arg)) }

@@ -8,10 +8,28 @@
 // multi-second experiment executes in milliseconds of real time and is
 // reproducible bit-for-bit.
 //
-// Concurrency model: the scheduler and every process goroutine exchange a
-// baton; no two of them run concurrently, so simulation state needs no locks.
-// All sim objects must be touched only from scheduler context (process bodies
-// and timer callbacks).
+// Concurrency model: exactly one thing runs at a time, so simulation state
+// needs no locks. All sim objects must be touched only from scheduler
+// context (process bodies, step functions and event callbacks). A process
+// comes in two kinds that the event loop treats as one:
+//
+//   - A goroutine process (Go) runs ordinary blocking code. The scheduler
+//     and the process goroutine exchange a baton over a pair of channels at
+//     every blocking point — two goroutine switches per wakeup.
+//   - A stackless process (GoStep) is a step function the event loop calls
+//     inline, on its own stack, every time the process is dispatched: no
+//     goroutine, no channel. Where blocking code would park, the step
+//     function calls the Park form of the primitive (Proc.ParkSleep,
+//     WaitQueue.Park, Queue.Park), saves its resume point and returns false;
+//     it returns true when its work is done. A goroutine process can also
+//     lend its identity to a step function for a while (Proc.Host).
+//
+// The blocking primitives are their Park forms followed by the baton
+// hand-off, so a body written either way schedules exactly the same events
+// (evWake → ready → evDispatch) in the same order: the observable schedule
+// cannot tell the two kinds apart. The per-message datapath (the proxy's
+// schedule interpreter) is stackless; control paths, tenants and tests are
+// goroutine processes.
 //
 // # Performance shape
 //
@@ -29,9 +47,10 @@
 //   - Events scheduled for the current instant bypass the heap entirely and
 //     append to the ready set (sequence order is preserved because new
 //     events always draw larger sequence numbers).
-//   - The dominant scheduling actions — process start, wakeup, Sleep — are
-//     tagged event kinds interpreted by the loop, not closures, so none of
-//     them allocates a func() per action.
+//   - The dominant scheduling actions — process start, wakeup, Sleep, and
+//     a call into a long-lived receiver with one integer argument
+//     (AtCall/AfterCall) — are tagged event kinds interpreted by the loop,
+//     not closures, so none of them allocates a func() per action.
 //
 // The observable schedule — the (at, seq) observer stream, and therefore
 // every same-seed trace, telemetry export and chaos replay — is
@@ -73,17 +92,24 @@ const (
 	procDone
 )
 
-// Proc is a simulated process. A Proc is created by Scheduler.Go and passed
-// to the process body; the body uses it for all blocking operations.
+// Proc is a simulated process. A Proc is created by Scheduler.Go or GoStep
+// and passed to the process body; the body uses it for all blocking (or,
+// in a step function, parking) operations.
 type Proc struct {
 	s       *Scheduler
 	name    string
 	id      int
 	state   procState
 	daemon  bool   // excluded from deadlock detection (long-lived service loops)
-	killed  bool   // set by Shutdown; park unwinds instead of resuming
+	killed  bool   // set by Shutdown; a blocked goroutine unwinds instead of resuming
 	parkSeq uint64 // increments at every park; stale wakeups are discarded
-	resume  chan struct{}
+
+	// resume is the goroutine's half of the baton; nil for a stackless
+	// process. step, when set, is what dispatch runs inline instead of
+	// handing over the baton: the body of a stackless process, or the step
+	// function a goroutine process is hosting (see Host).
+	resume chan struct{}
+	step   func(p *Proc) bool
 
 	// parkedIdx / liveIdx are this process's slots in the scheduler's
 	// parked and live slices (intrusive bookkeeping; -1 when absent).
@@ -111,15 +137,27 @@ type eventKind uint8
 
 const (
 	evFn       eventKind = iota // run a user callback (At/After)
-	evDispatch                  // hand the baton to proc
-	evWake                      // ready(proc, wakeSeq, reason) — Sleep and timed waits
+	evDispatch                  // run proc until it parks or exits
+	evWake                      // ready(proc, wakeSeq, …) — Sleep and timed waits
+	evCall                      // h.OnEvent(wakeSeq) — AtCall/AfterCall
 )
+
+// Handler receives the events scheduled with AtCall and AfterCall. A
+// long-lived object that schedules many events for itself (a connection
+// delivering messages) implements it once and passes what distinguishes
+// each event as the argument, instead of allocating a closure per event.
+type Handler interface {
+	OnEvent(arg uint64)
+}
 
 // event is a scheduled callback slot in the arena. By default events fire
 // in (at, seq) order; seq breaks ties so that events scheduled earlier run
 // earlier, which keeps the simulation deterministic. An installed Picker
 // (see SetPicker) may permute the firing order among events that share a
 // timestamp — the foundation of the chaos harness's schedule fuzzing.
+//
+// The struct is exactly one cache line (64 bytes) and the loop touches
+// every event several times; keep it that way.
 type event struct {
 	at       Time
 	seq      uint64
@@ -127,11 +165,12 @@ type event struct {
 	kind     eventKind
 	canceled bool
 	inHeap   bool
+	timeout  bool // evWake: wake with timeoutReason (PopTimeout's deadline)
 
-	fn      func() // evFn
-	proc    *Proc  // evDispatch, evWake
-	wakeSeq uint64 // evWake
-	reason  any    // evWake
+	fn      func()  // evFn
+	proc    *Proc   // evDispatch, evWake
+	wakeSeq uint64  // evWake; the argument of evCall
+	h       Handler // evCall
 }
 
 // Timer is a handle to a scheduled callback that can be stopped. The zero
@@ -323,22 +362,23 @@ func (s *Scheduler) recycleEvent(idx int32) {
 	ev.gen++
 	ev.fn = nil
 	ev.proc = nil
-	ev.reason = nil
+	ev.h = nil
 	s.free = append(s.free, idx)
 }
 
-// schedule places a freshly-initialized event: the heap for future
+// schedule places a new event of the given kind: the heap for future
 // instants, or — the fast path — straight onto the ready set when it is
 // due this very instant. Appending preserves (at, seq) pick order because
 // a new event's seq is larger than every seq already drawn, which is
-// exactly the position the heap round-trip would have given it.
-func (s *Scheduler) schedule(t Time, kind eventKind, fn func(), p *Proc, wakeSeq uint64, reason any) (int32, uint32) {
+// exactly the position the heap round-trip would have given it. The
+// caller fills in the kind's payload fields (recycling left them zero)
+// before scheduling anything else.
+func (s *Scheduler) schedule(t Time, kind eventKind) (int32, *event) {
 	s.seq++
 	idx := s.allocEvent()
 	ev := &s.arena[idx]
 	ev.at, ev.seq, ev.kind = t, s.seq, kind
-	ev.canceled = false
-	ev.fn, ev.proc, ev.wakeSeq, ev.reason = fn, p, wakeSeq, reason
+	ev.canceled, ev.timeout = false, false
 	if t == s.now {
 		ev.inHeap = false
 		s.readySet = append(s.readySet, idx)
@@ -346,7 +386,7 @@ func (s *Scheduler) schedule(t Time, kind eventKind, fn func(), p *Proc, wakeSeq
 		ev.inHeap = true
 		s.heapPush(idx)
 	}
-	return idx, ev.gen
+	return idx, ev
 }
 
 // ---------------------------------------------------------------------------
@@ -446,9 +486,9 @@ func (s *Scheduler) maybeCompactHeap() {
 // ---------------------------------------------------------------------------
 // Scheduling API
 
-// Go creates a process named name executing fn and schedules it to start at
-// the current virtual time.
-func (s *Scheduler) Go(name string, fn func(p *Proc)) *Proc {
+// newProc registers a runnable process; the caller gives it a body and
+// schedules its first dispatch.
+func (s *Scheduler) newProc(name string) *Proc {
 	s.nextID++
 	p := &Proc{
 		s:         s,
@@ -456,10 +496,17 @@ func (s *Scheduler) Go(name string, fn func(p *Proc)) *Proc {
 		id:        s.nextID,
 		state:     procRunnable,
 		parkedIdx: -1,
-		resume:    make(chan struct{}, 1),
 	}
 	p.liveIdx = int32(len(s.liveProcs))
 	s.liveProcs = append(s.liveProcs, p)
+	return p
+}
+
+// Go creates a process named name executing fn and schedules it to start at
+// the current virtual time.
+func (s *Scheduler) Go(name string, fn func(p *Proc)) *Proc {
+	p := s.newProc(name)
+	p.resume = make(chan struct{}, 1)
 	go func() {
 		<-p.resume
 		defer func() {
@@ -476,7 +523,22 @@ func (s *Scheduler) Go(name string, fn func(p *Proc)) *Proc {
 			fn(p)
 		}
 	}()
-	s.schedule(s.now, evDispatch, nil, p, 0, nil)
+	s.scheduleDispatch(p)
+	return p
+}
+
+// GoStep creates a stackless process: step is called inline by the event
+// loop — no goroutine, no channel — at the current virtual time and again
+// after every wakeup, until it returns true. A call that returns false must
+// have parked the process with exactly one Park-form primitive
+// (Proc.ParkSleep, WaitQueue.Park, Queue.Park); the blocking primitives
+// panic inside a step function. The process is scheduled, woken, counted
+// in deadlock reports and killed by Shutdown exactly like one created by
+// Go, and a panic in step surfaces the same way.
+func (s *Scheduler) GoStep(name string, step func(p *Proc) (done bool)) *Proc {
+	p := s.newProc(name)
+	p.step = step
+	s.scheduleDispatch(p)
 	return p
 }
 
@@ -494,8 +556,9 @@ func (s *Scheduler) At(t Time, fn func()) Timer {
 	if t < s.now {
 		t = s.now
 	}
-	idx, gen := s.schedule(t, evFn, fn, nil, 0, nil)
-	return Timer{s: s, idx: idx, gen: gen}
+	idx, ev := s.schedule(t, evFn)
+	ev.fn = fn
+	return Timer{s: s, idx: idx, gen: ev.gen}
 }
 
 // After schedules fn to run d from now.
@@ -503,12 +566,36 @@ func (s *Scheduler) After(d Duration, fn func()) Timer {
 	return s.At(s.now.Add(d), fn)
 }
 
+// AtCall schedules h.OnEvent(arg) to run in scheduler context at time t (or
+// now, if t is in the past): At without the closure.
+func (s *Scheduler) AtCall(t Time, h Handler, arg uint64) Timer {
+	if t < s.now {
+		t = s.now
+	}
+	idx, ev := s.schedule(t, evCall)
+	ev.h, ev.wakeSeq = h, arg
+	return Timer{s: s, idx: idx, gen: ev.gen}
+}
+
+// AfterCall schedules h.OnEvent(arg) to run d from now.
+func (s *Scheduler) AfterCall(d Duration, h Handler, arg uint64) Timer {
+	return s.AtCall(s.now.Add(d), h, arg)
+}
+
 // wakeAt schedules a cancellable wakeup for p at time t: when it fires,
-// p is readied with reason iff its park sequence still matches seq. This
-// is the allocation-free backing for Sleep and timed waits.
-func (s *Scheduler) wakeAt(t Time, p *Proc, seq uint64, reason any) Timer {
-	idx, gen := s.schedule(t, evWake, nil, p, seq, reason)
-	return Timer{s: s, idx: idx, gen: gen}
+// p is readied — with timeoutReason if timeout is set — iff its park
+// sequence still matches seq. This is the allocation-free backing for
+// Sleep and timed waits.
+func (s *Scheduler) wakeAt(t Time, p *Proc, seq uint64, timeout bool) Timer {
+	idx, ev := s.schedule(t, evWake)
+	ev.proc, ev.wakeSeq, ev.timeout = p, seq, timeout
+	return Timer{s: s, idx: idx, gen: ev.gen}
+}
+
+// scheduleDispatch schedules p to run at the current instant.
+func (s *Scheduler) scheduleDispatch(p *Proc) {
+	_, ev := s.schedule(s.now, evDispatch)
+	ev.proc = p
 }
 
 // ---------------------------------------------------------------------------
@@ -540,13 +627,31 @@ func (s *Scheduler) dropParked(p *Proc) {
 	p.parkedIdx = -1
 }
 
-// dispatch hands the baton to p and waits for it to park or exit.
+// dispatch runs p until it parks or exits: a step function inline, a
+// goroutine by handing it the baton and waiting for it to come back.
 func (s *Scheduler) dispatch(p *Proc) {
 	if p.state == procDone {
 		return
 	}
 	p.state = procRunning
 	s.current = p
+	if p.step != nil {
+		// A panic in here unwinds to RunUntil with s.current still set,
+		// which is how it is attributed to p.
+		if !p.runStep(p.step) {
+			s.current = nil
+			return
+		}
+		p.step = nil
+		if p.resume == nil {
+			p.state = procDone
+			s.dropLive(p)
+			s.current = nil
+			return
+		}
+		// A hosted step function finished: the goroutine blocked in Host
+		// takes over again within this same dispatch.
+	}
 	p.resume <- struct{}{}
 	<-s.yield
 	s.current = nil
@@ -555,20 +660,42 @@ func (s *Scheduler) dispatch(p *Proc) {
 	}
 }
 
-// procKilled is the panic value park uses to unwind a process being
+// procKilled is the panic value block uses to unwind a process being
 // terminated by Shutdown; the process wrapper recognizes and swallows it.
 type procKilled struct{}
 
-// park blocks the current process until something calls ready on it. It
-// returns the wakeReason installed by the waker.
-func (p *Proc) park() any {
-	if p.s.current != p {
+// runStep calls step and holds it to its contract: done, or parked.
+func (p *Proc) runStep(step func(p *Proc) bool) (done bool) {
+	if step(p) {
+		return true
+	}
+	if p.state != procParked {
+		panic("step function returned false without parking")
+	}
+	return false
+}
+
+// markParked is the non-blocking half of every park: it moves the running
+// process to the parked set and invalidates earlier wakeups. The caller has
+// already arranged the wakeup (a wakeAt event, a wait-queue entry) against
+// park sequence parkSeq+1.
+func (p *Proc) markParked() {
+	if p.s.current != p || p.state != procRunning {
 		panic("sim: park called from a process that is not running")
 	}
 	p.state = procParked
 	p.parkSeq++
 	p.parkedIdx = int32(len(p.s.parked))
 	p.s.parked = append(p.s.parked, p)
+}
+
+// block is the blocking half: the goroutine hands the baton back to the
+// scheduler and waits to be dispatched again. It returns the wakeReason
+// installed by the waker.
+func (p *Proc) block() any {
+	if p.resume == nil || p.step != nil {
+		panic("sim: blocking call inside a step function (use the Park forms)")
+	}
 	p.s.yield <- struct{}{}
 	<-p.resume
 	if p.killed {
@@ -577,6 +704,29 @@ func (p *Proc) park() any {
 	reason := p.wakeReason
 	p.wakeReason = nil
 	return reason
+}
+
+// Host runs step in place of the calling goroutine process until it
+// returns true: the first call is made right here, later ones inline by
+// the event loop each time the process is woken, and Host returns — in the
+// dispatch that saw step finish — for the goroutine to carry on. step
+// follows the GoStep contract. This is how a process that mostly runs
+// blocking code executes a stretch of step-function code (a single-channel
+// collective program) without paying a goroutine switch per wakeup.
+func (p *Proc) Host(step func(p *Proc) (done bool)) {
+	if p.s.current != p || p.resume == nil || p.step != nil {
+		panic("sim: Host called from a process that is not a running goroutine process")
+	}
+	if p.runStep(step) {
+		return
+	}
+	p.step = step
+	p.s.yield <- struct{}{}
+	<-p.resume
+	if p.killed {
+		panic(procKilled{})
+	}
+	p.wakeReason = nil
 }
 
 // ready marks a parked process runnable, scheduling its resumption at the
@@ -588,16 +738,23 @@ func (s *Scheduler) ready(p *Proc, seq uint64, reason any) {
 	p.state = procRunnable
 	s.dropParked(p)
 	p.wakeReason = reason
-	s.schedule(s.now, evDispatch, nil, p, 0, nil)
+	s.scheduleDispatch(p)
+}
+
+// ParkSleep arms a wakeup d of virtual time from now and marks the process
+// parked without blocking: the step-function form of Sleep (see GoStep).
+func (p *Proc) ParkSleep(d Duration) {
+	if d < 0 {
+		d = 0
+	}
+	p.s.wakeAt(p.s.now.Add(d), p, p.parkSeq+1, false)
+	p.markParked()
 }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.s.wakeAt(p.s.now.Add(d), p, p.parkSeq+1, nil)
-	p.park()
+	p.ParkSleep(d)
+	p.block()
 }
 
 // SleepUntil suspends the process until virtual time t.
@@ -684,6 +841,13 @@ func (s *Scheduler) commitReady() {
 func (s *Scheduler) RunUntil(limit Time) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			if p := s.current; p != nil && p.step != nil && s.panicked == nil {
+				// A step function panicked on the scheduler's own stack;
+				// report it the way a goroutine process's wrapper does.
+				s.panicked = fmt.Sprintf("sim process %q panicked: %v", p.name, r)
+				r = s.panicked
+			}
+			s.current = nil
 			s.killAll()
 			panic(r)
 		}
@@ -783,7 +947,7 @@ func (s *Scheduler) RunUntil(limit Time) (err error) {
 		}
 		// Snapshot and recycle before firing: the callback may allocate
 		// new events into this very slot.
-		seq, kind, fn, proc, wakeSeq, reason := ev.seq, ev.kind, ev.fn, ev.proc, ev.wakeSeq, ev.reason
+		seq, kind, fn, proc, wakeSeq, timeout, h := ev.seq, ev.kind, ev.fn, ev.proc, ev.wakeSeq, ev.timeout, ev.h
 		s.recycleEvent(idx)
 		s.committed = len(s.readySet)
 		if s.observer != nil {
@@ -793,7 +957,13 @@ func (s *Scheduler) RunUntil(limit Time) (err error) {
 		case evDispatch:
 			s.dispatch(proc)
 		case evWake:
+			var reason any
+			if timeout {
+				reason = timeoutReason{}
+			}
 			s.ready(proc, wakeSeq, reason)
+		case evCall:
+			h.OnEvent(wakeSeq)
 		default:
 			fn()
 		}
@@ -818,10 +988,13 @@ func (s *Scheduler) RunUntil(limit Time) (err error) {
 // Termination
 
 // Shutdown terminates every live process and discards all pending events.
-// Parked processes are unwound — their deferred calls run — and processes
-// never yet dispatched are released without running their body. Call it
-// when abandoning a simulation mid-flight (a deadlocked or failed run in a
-// long-lived sweep) so no goroutines outlive the scheduler. Outstanding
+// Parked goroutine processes are unwound — their deferred calls run,
+// including those of a process hosting a step function — processes never
+// yet dispatched are released without running their body, and stackless
+// processes are simply dropped. Call it when a simulation's results have
+// been read, or when abandoning one mid-flight (a deadlocked or failed run
+// in a long-lived sweep), so no goroutines outlive the scheduler and
+// nothing they reference stays reachable. Outstanding
 // Timer handles stay inert. The scheduler must not be used afterwards
 // beyond reads; Run on a shut-down scheduler returns immediately.
 func (s *Scheduler) Shutdown() {
@@ -853,6 +1026,13 @@ func (s *Scheduler) killAll() {
 		victim.killed = true
 		if victim.state == procParked {
 			s.dropParked(victim)
+		}
+		victim.step = nil
+		if victim.resume == nil {
+			// Stackless: no goroutine to unwind, no deferred calls to run.
+			victim.state = procDone
+			s.dropLive(victim)
+			continue
 		}
 		victim.resume <- struct{}{}
 		<-s.yield

@@ -89,4 +89,68 @@ func BenchmarkSimCore(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+
+	// stackless-handoff is proc-handoff with both processes written as
+	// step functions: the same events, dispatched inline by the loop with
+	// no goroutine switch. The gap between the two is what a per-message
+	// process on the datapath used to cost.
+	b.Run("stackless-handoff", func(b *testing.B) {
+		s := New()
+		ping := NewQueue[int]()
+		pong := NewQueue[int]()
+		n := b.N
+		sent, echoed := 0, 0
+		s.GoStep("a", func(p *Proc) bool {
+			if sent > 0 {
+				if _, ok := pong.TryPop(); !ok {
+					pong.Park(p)
+					return false
+				}
+			}
+			if sent == n {
+				return true
+			}
+			ping.Push(s, sent)
+			sent++
+			pong.Park(p)
+			return false
+		})
+		s.GoStep("b", func(p *Proc) bool {
+			for echoed < n {
+				v, ok := ping.TryPop()
+				if !ok {
+					ping.Park(p)
+					return false
+				}
+				pong.Push(s, v)
+				echoed++
+			}
+			return true
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+
+	// queue-backlog pops from a queue with a standing backlog of 4096
+	// items (a burst of sends queued on one connection): the head-indexed
+	// Ring makes each pop O(1) where the slice it replaced copied the
+	// whole backlog down.
+	b.Run("queue-backlog", func(b *testing.B) {
+		s := New()
+		q := NewQueue[int]()
+		for i := 0; i < 4096; i++ {
+			q.Push(s, i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q.Push(s, i)
+			if _, ok := q.TryPop(); !ok {
+				b.Fatal("empty")
+			}
+		}
+	})
 }

@@ -3,6 +3,12 @@ package sim
 // This file provides blocking primitives for sim processes: wait queues,
 // one-shot events, completion latches and FIFO message queues. All of them
 // must be used from scheduler context only.
+//
+// The two primitives a step function (Scheduler.GoStep, Proc.Host) can wait
+// on — WaitQueue and Queue — also have a Park form that registers the
+// process and marks it parked without blocking; the blocking form is the
+// Park form followed by the baton hand-off, so both schedule the same
+// events.
 
 // waiter records one parked process together with the park sequence number
 // that makes its wakeup valid.
@@ -15,47 +21,50 @@ type waiter struct {
 // processes wake one or all of them. It carries no state of its own, so the
 // caller supplies the predicate (as with sync.Cond).
 type WaitQueue struct {
-	waiters []waiter
+	waiters Ring[waiter]
+}
+
+// Park registers p on the queue and marks it parked without blocking: the
+// step-function form of Wait. The step function must return false right
+// after; it is run again once WakeOne or WakeAll selects p.
+func (q *WaitQueue) Park(p *Proc) {
+	q.waiters.Push(waiter{p: p, seq: p.parkSeq + 1})
+	p.markParked()
 }
 
 // Wait parks the calling process until WakeOne or WakeAll selects it. It
 // returns the reason value supplied by the waker.
 func (q *WaitQueue) Wait(p *Proc) any {
-	q.waiters = append(q.waiters, waiter{p: p, seq: p.parkSeq + 1})
-	return p.park()
+	q.Park(p)
+	return p.block()
 }
 
 // WakeOne readies the longest-parked waiter, passing it reason. It reports
 // whether a waiter was woken.
 func (q *WaitQueue) WakeOne(s *Scheduler, reason any) bool {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		copy(q.waiters, q.waiters[1:])
-		q.waiters = q.waiters[:len(q.waiters)-1]
+	for {
+		w, ok := q.waiters.Pop()
+		if !ok {
+			return false
+		}
 		if w.p.state == procParked && w.p.parkSeq == w.seq {
 			s.ready(w.p, w.seq, reason)
 			return true
 		}
 	}
-	return false
 }
 
 // WakeAll readies every waiter, passing each of them reason.
 func (q *WaitQueue) WakeAll(s *Scheduler, reason any) int {
 	n := 0
-	ws := q.waiters
-	q.waiters = nil
-	for _, w := range ws {
-		if w.p.state == procParked && w.p.parkSeq == w.seq {
-			s.ready(w.p, w.seq, reason)
-			n++
-		}
+	for q.WakeOne(s, reason) {
+		n++
 	}
 	return n
 }
 
 // Len returns the number of processes currently parked on the queue.
-func (q *WaitQueue) Len() int { return len(q.waiters) }
+func (q *WaitQueue) Len() int { return q.waiters.Len() }
 
 // Event is a one-shot broadcast: Wait blocks until Signal has been called;
 // once signaled it never blocks again.
@@ -117,7 +126,7 @@ func (l *Latch) Wait(p *Proc) {
 // Queue is an unbounded FIFO of T with blocking Pop. It is the shared-memory
 // command-queue analogue used between the shim and the service engines.
 type Queue[T any] struct {
-	items []T
+	items Ring[T]
 	wq    WaitQueue
 }
 
@@ -126,22 +135,21 @@ func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
 
 // Push appends v and wakes one blocked reader, if any.
 func (q *Queue[T]) Push(s *Scheduler, v T) {
-	q.items = append(q.items, v)
+	q.items.Push(v)
 	q.wq.WakeOne(s, nil)
 }
 
 // TryPop removes and returns the head without blocking.
-func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	v := q.items[0]
-	copy(q.items, q.items[1:])
-	q.items[len(q.items)-1] = zero
-	q.items = q.items[:len(q.items)-1]
-	return v, true
-}
+func (q *Queue[T]) TryPop() (T, bool) { return q.items.Pop() }
+
+// Park registers p as a reader to be woken by the next Push, without
+// blocking: what a step function does after a failed TryPop (see
+// WaitQueue.Park). A woken reader must TryPop again — another reader may
+// have taken the item.
+func (q *Queue[T]) Park(p *Proc) { q.wq.Park(p) }
+
+// Wait blocks the calling process until the next Push selects it.
+func (q *Queue[T]) Wait(p *Proc) { q.wq.Wait(p) }
 
 // Pop blocks the calling process until an item is available, then removes
 // and returns the head.
@@ -150,7 +158,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 		if v, ok := q.TryPop(); ok {
 			return v
 		}
-		q.wq.Wait(p)
+		q.Wait(p)
 	}
 }
 
@@ -166,10 +174,8 @@ func (q *Queue[T]) PopTimeout(p *Proc, d Duration) (T, bool) {
 	}
 	deadline := p.s.now.Add(d)
 	for {
-		seq := p.parkSeq + 1
-		timer := p.s.wakeAt(deadline, p, seq, timeoutReason{})
-		q.wq.waiters = append(q.wq.waiters, waiter{p: p, seq: seq})
-		reason := p.park()
+		timer := p.s.wakeAt(deadline, p, p.parkSeq+1, true)
+		reason := q.wq.Wait(p)
 		timer.Stop()
 		if _, timedOut := reason.(timeoutReason); timedOut {
 			return zero, false
@@ -184,7 +190,7 @@ func (q *Queue[T]) PopTimeout(p *Proc, d Duration) (T, bool) {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 type timeoutReason struct{}
 

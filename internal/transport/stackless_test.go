@@ -1,0 +1,173 @@
+package transport
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"mccs/internal/netsim"
+	"mccs/internal/sim"
+	"mccs/internal/spec"
+	"mccs/internal/telemetry"
+	"mccs/internal/topo"
+)
+
+type rngPicker struct{ rng *rand.Rand }
+
+func (r *rngPicker) Pick(n int) int { return r.rng.Intn(n) }
+
+// newestFirst fires the most recently scheduled same-instant event first,
+// so a burst of deliveries landing at one instant arrives exactly reversed.
+type newestFirst struct{}
+
+func (newestFirst) Pick(n int) int { return n - 1 }
+
+type oooRun struct {
+	seqs   []uint64
+	ooo    int64
+	events []string
+}
+
+// runReorderedBurst sends two bursts of eight one-byte messages over an
+// intra-host connection — their transmit times truncate to zero, so each
+// burst's deliveries land at a single instant for pk to reorder — to a
+// receiver written as blocking code or as a step function.
+func runReorderedBurst(t *testing.T, stackless bool, pk sim.Picker) oooRun {
+	t.Helper()
+	c, err := topo.BuildClos(topo.TestbedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New()
+	defer s.Shutdown()
+	telemetry.Attach(s, telemetry.NewRegistry())
+	eng := NewEngine(s, c, netsim.NewFabric(s, c.Net), 0, DefaultConfig(c.IntraHostBps))
+	h := c.Hosts[0]
+	conn, err := eng.Connect("app", h.NICs[0], h.NICs[1], spec.RouteECMP, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out oooRun
+	s.SetPicker(pk)
+	s.SetObserver(func(at sim.Time, seq uint64) {
+		out.events = append(out.events, fmt.Sprintf("%d/%d", at, seq))
+	})
+	const burst, total = 8, 16
+	got := func(d Delivery) {
+		if len(d.Data) != 1 || d.Data[0] != float32(d.Seq) {
+			t.Errorf("delivery %d carries %v", d.Seq, d.Data)
+		}
+		out.seqs = append(out.seqs, d.Seq)
+	}
+	if stackless {
+		s.GoStep("recv", func(p *sim.Proc) bool {
+			for len(out.seqs) < total {
+				d, ok := conn.TryRecv()
+				if !ok {
+					conn.ParkRecv(p)
+					return false
+				}
+				got(d)
+			}
+			return true
+		})
+	} else {
+		s.Go("recv", func(p *sim.Proc) {
+			for len(out.seqs) < total {
+				got(conn.Recv(p))
+			}
+		})
+	}
+	s.Go("send", func(p *sim.Proc) {
+		for i := 1; i <= total; i++ {
+			conn.Send(1, []float32{float32(i)}, nil)
+			if i == burst {
+				p.Sleep(10 * time.Microsecond)
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("stackless=%v: %v", stackless, err)
+	}
+	if conn.Pending() != 0 || conn.flight.Len() != 0 {
+		t.Errorf("stackless=%v: %d pending, %d in flight after the run", stackless, conn.Pending(), conn.flight.Len())
+	}
+	out.ooo = eng.telOOO.Value()
+	return out
+}
+
+// TestStacklessReceiverResequencesLikeRecv: out-of-order same-instant
+// deliveries reach a step-function receiver in send order, and are counted
+// in mccs_transport_ooo_deliveries_total, exactly as for Recv(p) — down to
+// the scheduler's event stream.
+func TestStacklessReceiverResequencesLikeRecv(t *testing.T) {
+	pickers := map[string]func() sim.Picker{
+		"newest-first": func() sim.Picker { return newestFirst{} },
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		seed := seed
+		pickers[fmt.Sprintf("seed%d", seed)] = func() sim.Picker { return &rngPicker{rng: rand.New(rand.NewSource(seed))} }
+	}
+	inOrder := make([]uint64, 16)
+	for i := range inOrder {
+		inOrder[i] = uint64(i + 1)
+	}
+	for name, mk := range pickers {
+		blocking := runReorderedBurst(t, false, mk())
+		step := runReorderedBurst(t, true, mk())
+		if !reflect.DeepEqual(step.seqs, inOrder) || !reflect.DeepEqual(blocking.seqs, inOrder) {
+			t.Errorf("%s: received %v (step) / %v (blocking), want 1..16", name, step.seqs, blocking.seqs)
+		}
+		if step.ooo != blocking.ooo {
+			t.Errorf("%s: ooo deliveries %d (step) vs %d (blocking)", name, step.ooo, blocking.ooo)
+		}
+		if name == "newest-first" && step.ooo != 14 {
+			// Each reversed burst of 8 stashes all but the one in order.
+			t.Errorf("%s: %d ooo deliveries, want 14", name, step.ooo)
+		}
+		if !reflect.DeepEqual(step.events, blocking.events) {
+			t.Errorf("%s: observer streams differ:\nblocking %v\nstep     %v", name, blocking.events, step.events)
+		}
+	}
+}
+
+// TestMessagePathAllocations pins the steady-state cost of one message,
+// Send to delivery: nothing on the intra-host path, and only the fabric's
+// Flow on the inter-host path — no closures, no queue regrowth.
+func TestMessagePathAllocations(t *testing.T) {
+	r := newRig(t)
+	h0, h2 := r.cluster.Hosts[0], r.cluster.Hosts[2]
+	for _, tc := range []struct {
+		name     string
+		src, dst topo.NICID
+		want     float64
+	}{
+		{"intra-host", h0.NICs[0], h0.NICs[1], 0},
+		{"fabric", h0.NICs[0], h2.NICs[0], 1},
+	} {
+		conn, err := r.engines[0].Connect("app", tc.src, tc.dst, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		message := func() {
+			conn.Send(64<<10, nil, nil)
+			conn.Send(64<<10, nil, nil) // queues behind the first
+			if err := r.s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, ok := conn.TryRecv(); !ok {
+					t.Fatal("message not delivered")
+				}
+			}
+		}
+		for i := 0; i < 100; i++ {
+			message()
+		}
+		if n := testing.AllocsPerRun(200, message) / 2; n != tc.want {
+			t.Errorf("%s: %v allocations per message, want %v", tc.name, n, tc.want)
+		}
+	}
+}

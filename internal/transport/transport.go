@@ -173,7 +173,7 @@ type Conn struct {
 	closed  bool
 
 	// recvSeq/stash re-sequence deliveries whose completion events fired
-	// out of order (see Recv).
+	// out of order (see TryRecv).
 	recvSeq uint64
 	stash   map[uint64]Delivery
 
@@ -182,20 +182,55 @@ type Conn struct {
 	// of one connection would processor-share the path and complete in
 	// a cluster, destroying the slice-level pipelining the collective
 	// engine depends on.
-	sendQ    []pendingSend
-	inFlight bool
+	//
+	// A message moves from sendQ to flight when its turn comes and stays
+	// there — through the TS gate, the wire and the delivery latency —
+	// until it is pushed to the inbox. Every event on the way carries only
+	// the message's sequence number (see the conn* handlers), so the
+	// message path allocates no closures; flight holds the message being
+	// transmitted plus the few still inside their delivery latency.
+	sendQ   sim.Ring[message]
+	flight  sim.Ring[message]
+	sending bool // serialized mode: a message is between startNext and sent
 
 	// telTx is the per-tenant transmit counter, resolved lazily on the
 	// first send (nil, and a no-op, when telemetry is off).
 	telTx *telemetry.Counter
 }
 
-type pendingSend struct {
+type message struct {
 	bytes int64
 	data  []float32
 	seq   uint64
 	group *netsim.Group
 	tag   trace.FlowTag
+	// txStart is when an intra-host transfer entered its channel.
+	txStart sim.Time
+}
+
+// The stages of a message are events on its Conn, told apart by the
+// handler type and keyed by the message's sequence number — so when a
+// fuzzing Picker reorders two same-instant events of one connection, each
+// still acts on its own message.
+type (
+	connTransmit  Conn // the TS gate (or a send perturbation) opened
+	connIntraDone Conn // an intra-host transfer left its channel
+	connFlowDone  Conn // the fabric flow completed
+	connDeliver   Conn // the delivery latency elapsed
+)
+
+func (h *connTransmit) OnEvent(seq uint64)  { (*Conn)(h).transmit(seq) }
+func (h *connIntraDone) OnEvent(seq uint64) { (*Conn)(h).intraDone(seq) }
+func (h *connFlowDone) OnEvent(seq uint64)  { (*Conn)(h).sent(seq, (*Conn)(h).eng.cfg.NetLatency) }
+func (h *connDeliver) OnEvent(seq uint64)   { (*Conn)(h).deliver(seq) }
+
+// inFlight returns message seq in c.flight (valid until the ring changes).
+func (c *Conn) inFlight(seq uint64) *message {
+	for i := 0; ; i++ {
+		if msg := c.flight.At(i); msg.seq == seq {
+			return msg
+		}
+	}
 }
 
 // Connect creates a connection from srcNIC (on this engine's host) to
@@ -308,79 +343,29 @@ func (c *Conn) SendTagged(bytes int64, data []float32, group *netsim.Group, tag 
 		c.telTx = c.eng.txCounter(c.app)
 	}
 	c.telTx.Add(bytes)
-	c.sendQ = append(c.sendQ, pendingSend{bytes: bytes, data: data, seq: c.sendSeq, group: group, tag: tag})
+	c.sendQ.Push(message{bytes: bytes, data: data, seq: c.sendSeq, group: group, tag: tag})
 	if c.eng.cfg.UnserializedSends {
 		// Ablation mode: transmit everything concurrently.
-		for len(c.sendQ) > 0 {
+		for c.sendQ.Len() > 0 {
 			c.startNext()
 		}
 		return
 	}
-	if !c.inFlight {
+	if !c.sending {
 		c.startNext()
 	}
 }
 
-// startNext transmits the head of the send queue, respecting the app's
-// TS traffic gate at each message start.
+// startNext moves the head of the send queue into flight and transmits it,
+// respecting the app's TS traffic gate at each message start.
 func (c *Conn) startNext() {
-	if len(c.sendQ) == 0 {
-		c.inFlight = false
+	msg, ok := c.sendQ.Pop()
+	c.sending = ok
+	if !ok {
 		return
 	}
-	c.inFlight = true
-	msg := c.sendQ[0]
-	c.sendQ = c.sendQ[1:]
+	c.flight.Push(msg)
 	e := c.eng
-
-	finish := func() {
-		e.s.After(e.cfg.NetLatency, func() {
-			c.inbox.Push(e.s, Delivery{Bytes: msg.bytes, Data: msg.data, Seq: msg.seq})
-		})
-		c.startNext()
-	}
-
-	start := func() {
-		if c.intr {
-			// Intra-host channel: fixed bandwidth, no fabric contention
-			// (host shared-memory / NVLink is private to the host).
-			txStart := e.s.Now()
-			dur := time.Duration(float64(msg.bytes) / e.cfg.IntraBps * float64(time.Second))
-			e.s.After(dur, func() {
-				if rec := trace.Of(e.s); rec.Enabled(trace.KindXfer) {
-					rec.Emit(trace.Span{
-						Kind: trace.KindXfer, Op: msg.tag.Op,
-						Start: txStart, End: e.s.Now(),
-						Host: int32(e.host), GPU: -1,
-						Comm: msg.tag.Comm, Rank: msg.tag.From, Peer: msg.tag.To,
-						Channel: msg.tag.Channel, Gen: msg.tag.Gen, Step: msg.tag.Step,
-						Seq:   msg.tag.Seq,
-						Bytes: msg.bytes,
-						Src:   int32(c.src), Dst: int32(c.dst),
-					})
-				}
-				e.s.After(e.cfg.IntraLatency, func() {
-					c.inbox.Push(e.s, Delivery{Bytes: msg.bytes, Data: msg.data, Seq: msg.seq})
-				})
-				c.startNext()
-			})
-			return
-		}
-		fl := e.fabric.StartFlow(netsim.FlowOpts{
-			Src:   e.cluster.NICNode(c.src),
-			Dst:   e.cluster.NICNode(c.dst),
-			Bytes: float64(msg.bytes),
-			Route: c.route,
-			// The label is per-connection, not per-message: an RDMA
-			// connection keeps one 5-tuple, so ECMP pins all its
-			// messages to one path. That stickiness is what makes
-			// collisions persistent — and what MCCS route pinning fixes.
-			Label: c.label,
-			Group: msg.group,
-			Tag:   msg.tag,
-		})
-		fl.OnDone(finish)
-	}
 
 	// TS gating: traffic may only start inside the app's allowed windows.
 	now := e.s.Now()
@@ -394,31 +379,103 @@ func (c *Conn) startNext() {
 		}
 	}
 	if at <= now {
-		start()
+		c.transmit(msg.seq)
 	} else {
-		e.s.At(at, start)
+		e.s.AtCall(at, (*connTransmit)(c), msg.seq)
 	}
 }
 
-// Recv blocks until the next delivery on the connection, in send order.
+// transmit puts message seq on its channel.
+func (c *Conn) transmit(seq uint64) {
+	e := c.eng
+	msg := c.inFlight(seq)
+	if c.intr {
+		// Intra-host channel: fixed bandwidth, no fabric contention
+		// (host shared-memory / NVLink is private to the host).
+		msg.txStart = e.s.Now()
+		dur := time.Duration(float64(msg.bytes) / e.cfg.IntraBps * float64(time.Second))
+		e.s.AfterCall(dur, (*connIntraDone)(c), seq)
+		return
+	}
+	e.fabric.StartFlow(netsim.FlowOpts{
+		Src:   e.cluster.NICNode(c.src),
+		Dst:   e.cluster.NICNode(c.dst),
+		Bytes: float64(msg.bytes),
+		Route: c.route,
+		// The label is per-connection, not per-message: an RDMA
+		// connection keeps one 5-tuple, so ECMP pins all its
+		// messages to one path. That stickiness is what makes
+		// collisions persistent — and what MCCS route pinning fixes.
+		Label:  c.label,
+		Group:  msg.group,
+		Tag:    msg.tag,
+		OnDone: (*connFlowDone)(c), OnDoneArg: seq,
+	})
+}
+
+// intraDone records the finished intra-host transfer of message seq.
+func (c *Conn) intraDone(seq uint64) {
+	e := c.eng
+	if rec := trace.Of(e.s); rec.Enabled(trace.KindXfer) {
+		msg := c.inFlight(seq)
+		rec.Emit(trace.Span{
+			Kind: trace.KindXfer, Op: msg.tag.Op,
+			Start: msg.txStart, End: e.s.Now(),
+			Host: int32(e.host), GPU: -1,
+			Comm: msg.tag.Comm, Rank: msg.tag.From, Peer: msg.tag.To,
+			Channel: msg.tag.Channel, Gen: msg.tag.Gen, Step: msg.tag.Step,
+			Seq:   msg.tag.Seq,
+			Bytes: msg.bytes,
+			Src:   int32(c.src), Dst: int32(c.dst),
+		})
+	}
+	c.sent(seq, e.cfg.IntraLatency)
+}
+
+// sent runs when message seq has left its channel: the receiver sees it
+// one latency later, and the connection is free for the next message.
+func (c *Conn) sent(seq uint64, latency time.Duration) {
+	c.eng.s.AfterCall(latency, (*connDeliver)(c), seq)
+	c.startNext()
+}
+
+// deliver takes message seq out of flight and hands it to the receiver.
+func (c *Conn) deliver(seq uint64) {
+	msg := c.inFlight(seq)
+	d := Delivery{Bytes: msg.bytes, Data: msg.data, Seq: msg.seq}
+	// Messages almost always leave flight in order; one overtaken by a
+	// reordered same-instant delivery has the head moved into its place.
+	*msg = *c.flight.At(0)
+	c.flight.Pop()
+	c.inbox.Push(c.eng.s, d)
+}
+
+// TryRecv returns the next delivery on the connection, in send order, if
+// it has arrived. It is the one place deliveries are re-sequenced; Recv is
+// TryRecv in a loop around a blocking wait, and a step function (the
+// proxy's schedule interpreter) calls TryRecv and, when it reports false,
+// ParkRecv.
 //
 // Delivery events for back-to-back tiny messages can land at the same
 // virtual instant (sub-nanosecond transmit times truncate to zero), and
 // the scheduler is free to fire same-instant events in any order — the
 // chaos harness's schedule fuzzer exercises exactly that freedom. A real
-// connection (RDMA QP, TCP) still delivers in order, so Recv re-sequences
-// by message sequence number instead of trusting event order.
-func (c *Conn) Recv(p *sim.Proc) Delivery {
+// connection (RDMA QP, TCP) still delivers in order, so TryRecv
+// re-sequences by message sequence number instead of trusting event order.
+func (c *Conn) TryRecv() (Delivery, bool) {
 	for {
 		if d, ok := c.stash[c.recvSeq+1]; ok {
 			delete(c.stash, c.recvSeq+1)
 			c.recvSeq++
-			return d
+			return d, true
 		}
-		d := c.inbox.Pop(p)
+		d, ok := c.inbox.TryPop()
+		if !ok {
+			return Delivery{}, false
+		}
 		if d.Seq == c.recvSeq+1 {
 			c.recvSeq++
-			return d
+			return d, true
 		}
 		if c.stash == nil {
 			c.stash = make(map[uint64]Delivery)
@@ -428,6 +485,21 @@ func (c *Conn) Recv(p *sim.Proc) Delivery {
 		// out-of-order arrival the receiver had to re-sequence — the
 		// "retries" signal of a real transport.
 		c.eng.telOOO.Inc()
+	}
+}
+
+// ParkRecv parks p, without blocking, until the next delivery of any
+// sequence number arrives (see sim.Queue.Park); the woken step function
+// calls TryRecv again.
+func (c *Conn) ParkRecv(p *sim.Proc) { c.inbox.Park(p) }
+
+// Recv blocks until the next delivery on the connection, in send order.
+func (c *Conn) Recv(p *sim.Proc) Delivery {
+	for {
+		if d, ok := c.TryRecv(); ok {
+			return d
+		}
+		c.inbox.Wait(p)
 	}
 }
 
