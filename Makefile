@@ -1,11 +1,19 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-json bench-sim-json bench-e2e bench-compare trace telemetry churn doctor self-heal
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-json bench-sim-json bench-e2e bench-compare trace telemetry churn doctor self-heal loc
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# bin/mccs is the one command-line binary (cmd/mccs); every smoke target
+# below calls a subcommand of it. Go's build cache makes the rebuild a
+# no-op when nothing changed, so the target is phony.
+MCCS := bin/mccs
+.PHONY: $(MCCS)
+$(MCCS):
+	$(GO) build -o $(MCCS) ./cmd/mccs
 
 # fmt fails if any file needs gofmt; CI runs the same check.
 fmt:
@@ -54,8 +62,8 @@ bench:
 # bench-json runs the root per-figure benchmark suite once and writes
 # the reported metrics as machine-readable BENCH.json records of
 # {bench, metric, value}. CI uploads the file as a build artifact.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchtime=1x . | $(GO) run ./cmd/mccs-benchjson > BENCH.json
+bench-json: $(MCCS)
+	$(GO) test -run '^$$' -bench . -benchtime=1x . | $(MCCS) benchjson > BENCH.json
 
 # bench-sim-json measures the scheduler core's hot paths (timer-churn,
 # same-instant-wake, proc-handoff and its step-function twin
@@ -67,9 +75,9 @@ bench-json:
 # recover loop (chaos self-heal with the control loop attached) against
 # its no-loop baseline, so control-plane overhead regressions surface in
 # the same artifact.
-bench-sim-json:
+bench-sim-json: $(MCCS)
 	( $(GO) test -run '^$$' -bench BenchmarkSimCore -benchtime=10000x ./internal/sim/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkRemediationLoop|BenchmarkSelfHealBaseline' -benchtime=3x ./internal/remediation/ ) | $(GO) run ./cmd/mccs-benchjson > BENCH.sim.json
+	  $(GO) test -run '^$$' -bench 'BenchmarkRemediationLoop|BenchmarkSelfHealBaseline' -benchtime=3x ./internal/remediation/ ) | $(MCCS) benchjson > BENCH.sim.json
 
 # bench-e2e runs the repository benchmark (bench/README.md): all five
 # workloads, untraced and traced, about 3.5 minutes, results in $(OUT).
@@ -85,37 +93,45 @@ bench-compare:
 # trace records a short Fig. 7 reconfiguration run with the flight
 # recorder and prints the bottleneck-attribution summary. The JSON also
 # loads in Perfetto (ui.perfetto.dev) for a visual timeline.
-trace:
-	$(GO) run ./cmd/mccs-reconfig -run 6s -bg 2s -reconfig 4s -trace reconfig.trace.json
-	$(GO) run ./cmd/mccs-trace summarize reconfig.trace.json
+trace: $(MCCS)
+	$(MCCS) reconfig -run 6s -bg 2s -reconfig 4s -trace reconfig.trace.json
+	$(MCCS) trace summarize reconfig.trace.json
 
 # telemetry samples the same run through the live metrics plane and
 # renders the operator view: per-tenant goodput, busiest links, SLO
 # violations (DESIGN.md §11).
-telemetry:
-	$(GO) run ./cmd/mccs-reconfig -run 6s -bg 2s -reconfig 4s -telemetry reconfig.telemetry.jsonl
-	$(GO) run ./cmd/mccs-top reconfig.telemetry.jsonl
+telemetry: $(MCCS)
+	$(MCCS) reconfig -run 6s -bg 2s -reconfig 4s -telemetry reconfig.telemetry.jsonl
+	$(MCCS) top reconfig.telemetry.jsonl
 
 # doctor runs the online health-diagnosis smoke (DESIGN.md §14): the
 # contended Fig. 7 run with the diagnosis engine attached live, writing
 # the incident JSONL CI uploads as an artifact, then replaying the trace
-# through mccs-doctor to print the incident timeline (live and replay
+# through `mccs doctor` to print the incident timeline (live and replay
 # agree on the incident set by construction).
-doctor:
-	$(GO) run ./cmd/mccs-reconfig -run 6s -bg 2s -reconfig 4s -trace doctor.trace.json -telemetry doctor.telemetry.jsonl -doctor doctor.incidents.jsonl
-	$(GO) run ./cmd/mccs-doctor doctor.trace.json doctor.telemetry.jsonl
+doctor: $(MCCS)
+	$(MCCS) reconfig -run 6s -bg 2s -reconfig 4s -trace doctor.trace.json -telemetry doctor.telemetry.jsonl -doctor doctor.incidents.jsonl
+	$(MCCS) doctor doctor.trace.json doctor.telemetry.jsonl
 
 # self-heal runs the closed-loop recovery smoke (DESIGN.md §15): the
 # chaos self-heal scenario with the diagnosis engine and the remediation
 # daemon attached, sweeping a few seeds and writing the deterministic
 # remediation event log CI uploads as an artifact.
-self-heal:
-	$(GO) run ./cmd/mccs-selfheal -seeds 4 -jsonl selfheal.remediation.jsonl
+self-heal: $(MCCS)
+	$(MCCS) selfheal -seeds 4 -jsonl selfheal.remediation.jsonl
 
 # churn runs the tenant-lifecycle smoke (DESIGN.md §13): the default
 # 8-job seeded arrival stream with churn-triggered reconfiguration,
 # printing per-job JCT/queueing delay and writing the sampled telemetry
 # series CI uploads as an artifact.
-churn:
-	$(GO) run ./cmd/mccs-churn -telemetry churn.telemetry.jsonl
-	$(GO) run ./cmd/mccs-top churn.telemetry.jsonl
+churn: $(MCCS)
+	$(MCCS) churn -telemetry churn.telemetry.jsonl
+	$(MCCS) top churn.telemetry.jsonl
+
+# loc prints the non-test .go line count of each top-level package — the
+# number deletion PRs quote (`wc -l`, comments and blanks included, so a
+# reformat cannot fake a reduction).
+loc:
+	@for d in mccs.go cmd internal/*/; do \
+		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
+	done

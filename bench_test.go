@@ -14,6 +14,7 @@ import (
 	"mccs/internal/collective"
 	"mccs/internal/diagnosis"
 	"mccs/internal/harness"
+	"mccs/internal/mccsd"
 	"mccs/internal/metrics"
 	"mccs/internal/ncclsim"
 	"mccs/internal/policy"
@@ -28,7 +29,7 @@ import (
 // production-profile jobs training concurrently through the service.
 func BenchmarkFig2Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+		env, err := harness.NewEnv(harness.EnvOptions{System: ncclsim.MCCS})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func BenchmarkFig7Reconfig(b *testing.B) {
 // BenchmarkFig8MultiApp measures the multi-application fairness run
 // (setup 3, full MCCS).
 func BenchmarkFig8MultiApp(b *testing.B) {
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	env, err := harness.NewEnv(harness.EnvOptions{System: ncclsim.MCCS})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -267,10 +268,15 @@ func BenchmarkAblationTreeVsRing(b *testing.B) {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := harness.RunSingleAppWithTree(harness.SingleAppConfig{
+				res, err := harness.RunSingleApp(harness.SingleAppConfig{
 					System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: tc.bytes,
 					NumGPUs: 8, Warmup: 1, Iters: 4,
-				}, tc.threshold)
+					Mutate: func(c *mccsd.Config) {
+						c.Strategy = policy.OptimalRingStrategy(policy.RingStrategyOptions{
+							PinRoutes: true, TreeThreshold: tc.threshold,
+						})
+					},
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -290,10 +296,15 @@ func BenchmarkAblationChannels(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := harness.RunSingleAppWithChannels(harness.SingleAppConfig{
+				res, err := harness.RunSingleApp(harness.SingleAppConfig{
 					System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 128 << 20,
 					NumGPUs: 8, Warmup: 1, Iters: 3,
-				}, ch)
+					Mutate: func(c *mccsd.Config) {
+						c.Strategy = policy.OptimalRingStrategy(policy.RingStrategyOptions{
+							MaxChannels: ch, PinRoutes: true,
+						})
+					},
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -309,7 +320,7 @@ func BenchmarkAblationChannels(b *testing.B) {
 // so it reports pure wall-clock per search plus the space size.
 func BenchmarkTuner(b *testing.B) {
 	b.Run("tuner-search", func(b *testing.B) {
-		env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+		env, err := harness.NewEnv(harness.EnvOptions{System: ncclsim.MCCS})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -353,7 +364,7 @@ func BenchmarkAblationAlgorithms(b *testing.B) {
 		{"allreduce-ring", spec.AlgoRing},
 		{"allreduce-halvingdoubling", spec.AlgoHD},
 	}
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	env, err := harness.NewEnv(harness.EnvOptions{System: ncclsim.MCCS})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -376,10 +387,13 @@ func BenchmarkAblationAlgorithms(b *testing.B) {
 				Channels:  []spec.ChannelSpec{{Order: order, Route: spec.RouteECMP}},
 			}
 			for i := 0; i < b.N; i++ {
-				res, err := harness.RunSingleAppWithStrategy(harness.SingleAppConfig{
+				res, err := harness.RunSingleApp(harness.SingleAppConfig{
 					System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 32 << 10,
 					NumGPUs: 8, Warmup: 1, Iters: 4,
-				}, st)
+					Mutate: func(c *mccsd.Config) {
+						c.Strategy = func(*topo.Cluster, *spec.CommInfo) spec.Strategy { return st.Clone() }
+					},
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

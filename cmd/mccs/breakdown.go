@@ -1,13 +1,8 @@
-// mccs-breakdown regenerates Figure 2: the training-time breakdown
-// (idle / memcpy / compute / communication) of four synthetic production
-// model profiles, measured by running each profile's training loop
-// through the MCCS service on the testbed.
 package main
 
 import (
-	"flag"
 	"fmt"
-	"log"
+	"io"
 	"strings"
 
 	"mccs/internal/harness"
@@ -18,14 +13,22 @@ import (
 	"mccs/internal/workload"
 )
 
-func main() {
-	iters := flag.Int("iters", 5, "iterations per profile")
-	flag.Parse()
-
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
-	if err != nil {
-		log.Fatal(err)
+// runBreakdown regenerates Figure 2: the training-time breakdown
+// (idle / memcpy / compute / communication) of four synthetic production
+// model profiles, measured by running each profile's training loop
+// through the MCCS service on the testbed.
+func runBreakdown(args []string, stdout io.Writer) error {
+	fs := newFlagSet("breakdown", "[flags]", "Fig. 2: training-time breakdown per product group.")
+	iters := fs.Int("iters", 5, "iterations per profile")
+	if err := parseFlags(fs, args, stdout); err != nil {
+		return err
 	}
+
+	env, err := harness.NewEnv(harness.EnvOptions{System: ncclsim.MCCS})
+	if err != nil {
+		return err
+	}
+	defer env.S.Shutdown()
 	profiles := workload.ProductGroupProfiles()
 	results := make([]*workload.Result, len(profiles))
 	// Each group trains on its own pair of GPUs (one per rack) so the
@@ -41,21 +44,22 @@ func main() {
 		env.S.Go("collect", func(p *sim.Proc) { results[i] = fut.Wait(p) })
 	}
 	if err := env.S.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("[Fig. 2] training-time breakdown per product group")
-	fmt.Printf("%-10s %8s %8s %8s %8s\n", "group", "idle", "memcpy", "compute", "comm")
+	fmt.Fprintln(stdout, "[Fig. 2] training-time breakdown per product group")
+	fmt.Fprintf(stdout, "%-10s %8s %8s %8s %8s\n", "group", "idle", "memcpy", "compute", "comm")
 	for i, r := range results {
 		if r.Err != nil {
-			log.Fatalf("profile %d: %v", i, r.Err)
+			return fmt.Errorf("profile %d: %w", i, r.Err)
 		}
 		b := r.Breakdown
-		fmt.Printf("%-10s %7.1f%% %7.1f%% %7.1f%% %7.1f%%  %s\n",
+		fmt.Fprintf(stdout, "%-10s %7.1f%% %7.1f%% %7.1f%% %7.1f%%  %s\n",
 			strings.TrimPrefix(profiles[i].Name, "group-"),
 			100*b.Idle, 100*b.Memcpy, 100*b.Compute, 100*b.Comm,
 			bar(b))
 	}
+	return nil
 }
 
 // bar renders the stacked fractions the way the figure does.

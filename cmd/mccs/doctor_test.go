@@ -25,7 +25,7 @@ func TestReplayPipeline(t *testing.T) {
 	_, err := harness.RunSingleApp(harness.SingleAppConfig{
 		System: ncclsim.MCCS, Op: collective.AllReduce,
 		Bytes: 1 << 20, NumGPUs: 4, Warmup: 1, Iters: 2,
-		TracePath: tracePath, TelemetryPath: telemetryPath, DoctorPath: doctorPath,
+		Observers: harness.Observers{TracePath: tracePath, TelemetryPath: telemetryPath, DoctorPath: doctorPath},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestReplayPipeline(t *testing.T) {
 
 	replay := func() string {
 		var out bytes.Buffer
-		if err := run([]string{tracePath, telemetryPath}, filepath.Join(dir, "incidents.jsonl"), &out); err != nil {
+		if err := runDoctor([]string{"-jsonl", filepath.Join(dir, "incidents.jsonl"), tracePath, telemetryPath}, &out); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()
@@ -71,10 +71,10 @@ func TestReplayPipeline(t *testing.T) {
 
 func TestRunBadArgs(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(nil, "", &out); err == nil {
+	if err := runDoctor(nil, &out); err == nil {
 		t.Error("expected usage error with no args")
 	}
-	if err := run([]string{"does-not-exist.json"}, "", &out); err == nil {
+	if err := runDoctor([]string{"does-not-exist.json"}, &out); err == nil {
 		t.Error("expected error for missing trace file")
 	}
 }

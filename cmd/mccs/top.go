@@ -1,31 +1,8 @@
-// mccs-top renders a cluster operator's view of an MCCS telemetry
-// series: per-tenant goodput, the scheduler's lifecycle counters, the
-// busiest fabric links, and the SLO violations the run produced. It
-// reads a JSONL file exported with -telemetry (mccs-reconfig,
-// mccs-bench, mccs-multi, mccs-churn) or, with -live, runs a scenario
-// itself — the contended Fig. 7 reconfiguration by default, the tenant
-// churn experiment with -scenario churn — and renders the resulting
-// series.
-//
-// Sections always render in a fixed order — TENANT, SCHED, TUNER,
-// HEALTH, REMEDIATION, BUSIEST LINKS, SLO VIOLATIONS — and the
-// tenant-keyed sections share one first-column width, so the layout is
-// identical whether a series comes from a file or a -live run and
-// whichever sections have data. HEALTH appears when the run had the
-// diagnosis engine attached (a -doctor flag): open incidents, per-class
-// totals, and each tenant's last diagnosed root cause. REMEDIATION
-// appears when the self-healing control loop ran (mccs-selfheal, or a
-// harness with remediation attached): links currently quarantined,
-// quarantine/readmission/suppression totals, and per-action recovery
-// counts (re-pin, ring reversal, re-tune, degrade, FFA re-run).
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"log"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -35,59 +12,70 @@ import (
 	"mccs/internal/telemetry"
 )
 
-func main() {
-	live := flag.Bool("live", false, "run a scenario instead of reading a file")
-	scenario := flag.String("scenario", "reconfig", "-live scenario: reconfig (contended Fig. 7) or churn (tenant lifecycle)")
-	lastN := flag.Int("last", 0, "compute rates over the last N samples only (0 = whole series)")
-	topLinks := flag.Int("links", 6, "busiest links to show")
-	topViol := flag.Int("violations", 8, "most recent SLO violations to show")
-	every := flag.Duration("every", 0, "sampling interval for -live (default 100ms)")
-	flag.Parse()
+// runTop renders a cluster operator's view of an MCCS telemetry
+// series: per-tenant goodput, the scheduler's lifecycle counters, the
+// busiest fabric links, and the SLO violations the run produced. It
+// reads a JSONL file exported with an experiment subcommand's -telemetry
+// flag or, with -live, runs a scenario itself — the contended Fig. 7
+// reconfiguration by default, the tenant churn experiment with
+// -scenario churn — and renders the resulting series.
+//
+// Sections always render in a fixed order — TENANT, SCHED, TUNER,
+// HEALTH, REMEDIATION, BUSIEST LINKS, SLO VIOLATIONS — and the
+// tenant-keyed sections share one first-column width, so the layout is
+// identical whether a series comes from a file or a -live run and
+// whichever sections have data. HEALTH appears when the run had the
+// diagnosis engine attached (a -doctor flag): open incidents, per-class
+// totals, and each tenant's last diagnosed root cause. REMEDIATION
+// appears when the self-healing control loop ran: links currently
+// quarantined, quarantine/readmission/suppression totals, and per-action
+// recovery counts (re-pin, ring reversal, re-tune, degrade, FFA re-run).
+func runTop(args []string, stdout io.Writer) error {
+	fs := newFlagSet("top", "[flags] telemetry.jsonl | -live [flags]", "Operator view of a telemetry series: tenants, scheduler, tuner, health, remediation, busiest links, SLO violations.")
+	live := fs.Bool("live", false, "run a scenario instead of reading a file")
+	scenario := fs.String("scenario", "reconfig", "-live scenario: reconfig (contended Fig. 7) or churn (tenant lifecycle)")
+	lastN := fs.Int("last", 0, "compute rates over the last N samples only (0 = whole series)")
+	topLinks := fs.Int("links", 6, "busiest links to show")
+	topViol := fs.Int("violations", 8, "most recent SLO violations to show")
+	every := fs.Duration("every", telemetry.DefaultInterval, "sampling interval for -live")
+	if err := parseFlags(fs, args, stdout); err != nil {
+		return err
+	}
+	if *every <= 0 {
+		return usagef("-every must be positive")
+	}
 
 	var se *telemetry.Series
 	switch {
+	case *live && *scenario == "reconfig":
+		cfg := harness.DefaultReconfigConfig()
+		cfg.TelemetryEvery = *every
+		res, err := harness.RunReconfigShowcase(cfg)
+		if err != nil {
+			return err
+		}
+		se = res.Telemetry
+	case *live && *scenario == "churn":
+		cfg := harness.DefaultChurnConfig()
+		cfg.TelemetryEvery = *every
+		res, err := harness.RunChurn(cfg)
+		if err != nil {
+			return err
+		}
+		se = res.Telemetry
 	case *live:
-		interval := *every
-		if interval <= 0 {
-			interval = telemetry.DefaultInterval
-		}
-		switch *scenario {
-		case "reconfig":
-			cfg := harness.DefaultReconfigConfig()
-			cfg.TelemetryEvery = interval
-			res, err := harness.RunReconfigShowcase(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			se = res.Telemetry
-		case "churn":
-			cfg := harness.DefaultChurnConfig()
-			cfg.TelemetryEvery = interval
-			res, err := harness.RunChurn(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			se = res.Telemetry
-		default:
-			log.Fatalf("unknown -scenario %q (reconfig or churn)", *scenario)
-		}
-	case flag.NArg() == 1:
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			log.Fatal(err)
-		}
-		se, err = telemetry.ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
+		return usagef("unknown -scenario %q (reconfig or churn)", *scenario)
+	case fs.NArg() == 1:
+		var err error
+		if se, err = loadSeries(fs.Arg(0)); err != nil {
+			return err
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: mccs-top [flags] telemetry.jsonl\n       mccs-top -live [flags]")
-		flag.PrintDefaults()
-		os.Exit(2)
+		return usagef("expected one telemetry.jsonl, or -live")
 	}
 
-	render(os.Stdout, se, options{lastN: *lastN, topLinks: *topLinks, topViolations: *topViol})
+	render(stdout, se, options{lastN: *lastN, topLinks: *topLinks, topViolations: *topViol})
+	return nil
 }
 
 // options bounds what render shows.

@@ -214,10 +214,10 @@ type Result struct {
 	// Tail holds the last events before the run ended, for failure
 	// triage (the full trace is reproduced by re-running the seed).
 	Tail []TraceEntry
-	// TracePath, set only on failure, is a temp file holding the run's
+	// DumpPath, set only on failure, is a temp file holding the run's
 	// full flight-recorder dump as Chrome trace-event JSON (inspect with
-	// cmd/mccs-trace or Perfetto).
-	TracePath string
+	// `mccs trace` or Perfetto).
+	DumpPath string
 	// Faults is the injected-fault ground truth, in schedule order. The
 	// diagnosis ground-truth tests score the doctor's incidents against
 	// these windows.
@@ -242,8 +242,8 @@ func (r Result) String() string {
 	for _, e := range r.Tail {
 		fmt.Fprintf(&b, "\n    at=%v seq=%d", time.Duration(e.At), e.Seq)
 	}
-	if r.TracePath != "" {
-		fmt.Fprintf(&b, "\n  flight recorder dump: %s", r.TracePath)
+	if r.DumpPath != "" {
+		fmt.Fprintf(&b, "\n  flight recorder dump: %s", r.DumpPath)
 	}
 	return b.String()
 }

@@ -191,9 +191,16 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	}
 
 	led := newLedger()
-	env, err := harness.NewTestbedEnvInstrumented(ncclsim.MCCS, seed, chaosTraceCap, chaosTelemetryEvery, func(c *mccsd.Config) {
-		c.Proxy.ExecObserver = led.observe
-		c.Proxy.UnsafeSkipSeqBarrier = sc.SkipSeqBarrier
+	// The diagnosis engine taps the recorder from the start, so it sees
+	// every span; it schedules no events and consumes no PRNG draws, so
+	// the fuzzed schedule is untouched.
+	env, err := harness.NewEnv(harness.EnvOptions{
+		System: ncclsim.MCCS, Salt: seed,
+		Mutate: func(c *mccsd.Config) {
+			c.Proxy.ExecObserver = led.observe
+			c.Proxy.UnsafeSkipSeqBarrier = sc.SkipSeqBarrier
+		},
+		Observers: harness.Observers{TraceCap: chaosTraceCap, TelemetryEvery: chaosTelemetryEvery, Doctor: opts.doctor},
 	})
 	if err != nil {
 		res.Err = fmt.Errorf("chaos: building testbed: %w", err)
@@ -223,21 +230,13 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 		})
 	}
 
-	// The diagnosis engine attaches before the injectors so its recorder
-	// tap sees every span; it schedules no events and consumes no PRNG
-	// draws, so the fuzzed schedule is untouched.
-	var eng *diagnosis.Engine
-	if opts.doctor {
-		eng = diagnosis.Attach(env.S, rec, telemetry.Of(env.S), diagnosis.DefaultConfig())
-	}
-
 	// The remediation engine also attaches pre-fault (it snapshots
 	// nominal link capacities); its daemon stops on a fixed virtual-time
 	// event past the fault horizon so quarantined links can finish
 	// probation and re-admit before the run drains.
 	var heal *remediation.Engine
 	if opts.heal {
-		heal = remediation.Attach(env.S, env.Deployment, eng, opts.healCfg)
+		heal = remediation.Attach(env.S, env.Deployment, env.Doctor, opts.healCfg)
 		stop := &sim.Event{}
 		heal.Start(stop)
 		env.S.At(sim.Time(sc.Horizon+sc.Horizon/2), func() { stop.Signal(env.S) })
@@ -262,12 +261,12 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 
 	res.Err = checkInvariants(env, sc, led, simErr, rankErrs, finished, scriptComm, orch, churnJobs)
 	if res.Err != nil {
-		res.TracePath = dumpTrace(env, rec, sc, seed)
+		res.DumpPath = dumpTrace(env, rec, sc, seed)
 	}
 	dr := &DoctorRun{}
 	if opts.doctor {
 		env.Fabric.FlushTrace() // emit any still-running flows before the final snapshot
-		dr.Report = eng.Finish()
+		dr.Report = env.Doctor.Finish()
 		dr.Recording = rec.Snapshot()
 	}
 	if opts.heal {

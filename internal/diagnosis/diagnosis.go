@@ -10,7 +10,7 @@
 // perturb the simulated schedule — chaos trace hashes and same-seed
 // exports are byte-identical with the doctor on or off. Post hoc, the
 // same detectors replay a trace Recording plus a telemetry Series
-// (Analyze), which is what cmd/mccs-doctor does to a capture.
+// (Analyze), which is what `mccs doctor` does to a capture.
 //
 // Detectors (engine.go):
 //

@@ -8,14 +8,12 @@ import (
 	"time"
 
 	"mccs/internal/collective"
-	"mccs/internal/diagnosis"
 	"mccs/internal/ncclsim"
 	"mccs/internal/orchestrator"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/telemetry"
 	"mccs/internal/topo"
-	"mccs/internal/trace"
 	"mccs/internal/workload"
 )
 
@@ -48,22 +46,14 @@ type ChurnConfig struct {
 	Placer orchestrator.Placer
 	// Quota caps tenants' concurrent GPUs (nil = uncapped).
 	Quota map[spec.AppID]int
-	// TracePath records the run (KindSched spans included) as Chrome
-	// trace-event JSON.
-	TracePath string
-	// TelemetryPath samples the metrics registry (mccs_sched_* series
-	// included) and writes JSONL (".prom" for Prometheus text).
-	TelemetryPath  string
-	TelemetryEvery time.Duration
-	// DoctorPath, when set, attaches the online diagnosis engine for the
-	// run and writes its health report there (incident JSONL when the
-	// path ends in ".jsonl", text timeline otherwise). Admission-queue
-	// waits and churn-triggered reconfigurations show up as incidents.
-	// Implies trace recording.
-	DoctorPath string
+	// Observers: the trace includes the orchestrator's KindSched spans,
+	// the telemetry series its mccs_sched_* families, and the doctor
+	// reports admission-queue waits and churn-triggered reconfigurations
+	// as incidents.
+	Observers
 }
 
-// DefaultChurnConfig is the mccs-churn CLI default: 8 jobs over the
+// DefaultChurnConfig is the mccs churn CLI default: 8 jobs over the
 // MCCS service with churn-triggered FFA reconfiguration on.
 func DefaultChurnConfig() ChurnConfig {
 	return ChurnConfig{
@@ -89,7 +79,7 @@ type ChurnResult struct {
 	// Makespan is the virtual time at which the last job finished.
 	Makespan time.Duration
 	// Telemetry is the sampled metrics series when TelemetryPath or
-	// TelemetryEvery was set (mccs-top -live -scenario churn reads it).
+	// TelemetryEvery was set (mccs top -live -scenario churn reads it).
 	Telemetry *telemetry.Series
 }
 
@@ -176,28 +166,14 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if cfg.MeanGap <= 0 {
 		cfg.MeanGap = 30 * time.Millisecond
 	}
-	traceCap := 0
-	if cfg.TracePath != "" || cfg.DoctorPath != "" {
-		traceCap = trace.DefaultCapacity
-	}
-	telemetryEvery := cfg.TelemetryEvery
-	if telemetryEvery <= 0 && cfg.TelemetryPath != "" {
-		telemetryEvery = telemetry.DefaultInterval
-	}
 	if (cfg.Reconfigure || cfg.Autotune) && ncclsim.Config(cfg.System).Baseline {
 		return nil, fmt.Errorf("harness: churn reconfiguration requires a service-mode system")
 	}
-	env, err := newTestbedEnvFull(cfg.System, cfg.Seed, nil, traceCap, telemetryEvery)
+	env, err := NewEnv(EnvOptions{System: cfg.System, Salt: cfg.Seed, Observers: cfg.Observers})
 	if err != nil {
 		return nil, err
 	}
 	defer env.S.Shutdown()
-	var doctor *diagnosis.Engine
-	if cfg.DoctorPath != "" {
-		if doctor, err = AttachDoctor(env.S); err != nil {
-			return nil, err
-		}
-	}
 	orch := orchestrator.New(env.S, env.Cluster, env.Deployment, orchestrator.Config{
 		Quota:               cfg.Quota,
 		Placer:              cfg.Placer,
@@ -231,29 +207,15 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if err := env.Deployment.CheckQuiescent(); err != nil {
 		return nil, fmt.Errorf("harness: churn not quiescent: %w", err)
 	}
-	if cfg.TracePath != "" {
-		if err := WriteTraceFile(cfg.TracePath, env.S, env.Fabric); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.TelemetryPath != "" {
-		if err := WriteTelemetryFile(cfg.TelemetryPath, env.Telemetry); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.DoctorPath != "" {
-		if err := WriteDoctorFile(cfg.DoctorPath, doctor, env.Fabric); err != nil {
-			return nil, err
-		}
+	if err := env.Export(); err != nil {
+		return nil, err
 	}
 	res := &ChurnResult{
 		Config:      cfg,
 		Jobs:        orch.Jobs(),
 		Reconfigs:   orch.Reconfigs(),
 		Utilization: orch.Utilization(),
-	}
-	if env.Telemetry != nil {
-		res.Telemetry = telemetry.SeriesOf(env.Telemetry)
+		Telemetry:   telemetry.SeriesOf(env.Telemetry),
 	}
 	var last sim.Time
 	for _, j := range res.Jobs {

@@ -19,7 +19,7 @@ import (
 // tenant's bandwidth recovers — all without the tenant noticing anything
 // but the dip.
 func TestLinkDegradationReroute(t *testing.T) {
-	env, err := NewTestbedEnv(ncclsim.MCCS)
+	env, err := NewEnv(EnvOptions{System: ncclsim.MCCS})
 	if err != nil {
 		t.Fatal(err)
 	}

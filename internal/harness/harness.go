@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -19,9 +20,7 @@ import (
 	"mccs/internal/ncclsim"
 	"mccs/internal/netsim"
 	"mccs/internal/policy"
-	"mccs/internal/remediation"
 	"mccs/internal/sim"
-	"mccs/internal/spec"
 	"mccs/internal/telemetry"
 	"mccs/internal/topo"
 	"mccs/internal/trace"
@@ -38,231 +37,175 @@ type Env struct {
 	Cluster    *topo.Cluster
 	Fabric     *netsim.Fabric
 	Deployment *mccsd.Deployment
-	// Telemetry is the sim-time sampler when the env was built with a
-	// telemetry interval; nil otherwise.
+	// Telemetry is the sim-time sampler when the observers include
+	// telemetry; nil otherwise.
 	Telemetry *telemetry.Sampler
+	// Doctor is the live diagnosis engine when the observers include
+	// it; nil otherwise.
+	Doctor *diagnosis.Engine
+
+	obs Observers
 }
 
-// NewTestbedEnv builds the paper's 4-host testbed under the given system.
-func NewTestbedEnv(system ncclsim.System) (*Env, error) {
-	return NewTestbedEnvSalted(system, 0)
+// Observers selects the observation planes an environment carries and
+// where Export writes what they saw. The zero value observes nothing.
+// Every driver config embeds it, so one rule holds everywhere:
+//
+//   - trace: a full-detail flight recorder is attached when TraceCap or
+//     TracePath is set, or when the doctor is on (the doctor reads spans);
+//   - telemetry: the metrics registry is attached and sampled when
+//     TelemetryPath or TelemetryEvery is set — an interval alone still
+//     samples, the series is then only reachable through Env.Telemetry
+//     (or the driver result that carries it);
+//   - doctor: the online diagnosis engine is attached when Doctor or
+//     DoctorPath is set.
+//
+// No observer schedules an event, so a run's simulated schedule is the
+// same under every combination. Drivers that repeat an experiment over
+// several trials observe the first trial only: one recording is the
+// artifact, later trials would overwrite it.
+type Observers struct {
+	// TraceCap is the flight recorder's ring size in spans
+	// (trace.DefaultCapacity when zero and tracing is on).
+	TraceCap int
+	// TracePath receives the recording as Chrome trace-event JSON (view
+	// in Perfetto, or `mccs trace summarize`).
+	TracePath string
+	// TelemetryEvery is the sampling interval
+	// (telemetry.DefaultInterval when zero and telemetry is on).
+	TelemetryEvery time.Duration
+	// TelemetryPath receives the sampled series: JSONL, or Prometheus
+	// text when the path ends in ".prom".
+	TelemetryPath string
+	// Doctor attaches the diagnosis engine without writing a report;
+	// the caller reads Env.Doctor.
+	Doctor bool
+	// DoctorPath receives the health report: incident JSONL when the
+	// path ends in ".jsonl", the text timeline otherwise.
+	DoctorPath string
 }
 
-// NewTestbedEnvSalted is NewTestbedEnv with an ECMP label salt, letting
-// repeated trials sample the ECMP collision distribution (the paper's
-// shaded percentile bands come from exactly this variance).
-func NewTestbedEnvSalted(system ncclsim.System, salt uint64) (*Env, error) {
-	return newTestbedEnv(system, salt, nil, 0)
+// EnvOptions parameterizes NewEnv.
+type EnvOptions struct {
+	System ncclsim.System
+	// Cluster is the topology to deploy on; nil builds the paper's
+	// 4-host testbed.
+	Cluster *topo.Cluster
+	// Salt is the ECMP label salt: repeated trials vary it to sample the
+	// ECMP collision distribution (the paper's shaded percentile bands
+	// come from exactly this variance).
+	Salt uint64
+	// Mutate edits the system's service config before the deployment is
+	// built. The chaos harness installs exec observers and protocol
+	// weakenings with it; ablations override individual knobs.
+	Mutate    func(*mccsd.Config)
+	Observers Observers
 }
 
-// NewTestbedEnvWith is NewTestbedEnvSalted plus a service-config mutation
-// hook applied before the deployment is built. The chaos harness uses it
-// to install exec observers and protocol weakenings; ablation drivers use
-// it to override individual cost-model knobs.
-func NewTestbedEnvWith(system ncclsim.System, salt uint64, mutate func(*mccsd.Config)) (*Env, error) {
-	return newTestbedEnv(system, salt, mutate, 0)
-}
-
-// NewTestbedEnvTraced is NewTestbedEnvWith with a full-detail flight
-// recorder (ring of traceCap spans; <= 0 selects trace.DefaultCapacity)
-// attached before the deployment is built, so every layer's spans — not
-// just op lifecycles — are captured. The chaos harness uses it to dump
-// the complete schedule of a failing seed.
-func NewTestbedEnvTraced(system ncclsim.System, salt uint64, traceCap int, mutate func(*mccsd.Config)) (*Env, *trace.Recorder, error) {
-	if traceCap <= 0 {
-		traceCap = trace.DefaultCapacity
+// NewEnv builds an experiment environment: cluster, scheduler, fabric,
+// deployment and the requested observers.
+func NewEnv(o EnvOptions) (*Env, error) {
+	cluster := o.Cluster
+	if cluster == nil {
+		var err error
+		if cluster, err = topo.BuildClos(topo.TestbedConfig()); err != nil {
+			return nil, err
+		}
 	}
-	env, err := newTestbedEnvFull(system, salt, mutate, traceCap, 0)
-	if err != nil {
-		return nil, nil, err
+	// The Observers rule: paths and the doctor switch their planes on.
+	obs := o.Observers
+	doctor := obs.Doctor || obs.DoctorPath != ""
+	if obs.TraceCap <= 0 && (obs.TracePath != "" || doctor) {
+		obs.TraceCap = trace.DefaultCapacity
 	}
-	return env, trace.Of(env.S), nil
-}
-
-// NewTestbedEnvInstrumented is NewTestbedEnvTraced plus a telemetry
-// registry and sampler (telemetryEvery <= 0 selects
-// telemetry.DefaultInterval). The chaos harness uses it to cross-check
-// the metrics plane against its invariants on every seed.
-func NewTestbedEnvInstrumented(system ncclsim.System, salt uint64, traceCap int, telemetryEvery time.Duration, mutate func(*mccsd.Config)) (*Env, error) {
-	if telemetryEvery <= 0 {
-		telemetryEvery = telemetry.DefaultInterval
-	}
-	return newTestbedEnvFull(system, salt, mutate, traceCap, telemetryEvery)
-}
-
-func newTestbedEnv(system ncclsim.System, salt uint64, mutate func(*mccsd.Config), traceCap int) (*Env, error) {
-	return newTestbedEnvFull(system, salt, mutate, traceCap, 0)
-}
-
-func newTestbedEnvFull(system ncclsim.System, salt uint64, mutate func(*mccsd.Config), traceCap int, telemetryEvery time.Duration) (*Env, error) {
-	cluster, err := topo.BuildClos(topo.TestbedConfig())
-	if err != nil {
-		return nil, err
+	if obs.TelemetryEvery <= 0 && obs.TelemetryPath != "" {
+		obs.TelemetryEvery = telemetry.DefaultInterval
 	}
 	s := sim.New()
-	if traceCap > 0 {
-		trace.Attach(s, trace.NewRecorder(trace.LevelFull, traceCap))
+	// Attach order is load-bearing. The recorder and the registry go on
+	// before the fabric and the deployment are built, because every layer
+	// caches its span level and metric handles at construction; the
+	// sampler starts after, so its first sample sees every family; the
+	// doctor comes last, tapping the recorder and registering its own
+	// metrics behind the deployment's.
+	if obs.TraceCap > 0 {
+		trace.Attach(s, trace.NewRecorder(trace.LevelFull, obs.TraceCap))
 	}
-	// The registry must attach before the fabric and deployment are
-	// built: every layer caches its metric handles at construction.
 	var reg *telemetry.Registry
-	if telemetryEvery > 0 {
+	if obs.TelemetryEvery > 0 {
 		reg = telemetry.NewRegistry()
 		telemetry.Attach(s, reg)
 	}
 	fabric := netsim.NewFabric(s, cluster.Net)
-	cfg := ncclsim.Config(system)
-	cfg.Proxy.LabelSalt = salt
-	if mutate != nil {
-		mutate(&cfg)
+	cfg := ncclsim.Config(o.System)
+	cfg.Proxy.LabelSalt = o.Salt
+	if o.Mutate != nil {
+		o.Mutate(&cfg)
 	}
 	dep := mccsd.NewDeployment(s, cluster, fabric, cfg)
-	env := &Env{S: s, Cluster: cluster, Fabric: fabric, Deployment: dep}
+	env := &Env{S: s, Cluster: cluster, Fabric: fabric, Deployment: dep, obs: obs}
 	if reg != nil {
-		registerTraceDropped(s, reg)
-		env.Telemetry = telemetry.StartSampler(s, reg, telemetryEvery)
+		// Export the recorder's ring-wrap loss, so operators (and the
+		// doctor) can see when span evidence is incomplete. The collector
+		// runs inside the sampler's existing event.
+		rec, dropped := trace.Of(s), reg.Counter("mccs_trace_dropped_total", "spans")
+		reg.AddCollector(func(sim.Time) {
+			if d := int64(rec.Dropped()); d > dropped.Value() {
+				dropped.Add(d - dropped.Value())
+			}
+		})
+		env.Telemetry = telemetry.StartSampler(s, reg, obs.TelemetryEvery)
+	}
+	if doctor {
+		env.Doctor = diagnosis.Attach(s, trace.Of(s), reg, diagnosis.DefaultConfig())
 	}
 	return env, nil
 }
 
-// registerTraceDropped exports the flight recorder's ring-wrap loss as
-// mccs_trace_dropped_total so operators (and the doctor) can see when
-// span evidence is incomplete. The collector runs inside the sampler's
-// existing event, so the simulated schedule is untouched. No-op when
-// either plane is missing.
-func registerTraceDropped(s *sim.Scheduler, reg *telemetry.Registry) {
-	rec := trace.Of(s)
-	if rec == nil || reg == nil {
-		return
+// Export writes every output path the environment's observers name, once
+// the run is over. Flows still active are flushed into the recorder first
+// (endless background flows would otherwise never appear in the trace or
+// reach the doctor's final sweep), and the doctor is finalized last, so
+// the trace file holds exactly what the doctor analyzed.
+func (e *Env) Export() error {
+	o := e.obs
+	if o.TracePath != "" || o.DoctorPath != "" {
+		e.Fabric.FlushTrace()
 	}
-	dropped := reg.Counter("mccs_trace_dropped_total", "spans")
-	reg.AddCollector(func(sim.Time) {
-		if d := int64(rec.Dropped()); d > dropped.Value() {
-			dropped.Add(d - dropped.Value())
+	if o.TracePath != "" {
+		rec := trace.Of(e.S).Snapshot()
+		if err := writeFile(o.TracePath, func(w io.Writer) error { return trace.WriteChrome(w, rec) }); err != nil {
+			return err
 		}
-	})
+	}
+	if o.TelemetryPath != "" {
+		write := func(w io.Writer) error { return telemetry.WriteJSONL(w, e.Telemetry) }
+		if strings.HasSuffix(o.TelemetryPath, ".prom") {
+			write = func(w io.Writer) error { return telemetry.WritePrometheus(w, e.Telemetry.Registry()) }
+		}
+		if err := writeFile(o.TelemetryPath, write); err != nil {
+			return err
+		}
+	}
+	if o.DoctorPath != "" {
+		rep := e.Doctor.Finish()
+		write := rep.WriteText
+		if strings.HasSuffix(o.DoctorPath, ".jsonl") {
+			write = rep.WriteJSONL
+		}
+		if err := writeFile(o.DoctorPath, write); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// WriteTraceFile flushes still-active flows into the scheduler's flight
-// recorder and exports the recording as Chrome trace-event JSON at path.
-// Harness drivers call it at experiment end when a -trace flag is set.
-func WriteTraceFile(path string, s *sim.Scheduler, fabric *netsim.Fabric) error {
-	rec := trace.Of(s)
-	if rec == nil {
-		return fmt.Errorf("harness: no trace recorder attached")
-	}
-	if fabric != nil {
-		fabric.FlushTrace()
-	}
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteChrome(f, rec.Snapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// AttachDoctor attaches the online diagnosis engine to a scheduler whose
-// flight recorder is already on, wiring in the telemetry registry when
-// one is attached. Harness drivers call it before the run starts when a
-// -doctor flag is set; the engine schedules no events, so the run is
-// byte-identical with or without it.
-func AttachDoctor(s *sim.Scheduler) (*diagnosis.Engine, error) {
-	rec := trace.Of(s)
-	if rec == nil {
-		return nil, fmt.Errorf("harness: doctor needs a trace recorder attached")
-	}
-	return diagnosis.Attach(s, rec, telemetry.Of(s), diagnosis.DefaultConfig()), nil
-}
-
-// WriteDoctorFile finalizes a live-attached diagnosis engine and writes
-// its report at path: incident JSONL when the path ends in ".jsonl", the
-// human-readable timeline otherwise. Still-active flows are flushed into
-// the recorder first so the final sweep sees their rate evidence.
-func WriteDoctorFile(path string, eng *diagnosis.Engine, fabric *netsim.Fabric) error {
-	if eng == nil {
-		return fmt.Errorf("harness: no diagnosis engine attached")
-	}
-	if fabric != nil {
-		fabric.FlushTrace()
-	}
-	rep := eng.Finish()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = rep.WriteJSONL(f)
-	} else {
-		err = rep.WriteText(f)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// AttachRemediation attaches the self-healing control loop to an
-// environment that already has a diagnosis engine: the remediation
-// engine subscribes to the doctor's verdicts, scans link health on its
-// own tick, and drives recovery through the policy controller. The
-// caller owns the daemon's lifetime via Start/stop and collects the
-// event log with WriteRemediationFile.
-func AttachRemediation(env *Env, eng *diagnosis.Engine, cfg remediation.Config) (*remediation.Engine, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("harness: remediation needs a diagnosis engine attached")
-	}
-	if trace.Of(env.S) == nil {
-		return nil, fmt.Errorf("harness: remediation needs a trace recorder attached")
-	}
-	return remediation.Attach(env.S, env.Deployment, eng, cfg), nil
-}
-
-// WriteRemediationFile finalizes a live remediation engine and writes
-// its event log at path: JSONL when the path ends in ".jsonl", the
-// operator-facing text report otherwise.
-func WriteRemediationFile(path string, eng *remediation.Engine) error {
-	if eng == nil {
-		return fmt.Errorf("harness: no remediation engine attached")
-	}
-	rep := eng.Finish()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = rep.WriteJSONL(f)
-	} else {
-		err = rep.WriteText(f)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// WriteTelemetryFile exports a sampler's series at path: JSONL by
-// default, Prometheus text exposition when path ends in ".prom".
-// Harness drivers call it at experiment end when -telemetry is set.
-func WriteTelemetryFile(path string, sm *telemetry.Sampler) error {
-	if sm == nil {
-		return fmt.Errorf("harness: no telemetry sampler attached")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".prom") {
-		err = telemetry.WritePrometheus(f, sm.Registry())
-	} else {
-		err = telemetry.WriteJSONL(f, sm)
-	}
-	if err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -336,25 +279,15 @@ type SingleAppConfig struct {
 	// benchmark observes the per-operation datapath latency; deeper
 	// pipelining overlaps command latency with execution.
 	Pipeline int
-	// TracePath, when set, records the first trial at full detail and
-	// writes Chrome trace-event JSON there (view in Perfetto or dump
-	// with cmd/mccs-trace). Later trials run untraced.
-	TracePath string
-	// TelemetryPath, when set, samples the metrics registry during the
-	// first trial and writes the series there (JSONL by default, ".prom"
-	// selects Prometheus text). Later trials run uninstrumented.
-	TelemetryPath string
-	// TelemetryEvery overrides the sampling interval
-	// (telemetry.DefaultInterval when zero).
-	TelemetryEvery time.Duration
-	// DoctorPath, when set, attaches the online diagnosis engine to the
-	// first trial and writes its health report there (incident JSONL when
-	// the path ends in ".jsonl", text timeline otherwise). Implies trace
-	// recording for that trial; later trials run undoctored.
-	DoctorPath string
+	// Observers attach to the first trial (see Observers).
+	Observers
+	// Mutate edits the system's service config before each trial's
+	// deployment is built — the ablation hook: cap slices or channels,
+	// enable tree collectives, pin an explicit strategy.
+	Mutate func(*mccsd.Config)
 	// Autotune runs the strategy autotuner once after communicator
 	// setup and installs the winning strategy before the measured loop
-	// (the -autotune flag of mccs-bench). Requires a service-mode
+	// (the -autotune flag of mccs bench). Requires a service-mode
 	// system: baseline (library) deployments refuse reconfiguration.
 	Autotune bool
 }
@@ -381,90 +314,7 @@ func RunSingleApp(cfg SingleAppConfig) (SingleAppResult, error) {
 	}
 	var algbw []float64
 	for trial := 0; trial < cfg.Trials; trial++ {
-		tcfg := cfg
-		if trial > 0 {
-			tcfg.TracePath = ""
-			tcfg.TelemetryPath = ""
-			tcfg.DoctorPath = ""
-		}
-		vals, err := runSingleTrial(tcfg, cfg.Seed+uint64(trial)*0x9e3779b97f4a7c15)
-		if err != nil {
-			return SingleAppResult{}, err
-		}
-		algbw = append(algbw, vals...)
-	}
-	n := cfg.NumGPUs
-	factor := collective.BusBWFactor(cfg.Op, n)
-	busbw := make([]float64, len(algbw))
-	for i, v := range algbw {
-		busbw[i] = v * factor
-	}
-	return SingleAppResult{
-		Config: cfg,
-		AlgBW:  metrics.Summarize(algbw),
-		BusBW:  metrics.Summarize(busbw),
-	}, nil
-}
-
-// RunSingleAppWithSlices is RunSingleApp with the proxy's intra-step
-// slice pipelining overridden (1 = one monolithic chunk per ring step).
-// It is the ablation knob for the slice-pipelining design decision.
-func RunSingleAppWithSlices(cfg SingleAppConfig, maxSlices int) (SingleAppResult, error) {
-	return runSingleMutated(cfg, func(c *mccsd.Config) {
-		c.Proxy.MaxSlices = maxSlices
-	})
-}
-
-// RunSingleAppWithChannels is RunSingleApp with the MCCS strategy's ring
-// count capped — the multi-ring (NIC striping) ablation.
-func RunSingleAppWithChannels(cfg SingleAppConfig, channels int) (SingleAppResult, error) {
-	return runSingleMutated(cfg, func(c *mccsd.Config) {
-		c.Strategy = policy.OptimalRingStrategy(policy.RingStrategyOptions{
-			MaxChannels: channels, PinRoutes: true,
-		})
-	})
-}
-
-// RunSingleAppWithTree is RunSingleApp with binomial-tree collectives
-// enabled below treeThreshold output bytes — the tree-vs-ring ablation.
-func RunSingleAppWithTree(cfg SingleAppConfig, treeThreshold int64) (SingleAppResult, error) {
-	return runSingleMutated(cfg, func(c *mccsd.Config) {
-		c.Strategy = policy.OptimalRingStrategy(policy.RingStrategyOptions{
-			PinRoutes: true, TreeThreshold: treeThreshold,
-		})
-	})
-}
-
-// RunSingleAppWithStrategy is RunSingleApp with every communicator pinned
-// to an explicit strategy — the harness hook the tuner's golden tests use
-// to measure each candidate exactly as the model scored it.
-func RunSingleAppWithStrategy(cfg SingleAppConfig, st spec.Strategy) (SingleAppResult, error) {
-	return runSingleMutated(cfg, func(c *mccsd.Config) {
-		c.Strategy = func(*topo.Cluster, *spec.CommInfo) spec.Strategy {
-			return st.Clone()
-		}
-	})
-}
-
-func runSingleMutated(cfg SingleAppConfig, mutate func(*mccsd.Config)) (SingleAppResult, error) {
-	if cfg.Iters <= 0 {
-		cfg.Iters = 10
-	}
-	if cfg.Trials <= 0 {
-		cfg.Trials = 1
-	}
-	if cfg.Pipeline <= 0 {
-		cfg.Pipeline = 1
-	}
-	var algbw []float64
-	for trial := 0; trial < cfg.Trials; trial++ {
-		tcfg := cfg
-		if trial > 0 {
-			tcfg.TracePath = ""
-			tcfg.TelemetryPath = ""
-			tcfg.DoctorPath = ""
-		}
-		vals, err := runSingleTrialMutated(tcfg, cfg.Seed+uint64(trial)*0x9e3779b97f4a7c15, mutate)
+		vals, err := runSingleTrial(cfg, trial)
 		if err != nil {
 			return SingleAppResult{}, err
 		}
@@ -482,33 +332,23 @@ func runSingleMutated(cfg SingleAppConfig, mutate func(*mccsd.Config)) (SingleAp
 	}, nil
 }
 
-func runSingleTrial(cfg SingleAppConfig, salt uint64) ([]float64, error) {
-	return runSingleTrialMutated(cfg, salt, nil)
+// trialEnv builds the environment of one ECMP-salt trial of a multi-trial
+// driver. Only trial 0 is observed: one recording is the artifact, later
+// trials would overwrite it.
+func trialEnv(o EnvOptions, trial int) (*Env, error) {
+	o.Salt += uint64(trial) * 0x9e3779b97f4a7c15
+	if trial > 0 {
+		o.Observers = Observers{}
+	}
+	return NewEnv(o)
 }
 
-func runSingleTrialMutated(cfg SingleAppConfig, salt uint64, mutate func(*mccsd.Config)) ([]float64, error) {
-	traceCap := 0
-	if cfg.TracePath != "" || cfg.DoctorPath != "" {
-		traceCap = trace.DefaultCapacity
-	}
-	telemetryEvery := time.Duration(0)
-	if cfg.TelemetryPath != "" {
-		telemetryEvery = cfg.TelemetryEvery
-		if telemetryEvery <= 0 {
-			telemetryEvery = telemetry.DefaultInterval
-		}
-	}
-	env, err := newTestbedEnvFull(cfg.System, salt, mutate, traceCap, telemetryEvery)
+func runSingleTrial(cfg SingleAppConfig, trial int) ([]float64, error) {
+	env, err := trialEnv(EnvOptions{System: cfg.System, Salt: cfg.Seed, Mutate: cfg.Mutate, Observers: cfg.Observers}, trial)
 	if err != nil {
 		return nil, err
 	}
 	defer env.S.Shutdown()
-	var doctor *diagnosis.Engine
-	if cfg.DoctorPath != "" {
-		if doctor, err = AttachDoctor(env.S); err != nil {
-			return nil, err
-		}
-	}
 	gpus, err := SingleAppGPUs(env.Cluster, cfg.NumGPUs)
 	if err != nil {
 		return nil, err
@@ -622,20 +462,8 @@ func runSingleTrialMutated(cfg SingleAppConfig, salt uint64, mutate func(*mccsd.
 			return nil, e
 		}
 	}
-	if cfg.TracePath != "" {
-		if err := WriteTraceFile(cfg.TracePath, env.S, env.Fabric); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.TelemetryPath != "" {
-		if err := WriteTelemetryFile(cfg.TelemetryPath, env.Telemetry); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.DoctorPath != "" {
-		if err := WriteDoctorFile(cfg.DoctorPath, doctor, env.Fabric); err != nil {
-			return nil, err
-		}
+	if err := env.Export(); err != nil {
+		return nil, err
 	}
 	return algbw, nil
 }
@@ -679,5 +507,3 @@ func gapBandwidth(done []sim.Time, outputBytes int64, warmup int) []float64 {
 	}
 	return out
 }
-
-var _ = spec.RouteECMP // referenced by sibling files

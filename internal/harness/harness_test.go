@@ -96,7 +96,7 @@ func TestFig7ReconfigTimeline(t *testing.T) {
 func TestFig8Setup3FairShare(t *testing.T) {
 	// Setup 3 under full MCCS: A (2 NICs/host) should get ~2x the bus
 	// bandwidth of B and C (1 NIC/host each).
-	env, err := NewTestbedEnv(ncclsim.MCCS)
+	env, err := NewEnv(EnvOptions{System: ncclsim.MCCS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestFig8Setup3FairShare(t *testing.T) {
 
 func TestFig8MCCSBeatsNCCLAggregate(t *testing.T) {
 	for _, setup := range []int{1, 2} {
-		env, err := NewTestbedEnv(ncclsim.NCCL)
+		env, err := NewEnv(EnvOptions{System: ncclsim.NCCL})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestFig8MCCSBeatsNCCLAggregate(t *testing.T) {
 }
 
 func TestSetupsWellFormed(t *testing.T) {
-	env, err := NewTestbedEnv(ncclsim.MCCS)
+	env, err := NewEnv(EnvOptions{System: ncclsim.MCCS})
 	if err != nil {
 		t.Fatal(err)
 	}

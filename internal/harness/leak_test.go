@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mccs/internal/collective"
+	"mccs/internal/mccsd"
 	"mccs/internal/ncclsim"
 )
 
@@ -20,9 +21,14 @@ func TestDriversShutTheirSchedulerDown(t *testing.T) {
 		run  func() error
 	}{
 		{"RunSingleApp", func() error { _, err := RunSingleApp(single); return err }},
-		{"RunSingleAppWithSlices", func() error { _, err := RunSingleAppWithSlices(single, 1); return err }},
+		{"RunSingleApp/Mutate", func() error {
+			ablated := single
+			ablated.Mutate = func(c *mccsd.Config) { c.Proxy.MaxSlices = 1 }
+			_, err := RunSingleApp(ablated)
+			return err
+		}},
 		{"RunMultiApp", func() error {
-			env, err := NewTestbedEnv(ncclsim.MCCS) // only for its cluster; nothing runs on it
+			env, err := NewEnv(EnvOptions{System: ncclsim.MCCS}) // only for its cluster; nothing runs on it
 			if err != nil {
 				return err
 			}

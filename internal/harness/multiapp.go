@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"mccs/internal/collective"
 	"mccs/internal/mccsd"
@@ -12,7 +11,6 @@ import (
 	"mccs/internal/policy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
-	"mccs/internal/telemetry"
 	"mccs/internal/topo"
 )
 
@@ -86,13 +84,8 @@ type MultiAppConfig struct {
 	// Priorities optionally assigns app priorities before comm creation
 	// (used by the QoS experiments that reuse this driver).
 	Priorities map[spec.AppID]int
-	// TelemetryPath, when set, samples the metrics registry during the
-	// first trial and writes the series there (JSONL by default, ".prom"
-	// selects Prometheus text). Later trials run uninstrumented.
-	TelemetryPath string
-	// TelemetryEvery overrides the sampling interval
-	// (telemetry.DefaultInterval when zero).
-	TelemetryEvery time.Duration
+	// Observers attach to the first trial (see Observers).
+	Observers
 	// Autotune runs the strategy autotuner over every communicator
 	// (in ID order) before the measured loops start, instead of /
 	// in addition to FFA. Service-mode systems only.
@@ -126,11 +119,7 @@ func RunMultiApp(cfg MultiAppConfig) (MultiAppResult, error) {
 	}
 	pooled := make(map[spec.AppID][]float64, len(cfg.Apps))
 	for trial := 0; trial < cfg.Trials; trial++ {
-		tcfg := cfg
-		if trial > 0 {
-			tcfg.TelemetryPath = ""
-		}
-		vals, err := runMultiTrial(tcfg, cfg.Seed+uint64(trial)*0x9e3779b97f4a7c15)
+		vals, err := runMultiTrial(cfg, trial)
 		if err != nil {
 			return MultiAppResult{}, err
 		}
@@ -153,15 +142,8 @@ func RunMultiApp(cfg MultiAppConfig) (MultiAppResult, error) {
 	return res, nil
 }
 
-func runMultiTrial(cfg MultiAppConfig, salt uint64) (map[spec.AppID][]float64, error) {
-	telemetryEvery := time.Duration(0)
-	if cfg.TelemetryPath != "" {
-		telemetryEvery = cfg.TelemetryEvery
-		if telemetryEvery <= 0 {
-			telemetryEvery = telemetry.DefaultInterval
-		}
-	}
-	env, err := newTestbedEnvFull(cfg.System, salt, nil, 0, telemetryEvery)
+func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, error) {
+	env, err := trialEnv(EnvOptions{System: cfg.System, Salt: cfg.Seed, Observers: cfg.Observers}, trial)
 	if err != nil {
 		return nil, err
 	}
@@ -171,13 +153,9 @@ func runMultiTrial(cfg MultiAppConfig, salt uint64) (map[spec.AppID][]float64, e
 	}
 	ctrl := policy.NewController(env.Deployment)
 
-	type appState struct {
-		algbw []float64
-	}
-	states := make(map[spec.AppID]*appState, len(cfg.Apps))
+	algbw := make(map[spec.AppID][]float64, len(cfg.Apps))
 	totalRanks := 0
 	for _, a := range cfg.Apps {
-		states[a.Name] = &appState{}
 		totalRanks += len(a.GPUs)
 	}
 	inited := sim.NewLatch(totalRanks)
@@ -241,7 +219,7 @@ func runMultiTrial(cfg MultiAppConfig, salt uint64) (map[spec.AppID][]float64, e
 					return
 				}
 				if rank == 0 {
-					states[app.Name].algbw = gapBandwidth(done, cfg.Bytes, cfg.Warmup)
+					algbw[app.Name] = gapBandwidth(done, cfg.Bytes, cfg.Warmup)
 				}
 			})
 		}
@@ -252,16 +230,8 @@ func runMultiTrial(cfg MultiAppConfig, salt uint64) (map[spec.AppID][]float64, e
 	if len(errs) > 0 {
 		return nil, errs[0]
 	}
-	if cfg.TelemetryPath != "" {
-		if err := WriteTelemetryFile(cfg.TelemetryPath, env.Telemetry); err != nil {
-			return nil, err
-		}
+	if err := env.Export(); err != nil {
+		return nil, err
 	}
-	out := make(map[spec.AppID][]float64, len(cfg.Apps))
-	for _, a := range cfg.Apps {
-		out[a.Name] = states[a.Name].algbw
-	}
-	return out, nil
+	return algbw, nil
 }
-
-var _ = mccsd.DefaultConfig

@@ -50,6 +50,7 @@ type QoSConfig struct {
 	IterationsA  int
 	IterationsBC int
 	Seed         uint64
+	Observers
 }
 
 // QoSResult reports job completion times.
@@ -57,16 +58,6 @@ type QoSResult struct {
 	JCT map[spec.AppID]time.Duration
 	// MeanIter is the mean iteration time per app (steady-state view).
 	MeanIter map[spec.AppID]time.Duration
-}
-
-// qosEnv builds the deployment for a QoS run: the full MCCS service, with
-// route pinning disabled for the ECMP solution.
-func qosEnv(sol QoSSolution, salt uint64) (*Env, error) {
-	sys := ncclsim.MCCS
-	if sol == SolutionECMP {
-		sys = ncclsim.MCCSNoFA
-	}
-	return NewTestbedEnvSalted(sys, salt)
 }
 
 // qosPlacement returns the setup-3 jobs: A on both GPUs of one host per
@@ -88,7 +79,12 @@ func RunQoS(cfg QoSConfig) (QoSResult, error) {
 	if cfg.IterationsBC <= 0 {
 		cfg.IterationsBC = 20
 	}
-	env, err := qosEnv(cfg.Solution, cfg.Seed)
+	// The full MCCS service, with route pinning off for the ECMP solution.
+	sys := ncclsim.MCCS
+	if cfg.Solution == SolutionECMP {
+		sys = ncclsim.MCCSNoFA
+	}
+	env, err := NewEnv(EnvOptions{System: sys, Salt: cfg.Seed, Observers: cfg.Observers})
 	if err != nil {
 		return QoSResult{}, err
 	}
@@ -149,6 +145,9 @@ func RunQoS(cfg QoSConfig) (QoSResult, error) {
 	}
 	if firstErr != nil {
 		return QoSResult{}, firstErr
+	}
+	if err := env.Export(); err != nil {
+		return QoSResult{}, err
 	}
 	return res, nil
 }
@@ -227,6 +226,7 @@ type DynamicConfig struct {
 	T1, T2, T3, T4 time.Duration
 	RunFor         time.Duration
 	Seed           uint64
+	Observers
 }
 
 // DefaultDynamicConfig spaces the arrivals and policy changes the way
@@ -251,7 +251,7 @@ type DynamicResult struct {
 // B and C arrive at t1/t2 under FFA, PFA prioritizes A at t3, TS
 // prioritizes B over C at t4.
 func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
-	env, err := NewTestbedEnvSalted(ncclsim.MCCS, cfg.Seed)
+	env, err := NewEnv(EnvOptions{System: ncclsim.MCCS, Salt: cfg.Seed, Observers: cfg.Observers})
 	if err != nil {
 		return DynamicResult{}, err
 	}
@@ -318,6 +318,9 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 	// reconstructed afterwards from the service's own tracing facility
 	// (the same data the TS policy consumes).
 	if err := env.S.RunUntil(sim.Time(cfg.RunFor)); err != nil {
+		return DynamicResult{}, err
+	}
+	if err := env.Export(); err != nil {
 		return DynamicResult{}, err
 	}
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mccs/internal/collective"
-	"mccs/internal/diagnosis"
 	"mccs/internal/mccsd"
 	"mccs/internal/ncclsim"
 	"mccs/internal/netsim"
@@ -14,7 +13,6 @@ import (
 	"mccs/internal/spec"
 	"mccs/internal/telemetry"
 	"mccs/internal/topo"
-	"mccs/internal/trace"
 	"mccs/internal/transport"
 )
 
@@ -36,27 +34,13 @@ type ReconfigConfig struct {
 	// (the ablation showing why message serialization matters for
 	// recovery after phase skew).
 	UnserializedConns bool
-	// TracePath, when set, records the run at full detail and writes
-	// Chrome trace-event JSON there. The trace shows the background flow
-	// start, the reconfiguration barrier phases, and the rate recovery.
-	TracePath string
-	// TelemetryPath, when set, samples the metrics registry during the
-	// run and writes the series there (JSONL by default, ".prom" selects
-	// Prometheus text). The series shows link utilization collapsing on
-	// the contended link, the SLO violations it produces, and the
-	// recovery after the ring reversal.
-	TelemetryPath string
-	// TelemetryEvery overrides the sampling interval
-	// (telemetry.DefaultInterval when zero). Setting it with an empty
-	// TelemetryPath still samples — the series is then only available
-	// through ReconfigResult.Telemetry.
-	TelemetryEvery time.Duration
-	// DoctorPath, when set, attaches the online diagnosis engine for the
-	// run and writes its health report there (incident JSONL when the
-	// path ends in ".jsonl", text timeline otherwise). The report shows
-	// the background flow as a degraded/contended-link episode and the
-	// ring reversal as a reconfiguration barrier. Implies trace recording.
-	DoctorPath string
+	// Observers: the trace shows the background flow start, the
+	// reconfiguration barrier phases and the rate recovery; the telemetry
+	// series shows link utilization collapsing on the contended link, the
+	// SLO violations it produces and the recovery after the reversal; the
+	// doctor reports the background flow as a degraded/contended-link
+	// episode and the ring reversal as a reconfiguration barrier.
+	Observers
 	// Autotune replaces the hand-coded ring reversal at ReconfigAt with
 	// a full autotuner pass: the cost model reads the background flow's
 	// external load off the fabric and the search rediscovers the
@@ -104,42 +88,23 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 	if err != nil {
 		return ReconfigResult{}, err
 	}
-	s := sim.New()
-	defer s.Shutdown() // see Env
-	if cfg.TracePath != "" || cfg.DoctorPath != "" {
-		trace.Attach(s, trace.NewRecorder(trace.LevelFull, trace.DefaultCapacity))
+	env, err := NewEnv(EnvOptions{
+		System: ncclsim.MCCS, Cluster: cluster, Observers: cfg.Observers,
+		Mutate: func(c *mccsd.Config) {
+			if cfg.MaxSlices > 0 {
+				c.Proxy.MaxSlices = cfg.MaxSlices
+			}
+			if cfg.UnserializedConns {
+				c.Transport = transport.DefaultConfig(cluster.IntraHostBps)
+				c.Transport.UnserializedSends = true
+			}
+		},
+	})
+	if err != nil {
+		return ReconfigResult{}, err
 	}
-	var reg *telemetry.Registry
-	if cfg.TelemetryPath != "" || cfg.TelemetryEvery > 0 {
-		reg = telemetry.NewRegistry()
-		telemetry.Attach(s, reg)
-	}
-	fabric := netsim.NewFabric(s, cluster.Net)
-	svcCfg := ncclsim.Config(ncclsim.MCCS)
-	if cfg.MaxSlices > 0 {
-		svcCfg.Proxy.MaxSlices = cfg.MaxSlices
-	}
-	if cfg.UnserializedConns {
-		svcCfg.Transport = transport.DefaultConfig(cluster.IntraHostBps)
-		svcCfg.Transport.UnserializedSends = true
-	}
-	dep := mccsd.NewDeployment(s, cluster, fabric, svcCfg)
-	var sampler *telemetry.Sampler
-	if reg != nil {
-		registerTraceDropped(s, reg)
-		every := cfg.TelemetryEvery
-		if every <= 0 {
-			every = telemetry.DefaultInterval
-		}
-		sampler = telemetry.StartSampler(s, reg, every)
-	}
-	var doctor *diagnosis.Engine
-	if cfg.DoctorPath != "" {
-		var err error
-		if doctor, err = AttachDoctor(s); err != nil {
-			return ReconfigResult{}, err
-		}
-	}
+	defer env.S.Shutdown()
+	s, fabric, dep := env.S, env.Fabric, env.Deployment
 
 	var gpus []topo.GPUID
 	for _, h := range cluster.Hosts {
@@ -224,23 +189,16 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 			}
 			// Let a few post-install iterations land, then record the
 			// achieved completion time against the prediction (visible
-			// as predicted-vs-achieved in mccs-top's TUNER section).
+			// as predicted-vs-achieved in mccs top's TUNER section).
 			p.Sleep(2 * time.Second)
 			if _, err := ctrl.ObserveAchieved(commID, 0); err != nil {
 				errs = append(errs, err)
 			}
 			return
 		}
-		cur := mustStrategy(dep, commID)
-		rev := spec.Strategy{}
-		for _, ch := range cur.Channels {
-			order := append([]int(nil), ch.Order...)
-			for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-				order[i], order[j] = order[j], order[i]
-			}
-			rev.Channels = append(rev.Channels, spec.ChannelSpec{Order: order, Route: ch.Route})
-		}
-		if err := dep.Reconfigure(p, commID, rev); err != nil {
+		comm, _ := dep.Comm(commID) // commID came from this deployment
+		cur := comm.Strategy()
+		if err := dep.Reconfigure(p, commID, cur.Reversed()); err != nil {
 			errs = append(errs, err)
 		}
 	})
@@ -251,26 +209,11 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 	if len(errs) > 0 {
 		return ReconfigResult{}, errs[0]
 	}
-	if cfg.TracePath != "" {
-		if err := WriteTraceFile(cfg.TracePath, s, fabric); err != nil {
-			return ReconfigResult{}, err
-		}
-	}
-	if cfg.TelemetryPath != "" {
-		if err := WriteTelemetryFile(cfg.TelemetryPath, sampler); err != nil {
-			return ReconfigResult{}, err
-		}
-	}
-	if cfg.DoctorPath != "" {
-		if err := WriteDoctorFile(cfg.DoctorPath, doctor, fabric); err != nil {
-			return ReconfigResult{}, err
-		}
+	if err := env.Export(); err != nil {
+		return ReconfigResult{}, err
 	}
 
-	res := ReconfigResult{Series: series}
-	if sampler != nil {
-		res.Telemetry = telemetry.SeriesOf(sampler)
-	}
+	res := ReconfigResult{Series: series, Telemetry: telemetry.SeriesOf(env.Telemetry)}
 	var nb, nd, nr int
 	// The first post-reconfig sample straddles the barrier stall; skip a
 	// short settle window when averaging the recovered phase.
@@ -298,13 +241,4 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 		res.Recovered /= float64(nr)
 	}
 	return res, nil
-}
-
-func mustStrategy(dep *mccsd.Deployment, id spec.CommID) spec.Strategy {
-	for _, ci := range dep.View() {
-		if ci.ID == id {
-			return ci.Strategy
-		}
-	}
-	panic(fmt.Sprintf("harness: communicator %d not in view", id))
 }

@@ -152,7 +152,7 @@ func TestSingleAppTelemetryExport(t *testing.T) {
 	_, err := RunSingleApp(SingleAppConfig{
 		System: ncclsim.MCCS, Op: collective.AllReduce,
 		Bytes: 4 << 20, NumGPUs: 4, Warmup: 1, Iters: 3,
-		TelemetryPath: path, TelemetryEvery: time.Millisecond,
+		Observers: Observers{TelemetryPath: path, TelemetryEvery: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -131,7 +131,7 @@ func TestWatcherAutoReversesRing(t *testing.T) {
 // TestWatcherReroutesOnClos: in a spine-leaf fabric the watcher prefers an
 // immediate route re-pin over a ring reversal — path diversity exists.
 func TestWatcherReroutesOnClos(t *testing.T) {
-	env, err := NewTestbedEnv(ncclsim.MCCS)
+	env, err := NewEnv(EnvOptions{System: ncclsim.MCCS})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func (c *Controller) ObserveAchieved(id spec.CommID, rank int) (time.Duration, e
 
 // setStrategyInfo maintains the info-pattern gauge
 // mccs_tuner_strategy_info{tenant,strategy}: the current choice is 1,
-// superseded choices drop to 0, so dashboards (mccs-top) can show the
+// superseded choices drop to 0, so dashboards (mccs top) can show the
 // winning strategy by name.
 func (c *Controller) setStrategyInfo(reg *telemetry.Registry, app spec.AppID, name string) {
 	if reg == nil {

@@ -95,15 +95,7 @@ func (c *Controller) RepinOrReverse(ci spec.CommInfo, affected []spec.ConnKey, b
 	// No clean alternate path: reverse the rings (the Fig. 7 move) and
 	// let the reconfiguration barrier switch every rank safely.
 	cur := comm.Strategy()
-	rev := spec.Strategy{TreeThreshold: cur.TreeThreshold}
-	for _, ch := range cur.Channels {
-		order := append([]int(nil), ch.Order...)
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
-		rev.Channels = append(rev.Channels, spec.ChannelSpec{Order: order, Route: ch.Route})
-	}
-	if _, err := d.ReconfigureAsync(ci.ID, rev, nil); err != nil {
+	if _, err := d.ReconfigureAsync(ci.ID, cur.Reversed(), nil); err != nil {
 		// Baseline deployments cannot reconfigure; nothing to do.
 		return RemedyFailed
 	}
@@ -126,6 +118,7 @@ func (c *Controller) Degrade(ci spec.CommInfo) error {
 	}
 	deg := spec.Strategy{
 		TreeThreshold: cur.TreeThreshold,
+		Algorithm:     cur.Algorithm,
 		Channels: []spec.ChannelSpec{{
 			Order: append([]int(nil), cur.Channels[0].Order...),
 			Route: spec.RouteECMP,

@@ -124,6 +124,23 @@ func (s *Strategy) Clone() Strategy {
 	return c
 }
 
+// Reversed returns the strategy with every channel's ring running the
+// other way round — the Fig. 7 move that routes around a loaded
+// direction. Tree threshold, algorithm and channel route pins carry
+// over; per-connection Routes do not, because they name directed
+// connections that the reversed rings no longer have.
+func (s *Strategy) Reversed() Strategy {
+	r := s.Clone()
+	r.Routes = nil
+	for _, ch := range r.Channels {
+		order := ch.Order
+		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+			order[i], order[j] = order[j], order[i]
+		}
+	}
+	return r
+}
+
 // Validate checks the strategy against a communicator size.
 func (s *Strategy) Validate(nranks int) error {
 	if len(s.Channels) == 0 {

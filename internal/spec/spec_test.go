@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -133,5 +134,37 @@ func TestQuickStripePermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Reversed turns every ring around and keeps the rest of the strategy —
+// except the per-connection routes, whose directed edges are gone.
+func TestStrategyReversed(t *testing.T) {
+	st := Strategy{
+		Channels: []ChannelSpec{
+			{Order: []int{0, 1, 2, 3}, Route: 0},
+			{Order: []int{1, 0, 3, 2, 4}, Route: RouteECMP},
+		},
+		Routes:        map[ConnKey]int{{Channel: 0, FromRank: 1, ToRank: 2}: 1},
+		TreeThreshold: 64 << 10,
+		Algorithm:     AlgoHD,
+	}
+	rev := st.Reversed()
+	want := Strategy{
+		Channels: []ChannelSpec{
+			{Order: []int{3, 2, 1, 0}, Route: 0},
+			{Order: []int{4, 2, 3, 0, 1}, Route: RouteECMP},
+		},
+		TreeThreshold: 64 << 10,
+		Algorithm:     AlgoHD,
+	}
+	if !reflect.DeepEqual(rev, want) {
+		t.Errorf("Reversed() = %+v, want %+v", rev, want)
+	}
+	if st.Channels[0].Order[0] != 0 || len(st.Routes) != 1 {
+		t.Errorf("Reversed mutated its receiver: %+v", st)
+	}
+	if back := rev.Reversed(); !reflect.DeepEqual(back.Channels, st.Channels) {
+		t.Errorf("reversing twice = %+v, want the original rings", back.Channels)
 	}
 }

@@ -205,7 +205,7 @@ func encodeViolation(enc *json.Encoder, v Violation) error {
 	})
 }
 
-// Series is a parsed JSONL export — what mccs-top renders.
+// Series is a parsed JSONL export — what mccs top renders.
 type Series struct {
 	Interval   sim.Duration
 	Cols       []Column
@@ -280,7 +280,7 @@ func ReadJSONL(r io.Reader) (*Series, error) {
 }
 
 // SeriesOf builds an in-memory Series directly from a live sampler,
-// bypassing the file round-trip (mccs-top's -live path).
+// bypassing the file round-trip (mccs top's -live path).
 func SeriesOf(sm *Sampler) *Series {
 	if sm == nil {
 		return nil

@@ -15,7 +15,7 @@ import (
 // engine — a proxy runner, a shim frontend, a transport connection, a
 // GPU stream. Every "X" event embeds the full machine-readable span
 // under args.s, so ReadChrome can reconstruct the exact Recording and
-// cmd/mccs-trace can post-process a file without access to the run.
+// `mccs trace` can post-process a file without access to the run.
 //
 // Output is byte-deterministic: events are written in ring order,
 // thread IDs are assigned first-seen, and encoding/json sorts map keys.

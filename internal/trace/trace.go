@@ -5,7 +5,7 @@
 // barrier phases), the transport and fabric (per-flow transmits with
 // route and max-min rate history), and the GPU simulator (kernels) —
 // emits structured spans into one Recorder attached to the simulation
-// scheduler. A post-processor (attrib.go, cmd/mccs-trace) can then
+// scheduler. A post-processor (attrib.go, `mccs trace`) can then
 // answer "which fabric link gated this collective, and how much of that
 // was competing-tenant traffic?" for any op in the run.
 //

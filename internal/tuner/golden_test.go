@@ -9,6 +9,7 @@ import (
 
 	"mccs/internal/collective"
 	"mccs/internal/harness"
+	"mccs/internal/mccsd"
 	"mccs/internal/ncclsim"
 	"mccs/internal/policy"
 	"mccs/internal/spec"
@@ -38,7 +39,7 @@ func fig6Comm(t *testing.T, c *topo.Cluster) *spec.CommInfo {
 // exact artifacts the production Autotune path uses.
 func prodTuner(t *testing.T, opts policy.AutotuneOptions) (*tuner.Model, []tuner.Candidate, *spec.CommInfo) {
 	t.Helper()
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	env, err := harness.NewEnv(harness.EnvOptions{System: ncclsim.MCCS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +54,13 @@ func prodTuner(t *testing.T, opts policy.AutotuneOptions) (*tuner.Model, []tuner
 // and returns the mean per-op completion time in seconds.
 func measure(t *testing.T, st spec.Strategy, bytes int64) float64 {
 	t.Helper()
-	res, err := harness.RunSingleAppWithStrategy(harness.SingleAppConfig{
+	res, err := harness.RunSingleApp(harness.SingleAppConfig{
 		System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: bytes,
 		NumGPUs: 8, Warmup: 2, Iters: 4, Trials: 3,
-	}, st)
+		Mutate: func(c *mccsd.Config) {
+			c.Strategy = func(*topo.Cluster, *spec.CommInfo) spec.Strategy { return st.Clone() }
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +111,7 @@ func TestPredictedOrderMatchesMeasured(t *testing.T) {
 // Tree-vs-ring crossover: the model and the simulation must agree that
 // the binomial tree wins small AllReduces and loses large ones.
 func TestPredictedTreeCrossoverMatchesMeasured(t *testing.T) {
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	env, err := harness.NewEnv(harness.EnvOptions{System: ncclsim.MCCS})
 	if err != nil {
 		t.Fatal(err)
 	}

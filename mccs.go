@@ -42,9 +42,9 @@ package mccs
 
 import (
 	"mccs/internal/gpusim"
+	"mccs/internal/harness"
 	"mccs/internal/mccsd"
 	"mccs/internal/ncclsim"
-	"mccs/internal/netsim"
 	"mccs/internal/policy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
@@ -115,10 +115,7 @@ func NewFatTreeCluster(cfg FatTreeConfig, system System) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New()
-	fabric := netsim.NewFabric(s, cluster.Net)
-	dep := mccsd.NewDeployment(s, cluster, fabric, ncclsim.Config(system))
-	return &Env{sched: s, cluster: cluster, fabric: fabric, dep: dep}, nil
+	return newEnv(cluster, system)
 }
 
 // TestbedConfig returns the paper's testbed shape (§6.1).
@@ -137,56 +134,52 @@ const (
 
 // Env bundles a scheduler, cluster, fabric and deployment — everything an
 // application or experiment needs.
-type Env struct {
-	sched   *sim.Scheduler
-	cluster *topo.Cluster
-	fabric  *netsim.Fabric
-	dep     *mccsd.Deployment
-}
+type Env struct{ env *harness.Env }
 
 // Scheduler returns the virtual-time scheduler. Call Run (or RunUntil)
 // after spawning your processes.
-func (e *Env) Scheduler() *Scheduler { return e.sched }
+func (e *Env) Scheduler() *Scheduler { return e.env.S }
 
 // Cluster returns the physical topology.
-func (e *Env) Cluster() *Cluster { return e.cluster }
+func (e *Env) Cluster() *Cluster { return e.env.Cluster }
 
 // Deployment returns the MCCS service installation (the provider-side
 // management API hangs off it).
-func (e *Env) Deployment() *Deployment { return e.dep }
+func (e *Env) Deployment() *Deployment { return e.env.Deployment }
 
 // Frontend returns the shim frontend for app on the host owning gpu.
 func (e *Env) Frontend(gpu GPUID, app AppID) *Frontend {
-	return e.dep.Service(e.cluster.HostOfGPU(gpu)).Frontend(app)
+	return e.env.Deployment.Service(e.env.Cluster.HostOfGPU(gpu)).Frontend(app)
 }
 
 // NewController attaches a policy controller to the deployment.
-func (e *Env) NewController() *Controller { return policy.NewController(e.dep) }
+func (e *Env) NewController() *Controller { return policy.NewController(e.env.Deployment) }
 
 // NewTestbed builds the paper's 4-host, 8-GPU, 2-rack testbed running the
 // given system.
 func NewTestbed(system System) (*Env, error) {
-	return newEnv(topo.TestbedConfig(), system)
+	return NewCluster(topo.TestbedConfig(), system)
 }
 
 // NewLargeCluster builds the paper's 768-GPU spine-leaf cluster running
 // the given system.
 func NewLargeCluster(system System) (*Env, error) {
-	return newEnv(topo.LargeScaleConfig(), system)
+	return NewCluster(topo.LargeScaleConfig(), system)
 }
 
 // NewCluster builds a custom spine-leaf cluster running the given system.
 func NewCluster(cfg topo.ClosConfig, system System) (*Env, error) {
-	return newEnv(cfg, system)
-}
-
-func newEnv(cfg topo.ClosConfig, system System) (*Env, error) {
 	cluster, err := topo.BuildClos(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New()
-	fabric := netsim.NewFabric(s, cluster.Net)
-	dep := mccsd.NewDeployment(s, cluster, fabric, ncclsim.Config(system))
-	return &Env{sched: s, cluster: cluster, fabric: fabric, dep: dep}, nil
+	return newEnv(cluster, system)
+}
+
+func newEnv(cluster *topo.Cluster, system System) (*Env, error) {
+	env, err := harness.NewEnv(harness.EnvOptions{System: system, Cluster: cluster})
+	if err != nil {
+		return nil, err
+	}
+	return &Env{env: env}, nil
 }

@@ -70,7 +70,7 @@ func TestScheduleFingerprintGolden(t *testing.T) {
 }
 
 func testFig2Fingerprint(t *testing.T) {
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	env, err := harness.NewEnv(harness.EnvOptions{System: ncclsim.MCCS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func (c collectiveGolden) check(t *testing.T) {
 			return c.strategy(info.NumRanks())
 		}
 	}
-	plain, err := harness.NewTestbedEnvWith(ncclsim.MCCS, 0, mutate)
+	plain, err := harness.NewEnv(harness.EnvOptions{System: ncclsim.MCCS, Mutate: mutate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,10 @@ func (c collectiveGolden) check(t *testing.T) {
 		t.Errorf("schedule fingerprint: hash=%#x events=%d, want hash=%#x events=%d", fp.hash, fp.events, c.hash, c.events)
 	}
 
-	inst, err := harness.NewTestbedEnvInstrumented(ncclsim.MCCS, 0, 1<<16, 0, mutate)
+	inst, err := harness.NewEnv(harness.EnvOptions{
+		System: ncclsim.MCCS, Mutate: mutate,
+		Observers: harness.Observers{TraceCap: 1 << 16, TelemetryEvery: telemetry.DefaultInterval},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,12 @@
-// Smoke tests for every runnable entrypoint: each cmd/ tool and each
-// example builds and runs to completion on a tiny configuration,
-// producing some output. These catch flag drift, panics on startup and
-// experiment-harness wiring breaks that package tests (which call the
-// underlying libraries directly) cannot see.
+// Smoke tests for the examples: each builds and runs to completion,
+// producing some output. These catch panics on startup and wiring breaks
+// that package tests (which call the underlying libraries directly)
+// cannot see. The `mccs` subcommands are smoke-tested in-process by
+// cmd/mccs's own tests.
 package mccs_test
 
 import (
-	"encoding/json"
-	"os"
 	"os/exec"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -24,14 +20,6 @@ func TestEntrypointSmoke(t *testing.T) {
 		{"multitenant", "./examples/multitenant", nil},
 		{"training", "./examples/training", nil},
 		{"reconfig-example", "./examples/reconfig", nil},
-		{"bench", "./cmd/mccs-bench", []string{"-gpus=4", "-sizes=1M", "-iters=1", "-warmup=0", "-trials=1"}},
-		{"breakdown", "./cmd/mccs-breakdown", []string{"-iters=1"}},
-		{"crossrack", "./cmd/mccs-crossrack", []string{"-trials=20", "-seed=1"}},
-		{"multi", "./cmd/mccs-multi", []string{"-bytes=4194304", "-iters=2", "-warmup=1", "-trials=1"}},
-		{"qos", "./cmd/mccs-qos", []string{"-iters-a=2", "-iters-bc=2"}},
-		{"qos-dynamic", "./cmd/mccs-qos", []string{"-dynamic", "-iters-a=2", "-iters-bc=2"}},
-		{"reconfig", "./cmd/mccs-reconfig", []string{"-run=2s", "-bg=500ms", "-reconfig=1s"}},
-		{"simcluster", "./cmd/mccs-simcluster", []string{"-jobs=3", "-iters=2", "-runs=1"}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -43,55 +31,6 @@ func TestEntrypointSmoke(t *testing.T) {
 			}
 			if len(out) == 0 {
 				t.Fatalf("%s %v produced no output", tc.pkg, tc.args)
-			}
-		})
-	}
-}
-
-// TestTraceFlagSmoke exercises the -trace plumbing end to end: each
-// harness entrypoint that accepts -trace writes a file, the file is
-// well-formed Chrome trace-event JSON, and mccs-trace can read it back
-// and attribute the collectives in it.
-func TestTraceFlagSmoke(t *testing.T) {
-	cases := []struct {
-		name string
-		pkg  string
-		args []string
-	}{
-		{"bench", "./cmd/mccs-bench", []string{"-gpus=4", "-sizes=1M", "-iters=1", "-warmup=0", "-trials=1"}},
-		{"reconfig", "./cmd/mccs-reconfig", []string{"-run=2s", "-bg=500ms", "-reconfig=1s"}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			path := filepath.Join(t.TempDir(), "out.trace.json")
-			args := append([]string{"run", tc.pkg}, append(tc.args, "-trace="+path)...)
-			out, err := exec.Command("go", args...).CombinedOutput()
-			if err != nil {
-				t.Fatalf("%s: %v\n%s", tc.pkg, err, out)
-			}
-
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("trace file not written: %v", err)
-			}
-			var events []json.RawMessage
-			if err := json.Unmarshal(raw, &events); err != nil {
-				t.Fatalf("trace is not a JSON event array: %v", err)
-			}
-			if len(events) == 0 {
-				t.Fatal("trace has no events")
-			}
-
-			sum, err := exec.Command("go", "run", "./cmd/mccs-trace", "summarize", path).CombinedOutput()
-			if err != nil {
-				t.Fatalf("mccs-trace summarize: %v\n%s", err, sum)
-			}
-			for _, want := range []string{"trace:", "collectives"} {
-				if !strings.Contains(string(sum), want) {
-					t.Errorf("summary missing %q:\n%s", want, sum)
-				}
 			}
 		})
 	}
