@@ -35,10 +35,11 @@ race:
 # surface — the scheduler core itself (goroutine and stackless
 # processes), the transport message path, the collective schedule IR and
 # its lowerings, the proxy engine, the strategy autotuner, the lifecycle
-# orchestrator, and the diagnosis engine (whose recorder tap runs inside
-# span emission) — running them twice under the detector.
+# orchestrator, the diagnosis engine (whose recorder tap runs inside
+# span emission), and the fabric (an allocation memo and a flow free list
+# sit on its per-message path) — running them twice under the detector.
 race-hot:
-	$(GO) test -race -count=2 ./internal/sim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/remediation/
+	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/remediation/
 
 # fuzz runs the native fuzz target over the schedule IR for 10 s: random
 # (algorithm, op, ranks, root, size, ring orders, channels) are lowered,
@@ -75,9 +76,15 @@ bench-json: $(MCCS)
 # recover loop (chaos self-heal with the control loop attached) against
 # its no-loop baseline, so control-plane overhead regressions surface in
 # the same artifact.
+# The fabric entries are one testbed-scale allocation answered by the
+# memo, solved and stored, and solved with the memo out of the way
+# (BenchmarkAllocate/{hit,miss,bypass}), and a flow's start-to-finish cycle
+# with a returned handle and fabric-owned (BenchmarkFlowChurn/{StartFlow,
+# Send}; Send must report 0 allocs/op). DESIGN.md §10.3 quotes them.
 bench-sim-json: $(MCCS)
 	( $(GO) test -run '^$$' -bench BenchmarkSimCore -benchtime=10000x ./internal/sim/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkRemediationLoop|BenchmarkSelfHealBaseline' -benchtime=3x ./internal/remediation/ ) | $(MCCS) benchjson > BENCH.sim.json
+	  $(GO) test -run '^$$' -bench 'BenchmarkRemediationLoop|BenchmarkSelfHealBaseline' -benchtime=3x ./internal/remediation/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkAllocate|BenchmarkFlowChurn' -benchtime=100000x ./internal/netsim/ ) | $(MCCS) benchjson > BENCH.sim.json
 
 # bench-e2e runs the repository benchmark (bench/README.md): all five
 # workloads, untraced and traced, about 3.5 minutes, results in $(OUT).

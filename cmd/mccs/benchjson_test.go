@@ -65,3 +65,24 @@ func TestParseNoGomaxprocsSuffix(t *testing.T) {
 		t.Fatalf("got %v, want one BenchmarkLower ns/op=1042 record", recs)
 	}
 }
+
+// A sub-benchmark line as `make bench-sim-json` feeds it (the netsim
+// allocation memo): the slash stays in the name, the -GOMAXPROCS suffix
+// goes, and a custom metric sits between the standard ones.
+func TestParseSubBenchmarkLine(t *testing.T) {
+	recs := parse("BenchmarkAllocate/hit-2   \t  200000\t        84.08 ns/op\t         8.000 flows\t       0 B/op\t       0 allocs/op")
+	want := []Record{
+		{Bench: "BenchmarkAllocate/hit", Metric: "ns/op", Value: 84.08, Unit: "ns"},
+		{Bench: "BenchmarkAllocate/hit", Metric: "flows", Value: 8, Unit: "flows"},
+		{Bench: "BenchmarkAllocate/hit", Metric: "B/op", Value: 0, Unit: "B"},
+		{Bench: "BenchmarkAllocate/hit", Metric: "allocs/op", Value: 0, Unit: "allocs"},
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("got %d records, want %d: %v", len(recs), len(want), recs)
+	}
+	for i := range want {
+		if recs[i] != want[i] {
+			t.Errorf("record %d = %+v, want %+v", i, recs[i], want[i])
+		}
+	}
+}

@@ -77,6 +77,9 @@ type ReconfigResult struct {
 	// Telemetry is the sampled metrics series when the run was
 	// instrumented (TelemetryPath or TelemetryEvery set); nil otherwise.
 	Telemetry *telemetry.Series
+	// Fabric is the run's fabric event counts (recomputes, memo hits and
+	// misses, recycled flows).
+	Fabric netsim.Counters
 }
 
 // RunReconfigShowcase executes the Fig. 7 experiment.
@@ -213,7 +216,7 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 		return ReconfigResult{}, err
 	}
 
-	res := ReconfigResult{Series: series, Telemetry: telemetry.SeriesOf(env.Telemetry)}
+	res := ReconfigResult{Series: series, Telemetry: telemetry.SeriesOf(env.Telemetry), Fabric: fabric.Counters}
 	var nb, nd, nr int
 	// The first post-reconfig sample straddles the barrier stall; skip a
 	// short settle window when averaging the recovered phase.

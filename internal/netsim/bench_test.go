@@ -65,24 +65,108 @@ func BenchmarkWaterfill(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowChurn measures start+finish cycles including timer
-// management.
-func BenchmarkFlowChurn(b *testing.B) {
-	s := sim.New()
-	net, nics := benchClos(4)
-	fb := NewFabric(s, net)
-	b.ReportAllocs()
-	b.ResetTimer()
-	done := 0
-	s.GoDaemon("churn", func(p *sim.Proc) {
-		for {
-			fl := fb.StartFlow(FlowOpts{Src: nics[0], Dst: nics[50], Bytes: 1e6, Label: uint64(done)})
-			fl.Done().Wait(p)
-			done++
+// benchTestbed builds the paper's testbed graph (topo.TestbedConfig: 2
+// spines, 2 leaves, 2 hosts per leaf, 2 NICs per host, 50 Gbps links) and
+// returns the NICs host-major: nics[2*host+k].
+func benchTestbed() (*Network, []NodeID) {
+	n := NewNetwork()
+	spines := []NodeID{n.AddNode("s0"), n.AddNode("s1")}
+	var nics []NodeID
+	for l := 0; l < 2; l++ {
+		leaf := n.AddNode("l")
+		for _, sp := range spines {
+			n.AddDuplex(leaf, sp, 50*gbps)
 		}
-	})
-	_ = s.RunUntil(sim.Time(time.Duration(b.N) * 45 * time.Microsecond))
-	b.ReportMetric(float64(done)/float64(b.N), "flows/op")
+		for k := 0; k < 4; k++ {
+			nic := n.AddNode("n")
+			n.AddDuplex(nic, leaf, 50*gbps)
+			nics = append(nics, nic)
+		}
+	}
+	return n, nics
+}
+
+// startTestbedFlows puts testbed-scale traffic on fb: 8 endless flows in 4
+// groups, each NIC sending to the same NIC of the next host — two
+// two-channel rings' worth of cross-host edges.
+func startTestbedFlows(fb *Fabric, nics []NodeID) {
+	var groups [4]*Group
+	for i := range groups {
+		groups[i] = fb.NewGroup()
+	}
+	for i, nic := range nics {
+		fb.StartFlow(FlowOpts{Src: nic, Dst: nics[(i+2)%len(nics)], Label: uint64(i), Group: groups[i%4]})
+	}
+}
+
+// BenchmarkAllocate measures one allocation at testbed scale three ways:
+// answered by the memo, solved and stored (every lookup misses because the
+// capacity epoch moves), and with the memo out of the way — what every
+// recompute cost before it existed.
+func BenchmarkAllocate(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		step func(fb *Fabric)
+	}{
+		{"hit", (*Fabric).allocate},
+		{"miss", func(fb *Fabric) { fb.memo.epoch++; fb.allocate() }},
+		{"bypass", allocateUnmemoised},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s := sim.New()
+			net, nics := benchTestbed()
+			fb := NewFabric(s, net)
+			s.Go("setup", func(p *sim.Proc) { startTestbedFlows(fb, nics) })
+			if err := s.RunUntil(0); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tc.step(fb)
+			}
+			b.ReportMetric(float64(fb.ActiveFlows()), "flows")
+		})
+	}
+}
+
+// churner keeps one flow in flight: each completion starts the next.
+type churner struct {
+	fb    *Fabric
+	start func(*Fabric, FlowOpts)
+	opts  FlowOpts
+	done  int
+}
+
+func (c *churner) OnEvent(uint64) {
+	c.done++
+	c.opts.Label = uint64(c.done)
+	c.start(c.fb, c.opts)
+}
+
+// BenchmarkFlowChurn measures start+finish cycles including timer
+// management, for a flow whose handle is returned (and dropped) and for a
+// fabric-owned one.
+func BenchmarkFlowChurn(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		start func(*Fabric, FlowOpts)
+	}{
+		{"StartFlow", func(fb *Fabric, o FlowOpts) { fb.StartFlow(o) }},
+		{"Send", (*Fabric).Send},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s := sim.New()
+			net, nics := benchClos(4)
+			c := &churner{fb: NewFabric(s, net), start: tc.start}
+			c.opts = FlowOpts{Src: nics[0], Dst: nics[50], Bytes: 1e6, OnDone: c}
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.At(0, func() { c.start(c.fb, c.opts) })
+			_ = s.RunUntil(sim.Time(time.Duration(b.N) * 45 * time.Microsecond))
+			b.ReportMetric(float64(c.done)/float64(b.N), "flows/op")
+		})
+	}
 }
 
 func benchName(n int) string {

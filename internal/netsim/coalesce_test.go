@@ -110,9 +110,11 @@ func TestSetLinkCapacityCoalesces(t *testing.T) {
 	}
 }
 
-// TestAllocateSteadyStateAllocs guards the allocation-free water-fill:
-// once scratch buffers have grown, a recompute performs O(1) allocations
-// (the re-armed completion timer), independent of flow count.
+// TestAllocateSteadyStateAllocs guards the allocation-free recompute: once
+// scratch buffers have grown, solving a flow set far over the memo's limit
+// and re-arming the completion timer (a pooled scheduler event) allocate
+// nothing, whatever the flow count. TestMemoSteadyStateAllocs pins the
+// same for the memoised paths.
 func TestAllocateSteadyStateAllocs(t *testing.T) {
 	s := sim.New()
 	net, nics := benchClos(4)
@@ -125,11 +127,10 @@ func TestAllocateSteadyStateAllocs(t *testing.T) {
 	if err := s.RunUntil(0); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		fb.recompute()
-	})
-	// One sim event + one Timer handle per recompute; give headroom of 4.
-	if allocs > 4 {
-		t.Errorf("allocs per recompute = %v, want <= 4 (scratch must be reused)", allocs)
+	if allocs := testing.AllocsPerRun(50, fb.recompute); allocs != 0 {
+		t.Errorf("allocs per recompute = %v, want 0 (scratch must be reused)", allocs)
+	}
+	if fb.MemoHits+fb.MemoMisses+fb.MemoEntries != 0 || len(fb.memo.specs) != 0 {
+		t.Errorf("an over-limit flow set touched the memo: %+v, %d specs", fb.Counters, len(fb.memo.specs))
 	}
 }

@@ -27,6 +27,9 @@ type Group struct {
 	// frozen is allocator scratch: set while the group's rate has been
 	// fixed during the current allocate pass. Valid only inside allocate.
 	frozen bool
+	// rank is memo-key scratch: the group's index in Fabric.groups, set by
+	// memoKey for the key it is building.
+	rank int
 }
 
 // Flow is one active transfer on the fabric.
@@ -52,7 +55,14 @@ type Flow struct {
 	maxRate  float64 // 0 = uncapped
 	priority bool    // strict-priority flow, allocated before fair sharing
 	external bool    // traffic outside the service's management
-	group    *Group
+	// owned marks a flow started by Send: no handle ever left the fabric,
+	// so onTimer returns it to the free list after its completion callback.
+	owned bool
+	// spec is the flow's interned (route, maxRate, priority) ID, assigned
+	// on first use by specOf; 0 means not interned yet. (It sits with the
+	// flags above in what was padding: Flow stays in its size class.)
+	spec  uint32
+	group *Group
 
 	doneEv   sim.Event
 	onDone   sim.Handler // FlowOpts.OnDone
@@ -129,6 +139,25 @@ type FlowOpts struct {
 	OnDoneArg uint64
 }
 
+// Counters are the fabric's plain event counts. They are not telemetry
+// families: reading them costs nothing and no export format carries them.
+type Counters struct {
+	// Recomputes counts rate allocations. With coalescing this counts
+	// flushes, not mutations: a batch of K same-instant flow starts
+	// increments it exactly once, whether the allocation was solved or
+	// answered from the memo.
+	Recomputes int
+	// MemoHits and MemoMisses split the recomputes whose flow set was small
+	// enough to memoise (see memo.go) into those answered from the table
+	// and those solved and stored; the rest of Recomputes bypassed it or
+	// found no flows. MemoEntries is the number of allocations currently
+	// stored.
+	MemoHits, MemoMisses, MemoEntries int
+	// FlowsRecycled counts flows started by Send that came off the free
+	// list instead of the heap.
+	FlowsRecycled int
+}
+
 // Fabric is the dynamic state of the network: the set of active flows and
 // their max-min fair rates. All methods must be called from sim scheduler
 // context.
@@ -169,10 +198,8 @@ type Fabric struct {
 	linkRate     []float64
 	externalRate []float64
 
-	// Recomputes counts rate allocations, for tests and perf sanity.
-	// With coalescing this counts flushes, not mutations: a batch of K
-	// same-instant flow starts increments it exactly once.
-	Recomputes int
+	// Counters are plain event counts, for tests and perf sanity.
+	Counters
 
 	// Telemetry handles, cached at construction; nil (and therefore
 	// no-ops) when no registry is attached to the scheduler.
@@ -198,6 +225,10 @@ type Fabric struct {
 	linkMark  []bool    // per-link membership in touched
 	touched   []LinkID  // links crossed by any active flow
 	completed []*Flow   // completion batch, reused by onTimer
+
+	memo allocMemo
+	// free holds finished Send flows, reset, for the next Send to reuse.
+	free []*Flow
 }
 
 // NewFabric creates a fabric over the given topology and registers its
@@ -238,7 +269,17 @@ func (fb *Fabric) NewGroup() *Group {
 // The new flow's rate is computed lazily: starting K flows at one virtual
 // instant costs one allocation, performed before the first rate read or
 // the end of the instant, whichever comes first.
-func (fb *Fabric) StartFlow(o FlowOpts) *Flow {
+func (fb *Fabric) StartFlow(o FlowOpts) *Flow { return fb.start(o, false) }
+
+// Send is StartFlow for a caller that does not want the handle (the
+// transport, once per message: it learns of completion through
+// FlowOpts.OnDone). Because no handle leaves the fabric, the Flow is the
+// fabric's to reuse: it comes from a per-fabric free list and goes back,
+// with every field reset, once its OnDone callback has returned. A handle
+// StartFlow returned is never recycled.
+func (fb *Fabric) Send(o FlowOpts) { fb.start(o, true) }
+
+func (fb *Fabric) start(o FlowOpts, owned bool) *Flow {
 	route := o.Route
 	if route == nil {
 		paths := fb.net.PathsBetween(o.Src, o.Dst)
@@ -263,12 +304,19 @@ func (fb *Fabric) StartFlow(o FlowOpts) *Flow {
 	}
 	fb.progress()
 	fb.nextFlowID++
-	fl := &Flow{
+	var fl *Flow
+	if n := len(fb.free); owned && n > 0 {
+		fl, fb.free = fb.free[n-1], fb.free[:n-1]
+		fb.FlowsRecycled++
+	} else {
+		fl = new(Flow)
+	}
+	*fl = Flow{
 		ID: fb.nextFlowID, Src: o.Src, Dst: o.Dst, Route: route, Label: o.Label,
 		Tag: o.Tag,
 		fb:  fb, slot: len(fb.flows),
 		bytes: bytes, maxRate: maxRate, priority: priority, external: o.External,
-		group:  o.Group,
+		owned: owned, group: o.Group,
 		onDone: o.OnDone, doneArg: o.OnDoneArg,
 		start: fb.s.Now(),
 	}
@@ -311,10 +359,6 @@ func (fb *Fabric) emitFlow(fl *Flow, rec *trace.Recorder) {
 		return
 	}
 	fl.traceDone = true
-	route := make([]int32, len(fl.Route))
-	for i, l := range fl.Route {
-		route[i] = int32(l)
-	}
 	sp := trace.Span{
 		Kind: trace.KindFlow, Op: fl.Tag.Op,
 		Start: fl.start, End: fb.s.Now(),
@@ -323,7 +367,7 @@ func (fb *Fabric) emitFlow(fl *Flow, rec *trace.Recorder) {
 		Channel: fl.Tag.Channel, Gen: fl.Tag.Gen, Step: fl.Tag.Step, Seq: fl.Tag.Seq,
 		Flow: int64(fl.ID), Bytes: int64(fl.done),
 		Src: int32(fl.Src), Dst: int32(fl.Dst),
-		Route: route, Rates: fl.samples,
+		Route: fb.traceRoute(fl), Rates: fl.samples,
 	}
 	if fl.Tag.Comm == 0 {
 		sp.Op, sp.Rank, sp.Peer = -1, -1, -1
@@ -417,7 +461,10 @@ func (fb *Fabric) SetLinkCapacity(l LinkID, capacity float64) {
 		capacity = 0
 	}
 	fb.progress()
-	fb.net.links[l].Capacity = capacity
+	if fb.net.links[l].Capacity != capacity {
+		fb.net.links[l].Capacity = capacity
+		fb.memo.epoch++
+	}
 	fb.dirty = true
 }
 
@@ -582,7 +629,45 @@ func (fb *Fabric) growScratch(n int) {
 	fb.fillDone = fb.fillDone[:n]
 }
 
-// allocate computes max-min fair rates with group coupling and rate caps.
+// allocate sets every active flow's rate and committed bottleneck, then
+// accumulates the per-link sums. The rates come from solve, or — for a
+// small flow set seen before under the same link capacities — from the
+// memo in front of it (memo.go), which hands back the very floats solve
+// produced for that input.
+func (fb *Fabric) allocate() {
+	clear(fb.linkRate)
+	clear(fb.externalRate)
+	n := len(fb.flows)
+	if n == 0 {
+		return
+	}
+	fb.growScratch(n)
+	if !fb.memoKey() {
+		fb.solve()
+	} else if !fb.memoLoad() {
+		fb.solve()
+		fb.memoStore()
+	}
+	fb.commit()
+}
+
+// commit accumulates the link-rate sums in flow-ID order (they are float
+// accumulations; the order must be deterministic) and samples the new
+// rates for the flight recorder.
+func (fb *Fabric) commit() {
+	for _, fl := range fb.flows {
+		for _, l := range fl.Route {
+			fb.linkRate[l] += fl.rate
+			if fl.external {
+				fb.externalRate[l] += fl.rate
+			}
+		}
+	}
+	fb.sampleRates()
+}
+
+// solve computes max-min fair rates with group coupling and rate caps,
+// leaving each flow's rate in Flow.rate and its bottleneck in fb.bott.
 //
 // The outer loop repeatedly water-fills, then freezes the group with the
 // smallest bottleneck rate at that rate (all members pinned to the group
@@ -594,16 +679,8 @@ func (fb *Fabric) growScratch(n int) {
 // All working state lives in fabric-owned, slot-indexed scratch buffers
 // (see growScratch); referenceAllocate is the retired map-based
 // implementation, kept as a differential-testing oracle.
-func (fb *Fabric) allocate() {
-	for i := range fb.linkRate {
-		fb.linkRate[i] = 0
-		fb.externalRate[i] = 0
-	}
+func (fb *Fabric) solve() {
 	n := len(fb.flows)
-	if n == 0 {
-		return
-	}
-	fb.growScratch(n)
 	for i := 0; i < n; i++ {
 		fb.frozenSet[i] = false
 		fb.frozenRate[i] = 0
@@ -660,8 +737,7 @@ func (fb *Fabric) allocate() {
 			}
 		}
 		if pick == nil {
-			// Done: commit rates in flow-ID order (link-rate sums are
-			// float accumulations; the order must be deterministic).
+			// Done: the final fill is the rate of every flow still unfrozen.
 			for _, fl := range fb.flows {
 				s := fl.slot
 				if fb.frozenSet[s] {
@@ -670,14 +746,7 @@ func (fb *Fabric) allocate() {
 					fl.rate = fb.fillRate[s]
 					fb.bott[s] = fb.fillBneck[s]
 				}
-				for _, l := range fl.Route {
-					fb.linkRate[l] += fl.rate
-					if fl.external {
-						fb.externalRate[l] += fl.rate
-					}
-				}
 			}
-			fb.sampleRates()
 			return
 		}
 		pick.frozen = true
@@ -938,6 +1007,12 @@ func (fb *Fabric) onTimer() {
 		fl.doneEv.Signal(fb.s)
 		if fl.onDone != nil {
 			fl.onDone.OnEvent(fl.doneArg)
+		}
+		if fl.owned {
+			// Reset by assignment, not truncation: the emitted span keeps
+			// the samples' backing array.
+			*fl = Flow{}
+			fb.free = append(fb.free, fl)
 		}
 	}
 }

@@ -14,6 +14,15 @@
 // virtual instant, because same-instant mutations are coalesced into one
 // allocation flushed before the clock advances (or before any rate is
 // read) — and a single timer tracks the next flow completion.
+//
+// Two things keep the fabric off the per-message path of a collective,
+// neither visible to the simulation. An allocation for a small flow set is
+// memoised by its exact inputs (memo.go): pinned routes and sliced ring
+// steps make a testbed-scale fabric solve the same few flow sets over and
+// over, and a repeat gets back the very floats the solver produced the
+// first time. And a caller that wants no handle starts its transfer with
+// Fabric.Send instead of StartFlow; the Flow behind it is the fabric's
+// own and is recycled when the transfer completes.
 package netsim
 
 import (

@@ -42,8 +42,12 @@ func checkOracle(t *testing.T, fb *Fabric, seed int64) bool {
 // marking, coflow groups), and churn (cancels, capacity changes, time
 // advancing past completions), asserting after every mutation batch that
 // the optimized allocator commits exactly the rates the retired
-// map-based allocator would have.
+// map-based allocator would have. Every round also starts, cancels and
+// restarts the same flows at one instant, so flow sets recur and the
+// comparison covers allocations answered by the memo as well as solved
+// ones.
 func TestQuickAllocatorMatchesOracle(t *testing.T) {
+	var hits, misses int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := sim.New()
@@ -86,10 +90,12 @@ func TestQuickAllocatorMatchesOracle(t *testing.T) {
 			return route
 		}
 		fb := NewFabric(s, n)
+		defer func() { hits, misses = hits+fb.MemoHits, misses+fb.MemoMisses }()
 		ok := true
 		s.Go("fuzz", func(p *sim.Proc) {
 			groups := []*Group{fb.NewGroup(), fb.NewGroup(), fb.NewGroup()}
 			var flows []*Flow
+			var started []FlowOpts
 			startBatch := func(k int) {
 				for ; k > 0; k-- {
 					route := walk()
@@ -113,6 +119,23 @@ func TestQuickAllocatorMatchesOracle(t *testing.T) {
 						o.Bytes = 0 // endless
 					}
 					flows = append(flows, fb.StartFlow(o))
+					started = append(started, o)
+				}
+			}
+			// recur replays up to three earlier flows twice: with them, without
+			// them (the set it started from) and with them again.
+			recur := func() {
+				var again []*Flow
+				for pass := 0; pass < 2 && len(started) > 0; pass++ {
+					for i := 0; i < 3 && i < len(started); i++ {
+						again = append(again, fb.StartFlow(started[(pass+i)%len(started)]))
+					}
+					ok = checkOracle(t, fb, seed) && ok
+					for _, fl := range again {
+						fb.CancelFlow(fl)
+					}
+					again = again[:0]
+					ok = checkOracle(t, fb, seed) && ok
 				}
 			}
 			// Same-instant batch, checked once for the whole batch.
@@ -134,6 +157,7 @@ func TestQuickAllocatorMatchesOracle(t *testing.T) {
 					startBatch(1 + rng.Intn(5))
 				}
 				ok = checkOracle(t, fb, seed) && ok
+				recur()
 			}
 			for _, fl := range flows {
 				fb.CancelFlow(fl)
@@ -148,6 +172,10 @@ func TestQuickAllocatorMatchesOracle(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+	if hits == 0 || misses == 0 {
+		t.Errorf("fuzz saw %d memo hits and %d misses; it must compare both kinds with the oracle", hits, misses)
+	}
+	t.Logf("%d memo hits, %d misses", hits, misses)
 }
 
 // TestOracleGroupAndPriorityMix pins the trickiest oracle case: a flow

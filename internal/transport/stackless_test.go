@@ -12,6 +12,7 @@ import (
 	"mccs/internal/spec"
 	"mccs/internal/telemetry"
 	"mccs/internal/topo"
+	"mccs/internal/trace"
 )
 
 type rngPicker struct{ rng *rand.Rand }
@@ -134,8 +135,9 @@ func TestStacklessReceiverResequencesLikeRecv(t *testing.T) {
 }
 
 // TestMessagePathAllocations pins the steady-state cost of one message,
-// Send to delivery: nothing on the intra-host path, and only the fabric's
-// Flow on the inter-host path — no closures, no queue regrowth.
+// Send to delivery: nothing on either path — no closures, no queue
+// regrowth, and on the inter-host path the fabric's Flow is a recycled one
+// (netsim.Fabric.Send).
 func TestMessagePathAllocations(t *testing.T) {
 	r := newRig(t)
 	h0, h2 := r.cluster.Hosts[0], r.cluster.Hosts[2]
@@ -145,7 +147,7 @@ func TestMessagePathAllocations(t *testing.T) {
 		want     float64
 	}{
 		{"intra-host", h0.NICs[0], h0.NICs[1], 0},
-		{"fabric", h0.NICs[0], h2.NICs[0], 1},
+		{"fabric", h0.NICs[0], h2.NICs[0], 0},
 	} {
 		conn, err := r.engines[0].Connect("app", tc.src, tc.dst, 0, 1)
 		if err != nil {
@@ -168,6 +170,55 @@ func TestMessagePathAllocations(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, message) / 2; n != tc.want {
 			t.Errorf("%s: %v allocations per message, want %v", tc.name, n, tc.want)
+		}
+	}
+}
+
+// TestRecycledFlowSpansAreIndependent: back-to-back messages on one
+// connection take turns in the same two recycled netsim.Flows (the next
+// message starts inside the previous one's completion callback), yet under
+// a LevelFull recorder each emits its own span — its own flow ID, its own
+// rate history, not a later message's written over it.
+func TestRecycledFlowSpansAreIndependent(t *testing.T) {
+	r := newRig(t)
+	rec := trace.NewRecorder(trace.LevelFull, trace.DefaultCapacity)
+	trace.Attach(r.s, rec)
+	h0, h2 := r.cluster.Hosts[0], r.cluster.Hosts[2]
+	conn, err := r.engines[0].Connect("app", h0.NICs[0], h2.NICs[0], 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const messages = 6
+	for i := 1; i <= messages; i++ {
+		conn.Send(int64(i)<<20, nil, nil)
+	}
+	if err := r.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r.fabric.FlowsRecycled != messages-2 {
+		t.Fatalf("%d flows recycled, want %d", r.fabric.FlowsRecycled, messages-2)
+	}
+	var flows []trace.Span
+	for _, sp := range rec.Snapshot().Spans {
+		if sp.Kind == trace.KindFlow {
+			flows = append(flows, sp)
+		}
+	}
+	if len(flows) != messages {
+		t.Fatalf("%d flow spans, want %d", len(flows), messages)
+	}
+	for i, sp := range flows {
+		if sp.Flow != int64(i+1) || sp.Bytes != int64(i+1)<<20 {
+			t.Errorf("span %d: flow %d, %d bytes", i, sp.Flow, sp.Bytes)
+		}
+		if len(sp.Rates) != 1 || sp.Rates[0].T != sp.Start || sp.Rates[0].Bps <= 0 {
+			t.Errorf("span %d (start %v): rate history %+v, want one sample at its start", i, sp.Start, sp.Rates)
+		}
+		if i > 0 && &sp.Rates[0] == &flows[i-1].Rates[0] {
+			t.Errorf("spans %d and %d share a rate history", i-1, i)
+		}
+		if i > 0 && &sp.Route[0] != &flows[0].Route[0] {
+			t.Errorf("span %d has its own copy of the connection's route", i)
 		}
 	}
 }

@@ -397,7 +397,7 @@ func (c *Conn) transmit(seq uint64) {
 		e.s.AfterCall(dur, (*connIntraDone)(c), seq)
 		return
 	}
-	e.fabric.StartFlow(netsim.FlowOpts{
+	e.fabric.Send(netsim.FlowOpts{
 		Src:   e.cluster.NICNode(c.src),
 		Dst:   e.cluster.NICNode(c.dst),
 		Bytes: float64(msg.bytes),
