@@ -41,12 +41,15 @@ race:
 race-hot:
 	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/remediation/
 
-# fuzz runs the native fuzz target over the schedule IR for 10 s: random
-# (algorithm, op, ranks, root, size, ring orders, channels) are lowered,
-# checked against the program invariants and executed against the oracle
-# (the seed corpus also runs as part of `test`).
+# fuzz runs the native fuzz targets for 10 s each (their seed corpora also
+# run as part of `test`). Schedule IR: random (algorithm, op, ranks, root,
+# size, ring orders, channels) are lowered, checked against the program
+# invariants and executed against the oracle. Path enumeration: random edge
+# lists (parallel links, self-loops, unreachable pairs) must yield the same
+# shortest-path lists, order included, as the reference enumerator.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLowerExecute -fuzztime 10s ./internal/collective/
+	$(GO) test -run '^$$' -fuzz FuzzPathsBetween -fuzztime 10s ./internal/netsim/
 
 # check is the CI gate: everything must build, vet clean, and pass the
 # full test suite twice — once plain, once under the race detector.
@@ -88,9 +91,13 @@ bench-sim-json: $(MCCS)
 
 # bench-e2e runs the repository benchmark (bench/README.md): all five
 # workloads, untraced and traced, about 3.5 minutes, results in $(OUT).
+# results/bench/ is the ledger: a PR that quotes benchmark numbers commits
+# its parent's and its own run there as PR<n>.parent.json and PR<n>.json
+# (make bench-e2e OUT=results/bench/PR<n>.json), so the tables in DESIGN.md
+# §10 can be re-derived; the default file name is git-ignored.
 # bench-compare prints the per-workload, per-metric verdicts between two
 # such files and fails on any "worse": make bench-compare A=base.json B=new.json
-OUT ?= bench.out.json
+OUT ?= results/bench/local.json
 bench-e2e:
 	bash bench/run.sh --seed 1 --out $(OUT)
 

@@ -16,6 +16,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -184,6 +185,19 @@ type job struct {
 	// routes[ring][edgeKey] -> path index; nil means ECMP.
 	routes map[spec.ConnKey]int
 	info   spec.CommInfo // pseudo comm info for the shared policy code
+
+	// inflight counts the unfinished flows of the iteration in progress;
+	// the completion that brings it to zero wakes the job's process.
+	s        *sim.Scheduler
+	inflight int
+	iterDone sim.WaitQueue
+}
+
+// OnEvent is the completion callback of every flow the job starts.
+func (j *job) OnEvent(uint64) {
+	if j.inflight--; j.inflight == 0 {
+		j.iterDone.WakeOne(j.s, nil)
+	}
 }
 
 type sim11 struct {
@@ -198,11 +212,11 @@ type sim11 struct {
 	placeRng   *rand.Rand
 	ringRng    *rand.Rand
 
-	freeGPUs map[topo.GPUID]bool
-	queue    []*pendingJob
-	active   map[int]*job
-	results  []JobResult
-	done     *sim.Latch
+	free    []topo.GPUID // unallocated GPUs, ascending
+	queue   []*pendingJob
+	active  map[int]*job
+	results []JobResult
+	done    *sim.Latch
 }
 
 type pendingJob struct {
@@ -228,13 +242,13 @@ func Run(cfg Config) (*RunResult, error) {
 		arrivalRng: rand.New(rand.NewSource(cfg.Seed)),
 		placeRng:   rand.New(rand.NewSource(cfg.Seed + 1)),
 		ringRng:    rand.New(rand.NewSource(cfg.Seed + 2)),
-		freeGPUs:   make(map[topo.GPUID]bool),
+		free:       make([]topo.GPUID, len(cl.GPUs)),
 		active:     make(map[int]*job),
 		results:    make([]JobResult, cfg.NumJobs),
 		done:       sim.NewLatch(cfg.NumJobs),
 	}
-	for g := range cl.GPUs {
-		m.freeGPUs[topo.GPUID(g)] = true
+	for g := range m.free {
+		m.free[g] = topo.GPUID(g)
 	}
 
 	// Arrival process.
@@ -275,21 +289,16 @@ func (m *sim11) tryPlace() {
 
 // place allocates GPUs under the configured placement policy.
 func (m *sim11) place(n int) ([]topo.GPUID, bool) {
-	if len(m.freeGPUs) < n {
+	if len(m.free) < n {
 		return nil, false
 	}
-	free := make([]topo.GPUID, 0, len(m.freeGPUs))
-	for g := range m.freeGPUs {
-		free = append(free, g)
-	}
-	sort.Slice(free, func(i, j int) bool { return free[i] < free[j] })
 	var chosen []topo.GPUID
 	switch m.cfg.Placement {
 	case PlacementCompact:
 		// Fill rack by rack, racks with the most free GPUs first (ties
 		// by rack ID), hosts in order within a rack.
 		byRack := make(map[topo.RackID][]topo.GPUID)
-		for _, g := range free {
+		for _, g := range m.free {
 			r := m.cluster.RackOf(m.cluster.HostOfGPU(g))
 			byRack[r] = append(byRack[r], g)
 		}
@@ -313,9 +322,18 @@ func (m *sim11) place(n int) ([]topo.GPUID, bool) {
 			}
 		}
 		return nil, false
-	default: // PlacementRandom
+	default: // PlacementRandom: the first n of a shuffle of the free GPUs
+		free := slices.Clone(m.free)
 		m.placeRng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
 		return free[:n], true
+	}
+}
+
+// take removes placed GPUs from the free list.
+func (m *sim11) take(gpus []topo.GPUID) {
+	for _, g := range gpus {
+		i, _ := slices.BinarySearch(m.free, g)
+		m.free = slices.Delete(m.free, i, i+1)
 	}
 }
 
@@ -344,10 +362,8 @@ func (m *sim11) ringCount(gpus []topo.GPUID) int {
 
 // start spawns a placed job.
 func (m *sim11) start(pj *pendingJob, gpus []topo.GPUID) {
-	for _, g := range gpus {
-		delete(m.freeGPUs, g)
-	}
-	j := &job{id: pj.id, size: pj.size, gpus: gpus}
+	m.take(gpus)
+	j := &job{id: pj.id, size: pj.size, gpus: gpus, s: m.s}
 	j.info = spec.CommInfo{ID: spec.CommID(pj.id + 1), App: spec.AppID(fmt.Sprintf("job%d", pj.id))}
 	for rank, g := range gpus {
 		j.info.Ranks = append(j.info.Ranks, spec.RankInfo{
@@ -425,8 +441,8 @@ func (m *sim11) runJob(p *sim.Proc, j *job) {
 		start := p.Now()
 		// All rings' flows start at one virtual instant; the fabric
 		// coalesces the whole batch into a single max-min recompute at
-		// the end of the instant (see DESIGN.md §10).
-		var flows []*netsim.Flow
+		// the end of the instant (see DESIGN.md §10). The flows are the
+		// fabric's own (Send): each reports to j.OnEvent and is recycled.
 		for ri, order := range j.rings {
 			var group *netsim.Group
 			if m.cfg.CoupleRings {
@@ -443,24 +459,26 @@ func (m *sim11) runJob(p *sim.Proc, j *job) {
 					paths := m.cluster.PathsBetweenNICs(from.NIC, to.NIC)
 					route = paths[idx%len(paths)]
 				}
-				flows = append(flows, m.fabric.StartFlow(netsim.FlowOpts{
+				j.inflight++
+				m.fabric.Send(netsim.FlowOpts{
 					Src: m.cluster.NICNode(from.NIC), Dst: m.cluster.NICNode(to.NIC),
 					Bytes: perEdge,
 					Route: route,
 					Label: flowLabel(uint64(m.cfg.Seed), j.id, ri, from.Rank, to.Rank),
-					Group: group,
-				}))
+					Group: group, OnDone: j,
+				})
 			}
 		}
-		for _, fl := range flows {
-			fl.Done().Wait(p)
+		if j.inflight > 0 {
+			j.iterDone.Wait(p)
 		}
 		m.results[j.id].ARTimes = append(m.results[j.id].ARTimes, time.Duration(p.Now().Sub(start)))
 	}
 	m.results[j.id].Finished = p.Now()
 	// Release resources and admit queued jobs.
 	for _, g := range j.gpus {
-		m.freeGPUs[g] = true
+		i, _ := slices.BinarySearch(m.free, g)
+		m.free = slices.Insert(m.free, i, g)
 	}
 	delete(m.active, j.id)
 	if m.cfg.Strategy == StratORFFA {

@@ -121,10 +121,10 @@ func TestCompactPlacementSpansFewerRacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &sim11{cfg: cfg, cluster: cl, freeGPUs: make(map[topo.GPUID]bool)}
+		m := &sim11{cfg: cfg, cluster: cl}
 		m.placeRng = newRng(7)
 		for g := range cl.GPUs {
-			m.freeGPUs[topo.GPUID(g)] = true
+			m.free = append(m.free, topo.GPUID(g))
 		}
 		total := 0.0
 		njobs := 3 // 96 GPUs / 32 per job
@@ -136,8 +136,8 @@ func TestCompactPlacementSpansFewerRacks(t *testing.T) {
 			racks := map[topo.RackID]bool{}
 			for _, g := range gpus {
 				racks[cl.RackOf(cl.HostOfGPU(g))] = true
-				delete(m.freeGPUs, g)
 			}
+			m.take(gpus)
 			total += float64(len(racks))
 		}
 		return total / float64(njobs)
@@ -183,4 +183,56 @@ func TestSpeedupHelpers(t *testing.T) {
 		t.Errorf("cdf=%v mean=%v err=%v", cdf, mean, err)
 	}
 	_ = metrics.CDF(nil)
+}
+
+// runHash folds every AllReduce completion time and every job's finish
+// time of one run into an FNV-1a style hash.
+func runHash(t *testing.T, cfg Config) uint64 {
+	t.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := uint64(14695981039346656037)
+	for _, j := range res.Jobs {
+		for _, d := range j.ARTimes {
+			h = (h ^ uint64(d)) * 1099511628211
+		}
+		h = (h ^ uint64(j.Finished)) * 1099511628211
+	}
+	return h
+}
+
+// TestClusterRunHashPinned pins the simulated outcome of cluster.Run: a
+// host-speed change to path enumeration, FFA or the job loop must leave
+// every completion time where it was. The §6.5 fabric runs at a reduced job
+// count; the small fabric queues jobs (12 × 16–32 GPUs on 96), so exits
+// that admit waiting jobs, compact placement and coupled rings are covered.
+func TestClusterRunHashPinned(t *testing.T) {
+	large := DefaultConfig()
+	large.NumJobs, large.Iterations = 12, 3
+	compact := smallConfig()
+	compact.Placement = PlacementCompact
+	coupled := smallConfig()
+	coupled.CoupleRings = true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want [6]uint64 // seed 1 RandomRing, OR, OR+FFA, then seed 2
+	}{
+		{"large", large, [6]uint64{0x9f1a1626e050cd9f, 0xb84a79ce7fefa9f5, 0x5eccb4308e582d75, 0x3ba6759f171e8b7b, 0xe45d399230b8e175, 0x5396829ccc1426f}},
+		{"small", smallConfig(), [6]uint64{0xc9e7bba8df8d0ed8, 0x4c7e62dd7af8ce9d, 0x67b4b1f5987c37a1, 0xb7cd55cfa24e9402, 0xa40bb3aa95de761b, 0x849bdd28a0b146a7}},
+		{"compact", compact, [6]uint64{0x4caf3ef913e49948, 0x9be5d6b691837a1, 0x3002e09b61c37a1, 0x144278f90d7deb97, 0xce0d234af39146a7, 0xaf29f2cd397346a7}},
+		{"coupled", coupled, [6]uint64{0x4346b6ce4b1c206e, 0xd86572ce2015f67f, 0x67b4b1f5987c37a1, 0xae91fd59e5b17e7, 0xa40bb3aa95de761b, 0x849bdd28a0b146a7}},
+	} {
+		var got [6]uint64
+		for i := range got {
+			cfg := tc.cfg
+			cfg.Seed, cfg.Strategy = int64(1+i/3), Strategy(i%3)
+			got[i] = runHash(t, cfg)
+		}
+		if got != tc.want {
+			t.Errorf("%s: hashes = %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
 }

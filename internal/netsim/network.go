@@ -53,6 +53,16 @@ type Network struct {
 	out       [][]LinkID // adjacency: outgoing links per node
 
 	pathCache map[[2]NodeID][][]LinkID
+
+	// Path-query state derived from the links, built on the first query
+	// and dropped by AddLink: inFrom[inOff[v]:inOff[v+1]] are the tails of
+	// v's incoming links (CSR), distTo[v] is v's hop distance to the
+	// current query's destination (-1 = not labelled; every label is reset
+	// before the query returns), and queue/cur/flat are the BFS queue, the
+	// DFS's path prefix and its output, reused across queries.
+	inOff, distTo []int32
+	inFrom, queue []NodeID
+	cur, flat     []LinkID
 }
 
 // NewNetwork returns an empty topology.
@@ -90,7 +100,12 @@ func (n *Network) AddLink(from, to NodeID, capacity float64) LinkID {
 	}
 	n.links = append(n.links, l)
 	n.out[from] = append(n.out[from], id)
-	n.pathCache = make(map[[2]NodeID][][]LinkID) // invalidate
+	// Invalidate everything derived from the link set. BuildClos calls
+	// this thousands of times before the first query: nothing to clear.
+	if len(n.pathCache) > 0 {
+		clear(n.pathCache)
+	}
+	n.inOff = nil
 	return id
 }
 
@@ -132,6 +147,10 @@ func (n *Network) ValidateRoute(src, dst NodeID, route []LinkID) error {
 // in a deterministic order. Results are cached. These are the "equal-cost"
 // paths an ECMP hash selects among, and the route choices MCCS pins flows
 // to.
+//
+// The returned slices are shared: the cache hands the same ones to every
+// caller, policy and the fabric keep references to them, and the paths of
+// one pair sit in one backing array. Treat them as read-only.
 func (n *Network) PathsBetween(src, dst NodeID) [][]LinkID {
 	key := [2]NodeID{src, dst}
 	if p, ok := n.pathCache[key]; ok {
@@ -142,52 +161,85 @@ func (n *Network) PathsBetween(src, dst NodeID) [][]LinkID {
 	return paths
 }
 
+// computeShortestPaths labels nodes with their distance to dst by a BFS
+// over incoming links that stops as soon as src is labelled — BFS labels in
+// distance order, so every node nearer to dst than src has its label by
+// then — and then walks from src along links that lose exactly one hop.
+// Every link the walk takes lies on a shortest path, and it tries out[u] in
+// order, so the paths come out in the order of a forward level-graph DFS
+// (path order is an ECMP input and the meaning of a pinned route index).
 func (n *Network) computeShortestPaths(src, dst NodeID) [][]LinkID {
 	if src == dst {
 		return [][]LinkID{{}}
 	}
-	// BFS to establish distance-from-src per node.
-	const inf = int(^uint(0) >> 1)
-	dist := make([]int, len(n.nodeNames))
-	for i := range dist {
-		dist[i] = inf
+	if len(n.inOff) != len(n.nodeNames)+1 {
+		n.buildInAdjacency()
 	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, lid := range n.out[u] {
-			v := n.links[lid].To
-			if dist[v] == inf {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+	n.distTo[dst] = 0
+	n.queue = append(n.queue[:0], dst)
+	for head := 0; head < len(n.queue) && n.distTo[src] < 0; head++ {
+		v := n.queue[head]
+		for _, u := range n.inFrom[n.inOff[v]:n.inOff[v+1]] {
+			if n.distTo[u] < 0 {
+				n.distTo[u] = n.distTo[v] + 1
+				n.queue = append(n.queue, u)
 			}
 		}
 	}
-	if dist[dst] == inf {
-		return nil
-	}
-	// DFS over the level graph enumerating all shortest paths.
 	var paths [][]LinkID
-	var cur []LinkID
-	var dfs func(u NodeID)
-	dfs = func(u NodeID) {
-		if u == dst {
-			paths = append(paths, append([]LinkID(nil), cur...))
-			return
-		}
-		for _, lid := range n.out[u] {
-			v := n.links[lid].To
-			if dist[v] == dist[u]+1 && dist[v] <= dist[dst] {
-				cur = append(cur, lid)
-				dfs(v)
-				cur = cur[:len(cur)-1]
-			}
+	if hops := int(n.distTo[src]); hops > 0 {
+		n.cur, n.flat = n.cur[:0], n.flat[:0]
+		n.descend(src)
+		// One backing array per pair; the capacity limit keeps an append
+		// to one path out of the next.
+		backing := append([]LinkID(nil), n.flat...)
+		paths = make([][]LinkID, len(backing)/hops)
+		for i := range paths {
+			paths[i] = backing[i*hops : (i+1)*hops : (i+1)*hops]
 		}
 	}
-	dfs(src)
+	for _, v := range n.queue {
+		n.distTo[v] = -1
+	}
 	return paths
+}
+
+// descend appends to n.flat every path from u to the node labelled 0 that
+// loses one hop per link, each prefixed by n.cur.
+func (n *Network) descend(u NodeID) {
+	if n.distTo[u] == 0 {
+		n.flat = append(n.flat, n.cur...)
+		return
+	}
+	for _, lid := range n.out[u] {
+		if v := n.links[lid].To; n.distTo[v] == n.distTo[u]-1 {
+			n.cur = append(n.cur, lid)
+			n.descend(v)
+			n.cur = n.cur[:len(n.cur)-1]
+		}
+	}
+}
+
+// buildInAdjacency derives the CSR in-adjacency from the links and sizes
+// the distance labels to the node set.
+func (n *Network) buildInAdjacency() {
+	n.inOff = make([]int32, len(n.nodeNames)+1)
+	for _, l := range n.links {
+		n.inOff[l.To+1]++
+	}
+	for v := range n.nodeNames {
+		n.inOff[v+1] += n.inOff[v]
+	}
+	n.inFrom = make([]NodeID, len(n.links))
+	next := append([]int32(nil), n.inOff...)
+	for _, l := range n.links {
+		n.inFrom[next[l.To]] = l.From
+		next[l.To]++
+	}
+	n.distTo = make([]int32, len(n.nodeNames))
+	for v := range n.distTo {
+		n.distTo[v] = -1
+	}
 }
 
 // FNV-1a constants, for the inlined ECMP hash below.

@@ -3,6 +3,7 @@ package policy
 import (
 	"sort"
 
+	"mccs/internal/netsim"
 	"mccs/internal/spec"
 	"mccs/internal/topo"
 )
@@ -15,13 +16,10 @@ type Flow struct {
 	Key     spec.ConnKey
 	SrcNIC  topo.NICID
 	DstNIC  topo.NICID
-	Demand  float64 // bytes/sec the flow would like (its NIC rate)
-	nPaths  int
-	paths   [][]pathLink
+	Demand  float64           // bytes/sec the flow would like (its NIC rate)
+	paths   [][]netsim.LinkID // the fabric's cached path list, aliased: read-only
 	prioApp bool
 }
-
-type pathLink = int // netsim.LinkID as int to keep the hot loop simple
 
 // ExtractFlows enumerates the inter-host connections of the given
 // communicators: for every channel, each consecutive ring pair on
@@ -42,19 +40,12 @@ func ExtractFlows(cluster *topo.Cluster, comms []spec.CommInfo) []Flow {
 				if fi.Host == ti.Host {
 					continue
 				}
-				paths := cluster.PathsBetweenNICs(fi.NIC, ti.NIC)
-				pl := make([][]pathLink, len(paths))
-				for i, p := range paths {
-					for _, l := range p {
-						pl[i] = append(pl[i], int(l))
-					}
-				}
 				flows = append(flows, Flow{
 					App: ci.App, Comm: ci.ID,
 					Key:    spec.ConnKey{Channel: chIdx, FromRank: from, ToRank: to},
 					SrcNIC: fi.NIC, DstNIC: ti.NIC,
 					Demand: cluster.NICs[fi.NIC].Rate,
-					nPaths: len(paths), paths: pl,
+					paths:  cluster.PathsBetweenNICs(fi.NIC, ti.NIC),
 				})
 			}
 		}
@@ -80,8 +71,9 @@ func (a Assignment) set(comm spec.CommID, key spec.ConnKey, route int) {
 // accumulated demand, round-robining between applications so no tenant
 // systematically gets the leftovers.
 func FFA(cluster *topo.Cluster, comms []spec.CommInfo) Assignment {
-	flows := ExtractFlows(cluster, comms)
-	return assign(cluster, flows, nil)
+	a := make(Assignment)
+	assignInto(a, ExtractFlows(cluster, comms), make([]float64, cluster.Net.NumLinks()), nil)
+	return a
 }
 
 // PFA implements priority flow assignment (paper example #3): some routes
@@ -109,68 +101,60 @@ func PFA(cluster *topo.Cluster, comms []spec.CommInfo, reservedRoutes []int, pri
 	for _, r := range reservedRoutes {
 		reserved[r] = true
 	}
-	load := make(map[int]float64) // link -> accumulated demand
+	load := make([]float64, cluster.Net.NumLinks()) // accumulated demand, by LinkID
 	a := make(Assignment)
 	// Low-priority first, restricted to non-reserved routes; then
 	// high-priority with free choice (they see low-priority load and
 	// will prefer the clean reserved paths).
-	assignInto(a, interleaveByApp(low), load, func(route int) bool { return !reserved[route] })
-	assignInto(a, interleaveByApp(high), load, nil)
+	assignInto(a, low, load, func(route int) bool { return !reserved[route] })
+	assignInto(a, high, load, nil)
 	return a
 }
 
-// assign places flows (interleaved across apps) onto paths.
-func assign(cluster *topo.Cluster, flows []Flow, allowed func(route int) bool) Assignment {
-	a := make(Assignment)
-	load := make(map[int]float64)
-	assignInto(a, interleaveByApp(flows), load, allowed)
-	return a
-}
-
-// interleaveByApp round-robins flows across applications for fairness
-// (the paper: "We round-robin between flows from different jobs").
-func interleaveByApp(flows []Flow) []Flow {
-	byApp := make(map[spec.AppID][]Flow)
+// interleaveByApp returns the order flows are placed in, as indices into
+// flows: round-robin across applications for fairness (the paper: "We
+// round-robin between flows from different jobs"), applications in name
+// order, each application's flows in extraction order.
+func interleaveByApp(flows []Flow) []int {
+	byApp := make(map[spec.AppID][]int)
 	var apps []spec.AppID
-	for _, f := range flows {
-		if _, ok := byApp[f.App]; !ok {
-			apps = append(apps, f.App)
+	for i := range flows {
+		app := flows[i].App
+		if _, ok := byApp[app]; !ok {
+			apps = append(apps, app)
 		}
-		byApp[f.App] = append(byApp[f.App], f)
+		byApp[app] = append(byApp[app], i)
 	}
 	sort.Slice(apps, func(i, j int) bool { return apps[i] < apps[j] })
-	var out []Flow
-	for {
-		progress := false
+	order := make([]int, 0, len(flows))
+	for round := 0; len(order) < len(flows); round++ {
 		for _, app := range apps {
-			if len(byApp[app]) > 0 {
-				out = append(out, byApp[app][0])
-				byApp[app] = byApp[app][1:]
-				progress = true
+			if idx := byApp[app]; round < len(idx) {
+				order = append(order, idx[round])
 			}
 		}
-		if !progress {
-			return out
-		}
 	}
+	return order
 }
 
-// assignInto performs the best-fit step: each flow goes to the allowed
-// path whose most-loaded link has the least accumulated demand after
-// adding the flow (minimal excess bandwidth demand).
-func assignInto(a Assignment, flows []Flow, load map[int]float64, allowed func(route int) bool) {
-	for _, f := range flows {
-		if f.nPaths == 0 {
+// assignInto performs the best-fit step on flows, interleaved across
+// applications: each flow goes to the allowed path whose most-loaded link
+// has the least accumulated demand after adding the flow (minimal excess
+// bandwidth demand). load is indexed by LinkID.
+func assignInto(a Assignment, flows []Flow, load []float64, allowed func(route int) bool) {
+	for _, i := range interleaveByApp(flows) {
+		f := &flows[i]
+		if len(f.paths) == 0 {
 			continue
 		}
 		best := -1
 		bestCost := 0.0
-		for r := 0; r < f.nPaths; r++ {
+		for r, path := range f.paths {
 			if allowed != nil && !allowed(r) {
 				continue
 			}
 			cost := 0.0
-			for _, l := range f.paths[r] {
+			for _, l := range path {
 				if c := load[l] + f.Demand; c > cost {
 					cost = c
 				}

@@ -132,7 +132,7 @@ func TestExtractFlows(t *testing.T) {
 		t.Fatalf("flows = %d, want 4", len(flows))
 	}
 	for _, f := range flows {
-		if f.nPaths == 0 {
+		if len(f.paths) == 0 {
 			t.Errorf("flow %v has no paths", f.Key)
 		}
 		if f.Demand != 50*topo.Gbps {
@@ -365,7 +365,7 @@ func TestQuickFFAWellFormed(t *testing.T) {
 			if !ok {
 				return false
 			}
-			if r < 0 || r >= fl.nPaths {
+			if r < 0 || r >= len(fl.paths) {
 				return false
 			}
 			covered++
