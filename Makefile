@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-json bench-sim-json bench-e2e bench-compare trace telemetry churn doctor self-heal loc
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare trace telemetry churn doctor self-heal loc
 
 all: check
 
@@ -62,32 +62,6 @@ chaos:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x .
-
-# bench-json runs the root per-figure benchmark suite once and writes
-# the reported metrics as machine-readable BENCH.json records of
-# {bench, metric, value}. CI uploads the file as a build artifact.
-bench-json: $(MCCS)
-	$(GO) test -run '^$$' -bench . -benchtime=1x . | $(MCCS) benchjson > BENCH.json
-
-# bench-sim-json measures the scheduler core's hot paths (timer-churn,
-# same-instant-wake, proc-handoff and its step-function twin
-# stackless-handoff, queue-backlog) with allocation reporting and writes
-# BENCH.sim.json; DESIGN.md §10 quotes these entries and CI uploads the
-# file as a build artifact. The pooled paths must report 0 allocs/op
-# (asserted by TestHotPathsDoNotAllocate as well).
-# The remediation-loop entry measures the full closed detect→diagnose→
-# recover loop (chaos self-heal with the control loop attached) against
-# its no-loop baseline, so control-plane overhead regressions surface in
-# the same artifact.
-# The fabric entries are one testbed-scale allocation answered by the
-# memo, solved and stored, and solved with the memo out of the way
-# (BenchmarkAllocate/{hit,miss,bypass}), and a flow's start-to-finish cycle
-# with a returned handle and fabric-owned (BenchmarkFlowChurn/{StartFlow,
-# Send}; Send must report 0 allocs/op). DESIGN.md §10.3 quotes them.
-bench-sim-json: $(MCCS)
-	( $(GO) test -run '^$$' -bench BenchmarkSimCore -benchtime=10000x ./internal/sim/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkRemediationLoop|BenchmarkSelfHealBaseline' -benchtime=3x ./internal/remediation/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkAllocate|BenchmarkFlowChurn' -benchtime=100000x ./internal/netsim/ ) | $(MCCS) benchjson > BENCH.sim.json
 
 # bench-e2e runs the repository benchmark (bench/README.md): all five
 # workloads, untraced and traced, about 3.5 minutes, results in $(OUT).

@@ -42,7 +42,6 @@ var commands = []command{
 	{"top", "operator view of a telemetry series: tenants, scheduler, tuner, health, links, SLOs", runTop},
 	{"trace", "summarize or dump a flight-recorder trace", runTrace},
 	{"doctor", "replay a trace (and telemetry) through the health diagnosis engine", runDoctor},
-	{"benchjson", "convert `go test -bench` output on stdin to JSON records", runBenchJSON},
 }
 
 func main() {

@@ -12,12 +12,11 @@ import (
 
 // invocations is the smoke table: every subcommand runs in-process on a
 // tiny configuration. $TRACE and $TEL in args are replaced by the files
-// the "reconfig" case writes; stdin feeds benchjson.
+// the "reconfig" case writes.
 var invocations = []struct {
-	cmd   string
-	args  []string
-	stdin string
-	want  string // substring of stdout
+	cmd  string
+	args []string
+	want string // substring of stdout
 }{
 	{cmd: "bench", args: []string{"-gpus=4", "-sizes=1M", "-iters=1", "-warmup=0", "-trials=1"}, want: "[Fig. 6]"},
 	{cmd: "bench", args: []string{"-gpus=8", "-op=allreduce", "-sizes=64K", "-iters=2", "-warmup=0", "-trials=1", "-autotune"}, want: "MCCS(auto)"},
@@ -34,14 +33,12 @@ var invocations = []struct {
 	{cmd: "trace", args: []string{"summarize", "$TRACE"}, want: "collectives"},
 	{cmd: "trace", args: []string{"dump", "$TRACE"}, want: "AllReduce#"},
 	{cmd: "doctor", args: []string{"$TRACE", "$TEL"}, want: "MCCS DOCTOR REPORT"},
-	{cmd: "benchjson", stdin: "BenchmarkLower-8 100 1042 ns/op\n", want: `"bench": "BenchmarkLower"`},
 }
 
 // TestSubcommandSmoke runs the table through dispatch, the same path
 // main takes: flag drift, a panic on start-up or a broken harness wiring
-// fails here without a `go run` per binary. The cases that write the
-// shared files or replace os.Stdin run first, one after the other; the
-// rest run in parallel.
+// fails here without a `go run` per binary. The case that writes the
+// shared files runs first; the rest run in parallel.
 func TestSubcommandSmoke(t *testing.T) {
 	dir := t.TempDir()
 	files := strings.NewReplacer("$TRACE", filepath.Join(dir, "t.json"), "$TEL", filepath.Join(dir, "tel.jsonl"))
@@ -60,17 +57,13 @@ func TestSubcommandSmoke(t *testing.T) {
 	ran := map[string]bool{}
 	for _, tc := range invocations {
 		ran[tc.cmd] = true
-		if tc.stdin != "" {
-			restore := setStdin(t, tc.stdin)
-			run(t, tc.cmd, tc.args, tc.want)
-			restore()
-		} else if tc.cmd == "reconfig" {
+		if tc.cmd == "reconfig" {
 			run(t, tc.cmd, tc.args, tc.want)
 		}
 	}
 	t.Run("parallel", func(t *testing.T) {
 		for _, tc := range invocations {
-			if tc := tc; tc.stdin == "" && tc.cmd != "reconfig" {
+			if tc := tc; tc.cmd != "reconfig" {
 				t.Run(tc.cmd, func(t *testing.T) {
 					t.Parallel()
 					run(t, tc.cmd, tc.args, tc.want)
@@ -90,26 +83,6 @@ func TestSubcommandSmoke(t *testing.T) {
 		if !strings.Contains(help.String(), "\n  "+c.name+" ") {
 			t.Errorf("mccs help does not list %q:\n%s", c.name, help.String())
 		}
-	}
-}
-
-// setStdin points os.Stdin at a file holding content until the returned
-// function is called.
-func setStdin(t *testing.T, content string) (restore func()) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "stdin")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := os.Stdin
-	os.Stdin = f
-	return func() {
-		os.Stdin = saved
-		f.Close()
 	}
 }
 

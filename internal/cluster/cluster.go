@@ -196,7 +196,7 @@ type job struct {
 // OnEvent is the completion callback of every flow the job starts.
 func (j *job) OnEvent(uint64) {
 	if j.inflight--; j.inflight == 0 {
-		j.iterDone.WakeOne(j.s, nil)
+		j.iterDone.WakeOne(j.s)
 	}
 }
 

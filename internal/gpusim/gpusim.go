@@ -212,7 +212,7 @@ func (ri *recordInstance) fire(s *sim.Scheduler) {
 	for _, cb := range cbs {
 		cb()
 	}
-	ri.wq.WakeAll(s, nil)
+	ri.wq.WakeAll(s)
 }
 
 // Done reports whether the most recent record has completed (true if never
@@ -244,10 +244,19 @@ func (ei EventInstance) Done() bool { return ei.ri == nil || ei.ri.done }
 
 // WaitHost blocks until the snapshot's record completes.
 func (ei EventInstance) WaitHost(p *sim.Proc) {
-	if ei.ri == nil || ei.ri.done {
-		return
+	if !ei.Done() {
+		ei.ri.wq.Wait(p)
 	}
-	ei.ri.wq.Wait(p)
+}
+
+// ParkHost is the step-function form of WaitHost (sim.Scheduler.GoStep): true
+// if the record has completed; otherwise it parks p until then and reports false.
+func (ei EventInstance) ParkHost(p *sim.Proc) (done bool) {
+	if ei.Done() {
+		return true
+	}
+	ei.ri.wq.Park(p)
+	return false
 }
 
 // onDone invokes fn when the snapshot instance completes.

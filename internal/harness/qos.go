@@ -9,7 +9,6 @@ import (
 	"mccs/internal/policy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
-	"mccs/internal/topo"
 	"mccs/internal/workload"
 )
 
@@ -61,25 +60,8 @@ type QoSResult struct {
 	MeanIter map[spec.AppID]time.Duration
 }
 
-// qosPlacement returns the setup-3 jobs: A on both GPUs of one host per
-// rack; B and C on one GPU of each remaining host.
-func qosPlacement(c *topo.Cluster) map[spec.AppID][]topo.GPUID {
-	g := func(h topo.HostID, idx int) topo.GPUID { return c.Hosts[h].GPUs[idx] }
-	return map[spec.AppID][]topo.GPUID{
-		"A": {g(0, 0), g(0, 1), g(2, 0), g(2, 1)},
-		"B": {g(1, 0), g(3, 0)},
-		"C": {g(1, 1), g(3, 1)},
-	}
-}
-
 // RunQoS executes the Fig. 9 experiment for one solution.
 func RunQoS(cfg QoSConfig) (QoSResult, error) {
-	if cfg.IterationsA <= 0 {
-		cfg.IterationsA = 20
-	}
-	if cfg.IterationsBC <= 0 {
-		cfg.IterationsBC = 20
-	}
 	// The full MCCS service, with route pinning off for the ECMP solution.
 	sys := ncclsim.MCCS
 	if cfg.Solution == SolutionECMP {
@@ -90,31 +72,41 @@ func RunQoS(cfg QoSConfig) (QoSResult, error) {
 		return QoSResult{}, err
 	}
 	defer env.S.Shutdown()
+	return runQoS(env, cfg)
+}
+
+// runQoS runs the Fig. 9 jobs and controller on env.
+func runQoS(env *Env, cfg QoSConfig) (QoSResult, error) {
+	if cfg.IterationsA <= 0 {
+		cfg.IterationsA = 20
+	}
+	if cfg.IterationsBC <= 0 {
+		cfg.IterationsBC = 20
+	}
 	d := env.Deployment
 	d.SetPriority("A", 2)
 	d.SetPriority("B", 1)
 	d.SetPriority("C", 0)
-	place := qosPlacement(env.Cluster)
-
-	futs := map[spec.AppID]*sim.Future[*workload.Result]{
-		"A": workload.Launch(workload.RunConfig{
-			Dep: d, App: "A", Key: "jobA", GPUs: place["A"],
-			Trace: workload.VGG19DataParallel(1), Iterations: cfg.IterationsA,
-		}),
-		"B": workload.Launch(workload.RunConfig{
-			Dep: d, App: "B", Key: "jobB", GPUs: place["B"],
+	apps, err := Setup(env.Cluster, 3) // A, B, C
+	if err != nil {
+		return QoSResult{}, err
+	}
+	futs := make([]*sim.Future[*workload.Result], len(apps))
+	for i, app := range apps {
+		rc := workload.RunConfig{
+			Dep: d, App: app.Name, Key: "job" + string(app.Name), GPUs: app.GPUs,
 			Trace: workload.GPT27BTensorParallel(1), Iterations: cfg.IterationsBC,
-		}),
-		"C": workload.Launch(workload.RunConfig{
-			Dep: d, App: "C", Key: "jobC", GPUs: place["C"],
-			Trace: workload.GPT27BTensorParallel(1), Iterations: cfg.IterationsBC,
-		}),
+		}
+		if app.Name == "A" {
+			rc.Trace, rc.Iterations = workload.VGG19DataParallel(1), cfg.IterationsA
+		}
+		futs[i] = workload.Launch(rc)
 	}
 
 	allDone := &sim.Event{}
 	bDone := &sim.Event{}
 	env.S.Go("watchB", func(p *sim.Proc) {
-		futs["B"].Wait(p)
+		futs[1].Wait(p) // B
 		bDone.Signal(env.S)
 	})
 	runQoSController(env, cfg.Solution, allDone, bDone)
@@ -125,7 +117,10 @@ func RunQoS(cfg QoSConfig) (QoSResult, error) {
 	}
 	var firstErr error
 	env.S.Go("collect", func(p *sim.Proc) {
-		for app, fut := range futs {
+		// In placement order, not map order: how often this process parks
+		// is part of the schedule.
+		for i, fut := range futs {
+			app := apps[i].Name
 			r := fut.Wait(p)
 			if r.Err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("job %s: %w", app, r.Err)
@@ -264,16 +259,20 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 	d.SetPriority("A", 2)
 	d.SetPriority("B", 1)
 	d.SetPriority("C", 0)
-	place := qosPlacement(env.Cluster)
+	apps, err := Setup(env.Cluster, 3) // A, B, C
+	if err != nil {
+		return DynamicResult{}, err
+	}
 	ctrl := policy.NewController(d)
 	ctrl.PrioThreshold = 2
 
 	const manyIters = 1 << 20 // run until the horizon cuts the jobs off
 	iterEnds := map[spec.AppID][]sim.Time{}
 	iterTimes := map[spec.AppID][]time.Duration{}
-	launch := func(app spec.AppID, trace workload.Trace, at time.Duration) {
+	launch := func(pl AppPlacement, trace workload.Trace, at time.Duration) {
+		app := pl.Name
 		workload.Launch(workload.RunConfig{
-			Dep: d, App: app, Key: "job" + string(app), GPUs: place[app],
+			Dep: d, App: app, Key: "job" + string(app), GPUs: pl.GPUs,
 			Trace: trace, Iterations: manyIters, StartAt: sim.Time(at),
 			OnIteration: func(_ int, end sim.Time, dur time.Duration) {
 				iterEnds[app] = append(iterEnds[app], end)
@@ -281,9 +280,9 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 			},
 		})
 	}
-	launch("A", workload.VGG19DataParallel(1), 0)
-	launch("B", workload.GPT27BTensorParallel(1), cfg.T1)
-	launch("C", workload.GPT27BTensorParallel(1), cfg.T2)
+	launch(apps[0], workload.VGG19DataParallel(1), 0)
+	launch(apps[1], workload.GPT27BTensorParallel(1), cfg.T1)
+	launch(apps[2], workload.GPT27BTensorParallel(1), cfg.T2)
 
 	// Controller: re-apply FFA as tenants arrive, switch to PFA at T3,
 	// add TS for C at T4.

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"time"
 
+	"mccs/internal/ncclsim"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 )
@@ -130,3 +133,37 @@ func TestFig10DynamicTimeline(t *testing.T) {
 type appID = spec.AppID
 
 func simTime(d time.Duration) sim.Time { return sim.Time(d) }
+
+// TestRunQoSScheduleIsDeterministic fingerprints the scheduler's (at, seq)
+// stream of identical Fig. 9 runs: the same configuration must fire the same
+// events, every time. The collector used to wait for the jobs in Go map
+// order, so how often it parked — and with it the event count — varied from
+// run to run; a handful of repeats gives map iteration room to differ.
+func TestRunQoSScheduleIsDeterministic(t *testing.T) {
+	cfg := QoSConfig{Solution: SolutionFFA, IterationsA: 2, IterationsBC: 2}
+	fingerprint := func() (hash uint64, events int) {
+		env, err := NewEnv(EnvOptions{System: ncclsim.MCCS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.S.Shutdown()
+		h := fnv.New64a()
+		env.S.SetObserver(func(at sim.Time, seq uint64) {
+			events++
+			var b [16]byte
+			binary.LittleEndian.PutUint64(b[:8], uint64(at))
+			binary.LittleEndian.PutUint64(b[8:], seq)
+			h.Write(b[:])
+		})
+		if _, err := runQoS(env, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return h.Sum64(), events
+	}
+	wantHash, wantEvents := fingerprint()
+	for i := 0; i < 5; i++ {
+		if hash, events := fingerprint(); hash != wantHash || events != wantEvents {
+			t.Fatalf("run %d: %d events, hash %#x; first run: %d events, hash %#x", i+1, events, hash, wantEvents, wantHash)
+		}
+	}
+}

@@ -206,36 +206,46 @@ func (c *Comm) streamEvent(st *gpusim.Stream) *gpusim.Event {
 	return ev
 }
 
-// issue performs the shim-side synchronization dance and hands the op to
-// the rank's proxy runner:
-//  1. record the app stream's event (collective depends on prior compute);
+// opName names a request in an error message.
+func opName(req *proxy.OpRequest) string {
+	if req.P2P != 0 {
+		return "p2p"
+	}
+	return req.Op.String()
+}
+
+// issue performs the shim-side synchronization dance and hands the op —
+// req, less the event plumbing filled in here — to the rank's proxy runner:
+//  1. record the app stream's event (the op depends on prior compute);
 //  2. install a new completion instance on the communicator event and make
-//     the app stream wait on it (subsequent compute depends on the
-//     collective);
+//     the app stream wait on it (subsequent compute depends on the op);
 //  3. deliver the request to the proxy after the command-path latency.
-func (c *Comm) issue(p *sim.Proc, op collective.Op, root int, count int64, send, recv *gpusim.Buffer, stream *gpusim.Stream) (*OpHandle, error) {
+func (c *Comm) issue(req *proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, error) {
+	op, count := req.Op, req.Count
 	if c.destroyed {
-		return nil, fmt.Errorf("mccsd: %v on destroyed communicator %d", op, c.ID())
+		return nil, fmt.Errorf("mccsd: %s on destroyed communicator %d", opName(req), c.ID())
 	}
 	if count <= 0 {
-		return nil, fmt.Errorf("mccsd: %v with count %d", op, count)
+		return nil, fmt.Errorf("mccsd: %s with count %d", opName(req), count)
 	}
-	if recv == nil {
-		return nil, fmt.Errorf("mccsd: %v without receive buffer", op)
+	if req.RecvBuf == nil {
+		return nil, fmt.Errorf("mccsd: %s without buffer", opName(req))
 	}
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("mccsd: root %d out of range", root)
+	if req.Root < 0 || req.Root >= c.Size() {
+		return nil, fmt.Errorf("mccsd: root %d out of range", req.Root)
+	}
+	if req.P2P != 0 && (req.Peer < 0 || req.Peer >= c.Size() || req.Peer == c.rank) {
+		return nil, fmt.Errorf("mccsd: p2p peer %d invalid for rank %d of %d", req.Peer, c.rank, c.Size())
 	}
 	d := c.f.dep()
 	s := d.S
 
-	var appInst gpusim.EventInstance
 	if stream != nil {
 		appEv := c.streamEvent(stream)
 		stream.Record(appEv)
-		// Snapshot at issue time: a later collective re-records the
-		// same stream event, and the proxy must not bind to that.
-		appInst = appEv.Snapshot()
+		// Snapshot at issue time: a later op re-records the same stream
+		// event, and the proxy must not bind to that.
+		req.AppEvent = appEv.Snapshot()
 	}
 	fire := c.commEvent.ManualRecord()
 	if stream != nil {
@@ -250,35 +260,29 @@ func (c *Comm) issue(p *sim.Proc, op collective.Op, root int, count int64, send,
 	if op == collective.AllGather {
 		outBytes *= int64(c.Size())
 	}
-	var req *proxy.OpRequest
-	req = &proxy.OpRequest{
-		Op: op, Root: root, Count: count,
-		SendBuf: send, RecvBuf: recv,
-		AppEvent: appInst,
-		CompleteFire: func() {
-			s.After(d.cfg.CompletionLatency, func() {
-				fire()
-				h.done.Set(s, OpStats{Op: op, Issued: issued, Done: s.Now(), Bytes: outBytes})
-				c.f.telInflight.Add(-1)
-				c.f.telRTT.Observe(s.Now().Sub(issued).Seconds())
-				// The cmd span measures the full shim round-trip the
-				// tenant observes: command-queue delivery, execution,
-				// and the completion notification path (the paper's
-				// 50-80us datapath overhead brackets the collective).
-				if rec := trace.Of(s); rec.Enabled(trace.KindCmd) {
-					rec.Emit(trace.Span{
-						Kind: trace.KindCmd, Op: int32(op),
-						Start: issued, End: s.Now(),
-						Host: int32(c.f.sv.host), GPU: int32(c.dev.ID),
-						Comm: int32(c.ID()), Rank: int32(c.rank),
-						Peer: -1, Channel: -1, Step: -1, Gen: -1,
-						Seq: req.Sequence(), Bytes: outBytes,
-						Label: string(c.f.app),
-						Flow:  -1, Src: -1, Dst: -1,
-					})
-				}
-			})
-		},
+	req.CompleteFire = func() {
+		s.After(d.cfg.CompletionLatency, func() {
+			fire()
+			h.done.Set(s, OpStats{Op: op, Issued: issued, Done: s.Now(), Bytes: outBytes})
+			c.f.telInflight.Add(-1)
+			c.f.telRTT.Observe(s.Now().Sub(issued).Seconds())
+			// The cmd span measures the full shim round-trip the tenant
+			// observes for a collective: command-queue delivery,
+			// execution, and the completion notification path (the
+			// paper's 50-80us datapath overhead brackets the collective).
+			if rec := trace.Of(s); rec.Enabled(trace.KindCmd) && req.P2P == 0 {
+				rec.Emit(trace.Span{
+					Kind: trace.KindCmd, Op: int32(op),
+					Start: issued, End: s.Now(),
+					Host: int32(c.f.sv.host), GPU: int32(c.dev.ID),
+					Comm: int32(c.ID()), Rank: int32(c.rank),
+					Peer: -1, Channel: -1, Step: -1, Gen: -1,
+					Seq: req.Sequence(), Bytes: outBytes,
+					Label: string(c.f.app),
+					Flow:  -1, Src: -1, Dst: -1,
+				})
+			}
+		})
 	}
 	runner := c.pc.Runners[c.rank]
 	s.After(d.cfg.CmdLatency, func() { runner.Enqueue(req) })
@@ -291,7 +295,7 @@ func (c *Comm) AllReduce(p *sim.Proc, send, recv *gpusim.Buffer, count int64, st
 	if send == nil {
 		send = recv
 	}
-	return c.issue(p, collective.AllReduce, 0, count, send, recv, stream)
+	return c.issue(&proxy.OpRequest{Op: collective.AllReduce, Count: count, SendBuf: send, RecvBuf: recv}, stream)
 }
 
 // AllGather concatenates each rank's count elements into recv, laid out by
@@ -300,7 +304,7 @@ func (c *Comm) AllGather(p *sim.Proc, send, recv *gpusim.Buffer, count int64, st
 	if send == nil {
 		return nil, fmt.Errorf("mccsd: AllGather requires a send buffer")
 	}
-	return c.issue(p, collective.AllGather, 0, count, send, recv, stream)
+	return c.issue(&proxy.OpRequest{Op: collective.AllGather, Count: count, SendBuf: send, RecvBuf: recv}, stream)
 }
 
 // ReduceScatter sums count elements across ranks, leaving region r of the
@@ -309,78 +313,28 @@ func (c *Comm) ReduceScatter(p *sim.Proc, send, recv *gpusim.Buffer, count int64
 	if send == nil {
 		send = recv
 	}
-	return c.issue(p, collective.ReduceScatter, 0, count, send, recv, stream)
+	return c.issue(&proxy.OpRequest{Op: collective.ReduceScatter, Count: count, SendBuf: send, RecvBuf: recv}, stream)
 }
 
 // Broadcast copies root's count elements to every rank (in place).
 func (c *Comm) Broadcast(p *sim.Proc, buf *gpusim.Buffer, count int64, root int, stream *gpusim.Stream) (*OpHandle, error) {
-	return c.issue(p, collective.Broadcast, root, count, buf, buf, stream)
+	return c.issue(&proxy.OpRequest{Op: collective.Broadcast, Root: root, Count: count, SendBuf: buf, RecvBuf: buf}, stream)
 }
 
 // Reduce sums count elements across ranks onto the root (in place).
 func (c *Comm) Reduce(p *sim.Proc, buf *gpusim.Buffer, count int64, root int, stream *gpusim.Stream) (*OpHandle, error) {
-	return c.issue(p, collective.Reduce, root, count, buf, buf, stream)
-}
-
-// issueP2P shares the shim-side synchronization dance with issue but
-// targets the proxy's point-to-point path.
-func (c *Comm) issueP2P(send bool, peer int, count int64, buf *gpusim.Buffer, stream *gpusim.Stream) (*OpHandle, error) {
-	if c.destroyed {
-		return nil, fmt.Errorf("mccsd: p2p on destroyed communicator %d", c.ID())
-	}
-	if count <= 0 {
-		return nil, fmt.Errorf("mccsd: p2p with count %d", count)
-	}
-	if buf == nil {
-		return nil, fmt.Errorf("mccsd: p2p without buffer")
-	}
-	if peer < 0 || peer >= c.Size() || peer == c.rank {
-		return nil, fmt.Errorf("mccsd: p2p peer %d invalid for rank %d of %d", peer, c.rank, c.Size())
-	}
-	d := c.f.dep()
-	s := d.S
-
-	var appInst gpusim.EventInstance
-	if stream != nil {
-		appEv := c.streamEvent(stream)
-		stream.Record(appEv)
-		appInst = appEv.Snapshot()
-	}
-	fire := c.commEvent.ManualRecord()
-	if stream != nil {
-		stream.WaitEvent(c.commEvent)
-	}
-
-	issued := s.Now()
-	c.f.telCmds.Inc()
-	c.f.telInflight.Add(1)
-	h := &OpHandle{done: sim.NewFuture[OpStats]()}
-	req := &proxy.P2PRequest{
-		Peer: peer, Send: send, Count: count, Buf: buf,
-		AppEvent: appInst,
-		CompleteFire: func() {
-			s.After(d.cfg.CompletionLatency, func() {
-				fire()
-				h.done.Set(s, OpStats{Issued: issued, Done: s.Now(), Bytes: count * 4})
-				c.f.telInflight.Add(-1)
-				c.f.telRTT.Observe(s.Now().Sub(issued).Seconds())
-			})
-		},
-	}
-	runner := c.pc.Runners[c.rank]
-	s.After(d.cfg.CmdLatency, func() { runner.Enqueue(req) })
-	return h, nil
+	return c.issue(&proxy.OpRequest{Op: collective.Reduce, Root: root, Count: count, SendBuf: buf, RecvBuf: buf}, stream)
 }
 
 // Send transmits count elements of buf to peer; the peer must issue a
 // matching Recv (ncclSend analogue).
 func (c *Comm) Send(p *sim.Proc, buf *gpusim.Buffer, count int64, peer int, stream *gpusim.Stream) (*OpHandle, error) {
-	return c.issueP2P(true, peer, count, buf, stream)
+	return c.issue(&proxy.OpRequest{P2P: proxy.P2PSend, Peer: peer, Count: count, RecvBuf: buf}, stream)
 }
 
 // Recv receives count elements from peer into buf (ncclRecv analogue).
 func (c *Comm) Recv(p *sim.Proc, buf *gpusim.Buffer, count int64, peer int, stream *gpusim.Stream) (*OpHandle, error) {
-	return c.issueP2P(false, peer, count, buf, stream)
+	return c.issue(&proxy.OpRequest{P2P: proxy.P2PRecv, Peer: peer, Count: count, RecvBuf: buf}, stream)
 }
 
 // Destroy releases this rank's handle (ncclCommDestroy analogue). When

@@ -434,7 +434,7 @@ func (o *Orchestrator) teardownGate(p *sim.Proc) func() {
 	return func() {
 		o.tearing--
 		if o.tearing == 0 {
-			o.reconfigWQ.WakeAll(o.s, nil)
+			o.reconfigWQ.WakeAll(o.s)
 		}
 	}
 }
@@ -473,7 +473,7 @@ func (o *Orchestrator) recompute(p *sim.Proc, cause string) {
 		}
 	}
 	o.reconfiguring = false
-	o.teardownWQ.WakeAll(o.s, nil)
+	o.teardownWQ.WakeAll(o.s)
 	o.emitSched(trace.SchedReconfig, start, p.Now(), nil, cause)
 }
 

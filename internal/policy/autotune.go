@@ -26,12 +26,6 @@ type AutotuneOptions struct {
 	// ablations).
 	NoTree bool
 	NoHD   bool
-	// IgnoreExternalLoad tunes against an idle fabric even when
-	// background flows exist.
-	IgnoreExternalLoad bool
-	// DryRun scores and records the decision without installing the
-	// winner.
-	DryRun bool
 }
 
 // TuneModel builds the tuner's cost model from the deployment's actual
@@ -100,7 +94,7 @@ func (c *Controller) Autotune(p *sim.Proc, id spec.CommID, opts AutotuneOptions)
 	if opts.Bytes <= 0 {
 		return tuner.Decision{}, fmt.Errorf("policy: autotune needs a positive byte size")
 	}
-	model := c.TuneModel(opts.IgnoreExternalLoad)
+	model := c.TuneModel(false)
 	cands := tuner.Candidates(info, c.TuneSpace(info, opts), opts.Bytes)
 	d, err := model.Search(info, cands, opts.Op, opts.Bytes)
 	if err != nil {
@@ -129,9 +123,6 @@ func (c *Controller) Autotune(p *sim.Proc, id spec.CommID, opts AutotuneOptions)
 	win := d.Winner()
 	reg.Gauge("mccs_tuner_predicted_seconds", "s", tenant).Set(win.Predicted.Seconds())
 	c.setStrategyInfo(reg, info.App, win.Name)
-	if opts.DryRun {
-		return d, nil
-	}
 	if err := c.dep.Reconfigure(p, id, win.Strategy); err != nil {
 		return tuner.Decision{}, fmt.Errorf("policy: installing %q: %w", win.Name, err)
 	}

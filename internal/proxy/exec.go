@@ -1,113 +1,209 @@
 package proxy
 
-// This file is the proxy's datapath: execute runs one collective for one
-// rank, and chanRun — the only place collectives touch connections —
-// interprets the rank's schedule program for one channel.
+// This file is the proxy's datapath, and all of it: execStep runs the
+// operations a rank has launched, in order — collectives and point-to-point
+// transfers alike — and chanRun, the only place an operation touches
+// connections, interprets one schedule program on one channel.
 //
-// The interpreter is a step function (sim.Scheduler.GoStep), not blocking
-// code: a 128 MB AllReduce moves ~1 800 messages, every one of them a
-// receive wait plus a copy/reduce sleep, and as blocking code each costs
-// two goroutine switches — measured at nearly two thirds of the simulator's
-// CPU (DESIGN.md §10.2). It parks with the Park forms of the calls blocking
-// code would make, in the same order, so the simulated schedule is the one
-// blocking code would produce.
+// Both are step functions (sim.Scheduler.GoStep), not blocking code: a
+// 128 MB AllReduce moves ~1 800 messages, every one of them a receive wait
+// plus a copy/reduce sleep, and as blocking code each wait costs two
+// goroutine switches — measured at nearly two thirds of the simulator's CPU
+// (DESIGN.md §10.2); a small op pays the same per pipeline stage. They park
+// with the Park forms of the calls blocking code would make, in the same
+// order, so the simulated schedule is the one blocking code would produce.
 
 import (
 	"fmt"
 	"math/bits"
 
 	"mccs/internal/collective"
+	"mccs/internal/gpusim"
 	"mccs/internal/sim"
+	"mccs/internal/telemetry"
 	"mccs/internal/trace"
 	"mccs/internal/transport"
 )
 
-// execute runs one collective to completion for this rank. Execution is
-// lock-step with the peers through the data dependencies of the
-// schedule: each step's receive blocks until the peer's send completes.
-func (r *Runner) execute(p *sim.Proc, op *OpRequest) {
-	start := p.Now()
-	op.AppEvent.WaitHost(p)
-	if op.Count <= 0 {
-		panic(fmt.Sprintf("proxy: collective with count %d", op.Count))
-	}
-	n := r.comm.Info.NumRanks()
-	cs := r.comm.gens[r.gen]
-	if obs := r.comm.cfg.ExecObserver; obs != nil {
-		obs(r.comm.Info.ID, r.rank, r.gen, op.seq)
-	}
+// execState is one rank's execution pipeline: where execStep resumes and the
+// operation in progress. A rank executes one operation at a time, so the
+// interpreters of its channels live here too, reused from op to op.
+type execState struct {
+	at    execStage
+	op    *OpRequest
+	start sim.Time
+	bytes int64      // output-buffer size (the AlgBW numerator)
+	join  *sim.Latch // opens when the spawned channel programs are done; nil for one, run inline
+	chans []*chanRun // per-channel interpreters, built on first use
+}
 
-	r.initialCopy(p, op, n)
+// execStage says where execStep continues.
+type execStage uint8
 
-	outBytes := op.Count * 4
-	if op.Op == collective.AllGather {
-		outBytes *= int64(n)
-	}
+const (
+	exPop      execStage = iota // take the next launched op, or park until there is one
+	exBegin                     // (after the app-event park) stage the op's input
+	exCopied                    // (after the initial-copy sleep) land the copy
+	exPrograms                  // lower the op and start its channel programs
+	exRun                       // run the op's one program, or wait for its several
+	exComplete                  // report the op and go round
+)
 
-	// A single-rank communicator has no schedule: the initial copy is
-	// the whole op.
-	if n > 1 {
-		algo := collective.Select(&cs.strategy, op.Op, n, op.Root, outBytes)
-		if nch := collective.Channels(algo, cs.rings); nch == 1 {
-			// One channel runs on the runner's own process: nothing is
-			// spawned, the step function stands in for p until it is done.
-			p.Host((&chanRun{r: r, op: op, cs: cs, algo: algo}).step)
-		} else {
-			latch := sim.NewLatch(nch)
-			for ch := 0; ch < nch; ch++ {
-				run := &chanRun{r: r, op: op, cs: cs, algo: algo, ch: ch, done: latch}
-				r.comm.s.GoStep(r.chanName(ch), run.step)
+// execStep executes launched operations in order, each to completion.
+// Execution is lock-step with the peers through the data dependencies of
+// the schedule: each step's receive waits until the peer's send completes.
+func (r *Runner) execStep(p *sim.Proc) bool {
+	x := &r.ex
+	for {
+		switch op := x.op; x.at {
+		case exPop:
+			var ok bool
+			if x.op, ok = r.execQ.TryPop(); !ok {
+				r.execQ.Park(p)
+				return false
 			}
-			latch.Wait(p)
+			x.start, x.at = p.Now(), exBegin
+		case exBegin:
+			if !op.AppEvent.ParkHost(p) {
+				return false
+			}
+			if op.Count <= 0 {
+				panic(fmt.Sprintf("proxy: operation with count %d", op.Count))
+			}
+			if obs := r.comm.cfg.ExecObserver; obs != nil && op.P2P == 0 {
+				obs(r.comm.Info.ID, r.rank, r.gen, op.seq)
+			}
+			x.at = exPrograms
+			if copiesInput(op) {
+				x.at = exCopied
+				p.ParkSleep(r.dev.TransferTime(op.Count*4, 1))
+				return false
+			}
+		case exCopied:
+			r.copyInput(op)
+			x.at = exPrograms
+		case exPrograms:
+			x.at = r.startPrograms(op)
+		case exRun:
+			// One program runs right here, as a sub-machine; several run as
+			// processes of their own and open the latch when all are done.
+			if x.join == nil {
+				if !x.chans[0].step(p) {
+					return false
+				}
+			} else if !x.join.Park(p) {
+				return false
+			}
+			x.at = exComplete
+		case exComplete:
+			r.complete(p, op)
+			x.op, x.at = nil, exPop
 		}
 	}
+}
 
-	res := OpResult{Seq: op.seq, Op: op.Op, Start: start, End: p.Now(), Bytes: outBytes}
-	r.comm.telOps.Inc()
-	if op.CompleteFire != nil {
-		op.CompleteFire()
+// copiesInput reports whether op first stages input data into the working
+// (output) buffer: out-of-place collectives copy the whole input; AllGather
+// copies the rank's contribution into its own output span.
+func copiesInput(op *OpRequest) bool {
+	if op.Op == collective.AllGather && op.SendBuf == nil {
+		panic("proxy: AllGather without send buffer")
 	}
+	return op.SendBuf != nil && (op.SendBuf != op.RecvBuf || op.Op == collective.AllGather)
+}
+
+// copyInput applies the staging copy to backed buffers.
+func (r *Runner) copyInput(op *OpRequest) {
+	if !op.SendBuf.Backed() || !op.RecvBuf.Backed() {
+		return
+	}
+	var off int64
+	if op.Op == collective.AllGather {
+		off = int64(r.rank) * op.Count
+	}
+	copy(op.RecvBuf.Data()[off:off+op.Count], op.SendBuf.Data()[:op.Count])
+}
+
+// startPrograms lowers op to its channel programs, starts them and returns
+// the stage to continue at. What sets a point-to-point transfer apart inside
+// the interpreter is decided here, as chanProgram fields: its connections are
+// the communicator-lifetime ones, its flows belong to no generation, channel
+// or collective, and its step is neither counted nor traced as a step.
+func (r *Runner) startPrograms(op *OpRequest) execStage {
+	x, c := &r.ex, r.comm
+	x.bytes, x.join = op.Count*4, nil
+	tag := trace.FlowTag{
+		Comm: int32(c.Info.ID), From: int32(r.rank),
+		Gen: int32(r.gen), Op: int32(op.Op), Seq: op.seq,
+	}
+	if op.P2P != 0 {
+		tag.Channel, tag.Gen, tag.Op = -1, -1, -1
+		r.channel(0).start(chanProgram{prog: r.lowerP2P(op), buf: op.RecvBuf, conns: c.p2p, tag: tag})
+		return exRun
+	}
+	n := c.Info.NumRanks()
+	if op.Op == collective.AllGather {
+		x.bytes *= int64(n)
+	}
+	// A single-rank communicator has no schedule: the initial copy is the
+	// whole op.
+	if n == 1 {
+		return exComplete
+	}
+	cs := c.gens[r.gen]
+	algo := collective.Select(&cs.strategy, op.Op, n, op.Root, x.bytes)
+	nch := collective.Channels(algo, cs.rings)
+	if nch > 1 {
+		x.join = sim.NewLatch(nch)
+	}
+	for ch := 0; ch < nch; ch++ {
+		tag.Channel = int32(ch)
+		run := r.channel(ch)
+		run.start(chanProgram{
+			prog: collective.Lower(algo, op.Op, cs.rings, r.rank, ch, op.Root, op.Count),
+			buf:  op.RecvBuf, conns: cs.conns, algo: algo, tag: tag,
+			steps: c.telSteps, rec: c.rec, done: x.join,
+		})
+		if nch > 1 {
+			c.s.GoStep(run.name, run.fn)
+		}
+	}
+	return exRun
+}
+
+// complete reports the finished op: to telemetry, its issuer, the trace, and
+// a reconfiguration waiting for the pipeline to drain.
+func (r *Runner) complete(p *sim.Proc, op *OpRequest) {
+	x, c := &r.ex, r.comm
 	// The op-lifecycle span doubles as the management-plane record: the
 	// Deployment.CommTrace API and the TS policy read it back out of the
 	// recorder. Span is a value struct, so this emits without allocating
 	// — and is a branch-and-return when recording is off.
-	r.comm.rec.Emit(trace.Span{
+	span := trace.Span{
 		Kind: trace.KindOp, Op: int32(op.Op),
-		Start: start, End: p.Now(),
-		Host: int32(r.comm.Info.Ranks[r.rank].Host),
-		GPU:  int32(r.comm.Info.Ranks[r.rank].GPU),
-		Comm: int32(r.comm.Info.ID), Rank: int32(r.rank),
+		Start: x.start, End: p.Now(),
+		Host: int32(c.Info.Ranks[r.rank].Host),
+		GPU:  int32(c.Info.Ranks[r.rank].GPU),
+		Comm: int32(c.Info.ID), Rank: int32(r.rank),
 		Peer: -1, Channel: -1, Step: -1,
-		Gen: int32(r.gen), Seq: op.seq, Bytes: outBytes,
+		Gen: int32(r.gen), Seq: op.seq, Bytes: x.bytes,
 		Flow: -1, Src: -1, Dst: -1,
-	})
+	}
+	if op.P2P != 0 {
+		span.Kind, span.Op, span.Gen = trace.KindP2P, -1, -1
+		span.Peer, span.Label = int32(op.Peer), p2pLabels[op.P2P]
+	} else {
+		c.telOps.Inc()
+		r.collInFlight--
+	}
+	if op.CompleteFire != nil {
+		op.CompleteFire()
+	}
+	c.rec.Emit(span)
 	if op.Done != nil {
-		op.Done.Set(r.comm.s, res)
+		op.Done.Set(c.s, OpResult{Seq: op.seq, Op: op.Op, Start: x.start, End: p.Now(), Bytes: x.bytes})
 	}
-}
-
-// initialCopy stages input data into the working (output) buffer:
-// out-of-place collectives copy the whole input; AllGather copies the
-// rank's contribution into its own output span.
-func (r *Runner) initialCopy(p *sim.Proc, op *OpRequest, n int) {
-	switch op.Op {
-	case collective.AllGather:
-		if op.SendBuf == nil {
-			panic("proxy: AllGather without send buffer")
-		}
-		p.Sleep(r.dev.TransferTime(op.Count*4, 1))
-		if op.SendBuf.Backed() && op.RecvBuf.Backed() {
-			dst := op.RecvBuf.Data()[int64(r.rank)*op.Count : (int64(r.rank)+1)*op.Count]
-			copy(dst, op.SendBuf.Data()[:op.Count])
-		}
-	default:
-		if op.SendBuf != nil && op.SendBuf != op.RecvBuf {
-			p.Sleep(r.dev.TransferTime(op.Count*4, 1))
-			if op.SendBuf.Backed() && op.RecvBuf.Backed() {
-				copy(op.RecvBuf.Data()[:op.Count], op.SendBuf.Data()[:op.Count])
-			}
-		}
-	}
+	r.idleWQ.WakeAll(c.s)
 }
 
 // sliceCount returns how many pipeline slices a chunk of bytes is cut
@@ -134,18 +230,39 @@ func sliceCount(cfg Config, bytes int64) int {
 	return k
 }
 
-// chanName returns the process name of this rank's channel ch.
-func (r *Runner) chanName(ch int) string {
-	for len(r.chanNames) <= ch {
-		r.chanNames = append(r.chanNames,
-			fmt.Sprintf("proxy:c%d:r%d:ch%d", r.comm.Info.ID, r.rank, len(r.chanNames)))
+// channel returns this rank's interpreter for channel ch.
+func (r *Runner) channel(ch int) *chanRun {
+	x := &r.ex
+	for len(x.chans) <= ch {
+		c := &chanRun{r: r, name: fmt.Sprintf("proxy:c%d:r%d:ch%d", r.comm.Info.ID, r.rank, len(x.chans))}
+		c.fn = c.step
+		x.chans = append(x.chans, c)
 	}
-	return r.chanNames[ch]
+	return x.chans[ch]
 }
 
-// chanRun interprets this rank's program for one channel of one collective:
-// a fused kernel launch, then for every round the rank takes part in, the
-// round's send and its receive with the receive-side GPU work.
+// chanProgram is what a chanRun interprets, and against what: everything
+// that differs from op to op, and between a collective and a point-to-point
+// transfer, set up by the executor (Runner.startPrograms).
+type chanProgram struct {
+	prog collective.Program
+	buf  *gpusim.Buffer // the op's working buffer: sends read it, receives land in it
+	// conns[Edge{algo, tag.Channel, from, to}] carries a transfer from → to.
+	conns map[collective.Edge]*transport.Conn
+	algo  collective.Algo
+	// tag rides every message onto its fabric flow, joining network transfers
+	// back to (comm, seq, step) in the trace, and labels the step spans; To
+	// and Step are filled in per step.
+	tag   trace.FlowTag
+	steps *telemetry.Counter // counts the steps taken (nil: uncounted)
+	rec   *trace.Recorder    // gets a KindStep span per step (nil: none)
+	done  *sim.Latch         // counted down at the end (nil: run inline)
+}
+
+// chanRun interprets one program of this rank — one channel of a
+// collective, or a point-to-point transfer: a fused kernel launch, then for
+// every round the rank takes part in, the round's send and its receive with
+// the receive-side GPU work.
 //
 // A pipelined program's step is cut into slices that stream independently
 // (NCCL's FIFO-slot pipelining): a rank forwards slice k of a step as soon
@@ -160,18 +277,14 @@ func (r *Runner) chanName(ch int) string {
 // where step picks up when the process is next dispatched.
 type chanRun struct {
 	r    *Runner
-	op   *OpRequest
-	cs   *connSet
-	algo collective.Algo
-	ch   int
-	done *sim.Latch // counted down at the end; nil when hosted on the runner's process
+	name string                 // process name, when spawned
+	fn   func(p *sim.Proc) bool // step, bound once
 
-	at   resumePoint
-	prog collective.Program
+	chanProgram
+	at resumePoint
 
 	// The step being interpreted.
 	si                 int // index into prog.Steps
-	tag                trace.FlowTag
 	stepStart          sim.Time
 	busy               sim.Duration
 	sendConn, recvConn *transport.Conn
@@ -183,13 +296,18 @@ type chanRun struct {
 	copyTime sim.Duration
 }
 
+// start points the interpreter at the beginning of a program.
+func (c *chanRun) start(cp chanProgram) {
+	c.chanProgram, c.at, c.si = cp, atLaunch, 0
+}
+
 // resumePoint says where chanRun.step continues. The interpreter waits in
 // three places — atStep, atRecv and atReceived are where it resumes after
 // them; the other two values only sequence the loop.
 type resumePoint uint8
 
 const (
-	atLaunch   resumePoint = iota // first dispatch: lower the program, launch the kernel
+	atLaunch   resumePoint = iota // first dispatch: launch the kernel
 	atStep                        // (after the kernel-launch sleep) begin step si
 	atSlice                       // send slice k, then see whether one is due in
 	atRecv                        // (after a receive park) take slice k off the connection
@@ -203,7 +321,6 @@ func (c *chanRun) step(p *sim.Proc) bool {
 	for {
 		switch c.at {
 		case atLaunch:
-			c.prog = collective.Lower(c.algo, c.op.Op, c.cs.rings, c.r.rank, c.ch, c.op.Root, c.op.Count)
 			// Fused communication kernel launch, once per channel.
 			c.at = atStep
 			p.ParkSleep(c.r.comm.cfg.KernelLaunch)
@@ -262,7 +379,7 @@ func (c *chanRun) step(p *sim.Proc) bool {
 // c.si, and sets up its connections, slicing and trace tag. It reports
 // false when the program has no more steps.
 func (c *chanRun) beginStep(p *sim.Proc) bool {
-	r, op := c.r, c.op
+	r := c.r
 	// Peers in an idle round exchange without us; nothing blocks our
 	// round counter because each transfer pairs sender and receiver
 	// explicitly.
@@ -273,21 +390,15 @@ func (c *chanRun) beginStep(p *sim.Proc) bool {
 		return false
 	}
 	st := &c.prog.Steps[c.si]
-	r.comm.telSteps.Inc()
-	// The tag rides every message of this step onto its fabric flow,
-	// joining network transfers back to (comm, seq, step) in the trace.
-	c.tag = trace.FlowTag{
-		Comm: int32(r.comm.Info.ID), From: int32(r.rank), To: int32(st.SendPeer),
-		Channel: int32(c.ch), Gen: int32(r.gen), Step: int32(c.si),
-		Op: int32(op.Op), Seq: op.seq,
-	}
+	c.steps.Inc()
+	c.tag.To, c.tag.Step = int32(st.SendPeer), int32(c.si)
 	c.stepStart, c.busy = p.Now(), 0
 	c.sendConn, c.recvConn = nil, nil
 	if st.SendPeer >= 0 {
-		c.sendConn = c.cs.conns[collective.Edge{Algo: c.algo, Channel: c.ch, From: r.rank, To: st.SendPeer}]
+		c.sendConn = c.conns[collective.Edge{Algo: c.algo, Channel: int(c.tag.Channel), From: r.rank, To: st.SendPeer}]
 	}
 	if st.RecvPeer >= 0 {
-		c.recvConn = c.cs.conns[collective.Edge{Algo: c.algo, Channel: c.ch, From: st.RecvPeer, To: r.rank}]
+		c.recvConn = c.conns[collective.Edge{Algo: c.algo, Channel: int(c.tag.Channel), From: st.RecvPeer, To: r.rank}]
 	}
 	c.ks, c.kr, c.k = 1, 1, 0
 	if c.prog.Pipelined {
@@ -308,9 +419,9 @@ func (c *chanRun) sendSlice() {
 	}
 	off += st.SendOff
 	var data []float32
-	if buf := c.op.RecvBuf; buf != nil && buf.Backed() {
+	if c.buf != nil && c.buf.Backed() {
 		data = c.r.comm.snaps.get(l)
-		copy(data, buf.Data()[off:off+l])
+		copy(data, c.buf.Data()[off:off+l])
 	}
 	c.sendConn.SendTagged(l*4, data, nil, c.tag)
 }
@@ -319,7 +430,7 @@ func (c *chanRun) sendSlice() {
 // backed buffers, applies its data.
 func (c *chanRun) land() {
 	c.busy += c.copyTime
-	d, buf := c.d, c.op.RecvBuf
+	d, buf := c.d, c.buf
 	c.d = transport.Delivery{}
 	if d.Data == nil || buf == nil || !buf.Backed() {
 		return
@@ -366,24 +477,22 @@ func (sp *snapPool) put(b []float32) {
 
 // endStep records the finished step's span.
 func (c *chanRun) endStep(p *sim.Proc) {
-	r, op := c.r, c.op
-	rec := r.comm.rec
-	if !rec.Enabled(trace.KindStep) {
+	if !c.rec.Enabled(trace.KindStep) {
 		return
 	}
-	st := &c.prog.Steps[c.si]
+	r, st := c.r, &c.prog.Steps[c.si]
 	peer := st.SendPeer
 	if peer < 0 {
 		peer = st.RecvPeer
 	}
-	rec.Emit(trace.Span{
-		Kind: trace.KindStep, Op: int32(op.Op),
+	c.rec.Emit(trace.Span{
+		Kind: trace.KindStep, Op: c.tag.Op,
 		Start: c.stepStart, End: p.Now(), Busy: c.busy,
 		Host: int32(r.comm.Info.Ranks[r.rank].Host),
 		GPU:  int32(r.comm.Info.Ranks[r.rank].GPU),
-		Comm: int32(r.comm.Info.ID), Rank: int32(r.rank), Peer: int32(peer),
-		Channel: int32(c.ch), Gen: int32(r.gen), Step: int32(c.si),
-		Seq: op.seq, Bytes: (st.SendLen + st.RecvLen) * 4,
+		Comm: c.tag.Comm, Rank: c.tag.From, Peer: int32(peer),
+		Channel: c.tag.Channel, Gen: c.tag.Gen, Step: c.tag.Step,
+		Seq: c.tag.Seq, Bytes: (st.SendLen + st.RecvLen) * 4,
 		Flow: -1, Src: -1, Dst: -1,
 	})
 }

@@ -2,7 +2,9 @@ package proxy
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"mccs/internal/collective"
 	"mccs/internal/gpusim"
@@ -14,8 +16,8 @@ import (
 // TestInterpreterAgainstOracle runs a sequence of differently-sized
 // collectives back to back on one communicator, with slices small enough
 // that every step pipelines, and checks each result against the
-// schedule-free oracle: for one channel (the step function hosted on the
-// runner's process) and two (spawned stackless processes), under the ring,
+// schedule-free oracle: for one channel (the program runs inline in the
+// execution pipeline) and two (spawned stackless processes), under the ring,
 // tree and halving-doubling schedules. Back to back matters: the message
 // snapshots of one op are recycled into the next, at other sizes.
 func TestInterpreterAgainstOracle(t *testing.T) {
@@ -138,4 +140,69 @@ func runAgainstOracle(p *sim.Proc, r *rig, comm *Comm, gpus []topo.GPUID, op col
 		}
 	}
 	return nil
+}
+
+// TestDatapathOwnsNoGoroutine pins the process model: a communicator of n
+// ranks costs n goroutines — the control loops — however many channels it
+// runs and however many operations it executes; the execution pipelines and
+// the channel programs are step functions. A drained run leaves every runner
+// quiescent.
+func TestDatapathOwnsNoGoroutine(t *testing.T) {
+	// settle gives goroutines that have finished their work time to exit:
+	// it returns the count once it is down to want, or has stopped falling.
+	settle := func(want int) int {
+		for n := runtime.NumGoroutine(); n > want; {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m >= n {
+				return m
+			}
+			n = m
+		}
+		return runtime.NumGoroutine()
+	}
+	r := newRig(t)
+	gpus := r.allGPUs()
+	n := len(gpus)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	base := settle(0)
+	comm := r.commOn(t, gpus, [][]int{order, order})
+	if got := runtime.NumGoroutine() - base; got != n {
+		t.Fatalf("NewComm on %d ranks started %d goroutines, want %d", n, got, n)
+	}
+	const count = 1 << 16
+	bufs, want := backedBuffers(t, r, gpus, count, 5)
+	r.s.Go("driver", func(p *sim.Proc) {
+		runAllReduce(p, comm, bufs, count)
+		// Still the control loops and nothing else, mid-run (plus this driver).
+		if got := runtime.NumGoroutine() - base; got != n+1 {
+			t.Errorf("%d goroutines after a 2-channel AllReduce, want %d", got, n+1)
+		}
+		recv, _ := r.devices[gpus[1]].AllocBacked(count * 4)
+		done := sim.NewFuture[OpResult]()
+		comm.Runners[0].Enqueue(&OpRequest{P2P: P2PSend, Peer: 1, Count: count, RecvBuf: bufs[0]})
+		comm.Runners[1].Enqueue(&OpRequest{P2P: P2PRecv, Peer: 0, Count: count, RecvBuf: recv, Done: done})
+		done.Wait(p)
+		if got := recv.Data()[count-1]; got != want[count-1] {
+			t.Errorf("received %g, want %g", got, want[count-1])
+		}
+	})
+	if err := r.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := settle(base+n) - base; got != n {
+		t.Errorf("%d goroutines after the run drained, want %d", got, n)
+	}
+	for rank, rn := range comm.Runners {
+		if !rn.Quiescent() {
+			t.Errorf("rank %d not quiescent", rank)
+		}
+	}
+	r.s.Shutdown()
+	if got := settle(base); got != base {
+		t.Errorf("%d goroutines left after Shutdown, started with %d", got, base)
+	}
 }

@@ -1,7 +1,7 @@
 // Package proxy implements the MCCS proxy engine (paper §4.2): the per-GPU
 // component that bridges high-level communicators to low-level resources.
-// A Runner executes one rank of one communicator: it dequeues collective
-// requests from the frontend, interprets the rank's schedule program
+// A Runner executes one rank of one communicator: it dequeues operation
+// requests from the frontend, interprets the rank's schedule programs
 // (collective.Lower) over the transport connections, and implements the
 // dynamic reconfiguration protocol of Fig. 4 — stall, sequence-number
 // AllGather on the control ring, drain to the maximum launched sequence,
@@ -76,10 +76,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// OpRequest asks a rank's runner to execute one collective.
+// OpRequest asks a rank's runner to execute one operation: a collective,
+// or — when P2P is set — one half of a point-to-point transfer (p2p.go).
 type OpRequest struct {
 	Op   collective.Op
 	Root int
+	// P2P makes the request a send of Count elements of RecvBuf to rank
+	// Peer, or a receive of them from it; Op, Root and SendBuf are unused.
+	P2P  P2PKind
+	Peer int
 	// Count is the element count: per-rank input elements for AllGather,
 	// total buffer elements otherwise.
 	Count int64
@@ -100,16 +105,16 @@ type OpRequest struct {
 	// Done, when non-nil, receives the timing result.
 	Done *sim.Future[OpResult]
 
-	// seq is assigned by the runner at launch.
+	// seq is assigned by the runner at launch (collectives only).
 	seq uint64
 }
 
 // Sequence returns the sequence number the runner assigned at launch
-// (0 until then). The shim reads it from completion callbacks to stamp
-// its command-round-trip trace spans.
+// (0 until then, and for point-to-point operations). The shim reads it
+// from completion callbacks to stamp its command-round-trip trace spans.
 func (o *OpRequest) Sequence() uint64 { return o.seq }
 
-// OpResult reports one executed collective.
+// OpResult reports one executed operation.
 type OpResult struct {
 	Seq        uint64
 	Op         collective.Op
@@ -166,7 +171,7 @@ type Comm struct {
 	gens map[int]*connSet
 	// p2p holds communicator-lifetime point-to-point connections (see
 	// p2p.go).
-	p2p map[[2]int]*transport.Conn
+	p2p map[collective.Edge]*transport.Conn
 
 	snaps snapPool // message data snapshots (exec.go)
 }
@@ -204,7 +209,9 @@ func (cs *connSet) closeFrom(rank int) {
 }
 
 // NewComm wires up a communicator: control ring, generation-0 connections
-// and one runner per rank. Runner processes are spawned immediately.
+// and one runner per rank. Runner processes are spawned immediately: per
+// rank, a goroutine for the control loop and a stackless process for the
+// execution pipeline.
 func NewComm(
 	s *sim.Scheduler,
 	cluster *topo.Cluster,
@@ -225,6 +232,7 @@ func NewComm(
 		engines: engines, devices: devices, ctrl: ctrl,
 		rec:  trace.Of(s),
 		gens: make(map[int]*connSet),
+		p2p:  make(map[collective.Edge]*transport.Conn),
 	}
 	reg := telemetry.Of(s)
 	tenant := telemetry.L("tenant", string(info.App))
@@ -241,11 +249,11 @@ func NewComm(
 			comm: c, rank: rank,
 			dev:   devices[info.Ranks[rank].GPU],
 			queue: sim.NewQueue[Msg](),
-			execQ: sim.NewQueue[execItem](),
+			execQ: sim.NewQueue[*OpRequest](),
 		}
 		c.Runners = append(c.Runners, r)
 		s.GoDaemon(fmt.Sprintf("proxy:c%d:r%d:ctl", info.ID, rank), r.runControl)
-		s.GoDaemon(fmt.Sprintf("proxy:c%d:r%d:exec", info.ID, rank), r.runExec)
+		s.GoStep(fmt.Sprintf("proxy:c%d:r%d:exec", info.ID, rank), r.execStep).Daemon()
 	}
 	return c, nil
 }
@@ -363,31 +371,29 @@ func (c *Comm) Strategy() spec.Strategy {
 }
 
 // Runner executes one rank of the communicator. It is split the way the
-// paper's proxy engine is: a control loop that launches collectives and
+// paper's proxy engine is: a control loop that launches operations and
 // handles reconfiguration commands, and an in-order execution pipeline
-// that actually runs them — so the control path is never blocked behind
-// the data path (the property that makes the Fig. 4 barrier deadlock-free:
-// a rank that already launched AR1 can still join the AllGather while AR1
-// is stalled waiting for peers).
+// (exec.go) that actually runs them — so the control path is never blocked
+// behind the data path (the property that makes the Fig. 4 barrier
+// deadlock-free: a rank that already launched AR1 can still join the
+// AllGather while AR1 is stalled waiting for peers).
 type Runner struct {
 	comm  *Comm
 	rank  int
 	dev   *gpusim.Device
-	queue *sim.Queue[Msg]      // control commands from the frontend
-	execQ *sim.Queue[execItem] // launched operations, in order
+	queue *sim.Queue[Msg]        // control commands from the frontend
+	execQ *sim.Queue[*OpRequest] // launched operations, in order
+	ex    execState              // the execution pipeline (exec.go)
 
 	gen          int
 	seq          uint64 // collectives launched
 	collInFlight int    // collectives launched but not yet completed
-	p2pInFlight  int    // p2p ops launched but not yet completed
 	idleWQ       sim.WaitQueue
 
 	// pendingReconfigs stashes reconfig requests that arrive while a
 	// reconfiguration drain is already in progress.
 	pendingReconfigs []*ReconfigRequest
 	stopped          bool
-
-	chanNames []string // per-channel process names, built on first use
 }
 
 // Enqueue delivers a message to the runner's command queue. Call from
@@ -402,24 +408,21 @@ func (r *Runner) Seq() uint64 { return r.seq }
 func (r *Runner) Generation() int { return r.gen }
 
 // Quiescent reports whether the runner has no queued or in-flight work:
-// empty command queue, empty execution pipeline, no outstanding
-// collectives or P2P ops, and no stashed reconfigurations. The chaos
-// harness asserts this for every runner once the simulation drains.
+// empty command queue, empty and idle execution pipeline, no outstanding
+// collectives, and no stashed reconfigurations. The chaos harness asserts
+// this for every runner once the simulation drains.
 func (r *Runner) Quiescent() bool {
-	return r.queue.Len() == 0 && r.execQ.Len() == 0 &&
-		r.collInFlight == 0 && r.p2pInFlight == 0 &&
-		len(r.pendingReconfigs) == 0
+	return r.queue.Len() == 0 && r.execQ.Len() == 0 && r.ex.op == nil &&
+		r.collInFlight == 0 && len(r.pendingReconfigs) == 0
 }
 
-// runControl is the command loop: it launches collectives onto the
+// runControl is the command loop: it launches operations onto the
 // execution pipeline and runs the reconfiguration protocol.
 func (r *Runner) runControl(p *sim.Proc) {
 	for !r.stopped {
 		switch m := r.queue.Pop(p).(type) {
 		case *OpRequest:
 			r.launch(m)
-		case *P2PRequest:
-			r.launchP2P(m)
 		case *ReconfigRequest:
 			r.reconfigure(p, m)
 			for len(r.pendingReconfigs) > 0 && !r.stopped {
@@ -435,41 +438,16 @@ func (r *Runner) runControl(p *sim.Proc) {
 	}
 }
 
-// execItem is anything the execution pipeline can run: a collective
-// (*OpRequest) or a point-to-point operation (*P2PRequest).
-type execItem any
-
-// launch assigns the next sequence number and hands the op to the
-// execution pipeline.
+// launch hands the op to the execution pipeline. A collective is assigned
+// the next sequence number; a point-to-point operation is not (see p2p.go
+// for why).
 func (r *Runner) launch(op *OpRequest) {
-	r.seq++
-	op.seq = r.seq
-	r.collInFlight++
-	r.execQ.Push(r.comm.s, op)
-}
-
-// launchP2P hands a P2P op to the pipeline without advancing the
-// collective sequence number (see p2p.go for why).
-func (r *Runner) launchP2P(req *P2PRequest) {
-	r.p2pInFlight++
-	r.execQ.Push(r.comm.s, req)
-}
-
-// runExec executes launched operations in order.
-func (r *Runner) runExec(p *sim.Proc) {
-	for {
-		switch item := r.execQ.Pop(p).(type) {
-		case *OpRequest:
-			r.execute(p, item)
-			r.collInFlight--
-		case *P2PRequest:
-			r.executeP2P(p, item)
-			r.p2pInFlight--
-		default:
-			panic(fmt.Sprintf("proxy: unknown exec item %T", item))
-		}
-		r.idleWQ.WakeAll(r.comm.s, nil)
+	if op.P2P == 0 {
+		r.seq++
+		op.seq = r.seq
+		r.collInFlight++
 	}
+	r.execQ.Push(r.comm.s, op)
 }
 
 // waitCollIdle blocks until every launched collective has completed. P2P
@@ -546,8 +524,6 @@ func (r *Runner) reconfigure(p *sim.Proc, req *ReconfigRequest) {
 			switch m := r.queue.Pop(p).(type) {
 			case *OpRequest:
 				r.launch(m)
-			case *P2PRequest:
-				r.launchP2P(m)
 			case *ReconfigRequest:
 				r.pendingReconfigs = append(r.pendingReconfigs, m)
 			case shutdownMsg:
@@ -577,10 +553,12 @@ func (r *Runner) reconfigure(p *sim.Proc, req *ReconfigRequest) {
 			break
 		}
 		switch m := m.(type) {
-		case *P2PRequest:
-			r.launchP2P(m)
 		case *OpRequest:
-			stashed = append(stashed, m)
+			if m.P2P != 0 {
+				r.launch(m)
+			} else {
+				stashed = append(stashed, m)
+			}
 		case *ReconfigRequest:
 			r.pendingReconfigs = append(r.pendingReconfigs, m)
 		case shutdownMsg:

@@ -10,9 +10,8 @@ import (
 // self-heal scenario with the diagnosis engine and the remediation
 // daemon attached — against the same scenario without the control loop,
 // via BenchmarkSelfHealBaseline. The delta is the cost of detection,
-// quarantine bookkeeping, recovery actions and report assembly; both
-// are wired into `make bench-sim-json` so regressions show up in the
-// benchmark artifact.
+// quarantine bookkeeping, recovery actions and report assembly
+// (DESIGN.md §15 quotes it).
 func BenchmarkRemediationLoop(b *testing.B) {
 	sc := chaos.SelfHeal()
 	b.ReportAllocs()

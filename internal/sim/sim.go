@@ -20,16 +20,15 @@
 //     inline, on its own stack, every time the process is dispatched: no
 //     goroutine, no channel. Where blocking code would park, the step
 //     function calls the Park form of the primitive (Proc.ParkSleep,
-//     WaitQueue.Park, Queue.Park), saves its resume point and returns false;
-//     it returns true when its work is done. A goroutine process can also
-//     lend its identity to a step function for a while (Proc.Host).
+//     WaitQueue.Park, Queue.Park, Latch.Park), saves its resume point and
+//     returns false; it returns true when its work is done.
 //
 // The blocking primitives are their Park forms followed by the baton
 // hand-off, so a body written either way schedules exactly the same events
 // (evWake → ready → evDispatch) in the same order: the observable schedule
-// cannot tell the two kinds apart. The per-message datapath (the proxy's
-// schedule interpreter) is stackless; control paths, tenants and tests are
-// goroutine processes.
+// cannot tell the two kinds apart. The datapath (the proxy's execution
+// pipeline and its schedule interpreter) is stackless; control paths,
+// tenants and tests are goroutine processes.
 //
 // # Performance shape
 //
@@ -104,10 +103,8 @@ type Proc struct {
 	killed  bool   // set by Shutdown; a blocked goroutine unwinds instead of resuming
 	parkSeq uint64 // increments at every park; stale wakeups are discarded
 
-	// resume is the goroutine's half of the baton; nil for a stackless
-	// process. step, when set, is what dispatch runs inline instead of
-	// handing over the baton: the body of a stackless process, or the step
-	// function a goroutine process is hosting (see Host).
+	// resume is the goroutine's half of the baton; a stackless process has
+	// step, which dispatch runs inline, instead.
 	resume chan struct{}
 	step   func(p *Proc) bool
 
@@ -115,10 +112,6 @@ type Proc struct {
 	// parked and live slices (intrusive bookkeeping; -1 when absent).
 	parkedIdx int32
 	liveIdx   int32
-
-	// wakeReason is set by the waker immediately before readying the
-	// process, and read by the parked process when it resumes.
-	wakeReason any
 }
 
 // Name returns the debug name the process was created with.
@@ -138,7 +131,7 @@ type eventKind uint8
 const (
 	evFn       eventKind = iota // run a user callback (At/After)
 	evDispatch                  // run proc until it parks or exits
-	evWake                      // ready(proc, wakeSeq, …) — Sleep and timed waits
+	evWake                      // ready(proc, wakeSeq) — Sleep
 	evCall                      // h.OnEvent(wakeSeq) — AtCall/AfterCall
 )
 
@@ -165,7 +158,6 @@ type event struct {
 	kind     eventKind
 	canceled bool
 	inHeap   bool
-	timeout  bool // evWake: wake with timeoutReason (PopTimeout's deadline)
 
 	fn      func()  // evFn
 	proc    *Proc   // evDispatch, evWake
@@ -378,7 +370,7 @@ func (s *Scheduler) schedule(t Time, kind eventKind) (int32, *event) {
 	idx := s.allocEvent()
 	ev := &s.arena[idx]
 	ev.at, ev.seq, ev.kind = t, s.seq, kind
-	ev.canceled, ev.timeout = false, false
+	ev.canceled = false
 	if t == s.now {
 		ev.inHeap = false
 		s.readySet = append(s.readySet, idx)
@@ -531,10 +523,10 @@ func (s *Scheduler) Go(name string, fn func(p *Proc)) *Proc {
 // loop — no goroutine, no channel — at the current virtual time and again
 // after every wakeup, until it returns true. A call that returns false must
 // have parked the process with exactly one Park-form primitive
-// (Proc.ParkSleep, WaitQueue.Park, Queue.Park); the blocking primitives
-// panic inside a step function. The process is scheduled, woken, counted
-// in deadlock reports and killed by Shutdown exactly like one created by
-// Go, and a panic in step surfaces the same way.
+// (Proc.ParkSleep, WaitQueue.Park, Queue.Park, Latch.Park); the blocking
+// primitives panic inside a step function. The process is scheduled, woken,
+// counted in deadlock reports (unless marked Daemon) and killed by Shutdown
+// exactly like one created by Go, and a panic in step surfaces the same way.
 func (s *Scheduler) GoStep(name string, step func(p *Proc) (done bool)) *Proc {
 	p := s.newProc(name)
 	p.step = step
@@ -545,7 +537,12 @@ func (s *Scheduler) GoStep(name string, step func(p *Proc) (done bool)) *Proc {
 // GoDaemon is Go for service loops that legitimately outlive the workload:
 // a daemon parked forever does not count as a deadlock.
 func (s *Scheduler) GoDaemon(name string, fn func(p *Proc)) *Proc {
-	p := s.Go(name, fn)
+	return s.Go(name, fn).Daemon()
+}
+
+// Daemon marks p — a process of either kind — as a service loop that
+// legitimately outlives the workload (see GoDaemon) and returns it.
+func (p *Proc) Daemon() *Proc {
 	p.daemon = true
 	return p
 }
@@ -580,16 +577,6 @@ func (s *Scheduler) AtCall(t Time, h Handler, arg uint64) Timer {
 // AfterCall schedules h.OnEvent(arg) to run d from now.
 func (s *Scheduler) AfterCall(d Duration, h Handler, arg uint64) Timer {
 	return s.AtCall(s.now.Add(d), h, arg)
-}
-
-// wakeAt schedules a cancellable wakeup for p at time t: when it fires,
-// p is readied — with timeoutReason if timeout is set — iff its park
-// sequence still matches seq. This is the allocation-free backing for
-// Sleep and timed waits.
-func (s *Scheduler) wakeAt(t Time, p *Proc, seq uint64, timeout bool) Timer {
-	idx, ev := s.schedule(t, evWake)
-	ev.proc, ev.wakeSeq, ev.timeout = p, seq, timeout
-	return Timer{s: s, idx: idx, gen: ev.gen}
 }
 
 // scheduleDispatch schedules p to run at the current instant.
@@ -638,19 +625,14 @@ func (s *Scheduler) dispatch(p *Proc) {
 	if p.step != nil {
 		// A panic in here unwinds to RunUntil with s.current still set,
 		// which is how it is attributed to p.
-		if !p.runStep(p.step) {
-			s.current = nil
-			return
-		}
-		p.step = nil
-		if p.resume == nil {
+		if p.step(p) {
 			p.state = procDone
 			s.dropLive(p)
-			s.current = nil
-			return
+		} else if p.state != procParked {
+			panic("step function returned false without parking")
 		}
-		// A hosted step function finished: the goroutine blocked in Host
-		// takes over again within this same dispatch.
+		s.current = nil
+		return
 	}
 	p.resume <- struct{}{}
 	<-s.yield
@@ -664,20 +646,9 @@ func (s *Scheduler) dispatch(p *Proc) {
 // terminated by Shutdown; the process wrapper recognizes and swallows it.
 type procKilled struct{}
 
-// runStep calls step and holds it to its contract: done, or parked.
-func (p *Proc) runStep(step func(p *Proc) bool) (done bool) {
-	if step(p) {
-		return true
-	}
-	if p.state != procParked {
-		panic("step function returned false without parking")
-	}
-	return false
-}
-
 // markParked is the non-blocking half of every park: it moves the running
 // process to the parked set and invalidates earlier wakeups. The caller has
-// already arranged the wakeup (a wakeAt event, a wait-queue entry) against
+// already arranged the wakeup (an evWake event, a wait-queue entry) against
 // park sequence parkSeq+1.
 func (p *Proc) markParked() {
 	if p.s.current != p || p.state != procRunning {
@@ -690,10 +661,9 @@ func (p *Proc) markParked() {
 }
 
 // block is the blocking half: the goroutine hands the baton back to the
-// scheduler and waits to be dispatched again. It returns the wakeReason
-// installed by the waker.
-func (p *Proc) block() any {
-	if p.resume == nil || p.step != nil {
+// scheduler and waits to be dispatched again.
+func (p *Proc) block() {
+	if p.resume == nil {
 		panic("sim: blocking call inside a step function (use the Park forms)")
 	}
 	p.s.yield <- struct{}{}
@@ -701,43 +671,16 @@ func (p *Proc) block() any {
 	if p.killed {
 		panic(procKilled{})
 	}
-	reason := p.wakeReason
-	p.wakeReason = nil
-	return reason
-}
-
-// Host runs step in place of the calling goroutine process until it
-// returns true: the first call is made right here, later ones inline by
-// the event loop each time the process is woken, and Host returns — in the
-// dispatch that saw step finish — for the goroutine to carry on. step
-// follows the GoStep contract. This is how a process that mostly runs
-// blocking code executes a stretch of step-function code (a single-channel
-// collective program) without paying a goroutine switch per wakeup.
-func (p *Proc) Host(step func(p *Proc) (done bool)) {
-	if p.s.current != p || p.resume == nil || p.step != nil {
-		panic("sim: Host called from a process that is not a running goroutine process")
-	}
-	if p.runStep(step) {
-		return
-	}
-	p.step = step
-	p.s.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(procKilled{})
-	}
-	p.wakeReason = nil
 }
 
 // ready marks a parked process runnable, scheduling its resumption at the
 // current virtual time. seq guards against stale wakeups.
-func (s *Scheduler) ready(p *Proc, seq uint64, reason any) {
+func (s *Scheduler) ready(p *Proc, seq uint64) {
 	if p.state != procParked || p.parkSeq != seq {
 		return
 	}
 	p.state = procRunnable
 	s.dropParked(p)
-	p.wakeReason = reason
 	s.scheduleDispatch(p)
 }
 
@@ -747,7 +690,9 @@ func (p *Proc) ParkSleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.s.wakeAt(p.s.now.Add(d), p, p.parkSeq+1, false)
+	// When the event fires, p is readied iff its park sequence still matches.
+	_, ev := p.s.schedule(p.s.now.Add(d), evWake)
+	ev.proc, ev.wakeSeq = p, p.parkSeq+1
 	p.markParked()
 }
 
@@ -947,7 +892,7 @@ func (s *Scheduler) RunUntil(limit Time) (err error) {
 		}
 		// Snapshot and recycle before firing: the callback may allocate
 		// new events into this very slot.
-		seq, kind, fn, proc, wakeSeq, timeout, h := ev.seq, ev.kind, ev.fn, ev.proc, ev.wakeSeq, ev.timeout, ev.h
+		seq, kind, fn, proc, wakeSeq, h := ev.seq, ev.kind, ev.fn, ev.proc, ev.wakeSeq, ev.h
 		s.recycleEvent(idx)
 		s.committed = len(s.readySet)
 		if s.observer != nil {
@@ -957,11 +902,7 @@ func (s *Scheduler) RunUntil(limit Time) (err error) {
 		case evDispatch:
 			s.dispatch(proc)
 		case evWake:
-			var reason any
-			if timeout {
-				reason = timeoutReason{}
-			}
-			s.ready(proc, wakeSeq, reason)
+			s.ready(proc, wakeSeq)
 		case evCall:
 			h.OnEvent(wakeSeq)
 		default:
@@ -988,15 +929,14 @@ func (s *Scheduler) RunUntil(limit Time) (err error) {
 // Termination
 
 // Shutdown terminates every live process and discards all pending events.
-// Parked goroutine processes are unwound — their deferred calls run,
-// including those of a process hosting a step function — processes never
-// yet dispatched are released without running their body, and stackless
-// processes are simply dropped. Call it when a simulation's results have
-// been read, or when abandoning one mid-flight (a deadlocked or failed run
-// in a long-lived sweep), so no goroutines outlive the scheduler and
-// nothing they reference stays reachable. Outstanding
-// Timer handles stay inert. The scheduler must not be used afterwards
-// beyond reads; Run on a shut-down scheduler returns immediately.
+// Parked goroutine processes are unwound — their deferred calls run —
+// processes never yet dispatched are released without running their body,
+// and stackless processes are simply dropped. Call it when a simulation's
+// results have been read, or when abandoning one mid-flight (a deadlocked
+// or failed run in a long-lived sweep), so no goroutines outlive the
+// scheduler and nothing they reference stays reachable. Outstanding Timer
+// handles stay inert. The scheduler must not be used afterwards beyond
+// reads; Run on a shut-down scheduler returns immediately.
 func (s *Scheduler) Shutdown() {
 	s.killAll()
 	for _, idx := range s.heap {
@@ -1027,7 +967,6 @@ func (s *Scheduler) killAll() {
 		if victim.state == procParked {
 			s.dropParked(victim)
 		}
-		victim.step = nil
 		if victim.resume == nil {
 			// Stackless: no goroutine to unwind, no deferred calls to run.
 			victim.state = procDone

@@ -151,37 +151,6 @@ func TestQueueFIFOAcrossManyItems(t *testing.T) {
 	}
 }
 
-func TestQueuePopTimeout(t *testing.T) {
-	s := New()
-	q := NewQueue[string]()
-	var missedAt Time
-	var gotVal string
-	s.Go("consumer", func(p *Proc) {
-		if _, ok := q.PopTimeout(p, ms(10)); ok {
-			t.Error("PopTimeout succeeded on empty queue")
-		}
-		missedAt = p.Now()
-		v, ok := q.PopTimeout(p, ms(100))
-		if !ok {
-			t.Error("PopTimeout missed delivered value")
-		}
-		gotVal = v
-	})
-	s.Go("producer", func(p *Proc) {
-		p.Sleep(ms(30))
-		q.Push(p.s, "hello")
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if missedAt != Time(ms(10)) {
-		t.Errorf("timeout returned at %v, want 10ms", missedAt)
-	}
-	if gotVal != "hello" {
-		t.Errorf("gotVal = %q", gotVal)
-	}
-}
-
 func TestEventBroadcast(t *testing.T) {
 	s := New()
 	ev := &Event{}
@@ -281,7 +250,7 @@ func TestWaitQueueWakeOneOrder(t *testing.T) {
 	s.Go("waker", func(p *Proc) {
 		p.Sleep(ms(1))
 		for i := 0; i < 3; i++ {
-			wq.WakeOne(p.s, nil)
+			wq.WakeOne(p.s)
 			p.Sleep(ms(1))
 		}
 	})

@@ -6,8 +6,7 @@ import (
 )
 
 // BenchmarkSimCore measures the scheduler's three dominant hot paths in
-// isolation. The sub-benchmark names are stable identifiers: `make
-// bench-sim-json` publishes them to BENCH.sim.json and DESIGN.md §10
+// isolation. The sub-benchmark names are stable identifiers: DESIGN.md §10
 // quotes them, so renaming one breaks the perf paper trail.
 func BenchmarkSimCore(b *testing.B) {
 	// timer-churn is the fabric's completion-timer pattern: against a

@@ -14,10 +14,10 @@ import (
 // The equivalence scenario: three workers each sleep, then five times pop
 // an item off a shared queue and sleep for as long as the item says; two
 // producers feed the queue; a host process sleeps, runs the same worker
-// body itself, waits for the workers on a latch and sleeps once more. The
-// worker body exists twice — as blocking code and as a step function — and
-// the whole point is that nothing the scheduler can observe tells them
-// apart.
+// body itself, waits for the workers on a latch and sleeps once more. Both
+// bodies exist twice — as blocking code and as step functions, the host's
+// running its worker as a sub-machine — and the whole point is that nothing
+// the scheduler can observe tells them apart.
 
 type equivLog struct {
 	events  []string // observer stream
@@ -76,6 +76,47 @@ func (w *stepWorker) step(p *Proc) bool {
 	return false
 }
 
+func blockingHost(p *Proc, e *equivEnv, latch *Latch) {
+	p.Sleep(time.Microsecond)
+	blockingWorker(p, e, 7)
+	latch.Wait(p)
+	p.Sleep(time.Microsecond)
+	e.log.actions = append(e.log.actions, fmt.Sprintf("%v host done", p.Now()))
+}
+
+type stepHost struct {
+	e     *equivEnv
+	latch *Latch
+	at    int
+	w     stepWorker
+}
+
+func (h *stepHost) step(p *Proc) bool {
+	for {
+		switch h.at {
+		case 0:
+			h.at = 1
+			p.ParkSleep(time.Microsecond)
+			return false
+		case 1:
+			if !h.w.step(p) {
+				return false
+			}
+			h.at = 2
+		case 2:
+			if !h.latch.Park(p) {
+				return false
+			}
+			h.at = 3
+			p.ParkSleep(time.Microsecond)
+			return false
+		default:
+			h.e.log.actions = append(h.e.log.actions, fmt.Sprintf("%v host done", p.Now()))
+			return true
+		}
+	}
+}
+
 func runEquiv(t *testing.T, stackless bool, pk Picker) *equivLog {
 	t.Helper()
 	s := New()
@@ -100,17 +141,11 @@ func runEquiv(t *testing.T, stackless bool, pk Picker) *equivLog {
 			})
 		}
 	}
-	s.Go("host", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		if stackless {
-			p.Host((&stepWorker{e: e, id: 7}).step)
-		} else {
-			blockingWorker(p, e, 7)
-		}
-		latch.Wait(p)
-		p.Sleep(time.Microsecond)
-		log.actions = append(log.actions, fmt.Sprintf("%v host done", p.Now()))
-	})
+	if stackless {
+		s.GoStep("host", (&stepHost{e: e, latch: latch, w: stepWorker{e: e, id: 7}}).step)
+	} else {
+		s.Go("host", func(p *Proc) { blockingHost(p, e, latch) })
+	}
 	for pr := 0; pr < 2; pr++ {
 		pr := pr
 		s.Go(fmt.Sprintf("producer%d", pr), func(p *Proc) {
@@ -153,7 +188,7 @@ func TestStepFunctionSchedulesTheSameEvents(t *testing.T) {
 	}
 }
 
-// procKinds builds the same process three ways, for the tests that check
+// procKinds builds the same process both ways, for the tests that check
 // the scheduler treats them alike. body parks forever on q unless it is
 // told to explode.
 var procKinds = []struct {
@@ -174,12 +209,6 @@ var procKinds = []struct {
 	{"stackless", func(s *Scheduler, name string, step func(p *Proc) bool, cleaned *int) {
 		*cleaned++ // nothing to unwind
 		s.GoStep(name, stepBody(step))
-	}},
-	{"hosted", func(s *Scheduler, name string, step func(p *Proc) bool, cleaned *int) {
-		s.Go(name, func(p *Proc) {
-			defer func() { *cleaned++ }()
-			p.Host(stepBody(step))
-		})
 	}},
 }
 
@@ -242,6 +271,9 @@ func TestDeadlockReportNamesEveryProcKind(t *testing.T) {
 	}
 	slices.Sort(want)
 	procKinds[1].spawn(s, "finishes", func(*Proc) bool { return true }, &cleaned)
+	// Daemons of either kind park forever by design and are not reported.
+	s.GoDaemon("daemon-goroutine", func(p *Proc) { NewQueue[int]().Pop(p) })
+	s.GoStep("daemon-stackless", stepBody(func(*Proc) bool { return false })).Daemon()
 	de, ok := s.Run().(*DeadlockError)
 	if !ok {
 		t.Fatal("expected DeadlockError")
@@ -249,8 +281,7 @@ func TestDeadlockReportNamesEveryProcKind(t *testing.T) {
 	if !reflect.DeepEqual(de.Parked, want) {
 		t.Errorf("Parked = %v, want %v", de.Parked, want)
 	}
-	// Shutdown drops the stackless one and unwinds the goroutine of the
-	// other two, the hosting one from inside Host.
+	// Shutdown drops the stackless ones and unwinds the goroutines.
 	s.Shutdown()
 	settleGoroutines(t, base)
 	if cleaned != len(procKinds)+1 {

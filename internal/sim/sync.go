@@ -4,11 +4,10 @@ package sim
 // one-shot events, completion latches and FIFO message queues. All of them
 // must be used from scheduler context only.
 //
-// The two primitives a step function (Scheduler.GoStep, Proc.Host) can wait
-// on — WaitQueue and Queue — also have a Park form that registers the
-// process and marks it parked without blocking; the blocking form is the
-// Park form followed by the baton hand-off, so both schedule the same
-// events.
+// The primitives a step function (Scheduler.GoStep) can wait on — WaitQueue,
+// Latch and Queue — also have a Park form that registers the process and
+// marks it parked without blocking; the blocking form is the Park form
+// followed by the baton hand-off, so both schedule the same events.
 
 // waiter records one parked process together with the park sequence number
 // that makes its wakeup valid.
@@ -32,39 +31,35 @@ func (q *WaitQueue) Park(p *Proc) {
 	p.markParked()
 }
 
-// Wait parks the calling process until WakeOne or WakeAll selects it. It
-// returns the reason value supplied by the waker.
-func (q *WaitQueue) Wait(p *Proc) any {
+// Wait parks the calling process until WakeOne or WakeAll selects it.
+func (q *WaitQueue) Wait(p *Proc) {
 	q.Park(p)
-	return p.block()
+	p.block()
 }
 
-// WakeOne readies the longest-parked waiter, passing it reason. It reports
-// whether a waiter was woken.
-func (q *WaitQueue) WakeOne(s *Scheduler, reason any) bool {
+// WakeOne readies the longest-parked waiter. It reports whether a waiter
+// was woken.
+func (q *WaitQueue) WakeOne(s *Scheduler) bool {
 	for {
 		w, ok := q.waiters.Pop()
 		if !ok {
 			return false
 		}
 		if w.p.state == procParked && w.p.parkSeq == w.seq {
-			s.ready(w.p, w.seq, reason)
+			s.ready(w.p, w.seq)
 			return true
 		}
 	}
 }
 
-// WakeAll readies every waiter, passing each of them reason.
-func (q *WaitQueue) WakeAll(s *Scheduler, reason any) int {
+// WakeAll readies every waiter.
+func (q *WaitQueue) WakeAll(s *Scheduler) int {
 	n := 0
-	for q.WakeOne(s, reason) {
+	for q.WakeOne(s) {
 		n++
 	}
 	return n
 }
-
-// Len returns the number of processes currently parked on the queue.
-func (q *WaitQueue) Len() int { return q.waiters.Len() }
 
 // Event is a one-shot broadcast: Wait blocks until Signal has been called;
 // once signaled it never blocks again.
@@ -79,7 +74,7 @@ func (e *Event) Signal(s *Scheduler) {
 		return
 	}
 	e.done = true
-	e.wq.WakeAll(s, nil)
+	e.wq.WakeAll(s)
 }
 
 // Done reports whether the event has fired.
@@ -111,16 +106,26 @@ func (l *Latch) Done(s *Scheduler) {
 	}
 	l.n--
 	if l.n == 0 {
-		l.wq.WakeAll(s, nil)
+		l.wq.WakeAll(s)
 	}
+}
+
+// Park is the step-function form of Wait: it reports true if the latch is
+// open; otherwise it parks p, without blocking, until the latch opens and
+// reports false.
+func (l *Latch) Park(p *Proc) (open bool) {
+	if l.n <= 0 {
+		return true
+	}
+	l.wq.Park(p)
+	return false
 }
 
 // Wait blocks until the count reaches zero.
 func (l *Latch) Wait(p *Proc) {
-	if l.n <= 0 {
-		return
+	if !l.Park(p) {
+		p.block()
 	}
-	l.wq.Wait(p)
 }
 
 // Queue is an unbounded FIFO of T with blocking Pop. It is the shared-memory
@@ -136,7 +141,7 @@ func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
 // Push appends v and wakes one blocked reader, if any.
 func (q *Queue[T]) Push(s *Scheduler, v T) {
 	q.items.Push(v)
-	q.wq.WakeOne(s, nil)
+	q.wq.WakeOne(s)
 }
 
 // TryPop removes and returns the head without blocking.
@@ -162,37 +167,8 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	}
 }
 
-// PopTimeout is like Pop but gives up after d, reporting ok=false. A zero or
-// negative d degenerates to TryPop.
-func (q *Queue[T]) PopTimeout(p *Proc, d Duration) (T, bool) {
-	var zero T
-	if v, ok := q.TryPop(); ok {
-		return v, true
-	}
-	if d <= 0 {
-		return zero, false
-	}
-	deadline := p.s.now.Add(d)
-	for {
-		timer := p.s.wakeAt(deadline, p, p.parkSeq+1, true)
-		reason := q.wq.Wait(p)
-		timer.Stop()
-		if _, timedOut := reason.(timeoutReason); timedOut {
-			return zero, false
-		}
-		if v, ok := q.TryPop(); ok {
-			return v, true
-		}
-		if p.s.now >= deadline {
-			return zero, false
-		}
-	}
-}
-
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
-
-type timeoutReason struct{}
 
 // Future carries a single value produced once; Wait blocks until Set.
 type Future[T any] struct {
@@ -212,7 +188,7 @@ func (f *Future[T]) Set(s *Scheduler, v T) {
 	}
 	f.set = true
 	f.val = v
-	f.wq.WakeAll(s, nil)
+	f.wq.WakeAll(s)
 }
 
 // Ready reports whether the value has been set.

@@ -78,10 +78,6 @@ type Engine struct {
 	// message enters its channel (after TS gating). See SetSendPerturb.
 	perturb func(bytes int64) time.Duration
 
-	// stats
-	messagesSent int64
-	bytesSent    int64
-
 	// Telemetry handles: per-host counters cached at construction,
 	// per-tenant transmit counters created on first send by that tenant
 	// (setup-time allocation; the send path itself only does nil-safe
@@ -146,14 +142,6 @@ func (e *Engine) Gate(app spec.AppID) *Gate {
 // modeling NIC scheduling jitter or a congested PCIe root complex. A nil
 // fn removes the hook. fn must be deterministic for reproducible runs.
 func (e *Engine) SetSendPerturb(fn func(bytes int64) time.Duration) { e.perturb = fn }
-
-// MessagesSent and BytesSent expose engine counters for tests and traces.
-func (e *Engine) MessagesSent() int64 { return e.messagesSent }
-func (e *Engine) BytesSent() int64    { return e.bytesSent }
-
-// NewFlowGroup returns a fresh coflow group on the engine's fabric; the
-// proxy engine couples the flows of one ring step with it.
-func (e *Engine) NewFlowGroup() *netsim.Group { return e.fabric.NewGroup() }
 
 // Conn is one directed connection. It is created by the sending host's
 // engine; the receiving proxy holds the same object and calls Recv.
@@ -336,8 +324,6 @@ func (c *Conn) SendTagged(bytes int64, data []float32, group *netsim.Group, tag 
 		panic(fmt.Sprintf("transport: send of %d bytes", bytes))
 	}
 	c.sendSeq++
-	c.eng.messagesSent++
-	c.eng.bytesSent += bytes
 	c.eng.telMessages.Inc()
 	if c.telTx == nil && c.eng.telReg != nil {
 		c.telTx = c.eng.txCounter(c.app)
