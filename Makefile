@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare trace telemetry churn doctor self-heal loc
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare trace telemetry telemetry-cost churn doctor self-heal loc
 
 all: check
 
@@ -91,6 +91,28 @@ trace: $(MCCS)
 telemetry: $(MCCS)
 	$(MCCS) reconfig -run 6s -bg 2s -reconfig 4s -telemetry reconfig.telemetry.jsonl
 	$(MCCS) top reconfig.telemetry.jsonl
+
+# telemetry-cost gates what the telemetry plane does to observe the same
+# run, in the exported mccs_telemetry_* self-cost counters — counts, so the
+# gate reads the same on a slow host. Per emitted sample, the fabric
+# collector may run once per instant whose allocation, tenant table or SLO
+# window moved (3 687 on this run: a ring AllReduce changes the allocation
+# at most instants) and no more, and the sampler may read the registry
+# twice (1.4 on this run), where it used to do both at every instant. The
+# run is deterministic, so the second export (Prometheus text, which has
+# the final counter values on lines of their own) is of the same run.
+TELEMETRY_COST_RUN := reconfig -run 6s -bg 2s -reconfig 4s
+telemetry-cost: $(MCCS)
+	$(MCCS) $(TELEMETRY_COST_RUN) -telemetry telemetry-cost.jsonl > /dev/null
+	$(MCCS) $(TELEMETRY_COST_RUN) -telemetry telemetry-cost.prom > /dev/null
+	@samples=$$(grep -c '"kind":"sample"' telemetry-cost.jsonl); \
+	cols=$$(head -n 1 telemetry-cost.jsonl | grep -o '"name":' | wc -l); \
+	runs=$$(awk '$$1 == "mccs_telemetry_collector_runs_total" {print $$2}' telemetry-cost.prom); \
+	copied=$$(awk '$$1 == "mccs_telemetry_columns_copied_total" {print $$2}' telemetry-cost.prom); \
+	echo "telemetry-cost: $$samples samples of $$cols columns; collector ran $$runs times, captures read $$copied columns"; \
+	if [ "$$samples" -lt 1 ] || [ -z "$$runs" ] || [ -z "$$copied" ]; then echo "telemetry-cost: counters missing from the export" >&2; exit 1; fi; \
+	if [ "$$runs" -gt $$((3800 * samples)) ]; then echo "telemetry-cost: more than 3800 collector runs per sample" >&2; exit 1; fi; \
+	if [ "$$copied" -gt $$((2 * samples * cols)) ]; then echo "telemetry-cost: more than 2 registry reads per sample" >&2; exit 1; fi
 
 # doctor runs the online health-diagnosis smoke (DESIGN.md §14): the
 # contended Fig. 7 run with the diagnosis engine attached live, writing

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
 	"mccs/internal/collective"
@@ -29,12 +30,15 @@ import (
 const deadline = sim.Time(4 * time.Second)
 
 // opSpec is one scripted collective: the op, its element count, the
-// per-rank inputs, and the reference outputs.
+// per-rank inputs, and the reference output. AllReduce and AllGather leave
+// every rank with the same buffer, so the script keeps one copy, not one
+// per rank (buildScript checks the oracle agrees): the references are held
+// for the whole run and, with the device buffers, are its peak memory.
 type opSpec struct {
 	op       collective.Op
 	count    int64
 	inputs   [][]float32
-	expected [][]float32
+	expected []float32
 }
 
 // buildScript derives the collective workload from the seed's workload
@@ -66,7 +70,12 @@ func buildScript(sc Scenario, rng *rand.Rand) ([]opSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		ops[i] = opSpec{op: op, count: count, inputs: inputs, expected: expected}
+		for r := 1; r < len(expected); r++ {
+			if !slices.Equal(expected[r], expected[0]) {
+				return nil, fmt.Errorf("chaos: %v reference of rank %d differs from rank 0's", op, r)
+			}
+		}
+		ops[i] = opSpec{op: op, count: count, inputs: inputs, expected: expected[0]}
 	}
 	return ops, nil
 }
@@ -280,8 +289,9 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 }
 
 // chaosTraceCap bounds the per-seed flight-recorder ring. Chaos
-// workloads are small (a few thousand spans); a compact ring keeps
-// sweeps over hundreds of seeds from thrashing the allocator.
+// workloads are small (a thousand spans or so, a few thousand at most),
+// so the bound is a ceiling on what a runaway seed can hold, not a cost:
+// the ring allocates by the chunk as spans arrive.
 const chaosTraceCap = 1 << 15
 
 // chaosTelemetryEvery is the per-seed telemetry sampling interval. The
@@ -339,7 +349,7 @@ func runRank(p *sim.Proc, env *harness.Env, sc Scenario, script []opSpec, rank i
 	verify := func(po pendingOp) error {
 		po.h.Wait(p)
 		spec := script[po.idx]
-		want := spec.expected[rank]
+		want := spec.expected
 		got := po.recv.Data()[:len(want)]
 		for j := range want {
 			if got[j] != want[j] {

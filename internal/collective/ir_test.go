@@ -591,3 +591,27 @@ func TestExecuteRejectsMismatchedPrograms(t *testing.T) {
 		}
 	}
 }
+
+// Execute reuses each rank's send snapshot across rounds, so "sent this
+// round" is a flag, not a non-nil buffer: a zero-length send must still
+// count as a send, and a snapshot left over from an earlier round must not.
+func TestExecuteSendSnapshotPerRound(t *testing.T) {
+	in := [][]float32{{1, 2, 3}, {0, 0, 0}}
+	idle := Step{SendPeer: -1, RecvPeer: -1}
+	send := func(l int64) Step { return Step{SendPeer: 1, SendLen: l, RecvPeer: -1} }
+	recv := func(l int64) Step { return Step{SendPeer: -1, RecvPeer: 0, RecvLen: l} }
+
+	progs := [][]Program{{{Steps: []Step{send(3), send(0)}}, {Steps: []Step{recv(3), recv(0)}}}}
+	out, err := Execute(Broadcast, progs, in)
+	if err != nil {
+		t.Fatalf("zero-length send after a full one: %v", err)
+	}
+	if want := []float32{1, 2, 3}; !reflect.DeepEqual(out[1], want) {
+		t.Errorf("rank 1 holds %v, want %v", out[1], want)
+	}
+
+	progs = [][]Program{{{Steps: []Step{send(3), idle}}, {Steps: []Step{recv(3), recv(3)}}}}
+	if _, err := Execute(Broadcast, progs, in); err == nil {
+		t.Error("Execute accepted a receive from a rank that sent only in the previous round")
+	}
+}

@@ -109,6 +109,10 @@ func Execute(op Op, progs [][]Program, inputs [][]float32) ([][]float32, error) 
 		return work[r][off : off+l], nil
 	}
 
+	// sent[r] is rank r's send snapshot of the current round, valid while
+	// sending[r]; the buffers are reused from round to round.
+	sent := make([][]float32, n)
+	sending := make([]bool, n)
 	for ch, ranks := range progs {
 		if len(ranks) != n {
 			return nil, fmt.Errorf("collective: channel %d has %d programs for %d ranks", ch, len(ranks), n)
@@ -119,7 +123,6 @@ func Execute(op Op, progs [][]Program, inputs [][]float32) ([][]float32, error) 
 				return nil, fmt.Errorf("collective: channel %d rank %d has %d rounds, want %d", ch, r, len(prog.Steps), rounds)
 			}
 		}
-		sent := make([][]float32, n)
 		for s := 0; s < rounds; s++ {
 			fail := func(format string, a ...any) error {
 				return fmt.Errorf("collective: channel %d round %d: %s", ch, s, fmt.Sprintf(format, a...))
@@ -128,22 +131,22 @@ func Execute(op Op, progs [][]Program, inputs [][]float32) ([][]float32, error) 
 			// transfers within a round use pre-round data.
 			for r := range ranks {
 				st := ranks[r].Steps[s]
-				sent[r] = nil
-				if st.SendPeer < 0 {
+				sending[r] = st.SendPeer >= 0
+				if !sending[r] {
 					continue
 				}
 				src, err := span(r, st.SendOff, st.SendLen)
 				if err != nil {
 					return nil, fail("send: %v", err)
 				}
-				sent[r] = append([]float32{}, src...)
+				sent[r] = append(sent[r][:0], src...)
 			}
 			for r := range ranks {
 				st := ranks[r].Steps[s]
 				if st.RecvPeer < 0 {
 					continue
 				}
-				if st.RecvPeer >= n || sent[st.RecvPeer] == nil || ranks[st.RecvPeer].Steps[s].SendPeer != r {
+				if st.RecvPeer >= n || !sending[st.RecvPeer] || ranks[st.RecvPeer].Steps[s].SendPeer != r {
 					return nil, fail("rank %d receives from %d, which does not send to it", r, st.RecvPeer)
 				}
 				data := sent[st.RecvPeer]

@@ -146,13 +146,25 @@ func NewEnv(o EnvOptions) (*Env, error) {
 	env := &Env{S: s, Cluster: cluster, Fabric: fabric, Deployment: dep, obs: obs}
 	if reg != nil {
 		// Export the recorder's ring-wrap loss, so operators (and the
-		// doctor) can see when span evidence is incomplete. The collector
-		// runs inside the sampler's existing event.
-		rec, dropped := trace.Of(s), reg.Counter("mccs_trace_dropped_total", "spans")
-		reg.AddCollector(func(sim.Time) {
-			if d := int64(rec.Dropped()); d > dropped.Value() {
-				dropped.Add(d - dropped.Value())
-			}
+		// doctor) can see when span evidence is incomplete, and what the
+		// observers themselves did: spans admitted, collector runs that
+		// found something to publish, column values read by the sampler's
+		// captures. Counts only — host time in an export would break
+		// same-seed byte identity. The collector runs inside the sampler's
+		// existing hook and mirrors plain counts, so it reports no work of
+		// its own.
+		rec := trace.Of(s)
+		dropped := reg.Counter("mccs_trace_dropped_total", "spans")
+		spans := reg.Counter("mccs_trace_spans_total", "spans")
+		runs := reg.Counter("mccs_telemetry_collector_runs_total", "runs")
+		copied := reg.Counter("mccs_telemetry_columns_copied_total", "columns")
+		raise := func(c *telemetry.Counter, to int64) { c.Add(to - c.Value()) }
+		reg.AddCollector(func(sim.Time) bool {
+			raise(dropped, int64(rec.Dropped()))
+			raise(spans, int64(rec.Dropped())+int64(rec.Len()))
+			raise(runs, reg.CollectorRuns())
+			raise(copied, env.Telemetry.ColumnsCopied())
+			return false
 		})
 		env.Telemetry = telemetry.StartSampler(s, reg, obs.TelemetryEvery)
 	}

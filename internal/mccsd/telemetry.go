@@ -1,153 +1,203 @@
 package mccsd
 
 import (
-	"sort"
+	"math/bits"
 
 	"mccs/internal/netsim"
 	"mccs/internal/sim"
 	"mccs/internal/telemetry"
 )
 
-// fabricCollector is the pull side of the telemetry plane: a registry
-// collector that, at every sampler snapshot, publishes per-link gauges
-// and per-(tenant, link) achieved rates from the fabric's settled
-// allocation, and feeds the SLO tracker. It reuses its scratch across
-// ticks so steady-state collection performs no per-flow allocation.
+// fabricCollector is the pull side of the telemetry plane. The per-link
+// gauges, the active-flow gauge and the per-(tenant, link) achieved rates
+// are pull gauges, read out of the fabric's settled allocation when the
+// registry is — nothing is written between reads. What stays per instant
+// is the registry collector: the SLO tracker dates a violation at the
+// first instant its predicate holds, and a tenant-link gauge becomes a
+// column at the first instant the pair carries a flow. The sampler calls
+// it at every end-of-instant pass; it works only when something it reads
+// has moved — the fabric's allocation epoch, the comm→tenant table or the
+// SLO window index. Tenants and (tenant, link) pairs are dense indexes, so
+// a run performs no map operation and, once its scratch has grown, no
+// allocation.
 type fabricCollector struct {
 	d   *Deployment
 	reg *telemetry.Registry
 
-	linkName []string
-	linkBps  []*telemetry.Gauge
-	linkUtil []*telemetry.Gauge
-	linkExt  []*telemetry.Gauge
-	active   *telemetry.Gauge
+	// What the last run read; collect returns at once while all three
+	// still hold. epoch starts below any real one.
+	epoch, commVersion int
+	window             int64
 
-	// tenantBps holds the lazily created mccs_tenant_link_bps gauges;
-	// all are zeroed at the start of each tick so a tenant that went
-	// idle on a link reads 0, not its last busy value.
-	tenantBps map[tenantLink]*telemetry.Gauge
-
-	// Per-link accumulation scratch, reused across ticks.
-	shares  [][]telemetry.TenantShare
-	touched []int
+	// run numbers the attributions; a tenantSlot or linkShares written in
+	// this one carries the same number, anything else is stale.
+	run uint64
+	// slots[t][l] locates tenant t's share of link l (t a
+	// Registry.TenantIndex); a row is allocated when the tenant's first flow
+	// shows up.
+	slots [][]tenantSlot
+	// links[l] holds the shares of link l. touched is the set of links with
+	// at least one in the current run, hot its subset with a bottlenecked
+	// share — the only links whose SLO predicate can hold — both as bitsets,
+	// which iterate in ascending link order.
+	links        []linkShares
+	touched, hot []uint64
+	// novel is set by an attribution that met a (tenant, link) pair with
+	// no gauge yet.
+	novel bool
 }
 
-type tenantLink struct {
-	tenant string
-	link   int32
+// tenantSlot is one (tenant, link) pair: while run matches the
+// collector's, idx is the tenant's entry in the link's shares. registered
+// says its mccs_tenant_link_bps gauge exists.
+type tenantSlot struct {
+	run        uint64
+	idx        int32
+	registered bool
+}
+
+// linkShares is, as of run, every managed tenant with a flow crossing one
+// link — the summed rate of its flows there and whether one of them is
+// bottlenecked on it — in first-seen flow-ID order, the form and order the
+// SLO tracker takes them in. tenant[i] is the registry index of share[i].
+type linkShares struct {
+	run    uint64
+	share  []telemetry.TenantShare
+	tenant []int32
 }
 
 // instrumentTelemetry registers the fabric link inventory and the
 // collector with the attached registry. Called once from NewDeployment.
-func (d *Deployment) instrumentTelemetry(reg *telemetry.Registry) {
-	nLinks := d.Cluster.Net.NumLinks()
+func (d *Deployment) instrumentTelemetry(reg *telemetry.Registry) *fabricCollector {
+	fb, net := d.Fabric, d.Cluster.Net
+	nLinks := net.NumLinks()
 	links := make([]telemetry.LinkInfo, nLinks)
 	c := &fabricCollector{
 		d: d, reg: reg,
-		linkName:  make([]string, nLinks),
-		linkBps:   make([]*telemetry.Gauge, nLinks),
-		linkUtil:  make([]*telemetry.Gauge, nLinks),
-		linkExt:   make([]*telemetry.Gauge, nLinks),
-		tenantBps: make(map[tenantLink]*telemetry.Gauge),
-		shares:    make([][]telemetry.TenantShare, nLinks),
+		epoch:   -1,
+		links:   make([]linkShares, nLinks),
+		touched: make([]uint64, (nLinks+63)/64),
+		hot:     make([]uint64, (nLinks+63)/64),
 	}
 	for l := 0; l < nLinks; l++ {
-		lk := d.Cluster.Net.Link(netsim.LinkID(l))
+		id := netsim.LinkID(l)
+		lk := net.Link(id)
 		links[l] = telemetry.LinkInfo{ID: int32(l), Name: lk.Name, CapBps: lk.Capacity}
-		c.linkName[l] = lk.Name
 		lb := telemetry.L("link", lk.Name)
-		c.linkBps[l] = reg.Gauge("mccs_fabric_link_bps", "bytes/s", lb)
-		c.linkUtil[l] = reg.Gauge("mccs_fabric_link_utilization", "ratio", lb)
-		c.linkExt[l] = reg.Gauge("mccs_fabric_link_external_bps", "bytes/s", lb)
+		reg.GaugeFunc("mccs_fabric_link_bps", "bytes/s", func() float64 { return fb.LinkRate(id) }, lb)
+		reg.GaugeFunc("mccs_fabric_link_utilization", "ratio", func() float64 { return fb.LinkUtilization(id) }, lb)
+		reg.GaugeFunc("mccs_fabric_link_external_bps", "bytes/s", func() float64 { return fb.ExternalRate(id) }, lb)
 	}
-	c.active = reg.Gauge("mccs_fabric_active_flows", "flows")
+	reg.GaugeFunc("mccs_fabric_active_flows", "flows", func() float64 { return float64(fb.ActiveFlows()) })
 	reg.SetLinks(links)
 	reg.AddCollector(c.collect)
+	return c
 }
 
-func (c *fabricCollector) tenantGauge(tenant string, link int) *telemetry.Gauge {
-	k := tenantLink{tenant: tenant, link: int32(link)}
-	g, ok := c.tenantBps[k]
-	if !ok {
-		g = c.reg.Gauge("mccs_tenant_link_bps", "bytes/s",
-			telemetry.L("tenant", tenant), telemetry.L("link", c.linkName[link]))
-		c.tenantBps[k] = g
+func (c *fabricCollector) collect(now sim.Time) bool {
+	epoch, commVersion := c.d.Fabric.AllocEpoch(), c.reg.CommVersion()
+	window := c.reg.SLO.WindowIndex(now)
+	moved := epoch != c.epoch || commVersion != c.commVersion
+	if !moved && window == c.window {
+		return false
 	}
-	return g
+	c.epoch, c.commVersion, c.window = epoch, commVersion, window
+	if moved {
+		c.attribute()
+	}
+	c.observe(now)
+	return true
 }
 
-func (c *fabricCollector) collect(now sim.Time) {
-	fb := c.d.Fabric
-	for _, l := range c.touched {
-		c.shares[l] = c.shares[l][:0]
-	}
-	c.touched = c.touched[:0]
-	for _, g := range c.tenantBps {
-		g.Set(0)
-	}
-
-	total := 0
-	fb.EachFlow(func(fv netsim.FlowView) {
-		total++
+// attribute walks the active flows once and rebuilds the per-(tenant,
+// link) shares.
+func (c *fabricCollector) attribute() {
+	clear(c.touched)
+	clear(c.hot)
+	c.run++
+	c.d.Fabric.EachFlow(func(fv netsim.FlowView) {
 		if fv.External {
 			return
 		}
-		tenant := c.reg.Tenant(fv.Comm)
-		if tenant == "" {
+		t := c.reg.TenantIndex(fv.Comm)
+		if t < 0 {
 			// Managed but unattributable (untagged P2P warm-up traffic);
 			// it cannot be a named tenant's SLO victim.
 			return
 		}
+		for len(c.slots) <= t {
+			c.slots = append(c.slots, nil)
+		}
+		if c.slots[t] == nil {
+			c.slots[t] = make([]tenantSlot, len(c.links))
+		}
+		row := c.slots[t]
 		for _, l := range fv.Route {
-			sh := c.shares[l]
-			if len(sh) == 0 {
-				c.touched = append(c.touched, int(l))
-			}
-			found := false
-			for i := range sh {
-				if sh[i].Tenant == tenant {
-					sh[i].Bps += fv.Rate
-					if fv.Bottleneck == l {
-						sh[i].Bottlenecked = true
-					}
-					found = true
-					break
+			sl, ls := &row[l], &c.links[l]
+			if sl.run != c.run {
+				if ls.run != c.run {
+					ls.run, ls.share, ls.tenant = c.run, ls.share[:0], ls.tenant[:0]
+					c.touched[l>>6] |= 1 << (l & 63)
 				}
+				sl.run, sl.idx = c.run, int32(len(ls.share))
+				c.novel = c.novel || !sl.registered
+				ls.share = append(ls.share, telemetry.TenantShare{Tenant: c.reg.TenantName(t)})
+				ls.tenant = append(ls.tenant, int32(t))
 			}
-			if !found {
-				sh = append(sh, telemetry.TenantShare{
-					Tenant: tenant, Bps: fv.Rate, Bottlenecked: fv.Bottleneck == l,
-				})
+			sh := &ls.share[sl.idx]
+			sh.Bps += fv.Rate
+			if fv.Bottleneck == l {
+				sh.Bottlenecked = true
+				c.hot[l>>6] |= 1 << (l & 63)
 			}
-			c.shares[l] = sh
 		}
 	})
-	c.active.Set(float64(total))
+}
 
-	net := c.d.Cluster.Net
-	for l := 0; l < len(c.linkBps); l++ {
-		id := netsim.LinkID(l)
-		rate := fb.LinkRate(id)
-		c.linkBps[l].Set(rate)
-		c.linkExt[l].Set(fb.ExternalRate(id))
-		util := 0.0
-		if capBps := net.Link(id).Capacity; capBps > 0 {
-			util = rate / capBps
-		}
-		c.linkUtil[l].Set(util)
+// observe hands the SLO tracker the shares of every link where its
+// predicate can hold, in ascending link order, which keeps the violation
+// stream deterministic. When the attribution met pairs it had not seen, it
+// takes every link with a share instead and registers their tenant-link
+// gauges on the way, link by link, ahead of that link's violation counters:
+// registration order is column order. It also runs, over an unchanged
+// attribution, at the first instant of each window: the violation dedup is
+// per window.
+func (c *fabricCollector) observe(now sim.Time) {
+	fb, net := c.d.Fabric, c.d.Cluster.Net
+	set := c.hot
+	if c.novel {
+		set = c.touched
 	}
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			l := w<<6 + bits.TrailingZeros64(word)
+			ls := &c.links[l]
+			if c.novel {
+				for _, t := range ls.tenant {
+					c.register(int(t), l)
+				}
+			}
+			id := netsim.LinkID(l)
+			lk := net.Link(id)
+			c.reg.SLO.ObserveLink(now, int32(l), lk.Name, lk.Capacity, fb.LinkRate(id), ls.share)
+		}
+	}
+	c.novel = false
+}
 
-	// Ascending link order keeps the violation stream (and the first
-	// creation order of tenant-link gauges) tidy and deterministic.
-	sort.Ints(c.touched)
-	for _, l := range c.touched {
-		for i := range c.shares[l] {
-			sh := c.shares[l][i]
-			c.tenantGauge(sh.Tenant, l).Set(sh.Bps)
-		}
-		id := netsim.LinkID(l)
-		c.reg.SLO.ObserveLink(now, int32(l), c.linkName[l],
-			net.Link(id).Capacity, fb.LinkRate(id), c.shares[l])
+// register creates the mccs_tenant_link_bps gauge of tenant t on link l
+// unless it exists.
+func (c *fabricCollector) register(t, l int) {
+	sl := &c.slots[t][l]
+	if sl.registered {
+		return
 	}
+	sl.registered = true
+	c.reg.GaugeFunc("mccs_tenant_link_bps", "bytes/s", func() float64 {
+		// A tenant idle on the link reads 0, not its last busy value.
+		if sl.run != c.run {
+			return 0
+		}
+		return c.links[l].share[sl.idx].Bps
+	}, telemetry.L("tenant", c.reg.TenantName(t)), telemetry.L("link", c.d.Cluster.Net.Link(netsim.LinkID(l)).Name))
 }

@@ -520,6 +520,18 @@ func (fb *Fabric) LinkUtilization(l LinkID) float64 {
 	return fb.linkRate[l] / c
 }
 
+// AllocEpoch returns a number that moves whenever the settled allocation
+// may have: the active flow set, every flow rate and committed bottleneck,
+// every link rate and link capacity read the same for as long as it does
+// not. It is the recompute count — a recompute is the one place a batch of
+// flow starts, completions, cancels and SetLinkCapacity calls takes effect
+// — read, like the rates, behind the pending flush. Pollers (the telemetry
+// collector) compare it to skip work under an unchanged allocation.
+func (fb *Fabric) AllocEpoch() int {
+	fb.flush()
+	return fb.Recomputes
+}
+
 // ActiveFlows returns the number of in-flight flows.
 func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
 

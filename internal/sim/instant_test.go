@@ -98,3 +98,50 @@ func TestOnInstantEndRunsBeforeLimitReturn(t *testing.T) {
 		t.Errorf("clock = %v, want the 1ms limit", got)
 	}
 }
+
+// TestNextEventAtFromHook pins what an end-of-instant hook reads: the next
+// pending firing time, the current instant while an earlier hook's event is
+// still queued for it, Forever on a drained queue — and, for a head an
+// earlier hook of the same pass canceled, still that head's time, because
+// the clock stops (and the hooks run) there all the same. NextEventAt is a
+// pure read: the canceled head is the scheduler's to discard.
+func TestNextEventAtFromHook(t *testing.T) {
+	s := New()
+	ms := func(n int) Time { return Time(time.Duration(n) * time.Millisecond) }
+	type reading struct{ now, next Time }
+	var got []reading
+	var doomed Timer
+	s.OnInstantEnd(func() {
+		switch s.Now() {
+		case ms(1):
+			doomed.Stop()
+		case ms(3):
+			if len(got) == 3 { // first pass at 3 ms only
+				s.At(ms(3), func() {})
+			}
+		}
+	})
+	s.OnInstantEnd(func() { got = append(got, reading{s.Now(), s.NextEventAt()}) })
+	s.At(0, func() {})
+	s.At(ms(1), func() {})
+	doomed = s.At(ms(2), func() { t.Error("canceled event ran") })
+	s.At(ms(3), func() {})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []reading{
+		{0, ms(1)},
+		{ms(1), ms(2)},   // the head was canceled earlier in this pass
+		{ms(2), ms(3)},   // the clock stopped there and the hooks ran
+		{ms(3), ms(3)},   // an earlier hook queued work for this instant
+		{ms(3), Forever}, // the pass after it ran, on a drained queue
+	}
+	if len(got) != len(want) {
+		t.Fatalf("readings = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reading %d = %v, want %v (all: %v)", i, got[i], want[i], got)
+		}
+	}
+}

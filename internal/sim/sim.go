@@ -297,9 +297,42 @@ func (s *Scheduler) SetObserver(fn func(at Time, seq uint64)) { s.observer = fn 
 // fn may schedule new events — including events earlier than the pending
 // queue head — and the scheduler re-evaluates the queue when it does. fn
 // must be idempotent and cheap when there is nothing to flush: it can be
-// invoked more than once per instant.
+// invoked more than once per instant. The hooks run as a pass, in
+// registration order; whenever any hook of a pass schedules an event,
+// another pass follows before the clock moves, so the last pass of an
+// instant is one in which no hook scheduled anything.
+//
+// A hook may call NextEventAt to learn how far the clock is about to move
+// and skip work whose result only matters across a given time (the
+// telemetry sampler captures the registry only when the next event lies at
+// or beyond its next boundary). What it may assume: an answer at or beyond
+// T is final when the pass turns out to be the last — a hook running later
+// in that pass can cancel events but not schedule them, which only moves
+// the answer later — and an answer before T is either followed by another
+// pass at this instant or by hooks running at that earlier time, canceled
+// or not (the clock still stops at a head canceled during the last pass),
+// so the skipped work is reconsidered before the clock reaches T.
 func (s *Scheduler) OnInstantEnd(fn func()) {
 	s.instantEnd = append(s.instantEnd, fn)
+}
+
+// Forever is the firing time NextEventAt reports for an empty queue, and
+// Run's limit.
+const Forever = Time(1<<62 - 1)
+
+// NextEventAt returns the firing time of the earliest pending event: Now
+// while events of the current instant are still queued, Forever when
+// nothing is pending. A canceled event still at the head of the queue
+// counts — the clock stops there too. Meant for OnInstantEnd hooks; see
+// there for what an answer guarantees.
+func (s *Scheduler) NextEventAt() Time {
+	if s.readyLen() > 0 {
+		return s.now
+	}
+	if len(s.heap) == 0 {
+		return Forever
+	}
+	return s.arena[s.heap[0]].at
 }
 
 // runInstantEnd invokes the registered end-of-instant flushers and
@@ -729,7 +762,7 @@ func (e *DeadlockError) Error() string {
 // Run executes events until the queue drains. It returns a *DeadlockError if
 // processes remain parked with no pending events, and nil otherwise.
 func (s *Scheduler) Run() error {
-	return s.RunUntil(Time(1<<62 - 1))
+	return s.RunUntil(Forever)
 }
 
 // readyLen returns the number of events in the ready set (consumed head

@@ -72,7 +72,7 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			case KindCounter:
 				fmt.Fprintf(bw, "%s%s %d\n", name, ls, e.c.v)
 			case KindGauge:
-				fmt.Fprintf(bw, "%s%s %s\n", name, ls, formatFloat(e.g.v))
+				fmt.Fprintf(bw, "%s%s %s\n", name, ls, formatFloat(e.gauge()))
 			case KindHistogram:
 				cum := uint64(0)
 				for i, b := range e.h.bounds {

@@ -30,19 +30,27 @@ type Sample struct {
 // piecewise-constant between instants, so when the clock is about to
 // move from instant t to a later one, every sampling boundary in (t',
 // t] — where t' is the previous instant — took the value the registry
-// held at t'. The hook emits those boundaries from the previous
-// snapshot, emits/overwrites the boundary falling exactly on t with live
-// values, then re-captures. Hooks re-run before every clock advance and
-// may run several times per instant; the emit logic is idempotent (the
+// held at t'. The hook emits those boundaries from the last capture,
+// emits/overwrites the boundary falling exactly on t with live values,
+// and captures — reads every column — only when the capture can still be
+// needed: on a boundary instant, and on a pass whose next pending event
+// (Scheduler.NextEventAt) lies at or beyond the next boundary, which is
+// the only kind of pass whose values a later backfill reads. That is the
+// last pass of the last instant before each boundary plus the boundary
+// itself: about two captures per interval however many instants it spans.
+// Collectors still run on every pass (they date what they publish by the
+// instant) and gate themselves. Hooks re-run before every clock advance
+// and may run several times per instant; the emit logic is idempotent (the
 // last capture per instant wins), as OnInstantEnd requires.
 type Sampler struct {
 	s        *sim.Scheduler
 	reg      *Registry
 	interval sim.Duration
 
-	next    sim.Time // earliest boundary not yet finalized
-	prev    []float64
-	cur     []float64
+	next    sim.Time  // earliest boundary not yet finalized
+	prev    []float64 // the last capture
+	cur     []float64 // scratch for the next one; swapped with prev
+	copied  int64     // columns read by captures
 	samples []Sample
 	dropped int
 
@@ -70,7 +78,7 @@ func (sm *Sampler) Interval() sim.Duration { return sm.interval }
 func (sm *Sampler) Start() sim.Time { return sm.start }
 
 // flush is the end-of-instant hook; see the type comment for the
-// backfill discipline.
+// backfill and capture discipline.
 func (sm *Sampler) flush() {
 	now := sm.s.Now()
 	// Boundaries strictly before the current instant saw the registry as
@@ -79,18 +87,26 @@ func (sm *Sampler) flush() {
 		sm.emit(sm.next, sm.prev)
 		sm.next = sm.next.Add(sm.interval)
 	}
-	// Pull collectors, then capture live state.
 	sm.reg.collect(now)
+	n := len(sm.samples)
+	boundary := sm.next == now
+	rerun := !boundary && n > 0 && sm.samples[n-1].T == now
+	if !boundary && !rerun && sm.s.NextEventAt() < sm.next {
+		// Another pass, or an instant before the boundary, follows: nothing
+		// reads this pass's values.
+		return
+	}
 	sm.cur = sm.reg.readInto(sm.cur[:0])
-	if sm.next == now {
+	sm.copied += int64(len(sm.cur))
+	if boundary {
 		sm.emit(now, sm.cur)
 		sm.next = sm.next.Add(sm.interval)
-	} else if n := len(sm.samples); n > 0 && sm.samples[n-1].T == now {
+	} else if rerun {
 		// Re-run within the same instant after more work executed:
 		// overwrite the boundary sample with the final values.
 		sm.samples[n-1].V = append(sm.samples[n-1].V[:0], sm.cur...)
 	}
-	sm.prev = append(sm.prev[:0], sm.cur...)
+	sm.prev, sm.cur = sm.cur, sm.prev
 }
 
 func (sm *Sampler) emit(t sim.Time, v []float64) {
@@ -118,6 +134,15 @@ func (sm *Sampler) Dropped() int {
 		return 0
 	}
 	return sm.dropped
+}
+
+// ColumnsCopied returns how many column values the sampler's captures
+// have read out of the registry — the observer's own cost, as a count.
+func (sm *Sampler) ColumnsCopied() int64 {
+	if sm == nil {
+		return 0
+	}
+	return sm.copied
 }
 
 // Registry returns the registry the sampler snapshots.

@@ -57,9 +57,11 @@ type Violation struct {
 	DeficitBps  float64
 }
 
-type violKey struct {
+// reportedIn is the dedup state of one (tenant, link) pair: the last
+// window a violation was recorded in. Time only moves forward, so that is
+// all "already reported in this window" needs.
+type reportedIn struct {
 	tenant string
-	link   int32
 	window int64
 }
 
@@ -67,14 +69,18 @@ type violKey struct {
 const maxViolations = 1 << 12
 
 // SLOTracker accumulates violations. It is fed by the fabric collector
-// at every sampler snapshot and is inert (window == 0) until a sampler
+// whenever the allocation, the tenant table or the window index moved —
+// between those a link reads the same and the (tenant, link, window) dedup
+// would drop every re-report — and is inert (window == 0) until a sampler
 // starts.
 type SLOTracker struct {
 	Config SLOConfig
 
-	reg        *Registry
-	window     sim.Duration
-	seen       map[violKey]struct{}
+	reg    *Registry
+	window sim.Duration
+	// reported[link] holds the pairs that have violated on the link, in
+	// first-violation order (a handful at most: tenants sharing one link).
+	reported   [][]reportedIn
 	violations []Violation
 	dropped    int
 	counters   map[string]*Counter
@@ -83,17 +89,28 @@ type SLOTracker struct {
 func newSLOTracker() *SLOTracker {
 	return &SLOTracker{
 		Config:   SLOConfig{Tolerance: 0.05, SaturationMin: 0.9},
-		seen:     make(map[violKey]struct{}),
 		counters: make(map[string]*Counter),
 	}
 }
 
+// WindowIndex returns the number of the sampling window now falls in — the
+// window part of the violation dedup key — and 0 while the tracker is
+// inert.
+func (t *SLOTracker) WindowIndex(now sim.Time) int64 {
+	if t == nil || t.window <= 0 {
+		return 0
+	}
+	return int64(now) / int64(t.window)
+}
+
 // ObserveLink evaluates the violation predicate for one link. shares
 // must list every managed tenant with at least one flow crossing the
-// link, in deterministic (first-seen in flow-ID) order. No-op until a
-// sampler has set the window.
+// link, in deterministic (first-seen in flow-ID) order — the order of the
+// violation log, with links in ascending order; the caller may reuse the
+// slice. link is a dense non-negative ID and now never decreases from one
+// call to the next. No-op until a sampler has set the window.
 func (t *SLOTracker) ObserveLink(now sim.Time, link int32, name string, capBps, totalBps float64, shares []TenantShare) {
-	if t == nil || t.window <= 0 || capBps <= 0 || len(shares) == 0 {
+	if t == nil || t.window <= 0 || link < 0 || capBps <= 0 || len(shares) == 0 {
 		return
 	}
 	if totalBps/capBps < t.Config.SaturationMin {
@@ -101,16 +118,11 @@ func (t *SLOTracker) ObserveLink(now sim.Time, link int32, name string, capBps, 
 	}
 	entitled := capBps / float64(len(shares))
 	floor := entitled * (1 - t.Config.Tolerance)
-	w := int64(now) / int64(t.window)
+	w := t.WindowIndex(now)
 	for _, sh := range shares {
-		if !sh.Bottlenecked || sh.Bps >= floor {
+		if !sh.Bottlenecked || sh.Bps >= floor || !t.firstIn(w, link, sh.Tenant) {
 			continue
 		}
-		k := violKey{tenant: sh.Tenant, link: link, window: w}
-		if _, ok := t.seen[k]; ok {
-			continue
-		}
-		t.seen[k] = struct{}{}
 		c, ok := t.counters[sh.Tenant]
 		if !ok {
 			c = t.reg.Counter("mccs_slo_violations_total", "violations", L("tenant", sh.Tenant))
@@ -127,6 +139,26 @@ func (t *SLOTracker) ObserveLink(now sim.Time, link int32, name string, capBps, 
 			AchievedBps: sh.Bps, EntitledBps: entitled, DeficitBps: entitled - sh.Bps,
 		})
 	}
+}
+
+// firstIn reports whether (tenant, link) has not been reported in window w
+// yet, and marks it reported.
+func (t *SLOTracker) firstIn(w int64, link int32, tenant string) bool {
+	for int(link) >= len(t.reported) {
+		t.reported = append(t.reported, nil)
+	}
+	rs := t.reported[link]
+	for i := range rs {
+		if rs[i].tenant == tenant {
+			if rs[i].window == w {
+				return false
+			}
+			rs[i].window = w
+			return true
+		}
+	}
+	t.reported[link] = append(rs, reportedIn{tenant: tenant, window: w})
+	return true
 }
 
 // Violations returns the recorded breaches in detection order.

@@ -27,6 +27,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -202,7 +203,16 @@ type entry struct {
 	kind   Kind
 	c      *Counter
 	g      *Gauge
+	pull   func() float64 // a GaugeFunc's source, read instead of g
 	h      *Histogram
+}
+
+// gauge returns a KindGauge entry's current value.
+func (e *entry) gauge() float64 {
+	if e.pull != nil {
+		return e.pull()
+	}
+	return e.g.v
 }
 
 // Registry interns metrics and hands out emit handles. It is a sim-side
@@ -213,11 +223,18 @@ type Registry struct {
 	byKey   map[string]*entry
 
 	// collectors are pull hooks (fabric link gauges, SLO accounting)
-	// invoked by the sampler before every snapshot.
-	collectors []func(now sim.Time)
+	// invoked by the sampler at every end-of-instant pass; collectorRuns
+	// counts the invocations that found something to publish.
+	collectors    []func(now sim.Time) bool
+	collectorRuns int64
 
-	commTenant map[int32]string
-	links      []LinkInfo
+	// tenants interns the tenant names in first-noted order;
+	// commTenant[comm] is 1 + the index of the communicator's tenant in it,
+	// 0 while unknown. commVersion moves on every change of the table.
+	tenants     []string
+	commTenant  []int32
+	commVersion int
+	links       []LinkInfo
 
 	// SLO is the per-tenant violation tracker fed by the fabric
 	// collector; always non-nil.
@@ -228,9 +245,8 @@ type Registry struct {
 // tracker.
 func NewRegistry() *Registry {
 	return &Registry{
-		byKey:      make(map[string]*entry),
-		commTenant: make(map[int32]string),
-		SLO:        newSLOTracker(),
+		byKey: make(map[string]*entry),
+		SLO:   newSLOTracker(),
 	}
 }
 
@@ -310,6 +326,19 @@ func (r *Registry) Gauge(name, unit string, labels ...Label) *Gauge {
 	return e.g
 }
 
+// GaugeFunc interns the gauge (name, labels) as a pull gauge: it has no
+// handle, its value is fn's result whenever the registry is read (a sampler
+// capture, an export). For state some layer already holds — a fabric link
+// rate — this costs nothing between reads, where a Set on every change
+// would. fn runs in scheduler context and must not mutate anything a
+// simulation outcome depends on; nil-safe.
+func (r *Registry) GaugeFunc(name, unit string, fn func() float64, labels ...Label) {
+	if r == nil {
+		return
+	}
+	r.intern(name, unit, KindGauge, labels).pull = fn
+}
+
 // Histogram interns and returns the histogram (name, labels) with the
 // given bucket upper bounds (DefBuckets when nil); nil-safe. Buckets are
 // fixed at first registration.
@@ -330,10 +359,14 @@ func (r *Registry) Histogram(name, unit string, buckets []float64, labels ...Lab
 	return e.h
 }
 
-// AddCollector registers a pull hook run by the sampler immediately
-// before every snapshot (gauges that are cheaper to poll than to push);
-// nil-safe.
-func (r *Registry) AddCollector(fn func(now sim.Time)) {
+// AddCollector registers a pull hook (gauges that are cheaper to poll
+// than to push); nil-safe. The sampler runs the collectors at every
+// end-of-instant pass — what they publish is per instant: the SLO rule
+// dates a violation at the first instant its predicate holds — but reads
+// the registry far less often, so fn must return false at once when
+// nothing it reads has changed since its last run, and true when it
+// published.
+func (r *Registry) AddCollector(fn func(now sim.Time) bool) {
 	if r == nil {
 		return
 	}
@@ -342,25 +375,73 @@ func (r *Registry) AddCollector(fn func(now sim.Time)) {
 
 func (r *Registry) collect(now sim.Time) {
 	for _, fn := range r.collectors {
-		fn(now)
+		if fn(now) {
+			r.collectorRuns++
+		}
 	}
+}
+
+// CollectorRuns returns how many collector invocations published
+// something — the observer's own cost, as a count.
+func (r *Registry) CollectorRuns() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.collectorRuns
 }
 
 // NoteComm records which tenant (application) owns a communicator, the
-// side-band the fabric collector uses to attribute flows; nil-safe.
+// side-band the fabric collector uses to attribute flows; nil-safe. An
+// empty tenant forgets the communicator.
 func (r *Registry) NoteComm(comm int32, tenant string) {
-	if r == nil {
+	if r == nil || comm < 0 {
 		return
 	}
-	r.commTenant[comm] = tenant
+	t := int32(0)
+	if tenant != "" {
+		i := slices.Index(r.tenants, tenant)
+		if i < 0 {
+			i = len(r.tenants)
+			r.tenants = append(r.tenants, tenant)
+		}
+		t = int32(i) + 1
+	}
+	for int(comm) >= len(r.commTenant) {
+		r.commTenant = append(r.commTenant, 0)
+	}
+	if r.commTenant[comm] != t {
+		r.commTenant[comm] = t
+		r.commVersion++
+	}
 }
+
+// TenantIndex resolves a communicator to the dense index of its owning
+// tenant (first-noted order, see TenantName), -1 if unknown.
+func (r *Registry) TenantIndex(comm int32) int {
+	if r == nil || comm < 0 || int(comm) >= len(r.commTenant) {
+		return -1
+	}
+	return int(r.commTenant[comm]) - 1
+}
+
+// TenantName returns the name behind a TenantIndex result.
+func (r *Registry) TenantName(i int) string { return r.tenants[i] }
 
 // Tenant resolves a communicator to its owning tenant ("" if unknown).
 func (r *Registry) Tenant(comm int32) string {
-	if r == nil {
-		return ""
+	if i := r.TenantIndex(comm); i >= 0 {
+		return r.tenants[i]
 	}
-	return r.commTenant[comm]
+	return ""
+}
+
+// CommVersion returns a number that moves whenever NoteComm changes what
+// TenantIndex answers.
+func (r *Registry) CommVersion() int {
+	if r == nil {
+		return 0
+	}
+	return r.commVersion
 }
 
 // SetLinks registers the fabric link identities used by exports and SLO
@@ -413,7 +494,7 @@ func (r *Registry) readInto(dst []float64) []float64 {
 		case KindCounter:
 			dst = append(dst, float64(e.c.v))
 		case KindGauge:
-			dst = append(dst, e.g.v)
+			dst = append(dst, e.gauge())
 		case KindHistogram:
 			cum := uint64(0)
 			for _, c := range e.h.counts {

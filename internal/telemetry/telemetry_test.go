@@ -23,7 +23,7 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("nil handles must read as zero")
 	}
-	r.AddCollector(func(sim.Time) {})
+	r.AddCollector(func(sim.Time) bool { return false })
 	r.NoteComm(1, "a")
 	r.SetLinks([]LinkInfo{{ID: 0}})
 	if r.Tenant(1) != "" || r.Links() != nil {

@@ -15,8 +15,9 @@
 //     a branch and a return; spans are value structs so the hot path
 //     allocates nothing. Expensive span payloads (routes, rate samples)
 //     are built only behind Enabled checks.
-//   - Bounded memory: spans land in a fixed-capacity ring; the oldest
-//     spans are overwritten and counted as dropped.
+//   - Bounded memory, paid as it fills: spans land in a fixed-capacity
+//     ring whose storage is allocated a chunk at a time as spans arrive;
+//     once full, the oldest spans are overwritten and counted as dropped.
 //   - Deterministic: recording and export introduce no map-order or
 //     wall-clock dependence, so the same seed produces a byte-identical
 //     trace file — traces double as chaos-replay artifacts.
@@ -262,25 +263,56 @@ const DefaultCapacity = 1 << 18
 // recorder, which only holds collective-lifecycle spans.
 const OpsCapacity = 1 << 14
 
-// Recorder is a fixed-capacity ring of spans. All methods are safe on a
-// nil receiver (no-ops / zero values), which is what makes "disabled"
-// free at the emit sites.
+// One storage chunk of a Recorder holds chunkSpans spans — a power of
+// two, so a ring position splits into chunk and offset with a shift and a
+// mask.
+const (
+	chunkShift = 10
+	chunkSpans = 1 << chunkShift
+)
+
+// Recorder is a fixed-capacity ring of spans whose storage grows as it
+// fills: the ring is a table of chunkSpans-sized chunks, each allocated
+// when the first span lands in it and never moved or copied afterwards,
+// so a recorder costs what it has recorded (rounded up to a chunk), not
+// what it could record. Once capacity spans are held the ring wraps in
+// place like a flat one. All methods are safe on a nil receiver (no-ops /
+// zero values), which is what makes "disabled" free at the emit sites.
 type Recorder struct {
-	level Level
-	buf   []Span
-	head  int    // index of the oldest span once the ring has wrapped
-	total uint64 // spans ever emitted (kept + dropped)
-	tap   func(*Span)
-	meta  Meta
+	level    Level
+	capacity int
+	chunks   [][]Span // position p lives at chunks[p>>chunkShift][p&(chunkSpans-1)]
+	n        int      // spans held, <= capacity
+	head     int      // position of the oldest span once the ring has wrapped
+	total    uint64   // spans ever emitted (kept + dropped)
+	tap      func(*Span)
+	meta     Meta
 }
 
 // NewRecorder returns a recorder keeping at most capacity spans at the
-// given level. capacity <= 0 selects DefaultCapacity.
+// given level. capacity <= 0 selects DefaultCapacity. Only the chunk table
+// is allocated here (one slice header per chunkSpans of capacity).
 func NewRecorder(level Level, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{level: level, buf: make([]Span, 0, capacity)}
+	return &Recorder{
+		level:    level,
+		capacity: capacity,
+		chunks:   make([][]Span, (capacity+chunkSpans-1)>>chunkShift),
+	}
+}
+
+// slot returns the storage of ring position p, allocating its chunk on
+// first use. The last chunk is cut to the capacity.
+func (r *Recorder) slot(p int) *Span {
+	ci := p >> chunkShift
+	ch := r.chunks[ci]
+	if ch == nil {
+		ch = make([]Span, min(chunkSpans, r.capacity-ci<<chunkShift))
+		r.chunks[ci] = ch
+	}
+	return &ch[p&(chunkSpans-1)]
 }
 
 // Attach installs r as the scheduler's flight recorder.
@@ -318,8 +350,9 @@ func (r *Recorder) Enabled(k Kind) bool {
 }
 
 // Emit records sp if the level admits its kind. The caller's Span is
-// copied; zero allocations occur on any path, including the enabled one
-// (the ring is preallocated).
+// copied into the ring; the only allocation on any path is the chunk a
+// span is the first to land in — one per chunkSpans admitted spans until
+// the ring has filled once, none after.
 func (r *Recorder) Emit(sp Span) {
 	if r == nil || r.level == LevelOff {
 		return
@@ -329,17 +362,17 @@ func (r *Recorder) Emit(sp Span) {
 	}
 	r.total++
 	var slot *Span
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, sp)
-		slot = &r.buf[len(r.buf)-1]
+	if r.n < r.capacity {
+		slot = r.slot(r.n)
+		r.n++
 	} else {
-		r.buf[r.head] = sp
-		slot = &r.buf[r.head]
+		slot = r.slot(r.head)
 		r.head++
-		if r.head == len(r.buf) {
+		if r.head == r.capacity {
 			r.head = 0
 		}
 	}
+	*slot = sp
 	if r.tap != nil {
 		// The tap observes the span already stored in the ring, so the
 		// pointer aliases recorder-owned memory: consumers must copy
@@ -367,7 +400,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.buf)
+	return r.n
 }
 
 // Dropped returns how many spans were overwritten by ring wrap-around.
@@ -375,7 +408,7 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.total - uint64(len(r.buf))
+	return r.total - uint64(r.n)
 }
 
 // each visits the held spans oldest-first.
@@ -383,11 +416,12 @@ func (r *Recorder) each(fn func(*Span)) {
 	if r == nil {
 		return
 	}
-	for i := r.head; i < len(r.buf); i++ {
-		fn(&r.buf[i])
-	}
-	for i := 0; i < r.head; i++ {
-		fn(&r.buf[i])
+	for i := 0; i < r.n; i++ {
+		p := r.head + i
+		if p >= r.n {
+			p -= r.n
+		}
+		fn(&r.chunks[p>>chunkShift][p&(chunkSpans-1)])
 	}
 }
 
@@ -442,7 +476,7 @@ func (r *Recorder) Snapshot() Recording {
 	if r == nil {
 		return rec
 	}
-	rec.Spans = make([]Span, 0, len(r.buf))
+	rec.Spans = make([]Span, 0, r.n)
 	r.each(func(sp *Span) { rec.Spans = append(rec.Spans, *sp) })
 	rec.Meta = r.meta
 	return rec

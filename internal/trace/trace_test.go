@@ -3,8 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mccs/internal/sim"
 )
@@ -233,8 +237,13 @@ func TestAttributeFindsGatingLink(t *testing.T) {
 }
 
 // TestEmitDoesNotAllocate is the overhead guarantee: recording must be
-// free when disabled and allocation-free even when enabled (the ring is
-// preallocated, spans are value copies).
+// free when disabled and, when enabled, allocate nothing but the ring's
+// storage, a chunk at a time (spans are value copies). AllocsPerRun's
+// warm-up call lands the first span and with it the first chunk; the
+// measured emits are as many as still fit inside that chunk. Amortised, an
+// admitted span costs 1/chunkSpans of an allocation until the ring has
+// filled once and nothing after (TestRecorderAllocatesByChunk counts the
+// bytes).
 func TestEmitDoesNotAllocate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -246,17 +255,131 @@ func TestEmitDoesNotAllocate(t *testing.T) {
 		{"ops-filtered", NewRecorder(LevelOps, 16), KindFlow},
 		{"ops-kept", NewRecorder(LevelOps, 1<<16), KindOp},
 		{"full-kept", NewRecorder(LevelFull, 1<<16), KindStep},
+		{"full-wrapped", NewRecorder(LevelFull, 16), KindStep},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			sp := opSpan(1)
 			sp.Kind = tc.kind
-			if n := testing.AllocsPerRun(1000, func() {
+			if n := testing.AllocsPerRun(chunkSpans-1, func() {
 				tc.rec.Emit(sp)
 			}); n != 0 {
 				t.Errorf("Emit allocates %.1f times per call, want 0", n)
 			}
 		})
+	}
+}
+
+// TestRecorderAllocatesByChunk pins what a recorder costs: the chunk
+// table up front, then one chunk per chunkSpans spans recorded — not the
+// capacity. 1 200 spans in a 32 768-span ring are two chunks (0.33 MB; the
+// flat ring zeroed 5.24 MB).
+func TestRecorderAllocatesByChunk(t *testing.T) {
+	const capacity, emits = 1 << 15, 1200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRecorder(LevelFull, capacity)
+	for seq := uint64(0); seq < emits; seq++ {
+		r.Emit(opSpan(seq))
+	}
+	runtime.ReadMemStats(&after)
+	chunk := chunkSpans * uint64(unsafe.Sizeof(Span{}))
+	table := uint64(capacity/chunkSpans) * uint64(unsafe.Sizeof([]Span(nil)))
+	limit := 2*chunk + table + 1024 // the Recorder itself, size-class rounding
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("NewRecorder(%d) + %d emits allocated %d bytes, want <= %d (two chunks of %d + the table)",
+			capacity, emits, got, limit, chunk)
+	}
+	if r.Len() != emits || r.Dropped() != 0 {
+		t.Errorf("Len = %d, Dropped = %d, want %d, 0", r.Len(), r.Dropped(), emits)
+	}
+}
+
+// flatRing is the recorder's storage as it was before it grew by chunks —
+// one preallocated slice — kept as the reference the chunked ring must be
+// indistinguishable from.
+type flatRing struct {
+	buf   []Span
+	head  int
+	total uint64
+}
+
+func (f *flatRing) emit(sp Span) {
+	f.total++
+	if len(f.buf) < cap(f.buf) {
+		f.buf = append(f.buf, sp)
+		return
+	}
+	f.buf[f.head] = sp
+	f.head = (f.head + 1) % len(f.buf)
+}
+
+// spans returns the held spans oldest-first.
+func (f *flatRing) spans() []Span {
+	return append(append([]Span{}, f.buf[f.head:]...), f.buf[:f.head]...)
+}
+
+// The chunked ring against the flat one: same spans in the same order,
+// same Len and Dropped, same OpSpans and Snapshot fingerprint, at every
+// checkpoint of a run that wraps the ring several times — for capacities
+// below, at, between and above chunk multiples — and a tap that sees every
+// admitted span, stored, through a pointer valid for the call.
+func TestChunkedRingMatchesFlatRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	caps := []int{1, 4, 16, 64, chunkSpans - 1, chunkSpans, chunkSpans + 1, 2*chunkSpans + 476, 3000}
+	for i := 0; i < 4; i++ {
+		caps = append(caps, 1+rng.Intn(4*chunkSpans))
+	}
+	for _, capacity := range caps {
+		r := NewRecorder(LevelFull, capacity)
+		ref := &flatRing{buf: make([]Span, 0, capacity)}
+		var tapped uint64
+		r.SetTap(func(sp *Span) {
+			if want := ref.buf[(ref.head+len(ref.buf)-1)%len(ref.buf)]; !reflect.DeepEqual(*sp, want) {
+				t.Fatalf("cap %d: tap saw %+v, ring holds %+v", capacity, *sp, want)
+			}
+			tapped++
+		})
+		check := func() {
+			t.Helper()
+			want := ref.spans()
+			var got []Span
+			r.each(func(sp *Span) { got = append(got, *sp) })
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("cap %d after %d emits: each order differs from the flat ring", capacity, ref.total)
+			}
+			if r.Len() != len(want) || r.Dropped() != ref.total-uint64(len(want)) || tapped != ref.total {
+				t.Fatalf("cap %d after %d emits: Len %d Dropped %d tapped %d, flat ring holds %d",
+					capacity, ref.total, r.Len(), r.Dropped(), tapped, len(want))
+			}
+			var ops []Span
+			for _, sp := range want {
+				if sp.Kind == KindOp && sp.Comm == 1 && sp.Rank == 2 {
+					ops = append(ops, sp)
+				}
+			}
+			if got := r.OpSpans(1, 2); len(got) != len(ops) || (len(ops) > 0 && !reflect.DeepEqual(got, ops)) {
+				t.Fatalf("cap %d after %d emits: OpSpans(1, 2) differs from the flat ring", capacity, ref.total)
+			}
+			snap := r.Snapshot()
+			if snap.Dropped != r.Dropped() || snap.Fingerprint() != (Recording{Spans: want}).Fingerprint() {
+				t.Fatalf("cap %d after %d emits: Snapshot differs from the flat ring", capacity, ref.total)
+			}
+		}
+		check()
+		for total, seq := capacity*3+rng.Intn(capacity+1), uint64(0); seq < uint64(total); seq++ {
+			sp := opSpan(seq)
+			if seq%3 == 1 {
+				sp.Kind, sp.Route = KindFlow, []int32{int32(seq), 7}
+			}
+			// The reference first: the tap compares against it.
+			ref.emit(sp)
+			r.Emit(sp)
+			if rng.Intn(capacity/3+1) == 0 {
+				check()
+			}
+		}
+		check()
 	}
 }
