@@ -46,10 +46,16 @@ race-hot:
 # size, ring orders, channels) are lowered, checked against the program
 # invariants and executed against the oracle. Path enumeration: random edge
 # lists (parallel links, self-loops, unreachable pairs) must yield the same
-# shortest-path lists, order included, as the reference enumerator.
+# shortest-path lists, order included, as the reference enumerator. The three
+# parsers: arbitrary bytes never panic trace.ReadChrome or telemetry.ReadJSONL
+# and what they accept round-trips through the writer; a strategy
+# spec.Strategy.Validate accepts builds its rings and edges.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLowerExecute -fuzztime 10s ./internal/collective/
 	$(GO) test -run '^$$' -fuzz FuzzPathsBetween -fuzztime 10s ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz FuzzReadChrome -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/telemetry/
+	$(GO) test -run '^$$' -fuzz FuzzStrategyValidate -fuzztime 10s ./internal/spec/
 
 # check is the CI gate: everything must build, vet clean, and pass the
 # full test suite twice — once plain, once under the race detector.
@@ -138,10 +144,11 @@ churn: $(MCCS)
 	$(MCCS) churn -telemetry churn.telemetry.jsonl
 	$(MCCS) top churn.telemetry.jsonl
 
-# loc prints the non-test .go line count of each top-level package — the
-# number deletion PRs quote (`wc -l`, comments and blanks included, so a
-# reformat cannot fake a reduction).
+# loc prints the non-test .go line count of each top-level package and
+# their total — the number deletion PRs quote (`wc -l`, comments and blanks
+# included, so a reformat cannot fake a reduction).
 loc:
-	@for d in mccs.go cmd internal/*/; do \
-		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
-	done
+	@total=0; for d in mccs.go cmd internal/*/; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); total=$$((total + n)); \
+		printf '%6d  %s\n' $$n $${d%/}; \
+	done; printf '%6d  total\n' $$total

@@ -15,7 +15,6 @@ import (
 	"mccs/internal/diagnosis"
 	"mccs/internal/harness"
 	"mccs/internal/mccsd"
-	"mccs/internal/metrics"
 	"mccs/internal/ncclsim"
 	"mccs/internal/policy"
 	"mccs/internal/sim"
@@ -218,32 +217,6 @@ func BenchmarkAblationConnSerialization(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(res.Recovered/res.Before, "recovery-frac")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCoflowCoupling compares the Fig. 11 simulation with
-// ring flows coupled (lock-step) vs independent per-flow fairness.
-func BenchmarkAblationCoflowCoupling(b *testing.B) {
-	for _, couple := range []bool{false, true} {
-		name := "perflow"
-		if couple {
-			name = "coupled"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := cluster.DefaultConfig()
-			cfg.NumJobs = 15
-			cfg.Iterations = 4
-			cfg.Strategy = cluster.StratORFFA
-			cfg.CoupleRings = couple
-			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
-				res, err := cluster.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(metrics.Mean(res.MeanARs()), "mean-AR-s")
 			}
 		})
 	}

@@ -8,8 +8,7 @@
 // Like the paper's own evaluation, this is a flow-level simulation (the
 // paper: "Our flow-level simulator assumes per-flow fairness"): each
 // AllReduce iteration becomes one flow per inter-host ring edge carrying
-// that edge's share of the traffic; rings can optionally advance in
-// lock-step (coflow coupling). Route decisions reuse exactly the policy
+// that edge's share of the traffic. Route decisions reuse exactly the policy
 // code the MCCS service runs (policy.FFA, policy.LocalityRing).
 package cluster
 
@@ -81,16 +80,6 @@ type Config struct {
 	Placement   Placement
 	Strategy    Strategy
 	Seed        int64
-	// CoupleRings makes each ring's flows advance at the ring's
-	// bottleneck rate (lock-step semantics). Off = plain per-flow
-	// fairness, the paper's stated model. Kept as a switch for the
-	// ablation benchmark.
-	CoupleRings bool
-	// GroupHostsInRandomRings switches the random-ring baseline from a
-	// fully random rank ring (the default, the paper's literal "random
-	// ring selection") to a random host chain with intra-host grouping
-	// preserved.
-	GroupHostsInRandomRings bool
 }
 
 // DefaultConfig reproduces the paper's §6.5 parameters.
@@ -376,15 +365,8 @@ func (m *sim11) start(pj *pendingJob, gpus []topo.GPUID) {
 	var base []int
 	switch m.cfg.Strategy {
 	case StratRandomRing:
-		if m.cfg.GroupHostsInRandomRings {
-			// Alternative baseline: randomize only the host ordering,
-			// keeping each host's ranks contiguous (NCCL's intra-host
-			// optimization preserved). Kept for the ablation bench.
-			base = randomHostRing(m.ringRng, j.info.Ranks)
-		} else {
-			// The paper's baseline reading: a fully random rank ring.
-			base = m.ringRng.Perm(len(gpus))
-		}
+		// The paper's baseline reading: a fully random rank ring.
+		base = m.ringRng.Perm(len(gpus))
 	default:
 		base = policy.LocalityRing(m.cluster, j.info.Ranks)
 	}
@@ -444,10 +426,6 @@ func (m *sim11) runJob(p *sim.Proc, j *job) {
 		// the end of the instant (see DESIGN.md §10). The flows are the
 		// fabric's own (Send): each reports to j.OnEvent and is recycled.
 		for ri, order := range j.rings {
-			var group *netsim.Group
-			if m.cfg.CoupleRings {
-				group = m.fabric.NewGroup()
-			}
 			for pos := 0; pos < n; pos++ {
 				from := j.info.Ranks[order[pos]]
 				to := j.info.Ranks[order[(pos+1)%n]]
@@ -462,10 +440,10 @@ func (m *sim11) runJob(p *sim.Proc, j *job) {
 				j.inflight++
 				m.fabric.Send(netsim.FlowOpts{
 					Src: m.cluster.NICNode(from.NIC), Dst: m.cluster.NICNode(to.NIC),
-					Bytes: perEdge,
-					Route: route,
-					Label: flowLabel(uint64(m.cfg.Seed), j.id, ri, from.Rank, to.Rank),
-					Group: group, OnDone: j,
+					Bytes:  perEdge,
+					Route:  route,
+					Label:  flowLabel(uint64(m.cfg.Seed), j.id, ri, from.Rank, to.Rank),
+					OnDone: j,
 				})
 			}
 		}
@@ -488,27 +466,6 @@ func (m *sim11) runJob(p *sim.Proc, j *job) {
 	m.done.Done(m.s)
 }
 
-// randomHostRing groups ranks by host and chains the hosts in random
-// order.
-func randomHostRing(rng *rand.Rand, ranks []spec.RankInfo) []int {
-	byHost := make(map[topo.HostID][]int)
-	var hosts []topo.HostID
-	seen := make(map[topo.HostID]bool)
-	for _, ri := range ranks {
-		if !seen[ri.Host] {
-			seen[ri.Host] = true
-			hosts = append(hosts, ri.Host)
-		}
-		byHost[ri.Host] = append(byHost[ri.Host], ri.Rank)
-	}
-	rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
-	out := make([]int, 0, len(ranks))
-	for _, h := range hosts {
-		out = append(out, byHost[h]...)
-	}
-	return out
-}
-
 func flowLabel(seed uint64, jobID, ring, from, to int) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range []uint64{seed, uint64(jobID), uint64(ring), uint64(from), uint64(to)} {
@@ -516,6 +473,3 @@ func flowLabel(seed uint64, jobID, ring, from, to int) uint64 {
 	}
 	return h
 }
-
-// newRng is split out for tests that drive placement directly.
-func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -122,7 +123,7 @@ func TestCompactPlacementSpansFewerRacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := &sim11{cfg: cfg, cluster: cl}
-		m.placeRng = newRng(7)
+		m.placeRng = rand.New(rand.NewSource(7))
 		for g := range cl.GPUs {
 			m.free = append(m.free, topo.GPUID(g))
 		}
@@ -207,14 +208,12 @@ func runHash(t *testing.T, cfg Config) uint64 {
 // host-speed change to path enumeration, FFA or the job loop must leave
 // every completion time where it was. The §6.5 fabric runs at a reduced job
 // count; the small fabric queues jobs (12 × 16–32 GPUs on 96), so exits
-// that admit waiting jobs, compact placement and coupled rings are covered.
+// that admit waiting jobs and compact placement are covered.
 func TestClusterRunHashPinned(t *testing.T) {
 	large := DefaultConfig()
 	large.NumJobs, large.Iterations = 12, 3
 	compact := smallConfig()
 	compact.Placement = PlacementCompact
-	coupled := smallConfig()
-	coupled.CoupleRings = true
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -223,7 +222,6 @@ func TestClusterRunHashPinned(t *testing.T) {
 		{"large", large, [6]uint64{0x9f1a1626e050cd9f, 0xb84a79ce7fefa9f5, 0x5eccb4308e582d75, 0x3ba6759f171e8b7b, 0xe45d399230b8e175, 0x5396829ccc1426f}},
 		{"small", smallConfig(), [6]uint64{0xc9e7bba8df8d0ed8, 0x4c7e62dd7af8ce9d, 0x67b4b1f5987c37a1, 0xb7cd55cfa24e9402, 0xa40bb3aa95de761b, 0x849bdd28a0b146a7}},
 		{"compact", compact, [6]uint64{0x4caf3ef913e49948, 0x9be5d6b691837a1, 0x3002e09b61c37a1, 0x144278f90d7deb97, 0xce0d234af39146a7, 0xaf29f2cd397346a7}},
-		{"coupled", coupled, [6]uint64{0x4346b6ce4b1c206e, 0xd86572ce2015f67f, 0x67b4b1f5987c37a1, 0xae91fd59e5b17e7, 0xa40bb3aa95de761b, 0x849bdd28a0b146a7}},
 	} {
 		var got [6]uint64
 		for i := range got {

@@ -211,13 +211,10 @@ type Config struct {
 	// QueueFloor is the admission-queue wait above which a queue span
 	// becomes an incident.
 	QueueFloor sim.Duration
-
-	// MaxIncidents caps the incident list (safety valve for pathological
-	// runs); 0 means DefaultMaxIncidents.
-	MaxIncidents int
 }
 
-// DefaultMaxIncidents bounds a run's incident list.
+// DefaultMaxIncidents bounds a run's incident list (a safety valve for
+// pathological runs).
 const DefaultMaxIncidents = 4096
 
 // DefaultConfig returns the tuning used by the chaos ground-truth tests

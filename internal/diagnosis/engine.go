@@ -148,8 +148,7 @@ type sloEpisode struct {
 // drive through Analyze (replay); both share the same detectors, so a
 // capture replays to the identical incident timeline the live engine saw.
 type Engine struct {
-	cfg          Config
-	maxIncidents int
+	cfg Config
 
 	s   *sim.Scheduler
 	rec *trace.Recorder
@@ -201,22 +200,17 @@ type Engine struct {
 }
 
 func newEngine(cfg Config) *Engine {
-	maxInc := cfg.MaxIncidents
-	if maxInc <= 0 {
-		maxInc = DefaultMaxIncidents
-	}
 	return &Engine{
-		cfg:          cfg,
-		maxIncidents: maxInc,
-		ops:          make(map[opKey]*opState),
-		commRanks:    make(map[int32]uint64),
-		base:         make(map[bkey]*baseline),
-		commAll:      make(map[int32]*baseline),
-		linkEps:      make(map[int32]*linkEpisode),
-		barEps:       make(map[barKey]*barrierEpisode),
-		stragEps:     make(map[stragKey]*stragEpisode),
-		sloEps:       make(map[sloKey]*sloEpisode),
-		lastCause:    make(map[string]*telemetry.Gauge),
+		cfg:       cfg,
+		ops:       make(map[opKey]*opState),
+		commRanks: make(map[int32]uint64),
+		base:      make(map[bkey]*baseline),
+		commAll:   make(map[int32]*baseline),
+		linkEps:   make(map[int32]*linkEpisode),
+		barEps:    make(map[barKey]*barrierEpisode),
+		stragEps:  make(map[stragKey]*stragEpisode),
+		sloEps:    make(map[sloKey]*sloEpisode),
+		lastCause: make(map[string]*telemetry.Gauge),
 	}
 }
 
@@ -1018,7 +1012,7 @@ func (e *Engine) closeQuietEpisodes() {
 }
 
 func (e *Engine) newIncident(in Incident) int {
-	if len(e.incidents) >= e.maxIncidents {
+	if len(e.incidents) >= DefaultMaxIncidents {
 		return -1
 	}
 	in.ID = len(e.incidents)

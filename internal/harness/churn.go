@@ -40,8 +40,6 @@ type ChurnConfig struct {
 	// Autotune additionally re-plans each surviving communicator's
 	// strategy on churn.
 	Autotune bool
-	// AutotuneMaxChannels caps the tuner search (0 = tuner default).
-	AutotuneMaxChannels int
 	// Placer overrides the placement policy (nil = BinPack).
 	Placer orchestrator.Placer
 	// Quota caps tenants' concurrent GPUs (nil = uncapped).
@@ -175,11 +173,10 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	}
 	defer env.S.Shutdown()
 	orch := orchestrator.New(env.S, env.Cluster, env.Deployment, orchestrator.Config{
-		Quota:               cfg.Quota,
-		Placer:              cfg.Placer,
-		Reconfigure:         cfg.Reconfigure,
-		Autotune:            cfg.Autotune,
-		AutotuneMaxChannels: cfg.AutotuneMaxChannels,
+		Quota:       cfg.Quota,
+		Placer:      cfg.Placer,
+		Reconfigure: cfg.Reconfigure,
+		Autotune:    cfg.Autotune,
 	})
 	for _, js := range GenerateChurnJobs(cfg.Seed, cfg.Jobs, cfg.MeanGap) {
 		orch.Submit(js)

@@ -81,9 +81,6 @@ type MultiAppConfig struct {
 	// Pipeline keeps this many collectives in flight per app (see
 	// SingleAppConfig.Pipeline). Defaults to 2.
 	Pipeline int
-	// Priorities optionally assigns app priorities before comm creation
-	// (used by the QoS experiments that reuse this driver).
-	Priorities map[spec.AppID]int
 	// Observers attach to the first trial (see Observers).
 	Observers
 	// Autotune runs the strategy autotuner over every communicator
@@ -148,9 +145,6 @@ func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, err
 		return nil, err
 	}
 	defer env.S.Shutdown()
-	for app, prio := range cfg.Priorities {
-		env.Deployment.SetPriority(app, prio)
-	}
 	ctrl := policy.NewController(env.Deployment)
 
 	algbw := make(map[spec.AppID][]float64, len(cfg.Apps))

@@ -86,16 +86,12 @@ func benchTestbed() (*Network, []NodeID) {
 	return n, nics
 }
 
-// startTestbedFlows puts testbed-scale traffic on fb: 8 endless flows in 4
-// groups, each NIC sending to the same NIC of the next host — two
-// two-channel rings' worth of cross-host edges.
+// startTestbedFlows puts testbed-scale traffic on fb: 8 endless flows, each
+// NIC sending to the same NIC of the next host — two two-channel rings'
+// worth of cross-host edges.
 func startTestbedFlows(fb *Fabric, nics []NodeID) {
-	var groups [4]*Group
-	for i := range groups {
-		groups[i] = fb.NewGroup()
-	}
 	for i, nic := range nics {
-		fb.StartFlow(FlowOpts{Src: nic, Dst: nics[(i+2)%len(nics)], Label: uint64(i), Group: groups[i%4]})
+		fb.StartFlow(FlowOpts{Src: nic, Dst: nics[(i+2)%len(nics)], Label: uint64(i)})
 	}
 }
 

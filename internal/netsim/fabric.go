@@ -14,24 +14,6 @@ import (
 // is considered finished (guards against float rounding).
 const byteEps = 0.5
 
-// Group couples flows so that every member advances at the rate of the
-// slowest member. This models a pipelined ring-collective step: the ring
-// moves at the pace of its bottleneck edge.
-type Group struct {
-	id int
-	// members is kept in ascending flow-ID order. Flow IDs are monotonic,
-	// so StartFlow appends; CancelFlow/completion splice. The allocator's
-	// successive-bottleneck loop scans this slice directly instead of
-	// rebuilding and sorting a member list on every iteration.
-	members []*Flow
-	// frozen is allocator scratch: set while the group's rate has been
-	// fixed during the current allocate pass. Valid only inside allocate.
-	frozen bool
-	// rank is memo-key scratch: the group's index in Fabric.groups, set by
-	// memoKey for the key it is building.
-	rank int
-}
-
 // Flow is one active transfer on the fabric.
 type Flow struct {
 	ID       int
@@ -61,8 +43,7 @@ type Flow struct {
 	// spec is the flow's interned (route, maxRate, priority) ID, assigned
 	// on first use by specOf; 0 means not interned yet. (It sits with the
 	// flags above in what was padding: Flow stays in its size class.)
-	spec  uint32
-	group *Group
+	spec uint32
 
 	doneEv   sim.Event
 	onDone   sim.Handler // FlowOpts.OnDone
@@ -125,9 +106,6 @@ type FlowOpts struct {
 	// fabric accounts it separately so a monitoring agent can detect
 	// "persistent large flows that are not managed by MCCS" (§6.2).
 	External bool
-	// Group, if non-nil, couples this flow's progress to the group's
-	// bottleneck member.
-	Group *Group
 	// Tag labels the flow with the collective step it carries, for the
 	// flight recorder.
 	Tag trace.FlowTag
@@ -147,6 +125,9 @@ type Counters struct {
 	// increments it exactly once, whether the allocation was solved or
 	// answered from the memo.
 	Recomputes int
+	// Fills counts water-fill passes: one per solved allocation, two when a
+	// strict-priority flow is active, none for a memo hit.
+	Fills int
 	// MemoHits and MemoMisses split the recomputes whose flow set was small
 	// enough to memoise (see memo.go) into those answered from the table
 	// and those solved and stored; the rest of Recomputes bypassed it or
@@ -176,14 +157,9 @@ type Fabric struct {
 	// slot field is its index here. IDs are monotonic, so StartFlow
 	// appends and removal splices — the order is maintained
 	// incrementally instead of being rebuilt and sorted per allocation.
-	flows []*Flow
-	// groups holds the coflow groups with at least one active member, in
-	// ascending group-ID order (the allocator's deterministic scan
-	// order).
-	groups     []*Group
+	flows      []*Flow
 	nPriority  int // active strict-priority flows
 	nextFlowID int
-	nextGroup  int
 
 	// dirty marks a pending coalesced recompute; flush clears it.
 	dirty bool
@@ -256,12 +232,6 @@ func NewFabric(s *sim.Scheduler, net *Network) *Fabric {
 // Network returns the underlying static topology.
 func (fb *Fabric) Network() *Network { return fb.net }
 
-// NewGroup returns a fresh coflow group.
-func (fb *Fabric) NewGroup() *Group {
-	fb.nextGroup++
-	return &Group{id: fb.nextGroup}
-}
-
 // StartFlow begins a transfer and returns its handle. The route is
 // validated; an invalid explicit route panics, as it indicates a programming
 // error in the routing layer.
@@ -316,7 +286,7 @@ func (fb *Fabric) start(o FlowOpts, owned bool) *Flow {
 		Tag: o.Tag,
 		fb:  fb, slot: len(fb.flows),
 		bytes: bytes, maxRate: maxRate, priority: priority, external: o.External,
-		owned: owned, group: o.Group,
+		owned:  owned,
 		onDone: o.OnDone, doneArg: o.OnDoneArg,
 		start: fb.s.Now(),
 	}
@@ -324,13 +294,6 @@ func (fb *Fabric) start(o FlowOpts, owned bool) *Flow {
 	fb.telStarted.Inc()
 	if fl.priority {
 		fb.nPriority++
-	}
-	if g := fl.group; g != nil {
-		if len(g.members) == 0 {
-			fb.insertGroup(g)
-		}
-		// IDs are monotonic: appending keeps members ID-ordered.
-		g.members = append(g.members, fl)
 	}
 	fb.dirty = true
 	return fl
@@ -394,32 +357,7 @@ func (fb *Fabric) FlushTrace() {
 	}
 }
 
-// insertGroup adds g to the active-group list, keeping it ID-ordered. A
-// group usually activates with the largest ID yet seen (append), but an
-// old group can be re-populated after draining, so insertion searches.
-func (fb *Fabric) insertGroup(g *Group) {
-	i := len(fb.groups)
-	for i > 0 && fb.groups[i-1].id > g.id {
-		i--
-	}
-	fb.groups = append(fb.groups, nil)
-	copy(fb.groups[i+1:], fb.groups[i:])
-	fb.groups[i] = g
-}
-
-// removeGroup drops a drained group from the active-group list.
-func (fb *Fabric) removeGroup(g *Group) {
-	for i, h := range fb.groups {
-		if h == g {
-			copy(fb.groups[i:], fb.groups[i+1:])
-			fb.groups[len(fb.groups)-1] = nil
-			fb.groups = fb.groups[:len(fb.groups)-1]
-			return
-		}
-	}
-}
-
-// remove splices fl out of the ID-ordered flow list and its group.
+// remove splices fl out of the ID-ordered flow list.
 func (fb *Fabric) remove(fl *Flow) {
 	i := fl.slot
 	copy(fb.flows[i:], fb.flows[i+1:])
@@ -430,19 +368,6 @@ func (fb *Fabric) remove(fl *Flow) {
 	}
 	if fl.priority {
 		fb.nPriority--
-	}
-	if g := fl.group; g != nil {
-		for j, m := range g.members {
-			if m == fl {
-				copy(g.members[j:], g.members[j+1:])
-				g.members[len(g.members)-1] = nil
-				g.members = g.members[:len(g.members)-1]
-				break
-			}
-		}
-		if len(g.members) == 0 {
-			fb.removeGroup(g)
-		}
 	}
 }
 
@@ -678,19 +603,16 @@ func (fb *Fabric) commit() {
 	fb.sampleRates()
 }
 
-// solve computes max-min fair rates with group coupling and rate caps,
-// leaving each flow's rate in Flow.rate and its bottleneck in fb.bott.
-//
-// The outer loop repeatedly water-fills, then freezes the group with the
-// smallest bottleneck rate at that rate (all members pinned to the group
-// minimum, modelling lock-step ring steps); it repeats until no unfrozen
-// groups remain, then takes the final fill for ungrouped flows. This is the
-// successive-bottleneck construction; it terminates after at most
-// #groups + 1 fills.
+// solve computes max-min fair rates under per-flow rate caps, leaving each
+// flow's rate in Flow.rate and its bottleneck in fb.bott: the strict-priority
+// flows are water-filled among themselves first, each capped at its fixed
+// rate, and then held as background load while one fill shares the residual
+// capacity among the rest. A recompute is therefore one fill, or two when a
+// priority flow is active.
 //
 // All working state lives in fabric-owned, slot-indexed scratch buffers
-// (see growScratch); referenceAllocate is the retired map-based
-// implementation, kept as a differential-testing oracle.
+// (see growScratch); referenceAllocate (oracle_test.go) is the retired
+// map-based implementation, the differential-testing oracle.
 func (fb *Fabric) solve() {
 	n := len(fb.flows)
 	for i := 0; i < n; i++ {
@@ -698,12 +620,6 @@ func (fb *Fabric) solve() {
 		fb.frozenRate[i] = 0
 		fb.bott[i] = -1
 	}
-	for _, g := range fb.groups {
-		g.frozen = false
-	}
-	// Strict-priority flows are allocated first (water-filled among
-	// themselves, each capped at its fixed rate) and then frozen, so fair
-	// sharing below only sees the residual capacity.
 	if fb.nPriority > 0 {
 		fb.waterfill(true)
 		for _, fl := range fb.flows {
@@ -716,60 +632,14 @@ func (fb *Fabric) solve() {
 			fb.bott[s] = fb.fillBneck[s]
 		}
 	}
-	for {
-		fb.waterfill(false)
-		// Find the unfrozen group with the smallest member-minimum rate.
-		// fb.groups is ID-ordered and the comparison is strict, so rate
-		// ties deterministically pick the smallest group ID; within a
-		// group, the ID-ordered member scan picks the smallest-ID member
-		// on ties.
-		var pick *Group
-		var pickSlowest *Flow
-		pickMin := math.Inf(1)
-		for _, g := range fb.groups {
-			if g.frozen {
-				continue
-			}
-			gmin := math.Inf(1)
-			var slowest *Flow
-			for _, m := range g.members {
-				r := 0.0
-				if !fb.frozenSet[m.slot] {
-					r = fb.fillRate[m.slot]
-				}
-				if r < gmin {
-					gmin = r
-					slowest = m
-				}
-			}
-			if gmin < pickMin {
-				pickMin = gmin
-				pick = g
-				pickSlowest = slowest
-			}
-		}
-		if pick == nil {
-			// Done: the final fill is the rate of every flow still unfrozen.
-			for _, fl := range fb.flows {
-				s := fl.slot
-				if fb.frozenSet[s] {
-					fl.rate = fb.frozenRate[s]
-				} else {
-					fl.rate = fb.fillRate[s]
-					fb.bott[s] = fb.fillBneck[s]
-				}
-			}
-			return
-		}
-		pick.frozen = true
-		// Group members are pinned to the slowest member's rate, so its
-		// bottleneck is theirs.
-		pb := fb.fillBneck[pickSlowest.slot]
-		for _, m := range pick.members {
-			s := m.slot
-			fb.frozenRate[s] = pickMin
-			fb.frozenSet[s] = true
-			fb.bott[s] = pb
+	fb.waterfill(false)
+	for _, fl := range fb.flows {
+		s := fl.slot
+		if fb.frozenSet[s] {
+			fl.rate = fb.frozenRate[s]
+		} else {
+			fl.rate = fb.fillRate[s]
+			fb.bott[s] = fb.fillBneck[s]
 		}
 	}
 }
@@ -822,6 +692,7 @@ func (fb *Fabric) sampleRates() {
 // flight recorder samples. Slots not participating read as rate 0,
 // bottleneck -1.
 func (fb *Fabric) waterfill(priorityOnly bool) {
+	fb.Fills++
 	n := len(fb.flows)
 	for i := 0; i < n; i++ {
 		fb.fillRate[i] = 0

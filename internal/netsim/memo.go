@@ -8,8 +8,7 @@ import (
 // This file is the memo in front of Fabric.solve.
 //
 // solve is a pure function of the ID-ordered flow list — per flow its
-// route, rate cap, priority bit and which active group it belongs to — and
-// of the link capacities. MCCS pins every connection to a route and sends a
+// route, rate cap and priority bit — and of the link capacities. MCCS pins every connection to a route and sends a
 // collective step as thousands of identical slices over the same few
 // connections, so a testbed-scale fabric is asked to solve the same few
 // inputs again and again. The memo keys an allocation by exactly those
@@ -18,12 +17,10 @@ import (
 // referenceAllocate stays the oracle for both.
 //
 // The key is one word per flow in ID order — the flow's interned
-// (route content, maxRate, priority) spec and its group's rank in the
-// ID-ordered active-group list (the allocator scans groups in that order
-// and breaks rate ties by it; the group's ID itself never enters the
-// arithmetic) — plus a capacity epoch that SetLinkCapacity bumps whenever a
-// capacity really changes, which invalidates every stored entry in O(1).
-// A lookup compares the whole key, never the hash alone.
+// (route content, maxRate, priority) spec ID — plus a capacity epoch that
+// SetLinkCapacity bumps whenever a capacity really changes, which
+// invalidates every stored entry in O(1). A lookup compares the whole key,
+// never the hash alone.
 //
 // Flow sets of more than memoMaxFlows flows bypass the memo entirely: a
 // Clos-scale flow set practically never recurs, and storing it would cost
@@ -40,7 +37,8 @@ const (
 	// memoChunkWords is the size of one storage chunk (32 KiB). Storage
 	// grows a chunk at a time and is reused after the table is emptied.
 	memoChunkWords = 4096
-	// memoMaxSpec is the largest spec ID a key word has room for.
+	// memoMaxSpec is the largest spec ID the memo keys: a fabric that has
+	// interned more distinct specs than this is not replaying a few inputs.
 	memoMaxSpec = 1<<24 - 1
 
 	// An entry is memoHeader words — key hash, capacity epoch, and the
@@ -137,19 +135,12 @@ func (fb *Fabric) memoKey() bool {
 		return false
 	}
 	m := &fb.memo
-	for i, g := range fb.groups {
-		g.rank = i
-	}
 	h := (fnv64Offset ^ m.epoch) * fnv64Prime
 	h = (h ^ uint64(n)) * fnv64Prime
 	for i, fl := range fb.flows {
 		w := fb.specOf(fl)
 		if w > memoMaxSpec {
 			return false
-		}
-		w <<= 8
-		if fl.group != nil {
-			w |= uint32(fl.group.rank + 1) // at most n groups are active
 		}
 		m.key[i] = w
 		h = (h ^ uint64(w)) * fnv64Prime

@@ -87,37 +87,25 @@ func TestMemoHitEqualsSolve(t *testing.T) {
 	r := newMemoRig()
 	fb := r.fb
 	r.s.Go("script", func(p *sim.Proc) {
-		g1, g2 := fb.NewGroup(), fb.NewGroup()
-		withGroup := func(o FlowOpts, g *Group) FlowOpts { o.Group = g; return o }
-
-		// Group 2 alone has rank 0.
-		fb.StartFlow(withGroup(r.opts(0, 2), g2))
-		b2 := fb.StartFlow(withGroup(r.opts(1, 4), g2))
-		r.expectLookup(t, "g2 alone", false)
-		// Group 1 arrives: it takes rank 0, group 2 moves to rank 1.
-		a1 := fb.StartFlow(withGroup(r.opts(2, 4), g1))
-		a2 := fb.StartFlow(withGroup(r.opts(3, 2), g1))
-		r.expectLookup(t, "g1 and g2", false)
-		// Group 1 drains: group 2 is rank 0 again, a configuration seen before.
+		fb.StartFlow(r.opts(0, 2))
+		fb.StartFlow(r.opts(1, 4))
+		r.expectLookup(t, "two flows", false)
+		a1 := fb.StartFlow(r.opts(2, 4))
+		a2 := fb.StartFlow(r.opts(3, 2))
+		r.expectLookup(t, "four flows", false)
+		// The newcomers leave: a flow set seen before.
 		fb.CancelFlow(a1)
 		fb.CancelFlow(a2)
-		r.expectLookup(t, "g1 drained", true)
-		// Re-populated with new flows over the same routes: both ranks and
-		// the ID order of the specs are what they were.
-		a1 = fb.StartFlow(withGroup(r.opts(2, 4), g1))
-		fb.StartFlow(withGroup(r.opts(3, 2), g1))
-		r.expectLookup(t, "g1 re-populated", true)
-		// Replacing the older member swaps the two specs' ID order.
+		r.expectLookup(t, "back to two flows", true)
+		// New flows over the same routes: the ID order of the specs is what
+		// it was.
+		a1 = fb.StartFlow(r.opts(2, 4))
+		fb.StartFlow(r.opts(3, 2))
+		r.expectLookup(t, "same routes again", true)
+		// Replacing the older of the two swaps the specs' ID order.
 		fb.CancelFlow(a1)
-		fb.StartFlow(withGroup(r.opts(2, 4), g1))
-		r.expectLookup(t, "g1 members in the other order", false)
-		// The same specs in the other group are a different input.
-		fb.CancelFlow(b2)
-		b2 = fb.StartFlow(withGroup(r.opts(1, 4), g1))
-		r.expectLookup(t, "member moved to g1", false)
-		fb.CancelFlow(b2)
-		b2 = fb.StartFlow(withGroup(r.opts(1, 4), g2))
-		r.expectLookup(t, "member back in g2", false) // b2 now has the largest ID
+		fb.StartFlow(r.opts(2, 4))
+		r.expectLookup(t, "same routes in the other order", false)
 
 		// A strict-priority flow arrives and leaves.
 		bg := r.opts(0, 4)
@@ -181,9 +169,9 @@ func TestMemoHitEqualsSolve(t *testing.T) {
 	}
 }
 
-// TestMemoChurnParity churns a small pool of routes, caps, priorities and
-// groups — so inputs recur constantly — across time (completions) and
-// capacity flaps, checking parity and the oracle after every batch.
+// TestMemoChurnParity churns a small pool of routes, caps and priorities —
+// so inputs recur constantly — across time (completions) and capacity
+// flaps, checking parity and the oracle after every batch.
 func TestMemoChurnParity(t *testing.T) {
 	var total Counters
 	for seed := int64(1); seed <= 20; seed++ {
@@ -191,13 +179,11 @@ func TestMemoChurnParity(t *testing.T) {
 		r := newMemoRig()
 		fb := r.fb
 		r.s.Go("churn", func(p *sim.Proc) {
-			groups := []*Group{nil, nil, fb.NewGroup(), fb.NewGroup(), fb.NewGroup()}
 			var held []*Flow
 			for round := 0; round < 400; round++ {
 				switch k := rng.Intn(50); {
 				case k < 25 && fb.ActiveFlows() < 12:
 					o := r.opts(rng.Intn(4), 2+2*rng.Intn(2))
-					o.Group = groups[rng.Intn(len(groups))]
 					o.Bytes = float64(1+rng.Intn(3)) * 1e5
 					switch rng.Intn(6) {
 					case 0:

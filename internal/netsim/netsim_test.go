@@ -184,51 +184,6 @@ func TestFixedRatePriorityFlow(t *testing.T) {
 	}
 }
 
-func TestGroupCoupling(t *testing.T) {
-	// Two flows in one group; one crosses a 30G bottleneck. Both must run
-	// at 30G (ring lock-step), not 30/100.
-	s := sim.New()
-	n, a, b, c := lineNet(100*gbps, 30*gbps)
-	fb := NewFabric(s, n)
-	s.Go("app", func(p *sim.Proc) {
-		g := fb.NewGroup()
-		f1 := fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 1e9, Group: g})
-		f2 := fb.StartFlow(FlowOpts{Src: a, Dst: b, Bytes: 1e9, Group: g})
-		if !almostEq(f1.Rate(), 30*gbps, 1) || !almostEq(f2.Rate(), 30*gbps, 1) {
-			t.Errorf("group rates = %g, %g, want both %g", f1.Rate(), f2.Rate(), 30*gbps)
-		}
-		fb.CancelFlow(f1)
-		fb.CancelFlow(f2)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTwoGroupsSuccessiveBottleneck(t *testing.T) {
-	// Group A spans the 30G link; group B only uses the 100G link.
-	// A freezes at 30G; B then gets the remaining 70G.
-	s := sim.New()
-	n, a, b, c := lineNet(100*gbps, 30*gbps)
-	fb := NewFabric(s, n)
-	s.Go("app", func(p *sim.Proc) {
-		ga, gb := fb.NewGroup(), fb.NewGroup()
-		fa := fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 1e9, Group: ga})
-		fbf := fb.StartFlow(FlowOpts{Src: a, Dst: b, Bytes: 1e9, Group: gb})
-		if !almostEq(fa.Rate(), 30*gbps, 1) {
-			t.Errorf("group A rate = %g, want %g", fa.Rate(), 30*gbps)
-		}
-		if !almostEq(fbf.Rate(), 70*gbps, 1) {
-			t.Errorf("group B rate = %g, want %g", fbf.Rate(), 70*gbps)
-		}
-		fb.CancelFlow(fa)
-		fb.CancelFlow(fbf)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDiamondPathsAndECMP(t *testing.T) {
 	n, src, dst := diamondNet(100 * gbps)
 	paths := n.PathsBetween(src, dst)

@@ -5,9 +5,9 @@
 // fixed route (either pinned explicitly, as MCCS does with its route-ID /
 // UDP-source-port policy-routing trick, or chosen by ECMP hashing, as plain
 // RoCE traffic is) and transfers a byte count. Active flows share each link
-// with progressive-filling max-min fairness; flows may additionally be tied
-// into a Group whose members all advance at the group's bottleneck rate,
-// which models the lock-step behaviour of a ring-collective step.
+// with progressive-filling max-min fairness, per flow (the model the
+// paper's own simulator assumes, §6.5); what paces a ring step is the
+// transport's per-connection FIFO, not the fabric.
 //
 // The fabric is event driven on top of the sim scheduler: rates are
 // recomputed only when the flow set changes — and at most once per

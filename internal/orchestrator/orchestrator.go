@@ -137,8 +137,6 @@ type Config struct {
 	// communicator on each churn event (strategy re-planned against the
 	// post-churn fabric, installed through the reconfiguration barrier).
 	Autotune bool
-	// AutotuneMaxChannels caps the tuner's channel search (0 = default).
-	AutotuneMaxChannels int
 }
 
 // Orchestrator runs tenant lifecycles over one deployment. Create with
@@ -457,11 +455,7 @@ func (o *Orchestrator) recompute(p *sim.Proc, cause string) {
 	o.mReconfigs.Inc()
 	if o.cfg.Autotune {
 		for _, ci := range view {
-			opts := policy.AutotuneOptions{
-				Op:          collective.AllReduce,
-				Bytes:       o.tuneBytes(ci.ID),
-				MaxChannels: o.cfg.AutotuneMaxChannels,
-			}
+			opts := policy.AutotuneOptions{Op: collective.AllReduce, Bytes: o.tuneBytes(ci.ID)}
 			if _, err := o.ctrl.Autotune(p, ci.ID, opts); err != nil {
 				o.errs = append(o.errs, fmt.Errorf("autotune comm %d: %w", ci.ID, err))
 			}

@@ -14,14 +14,9 @@ import (
 // back through the management API. It holds no mechanism of its own.
 type Controller struct {
 	dep *mccsd.Deployment
-	// ReservedRoutes are the path indices PFA dedicates to prioritized
-	// applications.
-	ReservedRoutes []int
 	// PrioThreshold is the priority at or above which an app counts as
 	// prioritized for PFA.
 	PrioThreshold int
-	// TSGuard pads TS busy windows against jitter.
-	TSGuard time.Duration
 
 	// Policy-decision audit counters; nil-safe when no registry is
 	// attached to the deployment's scheduler.
@@ -37,20 +32,24 @@ type Controller struct {
 	stratInfo map[spec.AppID]*telemetry.Gauge
 }
 
+// reservedRoutes are the path indices PFA dedicates to prioritized
+// applications; tsGuard pads TS busy windows against jitter.
+var reservedRoutes = []int{0}
+
+const tsGuard = 200 * time.Microsecond
+
 // NewController attaches a controller to a deployment.
 func NewController(dep *mccsd.Deployment) *Controller {
 	reg := telemetry.Of(dep.S)
 	return &Controller{
-		dep:            dep,
-		ReservedRoutes: []int{0},
-		PrioThreshold:  1,
-		TSGuard:        200 * time.Microsecond,
-		telFFA:         reg.Counter("mccs_policy_applies_total", "applies", telemetry.L("policy", "ffa")),
-		telPFA:         reg.Counter("mccs_policy_applies_total", "applies", telemetry.L("policy", "pfa")),
-		telRoutes:      reg.Counter("mccs_policy_routes_pinned_total", "route-sets"),
-		telTSInstalls:  reg.Counter("mccs_policy_ts_installs_total", "schedules"),
-		telTSWindows:   reg.Counter("mccs_policy_ts_windows_total", "windows"),
-		telTSClears:    reg.Counter("mccs_policy_ts_clears_total", "schedules"),
+		dep:           dep,
+		PrioThreshold: 1,
+		telFFA:        reg.Counter("mccs_policy_applies_total", "applies", telemetry.L("policy", "ffa")),
+		telPFA:        reg.Counter("mccs_policy_applies_total", "applies", telemetry.L("policy", "pfa")),
+		telRoutes:     reg.Counter("mccs_policy_routes_pinned_total", "route-sets"),
+		telTSInstalls: reg.Counter("mccs_policy_ts_installs_total", "schedules"),
+		telTSWindows:  reg.Counter("mccs_policy_ts_windows_total", "windows"),
+		telTSClears:   reg.Counter("mccs_policy_ts_clears_total", "schedules"),
 	}
 }
 
@@ -66,7 +65,7 @@ func (c *Controller) ApplyFFA() error {
 // ApplyPFA computes priority flow assignment and pushes the route pins.
 func (c *Controller) ApplyPFA() error {
 	view := c.dep.View()
-	a := PFA(c.dep.Cluster, view, c.ReservedRoutes, c.PrioThreshold)
+	a := PFA(c.dep.Cluster, view, reservedRoutes, c.PrioThreshold)
 	c.telPFA.Inc()
 	return c.push(a)
 }
@@ -111,7 +110,7 @@ func (c *Controller) ApplyTSFor(prioritized spec.CommID, rank int, victims []spe
 	if err != nil {
 		return err
 	}
-	sched, err := ComputeTS(trace, c.TSGuard)
+	sched, err := ComputeTS(trace, tsGuard)
 	if err != nil {
 		return err
 	}
@@ -123,12 +122,4 @@ func (c *Controller) ApplyTSFor(prioritized spec.CommID, rank int, victims []spe
 		c.telTSWindows.Add(int64(len(sched.Slots)))
 	}
 	return nil
-}
-
-// ClearTS removes traffic schedules from every application.
-func (c *Controller) ClearTS() {
-	for _, ci := range c.dep.View() {
-		c.dep.ClearTrafficSchedule(ci.App)
-		c.telTSClears.Inc()
-	}
 }

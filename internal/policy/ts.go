@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mccs/internal/sim"
 	"mccs/internal/trace"
 	"mccs/internal/transport"
 )
@@ -111,12 +110,6 @@ func IdleFraction(spans []trace.Span) float64 {
 		f = 0
 	}
 	return f
-}
-
-// phaseOf returns t's phase within a period (exported for tests via the
-// package test file).
-func phaseOf(t sim.Time, period time.Duration) time.Duration {
-	return time.Duration(t) % period
 }
 
 func sortDurations(a []time.Duration) {

@@ -423,7 +423,7 @@ func (c *chanRun) sendSlice() {
 		data = c.r.comm.snaps.get(l)
 		copy(data, c.buf.Data()[off:off+l])
 	}
-	c.sendConn.SendTagged(l*4, data, nil, c.tag)
+	c.sendConn.Send(l*4, data, &c.tag)
 }
 
 // land accounts the copy/reduce of the slice just received and, for

@@ -37,10 +37,10 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 	}
 }
 
-// TestDefaultConfigFilled ensures Attach's zero-value fill rules have a
-// complete template: every knob in DefaultConfig must be positive, or a
-// zero-valued Config would inherit a dead engine (interval 0 = busy
-// loop, tolerance 0 = everything quarantined).
+// TestDefaultConfigFilled: Attach takes its Config as given, and every
+// caller starts from DefaultConfig, so every knob there must be positive —
+// a zero would be a dead engine (interval 0 = busy loop, tolerance 0 =
+// everything quarantined).
 func TestDefaultConfigFilled(t *testing.T) {
 	cfg := DefaultConfig()
 	checks := []struct {

@@ -192,39 +192,12 @@ type Engine struct {
 // Attach builds the engine against a live deployment and subscribes it
 // to the diagnosis engine's incident stream (diag may be nil to run on
 // link-health evidence alone). Call before any fault is injected: the
-// per-link nominal capacities are snapshotted here. Nothing runs until
-// Start.
+// per-link nominal capacities are snapshotted here. cfg is taken as given —
+// start from DefaultConfig; a zero field is not filled in. Nothing runs
+// until Start.
 func Attach(s *sim.Scheduler, dep *mccsd.Deployment, diag *diagnosis.Engine, cfg Config) *Engine {
-	def := DefaultConfig()
 	if cfg.Interval <= 0 {
-		cfg.Interval = def.Interval
-	}
-	if cfg.LinkTolerance <= 0 {
-		cfg.LinkTolerance = def.LinkTolerance
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = def.SuspectAfter
-	}
-	if cfg.ProbationAfter <= 0 {
-		cfg.ProbationAfter = def.ProbationAfter
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = def.Cooldown
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = def.BackoffMax
-	}
-	if cfg.MaxActions <= 0 {
-		cfg.MaxActions = def.MaxActions
-	}
-	if cfg.EpisodeQuiet <= 0 {
-		cfg.EpisodeQuiet = def.EpisodeQuiet
-	}
-	if cfg.RetuneBytes <= 0 {
-		cfg.RetuneBytes = def.RetuneBytes
-	}
-	if cfg.RetuneMaxChannels <= 0 {
-		cfg.RetuneMaxChannels = def.RetuneMaxChannels
+		panic("remediation: Config.Interval must be positive (start from DefaultConfig)")
 	}
 	net := dep.Cluster.Net
 	e := &Engine{

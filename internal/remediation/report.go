@@ -46,18 +46,6 @@ type Report struct {
 	End          sim.Time
 }
 
-// RecoveryActions counts the actions that changed the deployment
-// (excludes quarantine/readmit bookkeeping transitions).
-func (r *Report) RecoveryActions() []ActionRecord {
-	var out []ActionRecord
-	for _, a := range r.Actions {
-		if a.Action != "quarantine" && a.Action != "readmit" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // TimesToRecover returns each completed episode's detect→readmit
 // duration in record order.
 func (r *Report) TimesToRecover() []sim.Duration {

@@ -143,6 +143,9 @@ func (s *Strategy) Reversed() Strategy {
 
 // Validate checks the strategy against a communicator size.
 func (s *Strategy) Validate(nranks int) error {
+	if nranks < 1 {
+		return fmt.Errorf("spec: communicator of %d ranks", nranks)
+	}
 	if len(s.Channels) == 0 {
 		return fmt.Errorf("spec: strategy has no channels")
 	}

@@ -56,6 +56,11 @@ func TestStrategyValidate(t *testing.T) {
 	if err := ok.Validate(2); err != nil {
 		t.Error(err)
 	}
+	// Found by FuzzStrategyValidate: an empty ring "matches" zero ranks.
+	empty := Strategy{Channels: []ChannelSpec{{Order: []int{}}}}
+	if err := empty.Validate(0); err == nil {
+		t.Error("empty ring over zero ranks accepted")
+	}
 }
 
 func TestStripeChannelOrders(t *testing.T) {

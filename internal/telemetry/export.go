@@ -157,22 +157,27 @@ func WriteJSONL(w io.Writer, sm *Sampler) error {
 	if sm == nil {
 		return nil
 	}
+	return SeriesOf(sm).write(w, sm.dropped, sm.reg.SLO.Dropped())
+}
+
+// write is WriteJSONL over a series; the two drop counts only appear in the
+// summary line, which ReadJSONL does not keep.
+func (se *Series) write(w io.Writer, droppedSamples, droppedViolations int) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	reg := sm.reg
-	if err := enc.Encode(jsonlSchema{Kind: "schema", IntervalNS: int64(sm.interval), Cols: reg.Schema()}); err != nil {
+	if err := enc.Encode(jsonlSchema{Kind: "schema", IntervalNS: int64(se.Interval), Cols: se.Cols}); err != nil {
 		return err
 	}
-	links := make([]jsonlLink, 0, len(reg.links))
-	for _, l := range reg.links {
+	links := make([]jsonlLink, 0, len(se.Links))
+	for _, l := range se.Links {
 		links = append(links, jsonlLink{ID: l.ID, Name: l.Name, CapBps: l.CapBps})
 	}
 	if err := enc.Encode(jsonlLinks{Kind: "links", Links: links}); err != nil {
 		return err
 	}
-	viols := reg.SLO.Violations()
+	viols := se.Violations
 	vi := 0
-	for _, s := range sm.samples {
+	for _, s := range se.Samples {
 		if err := enc.Encode(jsonlSample{Kind: "sample", TNS: int64(s.T), V: s.V}); err != nil {
 			return err
 		}
@@ -189,8 +194,8 @@ func WriteJSONL(w io.Writer, sm *Sampler) error {
 		}
 	}
 	if err := enc.Encode(jsonlSummary{
-		Kind: "summary", Samples: len(sm.samples), DroppedSamples: sm.dropped,
-		Violations: len(viols), DroppedViolations: reg.SLO.Dropped(),
+		Kind: "summary", Samples: len(se.Samples), DroppedSamples: droppedSamples,
+		Violations: len(viols), DroppedViolations: droppedViolations,
 	}); err != nil {
 		return err
 	}

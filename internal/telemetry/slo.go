@@ -21,22 +21,21 @@ import (
 // committed water-fill says at least one of its flows is *bottlenecked*
 // there — a tenant that is demand-limited (small messages, NIC-bound
 // elsewhere) is not a victim of that link, however little it pushes
-// through it. The link must also be saturated (utilization >= the
-// configured floor): on an idle link a low share is lack of demand, not
+// through it. The link must also be saturated (utilization >=
+// sloSaturationMin): on an idle link a low share is lack of demand, not
 // contention.
 //
 // Each (tenant, link, window) triple is reported at most once, at the
 // first instant within the window where the condition holds.
 
-// SLOConfig tunes the violation predicate.
-type SLOConfig struct {
-	// Tolerance is the fraction below entitlement tolerated before a
-	// violation fires (default 0.05 = achieved < 95% of entitlement).
-	Tolerance float64
-	// SaturationMin is the link-utilization floor for eligibility
-	// (default 0.9).
-	SaturationMin float64
-}
+// The violation predicate's two thresholds.
+const (
+	// sloTolerance is the fraction below entitlement tolerated before a
+	// violation fires (achieved < 95% of entitlement).
+	sloTolerance = 0.05
+	// sloSaturationMin is the link-utilization floor for eligibility.
+	sloSaturationMin = 0.9
+)
 
 // TenantShare is one tenant's observed state on one link at one instant.
 type TenantShare struct {
@@ -74,8 +73,6 @@ const maxViolations = 1 << 12
 // would drop every re-report — and is inert (window == 0) until a sampler
 // starts.
 type SLOTracker struct {
-	Config SLOConfig
-
 	reg    *Registry
 	window sim.Duration
 	// reported[link] holds the pairs that have violated on the link, in
@@ -87,10 +84,7 @@ type SLOTracker struct {
 }
 
 func newSLOTracker() *SLOTracker {
-	return &SLOTracker{
-		Config:   SLOConfig{Tolerance: 0.05, SaturationMin: 0.9},
-		counters: make(map[string]*Counter),
-	}
+	return &SLOTracker{counters: make(map[string]*Counter)}
 }
 
 // WindowIndex returns the number of the sampling window now falls in — the
@@ -113,11 +107,11 @@ func (t *SLOTracker) ObserveLink(now sim.Time, link int32, name string, capBps, 
 	if t == nil || t.window <= 0 || link < 0 || capBps <= 0 || len(shares) == 0 {
 		return
 	}
-	if totalBps/capBps < t.Config.SaturationMin {
+	if totalBps/capBps < sloSaturationMin {
 		return
 	}
 	entitled := capBps / float64(len(shares))
-	floor := entitled * (1 - t.Config.Tolerance)
+	floor := entitled * (1 - sloTolerance)
 	w := t.WindowIndex(now)
 	for _, sh := range shares {
 		if !sh.Bottlenecked || sh.Bps >= floor || !t.firstIn(w, link, sh.Tenant) {

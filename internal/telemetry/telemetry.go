@@ -471,20 +471,6 @@ type Column struct {
 	Labels []Label `json:"labels,omitempty"`
 }
 
-// numCols returns the current snapshot width.
-func (r *Registry) numCols() int {
-	n := 0
-	for _, e := range r.entries {
-		switch e.kind {
-		case KindHistogram:
-			n += len(e.h.bounds) + 2
-		default:
-			n++
-		}
-	}
-	return n
-}
-
 // readInto appends the current value of every column to dst, in
 // registration order (the sampler's hot-ish path: no allocation when dst
 // has capacity).

@@ -88,9 +88,6 @@ func (c *Cluster) NICOfGPU(g GPUID) NICID { return c.GPUs[g].NIC }
 // NICNode returns the fabric node of NIC n.
 func (c *Cluster) NICNode(n NICID) netsim.NodeID { return c.NICs[n].Node }
 
-// SameHost reports whether two GPUs live on one host.
-func (c *Cluster) SameHost(a, b GPUID) bool { return c.GPUs[a].Host == c.GPUs[b].Host }
-
 // SameRack reports whether two hosts share a rack.
 func (c *Cluster) SameRack(a, b HostID) bool { return c.Hosts[a].Rack == c.Hosts[b].Rack }
 

@@ -190,7 +190,6 @@ type message struct {
 	bytes int64
 	data  []float32
 	seq   uint64
-	group *netsim.Group
 	tag   trace.FlowTag
 	// txStart is when an intra-host transfer entered its channel.
 	txStart sim.Time
@@ -306,17 +305,11 @@ func (c *Conn) Close() { c.closed = true }
 
 // Send transmits bytes (with optional data snapshot) to the peer. It is
 // asynchronous; the receiver's Recv unblocks once the transfer completes.
-// group optionally couples the underlying fabric flow with the other flows
-// of the same ring step (lock-step pacing).
-func (c *Conn) Send(bytes int64, data []float32, group *netsim.Group) {
-	c.SendTagged(bytes, data, group, trace.FlowTag{})
-}
-
-// SendTagged is Send with a flight-recorder tag identifying the
-// collective step the message carries; the tag rides the fabric flow
-// into the trace so bottleneck attribution can join network behaviour
-// back to collectives. The zero tag marks untagged traffic.
-func (c *Conn) SendTagged(bytes int64, data []float32, group *netsim.Group, tag trace.FlowTag) {
+// tag, if non-nil, is copied into the message as its flight-recorder tag,
+// identifying the collective step it carries; the tag rides the fabric flow
+// into the trace so bottleneck attribution can join network behaviour back
+// to collectives. Nil marks untagged traffic.
+func (c *Conn) Send(bytes int64, data []float32, tag *trace.FlowTag) {
 	if c.closed {
 		panic("transport: send on closed connection")
 	}
@@ -329,7 +322,11 @@ func (c *Conn) SendTagged(bytes int64, data []float32, group *netsim.Group, tag 
 		c.telTx = c.eng.txCounter(c.app)
 	}
 	c.telTx.Add(bytes)
-	c.sendQ.Push(message{bytes: bytes, data: data, seq: c.sendSeq, group: group, tag: tag})
+	msg := message{bytes: bytes, data: data, seq: c.sendSeq}
+	if tag != nil {
+		msg.tag = *tag
+	}
+	c.sendQ.Push(msg)
 	if c.eng.cfg.UnserializedSends {
 		// Ablation mode: transmit everything concurrently.
 		for c.sendQ.Len() > 0 {
@@ -393,7 +390,6 @@ func (c *Conn) transmit(seq uint64) {
 		// messages to one path. That stickiness is what makes
 		// collisions persistent — and what MCCS route pinning fixes.
 		Label:  c.label,
-		Group:  msg.group,
 		Tag:    msg.tag,
 		OnDone: (*connFlowDone)(c), OnDoneArg: seq,
 	})
