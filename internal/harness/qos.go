@@ -205,7 +205,7 @@ func runQoSController(env *Env, sol QoSSolution, stop, bDone *sim.Event) {
 			}
 			p.Sleep(250 * time.Millisecond)
 		}
-		d.ClearTrafficSchedule("C")
+		ctrl.ClearTSFor("C")
 	})
 }
 

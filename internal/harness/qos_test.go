@@ -9,6 +9,7 @@ import (
 	"mccs/internal/ncclsim"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
+	"mccs/internal/telemetry"
 )
 
 func TestFig9QoSOrdering(t *testing.T) {
@@ -22,7 +23,25 @@ func TestFig9QoSOrdering(t *testing.T) {
 	ecmp := run(SolutionECMP)
 	ffa := run(SolutionFFA)
 	pfa := run(SolutionPFA)
-	pfats := run(SolutionPFATS)
+	// The PFA+TS run carries telemetry (which schedules nothing), so the
+	// controller's own accounting of it can be read back.
+	env, err := NewEnv(EnvOptions{System: ncclsim.MCCS, Observers: Observers{TelemetryEvery: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.S.Shutdown()
+	pfats, err := runQoS(env, QoSConfig{Solution: SolutionPFATS, IterationsA: 12, IterationsBC: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.Of(env.S)
+	if n := reg.Counter("mccs_policy_ts_installs_total", "schedules").Value(); n == 0 {
+		t.Error("PFA+TS installed no schedule on C")
+	}
+	// C's schedule is cleared once, through the controller, when B is done.
+	if n := reg.Counter("mccs_policy_ts_clears_total", "schedules").Value(); n != 1 {
+		t.Errorf("mccs_policy_ts_clears_total = %d, want 1", n)
+	}
 
 	for _, app := range []string{"A", "B", "C"} {
 		if ecmp.JCT[appID(app)] <= 0 || ffa.JCT[appID(app)] <= 0 {

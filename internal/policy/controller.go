@@ -123,3 +123,12 @@ func (c *Controller) ApplyTSFor(prioritized spec.CommID, rank int, victims []spe
 	}
 	return nil
 }
+
+// ClearTSFor removes the traffic schedules of the given applications — the
+// inverse of ApplyTSFor, for when the tenant they were derived from is gone.
+func (c *Controller) ClearTSFor(apps ...spec.AppID) {
+	for _, app := range apps {
+		c.dep.ClearTrafficSchedule(app)
+		c.telTSClears.Inc()
+	}
+}
