@@ -8,10 +8,10 @@ import (
 // This file is the memo in front of Fabric.solve.
 //
 // solve is a pure function of the ID-ordered flow list — per flow its
-// route, rate cap and priority bit — and of the link capacities. MCCS pins every connection to a route and sends a
-// collective step as thousands of identical slices over the same few
-// connections, so a testbed-scale fabric is asked to solve the same few
-// inputs again and again. The memo keys an allocation by exactly those
+// route, rate cap and priority bit — and of the link capacities. MCCS pins
+// every connection to a route and sends a collective step as thousands of
+// identical slices over the same few connections, so a testbed-scale fabric
+// is asked to solve the same few inputs again and again. The memo keys an allocation by exactly those
 // inputs and, on a repeat, hands back the floats solve produced the first
 // time: a hit is bit-identical to a solve by construction, and
 // referenceAllocate stays the oracle for both.
