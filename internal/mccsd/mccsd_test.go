@@ -327,6 +327,62 @@ func TestFrontendValidation(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+
+	// A count larger than the buffers is the tenant's mistake and must come
+	// back to the tenant as an error on every rank: accepted, it panics the
+	// rank's execution engine on backed buffers (slice bounds out of range
+	// inside the scheduler) and on unbacked ones simulates bytes nobody
+	// allocated.
+	for _, backed := range []bool{true, false} {
+		s, d := newDeployment(DefaultConfig())
+		gpus := oneGPUPerHost(d)
+		n := int64(len(gpus))
+		launchRanks(s, d, "appA", gpus, func(p *sim.Proc, rank int, f *Frontend, gpu topo.GPUID) {
+			buf, _ := f.MemAlloc(p, gpu, 1024*4, backed)
+			part, _ := f.MemAlloc(p, gpu, 1024/n*4, backed) // one rank's share of buf
+			small, _ := f.MemAlloc(p, gpu, 16*4, backed)
+			comm, err := f.CommInitRank(p, "job0", len(gpus), rank, gpu)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			bad := func(what string, _ *OpHandle, err error) {
+				if err == nil {
+					t.Errorf("backed=%v rank %d: %s accepted", backed, rank, what)
+				}
+			}
+			h, err := comm.AllReduce(p, nil, buf, 4096, nil)
+			bad("AllReduce beyond the buffer", h, err)
+			h, err = comm.AllReduce(p, nil, buf, 1<<62, nil)
+			bad("AllReduce with a count that overflows in bytes", h, err)
+			h, err = comm.AllReduce(p, small, buf, 1024, nil)
+			bad("AllReduce beyond the send buffer", h, err)
+			h, err = comm.AllGather(p, buf, buf, 1024/n+1, nil)
+			bad("AllGather beyond the receive buffer", h, err)
+			h, err = comm.AllGather(p, small, buf, 17, nil)
+			bad("AllGather beyond the send buffer", h, err)
+			h, err = comm.ReduceScatter(p, nil, buf, 1025, nil)
+			bad("ReduceScatter beyond the buffer", h, err)
+			h, err = comm.Broadcast(p, small, 17, 0, nil)
+			bad("Broadcast beyond the buffer", h, err)
+			h, err = comm.Reduce(p, small, 17, 0, nil)
+			bad("Reduce beyond the buffer", h, err)
+			// What fits exactly still runs, after all the refusals.
+			if h, err = comm.AllGather(p, part, buf, 1024/n, nil); err != nil {
+				t.Errorf("backed=%v rank %d: exact-fit AllGather: %v", backed, rank, err)
+				return
+			}
+			h.Wait(p)
+			if h, err = comm.AllReduce(p, nil, buf, 1024, nil); err != nil {
+				t.Errorf("backed=%v rank %d: exact-fit AllReduce: %v", backed, rank, err)
+				return
+			}
+			h.Wait(p)
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestRendezvousDoubleRegistration(t *testing.T) {

@@ -138,6 +138,12 @@ func TestP2PValidation(t *testing.T) {
 		if _, err := comm.Recv(p, buf, 4, 9, nil); err == nil {
 			t.Error("out-of-range peer accepted")
 		}
+		if _, err := comm.Send(p, buf, 17, 1, nil); err == nil {
+			t.Error("send beyond the buffer accepted")
+		}
+		if _, err := comm.Recv(p, buf, 17, 1, nil); err == nil {
+			t.Error("receive beyond the buffer accepted")
+		}
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

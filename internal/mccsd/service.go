@@ -231,6 +231,19 @@ func (c *Comm) issue(req *proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, er
 	if req.RecvBuf == nil {
 		return nil, fmt.Errorf("mccsd: %s without buffer", opName(req))
 	}
+	// The proxy slices the buffers by count without looking at their size
+	// again, so a count the tenant never allocated must stop here (compared
+	// in elements: an absurd count cannot overflow its way past the check).
+	outRanks := int64(1)
+	if op == collective.AllGather {
+		outRanks = int64(c.Size())
+	}
+	if room := req.RecvBuf.Bytes() / 4 / outRanks; count > room {
+		return nil, fmt.Errorf("mccsd: %s of %d elements into a buffer with room for %d", opName(req), count, room)
+	}
+	if req.SendBuf != nil && count > req.SendBuf.Bytes()/4 {
+		return nil, fmt.Errorf("mccsd: %s of %d elements from a buffer holding %d", opName(req), count, req.SendBuf.Bytes()/4)
+	}
 	if req.Root < 0 || req.Root >= c.Size() {
 		return nil, fmt.Errorf("mccsd: root %d out of range", req.Root)
 	}
@@ -256,10 +269,7 @@ func (c *Comm) issue(req *proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, er
 	c.f.telCmds.Inc()
 	c.f.telInflight.Add(1)
 	h := &OpHandle{done: sim.NewFuture[OpStats]()}
-	outBytes := count * 4
-	if op == collective.AllGather {
-		outBytes *= int64(c.Size())
-	}
+	outBytes := count * 4 * outRanks
 	req.CompleteFire = func() {
 		s.After(d.cfg.CompletionLatency, func() {
 			fire()
