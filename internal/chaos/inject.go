@@ -75,7 +75,7 @@ func injectAutotune(env *harness.Env, sc Scenario, tune *rand.Rand, fl *faultLog
 	env.S.Go("chaos:autotune", func(p *sim.Proc) {
 		dep := env.Deployment
 		// Wait for the communicator, bounded like the storm driver.
-		for i := 0; len(dep.View()) == 0; i++ {
+		for i := 0; dep.NumComms() == 0; i++ {
 			if i > 4000 {
 				return
 			}
@@ -204,7 +204,7 @@ func injectReconfigStorm(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faul
 		dep := env.Deployment
 		// Wait for the communicator to come up; bounded so a rendezvous
 		// wedged by some other fault cannot livelock the run.
-		for i := 0; len(dep.View()) == 0; i++ {
+		for i := 0; dep.NumComms() == 0; i++ {
 			if i > 4000 {
 				return
 			}

@@ -195,8 +195,8 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if q := orch.QueueLen(); q != 0 {
 		return nil, fmt.Errorf("harness: %d jobs still queued after drain", q)
 	}
-	if v := env.Deployment.View(); len(v) != 0 {
-		return nil, fmt.Errorf("harness: %d communicators leaked after teardown", len(v))
+	if n := env.Deployment.NumComms(); n != 0 {
+		return nil, fmt.Errorf("harness: %d communicators leaked after teardown", n)
 	}
 	if n := env.Fabric.ManagedFlows(); n != 0 {
 		return nil, fmt.Errorf("harness: %d managed flows leaked after drain", n)

@@ -162,7 +162,7 @@ func runQoSController(env *Env, sol QoSSolution, stop, bDone *sim.Event) {
 	// used later by TS, not by route reservation.
 	ctrl.PrioThreshold = 2
 	env.S.GoDaemon("qos-controller", func(p *sim.Proc) {
-		for len(d.View()) < 3 {
+		for d.NumComms() < 3 {
 			p.Sleep(time.Millisecond)
 		}
 		switch sol {
@@ -289,7 +289,7 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 	env.S.GoDaemon("dyn-controller", func(p *sim.Proc) {
 		seen := 0
 		for p.Now() < sim.Time(cfg.T3) {
-			if n := len(d.View()); n != seen {
+			if n := d.NumComms(); n != seen {
 				seen = n
 				if err := ctrl.ApplyFFA(); err != nil {
 					panic(err)

@@ -37,8 +37,8 @@ func TestCommDestroyLifecycle(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.View()) != 0 {
-		t.Fatalf("view still has %d comms after destroy", len(d.View()))
+	if len(d.View()) != 0 || d.NumComms() != 0 {
+		t.Fatalf("view still has %d comms after destroy, NumComms %d", len(d.View()), d.NumComms())
 	}
 	if _, ok := d.Comm(1); ok {
 		t.Error("internal comm object still registered")
@@ -75,7 +75,7 @@ func TestDestroyOneCommLeavesOthers(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.View()); got != 1 {
-		t.Fatalf("view has %d comms, want 1", got)
+	if got := len(d.View()); got != 1 || d.NumComms() != 1 {
+		t.Fatalf("view has %d comms, NumComms %d, want 1", got, d.NumComms())
 	}
 }

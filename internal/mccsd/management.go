@@ -33,6 +33,10 @@ func (d *Deployment) View() []spec.CommInfo {
 	return out
 }
 
+// NumComms returns the number of active communicators — len(View()) for
+// the pollers that only count, without describing any of them.
+func (d *Deployment) NumComms() int { return len(d.comms) }
+
 // Comm returns the internal communicator object (tests and benchmarks).
 func (d *Deployment) Comm(id spec.CommID) (*proxy.Comm, bool) {
 	c, ok := d.comms[id]
