@@ -419,3 +419,70 @@ func BenchmarkSchedChurn(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkOpRoundTrip measures the command path an operation crosses
+// whatever its size: shim call → frontend → proxy runner → two channel
+// programs → completion → tenant, for an 8-rank 32 KB AllReduce on the
+// Fig. 6 testbed. One iteration is one round trip on every rank; allocs/op
+// is the count mccsd.TestOpPathAllocatesOncePerRankOp pins — one handle per
+// rank, 8 — plus a chunk of the always-on recorder every 1 024 spans.
+func BenchmarkOpRoundTrip(b *testing.B) {
+	env, err := harness.NewEnv(harness.EnvOptions{System: ncclsim.MCCS})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer env.S.Shutdown()
+	gpus, err := harness.SingleAppGPUs(env.Cluster, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const count = 32 << 10 / 4
+	var (
+		gate   sim.WaitQueue
+		quota  int
+		rounds = make([]int, len(gpus))
+		failed error
+	)
+	for rank, gpu := range gpus {
+		env.S.Go("tenant", func(p *sim.Proc) {
+			f := env.Deployment.Service(env.Cluster.HostOfGPU(gpu)).Frontend("bench")
+			buf, err := f.MemAlloc(p, gpu, count*4, false)
+			if err != nil {
+				failed = err
+				return
+			}
+			comm, err := f.CommInitRank(p, "bench", len(gpus), rank, gpu)
+			if err != nil {
+				failed = err
+				return
+			}
+			for {
+				for ; rounds[rank] < quota; rounds[rank]++ {
+					h, err := comm.AllReduce(p, nil, buf, count, nil)
+					if err != nil {
+						failed = err
+						return
+					}
+					h.Wait(p)
+				}
+				gate.Wait(p)
+			}
+		}).Daemon()
+	}
+	run := func(k int) {
+		quota += k
+		gate.WakeAll(env.S)
+		if err := env.S.RunUntil(env.S.Now().Add(time.Duration(k+1) * 10 * time.Millisecond)); err != nil {
+			b.Fatal(err)
+		}
+		for rank, n := range rounds {
+			if n != quota || failed != nil {
+				b.Fatalf("rank %d ran %d of %d round trips (%v)", rank, n, quota, failed)
+			}
+		}
+	}
+	run(20) // set-up and steady state: communicator built, rings and tables sized
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}

@@ -129,22 +129,28 @@ func Channels(algo Algo, rings []*Ring) int {
 // root is ignored by unrooted ops. A single-rank communicator has
 // nothing to schedule and gets an empty program. Lowering an op the
 // algorithm has no schedule for (Select never asks) panics.
-func Lower(algo Algo, op Op, rings []*Ring, rank, ch, root int, count int64) Program {
+//
+// The program's steps are written over buf, whatever it held, and a new
+// array is allocated only when buf's capacity is too small: a caller that
+// lowers op after op keeps the returned Steps and passes them back in. The
+// returned program is valid until then. nil allocates.
+func Lower(buf []Step, algo Algo, op Op, rings []*Ring, rank, ch, root int, count int64) Program {
 	n := rings[0].Size()
+	buf = buf[:0]
 	if n <= 1 {
-		return Program{}
+		return Program{Steps: buf}
 	}
 	switch algo {
 	case AlgoTree:
-		return Program{Steps: lowerTree(op, n, rank, root, count)}
+		return Program{Steps: lowerTree(buf, op, n, rank, root, count)}
 	case AlgoHD:
 		if op != AllReduce {
 			panic(fmt.Sprintf("collective: no halving-doubling schedule for %v", op))
 		}
 		off, l := Part(count, len(rings), ch)
-		return Program{Steps: lowerHD(n, rank, off, l)}
+		return Program{Steps: lowerHD(buf, n, rank, off, l)}
 	default:
-		return Program{Steps: lowerRing(op, rings[ch], rank, root, count, len(rings), ch), Pipelined: true}
+		return Program{Steps: lowerRing(buf, op, rings[ch], rank, root, count, len(rings), ch), Pipelined: true}
 	}
 }
 
@@ -154,7 +160,7 @@ func LowerAll(algo Algo, op Op, rings []*Ring, root int, count int64) [][]Progra
 	for ch := range progs {
 		progs[ch] = make([]Program, rings[0].Size())
 		for rank := range progs[ch] {
-			progs[ch][rank] = Lower(algo, op, rings, rank, ch, root, count)
+			progs[ch][rank] = Lower(nil, algo, op, rings, rank, ch, root, count)
 		}
 	}
 	return progs
@@ -216,7 +222,7 @@ func Edges(st *spec.Strategy, rings []*Ring) []Edge {
 					rank = rings[ch].RankAt(i)
 				}
 				mine := len(edges) // where this rank's edges start
-				for _, s := range Lower(algo, AllReduce, rings, rank, ch, 0, 0).Steps {
+				for _, s := range Lower(nil, algo, AllReduce, rings, rank, ch, 0, 0).Steps {
 					for _, peer := range [2]int{s.SendPeer, s.RecvPeer} {
 						e := Edge{Algo: algo, Channel: ch, From: rank, To: peer}
 						if peer >= 0 && !contains(edges[mine:], e) {

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +75,13 @@ func (c lowering) check() error {
 	}
 	in := randInputs(rng, c.n, c.count)
 	progs := LowerAll(c.algo, c.op, rings, c.root, int64(c.count))
+	for ch := range progs {
+		for rank := range progs[ch] {
+			if _, err := lowerOverDirty(c.algo, c.op, rings, rank, ch, c.root, int64(c.count)); err != nil {
+				return fmt.Errorf("ch %d rank %d: %w", ch, rank, err)
+			}
+		}
+	}
 	if err := c.checkPrograms(rings, progs); err != nil {
 		return err
 	}
@@ -94,6 +102,43 @@ func (c lowering) check() error {
 		}
 	}
 	return nil
+}
+
+// lowerOverDirty lowers one program the way LowerAll does, into a fresh
+// array, and the way the proxy does, over whatever its interpreter ran last:
+// buffers full of another program's steps, smaller than the program, exactly
+// as large and larger. All of them must come out as the same program, and a
+// buffer with room must be the one written (that is the point of passing it).
+func lowerOverDirty(algo Algo, op Op, rings []*Ring, rank, ch, root int, count int64) (Program, error) {
+	want := Lower(nil, algo, op, rings, rank, ch, root, count)
+	k := len(want.Steps)
+	for _, size := range []int{0, k / 2, k - 1, k, 2*k + 3} {
+		if size < 0 {
+			continue
+		}
+		buf := make([]Step, size)
+		for i := range buf {
+			buf[i] = Step{SendPeer: 1<<20 + i, SendOff: -7, SendLen: 99, RecvPeer: -5, RecvOff: 3, RecvLen: 1 << 40, RecvReduce: i%2 == 0}
+		}
+		got := Lower(buf, algo, op, rings, rank, ch, root, count)
+		if got.Pipelined != want.Pipelined || !slices.Equal(got.Steps, want.Steps) {
+			return want, fmt.Errorf("lowered over a dirty %d-step buffer: %+v, into a fresh one: %+v", size, got, want)
+		}
+		if k > 0 && size >= k && &got.Steps[0] != &buf[0] {
+			return want, fmt.Errorf("a %d-step buffer has room for the %d-step program but was not used", size, k)
+		}
+	}
+	return want, nil
+}
+
+// mustLower is lowerOverDirty for the table tests.
+func mustLower(t *testing.T, algo Algo, op Op, rings []*Ring, rank, ch, root int, count int64) []Step {
+	t.Helper()
+	prog, err := lowerOverDirty(algo, op, rings, rank, ch, root, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.Steps
 }
 
 // checkPrograms asserts what every consumer of the IR relies on:
@@ -355,7 +400,7 @@ func TestSelect(t *testing.T) {
 // halving-doubling rounds.
 func TestRoundCounts(t *testing.T) {
 	rounds := func(algo Algo, op Op, n int) int {
-		return len(Lower(algo, op, []*Ring{IdentityRing(n)}, 0, 0, 0, 100).Steps)
+		return len(mustLower(t, algo, op, []*Ring{IdentityRing(n)}, 0, 0, 0, 100))
 	}
 	for _, tc := range []struct{ n, tree, hd int }{
 		{1, 0, 0}, {2, 1, 2}, {3, 2, 4}, {4, 2, 4}, {5, 3, 6}, {6, 3, 6}, {7, 3, 6}, {8, 3, 6},
@@ -451,13 +496,13 @@ func TestTreeScheduleTables(t *testing.T) {
 			rings := []*Ring{IdentityRing(tc.n)}
 			for r := 0; r < tc.n; r++ {
 				want := tc.reduce[r]
-				got := Lower(AlgoTree, Reduce, rings, r, 0, tc.root, count).Steps
+				got := mustLower(t, AlgoTree, Reduce, rings, r, 0, tc.root, count)
 				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 					t.Errorf("rank %d reduce = %+v, want %+v", r, got, want)
 				}
 				// Broadcast must be the exact mirror: reversed rounds with
 				// send/recv flipped and no reduce.
-				bc := Lower(AlgoTree, Broadcast, rings, r, 0, tc.root, count).Steps
+				bc := mustLower(t, AlgoTree, Broadcast, rings, r, 0, tc.root, count)
 				if len(bc) != len(want) {
 					t.Fatalf("rank %d: broadcast %d rounds, want %d", r, len(bc), len(want))
 				}
@@ -484,7 +529,7 @@ func TestLowerRejectsOpsWithoutSchedule(t *testing.T) {
 					t.Errorf("Lower(%v, %v) did not panic", tc.algo, tc.op)
 				}
 			}()
-			Lower(tc.algo, tc.op, rings, 0, 0, 0, 8)
+			Lower(nil, tc.algo, tc.op, rings, 0, 0, 0, 8)
 		}()
 	}
 }

@@ -3,7 +3,11 @@ package collective
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
+
+// The lowerings append their rounds to steps, which arrives empty: the caller
+// of Lower owns the backing array and may hand in the previous program's.
 
 // lowerRing lowers the ring schedules. The buffer is cut into regions —
 // n ceil-balanced ones for AllReduce/ReduceScatter, one per contributing
@@ -24,7 +28,7 @@ import (
 //     chain — away from the root for Broadcast, against the ring toward
 //     the root with a reduction at every hop for Reduce. The rank at
 //     chain position c receives in round c-1 and forwards in round c.
-func lowerRing(op Op, ring *Ring, rank, root int, count int64, nch, ch int) []Step {
+func lowerRing(steps []Step, op Op, ring *Ring, rank, root int, count int64, nch, ch int) []Step {
 	n := ring.Size()
 	p := ring.PosOf(rank)
 	mod := func(x int) int { return ((x % n) + n) % n }
@@ -49,7 +53,7 @@ func lowerRing(op Op, ring *Ring, rank, root int, count int64, nch, ch int) []St
 
 	switch op {
 	case AllReduce:
-		steps := make([]Step, 0, 2*(n-1))
+		steps = slices.Grow(steps, 2*(n-1))
 		for s := 0; s < n-1; s++ {
 			steps = append(steps, both(mod(p-s), mod(p-s-1), true))
 		}
@@ -58,13 +62,13 @@ func lowerRing(op Op, ring *Ring, rank, root int, count int64, nch, ch int) []St
 		}
 		return steps
 	case ReduceScatter:
-		steps := make([]Step, 0, n-1)
+		steps = slices.Grow(steps, n-1)
 		for s := 0; s < n-1; s++ {
 			steps = append(steps, both(ring.RankAt(mod(p-s-1)), ring.RankAt(mod(p-s-2)), true))
 		}
 		return steps
 	case AllGather:
-		steps := make([]Step, 0, n-1)
+		steps = slices.Grow(steps, n-1)
 		for s := 0; s < n-1; s++ {
 			steps = append(steps, both(ring.RankAt(mod(p-s)), ring.RankAt(mod(p-s-1)), false))
 		}
@@ -74,7 +78,7 @@ func lowerRing(op Op, ring *Ring, rank, root int, count int64, nch, ch int) []St
 		if op == Reduce {
 			c, to, from = n-1-c, prev, next
 		}
-		steps := make([]Step, n-1)
+		steps = slices.Grow(steps, n-1)[:n-1]
 		for s := range steps {
 			steps[s] = idle
 		}
@@ -106,10 +110,14 @@ func lowerRing(op Op, ring *Ring, rank, root int, count int64, nch, ch int) []St
 // that peer exists: after ceil(log2 n) rounds the root holds the sum.
 // Broadcast is the same tree run backwards with copies instead of
 // reductions; AllReduce is reduce-to-root followed by broadcast-from-root.
-func lowerTree(op Op, n, rank, root int, count int64) []Step {
+func lowerTree(steps []Step, op Op, n, rank, root int, count int64) []Step {
 	v := ((rank-root)%n + n) % n
 	unv := func(v int) int { return (v + root) % n }
-	reduce := make([]Step, 0, 2*bits.Len(uint(n-1))) // room for the broadcast half
+	rounds := bits.Len(uint(n - 1))
+	if op == AllReduce {
+		rounds *= 2 // room for the broadcast half
+	}
+	steps = slices.Grow(steps, rounds)
 	sent := false
 	for mask := 1; mask < n; mask <<= 1 {
 		st := idle
@@ -121,10 +129,10 @@ func lowerTree(op Op, n, rank, root int, count int64) []Step {
 		case v|mask < n:
 			st.RecvPeer, st.RecvLen, st.RecvReduce = unv(v|mask), count, true
 		}
-		reduce = append(reduce, st)
+		steps = append(steps, st)
 	}
-	bcast := make([]Step, len(reduce))
-	for i, st := range reduce {
+	// bcast is the broadcast round that undoes reduce round st.
+	bcast := func(st Step) Step {
 		b := idle
 		if st.SendPeer >= 0 {
 			b.RecvPeer, b.RecvLen = st.SendPeer, count
@@ -132,19 +140,24 @@ func lowerTree(op Op, n, rank, root int, count int64) []Step {
 		if st.RecvPeer >= 0 {
 			b.SendPeer, b.SendLen = st.RecvPeer, count
 		}
-		bcast[len(reduce)-1-i] = b
+		return b
 	}
 	switch op {
 	case Reduce:
-		return reduce
 	case Broadcast:
-		return bcast
+		slices.Reverse(steps)
+		for i, st := range steps {
+			steps[i] = bcast(st)
+		}
 	case AllReduce:
-		return append(reduce, bcast...)
+		for i := len(steps) - 1; i >= 0; i-- {
+			steps = append(steps, bcast(steps[i]))
+		}
 	default:
 		// The scatter/gather ops have no dense-tree form here.
 		panic(fmt.Sprintf("collective: no tree schedule for %v", op))
 	}
+	return steps
 }
 
 // lowerHD lowers recursive halving-doubling AllReduce (Rabenseifner's
@@ -166,7 +179,7 @@ func lowerTree(op Op, n, rank, root int, count int64) []Step {
 // Spans are cut on the shared boundary grid Regions(count, p2), so the
 // elements a rank sends in a round are exactly the ones its peer expects
 // — including zero-length spans when count < p2.
-func lowerHD(n, rank int, base, count int64) []Step {
+func lowerHD(steps []Step, n, rank int, base, count int64) []Step {
 	k := bits.Len(uint(n)) - 1
 	p2 := 1 << k
 	r := n - p2
@@ -186,7 +199,11 @@ func lowerHD(n, rank int, base, count int64) []Step {
 		st.RecvOff, st.RecvLen = span(lo, hi)
 		return st
 	}
-	steps := make([]Step, 0, 2*k+2)
+	rounds := 2 * k
+	if r > 0 {
+		rounds += 2 // fold and unfold
+	}
+	steps = slices.Grow(steps, rounds)
 	// Fold: extras push their whole span into their partner.
 	if r > 0 {
 		switch {

@@ -188,11 +188,15 @@ func CloseMemHandle(b *Buffer) error {
 // processes (cudaIpcGetEventHandle analogue) — in the simulator this is
 // simply sharing the object.
 type Event struct {
-	s    *sim.Scheduler
-	last *recordInstance
+	last *RecordInstance
 }
 
-type recordInstance struct {
+// RecordInstance is one record of an event: pending until the recorded
+// point executes, complete from then on. The zero value is a pending record.
+// Stream.Record makes its own; a caller that completes records itself
+// (Event.ManualRecord) owns the instance and can keep it inside a larger
+// object.
+type RecordInstance struct {
 	done bool
 	cbs  []func()
 	wq   sim.WaitQueue
@@ -200,9 +204,11 @@ type recordInstance struct {
 
 // NewEvent creates an event. A never-recorded event is "complete" per CUDA
 // rules: waits on it return immediately.
-func NewEvent(s *sim.Scheduler) *Event { return &Event{s: s} }
+func NewEvent() *Event { return &Event{} }
 
-func (ri *recordInstance) fire(s *sim.Scheduler) {
+// Fire completes the record, releasing every stream and host wait bound to
+// it. Firing twice is a no-op.
+func (ri *RecordInstance) Fire(s *sim.Scheduler) {
 	if ri.done {
 		return
 	}
@@ -231,7 +237,7 @@ func (e *Event) WaitHost(p *sim.Proc) {
 // (e.g. the shim passing a stream event to the proxy) must snapshot at
 // call time or they can bind to the wrong record.
 type EventInstance struct {
-	ri *recordInstance
+	ri *RecordInstance
 }
 
 // Snapshot captures the current record instance (zero instance if the
@@ -260,7 +266,7 @@ func (ei EventInstance) ParkHost(p *sim.Proc) (done bool) {
 }
 
 // onDone invokes fn when the snapshot instance completes.
-func (ri *recordInstance) onDone(fn func()) {
+func (ri *RecordInstance) onDone(fn func()) {
 	if ri == nil || ri.done {
 		fn()
 		return
@@ -282,7 +288,7 @@ type op struct {
 	name string
 	dur  time.Duration
 	fn   func() // body executed at kernel completion
-	ev   *recordInstance
+	ev   *RecordInstance
 }
 
 // Stream is an in-order execution queue on one device.
@@ -340,7 +346,7 @@ func (st *Stream) start(o op) {
 			st.finish()
 		})
 	case opRecord:
-		o.ev.fire(st.dev.s)
+		o.ev.Fire(st.dev.s)
 		// Records are instantaneous, but completing them through the
 		// scheduler keeps op completion ordering deterministic.
 		st.dev.s.After(0, st.finish)
@@ -407,23 +413,21 @@ func (st *Stream) Reduce(dst *Buffer, dstOff int64, src *Buffer, srcOff, n int64
 	}})
 }
 
-// ManualRecord installs a new pending instance on the event (as Record
-// does) but returns a fire function instead of tying completion to a
-// stream position. The MCCS service uses it to signal collective
-// completion into tenant streams across the process boundary: the shim
-// makes the tenant stream WaitEvent on the instance, and the service's
-// proxy engine fires it when the collective finishes.
-func (e *Event) ManualRecord() (fire func()) {
-	ri := &recordInstance{}
-	e.last = ri
-	s := e.s
-	return func() { ri.fire(s) }
-}
+// ManualRecord installs ri, a pending instance the caller owns, as the
+// event's current record (as Record does) without tying its completion to a
+// stream position: the caller completes it with ri.Fire. The MCCS service
+// uses it to signal collective completion into tenant streams across the
+// process boundary: the shim makes the tenant stream WaitEvent on the
+// instance, and fires it when the service reports the collective finished.
+// The instance is the caller's so that it can live in the record the caller
+// already keeps per operation, not in an allocation (and a closure) of its
+// own.
+func (e *Event) ManualRecord(ri *RecordInstance) { e.last = ri }
 
 // Record enqueues an event record (cudaEventRecord): the event's new
 // instance completes when all prior work on the stream has executed.
 func (st *Stream) Record(e *Event) {
-	ri := &recordInstance{}
+	ri := &RecordInstance{}
 	e.last = ri
 	st.enqueue(op{kind: opRecord, ev: ri})
 }
@@ -444,7 +448,7 @@ func (st *Stream) WaitEvent(e *Event) {
 // Synchronize blocks the calling process until every operation currently
 // enqueued on the stream has completed (cudaStreamSynchronize).
 func (st *Stream) Synchronize(p *sim.Proc) {
-	e := NewEvent(st.dev.s)
+	e := NewEvent()
 	st.Record(e)
 	e.WaitHost(p)
 }

@@ -153,7 +153,7 @@ func TestEventCrossStream(t *testing.T) {
 	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1 << 30, MemBandwidth: 1e9, LaunchLatency: 0})
 	a := d.NewStream("a")
 	b := d.NewStream("b")
-	ev := NewEvent(s)
+	ev := NewEvent()
 	var order []string
 	s.Go("host", func(p *sim.Proc) {
 		a.Launch("slow", 100*time.Microsecond, func() { order = append(order, "slow") })
@@ -174,7 +174,7 @@ func TestWaitOnUnrecordedEventDoesNotBlock(t *testing.T) {
 	s := sim.New()
 	d := newDev(s)
 	st := d.NewStream("s")
-	ev := NewEvent(s)
+	ev := NewEvent()
 	ran := false
 	s.Go("host", func(p *sim.Proc) {
 		st.WaitEvent(ev) // never recorded: per CUDA, a no-op
@@ -196,7 +196,7 @@ func TestEventReRecordSnapshotsAtWaitTime(t *testing.T) {
 	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1 << 30, MemBandwidth: 1e9, LaunchLatency: 0})
 	a := d.NewStream("a")
 	b := d.NewStream("b")
-	ev := NewEvent(s)
+	ev := NewEvent()
 	var afterAt sim.Time
 	s.Go("host", func(p *sim.Proc) {
 		a.Launch("k1", 10*time.Microsecond, nil)
@@ -220,7 +220,7 @@ func TestEventWaitHost(t *testing.T) {
 	s := sim.New()
 	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1 << 30, MemBandwidth: 1e9, LaunchLatency: 0})
 	st := d.NewStream("s")
-	ev := NewEvent(s)
+	ev := NewEvent()
 	var doneAt sim.Time
 	s.Go("host", func(p *sim.Proc) {
 		st.Launch("k", 50*time.Microsecond, nil)

@@ -155,7 +155,7 @@ func (f *Frontend) CommInitRank(p *sim.Proc, key string, nranks, rank int, gpu t
 	return &Comm{
 		f: f, pc: res.comm, rank: rank,
 		dev:          f.dep().devices[gpu],
-		commEvent:    gpusim.NewEvent(f.dep().S),
+		commEvent:    gpusim.NewEvent(),
 		streamEvents: make(map[*gpusim.Stream]*gpusim.Event),
 	}, nil
 }
@@ -183,9 +183,20 @@ func (s OpStats) Elapsed() sim.Duration { return s.Done.Sub(s.Issued) }
 // AlgBW returns the algorithm bandwidth in bytes/sec.
 func (s OpStats) AlgBW() float64 { return collective.AlgBW(s.Bytes, s.Elapsed()) }
 
-// OpHandle tracks one issued collective.
+// OpHandle tracks one issued operation — and is everything the operation is
+// between the shim call and its completion: the request the proxy runner
+// executes, the completion instance tenant streams wait on, the future the
+// tenant waits on, and the receiver of the two latency hops of the command
+// path. It is the one allocation an operation costs the service. It is not
+// pooled: the tenant holds it for as long as it likes and never hands it
+// back, so only the collector knows when it is free.
 type OpHandle struct {
-	done *sim.Future[OpStats]
+	c      *Comm
+	req    proxy.OpRequest
+	fired  gpusim.RecordInstance // the communicator event's record for this op
+	done   sim.Future[OpStats]
+	issued sim.Time
+	bytes  int64 // output bytes
 }
 
 // Wait blocks until the collective completes and returns its stats.
@@ -194,13 +205,56 @@ func (h *OpHandle) Wait(p *sim.Proc) OpStats { return h.done.Wait(p) }
 // Ready reports whether the collective has completed.
 func (h *OpHandle) Ready() bool { return h.done.Ready() }
 
+// The command path's two hops, as arguments of OnEvent.
+const (
+	hopDeliver   uint64 = iota // shim → service: the request reaches the rank's runner
+	hopCompleted               // service → shim: the completion reaches the tenant
+)
+
+// OpCompleted is the runner reporting the operation finished (it implements
+// proxy.Completer): the notification starts its way back to the tenant.
+func (h *OpHandle) OpCompleted() {
+	d := h.c.f.dep()
+	d.S.AfterCall(d.cfg.CompletionLatency, h, hopCompleted)
+}
+
+// OnEvent lands a hop of the command path (it implements sim.Handler).
+func (h *OpHandle) OnEvent(hop uint64) {
+	c := h.c
+	s := c.f.dep().S
+	if hop == hopDeliver {
+		c.pc.Runners[c.rank].Enqueue(&h.req)
+		return
+	}
+	h.fired.Fire(s)
+	h.done.Set(s, OpStats{Op: h.req.Op, Issued: h.issued, Done: s.Now(), Bytes: h.bytes})
+	c.f.telInflight.Add(-1)
+	c.f.telRTT.Observe(s.Now().Sub(h.issued).Seconds())
+	// The cmd span measures the full shim round-trip the tenant observes
+	// for a collective: command-queue delivery, execution, and the
+	// completion notification path (the paper's 50-80us datapath overhead
+	// brackets the collective).
+	if rec := trace.Of(s); rec.Enabled(trace.KindCmd) && h.req.P2P == 0 {
+		rec.Emit(trace.Span{
+			Kind: trace.KindCmd, Op: int32(h.req.Op),
+			Start: h.issued, End: s.Now(),
+			Host: int32(c.f.sv.host), GPU: int32(c.dev.ID),
+			Comm: int32(c.ID()), Rank: int32(c.rank),
+			Peer: -1, Channel: -1, Step: -1, Gen: -1,
+			Seq: h.req.Sequence(), Bytes: h.bytes,
+			Label: string(c.f.app),
+			Flow:  -1, Src: -1, Dst: -1,
+		})
+	}
+}
+
 // streamEvent returns the on-demand event for an application stream,
 // creating it on first use (paper §4.1: "the MCCS shim creates events in
 // an on-demand fashion whenever a new application stream is used").
 func (c *Comm) streamEvent(st *gpusim.Stream) *gpusim.Event {
 	ev, ok := c.streamEvents[st]
 	if !ok {
-		ev = gpusim.NewEvent(c.f.dep().S)
+		ev = gpusim.NewEvent()
 		c.streamEvents[st] = ev
 	}
 	return ev
@@ -220,16 +274,16 @@ func opName(req *proxy.OpRequest) string {
 //  2. install a new completion instance on the communicator event and make
 //     the app stream wait on it (subsequent compute depends on the op);
 //  3. deliver the request to the proxy after the command-path latency.
-func (c *Comm) issue(req *proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, error) {
+func (c *Comm) issue(req proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, error) {
 	op, count := req.Op, req.Count
 	if c.destroyed {
-		return nil, fmt.Errorf("mccsd: %s on destroyed communicator %d", opName(req), c.ID())
+		return nil, fmt.Errorf("mccsd: %s on destroyed communicator %d", opName(&req), c.ID())
 	}
 	if count <= 0 {
-		return nil, fmt.Errorf("mccsd: %s with count %d", opName(req), count)
+		return nil, fmt.Errorf("mccsd: %s with count %d", opName(&req), count)
 	}
 	if req.RecvBuf == nil {
-		return nil, fmt.Errorf("mccsd: %s without buffer", opName(req))
+		return nil, fmt.Errorf("mccsd: %s without buffer", opName(&req))
 	}
 	// The proxy slices the buffers by count without looking at their size
 	// again, so a count the tenant never allocated must stop here (compared
@@ -239,10 +293,10 @@ func (c *Comm) issue(req *proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, er
 		outRanks = int64(c.Size())
 	}
 	if room := req.RecvBuf.Bytes() / 4 / outRanks; count > room {
-		return nil, fmt.Errorf("mccsd: %s of %d elements into a buffer with room for %d", opName(req), count, room)
+		return nil, fmt.Errorf("mccsd: %s of %d elements into a buffer with room for %d", opName(&req), count, room)
 	}
 	if req.SendBuf != nil && count > req.SendBuf.Bytes()/4 {
-		return nil, fmt.Errorf("mccsd: %s of %d elements from a buffer holding %d", opName(req), count, req.SendBuf.Bytes()/4)
+		return nil, fmt.Errorf("mccsd: %s of %d elements from a buffer holding %d", opName(&req), count, req.SendBuf.Bytes()/4)
 	}
 	if req.Root < 0 || req.Root >= c.Size() {
 		return nil, fmt.Errorf("mccsd: root %d out of range", req.Root)
@@ -251,51 +305,24 @@ func (c *Comm) issue(req *proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, er
 		return nil, fmt.Errorf("mccsd: p2p peer %d invalid for rank %d of %d", req.Peer, c.rank, c.Size())
 	}
 	d := c.f.dep()
-	s := d.S
+	h := &OpHandle{c: c, req: req, issued: d.S.Now(), bytes: count * 4 * outRanks}
+	h.req.OnComplete = h
 
 	if stream != nil {
 		appEv := c.streamEvent(stream)
 		stream.Record(appEv)
 		// Snapshot at issue time: a later op re-records the same stream
 		// event, and the proxy must not bind to that.
-		req.AppEvent = appEv.Snapshot()
+		h.req.AppEvent = appEv.Snapshot()
 	}
-	fire := c.commEvent.ManualRecord()
+	c.commEvent.ManualRecord(&h.fired)
 	if stream != nil {
 		stream.WaitEvent(c.commEvent)
 	}
 
-	issued := s.Now()
 	c.f.telCmds.Inc()
 	c.f.telInflight.Add(1)
-	h := &OpHandle{done: sim.NewFuture[OpStats]()}
-	outBytes := count * 4 * outRanks
-	req.CompleteFire = func() {
-		s.After(d.cfg.CompletionLatency, func() {
-			fire()
-			h.done.Set(s, OpStats{Op: op, Issued: issued, Done: s.Now(), Bytes: outBytes})
-			c.f.telInflight.Add(-1)
-			c.f.telRTT.Observe(s.Now().Sub(issued).Seconds())
-			// The cmd span measures the full shim round-trip the tenant
-			// observes for a collective: command-queue delivery,
-			// execution, and the completion notification path (the
-			// paper's 50-80us datapath overhead brackets the collective).
-			if rec := trace.Of(s); rec.Enabled(trace.KindCmd) && req.P2P == 0 {
-				rec.Emit(trace.Span{
-					Kind: trace.KindCmd, Op: int32(op),
-					Start: issued, End: s.Now(),
-					Host: int32(c.f.sv.host), GPU: int32(c.dev.ID),
-					Comm: int32(c.ID()), Rank: int32(c.rank),
-					Peer: -1, Channel: -1, Step: -1, Gen: -1,
-					Seq: req.Sequence(), Bytes: outBytes,
-					Label: string(c.f.app),
-					Flow:  -1, Src: -1, Dst: -1,
-				})
-			}
-		})
-	}
-	runner := c.pc.Runners[c.rank]
-	s.After(d.cfg.CmdLatency, func() { runner.Enqueue(req) })
+	d.S.AfterCall(d.cfg.CmdLatency, h, hopDeliver)
 	return h, nil
 }
 
@@ -305,7 +332,7 @@ func (c *Comm) AllReduce(p *sim.Proc, send, recv *gpusim.Buffer, count int64, st
 	if send == nil {
 		send = recv
 	}
-	return c.issue(&proxy.OpRequest{Op: collective.AllReduce, Count: count, SendBuf: send, RecvBuf: recv}, stream)
+	return c.issue(proxy.OpRequest{Op: collective.AllReduce, Count: count, SendBuf: send, RecvBuf: recv}, stream)
 }
 
 // AllGather concatenates each rank's count elements into recv, laid out by
@@ -314,7 +341,7 @@ func (c *Comm) AllGather(p *sim.Proc, send, recv *gpusim.Buffer, count int64, st
 	if send == nil {
 		return nil, fmt.Errorf("mccsd: AllGather requires a send buffer")
 	}
-	return c.issue(&proxy.OpRequest{Op: collective.AllGather, Count: count, SendBuf: send, RecvBuf: recv}, stream)
+	return c.issue(proxy.OpRequest{Op: collective.AllGather, Count: count, SendBuf: send, RecvBuf: recv}, stream)
 }
 
 // ReduceScatter sums count elements across ranks, leaving region r of the
@@ -323,28 +350,28 @@ func (c *Comm) ReduceScatter(p *sim.Proc, send, recv *gpusim.Buffer, count int64
 	if send == nil {
 		send = recv
 	}
-	return c.issue(&proxy.OpRequest{Op: collective.ReduceScatter, Count: count, SendBuf: send, RecvBuf: recv}, stream)
+	return c.issue(proxy.OpRequest{Op: collective.ReduceScatter, Count: count, SendBuf: send, RecvBuf: recv}, stream)
 }
 
 // Broadcast copies root's count elements to every rank (in place).
 func (c *Comm) Broadcast(p *sim.Proc, buf *gpusim.Buffer, count int64, root int, stream *gpusim.Stream) (*OpHandle, error) {
-	return c.issue(&proxy.OpRequest{Op: collective.Broadcast, Root: root, Count: count, SendBuf: buf, RecvBuf: buf}, stream)
+	return c.issue(proxy.OpRequest{Op: collective.Broadcast, Root: root, Count: count, SendBuf: buf, RecvBuf: buf}, stream)
 }
 
 // Reduce sums count elements across ranks onto the root (in place).
 func (c *Comm) Reduce(p *sim.Proc, buf *gpusim.Buffer, count int64, root int, stream *gpusim.Stream) (*OpHandle, error) {
-	return c.issue(&proxy.OpRequest{Op: collective.Reduce, Root: root, Count: count, SendBuf: buf, RecvBuf: buf}, stream)
+	return c.issue(proxy.OpRequest{Op: collective.Reduce, Root: root, Count: count, SendBuf: buf, RecvBuf: buf}, stream)
 }
 
 // Send transmits count elements of buf to peer; the peer must issue a
 // matching Recv (ncclSend analogue).
 func (c *Comm) Send(p *sim.Proc, buf *gpusim.Buffer, count int64, peer int, stream *gpusim.Stream) (*OpHandle, error) {
-	return c.issue(&proxy.OpRequest{P2P: proxy.P2PSend, Peer: peer, Count: count, RecvBuf: buf}, stream)
+	return c.issue(proxy.OpRequest{P2P: proxy.P2PSend, Peer: peer, Count: count, RecvBuf: buf}, stream)
 }
 
 // Recv receives count elements from peer into buf (ncclRecv analogue).
 func (c *Comm) Recv(p *sim.Proc, buf *gpusim.Buffer, count int64, peer int, stream *gpusim.Stream) (*OpHandle, error) {
-	return c.issue(&proxy.OpRequest{P2P: proxy.P2PRecv, Peer: peer, Count: count, RecvBuf: buf}, stream)
+	return c.issue(proxy.OpRequest{P2P: proxy.P2PRecv, Peer: peer, Count: count, RecvBuf: buf}, stream)
 }
 
 // Destroy releases this rank's handle (ncclCommDestroy analogue). When

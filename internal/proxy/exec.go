@@ -33,7 +33,8 @@ type execState struct {
 	op    *OpRequest
 	start sim.Time
 	bytes int64      // output-buffer size (the AlgBW numerator)
-	join  *sim.Latch // opens when the spawned channel programs are done; nil for one, run inline
+	nch   int        // channel programs of the op: one runs inline, several as processes
+	join  sim.Latch  // opens when the op's several channel programs are done
 	chans []*chanRun // per-channel interpreters, built on first use
 }
 
@@ -87,7 +88,7 @@ func (r *Runner) execStep(p *sim.Proc) bool {
 		case exRun:
 			// One program runs right here, as a sub-machine; several run as
 			// processes of their own and open the latch when all are done.
-			if x.join == nil {
+			if x.nch == 1 {
 				if !x.chans[0].step(p) {
 					return false
 				}
@@ -124,21 +125,23 @@ func (r *Runner) copyInput(op *OpRequest) {
 	copy(op.RecvBuf.Data()[off:off+op.Count], op.SendBuf.Data()[:op.Count])
 }
 
-// startPrograms lowers op to its channel programs, starts them and returns
-// the stage to continue at. What sets a point-to-point transfer apart inside
+// startPrograms lowers op to its channel programs — each over the steps of
+// the program its interpreter ran last — starts them and returns the stage to
+// continue at. What sets a point-to-point transfer apart inside
 // the interpreter is decided here, as chanProgram fields: its connections are
 // the communicator-lifetime ones, its flows belong to no generation, channel
 // or collective, and its step is neither counted nor traced as a step.
 func (r *Runner) startPrograms(op *OpRequest) execStage {
 	x, c := &r.ex, r.comm
-	x.bytes, x.join = op.Count*4, nil
+	x.bytes, x.nch = op.Count*4, 1
 	tag := trace.FlowTag{
 		Comm: int32(c.Info.ID), From: int32(r.rank),
 		Gen: int32(r.gen), Op: int32(op.Op), Seq: op.seq,
 	}
 	if op.P2P != 0 {
 		tag.Channel, tag.Gen, tag.Op = -1, -1, -1
-		r.channel(0).start(chanProgram{prog: r.lowerP2P(op), buf: op.RecvBuf, conns: c.p2p, tag: tag})
+		run := r.channel(0)
+		run.start(chanProgram{prog: r.lowerP2P(run.prog.Steps, op), buf: op.RecvBuf, conns: c.p2p, tag: tag})
 		return exRun
 	}
 	n := c.Info.NumRanks()
@@ -152,20 +155,22 @@ func (r *Runner) startPrograms(op *OpRequest) execStage {
 	}
 	cs := c.gens[r.gen]
 	algo := collective.Select(&cs.strategy, op.Op, n, op.Root, x.bytes)
-	nch := collective.Channels(algo, cs.rings)
-	if nch > 1 {
-		x.join = sim.NewLatch(nch)
+	x.nch = collective.Channels(algo, cs.rings)
+	var join *sim.Latch
+	if x.nch > 1 {
+		join = &x.join
+		join.Reset(x.nch)
 	}
-	for ch := 0; ch < nch; ch++ {
+	for ch := 0; ch < x.nch; ch++ {
 		tag.Channel = int32(ch)
 		run := r.channel(ch)
 		run.start(chanProgram{
-			prog: collective.Lower(algo, op.Op, cs.rings, r.rank, ch, op.Root, op.Count),
+			prog: collective.Lower(run.prog.Steps, algo, op.Op, cs.rings, r.rank, ch, op.Root, op.Count),
 			buf:  op.RecvBuf, conns: cs.conns, algo: algo, tag: tag,
-			steps: c.telSteps, rec: c.rec, done: x.join,
+			steps: c.telSteps, rec: c.rec, done: join,
 		})
-		if nch > 1 {
-			c.s.GoStep(run.name, run.fn)
+		if x.nch > 1 {
+			run.spawn()
 		}
 	}
 	return exRun
@@ -196,8 +201,8 @@ func (r *Runner) complete(p *sim.Proc, op *OpRequest) {
 		c.telOps.Inc()
 		r.collInFlight--
 	}
-	if op.CompleteFire != nil {
-		op.CompleteFire()
+	if op.OnComplete != nil {
+		op.OnComplete.OpCompleted()
 	}
 	c.rec.Emit(span)
 	if op.Done != nil {
@@ -234,9 +239,13 @@ func sliceCount(cfg Config, bytes int64) int {
 func (r *Runner) channel(ch int) *chanRun {
 	x := &r.ex
 	for len(x.chans) <= ch {
-		c := &chanRun{r: r, name: fmt.Sprintf("proxy:c%d:r%d:ch%d", r.comm.Info.ID, r.rank, len(x.chans))}
-		c.fn = c.step
-		x.chans = append(x.chans, c)
+		n := r.comm.Info.NumRanks()
+		peers := make([]*transport.Conn, 2*n)
+		x.chans = append(x.chans, &chanRun{
+			r:    r,
+			name: fmt.Sprintf("proxy:c%d:r%d:ch%d", r.comm.Info.ID, r.rank, len(x.chans)),
+			to:   peers[:n], from: peers[n:],
+		})
 	}
 	return x.chans[ch]
 }
@@ -277,11 +286,17 @@ type chanProgram struct {
 // where step picks up when the process is next dispatched.
 type chanRun struct {
 	r    *Runner
-	name string                 // process name, when spawned
-	fn   func(p *sim.Proc) bool // step, bound once
+	name string    // process name, when spawned
+	proc *sim.Proc // the process step runs as when spawned; restarted op after op
 
 	chanProgram
 	at resumePoint
+
+	// to[peer] and from[peer] are the connections of (tag.Gen, algo) this
+	// interpreter has already looked up in conns; a program names the same
+	// few peers step after step and op after op, and the table spares each
+	// step two lookups under a five-word key.
+	to, from []*transport.Conn
 
 	// The step being interpreted.
 	si                 int // index into prog.Steps
@@ -298,7 +313,20 @@ type chanRun struct {
 
 // start points the interpreter at the beginning of a program.
 func (c *chanRun) start(cp chanProgram) {
+	if cp.tag.Gen != c.tag.Gen || cp.algo != c.algo {
+		clear(c.to)
+		clear(c.from)
+	}
 	c.chanProgram, c.at, c.si = cp, atLaunch, 0
+}
+
+// spawn runs the program as a process of its own.
+func (c *chanRun) spawn() {
+	if c.proc == nil {
+		c.proc = c.r.comm.s.GoStep(c.name, c.step)
+	} else {
+		c.proc.Restart()
+	}
 }
 
 // resumePoint says where chanRun.step continues. The interpreter waits in
@@ -395,16 +423,26 @@ func (c *chanRun) beginStep(p *sim.Proc) bool {
 	c.stepStart, c.busy = p.Now(), 0
 	c.sendConn, c.recvConn = nil, nil
 	if st.SendPeer >= 0 {
-		c.sendConn = c.conns[collective.Edge{Algo: c.algo, Channel: int(c.tag.Channel), From: r.rank, To: st.SendPeer}]
+		c.sendConn = c.conn(c.to, st.SendPeer, r.rank, st.SendPeer)
 	}
 	if st.RecvPeer >= 0 {
-		c.recvConn = c.conns[collective.Edge{Algo: c.algo, Channel: int(c.tag.Channel), From: st.RecvPeer, To: r.rank}]
+		c.recvConn = c.conn(c.from, st.RecvPeer, st.RecvPeer, r.rank)
 	}
 	c.ks, c.kr, c.k = 1, 1, 0
 	if c.prog.Pipelined {
 		c.ks, c.kr = sliceCount(r.comm.cfg, st.SendLen*4), sliceCount(r.comm.cfg, st.RecvLen*4)
 	}
 	return true
+}
+
+// conn returns the program's connection from → to, one end of which is peer:
+// out of table (to or from) when the interpreter has used it before under
+// this generation and algorithm, out of the edge map the first time.
+func (c *chanRun) conn(table []*transport.Conn, peer, from, to int) *transport.Conn {
+	if table[peer] == nil {
+		table[peer] = c.conns[collective.Edge{Algo: c.algo, Channel: int(c.tag.Channel), From: from, To: to}]
+	}
+	return table[peer]
 }
 
 // sendSlice sends slice k of the step, if the step has one.

@@ -84,6 +84,133 @@ func TestInterpreterAgainstOracle(t *testing.T) {
 	}
 }
 
+// TestExecutorStateIsReusedAcrossOpShapes runs, on one communicator, what
+// the executor keeps from op to op — the join latch, a process and a program
+// buffer per channel, the per-channel peer tables — through every change of
+// shape: two ring channels (spawned processes, joined on the latch) next to
+// the single tree program (run inline on channel 0's interpreter, over the
+// steps the ring left there), a point-to-point transfer on that same
+// interpreter, long programs after short ones and back, and reconfigurations
+// to one halving-doubling channel and back to two rings, after which channel
+// 1's process restarts having sat out a generation. Every result is held to
+// the oracle, and the processes are the ones first spawned.
+func TestExecutorStateIsReusedAcrossOpShapes(t *testing.T) {
+	r := newRig(t)
+	gpus := r.allGPUs()
+	n := len(gpus)
+	info := spec.CommInfo{ID: 9, App: "oracle"}
+	order := make([]int, n)
+	for i, g := range gpus {
+		order[i] = i
+		info.Ranks = append(info.Ranks, spec.RankInfo{
+			Rank: i, GPU: g, Host: r.cluster.HostOfGPU(g), NIC: r.cluster.NICOfGPU(g),
+		})
+	}
+	twoRings := spec.Strategy{
+		Channels:      []spec.ChannelSpec{{Order: order, Route: 0}, {Order: order, Route: 1}},
+		TreeThreshold: 4096, // AllReduce, and Broadcast/Reduce at root 0, below 1 024 elements
+	}
+	oneHD := spec.Strategy{Channels: twoRings.Channels[:1], Algorithm: spec.AlgoHD}
+	info.Strategy = twoRings
+	cfg := DefaultConfig()
+	cfg.MinSliceBytes = 64
+	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reconfigure := func(p *sim.Proc, st spec.Strategy) {
+		done := sim.NewLatch(n)
+		for _, rn := range comm.Runners {
+			rn.Enqueue(&ReconfigRequest{Strategy: st, Done: done})
+		}
+		done.Wait(p)
+	}
+	p2p := func(p *sim.Proc, from, to int, count int64, salt float32) error {
+		src, _ := r.devices[gpus[from]].AllocBacked(count * 4)
+		dst, _ := r.devices[gpus[to]].AllocBacked(count * 4)
+		for j := range src.Data() {
+			src.Data()[j] = salt + float32(j%11)
+		}
+		done := sim.NewFuture[OpResult]()
+		comm.Runners[from].Enqueue(&OpRequest{P2P: P2PSend, Peer: to, Count: count, RecvBuf: src})
+		comm.Runners[to].Enqueue(&OpRequest{P2P: P2PRecv, Peer: from, Count: count, RecvBuf: dst, Done: done})
+		done.Wait(p)
+		for j, v := range dst.Data() {
+			if v != src.Data()[j] {
+				return fmt.Errorf("p2p %d->%d elem %d = %g, want %g", from, to, j, v, src.Data()[j])
+			}
+		}
+		return nil
+	}
+	type shape struct {
+		op    collective.Op
+		root  int
+		count int64
+	}
+	mixed := []shape{
+		{collective.AllReduce, 0, 4099},     // ring, 2 channels: 14 steps each
+		{collective.AllReduce, 0, 100},      // tree, inline: 6 steps over channel 0's 14
+		{collective.AllGather, 0, 37},       // ring, 2 channels: 7 steps
+		{collective.Broadcast, 0, 512},      // tree, inline: 3 steps
+		{collective.Broadcast, 3, 512},      // ring chain (root off the tree), 2 channels
+		{collective.AllReduce, 0, 5},        // tree, fewer elements than ranks
+		{collective.ReduceScatter, 0, 2050}, // ring, 2 channels
+		{collective.Reduce, 0, 777},         // tree, inline
+		{collective.AllReduce, 0, 1 << 14},  // ring again, long after short
+	}
+	var procs []*sim.Proc
+	r.s.Go("driver", func(p *sim.Proc) {
+		run := func(phase string, shapes []shape) bool {
+			for oi, sh := range shapes {
+				if err := runAgainstOracle(p, r, comm, gpus, sh.op, sh.root, sh.count, oi); err != nil {
+					t.Errorf("%s op %d (%v root %d count %d): %v", phase, oi, sh.op, sh.root, sh.count, err)
+					return false
+				}
+				if oi%3 == 1 { // between the shapes, the point-to-point program on channel 0
+					if err := p2p(p, oi%n, (oi+3)%n, 300+int64(oi), float32(oi)); err != nil {
+						t.Errorf("%s after op %d: %v", phase, oi, err)
+						return false
+					}
+				}
+			}
+			return true
+		}
+		if !run("two rings", mixed) {
+			return
+		}
+		for _, rn := range comm.Runners {
+			for _, c := range rn.ex.chans {
+				procs = append(procs, c.proc)
+			}
+		}
+		reconfigure(p, oneHD)
+		if !run("one hd channel", []shape{{collective.AllReduce, 0, 4099}, {collective.AllGather, 0, 64}, {collective.AllReduce, 0, 8}}) {
+			return
+		}
+		reconfigure(p, twoRings)
+		run("two rings again", mixed)
+	})
+	if err := r.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(procs) != 2*n {
+		t.Fatalf("%d channel interpreters after the first phase, want %d", len(procs), 2*n)
+	}
+	i := 0
+	for rank, rn := range comm.Runners {
+		if !rn.Quiescent() {
+			t.Errorf("rank %d not quiescent", rank)
+		}
+		for ch, c := range rn.ex.chans {
+			if procs[i] == nil || c.proc != procs[i] {
+				t.Errorf("rank %d channel %d: process %p after the run, %p after the first phase: not reused", rank, ch, c.proc, procs[i])
+			}
+			i++
+		}
+	}
+	r.s.Shutdown()
+}
+
 func runAgainstOracle(p *sim.Proc, r *rig, comm *Comm, gpus []topo.GPUID, op collective.Op, root int, count int64, salt int) error {
 	n := len(gpus)
 	inputs := make([][]float32, n)

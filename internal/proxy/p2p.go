@@ -35,8 +35,9 @@ const (
 var p2pLabels = [...]string{P2PSend: "send", P2PRecv: "recv"}
 
 // lowerP2P returns the program of a send or receive — one step, sliced and
-// streamed like a ring step — creating its connection on first use.
-func (r *Runner) lowerP2P(op *OpRequest) collective.Program {
+// streamed like a ring step, written over buf as collective.Lower writes its
+// programs — creating its connection on first use.
+func (r *Runner) lowerP2P(buf []collective.Step, op *OpRequest) collective.Program {
 	c := r.comm
 	if op.Peer < 0 || op.Peer >= c.Info.NumRanks() || op.Peer == r.rank {
 		panic(fmt.Sprintf("proxy: p2p with bad peer %d", op.Peer))
@@ -58,5 +59,5 @@ func (r *Runner) lowerP2P(op *OpRequest) collective.Program {
 		}
 		c.p2p[edge] = conn
 	}
-	return collective.Program{Steps: []collective.Step{st}, Pipelined: true}
+	return collective.Program{Steps: append(buf[:0], st), Pipelined: true}
 }

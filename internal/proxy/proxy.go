@@ -99,14 +99,22 @@ type OpRequest struct {
 	// the shim at issue time, so later re-records of the same stream
 	// event (by subsequent collectives) cannot retarget this wait.
 	AppEvent gpusim.EventInstance
-	// CompleteFire, when non-nil, is invoked at completion; the shim
-	// wires it to the communicator event tenant streams wait on.
-	CompleteFire func()
+	// OnComplete, when non-nil, is told at completion; the shim's
+	// per-operation handle takes it from there to the communicator event
+	// tenant streams wait on.
+	OnComplete Completer
 	// Done, when non-nil, receives the timing result.
 	Done *sim.Future[OpResult]
 
 	// seq is assigned by the runner at launch (collectives only).
 	seq uint64
+}
+
+// Completer is what a runner reports a finished operation to. It is an
+// interface and not a func so that the issuer's record of the operation can
+// be the receiver: a closure would be one more allocation per operation.
+type Completer interface {
+	OpCompleted()
 }
 
 // Sequence returns the sequence number the runner assigned at launch

@@ -15,7 +15,7 @@ import (
 
 // TestQuickReconfigStorm fires a random interleaving of collectives and
 // reconfigurations (with random per-rank delivery skew, random ring
-// orders and random routes) and requires that (a) everything completes,
+// orders, routes, channel counts and algorithms) and requires that (a) everything completes,
 // (b) every AllReduce still computes the exact elementwise sum, and
 // (c) all ranks converge to the same generation. This is the adversarial
 // version of the paper's Fig. 4 scenario.
@@ -38,8 +38,21 @@ func TestQuickReconfigStorm(t *testing.T) {
 			script = append(script, step{})
 		}
 		for i := 0; i < nReconf; i++ {
-			order := rng.Perm(4)
-			strat := spec.Strategy{Channels: []spec.ChannelSpec{{Order: order, Route: rng.Intn(2)}}}
+			// One channel or two (the program runs inline in the pipeline, or
+			// as spawned processes joined on the rank's latch), under any of
+			// the three schedule families: the executor's per-rank latch,
+			// processes, program buffers and peer tables carry over from
+			// whatever shape the previous generation had.
+			var strat spec.Strategy
+			for ch := 1 + rng.Intn(2); ch > 0; ch-- {
+				strat.Channels = append(strat.Channels, spec.ChannelSpec{Order: rng.Perm(4), Route: rng.Intn(2)})
+			}
+			switch rng.Intn(3) {
+			case 1:
+				strat.Algorithm = spec.AlgoHD
+			case 2:
+				strat.TreeThreshold = 1 << 20 // the 512-byte AllReduces take the tree
+			}
 			pos := rng.Intn(len(script) + 1)
 			script = append(script[:pos], append([]step{{reconf: true, strat: strat}}, script[pos:]...)...)
 		}

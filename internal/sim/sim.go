@@ -50,6 +50,10 @@
 //     a call into a long-lived receiver with one integer argument
 //     (AtCall/AfterCall) — are tagged event kinds interpreted by the loop,
 //     not closures, so none of them allocates a func() per action.
+//   - What an owner would allocate per wait or per spawn it can keep instead:
+//     a WaitQueue holds its first waiter inline (a one-waiter Future or Latch
+//     has no ring), a Latch re-arms (Reset), and a finished stackless process
+//     runs again (Proc.Restart).
 //
 // The observable schedule — the (at, seq) observer stream, and therefore
 // every same-seed trace, telemetry export and chaos replay — is
@@ -514,17 +518,18 @@ func (s *Scheduler) maybeCompactHeap() {
 // newProc registers a runnable process; the caller gives it a body and
 // schedules its first dispatch.
 func (s *Scheduler) newProc(name string) *Proc {
+	p := &Proc{s: s, name: name, parkedIdx: -1}
+	s.enroll(p)
+	return p
+}
+
+// enroll makes p a live, runnable process under the next process id.
+func (s *Scheduler) enroll(p *Proc) {
 	s.nextID++
-	p := &Proc{
-		s:         s,
-		name:      name,
-		id:        s.nextID,
-		state:     procRunnable,
-		parkedIdx: -1,
-	}
+	p.id = s.nextID
+	p.state = procRunnable
 	p.liveIdx = int32(len(s.liveProcs))
 	s.liveProcs = append(s.liveProcs, p)
-	return p
 }
 
 // Go creates a process named name executing fn and schedules it to start at
@@ -565,6 +570,23 @@ func (s *Scheduler) GoStep(name string, step func(p *Proc) (done bool)) *Proc {
 	p.step = step
 	s.scheduleDispatch(p)
 	return p
+}
+
+// Restart runs a finished stackless process again: its step function is
+// called at the current virtual time and after every wakeup until it returns
+// true, as if GoStep had just created it — the same single dispatch event
+// where GoStep would have scheduled one, a fresh process id, and the same
+// standing with Shutdown and deadlock reports — but without allocating a
+// process. An owner that runs one step function over and over (a channel
+// interpreter, once per operation) keeps the Proc GoStep returned and
+// restarts it. Restarting a process that has not finished, or a goroutine
+// process, panics.
+func (p *Proc) Restart() {
+	if p.step == nil || p.state != procDone {
+		panic(fmt.Sprintf("sim: Restart of process %q, which is not a finished step process", p.name))
+	}
+	p.s.enroll(p)
+	p.s.scheduleDispatch(p)
 }
 
 // GoDaemon is Go for service loops that legitimately outlive the workload:

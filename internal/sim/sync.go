@@ -19,7 +19,14 @@ type waiter struct {
 // WaitQueue is the low-level building block: processes park on it and other
 // processes wake one or all of them. It carries no state of its own, so the
 // caller supplies the predicate (as with sync.Cond).
+//
+// The longest-parked waiter is held inline and only a second concurrent
+// waiter spills to the ring, so the queue of a one-shot object with one
+// waiter — the future of an issued operation, the latch its executor joins
+// on — allocates nothing. The order is the ring's: a waiter goes inline only
+// when nobody at all is queued, and the inline waiter is woken first.
 type WaitQueue struct {
+	first   waiter // the head of the queue; p is nil when empty
 	waiters Ring[waiter]
 }
 
@@ -27,7 +34,12 @@ type WaitQueue struct {
 // step-function form of Wait. The step function must return false right
 // after; it is run again once WakeOne or WakeAll selects p.
 func (q *WaitQueue) Park(p *Proc) {
-	q.waiters.Push(waiter{p: p, seq: p.parkSeq + 1})
+	w := waiter{p: p, seq: p.parkSeq + 1}
+	if q.first.p == nil && q.waiters.Len() == 0 {
+		q.first = w
+	} else {
+		q.waiters.Push(w)
+	}
 	p.markParked()
 }
 
@@ -37,11 +49,20 @@ func (q *WaitQueue) Wait(p *Proc) {
 	p.block()
 }
 
+// pop removes and returns the longest-parked waiter.
+func (q *WaitQueue) pop() (w waiter, ok bool) {
+	if q.first.p != nil {
+		w, q.first = q.first, waiter{}
+		return w, true
+	}
+	return q.waiters.Pop()
+}
+
 // WakeOne readies the longest-parked waiter. It reports whether a waiter
 // was woken.
 func (q *WaitQueue) WakeOne(s *Scheduler) bool {
 	for {
-		w, ok := q.waiters.Pop()
+		w, ok := q.pop()
 		if !ok {
 			return false
 		}
@@ -98,6 +119,12 @@ type Latch struct {
 
 // NewLatch returns a latch that opens after n calls to Done.
 func NewLatch(n int) *Latch { return &Latch{n: n} }
+
+// Reset re-arms the latch to open after n more calls to Done, so an owner
+// that joins on one latch at a time (an executor waiting for the channel
+// programs of its current operation) keeps a single latch by value instead of
+// allocating one per join. Nothing may be waiting on the latch.
+func (l *Latch) Reset(n int) { l.n = n }
 
 // Done decrements the count, waking waiters when it reaches zero.
 func (l *Latch) Done(s *Scheduler) {
