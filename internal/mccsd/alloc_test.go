@@ -14,7 +14,7 @@ import (
 
 // opPathRig is an 8-rank, 2-channel communicator whose tenants run rounds
 // of one AllReduce and one AllGather round trip (issue → Wait) on demand,
-// for the tests and benchmarks that count what an issued operation costs.
+// for counting what an issued operation costs.
 type opPathRig struct {
 	s      *sim.Scheduler
 	ranks  int
@@ -24,7 +24,7 @@ type opPathRig struct {
 	failed error
 }
 
-func newOpPathRig(t testing.TB, withStream bool) *opPathRig {
+func newOpPathRig(t *testing.T, withStream bool) *opPathRig {
 	cluster, err := topo.BuildClos(topo.TestbedConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func newOpPathRig(t testing.TB, withStream bool) *opPathRig {
 }
 
 // run lets every tenant run k more rounds and returns once they have.
-func (r *opPathRig) run(t testing.TB, k int) {
+func (r *opPathRig) run(t *testing.T, k int) {
 	r.quota += k
 	r.gate.WakeAll(r.s)
 	if err := r.s.RunUntil(r.s.Now().Add(time.Duration(k) * 10 * time.Millisecond)); err != nil {
@@ -103,9 +103,9 @@ func (r *opPathRig) run(t testing.TB, k int) {
 // stack, shim call to completion: one heap object per rank — the OpHandle,
 // which carries the request, the completion record, the future and both
 // latency hops — and nothing for the executor, whose latch, channel
-// processes and programs are the rank's own, reused from op to op. The
-// executor runs both shapes here: the AllReduce's two channel programs as
-// spawned processes, and whatever the proxy does with an 8-rank AllGather.
+// processes and programs are the rank's own, reused from op to op. Both ops
+// run as two ring programs per rank, spawned and joined on the rank's latch,
+// the AllGather's 7 steps over the AllReduce's 14 and back.
 //
 // With an application stream the stream's own bookkeeping comes on top, per
 // op: the record instance of Stream.Record, the callback list and closure of

@@ -275,7 +275,7 @@ func opName(req *proxy.OpRequest) string {
 //     the app stream wait on it (subsequent compute depends on the op);
 //  3. deliver the request to the proxy after the command-path latency.
 func (c *Comm) issue(req proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, error) {
-	op, count := req.Op, req.Count
+	count := req.Count
 	if c.destroyed {
 		return nil, fmt.Errorf("mccsd: %s on destroyed communicator %d", opName(&req), c.ID())
 	}
@@ -289,7 +289,7 @@ func (c *Comm) issue(req proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, err
 	// again, so a count the tenant never allocated must stop here (compared
 	// in elements: an absurd count cannot overflow its way past the check).
 	outRanks := int64(1)
-	if op == collective.AllGather {
+	if req.Op == collective.AllGather {
 		outRanks = int64(c.Size())
 	}
 	if room := req.RecvBuf.Bytes() / 4 / outRanks; count > room {
