@@ -160,6 +160,14 @@ func (s *Strategy) Validate(nranks int) error {
 			}
 			seen[r] = true
 		}
+		if ch.Route < RouteECMP {
+			return fmt.Errorf("spec: channel %d route %d", ci, ch.Route)
+		}
+	}
+	for k, r := range s.Routes {
+		if r < RouteECMP {
+			return fmt.Errorf("spec: connection %+v route %d", k, r)
+		}
 	}
 	if s.Algorithm != AlgoRing && s.Algorithm != AlgoHD {
 		return fmt.Errorf("spec: unknown algorithm %d", int(s.Algorithm))

@@ -61,6 +61,22 @@ func TestStrategyValidate(t *testing.T) {
 	if err := empty.Validate(0); err == nil {
 		t.Error("empty ring over zero ranks accepted")
 	}
+	// A route below RouteECMP used to pass and then index the transport's
+	// path table negatively when the connection was rebuilt.
+	badRoute := Strategy{Channels: []ChannelSpec{{Order: []int{1, 0}, Route: -2}}}
+	if err := badRoute.Validate(2); err == nil {
+		t.Error("channel route -2 accepted")
+	}
+	badConn := Strategy{Channels: []ChannelSpec{{Order: []int{1, 0}}},
+		Routes: map[ConnKey]int{{FromRank: 1, ToRank: 0}: -3}}
+	if err := badConn.Validate(2); err == nil {
+		t.Error("connection route -3 accepted")
+	}
+	pinned := Strategy{Channels: []ChannelSpec{{Order: []int{1, 0}, Route: RouteECMP}},
+		Routes: map[ConnKey]int{{FromRank: 1, ToRank: 0}: 3}}
+	if err := pinned.Validate(2); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestStripeChannelOrders(t *testing.T) {
