@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mccs/internal/mccsd"
@@ -70,9 +71,17 @@ func (c *Controller) ApplyPFA() error {
 	return c.push(a)
 }
 
+// push installs an assignment one communicator at a time in ascending
+// ID order, so the first error and the pins counted before it do not
+// depend on map order.
 func (c *Controller) push(a Assignment) error {
-	for comm, routes := range a {
-		if err := c.dep.UpdateRoutes(comm, routes); err != nil {
+	ids := make([]spec.CommID, 0, len(a))
+	for comm := range a {
+		ids = append(ids, comm)
+	}
+	slices.Sort(ids)
+	for _, comm := range ids {
+		if err := c.dep.UpdateRoutes(comm, a[comm]); err != nil {
 			return fmt.Errorf("policy: pushing routes to comm %d: %w", comm, err)
 		}
 		c.telRoutes.Inc()

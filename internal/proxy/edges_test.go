@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 
@@ -76,5 +77,71 @@ func TestRouteUpdatesCoverEveryEdge(t *testing.T) {
 	}
 	if err := comm.UpdateRoutes(map[spec.ConnKey]int{{Channel: 0, FromRank: 2, ToRank: 7}: 1}); err == nil {
 		t.Error("route push for a connection no family provisions was accepted")
+	}
+}
+
+// A route push is all or nothing. It used to walk the map and stop at the
+// first unknown key, leaving the connections visited before it re-pinned
+// but unrecorded in the strategy, so the next reconfiguration reverted
+// them. Map order is random, so the push is repeated.
+func TestRoutePushIsAllOrNothing(t *testing.T) {
+	r := newRig(t)
+	gpus := r.allGPUs() // ranks 0-3 in rack 0, 4-7 in rack 1
+	info := spec.CommInfo{ID: 9, App: "push"}
+	for i, g := range gpus {
+		info.Ranks = append(info.Ranks, spec.RankInfo{
+			Rank: i, GPU: g, Host: r.cluster.HostOfGPU(g), NIC: r.cluster.NICOfGPU(g),
+		})
+	}
+	// Every ring edge crosses the racks, so every one has a second path.
+	order := []int{0, 4, 1, 5, 2, 6, 3, 7}
+	info.Strategy = spec.Strategy{Channels: []spec.ChannelSpec{{Order: order, Route: 0}}}
+	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := comm.newest()
+	paths := func() map[collective.Edge][]netsim.LinkID {
+		out := make(map[collective.Edge][]netsim.LinkID)
+		for _, e := range cs.edges {
+			out[e] = cs.conns[e].CurrentPath()
+		}
+		return out
+	}
+	before := paths()
+	valid := make(map[spec.ConnKey]int)
+	for i, from := range order[:7] {
+		k := spec.ConnKey{Channel: 0, FromRank: from, ToRank: order[i+1]}
+		if comm.PathCountFor(k) < 2 {
+			t.Fatalf("ring edge %+v has %d paths, need 2", k, comm.PathCountFor(k))
+		}
+		valid[k] = 1
+	}
+	for _, bad := range []struct {
+		key   spec.ConnKey
+		route int
+	}{
+		{spec.ConnKey{Channel: 0, FromRank: 0, ToRank: 1}, 1},  // not an edge of this ring
+		{spec.ConnKey{Channel: 0, FromRank: 7, ToRank: 0}, -2}, // an edge, a bad index
+	} {
+		for i := 0; i < 20; i++ {
+			push := maps.Clone(valid)
+			push[bad.key] = bad.route
+			if err := comm.UpdateRoutes(push); err == nil {
+				t.Fatalf("push with %+v -> %d accepted", bad.key, bad.route)
+			}
+			if got := paths(); !reflect.DeepEqual(got, before) {
+				t.Fatalf("push with %+v -> %d rejected but moved connections", bad.key, bad.route)
+			}
+			if st := comm.Strategy(); len(st.Routes) != 0 {
+				t.Fatalf("rejected push recorded routes %v", st.Routes)
+			}
+		}
+	}
+	if err := comm.UpdateRoutes(valid); err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(paths(), before) {
+		t.Error("the valid push moved nothing: the test cannot see a partial one")
 	}
 }

@@ -327,12 +327,25 @@ func (c *Comm) newest() *connSet {
 // says.)
 func (c *Comm) UpdateRoutes(routes map[spec.ConnKey]int) error {
 	cs := c.newest()
+	// Check the whole push before moving anything: a push that stopped
+	// part-way would leave connections re-pinned but not recorded in the
+	// strategy, and the next reconfiguration would silently revert them.
 	for k, idx := range routes {
 		conns := cs.at(k)
 		if len(conns) == 0 {
 			return fmt.Errorf("proxy: route for unknown conn %d->%d ch %d", k.FromRank, k.ToRank, k.Channel)
 		}
+		if idx < spec.RouteECMP {
+			return fmt.Errorf("proxy: route %d for conn %d->%d ch %d", idx, k.FromRank, k.ToRank, k.Channel)
+		}
 		for _, conn := range conns {
+			if idx != spec.RouteECMP && conn.PathCount() == 0 {
+				return fmt.Errorf("proxy: no path to pin conn %d->%d ch %d to", k.FromRank, k.ToRank, k.Channel)
+			}
+		}
+	}
+	for k, idx := range routes {
+		for _, conn := range cs.at(k) {
 			if err := conn.SetRoute(idx); err != nil {
 				return err
 			}
