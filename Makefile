@@ -36,10 +36,12 @@ race:
 # processes), the transport message path, the collective schedule IR and
 # its lowerings, the proxy engine, the strategy autotuner, the lifecycle
 # orchestrator, the diagnosis engine (whose recorder tap runs inside
-# span emission), and the fabric (an allocation memo and a flow free list
-# sit on its per-message path) — running them twice under the detector.
+# span emission), the policy controller (the recovery moves and the
+# route-push order) and the fabric (an allocation memo and a flow free
+# list sit on its per-message path) — running them twice under the
+# detector.
 race-hot:
-	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/remediation/
+	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/policy/ ./internal/remediation/
 
 # fuzz runs the native fuzz targets for 10 s each (their seed corpora also
 # run as part of `test`). Schedule IR: random (algorithm, op, ranks, root,

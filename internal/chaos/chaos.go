@@ -8,7 +8,7 @@
 // internal/collective reference executor, and layers seed-derived faults
 // on top: same-instant schedule permutation (sim.Picker), link flaps and
 // bandwidth degradation (netsim), straggler GPUs (gpusim), delayed
-// transport sends, external congestion with the policy watcher reacting,
+// transport sends, external congestion with the remediation engine reacting,
 // mid-collective reconfiguration storms through the Fig. 4
 // sequence-number protocol, and strategy-autotuner passes that install
 // searched strategies while collectives are in flight. After the scheduler drains, invariants are
@@ -48,7 +48,7 @@ type Scenario struct {
 	// issues (random ring permutations with skewed per-rank delivery).
 	Reconfigs int
 	// Congestion starts an external strict-priority flow on a random
-	// link and runs the policy congestion watcher against it.
+	// link and runs the remediation engine's link-health loop against it.
 	Congestion bool
 	// Autotunes is how many seed-scheduled strategy-autotuner passes run
 	// against the live deployment: each searches the candidate space
@@ -107,7 +107,7 @@ func Straggler() Scenario {
 
 // ReconfigStorm is the control-plane scenario: repeated mid-collective
 // reconfigurations with skewed per-rank delivery, external congestion,
-// and the policy watcher issuing its own remediations concurrently.
+// and the remediation engine issuing its own recovery moves concurrently.
 func ReconfigStorm() Scenario {
 	return Scenario{
 		Name:  "reconfig-storm",
@@ -218,9 +218,10 @@ type Result struct {
 	// full flight-recorder dump as Chrome trace-event JSON (inspect with
 	// `mccs trace` or Perfetto).
 	DumpPath string
-	// Faults is the injected-fault ground truth, in schedule order. The
-	// diagnosis ground-truth tests score the doctor's incidents against
-	// these windows.
+	// Faults is the injected-fault ground truth, in schedule order, the
+	// remediation engine's moves last (see FaultRecord). The diagnosis
+	// ground-truth tests score the doctor's incidents against these
+	// windows.
 	Faults []FaultRecord
 	// Err is nil iff every invariant held.
 	Err error

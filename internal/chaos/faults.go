@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 
+	"mccs/internal/remediation"
 	"mccs/internal/sim"
 )
 
@@ -16,10 +17,11 @@ const FaultOpenEnd = sim.Time(1) << 62
 // labeled ground truth for the diagnosis engine: every record carries
 // the blamed entity the doctor is expected to recover. Records are
 // appended in schedule order (install-time faults at install, storm /
-// autotune / remediation requests at request time), so the log is
-// deterministic for a fixed seed — and recording is purely
-// observational: it consumes no PRNG draws and schedules no events, so
-// fault schedules and trace hashes are unchanged.
+// autotune requests at request time), then the congestion scenarios'
+// remediation actions when the run ends, so the log is deterministic for
+// a fixed seed — and recording is purely observational: it consumes no
+// PRNG draws and schedules no events, so fault schedules and trace hashes
+// are unchanged.
 type FaultRecord struct {
 	// Kind is one of "link-flap", "straggler", "send-delay", "reconfig",
 	// "autotune", "congestion", "remediation".
@@ -57,5 +59,18 @@ type faultLog struct {
 func (fl *faultLog) add(r FaultRecord) {
 	if fl != nil {
 		fl.recs = append(fl.recs, r)
+	}
+}
+
+// addRemediations logs every route re-pin and ring reversal eng made as a
+// "remediation" window opening at the action (eng may be nil).
+func (fl *faultLog) addRemediations(eng *remediation.Engine) {
+	if eng == nil {
+		return
+	}
+	for _, a := range eng.Finish().Actions {
+		if a.Action == "repin" || a.Action == "reverse" {
+			fl.add(FaultRecord{Kind: "remediation", Start: a.At, End: FaultOpenEnd, Link: -1, Rank: -1})
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"mccs/internal/harness"
 	"mccs/internal/netsim"
 	"mccs/internal/policy"
+	"mccs/internal/remediation"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/topo"
@@ -18,12 +19,14 @@ import (
 // injection is derived from the inj PRNG stream at install time (so the
 // schedule of faults is fixed by the seed before the simulation starts)
 // and every fault is time-bounded: capacities are restored, slowdowns
-// cleared, external flows canceled, and the watcher stopped, so that the
-// only thing that can keep the simulation from draining is a genuine bug.
+// cleared, external flows canceled, and the remediation engine stopped, so
+// that the only thing that can keep the simulation from draining is a
+// genuine bug. The engine a congestion scenario runs is returned (nil
+// otherwise).
 // Each injector also appends its fault windows to fl (nil-safe) as
 // labeled ground truth for the diagnosis engine; recording consumes no
 // PRNG draws, so the fault schedule is identical with or without it.
-func installInjectors(env *harness.Env, sc Scenario, inj, tune *rand.Rand, gpus []topo.GPUID, fl *faultLog) {
+func installInjectors(env *harness.Env, sc Scenario, inj, tune *rand.Rand, gpus []topo.GPUID, fl *faultLog) (eng *remediation.Engine) {
 	if sc.LinkFlaps > 0 {
 		injectLinkFlaps(env, sc, inj, fl)
 	}
@@ -38,11 +41,12 @@ func installInjectors(env *harness.Env, sc Scenario, inj, tune *rand.Rand, gpus 
 		injectReconfigStorm(env, sc, inj, fl)
 	}
 	if sc.Congestion {
-		injectCongestion(env, sc, inj, fl)
+		eng = injectCongestion(env, sc, inj, fl)
 	}
 	if sc.Autotunes > 0 {
 		injectAutotune(env, sc, tune, fl)
 	}
+	return eng
 }
 
 // injectAutotune runs seed-scheduled strategy-autotuner passes against
@@ -259,11 +263,12 @@ func randomDelays(inj *rand.Rand, n int) []time.Duration {
 }
 
 // injectCongestion starts an external strict-priority flow on a random
-// fabric-core link for a bounded window and runs the policy congestion
-// watcher against the deployment, so remediation (route re-pins, ring
-// reversals) happens concurrently with the tenant workload and any
-// reconfiguration storm.
-func injectCongestion(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faultLog) {
+// fabric-core link for a bounded window and runs the remediation engine
+// against the deployment (link health only, one action per episode), so
+// recovery moves (route re-pins, ring reversals) happen concurrently with
+// the tenant workload and any reconfiguration storm. It returns the
+// engine, whose actions the run adds to the fault log when it ends.
+func injectCongestion(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faultLog) *remediation.Engine {
 	net := env.Cluster.Net
 	var core []netsim.LinkID
 	sw := make(map[netsim.NodeID]bool)
@@ -280,7 +285,7 @@ func injectCongestion(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faultLo
 		}
 	}
 	if len(core) == 0 {
-		return
+		return nil
 	}
 	l := core[inj.Intn(len(core))]
 	link := net.Link(l)
@@ -302,15 +307,13 @@ func injectCongestion(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faultLo
 		}
 	})
 
-	w := policy.NewController(env.Deployment).NewCongestionWatcher()
-	w.Interval = 200 * time.Microsecond
-	w.Consecutive = 2
-	w.OnRemediate = func() {
-		fl.add(FaultRecord{Kind: "remediation", Start: env.S.Now(), End: FaultOpenEnd, Link: -1, Rank: -1})
-	}
+	cfg := remediation.DefaultConfig()
+	cfg.MaxActions = 1
+	eng := remediation.Attach(env.S, env.Deployment, nil, cfg)
 	stop := &sim.Event{}
-	w.Start(stop)
+	eng.Start(stop)
 	env.S.At(sim.Time(sc.Horizon), func() { stop.Signal(env.S) })
+	return eng
 }
 
 // randDuration returns a uniform duration in [0, max).

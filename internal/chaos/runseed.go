@@ -252,7 +252,7 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	}
 
 	fl := &faultLog{}
-	installInjectors(env, sc, inj, tune, gpus, fl)
+	congest := installInjectors(env, sc, inj, tune, gpus, fl)
 
 	var orch *orchestrator.Orchestrator
 	var churnJobs []*orchestrator.Job
@@ -266,6 +266,7 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	// failed run reports its replay coordinates.
 	res.TraceHash, res.Events = tr.hash, tr.n
 	res.Tail = append([]TraceEntry(nil), tr.tail...)
+	fl.addRemediations(congest)
 	res.Faults = fl.recs
 
 	res.Err = checkInvariants(env, sc, led, simErr, rankErrs, finished, scriptComm, orch, churnJobs)

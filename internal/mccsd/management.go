@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mccs/internal/netsim"
 	"mccs/internal/proxy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
@@ -36,6 +37,17 @@ func (d *Deployment) View() []spec.CommInfo {
 // NumComms returns the number of active communicators — len(View()) for
 // the pollers that only count, without describing any of them.
 func (d *Deployment) NumComms() int { return len(d.comms) }
+
+// RoutesOver reports whether any communicator's current routes cross
+// link l, without building the View (it allocates nothing).
+func (d *Deployment) RoutesOver(l netsim.LinkID) bool {
+	for _, c := range d.comms {
+		if c.RoutesOver(l) {
+			return true
+		}
+	}
+	return false
+}
 
 // Comm returns the internal communicator object (tests and benchmarks).
 func (d *Deployment) Comm(id spec.CommID) (*proxy.Comm, bool) {

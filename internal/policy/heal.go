@@ -5,11 +5,10 @@ import (
 	"mccs/internal/spec"
 )
 
-// This file holds the controller's link-recovery moves. They started as
-// the congestion watcher's private remediation path; the self-healing
-// remediation engine (internal/remediation) drives the same moves from
-// diagnosis verdicts, so they are exported Controller methods shared by
-// both consumers.
+// This file holds the controller's link-recovery moves. The self-healing
+// remediation engine (internal/remediation) drives them when a link is
+// quarantined, whether for a capacity dip, persistent external traffic or
+// a diagnosis verdict.
 
 // Remedy identifies which recovery move was applied to a communicator.
 type Remedy uint8
@@ -126,4 +125,26 @@ func (c *Controller) Degrade(ci spec.CommInfo) error {
 	}
 	_, err := c.dep.ReconfigureAsync(ci.ID, deg, nil)
 	return err
+}
+
+// cleanPath returns the index of the first equal-cost path between the
+// endpoints that avoids all congested links.
+func cleanPath(net *netsim.Network, src, dst netsim.NodeID, bad map[netsim.LinkID]bool) (int, bool) {
+	paths := net.PathsBetween(src, dst)
+	if len(paths) < 2 {
+		return 0, false
+	}
+	for i, p := range paths {
+		clean := true
+		for _, l := range p {
+			if bad[l] {
+				clean = false
+				break
+			}
+		}
+		if clean {
+			return i, true
+		}
+	}
+	return 0, false
 }

@@ -10,6 +10,7 @@ package proxy
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mccs/internal/collective"
@@ -364,8 +365,8 @@ func (c *Comm) UpdateRoutes(routes map[spec.ConnKey]int) error {
 // ConnRoutes reports, for every inter-host connection key of the newest
 // generation, the fabric links its messages currently traverse — over
 // all the connections behind the key, so a link appears once per
-// connection crossing it. This is the mapping remediation and a
-// congestion watcher need to attribute link load to communicators.
+// connection crossing it. This is the mapping the policy controller's
+// recovery moves use to attribute link load to communicators.
 func (c *Comm) ConnRoutes() map[spec.ConnKey][]netsim.LinkID {
 	cs := c.newest()
 	out := make(map[spec.ConnKey][]netsim.LinkID)
@@ -375,6 +376,19 @@ func (c *Comm) ConnRoutes() map[spec.ConnKey][]netsim.LinkID {
 		}
 	}
 	return out
+}
+
+// RoutesOver reports whether any inter-host connection of the newest
+// generation currently traverses link l. Unlike ConnRoutes it allocates
+// nothing, so a control loop can ask it on every tick.
+func (c *Comm) RoutesOver(l netsim.LinkID) bool {
+	cs := c.newest()
+	for _, e := range cs.edges {
+		if slices.Contains(cs.conns[e].CurrentPath(), l) {
+			return true
+		}
+	}
+	return false
 }
 
 // PathCountFor returns the equal-cost path count of one connection key

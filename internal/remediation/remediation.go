@@ -1,15 +1,18 @@
 // Package remediation closes the MCCS detect→diagnose→recover loop: a
 // deterministic, sim-time control daemon that subscribes to diagnosis
 // verdicts (diagnosis.Engine.SetIncidentHook) and link-health
-// transitions observed directly from the fabric, and drives recovery
+// transitions observed directly from the fabric — a capacity dip and
+// persistent unmanaged (external) traffic alike — and drives recovery
 // through the existing service machinery — policy route re-pinning and
 // ring reversal, the strategy autotuner, fair flow assignment, and
 // orchestrator-mediated reconfiguration.
 //
-// The paper's Fig. 7 story has a centralized manager pushing new
-// strategies to MCCS when links misbehave; PR 9's diagnosis engine
-// attributes faults to root causes but is report-only. This engine is
-// the manager: verdicts become actions.
+// The paper leaves monitoring to external components: "a switch agent
+// can be configured to report to a centralized manager when there are
+// persistent large flows that are not managed by MCCS. The centralized
+// manager can then send a new configuration to MCCS service." This
+// engine is that agent and manager (the Fig. 7 story automated), and the
+// diagnosis engine's verdicts feed it too: verdicts become actions.
 //
 // Robustness semantics (production-shaped, per ISSUE 10):
 //
@@ -57,8 +60,9 @@ import (
 type Config struct {
 	// Interval between control-loop ticks.
 	Interval time.Duration
-	// LinkTolerance is the fractional headroom below nominal capacity
-	// before a link counts as degraded (matches the doctor's default).
+	// LinkTolerance is how far below nominal capacity the capacity left
+	// for managed traffic (capacity minus external load) may fall before
+	// a link counts as degraded (matches the doctor's default).
 	LinkTolerance float64
 	// SuspectAfter is how many consecutive degraded ticks move a link
 	// from suspect to quarantined. A congested-link diagnosis verdict
@@ -315,17 +319,20 @@ func (e *Engine) openEpisode(k epKey, ev *causeEvent, now sim.Time) {
 	ep.lastSeen = now
 }
 
-// degraded reports whether link l currently runs below its nominal
-// capacity minus tolerance.
+// degraded reports whether the capacity link l has left for managed
+// traffic — its capacity minus the unmanaged (external) load on it — is
+// below nominal minus tolerance. A capacity dip and a persistent external
+// flow trip the same rule.
 func (e *Engine) degraded(l netsim.LinkID) bool {
 	if e.nominal[l] <= 0 {
 		return false
 	}
-	return e.dep.Cluster.Net.Link(l).Capacity < e.nominal[l]*(1-e.cfg.LinkTolerance)
+	left := e.dep.Cluster.Net.Link(l).Capacity - e.dep.Fabric.ExternalRate(l)
+	return left < e.nominal[l]*(1-e.cfg.LinkTolerance)
 }
 
-// scanLinks walks every link's quarantine state machine off the current
-// capacity alone; verdict-driven quarantines happened in drainQueue.
+// scanLinks walks every link's quarantine state machine off the fabric
+// alone; verdict-driven quarantines happened in drainQueue.
 func (e *Engine) scanLinks(now sim.Time) {
 	for i := range e.links {
 		st := &e.links[i]
@@ -421,7 +428,8 @@ func (e *Engine) activeQuarantines() int {
 }
 
 // actOnLinks runs the escalation ladder for each quarantined link whose
-// backoff allows it and which still carries managed traffic.
+// backoff allows it and which still carries managed traffic. A tick with
+// no rung due allocates nothing: the move set is built only when one is.
 func (e *Engine) actOnLinks(p *sim.Proc, now sim.Time) {
 	for i := range e.links {
 		st := &e.links[i]
@@ -429,17 +437,9 @@ func (e *Engine) actOnLinks(p *sim.Proc, now sim.Time) {
 			continue
 		}
 		l := netsim.LinkID(i)
-		bad := map[netsim.LinkID]bool{l: true}
 		// The ladder only fires while some communicator still routes
 		// over the quarantined link: a successful move quiesces it.
-		affected := false
-		for _, ci := range e.dep.View() {
-			if len(e.ctrl.AffectedConns(ci, bad)) > 0 {
-				affected = true
-				break
-			}
-		}
-		if !affected {
+		if !e.dep.RoutesOver(l) {
 			continue
 		}
 		if st.ep.attempts >= e.cfg.MaxActions {
@@ -449,10 +449,8 @@ func (e *Engine) actOnLinks(p *sim.Proc, now sim.Time) {
 		if now < st.ep.nextAllowed {
 			continue
 		}
-		rung := st.ep.attempts
-		if rung > 2 {
-			rung = 2
-		}
+		rung := min(st.ep.attempts, 2)
+		bad := map[netsim.LinkID]bool{l: true}
 		for _, ci := range e.dep.View() {
 			aff := e.ctrl.AffectedConns(ci, bad)
 			if len(aff) == 0 {

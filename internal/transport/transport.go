@@ -270,7 +270,7 @@ func (c *Conn) Intra() bool { return c.intr }
 
 // CurrentPath returns the fabric links this connection's messages traverse
 // right now: the pinned route, or the deterministic ECMP choice for its
-// label. Intra-host connections return nil. The congestion watcher uses
+// label. Intra-host connections return nil. The remediation engine uses
 // this to map observed link load back to communicator connections.
 func (c *Conn) CurrentPath() []netsim.LinkID {
 	if c.intr {
