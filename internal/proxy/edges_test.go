@@ -38,10 +38,10 @@ func TestRouteUpdatesCoverEveryEdge(t *testing.T) {
 	shared := spec.ConnKey{Channel: 0, FromRank: 0, ToRank: 4}
 	hdOnly := spec.ConnKey{Channel: 0, FromRank: 2, ToRank: 6}
 	cs := comm.newest()
-	if got := len(cs.at(shared)); got != 3 {
+	if got := len(cs.at(nil, shared)); got != 3 {
 		t.Fatalf("%d connections behind %+v, want ring+tree+hd", got, shared)
 	}
-	if got := len(cs.at(hdOnly)); got != 1 {
+	if got := len(cs.at(nil, hdOnly)); got != 1 {
 		t.Fatalf("%d connections behind %+v, want the butterfly edge", got, hdOnly)
 	}
 	if comm.PathCountFor(hdOnly) < 2 {

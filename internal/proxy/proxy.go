@@ -194,11 +194,11 @@ type connSet struct {
 	conns    map[collective.Edge]*transport.Conn
 }
 
-// at returns the connections behind a management-plane key: the ring
-// edge and, when the strategy provisions them, the tree and butterfly
-// edges between the same ranks on the same channel.
-func (cs *connSet) at(k spec.ConnKey) []*transport.Conn {
-	var out []*transport.Conn
+// at appends to out the connections behind a management-plane key: the
+// ring edge and, when the strategy provisions them, the tree and
+// butterfly edges between the same ranks on the same channel (at most
+// one per algorithm).
+func (cs *connSet) at(out []*transport.Conn, k spec.ConnKey) []*transport.Conn {
 	for _, algo := range []collective.Algo{collective.AlgoRing, collective.AlgoTree, collective.AlgoHD} {
 		if conn, ok := cs.conns[collective.Edge{Algo: algo, Channel: k.Channel, From: k.FromRank, To: k.ToRank}]; ok {
 			out = append(out, conn)
@@ -328,11 +328,12 @@ func (c *Comm) newest() *connSet {
 // says.)
 func (c *Comm) UpdateRoutes(routes map[spec.ConnKey]int) error {
 	cs := c.newest()
+	var buf [3]*transport.Conn
 	// Check the whole push before moving anything: a push that stopped
 	// part-way would leave connections re-pinned but not recorded in the
 	// strategy, and the next reconfiguration would silently revert them.
 	for k, idx := range routes {
-		conns := cs.at(k)
+		conns := cs.at(buf[:0], k)
 		if len(conns) == 0 {
 			return fmt.Errorf("proxy: route for unknown conn %d->%d ch %d", k.FromRank, k.ToRank, k.Channel)
 		}
@@ -346,7 +347,7 @@ func (c *Comm) UpdateRoutes(routes map[spec.ConnKey]int) error {
 		}
 	}
 	for k, idx := range routes {
-		for _, conn := range cs.at(k) {
+		for _, conn := range cs.at(buf[:0], k) {
 			if err := conn.SetRoute(idx); err != nil {
 				return err
 			}
@@ -394,7 +395,7 @@ func (c *Comm) RoutesOver(l netsim.LinkID) bool {
 // PathCountFor returns the equal-cost path count of one connection key
 // of the newest generation (0 if unknown).
 func (c *Comm) PathCountFor(k spec.ConnKey) int {
-	for _, conn := range c.newest().at(k) {
+	for _, conn := range c.newest().at(nil, k) {
 		return conn.PathCount()
 	}
 	return 0
