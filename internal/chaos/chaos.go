@@ -5,7 +5,8 @@
 //
 // A run builds the paper's 4-host testbed (internal/harness), starts a
 // scripted collective workload whose results are checked against the
-// internal/collective reference executor, and layers seed-derived faults
+// closed form (per-element sums for AllReduce, the inputs themselves for
+// AllGather), and layers seed-derived faults
 // on top: same-instant schedule permutation (sim.Picker), link flaps and
 // bandwidth degradation (netsim), straggler GPUs (gpusim), delayed
 // transport sends, external congestion with the remediation engine reacting,
@@ -289,11 +290,12 @@ func Seeds(start uint64, n int) []uint64 {
 }
 
 // tracer folds the scheduler's event stream into an FNV-1a fingerprint
-// plus a bounded tail for failure reports.
+// plus a bounded tail for failure reports. The tail is a ring: event i
+// lands in tail[i%tailLen].
 type tracer struct {
 	hash uint64
 	n    int
-	tail []TraceEntry
+	tail [tailLen]TraceEntry
 }
 
 const (
@@ -308,12 +310,21 @@ func newTracer() *tracer { return &tracer{hash: fnvOffset} }
 func (t *tracer) observe(at sim.Time, seq uint64) {
 	t.mix(uint64(at))
 	t.mix(seq)
+	t.tail[t.n%tailLen] = TraceEntry{At: at, Seq: seq}
 	t.n++
-	if len(t.tail) == tailLen {
-		copy(t.tail, t.tail[1:])
-		t.tail = t.tail[:tailLen-1]
+}
+
+// lastEvents returns the tail in event order (nil before any event).
+func (t *tracer) lastEvents() []TraceEntry {
+	k := min(t.n, tailLen)
+	if k == 0 {
+		return nil
 	}
-	t.tail = append(t.tail, TraceEntry{At: at, Seq: seq})
+	out := make([]TraceEntry, k)
+	for i := range out {
+		out[i] = t.tail[(t.n-k+i)%tailLen]
+	}
+	return out
 }
 
 func (t *tracer) mix(v uint64) {
