@@ -4,15 +4,19 @@ import (
 	"testing"
 )
 
-// TestChaosSweep is the headline chaos run: every scenario swept over 80
-// seeds (240 runs total), then every seed replayed to prove the harness
+// TestChaosSweep is the headline chaos run: every scenario swept over 120
+// seeds (600 runs total), then every seed replayed to prove the harness
 // is deterministic — identical trace fingerprint, event count, and
-// verdict on the second run.
+// verdict on the second run. Each run owns its scheduler and testbed, so
+// the scenarios sweep in parallel with each other and with the other
+// parallel tests.
 func TestChaosSweep(t *testing.T) {
-	seeds := Seeds(1, 80)
+	t.Parallel()
+	seeds := Seeds(1, 120)
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
+			t.Parallel()
 			first := Run(seeds, sc)
 			for _, f := range first.Failures() {
 				t.Errorf("%v", f)

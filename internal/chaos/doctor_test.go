@@ -169,6 +169,7 @@ func observable(f *FaultRecord, rec trace.Recording, ops map[[2]int64]*opAgg) bo
 // observable-window counts are asserted so the recall side cannot
 // silently go vacuous.
 func TestDoctorGroundTruth(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		sc Scenario
 		// seeds to run; wantObservable is the total count of observable

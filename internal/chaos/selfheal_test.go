@@ -63,6 +63,7 @@ func healObservable(w healWindow, cfg remediation.Config) bool {
 // precision = recall = 1.0 — with the median time-to-recover bounded in
 // virtual time.
 func TestSelfHealGroundTruth(t *testing.T) {
+	t.Parallel()
 	cfg := remediation.DefaultConfig()
 	sc := SelfHeal()
 	var ttrs []sim.Duration
@@ -236,6 +237,7 @@ func TestSelfHealByteDeterministic(t *testing.T) {
 // engine must report the suppressed opportunities instead of acting on
 // them.
 func TestSelfHealFlappingBackoff(t *testing.T) {
+	t.Parallel()
 	sc := SelfHeal()
 	sc.Name = "self-heal-flap"
 	sc.LinkFlaps = 10 // dense: repeated windows on few links
@@ -281,6 +283,7 @@ func TestSelfHealFlappingBackoff(t *testing.T) {
 // the same links, replaying a seed must reproduce the identical event
 // trace.
 func TestSelfHealReplayDeterminism(t *testing.T) {
+	t.Parallel()
 	sc := SelfHeal()
 	sc.Name = "self-heal-dense"
 	sc.LinkFlaps = 12 // force same-link back-to-back and nested windows
@@ -293,6 +296,18 @@ func TestSelfHealReplayDeterminism(t *testing.T) {
 		if a.TraceHash != b.TraceHash || a.Events != b.Events {
 			t.Fatalf("seed %d: replay diverged: %#x/%d vs %#x/%d",
 				seed, a.TraceHash, a.Events, b.TraceHash, b.Events)
+		}
+	}
+}
+
+// BenchmarkChaosSelfHeal is one self-heal run, the diagnosis and
+// remediation engines attached: the heaviest single run of the chaos
+// package and of the chaos_observed benchmark workload.
+func BenchmarkChaosSelfHeal(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if hr := RunSeedHealed(SelfHeal(), 1); hr.Err != nil {
+			b.Fatal(hr.Err)
 		}
 	}
 }
