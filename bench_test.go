@@ -310,7 +310,7 @@ func BenchmarkTuner(b *testing.B) {
 		ctrl := policy.NewController(env.Deployment)
 		const bytes = 64 << 20
 		opts := policy.AutotuneOptions{Op: collective.AllReduce, Bytes: bytes}
-		m := ctrl.TuneModel(true)
+		m := ctrl.TuneModel()
 		sp := ctrl.TuneSpace(info, opts)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -218,7 +218,7 @@ func injectReconfigStorm(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faul
 		for _, rc := range plan {
 			p.Sleep(rc.after)
 			fl.add(FaultRecord{Kind: "reconfig", Start: env.S.Now(), End: FaultOpenEnd, Link: -1, Rank: -1})
-			if _, err := dep.ReconfigureAsync(id, rc.strat, rc.delays); err != nil {
+			if _, err := dep.Reconfigure(id, rc.strat, rc.delays); err != nil {
 				panic(fmt.Sprintf("chaos: reconfigure: %v", err))
 			}
 		}

@@ -199,11 +199,12 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 			}
 			return
 		}
-		comm, _ := dep.Comm(commID) // commID came from this deployment
-		cur := comm.Strategy()
-		if err := dep.Reconfigure(p, commID, cur.Reversed()); err != nil {
+		latch, err := policy.Reverse(dep, commID)
+		if err != nil {
 			errs = append(errs, err)
+			return
 		}
+		latch.Wait(p)
 	})
 
 	if err := s.RunUntil(sim.Time(cfg.RunFor)); err != nil {

@@ -191,7 +191,7 @@ func TestBaselineCannotReconfigure(t *testing.T) {
 	if len(view) != 1 {
 		t.Fatalf("view has %d comms, want 1", len(view))
 	}
-	if _, err := d.ReconfigureAsync(view[0].ID, view[0].Strategy, nil); err == nil {
+	if _, err := d.Reconfigure(view[0].ID, view[0].Strategy, nil); err == nil {
 		t.Error("baseline accepted a reconfiguration")
 	}
 	if err := d.UpdateRoutes(view[0].ID, nil); err == nil {
@@ -246,8 +246,10 @@ func TestReconfigureThroughManagementAPI(t *testing.T) {
 		h.Wait(p)
 		if rank == 0 {
 			rev := spec.Strategy{Channels: []spec.ChannelSpec{{Order: []int{3, 2, 1, 0}, Route: 1}}}
-			if err := d.Reconfigure(p, comm.ID(), rev); err != nil {
+			if latch, err := d.Reconfigure(comm.ID(), rev, nil); err != nil {
 				t.Error(err)
+			} else {
+				latch.Wait(p)
 			}
 		} else {
 			p.Sleep(50 * time.Millisecond) // wait out the reconfig

@@ -170,7 +170,7 @@ func TestP2PSurvivesReconfiguration(t *testing.T) {
 		if rank == 0 {
 			// Kick a reconfiguration and immediately send.
 			rev := spec.Strategy{Channels: []spec.ChannelSpec{{Order: []int{3, 2, 1, 0}, Route: 0}}}
-			if _, err := d.ReconfigureAsync(comm.ID(), rev, []time.Duration{0, time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}); err != nil {
+			if _, err := d.Reconfigure(comm.ID(), rev, []time.Duration{0, time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}); err != nil {
 				t.Error(err)
 				return
 			}

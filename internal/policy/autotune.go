@@ -29,19 +29,17 @@ type AutotuneOptions struct {
 }
 
 // TuneModel builds the tuner's cost model from the deployment's actual
-// timing configuration, reading external link load live from the fabric
-// unless told not to. This is exactly the provider-only knowledge the
-// paper argues for: tenants can see none of these numbers.
-func (c *Controller) TuneModel(ignoreExternalLoad bool) *tuner.Model {
+// timing configuration, reading external link load live from the fabric.
+// This is exactly the provider-only knowledge the paper argues for:
+// tenants can see none of these numbers.
+func (c *Controller) TuneModel() *tuner.Model {
 	cfg := c.dep.Config()
 	m := tuner.DefaultModel(c.dep.Cluster)
 	m.Alpha = cfg.Transport.NetLatency + 2*time.Microsecond
 	m.Fixed = cfg.CmdLatency + cfg.CompletionLatency + cfg.Proxy.KernelLaunch
 	m.IntraBps = cfg.Transport.IntraBps
-	if !ignoreExternalLoad {
-		fb := c.dep.Fabric
-		m.ExtLoad = func(l netsim.LinkID) float64 { return fb.ExternalRate(l) }
-	}
+	fb := c.dep.Fabric
+	m.ExtLoad = func(l netsim.LinkID) float64 { return fb.ExternalRate(l) }
 	return m
 }
 
@@ -94,7 +92,7 @@ func (c *Controller) Autotune(p *sim.Proc, id spec.CommID, opts AutotuneOptions)
 	if opts.Bytes <= 0 {
 		return tuner.Decision{}, fmt.Errorf("policy: autotune needs a positive byte size")
 	}
-	model := c.TuneModel(false)
+	model := c.TuneModel()
 	cands := tuner.Candidates(info, c.TuneSpace(info, opts), opts.Bytes)
 	d, err := model.Search(info, cands, opts.Op, opts.Bytes)
 	if err != nil {
@@ -123,9 +121,11 @@ func (c *Controller) Autotune(p *sim.Proc, id spec.CommID, opts AutotuneOptions)
 	win := d.Winner()
 	reg.Gauge("mccs_tuner_predicted_seconds", "s", tenant).Set(win.Predicted.Seconds())
 	c.setStrategyInfo(reg, info.App, win.Name)
-	if err := c.dep.Reconfigure(p, id, win.Strategy); err != nil {
+	latch, err := c.dep.Reconfigure(id, win.Strategy, nil)
+	if err != nil {
 		return tuner.Decision{}, fmt.Errorf("policy: installing %q: %w", win.Name, err)
 	}
+	latch.Wait(p)
 	reg.Counter("mccs_tuner_installs_total", "installs", tenant).Inc()
 	end := c.dep.S.Now()
 	rec.Emit(trace.Span{

@@ -45,7 +45,7 @@ func prodTuner(t *testing.T, opts policy.AutotuneOptions) (*tuner.Model, []tuner
 	}
 	ctrl := policy.NewController(env.Deployment)
 	info := fig6Comm(t, env.Cluster)
-	m := ctrl.TuneModel(true)
+	m := ctrl.TuneModel()
 	cands := tuner.Candidates(info, ctrl.TuneSpace(info, opts), opts.Bytes)
 	return m, cands, info
 }
@@ -117,7 +117,7 @@ func TestPredictedTreeCrossoverMatchesMeasured(t *testing.T) {
 	}
 	ctrl := policy.NewController(env.Deployment)
 	info := fig6Comm(t, env.Cluster)
-	m := ctrl.TuneModel(true)
+	m := ctrl.TuneModel()
 
 	ring := spec.Strategy{}
 	order := policy.LocalityRing(env.Cluster, info.Ranks)
