@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare trace telemetry telemetry-cost churn doctor self-heal loc
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare trace telemetry telemetry-cost churn doctor self-heal loc door
 
 all: check
 
@@ -59,9 +59,22 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzStrategyValidate -fuzztime 10s ./internal/spec/
 
-# check is the CI gate: everything must build, vet clean, and pass the
-# full test suite twice — once plain, once under the race detector.
-check: build fmt vet test race
+# check is the CI gate: everything must build, vet clean, keep the one
+# door for reconfiguration, and pass the full test suite twice — once
+# plain, once under the race detector.
+check: build fmt vet door test race
+
+# door fails if non-test Go outside internal/mccsd and internal/policy
+# changes a communicator's strategy or routes: policy decides, the
+# service executes (paper §4.3). The one exception is the chaos reconfig
+# storm in internal/chaos/inject.go, the Fig. 4 adversary, not a decider.
+door:
+	@hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+		'\.(UpdateRoutes|Reconfigure)\(' . | grep -vE '^\./internal/(mccsd|policy)/|^\./internal/chaos/inject\.go:'); \
+	if [ -n "$$hits" ]; then \
+		echo "door: only internal/policy may change a communicator's strategy or routes:" >&2; \
+		echo "$$hits" >&2; exit 1; \
+	fi
 
 # chaos runs the seeded chaos sweep on its own (it is also part of
 # `test`); useful when iterating on the harness.

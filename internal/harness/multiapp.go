@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 
 	"mccs/internal/collective"
 	"mccs/internal/mccsd"
@@ -164,9 +163,7 @@ func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, err
 		// algorithm) in isolation; FFA then coordinates route pins
 		// *across* tenants, which no per-communicator search can see.
 		if cfg.Autotune && !env.Deployment.Config().Baseline {
-			view := env.Deployment.View()
-			sort.Slice(view, func(i, j int) bool { return view[i].ID < view[j].ID })
-			for _, ci := range view {
+			for _, ci := range env.Deployment.View() { // ascending ID order
 				if _, err := ctrl.Autotune(p, ci.ID, policy.AutotuneOptions{
 					Op: collective.AllReduce, Bytes: cfg.Bytes,
 				}); err != nil {
