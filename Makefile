@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare trace telemetry telemetry-cost churn doctor self-heal loc door
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare trace telemetry telemetry-cost churn doctor self-heal loc door goldens
 
 all: check
 
@@ -60,9 +60,25 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStrategyValidate -fuzztime 10s ./internal/spec/
 
 # check is the CI gate: everything must build, vet clean, keep the one
-# door for reconfiguration, and pass the full test suite twice — once
-# plain, once under the race detector.
-check: build fmt vet door test race
+# door for reconfiguration, reproduce every committed result file, and
+# pass the full test suite twice — once plain, once under the race
+# detector.
+check: build fmt vet door goldens test race
+
+# goldens regenerates every result file EXPERIMENTS.md quotes (about 6 s
+# of CPU) and fails, naming each file that moved, when one differs from
+# the committed copy. A run that moves a figure is a modelling change.
+goldens: $(MCCS)
+	$(MCCS) breakdown > results/fig2.txt
+	$(MCCS) crossrack > results/fig3.txt
+	$(MCCS) bench > results/fig6.txt
+	$(MCCS) reconfig > results/fig7.txt
+	$(MCCS) multi > results/fig8.txt
+	$(MCCS) qos > results/fig9.txt
+	$(MCCS) qos -dynamic > results/fig10.txt
+	$(MCCS) simcluster -runs 3 > results/fig11.txt
+	$(MCCS) churn > results/churn.txt
+	git diff --exit-code --stat -- results/
 
 # door fails if non-test Go outside internal/mccsd and internal/policy
 # changes a communicator's strategy or routes: policy decides, the

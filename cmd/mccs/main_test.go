@@ -30,6 +30,7 @@ var invocations = []struct {
 	{cmd: "churn", args: []string{"-jobs=3", "-quota=tenant-a=4"}, want: "gpu utilization"},
 	{cmd: "selfheal", args: []string{"-seed=1"}, want: "readmit"},
 	{cmd: "top", args: []string{"$TEL"}, want: "BUSIEST LINKS"},
+	{cmd: "top", args: []string{"-live", "-scenario=churn"}, want: "SCHED"},
 	{cmd: "trace", args: []string{"summarize", "$TRACE"}, want: "collectives"},
 	{cmd: "trace", args: []string{"dump", "$TRACE"}, want: "AllReduce#"},
 	{cmd: "doctor", args: []string{"$TRACE", "$TEL"}, want: "MCCS DOCTOR REPORT"},

@@ -1,9 +1,10 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -12,24 +13,16 @@ import (
 	"mccs/internal/telemetry"
 )
 
-// runTop renders a cluster operator's view of an MCCS telemetry
-// series: per-tenant goodput, the scheduler's lifecycle counters, the
-// busiest fabric links, and the SLO violations the run produced. It
-// reads a JSONL file exported with an experiment subcommand's -telemetry
-// flag or, with -live, runs a scenario itself — the contended Fig. 7
-// reconfiguration by default, the tenant churn experiment with
-// -scenario churn — and renders the resulting series.
-//
-// Sections always render in a fixed order — TENANT, SCHED, TUNER,
-// HEALTH, REMEDIATION, BUSIEST LINKS, SLO VIOLATIONS — and the
-// tenant-keyed sections share one first-column width, so the layout is
+// runTop renders a cluster operator's view of an MCCS telemetry series
+// (the sections table below says what each section reads), then the
+// busiest fabric links and the SLO violations the run produced. It reads
+// a JSONL file exported with an experiment subcommand's -telemetry flag
+// or, with -live, runs a scenario itself — the contended Fig. 7
+// reconfiguration by default, the tenant churn experiment with -scenario
+// churn — and renders the resulting series. Sections always render in
+// the same order and share one first-column width, so the layout is
 // identical whether a series comes from a file or a -live run and
-// whichever sections have data. HEALTH appears when the run had the
-// diagnosis engine attached (a -doctor flag): open incidents, per-class
-// totals, and each tenant's last diagnosed root cause. REMEDIATION
-// appears when the self-healing control loop ran: links currently
-// quarantined, quarantine/readmission/suppression totals, and per-action
-// recovery counts (re-pin, ring reversal, re-tune, degrade, FFA re-run).
+// whichever sections have data.
 func runTop(args []string, stdout io.Writer) error {
 	fs := newFlagSet("top", "[flags] telemetry.jsonl | -live [flags]", "Operator view of a telemetry series: tenants, scheduler, tuner, health, remediation, busiest links, SLO violations.")
 	live := fs.Bool("live", false, "run a scenario instead of reading a file")
@@ -85,40 +78,29 @@ type options struct {
 	topViolations int
 }
 
-// window returns the samples the rate computations cover.
-func window(se *telemetry.Series, lastN int) []telemetry.Sample {
-	s := se.Samples
-	if lastN > 0 && len(s) > lastN {
-		s = s[len(s)-lastN:]
-	}
-	return s
-}
-
 // render writes the full operator view.
 func render(w io.Writer, se *telemetry.Series, opt options) {
 	if se == nil || len(se.Samples) == 0 {
 		fmt.Fprintln(w, "no samples in series")
 		return
 	}
-	s := window(se, opt.lastN)
-	first, last := s[0], s[len(s)-1]
+	s := se.Samples
+	if opt.lastN > 0 && len(s) > opt.lastN {
+		s = s[len(s)-opt.lastN:]
+	}
 	fmt.Fprintf(w, "mccs-top: %d samples every %v, window [%.3fs, %.3fs]\n",
-		len(se.Samples), time.Duration(se.Interval), first.T.Seconds(), last.T.Seconds())
-
+		len(se.Samples), time.Duration(se.Interval), s[0].T.Seconds(), s[len(s)-1].T.Seconds())
 	lw := labelWidth(se)
-	renderTenants(w, se, s, lw)
-	renderSched(w, se, s, lw)
-	renderTuner(w, se, s, lw)
-	renderHealth(w, se, s, lw)
-	renderRemediation(w, se, s, lw)
+	for _, sec := range sections {
+		sec.render(w, se, s, lw)
+	}
 	renderLinks(w, se, s, opt.topLinks)
 	renderViolations(w, se, opt.topViolations)
 }
 
-// labelWidth is the shared first-column width of the tenant-keyed
-// sections (TENANT, SCHED, TUNER): wide enough for the longest tenant
-// name in the series, never narrower than the section titles, so the
-// sections line up no matter which of them have data.
+// labelWidth is the sections' shared first-column width: wide enough for
+// the longest tenant name in the series, never narrower than the section
+// titles, so the sections line up no matter which of them have data.
 func labelWidth(se *telemetry.Series) int {
 	w := 12
 	for i := range se.Cols {
@@ -131,391 +113,285 @@ func labelWidth(se *telemetry.Series) int {
 	return w
 }
 
-// tunerRow is one tenant's autotuner decision: the installed strategy
-// (read off the info-pattern gauge), how many searches ran, and the
-// model's predicted completion time against the first one achieved
-// after the install.
-type tunerRow struct {
-	Tenant    string
-	Strategy  string
-	Searches  float64
-	Predicted float64 // seconds; 0 = not recorded
-	Achieved  float64 // seconds; 0 = not observed
+// sections is the family-driven part of the view, in render order.
+// HEALTH reads the diagnosis engine (a -doctor run), REMEDIATION the
+// self-healing control loop.
+var sections = []section{
+	{title: "TENANT", key: "tenant", cols: []column{
+		{head: "GOODPUT GB/s", w: 14, prec: 2, fam: "mccs_transport_tx_bytes_total", rate: true, derive: giga},
+		{head: "OPS", w: 10, fam: "mccs_proxy_ops_total"},
+		{head: "RECONFIGS", w: 10, fam: "mccs_proxy_reconfigs_total"},
+		{head: "VIOLATIONS", w: 11, derive: violations},
+	}},
+	{title: "SCHED", row: "jobs", cols: []column{
+		{head: "RUNNING", w: 8, fam: "mccs_sched_jobs_running"},
+		{head: "QUEUED", w: 8, fam: "mccs_sched_jobs_queued"},
+		{head: "BUSY", w: 8, fam: "mccs_sched_gpus_busy"},
+		{head: "DONE", w: 8, fam: "mccs_sched_jobs_completed_total"},
+		{head: "REJECTS", w: 8, fam: "mccs_sched_admission_rejects_total"},
+		{head: "RECONFIGS", w: 10, fam: "mccs_sched_reconfigs_total"},
+		{head: "AVG WAIT ms", w: 12, prec: 3, fam: "mccs_sched_queue_wait_seconds", derive: avgWait},
+	}, tails: []tail{{"mccs_sched_placements_total", placements}}},
+	{title: "TUNER", key: "tenant", cols: []column{
+		{head: "STRATEGY", w: -28, fam: "mccs_tuner_strategy_info", info: "strategy"},
+		{head: "SEARCHES", w: 9, fam: "mccs_tuner_searches_total"},
+		{head: "PREDICTED ms", w: 13, prec: 3, fam: "mccs_tuner_predicted_seconds", derive: milli},
+		{head: "ACHIEVED ms", w: 13, prec: 3, fam: "mccs_tuner_achieved_seconds", derive: milli},
+	}},
+	{title: "HEALTH", row: "doctor", cols: []column{
+		{head: "OPEN", w: 8, fam: "mccs_doctor_open_incidents"},
+		{head: "INCIDENTS", w: 10, fam: "mccs_doctor_incidents_total"},
+		{head: "SPANS", w: 10, fam: "mccs_doctor_spans_total"},
+		{head: "DROPPED", w: 10, fam: "mccs_trace_dropped_total",
+			warn: "trace spans dropped by ring wrap; diagnosis evidence may be incomplete"},
+	}, tails: []tail{
+		{"mccs_doctor_incidents_total", breakdown("by class", "class")},
+		{"mccs_doctor_last_cause", lastCauses},
+	}},
+	{title: "REMEDIATION", row: "healer", cols: []column{
+		{head: "QUAR", w: 8, fam: "mccs_remediation_quarantined_links",
+			warn: "link(s) still quarantined at window end; recovery incomplete"},
+		{head: "EPISODES", w: 10, fam: "mccs_remediation_quarantines_total"},
+		{head: "READMITTED", w: 10, fam: "mccs_remediation_readmissions_total"},
+		{head: "SUPPRESSED", w: 10, fam: "mccs_remediation_suppressed_total"},
+	}, tails: []tail{{"mccs_remediation_actions_total", breakdown("by action", "action")}}},
 }
 
-// tunerRows extracts the per-tenant autotuner view from the series; nil
-// when the run never autotuned.
-func tunerRows(se *telemetry.Series, s []telemetry.Sample) []tunerRow {
-	last := s[len(s)-1]
-	byTenant := make(map[string]*tunerRow)
-	row := func(tenant string) *tunerRow {
-		r := byTenant[tenant]
-		if r == nil {
-			r = &tunerRow{Tenant: tenant}
-			byTenant[tenant] = r
-		}
-		return r
-	}
-	for _, c := range se.FindCols("mccs_tuner_strategy_info", telemetry.L("tenant", "")) {
-		// Retired strategies stay in the series at value 0; the current
-		// one is the single column still at 1.
-		if se.Value(last, c) != 1 {
-			continue
-		}
-		row(se.LabelValue(c, "tenant")).Strategy = se.LabelValue(c, "strategy")
-	}
-	for _, c := range se.FindCols("mccs_tuner_searches_total", telemetry.L("tenant", "")) {
-		row(se.LabelValue(c, "tenant")).Searches = se.Value(last, c)
-	}
-	for _, c := range se.FindCols("mccs_tuner_predicted_seconds", telemetry.L("tenant", "")) {
-		row(se.LabelValue(c, "tenant")).Predicted = se.Value(last, c)
-	}
-	for _, c := range se.FindCols("mccs_tuner_achieved_seconds", telemetry.L("tenant", "")) {
-		row(se.LabelValue(c, "tenant")).Achieved = se.Value(last, c)
-	}
-	rows := make([]tunerRow, 0, len(byTenant))
-	for _, r := range byTenant {
-		rows = append(rows, *r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Tenant < rows[j].Tenant })
-	return rows
+// A section renders, when any family it reads has a column, a header,
+// one row per value of its key label (without one, the one row named
+// row), the lines of its tails and its columns' warnings.
+type section struct {
+	title, key, row string
+	cols            []column
+	tails           []tail
 }
 
-func renderTuner(w io.Writer, se *telemetry.Series, s []telemetry.Sample, lw int) {
-	rows := tunerRows(se, s)
-	if len(rows) == 0 {
+// A column reduces one family over a row's series columns: the last
+// value, or with rate the per-second rate over the window, summed; or,
+// with info, that label of the info gauge that reads 1. derive turns the
+// sum into the printed number. A negative width left-aligns. warn is a
+// warning shown after the tails when the family's value is above 0.
+type column struct {
+	head       string
+	w, prec    int
+	fam        string
+	rate       bool
+	info, warn string
+	derive     func(r row, v float64) float64
+}
+
+// A tail is lines of a name and a text derived from one family's series
+// columns at the end of the window.
+type tail struct {
+	fam   string
+	lines func(se *telemetry.Series, last telemetry.Sample, cols []int) [][2]string
+}
+
+// A row is one key of a section over the sample window; match selects
+// its series columns.
+type row struct {
+	se    *telemetry.Series
+	s     []telemetry.Sample
+	key   string
+	match []telemetry.Label
+}
+
+// match selects row k's series columns, every row's when k is "". A
+// fixed row reads all of a family's columns.
+func (sec section) match(k string) []telemetry.Label {
+	if sec.key == "" {
+		return nil
+	}
+	return []telemetry.Label{telemetry.L(sec.key, k)}
+}
+
+func (sec section) render(w io.Writer, se *telemetry.Series, s []telemetry.Sample, lw int) {
+	var keys []string
+	add := func(fam string) {
+		for _, c := range se.FindCols(fam, sec.match("")...) {
+			k := sec.row
+			if sec.key != "" {
+				k = se.LabelValue(c, sec.key)
+			}
+			if !slices.Contains(keys, k) {
+				keys = append(keys, k)
+			}
+		}
+	}
+	for _, c := range sec.cols {
+		add(c.fam)
+	}
+	for _, t := range sec.tails {
+		add(t.fam)
+	}
+	if len(keys) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "\n%-*s %-28s %9s %13s %13s\n",
-		lw, "TUNER", "STRATEGY", "SEARCHES", "PREDICTED ms", "ACHIEVED ms")
-	for _, r := range rows {
-		strat := r.Strategy
-		if strat == "" {
-			strat = "-"
+	slices.Sort(keys)
+	fmt.Fprintf(w, "\n%-*s", lw, sec.title)
+	for _, c := range sec.cols {
+		fmt.Fprintf(w, " %*s", c.w, c.head)
+	}
+	var warnings []string
+	for _, k := range keys {
+		r := row{se, s, k, sec.match(k)}
+		fmt.Fprintf(w, "\n%-*s", lw, k)
+		for _, c := range sec.cols {
+			fmt.Fprint(w, c.cell(r))
+			if c.warn == "" {
+				continue
+			}
+			if v := r.sum(c.fam, false); v > 0 {
+				warnings = append(warnings, fmt.Sprintf("%.0f %s", v, c.warn))
+			}
 		}
-		fmt.Fprintf(w, "%-*s %-28s %9.0f %13.3f %13.3f\n",
-			lw, r.Tenant, strat, r.Searches, r.Predicted*1e3, r.Achieved*1e3)
+	}
+	fmt.Fprintln(w)
+	for _, t := range sec.tails {
+		for _, l := range t.lines(se, s[len(s)-1], se.FindCols(t.fam)) {
+			fmt.Fprintf(w, "%-*s %s\n", lw, l[0], l[1])
+		}
+	}
+	for _, text := range warnings {
+		fmt.Fprintf(w, "%-*s %s\n", lw, "WARNING", text)
 	}
 }
 
-// tenantRow aggregates one tenant across hosts and links.
-type tenantRow struct {
-	Tenant     string
-	GoodputBps float64 // transport tx rate over the window
-	Ops        float64 // collectives completed (end of window)
-	Reconfigs  float64
-	Violations int
+// cell is column c printed on row r.
+func (c column) cell(r row) string {
+	if c.info != "" {
+		label := ""
+		for _, i := range r.se.FindCols(c.fam, r.match...) {
+			if r.se.Value(r.s[len(r.s)-1], i) == 1 { // retired values read 0
+				label = r.se.LabelValue(i, c.info)
+			}
+		}
+		return fmt.Sprintf(" %*s", c.w, cmp.Or(label, "-"))
+	}
+	v := r.sum(c.fam, c.rate)
+	if c.derive != nil {
+		v = c.derive(r, v)
+	}
+	return fmt.Sprintf(" %*.*f", c.w, c.prec, v)
 }
 
-// tenantRows computes the per-tenant table over the sample window.
-func tenantRows(se *telemetry.Series, s []telemetry.Sample) []tenantRow {
-	first, last := s[0], s[len(s)-1]
-	elapsed := last.T.Sub(first.T).Seconds()
-	byTenant := make(map[string]*tenantRow)
-	row := func(tenant string) *tenantRow {
-		r := byTenant[tenant]
-		if r == nil {
-			r = &tenantRow{Tenant: tenant}
-			byTenant[tenant] = r
+// sum adds a family over the row's series columns: the last values, or
+// the per-second rates over the window.
+func (r row) sum(fam string, rate bool) float64 {
+	first, last := r.s[0], r.s[len(r.s)-1]
+	if first.T == last.T {
+		first = telemetry.Sample{} // one instant: counters started at 0 at t=0
+	}
+	v, elapsed := 0.0, last.T.Sub(first.T).Seconds()
+	for _, c := range r.se.FindCols(fam, r.match...) {
+		if !rate {
+			v += r.se.Value(last, c)
+		} else if elapsed > 0 {
+			v += (r.se.Value(last, c) - r.se.Value(first, c)) / elapsed
 		}
-		return r
-	}
-	for _, c := range se.FindCols("mccs_transport_tx_bytes_total", telemetry.L("tenant", "")) {
-		r := row(se.LabelValue(c, "tenant"))
-		if elapsed > 0 {
-			r.GoodputBps += (se.Value(last, c) - se.Value(first, c)) / elapsed
-		} else if t := last.T.Seconds(); t > 0 {
-			// Single-sample window: counters started at 0 at t=0.
-			r.GoodputBps += se.Value(last, c) / t
-		}
-	}
-	for _, c := range se.FindCols("mccs_proxy_ops_total", telemetry.L("tenant", "")) {
-		row(se.LabelValue(c, "tenant")).Ops += se.Value(last, c)
-	}
-	for _, c := range se.FindCols("mccs_proxy_reconfigs_total", telemetry.L("tenant", "")) {
-		row(se.LabelValue(c, "tenant")).Reconfigs += se.Value(last, c)
-	}
-	for _, v := range se.Violations {
-		row(v.Tenant).Violations++
-	}
-	rows := make([]tenantRow, 0, len(byTenant))
-	for _, r := range byTenant {
-		rows = append(rows, *r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Tenant < rows[j].Tenant })
-	return rows
-}
-
-func renderTenants(w io.Writer, se *telemetry.Series, s []telemetry.Sample, lw int) {
-	rows := tenantRows(se, s)
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n%-*s %14s %10s %10s %11s\n", lw, "TENANT", "GOODPUT GB/s", "OPS", "RECONFIGS", "VIOLATIONS")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-*s %14.2f %10.0f %10.0f %11d\n",
-			lw, r.Tenant, r.GoodputBps/1e9, r.Ops, r.Reconfigs, r.Violations)
-	}
-}
-
-// schedView is the scheduler's end-of-window state, read off the
-// mccs_sched_* families the orchestrator exports.
-type schedView struct {
-	Running, Queued, Busy    float64 // gauges at the last sample
-	Done, Rejects, Reconfigs float64 // counters at the last sample
-	AvgWaitSec               float64 // queue-wait integral over placements
-	Host, Rack, Cross        float64 // placements by locality
-	present                  bool
-}
-
-// schedRows reads the orchestrator view; present is false when the
-// series has no scheduler metrics (runs without an orchestrator).
-func schedRows(se *telemetry.Series, s []telemetry.Sample) schedView {
-	last := s[len(s)-1]
-	var v schedView
-	one := func(name string) float64 {
-		cols := se.FindCols(name)
-		if len(cols) == 0 {
-			return 0
-		}
-		v.present = true
-		return se.Value(last, cols[0])
-	}
-	v.Running = one("mccs_sched_jobs_running")
-	v.Queued = one("mccs_sched_jobs_queued")
-	v.Busy = one("mccs_sched_gpus_busy")
-	v.Done = one("mccs_sched_jobs_completed_total")
-	v.Rejects = one("mccs_sched_admission_rejects_total")
-	v.Reconfigs = one("mccs_sched_reconfigs_total")
-	wait := one("mccs_sched_queue_wait_seconds")
-	for _, c := range se.FindCols("mccs_sched_placements_total", telemetry.L("locality", "")) {
-		v.present = true
-		n := se.Value(last, c)
-		switch se.LabelValue(c, "locality") {
-		case "host":
-			v.Host = n
-		case "rack":
-			v.Rack = n
-		case "cross-rack":
-			v.Cross = n
-		}
-	}
-	if placed := v.Host + v.Rack + v.Cross; placed > 0 {
-		v.AvgWaitSec = wait / placed
 	}
 	return v
 }
 
-func renderSched(w io.Writer, se *telemetry.Series, s []telemetry.Sample, lw int) {
-	v := schedRows(se, s)
-	if !v.present {
-		return
-	}
-	fmt.Fprintf(w, "\n%-*s %8s %8s %8s %8s %8s %10s %12s\n",
-		lw, "SCHED", "RUNNING", "QUEUED", "BUSY", "DONE", "REJECTS", "RECONFIGS", "AVG WAIT ms")
-	fmt.Fprintf(w, "%-*s %8.0f %8.0f %8.0f %8.0f %8.0f %10.0f %12.3f\n",
-		lw, "jobs", v.Running, v.Queued, v.Busy, v.Done, v.Rejects, v.Reconfigs, v.AvgWaitSec*1e3)
-	fmt.Fprintf(w, "%-*s host %.0f / rack %.0f / cross-rack %.0f\n",
-		lw, "placements", v.Host, v.Rack, v.Cross)
-}
-
-// healthView is the diagnosis engine's end-of-window state, read off
-// the mccs_doctor_* families a -doctor run exports.
-type healthView struct {
-	Open, Spans, Dropped float64
-	ByClass              []classCount // non-zero classes, detection-count order
-	LastCause            []tenantCause
-	present              bool
-}
-
-type classCount struct {
-	Class string
-	Count float64
-}
-
-type tenantCause struct {
-	Tenant, Class string
-}
-
-// healthRows reads the doctor view; present is false when the series has
-// no diagnosis metrics (runs without -doctor).
-func healthRows(se *telemetry.Series, s []telemetry.Sample) healthView {
-	last := s[len(s)-1]
-	var v healthView
-	one := func(name string) float64 {
-		cols := se.FindCols(name)
-		if len(cols) == 0 {
-			return 0
-		}
-		v.present = true
-		return se.Value(last, cols[0])
-	}
-	v.Open = one("mccs_doctor_open_incidents")
-	v.Spans = one("mccs_doctor_spans_total")
-	v.Dropped = one("mccs_trace_dropped_total")
-	for _, c := range se.FindCols("mccs_doctor_incidents_total", telemetry.L("class", "")) {
-		v.present = true
-		if n := se.Value(last, c); n > 0 {
-			v.ByClass = append(v.ByClass, classCount{Class: se.LabelValue(c, "class"), Count: n})
-		}
-	}
-	sort.Slice(v.ByClass, func(i, j int) bool {
-		if v.ByClass[i].Count != v.ByClass[j].Count {
-			return v.ByClass[i].Count > v.ByClass[j].Count
-		}
-		return v.ByClass[i].Class < v.ByClass[j].Class
-	})
-	for _, c := range se.FindCols("mccs_doctor_last_cause", telemetry.L("tenant", "")) {
-		v.present = true
-		v.LastCause = append(v.LastCause, tenantCause{
-			Tenant: se.LabelValue(c, "tenant"),
-			Class:  diagnosis.Class(int(se.Value(last, c))).String(),
+// breakdown is one line splitting a family by a label: non-zero values,
+// largest first, ties by name.
+func breakdown(name, label string) func(*telemetry.Series, telemetry.Sample, []int) [][2]string {
+	return func(se *telemetry.Series, last telemetry.Sample, cols []int) [][2]string {
+		slices.SortFunc(cols, func(i, j int) int {
+			return cmp.Or(cmp.Compare(se.Value(last, j), se.Value(last, i)), strings.Compare(se.LabelValue(i, label), se.LabelValue(j, label)))
 		})
-	}
-	sort.Slice(v.LastCause, func(i, j int) bool { return v.LastCause[i].Tenant < v.LastCause[j].Tenant })
-	return v
-}
-
-func renderHealth(w io.Writer, se *telemetry.Series, s []telemetry.Sample, lw int) {
-	v := healthRows(se, s)
-	if !v.present {
-		return
-	}
-	total := 0.0
-	for _, c := range v.ByClass {
-		total += c.Count
-	}
-	fmt.Fprintf(w, "\n%-*s %8s %10s %10s %10s\n", lw, "HEALTH", "OPEN", "INCIDENTS", "SPANS", "DROPPED")
-	fmt.Fprintf(w, "%-*s %8.0f %10.0f %10.0f %10.0f\n", lw, "doctor", v.Open, total, v.Spans, v.Dropped)
-	if len(v.ByClass) > 0 {
-		parts := make([]string, len(v.ByClass))
-		for i, c := range v.ByClass {
-			parts[i] = fmt.Sprintf("%s %.0f", c.Class, c.Count)
+		var parts []string
+		for _, c := range cols {
+			if n := se.Value(last, c); n > 0 {
+				parts = append(parts, fmt.Sprintf("%s %.0f", se.LabelValue(c, label), n))
+			}
 		}
-		fmt.Fprintf(w, "%-*s %s\n", lw, "by class", strings.Join(parts, " / "))
-	}
-	for _, c := range v.LastCause {
-		fmt.Fprintf(w, "%-*s %s\n", lw, c.Tenant, c.Class)
-	}
-	if v.Dropped > 0 {
-		fmt.Fprintf(w, "%-*s %.0f trace spans dropped by ring wrap; diagnosis evidence may be incomplete\n", lw, "WARNING", v.Dropped)
-	}
-}
-
-// remediationView is the self-healing control loop's state at the end
-// of the window; present is false when the series has no remediation
-// metrics (runs without the control loop attached).
-type remediationView struct {
-	present     bool
-	Quarantined float64 // links quarantined right now
-	Quarantines float64
-	Readmitted  float64
-	Suppressed  float64
-	ByAction    []classCount
-}
-
-func remediationRows(se *telemetry.Series, s []telemetry.Sample) remediationView {
-	last := s[len(s)-1]
-	var v remediationView
-	one := func(name string) float64 {
-		cols := se.FindCols(name)
-		if len(cols) == 0 {
-			return 0
+		if len(parts) == 0 {
+			return nil
 		}
-		v.present = true
-		return se.Value(last, cols[0])
+		return [][2]string{{name, strings.Join(parts, " / ")}}
 	}
-	v.Quarantined = one("mccs_remediation_quarantined_links")
-	v.Quarantines = one("mccs_remediation_quarantines_total")
-	v.Readmitted = one("mccs_remediation_readmissions_total")
-	v.Suppressed = one("mccs_remediation_suppressed_total")
-	for _, c := range se.FindCols("mccs_remediation_actions_total", telemetry.L("action", "")) {
-		v.present = true
-		if n := se.Value(last, c); n > 0 {
-			v.ByAction = append(v.ByAction, classCount{Class: se.LabelValue(c, "action"), Count: n})
+}
+
+func giga(_ row, v float64) float64  { return v / 1e9 }
+func milli(_ row, v float64) float64 { return v * 1e3 }
+
+// violations counts the row's tenant's SLO violations.
+func violations(r row, _ float64) float64 {
+	n := 0.0
+	for _, v := range r.se.Violations {
+		if v.Tenant == r.key {
+			n++
 		}
 	}
-	sort.Slice(v.ByAction, func(i, j int) bool {
-		if v.ByAction[i].Count != v.ByAction[j].Count {
-			return v.ByAction[i].Count > v.ByAction[j].Count
-		}
-		return v.ByAction[i].Class < v.ByAction[j].Class
-	})
-	return v
+	return n
 }
 
-func renderRemediation(w io.Writer, se *telemetry.Series, s []telemetry.Sample, lw int) {
-	v := remediationRows(se, s)
-	if !v.present {
-		return
+// avgWait is the queue-wait integral over placements, in ms.
+func avgWait(r row, wait float64) float64 {
+	if placed := r.sum("mccs_sched_placements_total", false); placed > 0 {
+		return wait / placed * 1e3
 	}
-	fmt.Fprintf(w, "\n%-*s %8s %10s %10s %10s\n", lw, "REMEDIATION", "QUAR", "EPISODES", "READMITTED", "SUPPRESSED")
-	fmt.Fprintf(w, "%-*s %8.0f %10.0f %10.0f %10.0f\n", lw, "healer", v.Quarantined, v.Quarantines, v.Readmitted, v.Suppressed)
-	if len(v.ByAction) > 0 {
-		parts := make([]string, len(v.ByAction))
-		for i, c := range v.ByAction {
-			parts[i] = fmt.Sprintf("%s %.0f", c.Class, c.Count)
-		}
-		fmt.Fprintf(w, "%-*s %s\n", lw, "by action", strings.Join(parts, " / "))
-	}
-	if v.Quarantined > 0 {
-		fmt.Fprintf(w, "%-*s %.0f link(s) still quarantined at window end; recovery incomplete\n", lw, "WARNING", v.Quarantined)
-	}
+	return 0
 }
 
-// linkRow is one fabric link's utilization over the window.
-type linkRow struct {
-	Name     string
-	CapBps   float64
-	MeanUtil float64
-	ExtShare float64 // external (unmanaged) traffic share of capacity
+// placements splits the scheduler's placements by locality.
+func placements(se *telemetry.Series, last telemetry.Sample, cols []int) [][2]string {
+	n := map[string]float64{}
+	for _, c := range cols {
+		n[se.LabelValue(c, "locality")] = se.Value(last, c)
+	}
+	return [][2]string{{"placements", fmt.Sprintf("host %.0f / rack %.0f / cross-rack %.0f", n["host"], n["rack"], n["cross-rack"])}}
 }
 
-// linkRows computes mean utilization per link over the sample window,
-// sorted busiest first.
-func linkRows(se *telemetry.Series, s []telemetry.Sample) []linkRow {
-	var rows []linkRow
+// lastCauses names each tenant's last diagnosed root cause.
+func lastCauses(se *telemetry.Series, last telemetry.Sample, cols []int) [][2]string {
+	var out [][2]string
+	for _, c := range cols {
+		out = append(out, [2]string{se.LabelValue(c, "tenant"), diagnosis.Class(int(se.Value(last, c))).String()})
+	}
+	slices.SortFunc(out, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
+	return out
+}
+
+// renderLinks lists the busiest links over the window: mean utilization
+// and the external (unmanaged) traffic's mean share of capacity.
+func renderLinks(w io.Writer, se *telemetry.Series, s []telemetry.Sample, top int) {
+	type link struct {
+		name              string
+		capBps, util, ext float64
+	}
+	var rows []link
 	for _, l := range se.Links {
 		cols := se.FindCols("mccs_fabric_link_utilization", telemetry.L("link", l.Name))
 		if len(cols) == 0 {
 			continue
 		}
 		ext := se.FindCols("mccs_fabric_link_external_bps", telemetry.L("link", l.Name))
-		var util, extBps float64
+		r := link{name: l.Name, capBps: l.CapBps}
+		var extBps float64
 		for _, smp := range s {
-			util += se.Value(smp, cols[0])
+			r.util += se.Value(smp, cols[0])
 			if len(ext) > 0 {
 				extBps += se.Value(smp, ext[0])
 			}
 		}
 		n := float64(len(s))
-		r := linkRow{Name: l.Name, CapBps: l.CapBps, MeanUtil: util / n}
+		r.util /= n
 		if l.CapBps > 0 {
-			r.ExtShare = extBps / n / l.CapBps
+			r.ext = extBps / n / l.CapBps
 		}
 		rows = append(rows, r)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].MeanUtil != rows[j].MeanUtil {
-			return rows[i].MeanUtil > rows[j].MeanUtil
-		}
-		return rows[i].Name < rows[j].Name
-	})
-	return rows
-}
-
-func renderLinks(w io.Writer, se *telemetry.Series, s []telemetry.Sample, top int) {
-	rows := linkRows(se, s)
-	if len(rows) == 0 {
-		return
-	}
+	slices.SortFunc(rows, func(a, b link) int { return cmp.Or(cmp.Compare(b.util, a.util), strings.Compare(a.name, b.name)) })
 	if top > 0 && len(rows) > top {
 		rows = rows[:top]
 	}
-	fmt.Fprintf(w, "\n%-24s %10s %8s %10s\n", "BUSIEST LINKS", "CAP Gb/s", "UTIL", "EXTERNAL")
+	if len(rows) > 0 {
+		fmt.Fprintf(w, "\n%-24s %10s %8s %10s\n", "BUSIEST LINKS", "CAP Gb/s", "UTIL", "EXTERNAL")
+	}
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-24s %10.0f %7.1f%% %9.1f%%\n",
-			r.Name, r.CapBps*8/1e9, r.MeanUtil*100, r.ExtShare*100)
+		fmt.Fprintf(w, "%-24s %10.0f %7.1f%% %9.1f%%\n", r.name, r.capBps*8/1e9, r.util*100, r.ext*100)
 	}
 }
 

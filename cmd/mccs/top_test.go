@@ -1,7 +1,7 @@
 package main
 
 import (
-	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -60,56 +60,57 @@ func synthetic() *telemetry.Series {
 	}
 }
 
+// sectionRows renders se and returns the fields of each line of the
+// section titled title, header excluded; nil when the section is absent.
+func sectionRows(t *testing.T, se *telemetry.Series, opt options, title string) [][]string {
+	t.Helper()
+	var b strings.Builder
+	render(&b, se, opt)
+	for _, block := range strings.Split(b.String(), "\n\n") {
+		lines := strings.Split(strings.TrimSuffix(block, "\n"), "\n")
+		if !strings.HasPrefix(lines[0], title+" ") {
+			continue
+		}
+		var rows [][]string
+		for _, l := range lines[1:] {
+			rows = append(rows, strings.Fields(l))
+		}
+		return rows
+	}
+	return nil
+}
+
 func TestTenantRows(t *testing.T) {
-	se := synthetic()
-	rows := tenantRows(se, se.Samples)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %+v", rows)
+	rows := sectionRows(t, synthetic(), options{}, "TENANT")
+	want := [][]string{
+		{"a", "2.00", "20", "0", "0"}, // 2 GB/s of tx bytes, 20 ops
+		{"b", "1.00", "0", "0", "1"},  // 1 GB/s, one SLO violation
 	}
-	a, b := rows[0], rows[1]
-	if a.Tenant != "a" || b.Tenant != "b" {
-		t.Fatalf("tenant order: %+v", rows)
-	}
-	if a.GoodputBps != 2e9 || b.GoodputBps != 1e9 {
-		t.Errorf("goodput a=%g b=%g, want 2e9/1e9", a.GoodputBps, b.GoodputBps)
-	}
-	if a.Ops != 20 {
-		t.Errorf("ops = %g, want 20", a.Ops)
-	}
-	if a.Violations != 0 || b.Violations != 1 {
-		t.Errorf("violations a=%d b=%d", a.Violations, b.Violations)
+	if !slices.EqualFunc(rows, want, slices.Equal) {
+		t.Errorf("tenant rows = %q, want %q", rows, want)
 	}
 }
 
 func TestTunerRows(t *testing.T) {
-	se := synthetic()
-	rows := tunerRows(se, se.Samples)
-	if len(rows) != 1 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	r := rows[0]
-	if r.Tenant != "a" || r.Strategy != "ring/locality/ch2/pin" {
-		t.Errorf("current strategy = %+v, want the non-retired info gauge", r)
-	}
-	if r.Searches != 2 || r.Predicted != 0.012 || r.Achieved != 0.013 {
-		t.Errorf("searches/predicted/achieved = %g/%g/%g", r.Searches, r.Predicted, r.Achieved)
+	// The current strategy is the non-retired info gauge; predicted and
+	// achieved are 0.012 s and 0.013 s.
+	rows := sectionRows(t, synthetic(), options{}, "TUNER")
+	want := [][]string{{"a", "ring/locality/ch2/pin", "2", "12.000", "13.000"}}
+	if !slices.EqualFunc(rows, want, slices.Equal) {
+		t.Errorf("tuner rows = %q, want %q", rows, want)
 	}
 }
 
 func TestLinkRows(t *testing.T) {
-	se := synthetic()
-	rows := linkRows(se, se.Samples)
-	if len(rows) != 2 || rows[0].Name != "l0" {
-		t.Fatalf("rows = %+v (busiest first)", rows)
+	// Busiest first: l0 at 90 % utilization with external traffic at 40 %
+	// of capacity, l1 at 20 % with none.
+	rows := sectionRows(t, synthetic(), options{}, "BUSIEST LINKS")
+	want := [][]string{
+		{"l0", "100", "90.0%", "40.0%"},
+		{"l1", "100", "20.0%", "0.0%"},
 	}
-	if math.Abs(rows[0].MeanUtil-0.9) > 1e-12 || math.Abs(rows[1].MeanUtil-0.2) > 1e-12 {
-		t.Errorf("util = %g/%g", rows[0].MeanUtil, rows[1].MeanUtil)
-	}
-	if rows[0].ExtShare != 0.4 {
-		t.Errorf("external share = %g, want 0.4", rows[0].ExtShare)
-	}
-	if rows[1].ExtShare != 0 {
-		t.Errorf("l1 external share = %g, want 0", rows[1].ExtShare)
+	if !slices.EqualFunc(rows, want, slices.Equal) {
+		t.Errorf("link rows = %q, want %q", rows, want)
 	}
 }
 
@@ -205,48 +206,35 @@ func schedSeries() *telemetry.Series {
 }
 
 func TestHealthRows(t *testing.T) {
-	se := schedSeries()
-	v := healthRows(se, se.Samples)
-	if !v.present {
-		t.Fatal("doctor metrics not detected")
+	rows := sectionRows(t, schedSeries(), options{}, "HEALTH")
+	want := [][]string{
+		{"doctor", "1", "3", "140", "4"}, // open, incidents, spans, dropped
+		{"by", "class", "slow-gpu", "2", "/", "congested-link", "1"},
+		{"a", "slow-gpu"},
+		{"tenant-long-name", "congested-link"},
+		{"WARNING", "4", "trace", "spans", "dropped", "by", "ring", "wrap;", "diagnosis", "evidence", "may", "be", "incomplete"},
 	}
-	if v.Open != 1 || v.Spans != 140 || v.Dropped != 4 {
-		t.Errorf("open/spans/dropped = %g/%g/%g, want 1/140/4", v.Open, v.Spans, v.Dropped)
+	if !slices.EqualFunc(rows, want, slices.Equal) {
+		t.Errorf("health rows = %q, want %q", rows, want)
 	}
-	want := []classCount{{"slow-gpu", 2}, {"congested-link", 1}}
-	if len(v.ByClass) != 2 || v.ByClass[0] != want[0] || v.ByClass[1] != want[1] {
-		t.Errorf("by class = %+v, want %+v", v.ByClass, want)
-	}
-	causes := []tenantCause{{"a", "slow-gpu"}, {"tenant-long-name", "congested-link"}}
-	if len(v.LastCause) != 2 || v.LastCause[0] != causes[0] || v.LastCause[1] != causes[1] {
-		t.Errorf("last cause = %+v, want %+v", v.LastCause, causes)
-	}
-	if w := healthRows(synthetic(), synthetic().Samples); w.present {
-		t.Error("health view present in a series with no doctor metrics")
+	if rows := sectionRows(t, synthetic(), options{}, "HEALTH"); rows != nil {
+		t.Errorf("health section present in a series with no doctor metrics: %q", rows)
 	}
 }
 
 func TestSchedRows(t *testing.T) {
-	se := schedSeries()
-	v := schedRows(se, se.Samples)
-	if !v.present {
-		t.Fatal("sched metrics not detected")
+	rows := sectionRows(t, schedSeries(), options{}, "SCHED")
+	want := [][]string{
+		// running/queued/busy gauges, done/rejects/reconfigs counters, and
+		// 30 ms of cumulative queue wait over 4 placements.
+		{"jobs", "2", "1", "6", "3", "1", "2", "7.500"},
+		{"placements", "host", "2", "/", "rack", "1", "/", "cross-rack", "1"},
 	}
-	if v.Running != 2 || v.Queued != 1 || v.Busy != 6 {
-		t.Errorf("gauges = %g/%g/%g, want 2/1/6", v.Running, v.Queued, v.Busy)
+	if !slices.EqualFunc(rows, want, slices.Equal) {
+		t.Errorf("sched rows = %q, want %q", rows, want)
 	}
-	if v.Done != 3 || v.Rejects != 1 || v.Reconfigs != 2 {
-		t.Errorf("counters = %g/%g/%g, want 3/1/2", v.Done, v.Rejects, v.Reconfigs)
-	}
-	if v.Host != 2 || v.Rack != 1 || v.Cross != 1 {
-		t.Errorf("placements = %g/%g/%g, want 2/1/1", v.Host, v.Rack, v.Cross)
-	}
-	// 30ms of cumulative queue wait over 4 placements.
-	if math.Abs(v.AvgWaitSec-0.0075) > 1e-12 {
-		t.Errorf("avg wait = %g, want 0.0075", v.AvgWaitSec)
-	}
-	if w := schedRows(synthetic(), synthetic().Samples); w.present {
-		t.Error("sched view present in a series with no orchestrator metrics")
+	if rows := sectionRows(t, synthetic(), options{}, "SCHED"); rows != nil {
+		t.Errorf("sched section present in a series with no orchestrator metrics: %q", rows)
 	}
 }
 
@@ -309,18 +297,19 @@ func TestRenderSchedAbsent(t *testing.T) {
 }
 
 func TestWindowLastN(t *testing.T) {
-	se := synthetic()
-	w := window(se, 2)
-	if len(w) != 2 || w[0].T != sim.Time(time.Second) {
-		t.Fatalf("window = %+v", w)
+	var b strings.Builder
+	render(&b, synthetic(), options{lastN: 2})
+	if !strings.HasPrefix(b.String(), "mccs-top: 3 samples every 1s, window [1.000s, 2.000s]\n") {
+		t.Fatalf("window of the last 2 samples:\n%s", b.String())
 	}
 	// Rates over the trailing window still come out per-second.
-	rows := tenantRows(se, w)
-	if rows[0].GoodputBps != 2e9 {
-		t.Errorf("windowed goodput = %g", rows[0].GoodputBps)
+	if rows := sectionRows(t, synthetic(), options{lastN: 2}, "TENANT"); rows[0][1] != "2.00" {
+		t.Errorf("windowed goodput = %q", rows[0])
 	}
-	if got := window(se, 0); len(got) != 3 {
-		t.Errorf("lastN=0 must keep the whole series")
+	b.Reset()
+	render(&b, synthetic(), options{})
+	if !strings.HasPrefix(b.String(), "mccs-top: 3 samples every 1s, window [0.000s, 2.000s]\n") {
+		t.Errorf("lastN=0 must keep the whole series:\n%s", b.String())
 	}
 }
 
@@ -355,23 +344,19 @@ func healSeries() *telemetry.Series {
 }
 
 func TestRemediationRows(t *testing.T) {
-	se := healSeries()
-	v := remediationRows(se, se.Samples)
-	if !v.present {
-		t.Fatal("remediation metrics not detected")
+	rows := sectionRows(t, healSeries(), options{}, "REMEDIATION")
+	want := [][]string{
+		{"healer", "1", "3", "2", "1"}, // quarantined, episodes, readmitted, suppressed
+		// Zero-valued actions (degrade) are dropped; counts sort
+		// descending, ties by name.
+		{"by", "action", "repin", "2", "/", "reverse", "1"},
+		{"WARNING", "1", "link(s)", "still", "quarantined", "at", "window", "end;", "recovery", "incomplete"},
 	}
-	if v.Quarantined != 1 || v.Quarantines != 3 || v.Readmitted != 2 || v.Suppressed != 1 {
-		t.Errorf("quar/episodes/readmit/suppressed = %g/%g/%g/%g, want 1/3/2/1",
-			v.Quarantined, v.Quarantines, v.Readmitted, v.Suppressed)
+	if !slices.EqualFunc(rows, want, slices.Equal) {
+		t.Errorf("remediation rows = %q, want %q", rows, want)
 	}
-	// Zero-valued actions (degrade) are dropped; ties and counts sort
-	// descending then by name.
-	want := []classCount{{"repin", 2}, {"reverse", 1}}
-	if len(v.ByAction) != 2 || v.ByAction[0] != want[0] || v.ByAction[1] != want[1] {
-		t.Errorf("by action = %+v, want %+v", v.ByAction, want)
-	}
-	if w := remediationRows(synthetic(), synthetic().Samples); w.present {
-		t.Error("remediation view present in a series with no control-loop metrics")
+	if rows := sectionRows(t, synthetic(), options{}, "REMEDIATION"); rows != nil {
+		t.Errorf("remediation section present in a series with no control-loop metrics: %q", rows)
 	}
 }
 

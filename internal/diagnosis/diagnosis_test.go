@@ -214,6 +214,71 @@ func TestDegradedLinkEpisode(t *testing.T) {
 	}
 }
 
+// TestGatingLinkAgreesWithAttribute replays one recording through
+// trace.Attribute and Analyze. Op 4 stalls behind competing traffic,
+// and which of its flows (and which of that flow's bottlenecks) gated it
+// is decided by a tie: two flows ending at the same instant, or one flow
+// that spent equal time on two bottlenecks. The stall incident must
+// blame the link Attribute names: the longer flow's, the smaller ID.
+func TestGatingLinkAgreesWithAttribute(t *testing.T) {
+	t0 := sim.Time(800 * us)
+	flow := func(id int64, start, end sim.Time, links ...int32) trace.Span {
+		sp := trace.Span{Kind: trace.KindFlow, Op: -1, Start: start, End: end,
+			Host: -1, GPU: -1, Comm: 1, Rank: 0, Peer: 1, Seq: 4, Flow: id}
+		step := end.Sub(start) / sim.Duration(len(links))
+		for i, l := range links {
+			sp.Rates = append(sp.Rates, trace.RateSample{T: start.Add(sim.Duration(i) * step),
+				Bps: 2e9, Bottleneck: l, LinkBps: 1e10, ExtBps: 5e9, CapBps: 1e10})
+		}
+		return sp
+	}
+	for _, tc := range []struct {
+		name  string
+		flows []trace.Span
+		want  int32
+	}{
+		{"flows end together", []trace.Span{
+			flow(7, t0, t0.Add(60*us), 1),
+			flow(8, t0.Add(20*us), t0.Add(60*us), 2),
+		}, 1},
+		{"bottlenecks share the flow", []trace.Span{
+			flow(9, t0, t0.Add(60*us), 3, 2),
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var spans []trace.Span
+			for seq := uint64(1); seq <= 3; seq++ {
+				spans = synthOp(spans, 1, seq, sim.Time(seq)*sim.Time(200*us), 100*us, evenBusy(4, 30*us), 1<<20)
+			}
+			spans = append(spans, tc.flows...)
+			// An untagged flow moves the clock past op 4's 400 us deadline
+			// before its ranks complete.
+			spans = append(spans, trace.Span{Kind: trace.KindFlow, Op: -1, Start: t0, End: t0.Add(450 * us), Flow: 10})
+			spans = synthOp(spans, 1, 4, t0, 500*us, evenBusy(4, 30*us), 1<<20)
+			rec := trace.Recording{Spans: spans, Meta: trace.Meta{Links: []trace.LinkMeta{
+				{Name: "l0", CapBps: 1e10}, {Name: "l1", CapBps: 1e10}, {Name: "l2", CapBps: 1e10}, {Name: "l3", CapBps: 1e10},
+			}}}
+
+			var attributed int32 = -2
+			for _, r := range trace.Attribute(rec) {
+				if r.Comm == 1 && r.Seq == 4 {
+					attributed = r.GatingLink
+				}
+			}
+			if attributed != tc.want {
+				t.Fatalf("trace.Attribute gating link = %d, want %d", attributed, tc.want)
+			}
+			rep := Analyze(rec, nil, DefaultConfig())
+			if len(rep.Incidents) != 1 {
+				t.Fatalf("want 1 stall incident, got %+v", rep.Incidents)
+			}
+			if in := rep.Incidents[0]; in.Detector != DetStall || in.Class != ClassTenantContention || in.Link != attributed {
+				t.Fatalf("stall incident %s/%s blames link %d, trace.Attribute link %d", in.Detector, in.Class, in.Link, attributed)
+			}
+		})
+	}
+}
+
 func TestReconfigBarrierEpisode(t *testing.T) {
 	var spans []trace.Span
 	t0 := sim.Time(100 * us)

@@ -39,14 +39,18 @@ type opState struct {
 	busy    [maxRanks]sim.Duration
 	gpu     [maxRanks]int32
 
-	// Gating-flow evidence (the same latest-ending-flow rule as
-	// trace/attrib.go), folded in as flow spans arrive.
-	gatingEnd      sim.Time
+	// Gating-flow evidence, folded in as flow spans arrive: trace.Gates
+	// picks the flow and trace.Heavier its link, as trace.Attribute does,
+	// among the op's fabric flows with a bottleneck sample (Attribute
+	// also weighs intra-host transfers). gatingLink is -1 until a flow is
+	// chosen.
 	gatingStart    sim.Time
-	gatingLink     int32
-	gatingDegraded bool
+	gatingEnd      sim.Time
+	gatingFlow     int64
 	gatingCapFrac  float64 // observed/nominal capacity of the gating bottleneck
 	gatingExt      float64 // external share of the gating bottleneck
+	gatingLink     int32   // next to the flags below: opState stays in its size class
+	gatingDegraded bool
 
 	barrier  bool // overlapped a reconfiguration barrier
 	flagged  bool // watchdog fired
@@ -662,7 +666,7 @@ func busyOutlier(st *opState, minRatio float64, minBusy sim.Duration) (int32, fl
 // onFlow scans a fabric flow's rate history: every bottleneck sample is
 // degraded-link evidence when the bottleneck's reported capacity sits
 // below nominal, and the flow as a whole updates its op's gating-flow
-// evidence (latest-ending flow wins, as in trace/attrib.go).
+// evidence (trace.Gates, then trace.Heavier for its link).
 func (e *Engine) onFlow(sp *trace.Span) {
 	// Fixed-size accumulators: flows bottleneck on a handful of distinct
 	// links, and the no-incident path must not allocate.
@@ -716,14 +720,13 @@ func (e *Engine) onFlow(sp *trace.Span) {
 	// Tagged flows complete before their receiving rank's step/KindOp, so
 	// opening state here can never resurrect a closed op.
 	st := e.op(sp.Comm, sp.Seq, sp)
-	// Latest-ending flow gates the op (ties broken by later start).
-	if sp.End < st.gatingEnd || (sp.End == st.gatingEnd && sp.Start <= st.gatingStart) {
+	if st.gatingLink >= 0 && !trace.Gates(sp, &trace.Span{Start: st.gatingStart, End: st.gatingEnd, Flow: st.gatingFlow}) {
 		return
 	}
-	st.gatingEnd, st.gatingStart = sp.End, sp.Start
+	st.gatingStart, st.gatingEnd, st.gatingFlow = sp.Start, sp.End, sp.Flow
 	d := 0
 	for k := 1; k < nacc; k++ {
-		if accW[k] > accW[d] {
+		if trace.Heavier(accLink[k], accW[k], accLink[d], accW[d]) {
 			d = k
 		}
 	}

@@ -91,8 +91,9 @@ type Buffer struct {
 	id    int
 	bytes int64
 	data  []float32 // non-nil only for backed buffers
+	refs  int32     // IPC opens + the owner
+	uses  int32     // issued operations that still read or write it
 	freed bool
-	refs  int // IPC opens + the owner
 }
 
 // Bytes returns the allocation size.
@@ -100,6 +101,13 @@ func (b *Buffer) Bytes() int64 { return b.bytes }
 
 // Device returns the owning device.
 func (b *Buffer) Device() *Device { return b.dev }
+
+// Acquire counts one more issued operation that reads or writes the
+// buffer; Release ends it. InUse is the count: a buffer in use must not
+// be freed.
+func (b *Buffer) Acquire()   { b.uses++ }
+func (b *Buffer) Release()   { b.uses-- }
+func (b *Buffer) InUse() int { return int(b.uses) }
 
 // Backed reports whether the buffer carries real data.
 func (b *Buffer) Backed() bool { return b.data != nil }

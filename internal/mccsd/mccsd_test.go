@@ -102,6 +102,49 @@ func TestEndToEndAllReduce(t *testing.T) {
 	}
 }
 
+// TestMemFreeRefusesBufferInFlight: freeing either buffer of an issued
+// AllReduce fails until the op completes, and leaves the buffer usable;
+// after Wait both frees succeed.
+func TestMemFreeRefusesBufferInFlight(t *testing.T) {
+	s, d := newDeployment(DefaultConfig())
+	gpus := oneGPUPerHost(d)
+	const count = 500
+	launchRanks(s, d, "appA", gpus, func(p *sim.Proc, rank int, f *Frontend, gpu topo.GPUID) {
+		send, err1 := f.MemAlloc(p, gpu, count*4, true)
+		recv, err2 := f.MemAlloc(p, gpu, count*4, true)
+		comm, err3 := f.CommInitRank(p, "job0", len(gpus), rank, gpu)
+		if err1 != nil || err2 != nil || err3 != nil {
+			t.Error(err1, err2, err3)
+			return
+		}
+		for j := range send.Data() {
+			send.Data()[j] = float32(rank + 1)
+		}
+		h, err := comm.AllReduce(p, send, recv, count, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, buf := range []*gpusim.Buffer{send, recv} {
+			if err := f.MemFree(p, buf); err == nil {
+				t.Errorf("rank %d: MemFree of a buffer the AllReduce still uses succeeded", rank)
+			}
+		}
+		h.Wait(p)
+		if got := recv.Data()[count-1]; got != 1+2+3+4 {
+			t.Errorf("rank %d: result %g, want 10", rank, got)
+		}
+		for _, buf := range []*gpusim.Buffer{send, recv} {
+			if err := f.MemFree(p, buf); err != nil {
+				t.Errorf("rank %d: MemFree after Wait: %v", rank, err)
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStreamOrderingAcrossCollective(t *testing.T) {
 	// A kernel enqueued on the app stream after a collective must not run
 	// until the collective completes (the §4.1 event dance).

@@ -108,9 +108,13 @@ func (f *Frontend) MemAlloc(p *sim.Proc, gpu topo.GPUID, bytes int64, backed boo
 }
 
 // MemFree releases a buffer obtained from MemAlloc: the shim closes its
-// IPC mapping, then the service frees the allocation.
+// IPC mapping, then the service frees the allocation. A buffer that an
+// issued operation still reads or writes is refused, mapping intact.
 func (f *Frontend) MemFree(p *sim.Proc, buf *gpusim.Buffer) error {
 	p.Sleep(f.dep().cfg.CmdLatency)
+	if n := buf.InUse(); n > 0 {
+		return fmt.Errorf("mccsd: MemFree of a buffer %d issued operation(s) still use", n)
+	}
 	if err := gpusim.CloseMemHandle(buf); err != nil {
 		return err
 	}
@@ -212,8 +216,13 @@ const (
 )
 
 // OpCompleted is the runner reporting the operation finished (it implements
-// proxy.Completer): the notification starts its way back to the tenant.
+// proxy.Completer): the operation's buffers are free to release, and the
+// notification starts its way back to the tenant.
 func (h *OpHandle) OpCompleted() {
+	h.req.RecvBuf.Release()
+	if h.req.SendBuf != nil {
+		h.req.SendBuf.Release()
+	}
 	d := h.c.f.dep()
 	d.S.AfterCall(d.cfg.CompletionLatency, h, hopCompleted)
 }
@@ -307,6 +316,10 @@ func (c *Comm) issue(req proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, err
 	d := c.f.dep()
 	h := &OpHandle{c: c, req: req, issued: d.S.Now(), bytes: count * 4 * outRanks}
 	h.req.OnComplete = h
+	req.RecvBuf.Acquire()
+	if req.SendBuf != nil {
+		req.SendBuf.Acquire()
+	}
 
 	if stream != nil {
 		appEv := c.streamEvent(stream)

@@ -106,7 +106,7 @@ func Attribute(rec Recording) []OpReport {
 			continue
 		}
 		cur := gating[k]
-		if cur == nil || later(sp, cur) {
+		if cur == nil || Gates(sp, cur) {
 			gating[k] = sp
 		}
 	}
@@ -148,8 +148,11 @@ func Attribute(rec Recording) []OpReport {
 	return out
 }
 
-// later reports whether flow span a gates over b.
-func later(a, b *Span) bool {
+// Gates reports whether flow span a, rather than b, gates the collective
+// both carried: the later end, then the longer flow, then the smaller
+// flow ID. The diagnosis engine applies the same rule to its op's
+// flows.
+func Gates(a, b *Span) bool {
 	if a.End != b.End {
 		return a.End > b.End
 	}
@@ -160,10 +163,17 @@ func later(a, b *Span) bool {
 	return a.Flow < b.Flow
 }
 
+// Heavier reports whether link a, the bottleneck for weight wa of a
+// flow's lifetime, dominates link b at weight wb: the larger weight, then
+// the smaller link ID. The diagnosis engine breaks ties the same way.
+func Heavier(a int32, wa float64, b int32, wb float64) bool {
+	return wa > wb || (wa == wb && a < b)
+}
+
 // dominantBottleneck time-weights a flow's rate samples and returns the
-// link that was its bottleneck for the largest share of its lifetime,
-// plus the flow's own / external / total link rates averaged over the
-// intervals where that link was the bottleneck.
+// link that was its bottleneck for the largest share of its lifetime
+// (Heavier), plus the flow's own / external / total link rates averaged
+// over the intervals where that link was the bottleneck.
 func dominantBottleneck(fl *Span) (link int32, ownBps, extBps, totBps float64) {
 	if len(fl.Rates) == 0 {
 		return -1, 0, 0, 0
@@ -198,7 +208,7 @@ func dominantBottleneck(fl *Span) (link int32, ownBps, extBps, totBps float64) {
 		if l < 0 {
 			continue
 		}
-		if a.w > bestW || (a.w == bestW && (best < 0 || l < best)) {
+		if best < 0 || Heavier(l, a.w, best, bestW) {
 			best, bestW = l, a.w
 		}
 	}
