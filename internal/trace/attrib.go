@@ -111,20 +111,19 @@ func Attribute(rec Recording) []OpReport {
 		}
 	}
 
+	var b Bottlenecks
 	for k, fl := range gating {
 		r := ops[k]
 		r.GatingFlow = fl.Flow
 		r.GatingFrom, r.GatingTo = fl.Rank, fl.Peer
 		r.GatingStep = fl.Step
 		r.IntraHost = fl.Kind == KindXfer
-		link, own, ext, tot := dominantBottleneck(fl)
-		r.GatingLink = link
-		if link >= 0 {
-			r.OwnBps, r.ExtBps = own, ext
-			r.OtherBps = tot - own - ext
-			if r.OtherBps < 0 {
-				r.OtherBps = 0
-			}
+		b.Fold(fl)
+		if j := b.Best; j >= 0 {
+			link := b.Link[j]
+			r.GatingLink = link
+			r.OwnBps, r.ExtBps = b.Own[j]/b.W[j], b.Ext[j]/b.W[j]
+			r.OtherBps = max(b.Tot[j]/b.W[j]-r.OwnBps-r.ExtBps, 0)
 			if int(link) < len(rec.Meta.Links) {
 				r.LinkName = rec.Meta.Links[link].Name
 				r.CapBps = rec.Meta.Links[link].CapBps
@@ -170,53 +169,62 @@ func Heavier(a int32, wa float64, b int32, wb float64) bool {
 	return wa > wb || (wa == wb && a < b)
 }
 
-// dominantBottleneck time-weights a flow's rate samples and returns the
-// link that was its bottleneck for the largest share of its lifetime
-// (Heavier), plus the flow's own / external / total link rates averaged
-// over the intervals where that link was the bottleneck.
-func dominantBottleneck(fl *Span) (link int32, ownBps, extBps, totBps float64) {
-	if len(fl.Rates) == 0 {
-		return -1, 0, 0, 0
-	}
-	type acc struct {
-		w, own, ext, tot float64
-	}
-	byLink := make(map[int32]*acc)
+// maxBottlenecks bounds the distinct links a Bottlenecks fold tracks; a
+// route here crosses at most six.
+const maxBottlenecks = 16
+
+// Bottlenecks is a flow's rate history folded per bottleneck link. For
+// each of the N links that froze the flow, W is how long it did (in
+// nanoseconds, zero-length samples skipped), Own, Ext and Tot integrate
+// the flow's own rate and the link's external and total rates over that
+// time, and Cap is the lowest nonzero capacity the link reported. Best
+// indexes the link that bottlenecked the flow longest (Heavier), -1 when
+// none did. Both trace attribution and the diagnosis engine take a
+// flow's gating link from it.
+type Bottlenecks struct {
+	N                     int
+	Best                  int
+	Link                  [maxBottlenecks]int32
+	W, Own, Ext, Tot, Cap [maxBottlenecks]float64
+}
+
+// Fold replaces b with fl's rate samples time-weighted per bottleneck
+// link. It allocates nothing, so a caller can reuse one b for every flow;
+// links past the maxBottlenecks-th are dropped.
+func (b *Bottlenecks) Fold(fl *Span) {
+	b.N, b.Best = 0, -1
 	for i := range fl.Rates {
 		s := &fl.Rates[i]
 		end := fl.End
 		if i+1 < len(fl.Rates) {
 			end = fl.Rates[i+1].T
 		}
-		w := end.Sub(s.T).Seconds()
-		if w <= 0 {
+		if s.Bottleneck < 0 || end <= s.T {
 			continue
 		}
-		a := byLink[s.Bottleneck]
-		if a == nil {
-			a = &acc{}
-			byLink[s.Bottleneck] = a
+		j := 0
+		for j < b.N && b.Link[j] != s.Bottleneck {
+			j++
 		}
-		a.w += w
-		a.own += s.Bps * w
-		a.ext += s.ExtBps * w
-		a.tot += s.LinkBps * w
-	}
-	best := int32(-1)
-	var bestW float64
-	for l, a := range byLink {
-		if l < 0 {
-			continue
+		if j == b.N {
+			if j == maxBottlenecks {
+				continue
+			}
+			b.Link[j], b.W[j], b.Own[j], b.Ext[j], b.Tot[j], b.Cap[j] = s.Bottleneck, 0, 0, 0, 0, 0
+			b.N++
 		}
-		if best < 0 || Heavier(l, a.w, best, bestW) {
-			best, bestW = l, a.w
+		w := float64(end.Sub(s.T))
+		b.W[j] += w
+		b.Own[j] += s.Bps * w
+		b.Ext[j] += s.ExtBps * w
+		b.Tot[j] += s.LinkBps * w
+		if s.CapBps > 0 && (b.Cap[j] == 0 || s.CapBps < b.Cap[j]) {
+			b.Cap[j] = s.CapBps
+		}
+		if b.Best < 0 || Heavier(b.Link[j], b.W[j], b.Link[b.Best], b.W[b.Best]) {
+			b.Best = j
 		}
 	}
-	if best < 0 {
-		return -1, 0, 0, 0
-	}
-	a := byLink[best]
-	return best, a.own / a.w, a.ext / a.w, a.tot / a.w
 }
 
 // LinkReport aggregates attribution across ops gated by one link.
