@@ -305,6 +305,46 @@ func TestReconfigBarrierEpisode(t *testing.T) {
 	}
 }
 
+// TestOneReconfigurationOneIncident replays the five Fig. 4 phases of one
+// reconfiguration on four ranks the way the proxy emits them: the first
+// four under the generation being left, Rebuild under the new one, and a
+// completion barrier that waits far longer than QuietGap for the op in
+// flight. That is one reconfiguration, so one incident with all twenty
+// phase spans as evidence, named for the generation it builds.
+func TestOneReconfigurationOneIncident(t *testing.T) {
+	var spans []trace.Span
+	for seq := uint64(1); seq <= 3; seq++ {
+		spans = synthOp(spans, 1, seq, sim.Time(seq)*sim.Time(200*us), 100*us, evenBusy(4, 30*us), 1<<20)
+	}
+	t0 := sim.Time(1000 * us)
+	phase := func(op int32, gen int32, start, end sim.Duration) {
+		for r := int32(0); r < 4; r++ {
+			spans = append(spans, trace.Span{Kind: trace.KindBarrier, Op: op,
+				Start: t0.Add(start), End: t0.Add(end), Comm: 1, Rank: r, Gen: gen, Seq: 3})
+		}
+	}
+	phase(trace.PhaseSeqExchange, 0, 0, 5*us)
+	phase(trace.PhaseDrain, 0, 5*us, 10*us)
+	// Unrelated traffic moves the clock while the barrier waits.
+	spans = append(spans, trace.Span{Kind: trace.KindFlow, Op: -1, Start: t0, End: t0.Add(5000 * us), Flow: 1})
+	phase(trace.PhaseCompletion, 0, 10*us, 10000*us)
+	phase(trace.PhaseTeardown, 0, 10000*us, 10100*us)
+	phase(trace.PhaseRebuild, 1, 10100*us, 10300*us)
+	spans = append(spans, trace.Span{Kind: trace.KindFlow, Op: -1, Start: t0, End: t0.Add(20000 * us), Flow: 2})
+
+	rep := analyzeSpans(t, spans)
+	if len(rep.Incidents) != 1 {
+		t.Fatalf("one reconfiguration raised %d incidents: %+v", len(rep.Incidents), rep.Incidents)
+	}
+	in := rep.Incidents[0]
+	if in.Class != ClassReconfigStall || in.Evidence != 20 || in.Detail != "reconfiguration to generation 1" {
+		t.Fatalf("got %s evidence %d %q, want reconfig-stall evidence 20 \"reconfiguration to generation 1\"", in.Class, in.Evidence, in.Detail)
+	}
+	if in.Start != t0 || in.End != t0.Add(10300*us) || in.open {
+		t.Fatalf("incident [%v, %v] open=%v, want closed over [%v, %v]", in.Start, in.End, in.open, t0, t0.Add(10300*us))
+	}
+}
+
 func TestSLOBreachEpisode(t *testing.T) {
 	var spans []trace.Span
 	for seq := uint64(1); seq <= 3; seq++ {
