@@ -188,6 +188,27 @@ func TestSelfHealDoctorTTR(t *testing.T) {
 	}
 }
 
+// TestSelfHealDoctorCreditsOnlyRemediableIncidents: remediation acts on
+// congested links, slow GPUs and tenant contention only, so the doctor
+// must not credit it with recovering anything else. Seed 3's incidents
+// are all reconfig-stall, raised by remediation's own moves.
+func TestSelfHealDoctorCreditsOnlyRemediableIncidents(t *testing.T) {
+	t.Parallel()
+	hr := RunSeedHealed(SelfHeal(), 3)
+	if hr.Err != nil {
+		t.Fatal(hr.Err)
+	}
+	if len(hr.Doctor.Incidents) == 0 {
+		t.Fatal("seed 3 raised no incidents: the check is vacuous")
+	}
+	for i := range hr.Doctor.Incidents {
+		in := &hr.Doctor.Incidents[i]
+		if ttr, ok := in.TimeToRecover(); ok {
+			t.Errorf("incident #%d (%s) has time-to-recover %v; remediation never acts on its class", in.ID, in.Class, ttr)
+		}
+	}
+}
+
 // TestSelfHealByteDeterministic re-runs seeds and requires the trace
 // hash, the remediation reports (JSONL and text) and the telemetry
 // export to be byte-identical — the same determinism bar the doctor

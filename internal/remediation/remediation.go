@@ -249,10 +249,8 @@ func (e *Engine) registerMetrics() {
 // onIncident is the diagnosis hook. It runs inside the recorder tap /
 // end-of-instant sweep, so it only copies and queues — the tick acts.
 func (e *Engine) onIncident(in *diagnosis.Incident) {
-	switch in.Class {
-	case diagnosis.ClassCongestedLink, diagnosis.ClassSlowGPU, diagnosis.ClassTenantContention:
-	default:
-		return // reconfig stalls, queueing, unknown: not remediable here
+	if !in.Class.Remediable() {
+		return // reconfig stalls, queueing, unknown
 	}
 	e.queue = append(e.queue, causeEvent{
 		class: in.Class, det: in.Detector,
