@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 	"time"
 
@@ -161,6 +162,20 @@ func observable(f *FaultRecord, rec trace.Recording, ops map[[2]int64]*opAgg) bo
 	return false
 }
 
+// doctorCorpus is the pinned doctor corpus: each scenario's seeds, and
+// the total count of observable fault windows across them (pinned — a
+// detector regression that blinds a whole class shows up here as well
+// as in recall).
+var doctorCorpus = []struct {
+	sc             Scenario
+	seeds          []uint64
+	wantObservable int
+}{
+	{LinkFlap(), []uint64{1, 2, 3, 4, 5, 6}, 2},
+	{DoctorStraggler(), []uint64{1, 2, 3, 4, 5, 6, 7, 8}, 8},
+	{ReconfigStorm(), []uint64{1, 2, 3, 4}, 17},
+}
+
 // TestDoctorGroundTruth scores the live doctor against the injected
 // fault log on a pinned corpus: precision 1.0 (every incident is
 // explained by an injected fault of the matching class) and recall 1.0
@@ -170,19 +185,7 @@ func observable(f *FaultRecord, rec trace.Recording, ops map[[2]int64]*opAgg) bo
 // silently go vacuous.
 func TestDoctorGroundTruth(t *testing.T) {
 	t.Parallel()
-	cases := []struct {
-		sc Scenario
-		// seeds to run; wantObservable is the total count of observable
-		// fault windows across them (pinned — a detector regression that
-		// blinds a whole class shows up here as well as in recall).
-		seeds          []uint64
-		wantObservable int
-	}{
-		{LinkFlap(), []uint64{1, 2, 3, 4, 5, 6}, 2},
-		{DoctorStraggler(), []uint64{1, 2, 3, 4, 5, 6, 7, 8}, 8},
-		{ReconfigStorm(), []uint64{1, 2, 3, 4}, 17},
-	}
-	for _, tc := range cases {
+	for _, tc := range doctorCorpus {
 		totalObservable, totalIncidents := 0, 0
 		for _, seed := range tc.seeds {
 			dr := RunSeedDiagnosed(tc.sc, seed)
@@ -231,6 +234,55 @@ func TestDoctorGroundTruth(t *testing.T) {
 				tc.sc.Name, totalObservable, tc.seeds, tc.wantObservable)
 		}
 		t.Logf("%s: %d incidents, %d observable windows, precision==recall==1.0", tc.sc.Name, totalIncidents, totalObservable)
+	}
+}
+
+// TestReplayMatchesLive replays each corpus run's recording through
+// diagnosis.Analyze, as `mccs doctor` does, and requires the incidents
+// the live engine raised, field for field except the ID and the detection
+// instant (the replay sweeps at span boundaries, not at every instant).
+// SLO incidents are left out: the run hands back no telemetry series to
+// replay them from.
+func TestReplayMatchesLive(t *testing.T) {
+	t.Parallel()
+	incidents := func(rep *diagnosis.Report) []diagnosis.Incident {
+		var out []diagnosis.Incident
+		for _, in := range rep.Incidents {
+			if in.Detector != diagnosis.DetSLO {
+				in.ID, in.Detected = 0, 0
+				out = append(out, in)
+			}
+		}
+		sort.SliceStable(out, func(i, j int) bool {
+			a, b := &out[i], &out[j]
+			if a.Start != b.Start {
+				return a.Start < b.Start
+			}
+			if a.End != b.End {
+				return a.End < b.End
+			}
+			return a.Detector < b.Detector
+		})
+		return out
+	}
+	for _, tc := range doctorCorpus {
+		for _, seed := range tc.seeds {
+			dr := RunSeedDiagnosed(tc.sc, seed)
+			if dr.Failed() || dr.Recording.Dropped > 0 {
+				t.Fatalf("%s seed %d: run failed (%v) or its ring dropped %d spans", tc.sc.Name, seed, dr.Err, dr.Recording.Dropped)
+			}
+			live := incidents(dr.Report)
+			replay := incidents(diagnosis.Analyze(dr.Recording, nil, diagnosis.DefaultConfig()))
+			if len(live) != len(replay) {
+				t.Errorf("%s seed %d: live engine raised %d incidents, replay %d", tc.sc.Name, seed, len(live), len(replay))
+				continue
+			}
+			for i := range live {
+				if live[i] != replay[i] {
+					t.Errorf("%s seed %d: incident %d differs:\n live   %+v\n replay %+v", tc.sc.Name, seed, i, live[i], replay[i])
+				}
+			}
+		}
 	}
 }
 
