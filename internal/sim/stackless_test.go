@@ -315,18 +315,26 @@ func TestRing(t *testing.T) {
 	var r Ring[int]
 	next, want := 0, 0
 	// Grow a standing backlog, then drain in steps: every compaction path
-	// (empty reset, prefix reclaim) must keep FIFO order.
+	// (empty reset, prefix reclaim) must keep FIFO order, and every slot
+	// Grow hands out — fresh, vacated or reclaimed — must be zero.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 40; i++ {
-			r.Push(next)
+			if i%2 == 0 {
+				r.Push(next)
+			} else if p := r.Grow(); *p != 0 {
+				t.Fatalf("Grow handed out a slot holding %d", *p)
+			} else {
+				*p = next
+			}
 			next++
 		}
 		for i := 0; i < 37+round%7; i++ {
 			if *r.At(0) != want {
 				t.Fatalf("At(0) = %d, want %d", *r.At(0), want)
 			}
-			v, ok := r.Pop()
-			if !ok || v != want {
+			if i%3 == 0 {
+				r.DropHead()
+			} else if v, ok := r.Pop(); !ok || v != want {
 				t.Fatalf("Pop = %d,%v, want %d", v, ok, want)
 			}
 			want++
