@@ -438,7 +438,7 @@ func (m *sim11) runJob(p *sim.Proc, j *job) {
 					route = paths[idx%len(paths)]
 				}
 				j.inflight++
-				m.fabric.Send(netsim.FlowOpts{
+				m.fabric.Send(&netsim.FlowOpts{
 					Src: m.cluster.NICNode(from.NIC), Dst: m.cluster.NICNode(to.NIC),
 					Bytes:  perEdge,
 					Route:  route,

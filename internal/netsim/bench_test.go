@@ -149,7 +149,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 		start func(*Fabric, FlowOpts)
 	}{
 		{"StartFlow", func(fb *Fabric, o FlowOpts) { fb.StartFlow(o) }},
-		{"Send", (*Fabric).Send},
+		{"Send", func(fb *Fabric, o FlowOpts) { fb.Send(&o) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			s := sim.New()

@@ -239,17 +239,18 @@ func (fb *Fabric) Network() *Network { return fb.net }
 // The new flow's rate is computed lazily: starting K flows at one virtual
 // instant costs one allocation, performed before the first rate read or
 // the end of the instant, whichever comes first.
-func (fb *Fabric) StartFlow(o FlowOpts) *Flow { return fb.start(o, false) }
+func (fb *Fabric) StartFlow(o FlowOpts) *Flow { return fb.start(&o, false) }
 
 // Send is StartFlow for a caller that does not want the handle (the
 // transport, once per message: it learns of completion through
 // FlowOpts.OnDone). Because no handle leaves the fabric, the Flow is the
 // fabric's to reuse: it comes from a per-fabric free list and goes back,
 // with every field reset, once its OnDone callback has returned. A handle
-// StartFlow returned is never recycled.
-func (fb *Fabric) Send(o FlowOpts) { fb.start(o, true) }
+// StartFlow returned is never recycled. The options are read, not kept, so
+// a caller may pass the address of a value on its own stack.
+func (fb *Fabric) Send(o *FlowOpts) { fb.start(o, true) }
 
-func (fb *Fabric) start(o FlowOpts, owned bool) *Flow {
+func (fb *Fabric) start(o *FlowOpts, owned bool) *Flow {
 	route := o.Route
 	if route == nil {
 		paths := fb.net.PathsBetween(o.Src, o.Dst)
@@ -281,15 +282,16 @@ func (fb *Fabric) start(o FlowOpts, owned bool) *Flow {
 	} else {
 		fl = new(Flow)
 	}
-	*fl = Flow{
-		ID: fb.nextFlowID, Src: o.Src, Dst: o.Dst, Route: route, Label: o.Label,
-		Tag: o.Tag,
-		fb:  fb, slot: len(fb.flows),
-		bytes: bytes, maxRate: maxRate, priority: priority, external: o.External,
-		owned:  owned,
-		onDone: o.OnDone, doneArg: o.OnDoneArg,
-		start: fb.s.Now(),
-	}
+	// fl is zero (new, or reset when it was recycled), so setting the
+	// fields one by one leaves it exactly as a composite literal would,
+	// without building the whole Flow on the stack and copying it over.
+	fl.ID, fl.Src, fl.Dst, fl.Route, fl.Label = fb.nextFlowID, o.Src, o.Dst, route, o.Label
+	fl.Tag = o.Tag
+	fl.fb, fl.slot = fb, len(fb.flows)
+	fl.bytes, fl.maxRate, fl.priority, fl.external = bytes, maxRate, priority, o.External
+	fl.owned = owned
+	fl.onDone, fl.doneArg = o.OnDone, o.OnDoneArg
+	fl.start = fb.s.Now()
 	fb.flows = append(fb.flows, fl)
 	fb.telStarted.Inc()
 	if fl.priority {

@@ -192,7 +192,7 @@ func TestMemoChurnParity(t *testing.T) {
 						o.FixedRate, o.External = 20*gbps, true
 					}
 					if rng.Intn(2) == 0 {
-						fb.Send(o)
+						fb.Send(&o)
 						break
 					}
 					if rng.Intn(3) == 0 {
@@ -286,7 +286,7 @@ func TestSendRecyclesOnlyItsOwnFlows(t *testing.T) {
 		live := fb.StartFlow(long)
 		short.OnDone = &done
 		for i := 0; i < 1000; i++ {
-			fb.Send(short)
+			fb.Send(&short)
 			if i%2 == 1 {
 				p.Sleep(time.Millisecond) // two in flight at a time
 			}
