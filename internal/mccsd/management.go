@@ -129,9 +129,11 @@ func (d *Deployment) ClearTrafficSchedule(app spec.AppID) {
 
 // CheckQuiescent verifies that no communicator in the deployment has
 // queued or in-flight work: every runner's command queue and execution
-// pipeline are empty and no reconfiguration is stashed. The chaos
-// harness calls it after the scheduler drains — leftover work at that
-// point means an operation was silently dropped or stranded.
+// pipeline are empty, no reconfiguration is stashed, and every message
+// sent on any of its connections — every generation's and the
+// point-to-point ones — was received. The chaos harness calls it after the
+// scheduler drains — leftover work at that point means an operation was
+// silently dropped or stranded, or a message lost or leaked.
 func (d *Deployment) CheckQuiescent() error {
 	for id := spec.CommID(1); id <= d.nextCommID; id++ {
 		c, ok := d.comms[id]
@@ -142,6 +144,9 @@ func (d *Deployment) CheckQuiescent() error {
 			if !r.Quiescent() {
 				return fmt.Errorf("mccsd: communicator %d rank %d not quiescent after drain", id, rank)
 			}
+		}
+		if err := c.Undelivered(); err != nil {
+			return fmt.Errorf("mccsd: communicator %d not quiescent after drain: %w", id, err)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package mccsd
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -192,5 +193,50 @@ func TestP2PSurvivesReconfiguration(t *testing.T) {
 	}
 	if !ok {
 		t.Fatal("p2p across reconfiguration lost data")
+	}
+}
+
+// TestCheckQuiescentCatchesUnreceivedMessage: a send whose receive is never
+// posted completes on the sender's side and leaves its one message in the
+// connection; once the scheduler drains, CheckQuiescent must name that
+// connection. With the receive posted, the same run is quiescent.
+func TestCheckQuiescentCatchesUnreceivedMessage(t *testing.T) {
+	for _, received := range []bool{true, false} {
+		s, d := newDeployment(DefaultConfig())
+		gpus := oneGPUPerHost(d)
+		const count = 16 // one slice: one message
+		launchRanks(s, d, "appA", gpus, func(p *sim.Proc, rank int, f *Frontend, gpu topo.GPUID) {
+			buf, _ := f.MemAlloc(p, gpu, count*4, false)
+			comm, err := f.CommInitRank(p, "job0", len(gpus), rank, gpu)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var h *OpHandle
+			switch {
+			case rank == 0:
+				h, err = comm.Send(p, buf, count, 2, nil)
+			case rank == 2 && received:
+				h, err = comm.Recv(p, buf, count, 0, nil)
+			default:
+				return
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			h.Wait(p)
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		err := d.CheckQuiescent()
+		switch {
+		case received && err != nil:
+			t.Errorf("received: %v", err)
+		case !received && (err == nil || !strings.Contains(err.Error(), "point-to-point conn 0->2 (channel -1) holds 1 undelivered message")):
+			t.Errorf("unreceived send: CheckQuiescent = %v", err)
+		}
+		s.Shutdown()
 	}
 }

@@ -517,6 +517,42 @@ func (c *Comm) Destroy() {
 	}
 }
 
+// Undelivered returns an error naming a connection of the communicator —
+// of any generation, or point-to-point — that holds a message sent and
+// not received (transport.Conn.Pending), and nil when none does. Once the
+// scheduler has drained, a held message was lost or leaked. The connection
+// named is the first in generation and establishment order, then the
+// lowest point-to-point edge, so the report is the same on every run.
+func (c *Comm) Undelivered() error {
+	gens := make([]int, 0, len(c.gens))
+	for g := range c.gens {
+		gens = append(gens, g)
+	}
+	slices.Sort(gens)
+	held := func(kind string, e collective.Edge, n int) error {
+		return fmt.Errorf("proxy: comm %d %s conn %d->%d (channel %d) holds %d undelivered message(s)",
+			c.Info.ID, kind, e.From, e.To, e.Channel, n)
+	}
+	for _, g := range gens {
+		cs := c.gens[g]
+		for _, e := range cs.edges {
+			if n := cs.conns[e].Pending(); n > 0 {
+				return held(fmt.Sprintf("generation %d %v", g, e.Algo), e, n)
+			}
+		}
+	}
+	var first *collective.Edge
+	for e, conn := range c.p2p {
+		if conn.Pending() > 0 && (first == nil || e.From < first.From || e.From == first.From && e.To < first.To) {
+			first = &e
+		}
+	}
+	if first != nil {
+		return held("point-to-point", *first, c.p2p[*first].Pending())
+	}
+	return nil
+}
+
 // emitPhase counts one completed reconfiguration barrier phase and
 // records it as a span when barrier tracing is on.
 func (r *Runner) emitPhase(p *sim.Proc, code int32, start sim.Time) {
