@@ -307,7 +307,7 @@ const (
 
 func newTracer() *tracer { return &tracer{hash: fnvOffset} }
 
-func (t *tracer) observe(at sim.Time, seq uint64) {
+func (t *tracer) observe(at sim.Time, seq uint64, _ sim.EventKind, _ sim.Handler) {
 	t.mix(uint64(at))
 	t.mix(seq)
 	t.tail[t.n%tailLen] = TraceEntry{At: at, Seq: seq}

@@ -213,7 +213,7 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	rec := trace.Of(env.S)
 	env.S.SetPicker(&fuzzPicker{rng: sched})
 	tr := newTracer()
-	env.S.SetObserver(tr.observe)
+	env.S.SetEventObserver(tr.observe)
 
 	gpus, err := harness.SingleAppGPUs(env.Cluster, sc.Ranks)
 	if err != nil {
