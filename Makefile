@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door goldens
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers goldens
 
 all: check
 
@@ -60,10 +60,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStrategyValidate -fuzztime 10s ./internal/spec/
 
 # check is the CI gate: everything must build, vet clean, keep the one
-# door for reconfiguration, reproduce every committed result file, and
-# pass the full test suite twice — once plain, once under the race
-# detector.
-check: build fmt vet door goldens test race
+# door for reconfiguration and the one attach site for observers,
+# reproduce every committed result file, and pass the full test suite
+# twice — once plain, once under the race detector.
+check: build fmt vet door observers goldens test race
 
 # goldens regenerates every result file EXPERIMENTS.md quotes, plus the
 # live doctor report and trace summary of CI's doctor smoke run and the
@@ -97,6 +97,19 @@ door:
 		'\.(UpdateRoutes|Reconfigure)\(' . | grep -vE '^\./internal/(mccsd|policy)/|^\./internal/chaos/inject\.go:'); \
 	if [ -n "$$hits" ]; then \
 		echo "door: only internal/policy may change a communicator's strategy or routes:" >&2; \
+		echo "$$hits" >&2; exit 1; \
+	fi
+
+# observers fails if non-test Go outside internal/harness and bench/
+# attaches an observer: a run's observers are chosen in one place
+# (harness.Observers, attached by harness.NewEnv), and no layer of the
+# system installs one of its own. The benchmark module attaches its own
+# recorder and registry for its traced pass.
+observers:
+	@hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+		'\b(trace\.Attach|trace\.NewRecorder|telemetry\.Attach|diagnosis\.Attach)\(' . | grep -vE '^\./(internal/harness|bench)/'); \
+	if [ -n "$$hits" ]; then \
+		echo "observers: only internal/harness may attach an observer:" >&2; \
 		echo "$$hits" >&2; exit 1; \
 	fi
 

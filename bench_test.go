@@ -424,8 +424,8 @@ func BenchmarkSchedChurn(b *testing.B) {
 // whatever its size: shim call → frontend → proxy runner → two channel
 // programs → completion → tenant, for an 8-rank 32 KB AllReduce on the
 // Fig. 6 testbed. One iteration is one round trip on every rank; allocs/op
-// is the count mccsd.TestOpPathAllocatesOncePerRankOp pins — one handle per
-// rank, 8 — plus a chunk of the always-on recorder every 1 024 spans.
+// is the count mccsd.TestOpPathAllocatesOncePerRankOp pins: one handle per
+// rank, 8.
 func BenchmarkOpRoundTrip(b *testing.B) {
 	env, err := harness.NewEnv(harness.EnvOptions{System: ncclsim.MCCS})
 	if err != nil {

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"mccs/internal/collective"
@@ -60,28 +61,19 @@ func churnTrace(rng *rand.Rand, i int) workload.Trace {
 }
 
 // checkChurn is the leak invariant for the lifecycle scenario: after
-// the scheduler drains, every churn job must be terminal and done, all
-// capacity must be back in the pool, the wait queue empty, and the only
-// communicators left in the management view must belong to the scripted
-// workload (which never destroys its own).
-func checkChurn(env *harness.Env, orch *orchestrator.Orchestrator, jobs []*orchestrator.Job) []string {
+// the scheduler drains, the orchestrator must be drained (every churn job
+// finished without error, all capacity back in the pool, the wait queue
+// empty), and the only communicators left in the management view must
+// belong to the scripted workload (which never destroys its own).
+func checkChurn(env *harness.Env, orch *orchestrator.Orchestrator) []string {
 	var errs []string
 	if orch == nil {
 		return nil
 	}
-	for _, j := range jobs {
-		if j.State != orchestrator.StateDone {
-			errs = append(errs, fmt.Sprintf("churn: job %d (%s) state %v, want done", j.ID, j.Spec.Tenant, j.State))
+	if err := orch.Drained(); err != nil {
+		for _, line := range strings.Split(err.Error(), "\n") {
+			errs = append(errs, "churn: "+line)
 		}
-	}
-	if err := orch.Err(); err != nil {
-		errs = append(errs, "churn: "+err.Error())
-	}
-	if free, total := orch.FreeGPUs(), len(env.Cluster.GPUs); free != total {
-		errs = append(errs, fmt.Sprintf("churn: %d of %d GPUs returned to the pool", free, total))
-	}
-	if q := orch.QueueLen(); q != 0 {
-		errs = append(errs, fmt.Sprintf("churn: %d jobs still queued after drain", q))
 	}
 	for _, ci := range env.Deployment.View() {
 		if ci.App != "chaos" {

@@ -157,9 +157,9 @@ func (l *ledger) check(want map[spec.CommID]commShape) error {
 //   - generation agreement (ledger.check);
 //   - quiescence: no leaked managed flows on the fabric, and no queued
 //     or in-flight work left in any proxy runner;
-//   - lifecycle (churn scenarios): every orchestrator job finished and
-//     returned its capacity, and no tenant communicator outlived its
-//     teardown (checkChurn).
+//   - lifecycle (churn scenarios): the orchestrator drained (every job
+//     finished and returned its capacity), and no tenant communicator
+//     outlived its teardown (checkChurn).
 func checkInvariants(env *harness.Env, sc Scenario, led *ledger, simErr error, rankErrs []error, finished int, scriptComm spec.CommID, orch *orchestrator.Orchestrator, churnJobs []*orchestrator.Job) error {
 	var errs []string
 	if simErr != nil {
@@ -176,7 +176,7 @@ func checkInvariants(env *harness.Env, sc Scenario, led *ledger, simErr error, r
 	if err := led.check(commShapes(sc, scriptComm, churnJobs)); err != nil {
 		errs = append(errs, "generation: "+err.Error())
 	}
-	errs = append(errs, checkChurn(env, orch, churnJobs)...)
+	errs = append(errs, checkChurn(env, orch)...)
 	if n := env.Fabric.ManagedFlows(); n != 0 {
 		errs = append(errs, fmt.Sprintf("quiescence: %d managed flows still active after drain", n))
 	}

@@ -184,16 +184,10 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if err := env.S.Run(); err != nil {
 		return nil, err
 	}
-	if err := orch.Err(); err != nil {
-		return nil, err
-	}
 	// Zero-leak invariant: after the stream drains, every finished job
 	// must have returned its capacity and left no engine or fabric state.
-	if free, total := orch.FreeGPUs(), len(env.Cluster.GPUs); free != total {
-		return nil, fmt.Errorf("harness: churn leaked GPUs: %d free of %d", free, total)
-	}
-	if q := orch.QueueLen(); q != 0 {
-		return nil, fmt.Errorf("harness: %d jobs still queued after drain", q)
+	if err := orch.Drained(); err != nil {
+		return nil, err
 	}
 	if n := env.Deployment.NumComms(); n != 0 {
 		return nil, fmt.Errorf("harness: %d communicators leaked after teardown", n)

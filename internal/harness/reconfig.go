@@ -28,8 +28,6 @@ type ReconfigConfig struct {
 	ReconfigAt time.Duration // when the controller reverses the ring
 	SwitchBps  float64
 	NICBps     float64
-	// MaxSlices overrides the proxy's intra-step pipelining when > 0.
-	MaxSlices int
 	// UnserializedConns disables the transport's per-connection FIFO
 	// (the ablation showing why message serialization matters for
 	// recovery after phase skew).
@@ -94,9 +92,6 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 	env, err := NewEnv(EnvOptions{
 		System: ncclsim.MCCS, Cluster: cluster, Observers: cfg.Observers,
 		Mutate: func(c *mccsd.Config) {
-			if cfg.MaxSlices > 0 {
-				c.Proxy.MaxSlices = cfg.MaxSlices
-			}
 			if cfg.UnserializedConns {
 				c.Transport = transport.DefaultConfig(cluster.IntraHostBps)
 				c.Transport.UnserializedSends = true

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"mccs/internal/collective"
 	"mccs/internal/ncclsim"
+	"mccs/internal/sim"
+	"mccs/internal/spec"
 	"mccs/internal/trace"
 )
 
@@ -71,19 +75,83 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestCommTraceSurvivesUntraced checks the always-on ops recorder: with
-// no -trace flag anywhere, the management API still returns per-rank
-// collective history (the TS policy depends on it).
+// TestCommTraceSurvivesUntraced: with no observer anywhere, no recorder is
+// attached, and the management API still returns per-rank collective history
+// (the TS policy depends on it) — the service keeps it, not the recorder.
 func TestCommTraceSurvivesUntraced(t *testing.T) {
 	env, err := NewEnv(EnvOptions{System: ncclsim.MCCS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.Of(env.S)
-	if rec == nil {
-		t.Fatal("deployment did not attach a default recorder")
+	defer env.S.Shutdown()
+	if rec := trace.Of(env.S); rec != nil {
+		t.Fatalf("untraced environment has a recorder at %v", rec.Level())
 	}
-	if rec.Level() != trace.LevelOps {
-		t.Fatalf("default recorder level = %v, want LevelOps", rec.Level())
+	gpus, err := SingleAppGPUs(env.Cluster, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iters = 3
+	for rank, gpu := range gpus {
+		env.S.Go("rank", func(p *sim.Proc) {
+			f := env.Deployment.Service(env.Cluster.HostOfGPU(gpu)).Frontend("app")
+			buf, err := f.MemAlloc(p, gpu, 4096, false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			comm, err := f.CommInitRank(p, "job", len(gpus), rank, gpu)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < iters; i++ {
+				h, err := comm.AllReduce(p, nil, buf, 1024, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				h.Wait(p)
+			}
+		})
+	}
+	if err := env.S.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for rank := range gpus {
+		hist, err := env.Deployment.CommTrace(env.Deployment.View()[0].ID, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hist) != iters {
+			t.Errorf("rank %d: CommTrace has %d entries, want %d", rank, len(hist), iters)
+		}
+	}
+}
+
+// TestTraceCapacityLeavesDynamicRunAlone: how big an observer's ring is
+// cannot move Fig. 10. The TS controller reads its collective history from
+// the service, so with the flight recorder holding 1 024 or 4 096 spans
+// every tenant iterates exactly as in the untraced run. (When the history
+// came out of the recorder, a small ring held too few of B's collectives
+// and C's traffic windows, and with them every tenant's timeline, moved.)
+func TestTraceCapacityLeavesDynamicRunAlone(t *testing.T) {
+	cfg := DynamicConfig{T1: time.Second, T2: 2 * time.Second, T3: 3 * time.Second, T4: 4 * time.Second, RunFor: 8 * time.Second}
+	bare, err := RunDynamic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, capacity := range []int{1024, 4096} {
+		cfg.Observers = Observers{TraceCap: capacity}
+		got, err := RunDynamic(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, app := range []spec.AppID{"A", "B", "C"} {
+			if !slices.Equal(got.IterEnds[app], bare.IterEnds[app]) || !slices.Equal(got.IterTimes[app], bare.IterTimes[app]) {
+				t.Errorf("TraceCap %d: tenant %s ran %d iterations, %d untraced, or at other times",
+					capacity, app, len(got.IterEnds[app]), len(bare.IterEnds[app]))
+			}
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/topo"
-	"mccs/internal/trace"
 )
 
 // opPathRig is an 8-rank, 2-channel communicator whose tenants run rounds
@@ -32,11 +31,7 @@ func newOpPathRig(t *testing.T, withStream, allGather bool) *opPathRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New()
-	// The always-on recorder allocates a chunk per 1 024 spans until its ring
-	// is full. One chunk of capacity is allocated by the first span and never
-	// again, which keeps the recorder's growth out of the counted windows.
-	trace.Attach(s, trace.NewRecorder(trace.LevelOps, 1024))
+	s := sim.New() // no observer attached, as in production
 	cfg := DefaultConfig()
 	cfg.Strategy = func(cluster *topo.Cluster, info *spec.CommInfo) spec.Strategy {
 		// Rank order finds one path between its first two hosts, hence one

@@ -133,16 +133,11 @@ func NewDeployment(s *sim.Scheduler, cluster *topo.Cluster, fabric *netsim.Fabri
 		gid := topo.GPUID(g)
 		d.devices[gid] = gpusim.NewDevice(s, g, cfg.Device)
 	}
-	// The flight recorder is always on: if the harness did not attach
-	// one (e.g. a LevelFull recorder for a -trace run), install the
-	// ops-level default — the management API (CommTrace) and the TS
-	// policy read collective history out of it.
-	rec := trace.Of(s)
-	if rec == nil {
-		rec = trace.NewRecorder(trace.LevelOps, trace.OpsCapacity)
-		trace.Attach(s, rec)
+	// Observers are the caller's to attach (harness.NewEnv); the service
+	// keeps its own collective history (CommTrace) without one.
+	if rec := trace.Of(s); rec != nil {
+		registerTopology(rec, cluster)
 	}
-	registerTopology(rec, cluster)
 	if reg := telemetry.Of(s); reg != nil {
 		d.instrumentTelemetry(reg)
 		d.telComms = reg.Counter("mccs_service_comms_total", "communicators")

@@ -8,7 +8,6 @@ import (
 	"mccs/internal/proxy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
-	"mccs/internal/trace"
 	"mccs/internal/transport"
 )
 
@@ -152,12 +151,12 @@ func (d *Deployment) CheckQuiescent() error {
 	return nil
 }
 
-// CommTrace returns the collective history of one rank of a
-// communicator (the fine-grained tracing the TS policy analyzes for
-// idle cycles). It is a thin view over the flight recorder: the proxy
-// emits one op-lifecycle span per executed collective and this filters
-// them by (communicator, rank).
-func (d *Deployment) CommTrace(id spec.CommID, rank int) ([]trace.Span, error) {
+// CommTrace returns the collective history of one rank of a communicator
+// (the fine-grained tracing the TS policy analyzes for idle cycles): its
+// last proxy.HistoryLen completed collectives, oldest first. The service
+// keeps it whatever observers are attached, so no observer setting can
+// change what the controller reads.
+func (d *Deployment) CommTrace(id spec.CommID, rank int) ([]proxy.OpResult, error) {
 	c, ok := d.comms[id]
 	if !ok {
 		return nil, fmt.Errorf("mccsd: unknown communicator %d", id)
@@ -165,5 +164,5 @@ func (d *Deployment) CommTrace(id spec.CommID, rank int) ([]trace.Span, error) {
 	if rank < 0 || rank >= len(c.Runners) {
 		return nil, fmt.Errorf("mccsd: rank %d out of range", rank)
 	}
-	return trace.Of(d.S).OpSpans(int32(id), int32(rank)), nil
+	return c.Runners[rank].History(nil), nil
 }

@@ -9,9 +9,11 @@ import (
 	"mccs/internal/collective"
 	"mccs/internal/gpusim"
 	"mccs/internal/netsim"
+	"mccs/internal/proxy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/topo"
+	"mccs/internal/trace"
 	"mccs/internal/transport"
 )
 
@@ -527,6 +529,57 @@ func TestCommTraceAPI(t *testing.T) {
 	}
 	if _, err := d.CommTrace(view[0].ID, 99); err == nil {
 		t.Error("trace of unknown rank accepted")
+	}
+}
+
+// TestCommTraceKeepsTheLastHistoryLen: the service's collective history
+// needs no observer, and after more collectives than it holds it answers
+// with the newest proxy.HistoryLen of them, oldest first. Each op has its
+// own size, so a record that came from the wrong op shows in its Bytes.
+func TestCommTraceKeepsTheLastHistoryLen(t *testing.T) {
+	s, d := newDeployment(DefaultConfig())
+	if rec := trace.Of(s); rec != nil {
+		t.Fatal("NewDeployment attached a flight recorder")
+	}
+	gpus := oneGPUPerHost(d)
+	const ops = proxy.HistoryLen + 6
+	count := func(i int) int64 { return int64(64 + 4*i) }
+	launchRanks(s, d, "appA", gpus, func(p *sim.Proc, rank int, f *Frontend, gpu topo.GPUID) {
+		buf, _ := f.MemAlloc(p, gpu, count(ops)*4, false)
+		comm, err := f.CommInitRank(p, "job0", len(gpus), rank, gpu)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < ops; i++ {
+			h, err := comm.AllReduce(p, nil, buf, count(i), nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			h.Wait(p)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for rank := range gpus {
+		hist, err := d.CommTrace(d.View()[0].ID, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hist) != proxy.HistoryLen {
+			t.Fatalf("rank %d: history has %d entries, want %d", rank, len(hist), proxy.HistoryLen)
+		}
+		for j, op := range hist {
+			i := ops - proxy.HistoryLen + j // the op this record must be, 0-based
+			if op.Seq != uint64(i+1) || op.Bytes != count(i)*4 || op.Op != collective.AllReduce {
+				t.Fatalf("rank %d record %d = %+v, want seq %d, %d bytes", rank, j, op, i+1, count(i)*4)
+			}
+			if j > 0 && op.Start < hist[j-1].End {
+				t.Errorf("rank %d record %d starts before its predecessor ended", rank, j)
+			}
+		}
 	}
 }
 

@@ -250,14 +250,31 @@ func (o *Orchestrator) Jobs() []*Job { return o.jobs }
 // Reconfigs is how many churn-triggered policy recomputes ran.
 func (o *Orchestrator) Reconfigs() int { return o.reconfigs }
 
-// QueueLen is the current admission-queue depth.
-func (o *Orchestrator) QueueLen() int { return len(o.queue) }
-
-// FreeGPUs is the current free-pool size.
-func (o *Orchestrator) FreeGPUs() int { return len(o.free) }
-
 // Err aggregates controller and workload errors observed during the run.
 func (o *Orchestrator) Err() error { return errors.Join(o.errs...) }
+
+// Drained checks the orchestrator's side of a drained run: no error was
+// recorded, every job reached a final state (done, failed or rejected),
+// every GPU is back in the free pool and the admission queue is empty. It
+// returns every violation found, joined, and nil when there is none. Call
+// it after the scheduler has drained; what the jobs left in the deployment
+// and the fabric is the caller's to check.
+func (o *Orchestrator) Drained() error {
+	errs := []error{o.Err()}
+	for _, j := range o.jobs {
+		switch j.State {
+		case StatePending, StateQueued, StateRunning:
+			errs = append(errs, fmt.Errorf("orchestrator: job %d (%s) still %v after drain", j.ID, j.Spec.Tenant, j.State))
+		}
+	}
+	if free := len(o.free); free != o.totalGPUs {
+		errs = append(errs, fmt.Errorf("orchestrator: %d of %d GPUs returned to the pool", free, o.totalGPUs))
+	}
+	if q := len(o.queue); q != 0 {
+		errs = append(errs, fmt.Errorf("orchestrator: %d jobs still queued after drain", q))
+	}
+	return errors.Join(errs...)
+}
 
 // Utilization is the busy-GPU time integral over cluster capacity up to
 // the scheduler's current time.

@@ -63,11 +63,8 @@ func run(t *testing.T, e *env, o *Orchestrator) {
 // checkNoLeaks asserts a drained run left no engine or fabric state.
 func checkNoLeaks(t *testing.T, e *env, o *Orchestrator) {
 	t.Helper()
-	if free := o.FreeGPUs(); free != len(e.cluster.GPUs) {
-		t.Errorf("leaked GPUs: %d free of %d", free, len(e.cluster.GPUs))
-	}
-	if q := o.QueueLen(); q != 0 {
-		t.Errorf("%d jobs still queued", q)
+	if err := o.Drained(); err != nil {
+		t.Error(err)
 	}
 	if v := e.dep.View(); len(v) != 0 {
 		t.Errorf("%d communicators leaked", len(v))
@@ -91,6 +88,32 @@ func TestJobLargerThanClusterRejected(t *testing.T) {
 	if !strings.Contains(j.Reason, "cluster has 8") {
 		t.Fatalf("reason = %q, want cluster-size explanation", j.Reason)
 	}
+	checkNoLeaks(t, e, o)
+}
+
+// TestDrainedNamesWhatIsLeft stops a run while one job holds the whole
+// cluster and another waits behind it: Drained must report the running job,
+// the GPUs out of the pool and the queued job, and nothing once the run has
+// finished.
+func TestDrainedNamesWhatIsLeft(t *testing.T) {
+	e := newEnv(t)
+	defer e.s.Shutdown()
+	o := New(e.s, e.cluster, e.dep, Config{})
+	o.Submit(JobSpec{Tenant: "a", GPUs: 8, Trace: slowTrace(10 * time.Millisecond)})
+	o.Submit(JobSpec{Tenant: "b", GPUs: 4, Arrival: time.Millisecond, Trace: tinyTrace()})
+	if err := e.s.RunUntil(sim.Time(5 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	err := o.Drained()
+	if err == nil {
+		t.Fatal("Drained accepted a run stopped mid-job")
+	}
+	for _, want := range []string{"job 1 (a) still running", "job 2 (b) still queued", "0 of 8 GPUs returned", "1 jobs still queued"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Drained() = %q, missing %q", err, want)
+		}
+	}
+	run(t, e, o)
 	checkNoLeaks(t, e, o)
 }
 

@@ -141,23 +141,22 @@ func (c *Controller) Autotune(p *sim.Proc, id spec.CommID, opts AutotuneOptions)
 }
 
 // ObserveAchieved reads the most recent completed collective of the
-// communicator from the flight recorder and records its measured
-// duration next to the tuner's prediction, closing the predicted-vs-
-// achieved loop in telemetry. It returns the achieved duration.
+// communicator from the service's collective history and records its
+// measured duration next to the tuner's prediction, closing the predicted-
+// vs-achieved loop in telemetry. It returns the achieved duration.
 func (c *Controller) ObserveAchieved(id spec.CommID, rank int) (time.Duration, error) {
 	info, err := c.commInfo(id)
 	if err != nil {
 		return 0, err
 	}
-	spans, err := c.dep.CommTrace(id, rank)
+	hist, err := c.dep.CommTrace(id, rank)
 	if err != nil {
 		return 0, err
 	}
-	if len(spans) == 0 {
+	if len(hist) == 0 {
 		return 0, fmt.Errorf("policy: no completed ops for comm %d rank %d", id, rank)
 	}
-	last := spans[len(spans)-1]
-	achieved := time.Duration(last.Dur())
+	achieved := hist[len(hist)-1].Elapsed()
 	telemetry.Of(c.dep.S).
 		Gauge("mccs_tuner_achieved_seconds", "s", telemetry.L("tenant", string(info.App))).
 		Set(achieved.Seconds())

@@ -98,11 +98,11 @@ func (c *Controller) push(a Assignment) error {
 // around tenant B's busy windows, leaving the PFA-protected tenant A
 // untouched.
 func (c *Controller) ApplyTSFor(prioritized spec.CommID, rank int, victims []spec.AppID) error {
-	trace, err := c.dep.CommTrace(prioritized, rank)
+	hist, err := c.dep.CommTrace(prioritized, rank)
 	if err != nil {
 		return err
 	}
-	sched, err := ComputeTS(trace, tsGuard)
+	sched, err := ComputeTS(hist, tsGuard)
 	if err != nil {
 		return err
 	}

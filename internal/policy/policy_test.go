@@ -6,10 +6,10 @@ import (
 	"testing/quick"
 	"time"
 
+	"mccs/internal/proxy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/topo"
-	"mccs/internal/trace"
 )
 
 func testbed(t *testing.T) *topo.Cluster {
@@ -217,14 +217,11 @@ func TestPFAReservesRoutesForPriorityApp(t *testing.T) {
 	}
 }
 
-func mkTrace(period, busy time.Duration, n int) []trace.Span {
-	var tr []trace.Span
+func mkTrace(period, busy time.Duration, n int) []proxy.OpResult {
+	var tr []proxy.OpResult
 	for i := 0; i < n; i++ {
 		start := sim.Time(time.Duration(i) * period)
-		tr = append(tr, trace.Span{
-			Kind: trace.KindOp, Seq: uint64(i + 1),
-			Start: start, End: start.Add(busy), Bytes: 1 << 20,
-		})
+		tr = append(tr, proxy.OpResult{Seq: uint64(i + 1), Start: start, End: start.Add(busy), Bytes: 1 << 20})
 	}
 	return tr
 }
@@ -290,13 +287,11 @@ func TestComputeTSErrors(t *testing.T) {
 	}
 }
 
-func TestIdleFraction(t *testing.T) {
-	got := IdleFraction(mkTrace(10*time.Millisecond, 3*time.Millisecond, 8))
-	if got < 0.65 || got > 0.75 {
-		t.Errorf("idle fraction = %g, want ~0.7", got)
-	}
-	if IdleFraction(nil) != 0 {
-		t.Error("empty trace should be 0")
+// TestHistoryCoversTSWindow: the service remembers at least the
+// collectives the schedule estimator reads.
+func TestHistoryCoversTSWindow(t *testing.T) {
+	if proxy.HistoryLen < tsWindow {
+		t.Fatalf("runners keep %d collectives, ComputeTS reads %d", proxy.HistoryLen, tsWindow)
 	}
 }
 

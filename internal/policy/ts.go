@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"mccs/internal/trace"
+	"mccs/internal/proxy"
 	"mccs/internal/transport"
 )
 
@@ -23,24 +23,25 @@ const minTSEntries = 4
 // schedule).
 const tsWindow = 48
 
-// ComputeTS analyzes the op-lifecycle spans (one per executed collective,
-// as returned by Deployment.CommTrace) and returns the complementary
-// schedule. guard pads the busy window on both sides to absorb jitter.
-func ComputeTS(spans []trace.Span, guard time.Duration) (transport.Schedule, error) {
-	if len(spans) < minTSEntries {
-		return transport.Schedule{}, fmt.Errorf("policy: trace has %d entries, need >= %d", len(spans), minTSEntries)
+// ComputeTS analyzes a rank's collective history (one record per completed
+// collective, oldest first, as Deployment.CommTrace returns it) and returns
+// the complementary schedule. guard pads the busy window on both sides to
+// absorb jitter.
+func ComputeTS(ops []proxy.OpResult, guard time.Duration) (transport.Schedule, error) {
+	if len(ops) < minTSEntries {
+		return transport.Schedule{}, fmt.Errorf("policy: trace has %d entries, need >= %d", len(ops), minTSEntries)
 	}
-	if len(spans) > tsWindow {
-		spans = spans[len(spans)-tsWindow:]
+	if len(ops) > tsWindow {
+		ops = ops[len(ops)-tsWindow:]
 	}
 	// Iteration period: mean gap between consecutive collective starts.
 	// Training loops issue the same collective pattern every iteration,
 	// so consecutive-start deltas cluster around the true period.
 	var gaps time.Duration
-	for i := 1; i < len(spans); i++ {
-		gaps += spans[i].Start.Sub(spans[i-1].Start)
+	for i := 1; i < len(ops); i++ {
+		gaps += ops[i].Start.Sub(ops[i-1].Start)
 	}
-	period := gaps / time.Duration(len(spans)-1)
+	period := gaps / time.Duration(len(ops)-1)
 	if period <= 0 {
 		return transport.Schedule{}, fmt.Errorf("policy: non-positive period estimate")
 	}
@@ -49,11 +50,11 @@ func ComputeTS(spans []trace.Span, guard time.Duration) (transport.Schedule, err
 	// most recent collective as the phase anchor and a robust upper
 	// percentile of the recent durations as the busy length (the max is
 	// too sensitive to one congested outlier).
-	last := spans[len(spans)-1]
+	last := ops[len(ops)-1]
 	phase := time.Duration(last.Start) % period
-	durs := make([]time.Duration, 0, len(spans))
-	for _, sp := range spans {
-		durs = append(durs, sp.Dur())
+	durs := make([]time.Duration, 0, len(ops))
+	for _, op := range ops {
+		durs = append(durs, op.Elapsed())
 	}
 	sortDurations(durs)
 	busy := durs[(len(durs)*9)/10]
@@ -84,32 +85,6 @@ func ComputeTS(spans []trace.Span, guard time.Duration) (transport.Schedule, err
 		return transport.Schedule{}, fmt.Errorf("policy: derived invalid TS schedule: %w", err)
 	}
 	return sched, nil
-}
-
-// IdleFraction reports how much of the estimated period the traced
-// application leaves the network idle — the headroom TS can hand to other
-// tenants.
-func IdleFraction(spans []trace.Span) float64 {
-	if len(spans) < 2 {
-		return 0
-	}
-	var gaps, busy time.Duration
-	for i := 1; i < len(spans); i++ {
-		gaps += spans[i].Start.Sub(spans[i-1].Start)
-	}
-	period := gaps / time.Duration(len(spans)-1)
-	for _, sp := range spans {
-		busy += sp.Dur()
-	}
-	meanBusy := busy / time.Duration(len(spans))
-	if period <= 0 {
-		return 0
-	}
-	f := 1 - float64(meanBusy)/float64(period)
-	if f < 0 {
-		f = 0
-	}
-	return f
 }
 
 func sortDurations(a []time.Duration) {

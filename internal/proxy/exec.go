@@ -176,14 +176,15 @@ func (r *Runner) startPrograms(op *OpRequest) execStage {
 	return exRun
 }
 
-// complete reports the finished op: to telemetry, its issuer, the trace, and
-// a reconfiguration waiting for the pipeline to drain.
+// complete reports the finished op: to telemetry, its issuer, the runner's
+// collective history, the trace, and a reconfiguration waiting for the
+// pipeline to drain.
 func (r *Runner) complete(p *sim.Proc, op *OpRequest) {
 	x, c := &r.ex, r.comm
-	// The op-lifecycle span doubles as the management-plane record: the
-	// Deployment.CommTrace API and the TS policy read it back out of the
-	// recorder. Span is a value struct, so this emits without allocating
-	// — and is a branch-and-return when recording is off.
+	res := OpResult{Seq: op.seq, Op: op.Op, Start: x.start, End: p.Now(), Bytes: x.bytes}
+	// The op-lifecycle span only observes: Span is a value struct, so this
+	// emits without allocating, and is a branch-and-return when recording
+	// is off.
 	span := trace.Span{
 		Kind: trace.KindOp, Op: int32(op.Op),
 		Start: x.start, End: p.Now(),
@@ -200,13 +201,16 @@ func (r *Runner) complete(p *sim.Proc, op *OpRequest) {
 	} else {
 		c.telOps.Inc()
 		r.collInFlight--
+		// The management plane's record (Deployment.CommTrace).
+		r.history[r.done%HistoryLen] = res
+		r.done++
 	}
 	if op.OnComplete != nil {
 		op.OnComplete.OpCompleted()
 	}
 	c.rec.Emit(span)
 	if op.Done != nil {
-		op.Done.Set(c.s, OpResult{Seq: op.seq, Op: op.Op, Start: x.start, End: p.Now(), Bytes: x.bytes})
+		op.Done.Set(c.s, res)
 	}
 	r.idleWQ.WakeAll(c.s)
 }

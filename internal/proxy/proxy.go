@@ -135,6 +135,11 @@ type OpResult struct {
 // Elapsed returns the collective's execution time.
 func (r OpResult) Elapsed() time.Duration { return r.End.Sub(r.Start) }
 
+// HistoryLen is how many completed collectives a runner remembers: the
+// management plane's per-rank collective history (paper §4.3), which the
+// traffic-scheduling policy reads its time windows from.
+const HistoryLen = 64
+
 // ReconfigRequest carries a new strategy to a rank's runner.
 type ReconfigRequest struct {
 	Strategy spec.Strategy
@@ -426,6 +431,11 @@ type Runner struct {
 	collInFlight int    // collectives launched but not yet completed
 	idleWQ       sim.WaitQueue
 
+	// history holds the last HistoryLen completed collectives, the one
+	// completed n-th at history[(n-1)%HistoryLen]; done counts them all.
+	history [HistoryLen]OpResult
+	done    uint64
+
 	// pendingReconfigs stashes reconfig requests that arrive while a
 	// reconfiguration drain is already in progress.
 	pendingReconfigs []*ReconfigRequest
@@ -442,6 +452,16 @@ func (r *Runner) Seq() uint64 { return r.seq }
 
 // Generation returns the current connection generation.
 func (r *Runner) Generation() int { return r.gen }
+
+// History appends the runner's last HistoryLen completed collectives to dst,
+// oldest first, and returns the extended slice.
+func (r *Runner) History(dst []OpResult) []OpResult {
+	n := min(r.done, HistoryLen)
+	for i := r.done - n; i < r.done; i++ {
+		dst = append(dst, r.history[i%HistoryLen])
+	}
+	return dst
+}
 
 // Quiescent reports whether the runner has no queued or in-flight work:
 // empty command queue, empty and idle execution pipeline, no outstanding

@@ -407,7 +407,7 @@ func TestUpdateRoutesImmediate(t *testing.T) {
 
 func TestTraceRecordsCollectives(t *testing.T) {
 	r := newRig(t)
-	rec := trace.NewRecorder(trace.LevelOps, trace.OpsCapacity)
+	rec := trace.NewRecorder(trace.LevelFull, 0)
 	trace.Attach(r.s, rec)
 	gpus := r.fourHostGPUs()
 	comm := r.commOn(t, gpus, [][]int{{0, 1, 2, 3}})
@@ -421,7 +421,12 @@ func TestTraceRecordsCollectives(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			runAllReduce(p, comm, bufs, count)
 		}
-		tr := rec.OpSpans(int32(comm.Info.ID), 0)
+		var tr []trace.Span
+		for _, sp := range rec.Snapshot().Spans {
+			if sp.Kind == trace.KindOp && sp.Comm == int32(comm.Info.ID) && sp.Rank == 0 {
+				tr = append(tr, sp)
+			}
+		}
 		if len(tr) != 3 {
 			t.Fatalf("trace has %d entries, want 3", len(tr))
 		}

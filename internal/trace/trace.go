@@ -36,10 +36,6 @@ type Level int32
 const (
 	// LevelOff records nothing.
 	LevelOff Level = iota
-	// LevelOps records only collective-lifecycle spans (KindOp): the
-	// data the management API (Deployment.CommTrace) and the traffic
-	// scheduling policy need. This is the always-on default.
-	LevelOps
 	// LevelFull records every span kind.
 	LevelFull
 )
@@ -259,10 +255,6 @@ type Meta struct {
 // LevelFull.
 const DefaultCapacity = 1 << 18
 
-// OpsCapacity is the smaller default for the always-on LevelOps
-// recorder, which only holds collective-lifecycle spans.
-const OpsCapacity = 1 << 14
-
 // One storage chunk of a Recorder holds chunkSpans spans — a power of
 // two, so a ring position splits into chunk and offset with a shift and a
 // mask.
@@ -333,20 +325,11 @@ func (r *Recorder) Level() Level {
 	return r.level
 }
 
-// Enabled reports whether a span of kind k would be kept. Hot paths use
-// it to skip building expensive span payloads.
+// Enabled reports whether a span of kind k would be kept: at LevelFull
+// every kind is. Hot paths use it to skip building expensive span
+// payloads.
 func (r *Recorder) Enabled(k Kind) bool {
-	if r == nil {
-		return false
-	}
-	switch r.level {
-	case LevelFull:
-		return true
-	case LevelOps:
-		return k == KindOp
-	default:
-		return false
-	}
+	return r != nil && r.level == LevelFull
 }
 
 // Emit records sp if the level admits its kind. The caller's Span is
@@ -355,9 +338,6 @@ func (r *Recorder) Enabled(k Kind) bool {
 // the ring has filled once, none after.
 func (r *Recorder) Emit(sp Span) {
 	if r == nil || r.level == LevelOff {
-		return
-	}
-	if r.level == LevelOps && sp.Kind != KindOp {
 		return
 	}
 	r.total++
@@ -454,19 +434,6 @@ func (r *Recorder) NoteComm(comm int32, app string) {
 		r.meta.CommApp = make(map[int32]string)
 	}
 	r.meta.CommApp[comm] = app
-}
-
-// OpSpans returns the held collective-lifecycle spans for one
-// (communicator, rank), oldest-first — the thin view behind the
-// Deployment.CommTrace management API.
-func (r *Recorder) OpSpans(comm, rank int32) []Span {
-	var out []Span
-	r.each(func(sp *Span) {
-		if sp.Kind == KindOp && sp.Comm == comm && sp.Rank == rank {
-			out = append(out, *sp)
-		}
-	})
-	return out
 }
 
 // Snapshot copies the current ring contents and metadata into an

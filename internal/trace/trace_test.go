@@ -47,20 +47,20 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 }
 
 func TestLevelsFilterKinds(t *testing.T) {
-	ops := NewRecorder(LevelOps, 16)
-	ops.Emit(opSpan(1))
-	ops.Emit(Span{Kind: KindFlow, Flow: 1})
-	ops.Emit(Span{Kind: KindStep, Comm: 1})
-	if ops.Len() != 1 {
-		t.Errorf("LevelOps kept %d spans, want 1 (only KindOp)", ops.Len())
+	full := NewRecorder(LevelFull, 16)
+	full.Emit(opSpan(1))
+	full.Emit(Span{Kind: KindFlow, Flow: 1})
+	full.Emit(Span{Kind: KindStep, Comm: 1})
+	if full.Len() != 3 {
+		t.Errorf("LevelFull kept %d spans, want 3", full.Len())
 	}
-	if ops.Enabled(KindOp) != true || ops.Enabled(KindFlow) != false {
-		t.Error("LevelOps Enabled() wrong")
+	if !full.Enabled(KindOp) || !full.Enabled(KindFlow) {
+		t.Error("LevelFull Enabled() wrong")
 	}
 
 	off := NewRecorder(LevelOff, 16)
 	off.Emit(opSpan(1))
-	if off.Len() != 0 {
+	if off.Len() != 0 || off.Enabled(KindOp) {
 		t.Error("LevelOff recorded a span")
 	}
 
@@ -68,28 +68,6 @@ func TestLevelsFilterKinds(t *testing.T) {
 	nilRec.Emit(opSpan(1)) // must not panic
 	if nilRec.Enabled(KindOp) || nilRec.Len() != 0 || nilRec.Level() != LevelOff {
 		t.Error("nil recorder not inert")
-	}
-}
-
-func TestOpSpansFiltersCommAndRank(t *testing.T) {
-	r := NewRecorder(LevelFull, 64)
-	for seq := uint64(1); seq <= 8; seq++ {
-		r.Emit(opSpan(seq)) // ranks cycle 1,2,3,0,...
-	}
-	other := opSpan(9)
-	other.Comm = 2
-	other.Rank = 1
-	r.Emit(other)
-	r.Emit(Span{Kind: KindStep, Comm: 1, Rank: 1, Seq: 99})
-
-	got := r.OpSpans(1, 1)
-	if len(got) != 2 {
-		t.Fatalf("OpSpans(1,1) = %d spans, want 2", len(got))
-	}
-	for _, sp := range got {
-		if sp.Comm != 1 || sp.Rank != 1 || sp.Kind != KindOp {
-			t.Errorf("OpSpans returned %+v", sp)
-		}
 	}
 }
 
@@ -252,8 +230,6 @@ func TestEmitDoesNotAllocate(t *testing.T) {
 	}{
 		{"nil", nil, KindOp},
 		{"off", NewRecorder(LevelOff, 16), KindOp},
-		{"ops-filtered", NewRecorder(LevelOps, 16), KindFlow},
-		{"ops-kept", NewRecorder(LevelOps, 1<<16), KindOp},
 		{"full-kept", NewRecorder(LevelFull, 1<<16), KindStep},
 		{"full-wrapped", NewRecorder(LevelFull, 16), KindStep},
 	}
@@ -321,7 +297,7 @@ func (f *flatRing) spans() []Span {
 }
 
 // The chunked ring against the flat one: same spans in the same order,
-// same Len and Dropped, same OpSpans and Snapshot fingerprint, at every
+// same Len and Dropped, same Snapshot fingerprint, at every
 // checkpoint of a run that wraps the ring several times — for capacities
 // below, at, between and above chunk multiples — and a tap that sees every
 // admitted span, stored, through a pointer valid for the call.
@@ -352,15 +328,6 @@ func TestChunkedRingMatchesFlatRing(t *testing.T) {
 			if r.Len() != len(want) || r.Dropped() != ref.total-uint64(len(want)) || tapped != ref.total {
 				t.Fatalf("cap %d after %d emits: Len %d Dropped %d tapped %d, flat ring holds %d",
 					capacity, ref.total, r.Len(), r.Dropped(), tapped, len(want))
-			}
-			var ops []Span
-			for _, sp := range want {
-				if sp.Kind == KindOp && sp.Comm == 1 && sp.Rank == 2 {
-					ops = append(ops, sp)
-				}
-			}
-			if got := r.OpSpans(1, 2); len(got) != len(ops) || (len(ops) > 0 && !reflect.DeepEqual(got, ops)) {
-				t.Fatalf("cap %d after %d emits: OpSpans(1, 2) differs from the flat ring", capacity, ref.total)
 			}
 			snap := r.Snapshot()
 			if snap.Dropped != r.Dropped() || snap.Fingerprint() != (Recording{Spans: want}).Fingerprint() {
