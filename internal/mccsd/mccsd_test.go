@@ -497,48 +497,14 @@ func TestTrafficScheduleManagement(t *testing.T) {
 	}
 }
 
+// TestCommTraceAPI: the service keeps each rank's collective history with no
+// observer attached (NewDeployment attaches none), and after more
+// collectives than it holds it answers with the newest proxy.HistoryLen of
+// them, oldest first. Each op has its own size, so a record that came from
+// the wrong op shows in its Bytes.
 func TestCommTraceAPI(t *testing.T) {
 	s, d := newDeployment(DefaultConfig())
-	gpus := oneGPUPerHost(d)
-	const count = 512
-	launchRanks(s, d, "appA", gpus, func(p *sim.Proc, rank int, f *Frontend, gpu topo.GPUID) {
-		buf, _ := f.MemAlloc(p, gpu, count*4, false)
-		comm, err := f.CommInitRank(p, "job0", len(gpus), rank, gpu)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 2; i++ {
-			h, _ := comm.AllReduce(p, nil, buf, count, nil)
-			h.Wait(p)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	view := d.View()
-	tr, err := d.CommTrace(view[0].ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr) != 2 {
-		t.Fatalf("trace entries = %d, want 2", len(tr))
-	}
-	if _, err := d.CommTrace(99, 0); err == nil {
-		t.Error("trace of unknown comm accepted")
-	}
-	if _, err := d.CommTrace(view[0].ID, 99); err == nil {
-		t.Error("trace of unknown rank accepted")
-	}
-}
-
-// TestCommTraceKeepsTheLastHistoryLen: the service's collective history
-// needs no observer, and after more collectives than it holds it answers
-// with the newest proxy.HistoryLen of them, oldest first. Each op has its
-// own size, so a record that came from the wrong op shows in its Bytes.
-func TestCommTraceKeepsTheLastHistoryLen(t *testing.T) {
-	s, d := newDeployment(DefaultConfig())
-	if rec := trace.Of(s); rec != nil {
+	if trace.Of(s) != nil {
 		t.Fatal("NewDeployment attached a flight recorder")
 	}
 	gpus := oneGPUPerHost(d)
@@ -563,8 +529,9 @@ func TestCommTraceKeepsTheLastHistoryLen(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	view := d.View()
 	for rank := range gpus {
-		hist, err := d.CommTrace(d.View()[0].ID, rank)
+		hist, err := d.CommTrace(view[0].ID, rank)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -576,10 +543,13 @@ func TestCommTraceKeepsTheLastHistoryLen(t *testing.T) {
 			if op.Seq != uint64(i+1) || op.Bytes != count(i)*4 || op.Op != collective.AllReduce {
 				t.Fatalf("rank %d record %d = %+v, want seq %d, %d bytes", rank, j, op, i+1, count(i)*4)
 			}
-			if j > 0 && op.Start < hist[j-1].End {
-				t.Errorf("rank %d record %d starts before its predecessor ended", rank, j)
-			}
 		}
+	}
+	if _, err := d.CommTrace(99, 0); err == nil {
+		t.Error("trace of unknown comm accepted")
+	}
+	if _, err := d.CommTrace(view[0].ID, 99); err == nil {
+		t.Error("trace of unknown rank accepted")
 	}
 }
 

@@ -332,7 +332,7 @@ func (r *Recorder) Enabled(k Kind) bool {
 	return r != nil && r.level == LevelFull
 }
 
-// Emit records sp if the level admits its kind. The caller's Span is
+// Emit records sp unless recording is off. The caller's Span is
 // copied into the ring; the only allocation on any path is the chunk a
 // span is the first to land in — one per chunkSpans admitted spans until
 // the ring has filled once, none after.
