@@ -164,5 +164,5 @@ func (d *Deployment) CommTrace(id spec.CommID, rank int) ([]proxy.OpResult, erro
 	if rank < 0 || rank >= len(c.Runners) {
 		return nil, fmt.Errorf("mccsd: rank %d out of range", rank)
 	}
-	return c.Runners[rank].History(nil), nil
+	return c.Runners[rank].History(), nil
 }

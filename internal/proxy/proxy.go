@@ -453,14 +453,14 @@ func (r *Runner) Seq() uint64 { return r.seq }
 // Generation returns the current connection generation.
 func (r *Runner) Generation() int { return r.gen }
 
-// History appends the runner's last HistoryLen completed collectives to dst,
-// oldest first, and returns the extended slice.
-func (r *Runner) History(dst []OpResult) []OpResult {
-	n := min(r.done, HistoryLen)
-	for i := r.done - n; i < r.done; i++ {
-		dst = append(dst, r.history[i%HistoryLen])
+// History returns a copy of the runner's last HistoryLen completed
+// collectives, oldest first.
+func (r *Runner) History() []OpResult {
+	out := make([]OpResult, 0, min(r.done, HistoryLen))
+	for i := r.done - uint64(cap(out)); i < r.done; i++ {
+		out = append(out, r.history[i%HistoryLen])
 	}
-	return dst
+	return out
 }
 
 // Quiescent reports whether the runner has no queued or in-flight work:
