@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers goldens
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers api goldens
 
 all: check
 
@@ -60,10 +60,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStrategyValidate -fuzztime 10s ./internal/spec/
 
 # check is the CI gate: everything must build, vet clean, keep the one
-# door for reconfiguration and the one attach site for observers,
-# reproduce every committed result file, and pass the full test suite
-# twice — once plain, once under the race detector.
-check: build fmt vet door observers goldens test race
+# door for reconfiguration, the one attach site for observers and an
+# exported surface that non-test code reaches, reproduce every committed
+# result file, and pass the full test suite twice — once plain, once under
+# the race detector.
+check: build fmt vet door observers api goldens test race
 
 # goldens regenerates every result file EXPERIMENTS.md quotes, plus the
 # live doctor report and trace summary of CI's doctor smoke run and the
@@ -112,6 +113,15 @@ observers:
 		echo "observers: only internal/harness may attach an observer:" >&2; \
 		echo "$$hits" >&2; exit 1; \
 	fi
+
+# api fails if an exported function or method declared in a non-test file
+# under internal/ is named by nothing but its own package's tests
+# (api_test.go, a go/parser scan of the repository): such a function is
+# dead code its tests keep alive, or a test oracle that belongs in a test
+# file. The check is by name, so two functions sharing a name vouch for
+# each other; its short allowlist gives each exception its reason.
+api:
+	$(GO) test -count=1 -run '^TestExportedAPIHasNonTestCallers$$' .
 
 # chaos runs the seeded chaos sweep on its own (it is also part of
 # `test`); useful when iterating on the harness.

@@ -68,17 +68,6 @@ func NewRing(order []int) (*Ring, error) {
 	return &Ring{order: append([]int(nil), order...), pos: pos}, nil
 }
 
-// IdentityRing returns the rank-order ring 0,1,...,n-1 (what NCCL builds
-// from user-assigned ranks).
-func IdentityRing(n int) *Ring {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	r, _ := NewRing(order)
-	return r
-}
-
 // Size returns the number of ranks.
 func (r *Ring) Size() int { return len(r.order) }
 

@@ -7,6 +7,17 @@ import (
 	"time"
 )
 
+// IdentityRing returns the rank-order ring 0,1,...,n-1 (what NCCL builds
+// from user-assigned ranks).
+func IdentityRing(n int) *Ring {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	r, _ := NewRing(order)
+	return r
+}
+
 func randRing(rng *rand.Rand, n int) *Ring {
 	order := rng.Perm(n)
 	r, err := NewRing(order)

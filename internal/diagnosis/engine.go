@@ -141,9 +141,10 @@ type Engine struct {
 	rec *trace.Recorder
 	reg *telemetry.Registry
 
-	linkNames []string
-	nominal   []float64
-	commApp   map[int32]string
+	// meta names links (with their nominal capacities) and communicator
+	// owners: the recorder's own metadata when live, the recording's on
+	// replay, so both read one source. Nil without a recorder.
+	meta *trace.Meta
 
 	now       sim.Time
 	spans     uint64
@@ -209,13 +210,10 @@ func Attach(s *sim.Scheduler, rec *trace.Recorder, reg *telemetry.Registry, cfg 
 	e.rec = rec
 	e.reg = reg
 	if reg != nil {
-		e.setLinksInfo(reg.Links())
 		e.registerMetrics(reg)
 	}
-	if e.nominal == nil && rec != nil {
-		e.setLinksMeta(rec.Snapshot().Meta.Links)
-	}
 	if rec != nil {
+		e.meta = rec.Meta()
 		rec.SetTap(e.onSpan)
 	}
 	s.OnInstantEnd(e.instantEnd)
@@ -232,49 +230,20 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) {
 	}
 }
 
-func (e *Engine) setLinksInfo(links []telemetry.LinkInfo) {
-	if len(links) == 0 {
-		return
+func (e *Engine) linkMeta(link int32) trace.LinkMeta {
+	if e.meta != nil && link >= 0 && int(link) < len(e.meta.Links) {
+		return e.meta.Links[link]
 	}
-	e.linkNames = make([]string, len(links))
-	e.nominal = make([]float64, len(links))
-	for _, l := range links {
-		if int(l.ID) >= 0 && int(l.ID) < len(links) {
-			e.linkNames[l.ID] = l.Name
-			e.nominal[l.ID] = l.CapBps
-		}
-	}
+	return trace.LinkMeta{}
 }
 
-func (e *Engine) setLinksMeta(links []trace.LinkMeta) {
-	if len(links) == 0 {
-		return
-	}
-	e.linkNames = make([]string, len(links))
-	e.nominal = make([]float64, len(links))
-	for i, l := range links {
-		e.linkNames[i] = l.Name
-		e.nominal[i] = l.CapBps
-	}
-}
-
-func (e *Engine) linkName(link int32) string {
-	if link >= 0 && int(link) < len(e.linkNames) {
-		return e.linkNames[link]
-	}
-	return ""
-}
+func (e *Engine) linkName(link int32) string { return e.linkMeta(link).Name }
 
 func (e *Engine) tenantOf(comm int32) string {
-	if e.reg != nil {
-		if t := e.reg.Tenant(comm); t != "" {
-			return t
-		}
+	if e.meta == nil {
+		return ""
 	}
-	if e.commApp != nil {
-		return e.commApp[comm]
-	}
-	return ""
+	return e.meta.CommApp[comm]
 }
 
 // instantEnd is the live sweep hook. It is idempotent (the scheduler may
@@ -663,12 +632,7 @@ func (e *Engine) onFlow(sp *trace.Span) {
 	}
 }
 
-func (e *Engine) nominalOf(link int32) float64 {
-	if link >= 0 && int(link) < len(e.nominal) {
-		return e.nominal[link]
-	}
-	return 0
-}
+func (e *Engine) nominalOf(link int32) float64 { return e.linkMeta(link).CapBps }
 
 // linkEvidence extends (or opens) the degraded-link episode for link
 // with evidence covering [t0, t1] at capacity fraction frac.

@@ -14,11 +14,7 @@ import (
 // (ring wrap aside; the report's Dropped count flags that).
 func Analyze(rec trace.Recording, se *telemetry.Series, cfg Config) *Report {
 	e := newEngine(cfg)
-	e.setLinksMeta(rec.Meta.Links)
-	if e.nominal == nil && se != nil {
-		e.setLinksInfo(se.Links)
-	}
-	e.commApp = rec.Meta.CommApp
+	e.meta = &rec.Meta
 	e.dropped = rec.Dropped
 
 	var viols []telemetry.Violation

@@ -81,9 +81,6 @@ func (d *Device) Slowdown() float64 {
 // Config returns the device's cost model.
 func (d *Device) Config() DeviceConfig { return d.cfg }
 
-// Allocated returns the bytes currently allocated.
-func (d *Device) Allocated() int64 { return d.allocated }
-
 // Buffer is a device memory allocation. Data is nil unless the buffer was
 // allocated backed.
 type Buffer struct {
@@ -380,45 +377,14 @@ func (st *Stream) Launch(name string, dur time.Duration, body func()) {
 	st.enqueue(op{kind: opKernel, name: name, dur: st.dev.cfg.LaunchLatency + dur, fn: body})
 }
 
-// kernelTime converts a byte count to kernel duration under the device's
+// TransferTime converts a byte count to kernel duration under the device's
 // memory bandwidth model. passes is the number of times the bytes cross the
-// memory bus (1 for a copy read-modify-write approximated as one pass, 2
-// for reduce: read both operands).
-func (d *Device) kernelTime(bytes int64, passes float64) time.Duration {
+// memory bus (1 for a copy, 2 for a reduce: read both operands). The proxy
+// engine charges per-chunk reduce/copy time inside its fused collective
+// kernels with it, without enqueuing one Stream op per chunk.
+func (d *Device) TransferTime(bytes int64, passes float64) time.Duration {
 	sec := float64(bytes) * passes / d.cfg.MemBandwidth * d.Slowdown()
 	return time.Duration(sec * float64(time.Second))
-}
-
-// TransferTime exposes the kernel cost model to higher layers (the proxy
-// engine charges per-chunk reduce/copy time inside its fused collective
-// kernels without enqueuing one Stream op per chunk).
-func (d *Device) TransferTime(bytes int64, passes float64) time.Duration {
-	return d.kernelTime(bytes, passes)
-}
-
-// Copy enqueues a device-to-device copy of n elements (float32) from
-// src[srcOff:] to dst[dstOff:]. Offsets and counts are in elements.
-func (st *Stream) Copy(dst *Buffer, dstOff int64, src *Buffer, srcOff, n int64) {
-	dur := st.dev.kernelTime(n*4, 1)
-	st.enqueue(op{kind: opKernel, name: "copy", dur: st.dev.cfg.LaunchLatency + dur, fn: func() {
-		if dst.data != nil && src.data != nil {
-			copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
-		}
-	}})
-}
-
-// Reduce enqueues dst[dstOff:+n] += src[srcOff:+n] (the AllReduce sum op).
-func (st *Stream) Reduce(dst *Buffer, dstOff int64, src *Buffer, srcOff, n int64) {
-	dur := st.dev.kernelTime(n*4, 2)
-	st.enqueue(op{kind: opKernel, name: "reduce", dur: st.dev.cfg.LaunchLatency + dur, fn: func() {
-		if dst.data != nil && src.data != nil {
-			d := dst.data[dstOff : dstOff+n]
-			s := src.data[srcOff : srcOff+n]
-			for i := range d {
-				d[i] += s[i]
-			}
-		}
-	}})
 }
 
 // ManualRecord installs ri, a pending instance the caller owns, as the

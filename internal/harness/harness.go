@@ -286,11 +286,6 @@ type SingleAppConfig struct {
 	Trials int
 	// Seed offsets the trial salts.
 	Seed uint64
-	// Pipeline is the number of collectives kept in flight. The default
-	// (1) synchronizes per iteration, which is how the paper's Fig. 6
-	// benchmark observes the per-operation datapath latency; deeper
-	// pipelining overlaps command latency with execution.
-	Pipeline int
 	// Observers attach to the first trial (see Observers).
 	Observers
 	// Mutate edits the system's service config before each trial's
@@ -320,9 +315,6 @@ func RunSingleApp(cfg SingleAppConfig) (SingleAppResult, error) {
 	}
 	if cfg.Trials <= 0 {
 		cfg.Trials = 1
-	}
-	if cfg.Pipeline <= 0 {
-		cfg.Pipeline = 1
 	}
 	var algbw []float64
 	for trial := 0; trial < cfg.Trials; trial++ {
@@ -448,7 +440,10 @@ func runSingleTrial(cfg SingleAppConfig, trial int) ([]float64, error) {
 					return nil, fmt.Errorf("harness: unsupported single-app op %v", cfg.Op)
 				}
 			}
-			done, err := pipelinedLoop(p, issue, cfg.Warmup+cfg.Iters, cfg.Pipeline)
+			// One collective in flight: synchronizing per iteration is how
+			// the paper's Fig. 6 benchmark observes the per-operation
+			// datapath latency.
+			done, err := pipelinedLoop(p, issue, cfg.Warmup+cfg.Iters, 1)
 			if err != nil {
 				errs[rank] = err
 				return
@@ -483,9 +478,6 @@ func runSingleTrial(cfg SingleAppConfig, trial int) ([]float64, error) {
 // pipelinedLoop issues total collectives keeping up to depth in flight
 // (nccl-tests style) and returns each op's tenant-observed completion time.
 func pipelinedLoop(p *sim.Proc, issue func() (*mccsd.OpHandle, error), total, depth int) ([]sim.Time, error) {
-	if depth <= 0 {
-		depth = 1
-	}
 	var pending []*mccsd.OpHandle
 	done := make([]sim.Time, 0, total)
 	for it := 0; it < total; it++ {

@@ -77,9 +77,6 @@ type MultiAppConfig struct {
 	// error bars). Defaults to 1.
 	Trials int
 	Seed   uint64
-	// Pipeline keeps this many collectives in flight per app (see
-	// SingleAppConfig.Pipeline). Defaults to 2.
-	Pipeline int
 	// Observers attach to the first trial (see Observers).
 	Observers
 	// Autotune runs the strategy autotuner over every communicator
@@ -106,12 +103,6 @@ func RunMultiApp(cfg MultiAppConfig) (MultiAppResult, error) {
 	}
 	if cfg.Trials <= 0 {
 		cfg.Trials = 1
-	}
-	if cfg.Pipeline <= 0 {
-		// Keep each app's flows continuous (nccl-tests enqueues timed
-		// iterations back-to-back), so contention measurements see the
-		// steady state rather than iteration-boundary slack.
-		cfg.Pipeline = 2
 	}
 	pooled := make(map[spec.AppID][]float64, len(cfg.Apps))
 	for trial := 0; trial < cfg.Trials; trial++ {
@@ -202,9 +193,13 @@ func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, err
 				}
 				inited.Done(env.S)
 				start.Wait(p)
+				// Two collectives in flight keep each app's flows
+				// continuous (nccl-tests enqueues timed iterations
+				// back-to-back), so contention measurements see the
+				// steady state rather than iteration-boundary slack.
 				done, err := pipelinedLoop(p, func() (*mccsd.OpHandle, error) {
 					return comm.AllReduce(p, nil, buf, count, nil)
-				}, cfg.Warmup+cfg.Iters, cfg.Pipeline)
+				}, cfg.Warmup+cfg.Iters, 2)
 				if err != nil {
 					errs = append(errs, err)
 					return

@@ -302,3 +302,56 @@ func TestMultiTrialDriversObserveFirstTrialOnly(t *testing.T) {
 		t.Error("a two-trial run's trace is not its first trial's recording")
 	}
 }
+
+// TestLiveDoctorIndependentOfTelemetry: the live doctor names links and
+// tenants from the recorder's metadata, as a replay does, so attaching the
+// telemetry plane changes none of its incidents. SLO incidents come only
+// from the telemetry plane's violations and shift the IDs after them, so
+// both are left out of the comparison.
+func TestLiveDoctorIndependentOfTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	run := func(name string, every time.Duration) []map[string]any {
+		cfg := DefaultReconfigConfig()
+		cfg.RunFor, cfg.BgStart, cfg.ReconfigAt = 4*time.Second, time.Second, 2*time.Second
+		cfg.DoctorPath = filepath.Join(dir, name+".jsonl")
+		cfg.TelemetryEvery = every
+		if _, err := RunReconfigShowcase(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var out []map[string]any
+		for _, line := range readIncidents(t, cfg.DoctorPath)[1:] {
+			var in map[string]any
+			if err := json.Unmarshal(line, &in); err != nil {
+				t.Fatal(err)
+			}
+			if in["detector"] == "slo" {
+				continue
+			}
+			delete(in, "id")
+			out = append(out, in)
+		}
+		return out
+	}
+	bare := run("bare", 0)
+	observed := run("observed", telemetry.DefaultInterval)
+	if len(bare) != len(observed) {
+		t.Fatalf("%d incidents without telemetry, %d with", len(bare), len(observed))
+	}
+	stalls := 0
+	for i := range bare {
+		a, _ := json.Marshal(bare[i])
+		b, _ := json.Marshal(observed[i])
+		if !bytes.Equal(a, b) {
+			t.Errorf("incident %d differs:\nwithout telemetry %s\nwith telemetry    %s", i, a, b)
+		}
+		if bare[i]["class"] == "reconfig-stall" {
+			stalls++
+			if bare[i]["tenant"] == nil {
+				t.Errorf("reconfig-stall incident names no tenant: %s", a)
+			}
+		}
+	}
+	if stalls == 0 {
+		t.Error("the ring reversal raised no reconfig-stall incident")
+	}
+}

@@ -43,11 +43,6 @@ type Config struct {
 	CmdLatency        time.Duration
 	CompletionLatency time.Duration
 
-	// DefaultChannels is the channel (ring) count a strategy provider
-	// may consult; the built-in providers use one ring per equal-cost
-	// path, capped by this.
-	DefaultChannels int
-
 	// Baseline marks library mode (the NCCL baseline): reconfiguration
 	// is not supported, matching a library that fixes its strategy at
 	// init time.
@@ -66,7 +61,6 @@ func DefaultConfig() Config {
 		Device:            gpusim.DefaultConfig(),
 		CmdLatency:        45 * time.Microsecond,
 		CompletionLatency: 20 * time.Microsecond,
-		DefaultChannels:   2,
 	}
 }
 
@@ -105,9 +99,6 @@ type Deployment struct {
 
 // NewDeployment installs the service on every host of the cluster.
 func NewDeployment(s *sim.Scheduler, cluster *topo.Cluster, fabric *netsim.Fabric, cfg Config) *Deployment {
-	if cfg.DefaultChannels <= 0 {
-		cfg.DefaultChannels = 1
-	}
 	if cfg.Transport.IntraBps <= 0 {
 		cfg.Transport = transport.DefaultConfig(cluster.IntraHostBps)
 	}

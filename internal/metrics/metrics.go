@@ -60,12 +60,6 @@ func (s Summary) String() string {
 	return fmt.Sprintf("mean %g [p5 %g, p50 %g, p95 %g, p99 %g] n=%d", s.Mean, s.P5, s.P50, s.P95, s.P99, s.N)
 }
 
-// GBpsRow formats the summary's mean and tail percentiles as GB/s
-// columns (the unit the bandwidth tables print).
-func (s Summary) GBpsRow() string {
-	return fmt.Sprintf("%6.2f [%5.2f, %5.2f, %5.2f]", s.Mean/1e9, s.P5/1e9, s.P95/1e9, s.P99/1e9)
-}
-
 // Percentile returns the p-quantile (0 <= p <= 1) of a sorted sample using
 // linear interpolation.
 func Percentile(sorted []float64, p float64) float64 {
@@ -109,12 +103,6 @@ func CDF(vals []float64) []CDFPoint {
 	return out
 }
 
-// GBps formats a bytes/sec rate as GB/s with 2 decimals (the paper's
-// algorithm/bus bandwidth unit).
-func GBps(bytesPerSec float64) string {
-	return fmt.Sprintf("%.2f GB/s", bytesPerSec/1e9)
-}
-
 // HumanBytes formats a byte count the way the paper labels data sizes.
 func HumanBytes(b int64) string {
 	switch {
@@ -127,15 +115,6 @@ func HumanBytes(b int64) string {
 	default:
 		return fmt.Sprintf("%dB", b)
 	}
-}
-
-// Speedup returns new/old expressed as a multiplier of improvement for
-// completion times (old/new) guarded against zero.
-func Speedup(oldDur, newDur float64) float64 {
-	if newDur <= 0 {
-		return 0
-	}
-	return oldDur / newDur
 }
 
 // Mean of a sample (0 when empty).

@@ -62,16 +62,15 @@ func TestEndOfInstantFlush(t *testing.T) {
 	s := sim.New()
 	n, a, _, c := lineNet(100*gbps, 100*gbps)
 	fb := NewFabric(s, n)
-	var f1, f2 *Flow
 	var doneAt sim.Time
 	s.Go("app", func(p *sim.Proc) {
 		// 125 MB each, sharing 12.5 GB/s: both complete at 20 ms. No
 		// rate is read before the sleep, so only the end-of-instant hook
 		// can arm the completion timer.
-		f1 = fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 125e6})
-		f2 = fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 125e6})
-		f1.Done().Wait(p)
-		f2.Done().Wait(p)
+		_, done1 := startFlow(fb, FlowOpts{Src: a, Dst: c, Bytes: 125e6})
+		_, done2 := startFlow(fb, FlowOpts{Src: a, Dst: c, Bytes: 125e6})
+		done1.Wait(p)
+		done2.Wait(p)
 		doneAt = p.Now()
 	})
 	if err := s.Run(); err != nil {

@@ -45,7 +45,6 @@ type Flow struct {
 	// flags above in what was padding: Flow stays in its size class.)
 	spec uint32
 
-	doneEv   sim.Event
 	onDone   sim.Handler // FlowOpts.OnDone
 	doneArg  uint64
 	finished bool
@@ -73,13 +72,6 @@ func (f *Flow) Transferred() float64 {
 	f.fb.flush()
 	return f.done
 }
-
-// Done returns the completion event; it fires when the full byte demand has
-// been delivered (never, for endless flows, unless canceled).
-func (f *Flow) Done() *sim.Event { return &f.doneEv }
-
-// Finished reports whether the flow completed normally.
-func (f *Flow) Finished() bool { return f.finished }
 
 // FlowOpts configures StartFlow.
 type FlowOpts struct {
@@ -110,8 +102,8 @@ type FlowOpts struct {
 	// flight recorder.
 	Tag trace.FlowTag
 	// OnDone, if non-nil, has OnDone.OnEvent(OnDoneArg) called (in
-	// scheduler context, right after the Done event fires) when the flow
-	// completes normally. A receiver plus an argument instead of a
+	// scheduler context) when the flow completes normally: the one way a
+	// flow reports completion. A receiver plus an argument instead of a
 	// closure: the transport starts a flow per message.
 	OnDone    sim.Handler
 	OnDoneArg uint64
@@ -229,9 +221,6 @@ func NewFabric(s *sim.Scheduler, net *Network) *Fabric {
 	return fb
 }
 
-// Network returns the underlying static topology.
-func (fb *Fabric) Network() *Network { return fb.net }
-
 // StartFlow begins a transfer and returns its handle. The route is
 // validated; an invalid explicit route panics, as it indicates a programming
 // error in the routing layer.
@@ -301,8 +290,8 @@ func (fb *Fabric) start(o *FlowOpts, owned bool) *Flow {
 	return fl
 }
 
-// CancelFlow removes a flow before completion (its Done event does not
-// fire). Canceling a finished or already-canceled flow is a no-op.
+// CancelFlow removes a flow before completion (its OnDone is not
+// called). Canceling a finished or already-canceled flow is a no-op.
 func (fb *Fabric) CancelFlow(fl *Flow) {
 	if fl.finished || fl.canceled {
 		return
@@ -889,7 +878,6 @@ func (fb *Fabric) onTimer() {
 	fb.dirty = true
 	fb.flush()
 	for _, fl := range completed {
-		fl.doneEv.Signal(fb.s)
 		if fl.onDone != nil {
 			fl.onDone.OnEvent(fl.doneArg)
 		}

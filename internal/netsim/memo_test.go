@@ -279,8 +279,8 @@ func TestSendRecyclesOnlyItsOwnFlows(t *testing.T) {
 	r.s.Go("app", func(p *sim.Proc) {
 		short := r.opts(0, 2)
 		short.Bytes = 1e4
-		kept := fb.StartFlow(short)
-		kept.Done().Wait(p)
+		kept, keptDone := startFlow(fb, short)
+		keptDone.Wait(p)
 		id := kept.ID
 		long := r.opts(1, 2) // endless: active the whole time
 		live := fb.StartFlow(long)
@@ -292,11 +292,11 @@ func TestSendRecyclesOnlyItsOwnFlows(t *testing.T) {
 			}
 		}
 		p.Sleep(time.Millisecond)
-		if kept.ID != id || !kept.Finished() || !kept.Done().Done() {
-			t.Errorf("finished handle changed under its holder: ID %d (was %d), finished %v", kept.ID, id, kept.Finished())
+		if kept.ID != id || !kept.finished || kept.onDone != keptDone {
+			t.Errorf("finished handle changed under its holder: ID %d (was %d), finished %v", kept.ID, id, kept.finished)
 		}
-		if live.ID != id+1 || live.Finished() || live.Done().Done() || live.Rate() <= 0 {
-			t.Errorf("live handle changed under its holder: ID %d, finished %v", live.ID, live.Finished())
+		if live.ID != id+1 || live.finished || live.Rate() <= 0 {
+			t.Errorf("live handle changed under its holder: ID %d, finished %v", live.ID, live.finished)
 		}
 		for _, fl := range fb.free {
 			if fl == kept || fl == live {

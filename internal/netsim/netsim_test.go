@@ -15,6 +15,22 @@ const gbps = 125e6 // 1 Gbit/s in bytes/sec
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// doneEvent is the tests' FlowOpts.OnDone: an event the flow's completion
+// signals, for a process to wait on.
+type doneEvent struct {
+	s *sim.Scheduler
+	sim.Event
+}
+
+func (d *doneEvent) OnEvent(uint64) { d.Signal(d.s) }
+
+// startFlow starts a flow whose completion the returned event signals.
+func startFlow(fb *Fabric, o FlowOpts) (*Flow, *doneEvent) {
+	done := &doneEvent{s: fb.s}
+	o.OnDone = done
+	return fb.StartFlow(o), done
+}
+
 // lineNet builds a -> b -> c with the given capacities.
 func lineNet(capAB, capBC float64) (*Network, NodeID, NodeID, NodeID) {
 	n := NewNetwork()
@@ -41,13 +57,13 @@ func TestSingleFlowCompletionTime(t *testing.T) {
 	fb := NewFabric(s, n)
 	var doneAt sim.Time
 	s.Go("app", func(p *sim.Proc) {
-		fl := fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 125e6}) // 125 MB at 12.5 GB/s = 10 ms
+		fl, done := startFlow(fb, FlowOpts{Src: a, Dst: c, Bytes: 125e6}) // 125 MB at 12.5 GB/s = 10 ms
 		if got := fl.Rate(); !almostEq(got, 100*gbps, 1) {
 			t.Errorf("rate = %g, want %g", got, 100*gbps)
 		}
-		fl.Done().Wait(p)
+		done.Wait(p)
 		doneAt = p.Now()
-		if !fl.Finished() {
+		if !fl.finished {
 			t.Error("flow not marked finished")
 		}
 	})
@@ -64,15 +80,14 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 	s := sim.New()
 	n, a, _, c := lineNet(100*gbps, 100*gbps)
 	fb := NewFabric(s, n)
-	var f1, f2 *Flow
 	s.Go("app", func(p *sim.Proc) {
-		f1 = fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 1e9})
-		f2 = fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 1e9})
+		f1, done1 := startFlow(fb, FlowOpts{Src: a, Dst: c, Bytes: 1e9})
+		f2, done2 := startFlow(fb, FlowOpts{Src: a, Dst: c, Bytes: 1e9})
 		if !almostEq(f1.Rate(), 50*gbps, 1) || !almostEq(f2.Rate(), 50*gbps, 1) {
 			t.Errorf("rates = %g, %g, want %g each", f1.Rate(), f2.Rate(), 50*gbps)
 		}
-		f1.Done().Wait(p)
-		f2.Done().Wait(p)
+		done1.Wait(p)
+		done2.Wait(p)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -85,11 +100,11 @@ func TestFlowFinishReallocatesBandwidth(t *testing.T) {
 	fb := NewFabric(s, n)
 	var shortDone, longDone sim.Time
 	s.Go("app", func(p *sim.Proc) {
-		short := fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 62.5e6}) // 62.5 MB
-		long := fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 187.5e6}) // 187.5 MB
-		short.Done().Wait(p)
+		_, short := startFlow(fb, FlowOpts{Src: a, Dst: c, Bytes: 62.5e6}) // 62.5 MB
+		_, long := startFlow(fb, FlowOpts{Src: a, Dst: c, Bytes: 187.5e6}) // 187.5 MB
+		short.Wait(p)
 		shortDone = p.Now()
-		long.Done().Wait(p)
+		long.Wait(p)
 		longDone = p.Now()
 	})
 	if err := s.Run(); err != nil {
@@ -166,7 +181,7 @@ func TestFixedRatePriorityFlow(t *testing.T) {
 	fb := NewFabric(s, n)
 	s.Go("app", func(p *sim.Proc) {
 		bg := fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 0, FixedRate: 75 * gbps}) // endless
-		fg := fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 1e9})
+		fg, fgDone := startFlow(fb, FlowOpts{Src: a, Dst: c, Bytes: 1e9})
 		if !almostEq(bg.Rate(), 75*gbps, 1e3) {
 			t.Errorf("bg rate = %g, want %g", bg.Rate(), 75*gbps)
 		}
@@ -177,7 +192,7 @@ func TestFixedRatePriorityFlow(t *testing.T) {
 		if !almostEq(fg.Rate(), 100*gbps, 1e3) {
 			t.Errorf("fg rate after bg cancel = %g, want %g", fg.Rate(), 100*gbps)
 		}
-		fg.Done().Wait(p)
+		fgDone.Wait(p)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -512,15 +527,17 @@ func TestQuickByteConservation(t *testing.T) {
 		good := true
 		s.Go("app", func(p *sim.Proc) {
 			var flows []*Flow
+			var dones []*doneEvent
 			var sizes []float64
 			for i := 0; i < nFlows; i++ {
 				p.Sleep(time.Duration(rng.Intn(1000)) * time.Microsecond)
 				size := float64(1+rng.Intn(100)) * 1e6
 				sizes = append(sizes, size)
-				flows = append(flows, fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: size, Label: uint64(i)}))
+				fl, done := startFlow(fb, FlowOpts{Src: a, Dst: c, Bytes: size, Label: uint64(i)})
+				flows, dones = append(flows, fl), append(dones, done)
 			}
 			for i, fl := range flows {
-				fl.Done().Wait(p)
+				dones[i].Wait(p)
 				if !almostEq(fl.Transferred(), sizes[i], 1) {
 					good = false
 				}

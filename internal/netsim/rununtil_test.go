@@ -19,8 +19,9 @@ func TestRunUntilLimitTransferredStaleness(t *testing.T) {
 	var fl *Flow
 	done := false
 	s.Go("app", func(p *sim.Proc) {
-		fl = fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 125e6}) // 12.5 GB/s -> 10 ms
-		fl.Done().Wait(p)
+		var completion *doneEvent
+		fl, completion = startFlow(fb, FlowOpts{Src: a, Dst: c, Bytes: 125e6}) // 12.5 GB/s -> 10 ms
+		completion.Wait(p)
 		done = true
 	})
 	if err := s.RunUntil(sim.Time(5 * time.Millisecond)); err != nil {
@@ -43,7 +44,7 @@ func TestRunUntilLimitTransferredStaleness(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !done || !fl.Finished() {
+	if !done || !fl.finished {
 		t.Fatal("flow did not complete after resuming")
 	}
 	if want := sim.Time(10 * time.Millisecond); s.Now() != want {

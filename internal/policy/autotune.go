@@ -56,23 +56,13 @@ func (c *Controller) TuneSpace(info *spec.CommInfo, opts AutotuneOptions) tuner.
 		reversed[i] = locality[len(locality)-1-i]
 		rankOrder[i] = i
 	}
-	nch := pathDiversity(c.dep.Cluster, info.Ranks)
-	if opts.MaxChannels > 0 && nch > opts.MaxChannels {
-		nch = opts.MaxChannels
-	}
-	if m := minRanksPerHost(info); nch > m {
-		nch = m
-	}
-	if nch < 1 {
-		nch = 1
-	}
 	return tuner.Space{
 		Orders: []tuner.Order{
 			{Name: "locality", Ranks: locality},
 			{Name: "locality-rev", Ranks: reversed},
 			{Name: "rank", Ranks: rankOrder},
 		},
-		MaxChannels: nch,
+		MaxChannels: channelCount(c.dep.Cluster, info, opts.MaxChannels),
 		Pins:        []bool{false, true},
 		HD:          !opts.NoHD,
 		Tree:        !opts.NoTree,

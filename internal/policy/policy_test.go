@@ -12,6 +12,74 @@ import (
 	"mccs/internal/topo"
 )
 
+// CrossRackEdges counts the ring edges that cross rack boundaries under a
+// given ring order — the paper's Fig. 3 "cross-rack flows" numerator.
+func CrossRackEdges(cluster *topo.Cluster, ranks []spec.RankInfo, order []int) int {
+	n := len(order)
+	if n < 2 {
+		return 0
+	}
+	rackOf := func(rank int) topo.RackID {
+		return cluster.RackOf(ranks[rank].Host)
+	}
+	crossings := 0
+	for i := 0; i < n; i++ {
+		if rackOf(order[i]) != rackOf(order[(i+1)%n]) {
+			crossings++
+		}
+	}
+	return crossings
+}
+
+// CrossPodEdges counts ring edges crossing pod boundaries (three-tier
+// fat-trees; always 0 on two-tier clusters). Pod-level crossings traverse
+// the core tier, the scarcest capacity in a fat-tree, which is why the
+// paper's locality policy groups "under the same rack, under the same
+// pod".
+func CrossPodEdges(cluster *topo.Cluster, ranks []spec.RankInfo, order []int) int {
+	n := len(order)
+	if n < 2 {
+		return 0
+	}
+	podOf := func(rank int) int {
+		return cluster.PodOf(cluster.RackOf(ranks[rank].Host))
+	}
+	crossings := 0
+	for i := 0; i < n; i++ {
+		if podOf(order[i]) != podOf(order[(i+1)%n]) {
+			crossings++
+		}
+	}
+	return crossings
+}
+
+// OptimalCrossPodEdges is the minimum cross-pod edge count: one entry and
+// one exit per occupied pod (0 when a single pod holds all ranks).
+func OptimalCrossPodEdges(cluster *topo.Cluster, ranks []spec.RankInfo) int {
+	pods := make(map[int]bool)
+	for _, ri := range ranks {
+		pods[cluster.PodOf(cluster.RackOf(ri.Host))] = true
+	}
+	if len(pods) <= 1 {
+		return 0
+	}
+	return len(pods)
+}
+
+// OptimalCrossRackEdges is the minimum possible number of cross-rack ring
+// edges: one entering and one leaving each occupied rack (0 if a single
+// rack holds all ranks).
+func OptimalCrossRackEdges(cluster *topo.Cluster, ranks []spec.RankInfo) int {
+	racks := make(map[topo.RackID]bool)
+	for _, ri := range ranks {
+		racks[cluster.RackOf(ri.Host)] = true
+	}
+	if len(racks) <= 1 {
+		return 0
+	}
+	return len(racks)
+}
+
 func testbed(t *testing.T) *topo.Cluster {
 	t.Helper()
 	c, err := topo.BuildClos(topo.TestbedConfig())

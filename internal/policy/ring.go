@@ -55,88 +55,24 @@ func LocalityRing(cluster *topo.Cluster, ranks []spec.RankInfo) []int {
 	return order
 }
 
-// CrossRackEdges counts the ring edges that cross rack boundaries under a
-// given ring order — the paper's Fig. 3 "cross-rack flows" numerator.
-func CrossRackEdges(cluster *topo.Cluster, ranks []spec.RankInfo, order []int) int {
-	n := len(order)
-	if n < 2 {
-		return 0
+// channelCount is the ring count the strategy providers and the autotuner
+// give a communicator: one ring per equal-cost inter-host path, capped by
+// maxChannels (0 = no cap) and by the fewest ranks any of its hosts holds,
+// and at least 1. Each rank brings one affinity NIC, so a host with k ranks
+// feeds k rings; beyond that, extra rings share NICs and add nothing.
+func channelCount(cluster *topo.Cluster, info *spec.CommInfo, maxChannels int) int {
+	nch := pathDiversity(cluster, info.Ranks)
+	if maxChannels > 0 && nch > maxChannels {
+		nch = maxChannels
 	}
-	rackOf := func(rank int) topo.RackID {
-		return cluster.RackOf(ranks[rank].Host)
-	}
-	crossings := 0
-	for i := 0; i < n; i++ {
-		if rackOf(order[i]) != rackOf(order[(i+1)%n]) {
-			crossings++
-		}
-	}
-	return crossings
-}
-
-// CrossPodEdges counts ring edges crossing pod boundaries (three-tier
-// fat-trees; always 0 on two-tier clusters). Pod-level crossings traverse
-// the core tier, the scarcest capacity in a fat-tree, which is why the
-// paper's locality policy groups "under the same rack, under the same
-// pod".
-func CrossPodEdges(cluster *topo.Cluster, ranks []spec.RankInfo, order []int) int {
-	n := len(order)
-	if n < 2 {
-		return 0
-	}
-	podOf := func(rank int) int {
-		return cluster.PodOf(cluster.RackOf(ranks[rank].Host))
-	}
-	crossings := 0
-	for i := 0; i < n; i++ {
-		if podOf(order[i]) != podOf(order[(i+1)%n]) {
-			crossings++
-		}
-	}
-	return crossings
-}
-
-// OptimalCrossPodEdges is the minimum cross-pod edge count: one entry and
-// one exit per occupied pod (0 when a single pod holds all ranks).
-func OptimalCrossPodEdges(cluster *topo.Cluster, ranks []spec.RankInfo) int {
-	pods := make(map[int]bool)
-	for _, ri := range ranks {
-		pods[cluster.PodOf(cluster.RackOf(ri.Host))] = true
-	}
-	if len(pods) <= 1 {
-		return 0
-	}
-	return len(pods)
-}
-
-// OptimalCrossRackEdges is the minimum possible number of cross-rack ring
-// edges: one entering and one leaving each occupied rack (0 if a single
-// rack holds all ranks).
-func OptimalCrossRackEdges(cluster *topo.Cluster, ranks []spec.RankInfo) int {
-	racks := make(map[topo.RackID]bool)
-	for _, ri := range ranks {
-		racks[cluster.RackOf(ri.Host)] = true
-	}
-	if len(racks) <= 1 {
-		return 0
-	}
-	return len(racks)
-}
-
-// minRanksPerHost returns the smallest number of ranks the communicator
-// places on any of its hosts.
-func minRanksPerHost(info *spec.CommInfo) int {
-	counts := make(map[topo.HostID]int)
+	perHost := make(map[topo.HostID]int)
 	for _, ri := range info.Ranks {
-		counts[ri.Host]++
+		perHost[ri.Host]++
 	}
-	m := info.NumRanks()
-	for _, c := range counts {
-		if c < m {
-			m = c
-		}
+	for _, k := range perHost {
+		nch = min(nch, k)
 	}
-	return m
+	return max(nch, 1)
 }
 
 // pathDiversity estimates the number of equal-cost inter-host paths
@@ -186,20 +122,7 @@ type RingStrategyOptions struct {
 func OptimalRingStrategy(opts RingStrategyOptions) func(*topo.Cluster, *spec.CommInfo) spec.Strategy {
 	return func(cluster *topo.Cluster, info *spec.CommInfo) spec.Strategy {
 		order := LocalityRing(cluster, info.Ranks)
-		nch := pathDiversity(cluster, info.Ranks)
-		if opts.MaxChannels > 0 && nch > opts.MaxChannels {
-			nch = opts.MaxChannels
-		}
-		// No more rings than the NICs the communicator can actually
-		// drive per host: each rank brings one affinity NIC, so a host
-		// with k ranks feeds k rings. Beyond that, extra rings share
-		// NICs and add nothing.
-		if m := minRanksPerHost(info); nch > m {
-			nch = m
-		}
-		if nch < 1 {
-			nch = 1
-		}
+		nch := channelCount(cluster, info, opts.MaxChannels)
 		hosts := make([]topo.HostID, info.NumRanks())
 		for i, ri := range info.Ranks {
 			hosts[i] = ri.Host

@@ -44,8 +44,8 @@ func TestRouteUpdatesCoverEveryEdge(t *testing.T) {
 	if got := len(cs.at(nil, hdOnly)); got != 1 {
 		t.Fatalf("%d connections behind %+v, want the butterfly edge", got, hdOnly)
 	}
-	if comm.PathCountFor(hdOnly) < 2 {
-		t.Fatalf("cross-rack edge has %d equal-cost paths, need 2 to re-pin", comm.PathCountFor(hdOnly))
+	if n := cs.at(nil, hdOnly)[0].PathCount(); n < 2 {
+		t.Fatalf("cross-rack edge has %d equal-cost paths, need 2 to re-pin", n)
 	}
 	routes := comm.ConnRoutes()
 	for _, k := range []spec.ConnKey{shared, hdOnly} {
@@ -112,8 +112,8 @@ func TestRoutePushIsAllOrNothing(t *testing.T) {
 	valid := make(map[spec.ConnKey]int)
 	for i, from := range order[:7] {
 		k := spec.ConnKey{Channel: 0, FromRank: from, ToRank: order[i+1]}
-		if comm.PathCountFor(k) < 2 {
-			t.Fatalf("ring edge %+v has %d paths, need 2", k, comm.PathCountFor(k))
+		if n := cs.at(nil, k)[0].PathCount(); n < 2 {
+			t.Fatalf("ring edge %+v has %d paths, need 2", k, n)
 		}
 		valid[k] = 1
 	}

@@ -181,7 +181,6 @@ func (r *Runner) startPrograms(op *OpRequest) execStage {
 // pipeline to drain.
 func (r *Runner) complete(p *sim.Proc, op *OpRequest) {
 	x, c := &r.ex, r.comm
-	res := OpResult{Seq: op.seq, Op: op.Op, Start: x.start, End: p.Now(), Bytes: x.bytes}
 	// The op-lifecycle span only observes: Span is a value struct, so this
 	// emits without allocating, and is a branch-and-return when recording
 	// is off.
@@ -202,16 +201,13 @@ func (r *Runner) complete(p *sim.Proc, op *OpRequest) {
 		c.telOps.Inc()
 		r.collInFlight--
 		// The management plane's record (Deployment.CommTrace).
-		r.history[r.done%HistoryLen] = res
+		r.history[r.done%HistoryLen] = OpResult{Seq: op.seq, Op: op.Op, Start: x.start, End: p.Now(), Bytes: x.bytes}
 		r.done++
 	}
 	if op.OnComplete != nil {
 		op.OnComplete.OpCompleted()
 	}
 	c.rec.Emit(span)
-	if op.Done != nil {
-		op.Done.Set(c.s, res)
-	}
 	r.idleWQ.WakeAll(c.s)
 }
 

@@ -131,9 +131,9 @@ func TestExecutorStateIsReusedAcrossOpShapes(t *testing.T) {
 		for j := range src.Data() {
 			src.Data()[j] = salt + float32(j%11)
 		}
-		done := sim.NewFuture[OpResult]()
+		done := newOpDone(r.s)
 		comm.Runners[from].Enqueue(&OpRequest{P2P: P2PSend, Peer: to, Count: count, RecvBuf: src})
-		comm.Runners[to].Enqueue(&OpRequest{P2P: P2PRecv, Peer: from, Count: count, RecvBuf: dst, Done: done})
+		comm.Runners[to].Enqueue(&OpRequest{P2P: P2PRecv, Peer: from, Count: count, RecvBuf: dst, OnComplete: done})
 		done.Wait(p)
 		for j, v := range dst.Data() {
 			if v != src.Data()[j] {
@@ -229,7 +229,7 @@ func runAgainstOracle(p *sim.Proc, r *rig, comm *Comm, gpus []topo.GPUID, op col
 		outElems *= int64(n)
 	}
 	outs := make([]*gpusim.Buffer, n)
-	futs := make([]*sim.Future[OpResult], n)
+	futs := make([]*opDone, n)
 	for rank, g := range gpus {
 		out, err := r.devices[g].AllocBacked(outElems * 4)
 		if err != nil {
@@ -242,9 +242,9 @@ func runAgainstOracle(p *sim.Proc, r *rig, comm *Comm, gpus []topo.GPUID, op col
 			}
 		}
 		copy(in.Data(), inputs[rank])
-		outs[rank], futs[rank] = out, sim.NewFuture[OpResult]()
+		outs[rank], futs[rank] = out, newOpDone(r.s)
 		comm.Runners[rank].Enqueue(&OpRequest{
-			Op: op, Root: root, Count: count, SendBuf: in, RecvBuf: out, Done: futs[rank],
+			Op: op, Root: root, Count: count, SendBuf: in, RecvBuf: out, OnComplete: futs[rank],
 		})
 	}
 	for _, f := range futs {
@@ -309,9 +309,9 @@ func TestDatapathOwnsNoGoroutine(t *testing.T) {
 			t.Errorf("%d goroutines after a 2-channel AllReduce, want %d", got, n+1)
 		}
 		recv, _ := r.devices[gpus[1]].AllocBacked(count * 4)
-		done := sim.NewFuture[OpResult]()
+		done := newOpDone(r.s)
 		comm.Runners[0].Enqueue(&OpRequest{P2P: P2PSend, Peer: 1, Count: count, RecvBuf: bufs[0]})
-		comm.Runners[1].Enqueue(&OpRequest{P2P: P2PRecv, Peer: 0, Count: count, RecvBuf: recv, Done: done})
+		comm.Runners[1].Enqueue(&OpRequest{P2P: P2PRecv, Peer: 0, Count: count, RecvBuf: recv, OnComplete: done})
 		done.Wait(p)
 		if got := recv.Data()[count-1]; got != want[count-1] {
 			t.Errorf("received %g, want %g", got, want[count-1])

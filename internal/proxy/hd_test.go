@@ -114,12 +114,12 @@ func TestHDMultiChannelAndOtherOps(t *testing.T) {
 		}
 		// Non-AllReduce ops still run their ring schedules under AlgoHD.
 		small := int64(64)
-		futs := make([]*sim.Future[OpResult], len(gpus))
+		futs := make([]*opDone, len(gpus))
 		for i, rn := range comm.Runners {
-			futs[i] = sim.NewFuture[OpResult]()
+			futs[i] = newOpDone(r.s)
 			rn.Enqueue(&OpRequest{
 				Op: collective.Broadcast, Root: 3, Count: small,
-				SendBuf: bufs[i], RecvBuf: bufs[i], Done: futs[i],
+				SendBuf: bufs[i], RecvBuf: bufs[i], OnComplete: futs[i],
 			})
 		}
 		for _, f := range futs {

@@ -35,8 +35,15 @@ func TestP2PProperty(t *testing.T) {
 			r.s.SetPicker(&rngPicker{rng: rand.New(rand.NewSource(seed * 977))})
 			rec := trace.NewRecorder(trace.LevelFull, 1024)
 			spans := map[trace.Kind]int{}
+			var completed [][]trace.Span // per rank, in completion order
 			rec.SetTap(func(sp *trace.Span) {
 				spans[sp.Kind]++
+				if sp.Kind == trace.KindOp || sp.Kind == trace.KindP2P {
+					for int(sp.Rank) >= len(completed) {
+						completed = append(completed, nil)
+					}
+					completed[sp.Rank] = append(completed[sp.Rank], *sp)
+				}
 				if sp.Kind == trace.KindStep && sp.Channel < 0 {
 					t.Errorf("point-to-point step traced as a collective step: %+v", *sp)
 				}
@@ -85,12 +92,11 @@ func TestP2PProperty(t *testing.T) {
 			var (
 				transfers  []transfer
 				allReduces []allReduce
-				results    = make([][]*sim.Future[OpResult], n) // per rank, in issue order
+				issued     = make([][]*OpRequest, n) // per rank, in issue order
 				script     []func()
 			)
 			issue := func(rank int, req *OpRequest) {
-				req.Done = sim.NewFuture[OpResult]()
-				results[rank] = append(results[rank], req.Done)
+				issued[rank] = append(issued[rank], req)
 				script = append(script, func() { comm.Runners[rank].Enqueue(req) })
 			}
 			const arCount = 96
@@ -155,14 +161,19 @@ func TestP2PProperty(t *testing.T) {
 					}
 				}
 			}
-			for rank, futs := range results {
+			// Each operation's completion span, matched against the
+			// request issued at its position: the runner completes a
+			// rank's operations one at a time, in issue order.
+			for rank, reqs := range issued {
 				var prevEnd sim.Time
 				var seq uint64
-				for i, f := range futs {
-					if !f.Ready() {
-						t.Fatalf("rank %d op %d never completed", rank, i)
+				if rank >= len(completed) || len(completed[rank]) != len(reqs) {
+					t.Fatalf("rank %d did not complete exactly its %d operations", rank, len(reqs))
+				}
+				for i, res := range completed[rank] {
+					if req := reqs[i]; (req.P2P != 0) != (res.Kind == trace.KindP2P) || req.P2P != 0 && int(res.Peer) != req.Peer {
+						t.Fatalf("rank %d completed %v (peer %d) where it issued op %d with peer %d", rank, res.Kind, res.Peer, i, req.Peer)
 					}
-					res := f.Wait(nil) // ready: returns the value without parking
 					if res.Start < prevEnd {
 						t.Errorf("rank %d op %d started at %v, before op %d ended at %v", rank, i, res.Start, i-1, prevEnd)
 					}

@@ -104,8 +104,6 @@ type OpRequest struct {
 	// per-operation handle takes it from there to the communicator event
 	// tenant streams wait on.
 	OnComplete Completer
-	// Done, when non-nil, receives the timing result.
-	Done *sim.Future[OpResult]
 
 	// seq is assigned by the runner at launch (collectives only).
 	seq uint64
@@ -180,9 +178,9 @@ type Comm struct {
 
 	Runners []*Runner
 
-	// conn generations: gen g is built lazily by the first runner to
-	// reach it during reconfiguration.
-	gens map[int]*connSet
+	// conn generations, gens[g] being generation g: it is built lazily
+	// by the first runner to reach it during reconfiguration.
+	gens []*connSet
 	// p2p holds communicator-lifetime point-to-point connections (see
 	// p2p.go).
 	p2p map[collective.Edge]*transport.Conn
@@ -244,9 +242,8 @@ func NewComm(
 	c := &Comm{
 		Info: info, cfg: cfg, s: s, cluster: cluster,
 		engines: engines, devices: devices, ctrl: ctrl,
-		rec:  trace.Of(s),
-		gens: make(map[int]*connSet),
-		p2p:  make(map[collective.Edge]*transport.Conn),
+		rec: trace.Of(s),
+		p2p: make(map[collective.Edge]*transport.Conn),
 	}
 	reg := telemetry.Of(s)
 	tenant := telemetry.L("tenant", string(info.App))
@@ -274,10 +271,12 @@ func NewComm(
 
 // connsFor returns (building if necessary) connection generation gen under
 // the given strategy. Reconfiguring runners all converge on the same
-// generation number, so the first one to arrive builds for everyone.
+// generation number, so the first one to arrive builds for everyone. A
+// runner reaches generation g only from g-1, so gen is either built already
+// or the next one.
 func (c *Comm) connsFor(gen int, strategy spec.Strategy) (*connSet, error) {
-	if cs, ok := c.gens[gen]; ok {
-		return cs, nil
+	if gen < len(c.gens) {
+		return c.gens[gen], nil
 	}
 	rings, err := collective.Rings(&strategy)
 	if err != nil {
@@ -297,7 +296,7 @@ func (c *Comm) connsFor(gen int, strategy spec.Strategy) (*connSet, error) {
 		}
 		cs.conns[e] = conn
 	}
-	c.gens[gen] = cs
+	c.gens = append(c.gens, cs)
 	return cs, nil
 }
 
@@ -313,15 +312,7 @@ func connLabel(salt uint64, id spec.CommID, gen, ch, from, to int) uint64 {
 
 // newest returns the newest built generation. All runners share a
 // generation outside of reconfigurations.
-func (c *Comm) newest() *connSet {
-	maxGen := 0
-	for g := range c.gens {
-		if g > maxGen {
-			maxGen = g
-		}
-	}
-	return c.gens[maxGen]
-}
+func (c *Comm) newest() *connSet { return c.gens[len(c.gens)-1] }
 
 // UpdateRoutes re-pins connections of the current generation immediately
 // (no barrier): route-only changes are safe because they affect only
@@ -395,15 +386,6 @@ func (c *Comm) RoutesOver(l netsim.LinkID) bool {
 		}
 	}
 	return false
-}
-
-// PathCountFor returns the equal-cost path count of one connection key
-// of the newest generation (0 if unknown).
-func (c *Comm) PathCountFor(k spec.ConnKey) int {
-	for _, conn := range c.newest().at(nil, k) {
-		return conn.PathCount()
-	}
-	return 0
 }
 
 // Strategy returns the strategy of the newest connection generation.
@@ -544,17 +526,11 @@ func (c *Comm) Destroy() {
 // named is the first in generation and establishment order, then the
 // lowest point-to-point edge, so the report is the same on every run.
 func (c *Comm) Undelivered() error {
-	gens := make([]int, 0, len(c.gens))
-	for g := range c.gens {
-		gens = append(gens, g)
-	}
-	slices.Sort(gens)
 	held := func(kind string, e collective.Edge, n int) error {
 		return fmt.Errorf("proxy: comm %d %s conn %d->%d (channel %d) holds %d undelivered message(s)",
 			c.Info.ID, kind, e.From, e.To, e.Channel, n)
 	}
-	for _, g := range gens {
-		cs := c.gens[g]
+	for g, cs := range c.gens {
 		for _, e := range cs.edges {
 			if n := cs.conns[e].Pending(); n > 0 {
 				return held(fmt.Sprintf("generation %d %v", g, e.Algo), e, n)

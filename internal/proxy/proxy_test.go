@@ -104,19 +104,34 @@ func backedBuffers(t *testing.T, r *rig, gpus []topo.GPUID, count int64, seed in
 	return bufs, want
 }
 
-// runAllReduce enqueues one AllReduce on every rank and waits for all.
+// opDone is the tests' Completer: Wait parks the caller until the runner
+// reports the operation complete.
+type opDone struct {
+	s    *sim.Scheduler
+	done sim.Future[struct{}]
+}
+
+func newOpDone(s *sim.Scheduler) *opDone { return &opDone{s: s} }
+
+func (d *opDone) OpCompleted()     { d.done.Set(d.s, struct{}{}) }
+func (d *opDone) Wait(p *sim.Proc) { d.done.Wait(p) }
+
+// runAllReduce enqueues one AllReduce on every rank, waits for all, and
+// returns each rank's record of it from the runner's history.
 func runAllReduce(p *sim.Proc, comm *Comm, bufs []*gpusim.Buffer, count int64) []OpResult {
-	futs := make([]*sim.Future[OpResult], len(comm.Runners))
+	futs := make([]*opDone, len(comm.Runners))
 	for i, r := range comm.Runners {
-		futs[i] = sim.NewFuture[OpResult]()
+		futs[i] = newOpDone(comm.s)
 		r.Enqueue(&OpRequest{
 			Op: collective.AllReduce, Count: count,
-			SendBuf: bufs[i], RecvBuf: bufs[i], Done: futs[i],
+			SendBuf: bufs[i], RecvBuf: bufs[i], OnComplete: futs[i],
 		})
 	}
 	out := make([]OpResult, len(futs))
 	for i, f := range futs {
-		out[i] = f.Wait(p)
+		f.Wait(p)
+		h := comm.Runners[i].History()
+		out[i] = h[len(h)-1]
 	}
 	return out
 }
@@ -167,12 +182,12 @@ func TestAllGatherThroughStack(t *testing.T) {
 		ins[i], outs[i] = in, out
 	}
 	r.s.Go("driver", func(p *sim.Proc) {
-		futs := make([]*sim.Future[OpResult], n)
+		futs := make([]*opDone, n)
 		for i, rn := range comm.Runners {
-			futs[i] = sim.NewFuture[OpResult]()
+			futs[i] = newOpDone(r.s)
 			rn.Enqueue(&OpRequest{
 				Op: collective.AllGather, Count: per,
-				SendBuf: ins[i], RecvBuf: outs[i], Done: futs[i],
+				SendBuf: ins[i], RecvBuf: outs[i], OnComplete: futs[i],
 			})
 		}
 		for _, f := range futs {
@@ -309,12 +324,12 @@ func TestReconfigureFig4Race(t *testing.T) {
 		for i := 1; i < 4; i++ {
 			comm.Runners[i].Enqueue(&ReconfigRequest{Strategy: newStrat, Done: latch})
 		}
-		futs := make([]*sim.Future[OpResult], 4)
+		futs := make([]*opDone, 4)
 		for i, rn := range comm.Runners {
-			futs[i] = sim.NewFuture[OpResult]()
+			futs[i] = newOpDone(r.s)
 			rn.Enqueue(&OpRequest{
 				Op: collective.AllReduce, Count: count,
-				SendBuf: bufs[i], RecvBuf: bufs[i], Done: futs[i],
+				SendBuf: bufs[i], RecvBuf: bufs[i], OnComplete: futs[i],
 			})
 		}
 		comm.Runners[0].Enqueue(&ReconfigRequest{Strategy: newStrat, Done: latch})

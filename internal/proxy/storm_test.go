@@ -83,7 +83,7 @@ func TestQuickReconfigStorm(t *testing.T) {
 			allOps = append(allOps, ob)
 		}
 
-		var futs []*sim.Future[OpResult]
+		var futs []*opDone
 		var latches []*sim.Latch
 		ok := true
 		r.s.Go("driver", func(p *sim.Proc) {
@@ -108,11 +108,11 @@ func TestQuickReconfigStorm(t *testing.T) {
 				ob := allOps[opIdx]
 				opIdx++
 				for i, rn := range comm.Runners {
-					fut := sim.NewFuture[OpResult]()
+					fut := newOpDone(r.s)
 					futs = append(futs, fut)
 					rn.Enqueue(&OpRequest{
 						Op: collective.AllReduce, Count: count,
-						SendBuf: ob.bufs[i], RecvBuf: ob.bufs[i], Done: fut,
+						SendBuf: ob.bufs[i], RecvBuf: ob.bufs[i], OnComplete: fut,
 					})
 				}
 				p.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)

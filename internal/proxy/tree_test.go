@@ -68,12 +68,12 @@ func TestTreeBroadcastAndReduceCorrectness(t *testing.T) {
 	rootData := append([]float32(nil), bufs[0].Data()...)
 	r.s.Go("driver", func(p *sim.Proc) {
 		// Reduce to root 0.
-		futs := make([]*sim.Future[OpResult], len(gpus))
+		futs := make([]*opDone, len(gpus))
 		for i, rn := range comm.Runners {
-			futs[i] = sim.NewFuture[OpResult]()
+			futs[i] = newOpDone(r.s)
 			rn.Enqueue(&OpRequest{
 				Op: collective.Reduce, Root: 0, Count: count,
-				SendBuf: bufs[i], RecvBuf: bufs[i], Done: futs[i],
+				SendBuf: bufs[i], RecvBuf: bufs[i], OnComplete: futs[i],
 			})
 		}
 		for _, f := range futs {
@@ -85,12 +85,12 @@ func TestTreeBroadcastAndReduceCorrectness(t *testing.T) {
 			}
 		}
 		// Broadcast root 0's (now reduced) buffer.
-		futs2 := make([]*sim.Future[OpResult], len(gpus))
+		futs2 := make([]*opDone, len(gpus))
 		for i, rn := range comm.Runners {
-			futs2[i] = sim.NewFuture[OpResult]()
+			futs2[i] = newOpDone(r.s)
 			rn.Enqueue(&OpRequest{
 				Op: collective.Broadcast, Root: 0, Count: count,
-				SendBuf: bufs[i], RecvBuf: bufs[i], Done: futs2[i],
+				SendBuf: bufs[i], RecvBuf: bufs[i], OnComplete: futs2[i],
 			})
 		}
 		for _, f := range futs2 {
@@ -168,12 +168,12 @@ func TestTreeThresholdRouting(t *testing.T) {
 		// Non-zero root broadcast falls back to the ring even below
 		// threshold.
 		small := int64(64)
-		futs := make([]*sim.Future[OpResult], len(gpus))
+		futs := make([]*opDone, len(gpus))
 		for i, rn := range comm.Runners {
-			futs[i] = sim.NewFuture[OpResult]()
+			futs[i] = newOpDone(r.s)
 			rn.Enqueue(&OpRequest{
 				Op: collective.Broadcast, Root: 2, Count: small,
-				SendBuf: bufs[i], RecvBuf: bufs[i], Done: futs[i],
+				SendBuf: bufs[i], RecvBuf: bufs[i], OnComplete: futs[i],
 			})
 		}
 		for _, f := range futs {

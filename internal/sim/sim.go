@@ -776,10 +776,6 @@ func (p *Proc) SleepUntil(t Time) {
 	p.Sleep(t.Sub(p.s.now))
 }
 
-// Yield reschedules the process behind every event already queued for the
-// current instant.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // DeadlockError reports processes that can never be woken: the event queue
 // drained while they were still parked.
 type DeadlockError struct {

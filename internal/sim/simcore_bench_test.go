@@ -49,7 +49,7 @@ func BenchmarkSimCore(b *testing.B) {
 		s.Go("driver", func(p *Proc) {
 			for i := 0; i < n; i++ {
 				s.At(s.Now(), fn)
-				p.Yield()
+				p.Sleep(0) // behind the event just queued
 			}
 		})
 		b.ReportAllocs()

@@ -1,8 +1,9 @@
 // Package spec holds the shared vocabulary between the MCCS service, the
 // proxy/transport engines and the provider-side policies: communicator
 // descriptions and collective strategies. Keeping these types in a leaf
-// package lets policy code consume a ClusterView and emit Strategies
-// without importing the engines (the paper's policy/mechanism split).
+// package lets policy code take communicator descriptions (CommInfo) and
+// return Strategies without importing the engines (the paper's
+// policy/mechanism split).
 package spec
 
 import (

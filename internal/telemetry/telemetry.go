@@ -152,36 +152,6 @@ func (h *Histogram) Count() uint64 {
 	return h.n
 }
 
-// Sum returns the sum of observations (0 for nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Quantile returns an upper-bound estimate of quantile q in [0,1] from
-// the bucket boundaries (the bound of the first bucket whose cumulative
-// count reaches q*n). Returns 0 with no observations; +Inf-bucket
-// observations report the last bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	target := q * float64(h.n)
-	cum := uint64(0)
-	for i, c := range h.counts {
-		cum += c
-		if float64(cum) >= target {
-			return h.bounds[i]
-		}
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // DefBuckets is the default latency bucket ladder (seconds): 10µs … 1s.
 var DefBuckets = []float64{
 	10e-6, 20e-6, 50e-6, 100e-6, 200e-6, 500e-6,
@@ -426,14 +396,6 @@ func (r *Registry) TenantIndex(comm int32) int {
 
 // TenantName returns the name behind a TenantIndex result.
 func (r *Registry) TenantName(i int) string { return r.tenants[i] }
-
-// Tenant resolves a communicator to its owning tenant ("" if unknown).
-func (r *Registry) Tenant(comm int32) string {
-	if i := r.TenantIndex(comm); i >= 0 {
-		return r.tenants[i]
-	}
-	return ""
-}
 
 // CommVersion returns a number that moves whenever NoteComm changes what
 // TenantIndex answers.

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -20,13 +19,13 @@ func TestNilSafety(t *testing.T) {
 	g.Set(3)
 	g.Add(1)
 	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Error("nil handles must read as zero")
 	}
 	r.AddCollector(func(sim.Time) bool { return false })
 	r.NoteComm(1, "a")
 	r.SetLinks([]LinkInfo{{ID: 0}})
-	if r.Tenant(1) != "" || r.Links() != nil {
+	if r.TenantIndex(1) != -1 || r.Links() != nil {
 		t.Error("nil registry lookups must be empty")
 	}
 	var sm *Sampler
@@ -78,15 +77,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.Count() != 5 {
 		t.Errorf("count = %d", h.Count())
-	}
-	if h.Sum() != 106.05 {
-		t.Errorf("sum = %g", h.Sum())
-	}
-	if q := h.Quantile(0.5); q != 1 {
-		t.Errorf("q50 = %g, want 1", q)
-	}
-	if q := h.Quantile(1); q != 10 {
-		t.Errorf("q100 = %g, want last bound for +Inf observations", q)
 	}
 	// Snapshot columns: cumulative buckets + sum + count.
 	vals := r.readInto(nil)
@@ -335,21 +325,5 @@ func TestSLOPredicate(t *testing.T) {
 	c := tr.reg.Counter("mccs_slo_violations_total", "violations", L("tenant", "victim"))
 	if c.Value() != 2 {
 		t.Errorf("violation counter = %d, want 2", c.Value())
-	}
-}
-
-// Quantile edge: empty histogram and q at the extremes.
-func TestHistogramQuantileEdges(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("x_seconds", "seconds", []float64{1, 2})
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile must be 0")
-	}
-	h.Observe(0.5)
-	if q := h.Quantile(0); q != 1 {
-		t.Errorf("q0 = %g, want first bound", q)
-	}
-	if math.IsNaN(h.Quantile(1)) {
-		t.Error("q1 NaN")
 	}
 }

@@ -118,8 +118,3 @@ func (c *Cluster) PodOf(r RackID) int {
 	}
 	return 0
 }
-
-// SamePod reports whether two hosts are in the same pod.
-func (c *Cluster) SamePod(a, b HostID) bool {
-	return c.PodOf(c.Hosts[a].Rack) == c.PodOf(c.Hosts[b].Rack)
-}

@@ -32,10 +32,11 @@ func TestFatTreeShape(t *testing.T) {
 			t.Errorf("PodOf(rack %d) = %d, want %d", r, got, r/2)
 		}
 	}
-	if !c.SamePod(0, 2) {
+	podOfHost := func(h HostID) int { return c.PodOf(c.RackOf(h)) }
+	if podOfHost(0) != 0 || podOfHost(2) != 0 {
 		t.Error("hosts 0 and 2 should share pod 0")
 	}
-	if c.SamePod(0, 4) {
+	if podOfHost(4) == 0 {
 		t.Error("hosts 0 and 4 should be in different pods")
 	}
 }
@@ -91,7 +92,7 @@ func TestTwoTierPodDefaults(t *testing.T) {
 	if c.PodOf(1) != 0 {
 		t.Error("two-tier rack should default to pod 0")
 	}
-	if !c.SamePod(0, 3) {
+	if c.PodOf(c.RackOf(3)) != 0 {
 		t.Error("two-tier hosts should all share pod 0")
 	}
 }

@@ -88,9 +88,6 @@ func (c *Cluster) NICOfGPU(g GPUID) NICID { return c.GPUs[g].NIC }
 // NICNode returns the fabric node of NIC n.
 func (c *Cluster) NICNode(n NICID) netsim.NodeID { return c.NICs[n].Node }
 
-// SameRack reports whether two hosts share a rack.
-func (c *Cluster) SameRack(a, b HostID) bool { return c.Hosts[a].Rack == c.Hosts[b].Rack }
-
 // PathsBetweenNICs returns all equal-cost shortest fabric paths between two
 // NICs. This is the provider's multipath choice set for MCCS route pinning
 // and the ECMP hash domain for the baseline.
@@ -130,13 +127,6 @@ func (cfg *ClosConfig) Validate() error {
 		return fmt.Errorf("topo: link rates must be positive")
 	}
 	return nil
-}
-
-// Oversubscription returns downlink/uplink capacity per rack.
-func (cfg *ClosConfig) Oversubscription() float64 {
-	down := float64(cfg.HostsPerLeaf*cfg.NICsPerHost) * cfg.NICBps
-	up := float64(cfg.Spines) * cfg.LeafSpineBps
-	return down / up
 }
 
 // BuildClos constructs the cluster for a spine-leaf config. Every NIC gets

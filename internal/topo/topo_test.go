@@ -22,8 +22,7 @@ func TestTestbedShape(t *testing.T) {
 	if got := c.NumRacks(); got != 2 {
 		t.Errorf("racks = %d, want 2", got)
 	}
-	cfg := TestbedConfig()
-	if got := cfg.Oversubscription(); got != 2 {
+	if got := oversubscription(TestbedConfig()); got != 2 {
 		t.Errorf("oversubscription = %g, want 2", got)
 	}
 	// Each GPU has its own NIC in the testbed.
@@ -53,10 +52,16 @@ func TestLargeScaleShape(t *testing.T) {
 	if got := len(c.SpineNodes); got != 16 {
 		t.Errorf("spines = %d, want 16", got)
 	}
-	cfg := LargeScaleConfig()
-	if got := cfg.Oversubscription(); got != 2 {
+	if got := oversubscription(LargeScaleConfig()); got != 2 {
 		t.Errorf("oversubscription = %g, want 2", got)
 	}
+}
+
+// oversubscription is a rack's downlink over its uplink capacity.
+func oversubscription(cfg ClosConfig) float64 {
+	down := float64(cfg.HostsPerLeaf*cfg.NICsPerHost) * cfg.NICBps
+	up := float64(cfg.Spines) * cfg.LeafSpineBps
+	return down / up
 }
 
 func TestClosPathCounts(t *testing.T) {
@@ -66,7 +71,7 @@ func TestClosPathCounts(t *testing.T) {
 	}
 	// Same-rack NICs: a unique 2-hop path through the shared leaf.
 	h0, h1 := c.Hosts[0], c.Hosts[1]
-	if !c.SameRack(h0.ID, h1.ID) {
+	if c.RackOf(h0.ID) != c.RackOf(h1.ID) {
 		t.Fatal("hosts 0,1 should share rack 0")
 	}
 	same := c.PathsBetweenNICs(h0.NICs[0], h1.NICs[0])
@@ -75,7 +80,7 @@ func TestClosPathCounts(t *testing.T) {
 	}
 	// Cross-rack NICs: one 4-hop path per spine.
 	h2 := c.Hosts[2]
-	if c.SameRack(h0.ID, h2.ID) {
+	if c.RackOf(h0.ID) == c.RackOf(h2.ID) {
 		t.Fatal("hosts 0,2 should be in different racks")
 	}
 	cross := c.PathsBetweenNICs(h0.NICs[0], h2.NICs[0])

@@ -317,14 +317,6 @@ func Of(s *sim.Scheduler) *Recorder {
 	return r
 }
 
-// Level returns the recording level (LevelOff for a nil recorder).
-func (r *Recorder) Level() Level {
-	if r == nil {
-		return LevelOff
-	}
-	return r.level
-}
-
 // Enabled reports whether a span of kind k would be kept: at LevelFull
 // every kind is. Hot paths use it to skip building expensive span
 // payloads.
@@ -434,6 +426,16 @@ func (r *Recorder) NoteComm(comm int32, app string) {
 		r.meta.CommApp = make(map[int32]string)
 	}
 	r.meta.CommApp[comm] = app
+}
+
+// Meta returns the recorder's live metadata (nil for a nil recorder): what
+// a Snapshot's Recording.Meta will hold, as it stands now. It is the
+// recorder's own; callers only read it.
+func (r *Recorder) Meta() *Meta {
+	if r == nil {
+		return nil
+	}
+	return &r.meta
 }
 
 // Snapshot copies the current ring contents and metadata into an

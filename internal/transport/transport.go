@@ -272,9 +272,6 @@ func (c *Conn) SetRoute(routeIdx int) error {
 	return c.setRoute(routeIdx)
 }
 
-// Intra reports whether this is an intra-host connection.
-func (c *Conn) Intra() bool { return c.intr }
-
 // CurrentPath returns the fabric links this connection's messages traverse
 // right now: the pinned route, or the deterministic ECMP choice for its
 // label. Intra-host connections return nil. The remediation engine uses

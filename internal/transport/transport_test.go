@@ -75,7 +75,7 @@ func TestIntraHostSendBypassesFabric(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if !conn.Intra() {
+		if !conn.intr {
 			t.Error("same-host conn not intra")
 		}
 		conn.Send(25e6, nil, nil) // 25 MB at IntraHostBps (25 GB/s) = 1 ms

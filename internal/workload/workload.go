@@ -1,7 +1,8 @@
 // Package workload models the training jobs the paper evaluates with: a
 // VGG-19 data-parallel job and GPT-2.7B tensor-parallel fine-tuning jobs
-// (§6.1), plus the ResNet-50 jobs of the large-scale simulation and the
-// synthetic production profiles behind Fig. 2.
+// (§6.1), plus the synthetic production profiles behind Fig. 2. The
+// large-scale simulation's ResNet-50 jobs run at flow level in
+// internal/cluster and need no trace.
 //
 // The paper collected these as PyTorch/DeepSpeed/Megatron profile traces
 // and replayed them with a Rust traffic generator on MCCS. We synthesize
@@ -50,28 +51,6 @@ type Phase struct {
 type Trace struct {
 	Name   string
 	Phases []Phase
-}
-
-// TotalCollectiveBytes sums the trace's communication volume.
-func (t *Trace) TotalCollectiveBytes() int64 {
-	var b int64
-	for _, p := range t.Phases {
-		if p.Kind == Collective {
-			b += p.Bytes
-		}
-	}
-	return b
-}
-
-// TotalComputeTime sums the trace's compute and memcpy durations.
-func (t *Trace) TotalComputeTime() time.Duration {
-	var d time.Duration
-	for _, p := range t.Phases {
-		if p.Kind != Collective {
-			d += p.Duration
-		}
-	}
-	return d
 }
 
 // Validate reports malformed traces.
@@ -156,19 +135,6 @@ func GPT27BTensorParallel(computeScale float64) Trace {
 		t.Phases = append(t.Phases, Phase{Kind: Collective, Op: collective.AllReduce, Bytes: actBytes})
 	}
 	return t
-}
-
-// ResNet50DataParallel models the large-scale simulation's jobs: ResNet-50
-// with a 100 MB model, one gradient all-reduce per iteration (the paper's
-// §6.5 setting, after NetHint's experiment).
-func ResNet50DataParallel(computeScale float64) Trace {
-	return Trace{
-		Name: "resnet50-dp",
-		Phases: []Phase{
-			{Kind: Compute, Duration: scaleDur(120*time.Millisecond, computeScale)},
-			{Kind: Collective, Op: collective.AllReduce, Bytes: 100 << 20},
-		},
-	}
 }
 
 // ProductGroupProfiles synthesizes the four anonymous production model

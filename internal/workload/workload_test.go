@@ -18,15 +18,23 @@ func TestTraceValidation(t *testing.T) {
 	for _, tr := range []Trace{
 		VGG19DataParallel(1),
 		GPT27BTensorParallel(1),
-		ResNet50DataParallel(1),
 	} {
 		if err := tr.Validate(); err != nil {
 			t.Errorf("%s: %v", tr.Name, err)
 		}
-		if tr.TotalCollectiveBytes() <= 0 {
+		var bytes int64
+		var compute time.Duration
+		for _, p := range tr.Phases {
+			if p.Kind == Collective {
+				bytes += p.Bytes
+			} else {
+				compute += p.Duration
+			}
+		}
+		if bytes <= 0 {
 			t.Errorf("%s: no communication", tr.Name)
 		}
-		if tr.TotalComputeTime() <= 0 {
+		if compute <= 0 {
 			t.Errorf("%s: no compute", tr.Name)
 		}
 	}
@@ -50,18 +58,20 @@ func TestTraceValidation(t *testing.T) {
 
 func TestVGGTraceShape(t *testing.T) {
 	tr := VGG19DataParallel(1)
-	// ~575 MB of gradients across overlapped buckets.
-	if b := tr.TotalCollectiveBytes(); b < 500e6 || b > 650e6 {
-		t.Errorf("VGG gradient bytes = %d", b)
-	}
+	var bytes int64
 	overlapped := 0
 	for _, p := range tr.Phases {
 		if p.Kind == Collective {
 			if !p.Overlap {
 				t.Error("VGG buckets should overlap backward")
 			}
+			bytes += p.Bytes
 			overlapped++
 		}
+	}
+	// ~575 MB of gradients across overlapped buckets.
+	if bytes < 500e6 || bytes > 650e6 {
+		t.Errorf("VGG gradient bytes = %d", bytes)
 	}
 	if overlapped != 4 {
 		t.Errorf("VGG buckets = %d, want 4", overlapped)
@@ -101,9 +111,15 @@ func TestRunnerExecutesJob(t *testing.T) {
 	s, d := newEnv()
 	gpus := []topo.GPUID{d.Cluster.Hosts[0].GPUs[0], d.Cluster.Hosts[1].GPUs[0],
 		d.Cluster.Hosts[2].GPUs[0], d.Cluster.Hosts[3].GPUs[0]}
+	// A ResNet-50 data-parallel iteration: 120 ms of compute, then one
+	// 100 MB gradient AllReduce.
+	resnet := Trace{Name: "resnet50-dp", Phases: []Phase{
+		{Kind: Compute, Duration: 120 * time.Millisecond},
+		{Kind: Collective, Op: collective.AllReduce, Bytes: 100 << 20},
+	}}
 	fut := Launch(RunConfig{
 		Dep: d, App: "train", Key: "j1", GPUs: gpus,
-		Trace: ResNet50DataParallel(1), Iterations: 5,
+		Trace: resnet, Iterations: 5,
 	})
 	var res *Result
 	s.Go("wait", func(p *sim.Proc) { res = fut.Wait(p) })
