@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers api goldens
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers tenants api goldens
 
 all: check
 
@@ -60,11 +60,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStrategyValidate -fuzztime 10s ./internal/spec/
 
 # check is the CI gate: everything must build, vet clean, keep the one
-# door for reconfiguration, the one attach site for observers and an
-# exported surface that non-test code reaches, reproduce every committed
-# result file, and pass the full test suite twice — once plain, once under
+# door for reconfiguration, the one attach site for observers, the one
+# tenant runner and an exported surface that non-test code reaches,
+# reproduce every committed result file, and pass the full test suite twice — once plain, once under
 # the race detector.
-check: build fmt vet door observers api goldens test race
+check: build fmt vet door observers tenants api goldens test race
 
 # goldens regenerates every result file EXPERIMENTS.md quotes, plus the
 # live doctor report and trace summary of CI's doctor smoke run and the
@@ -111,6 +111,22 @@ observers:
 		'\b(trace\.Attach|trace\.NewRecorder|telemetry\.Attach|diagnosis\.Attach)\(' . | grep -vE '^\./(internal/harness|bench)/'); \
 	if [ -n "$$hits" ]; then \
 		echo "observers: only internal/harness may attach an observer:" >&2; \
+		echo "$$hits" >&2; exit 1; \
+	fi
+
+# tenants fails if non-test Go outside internal/workload and internal/mccsd
+# joins a communicator: every experiment runs its tenants through
+# workload.Launch (MemAlloc, CommInitRank, the issue loop, rank-0
+# timestamps), so the tenant lifecycle changes in one place. Allowed, each
+# for its reason: internal/chaos/runseed.go, whose ranks allocate backed
+# buffers per op and check every result against the closed form (Launch
+# does neither yet); bench/, the frozen benchmark module; examples/, the
+# public-API demos; and the doc comment of mccs.go, which shows the API.
+tenants:
+	@hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+		'CommInitRank\(' . | grep -vE '^\./internal/(workload|mccsd)/|^\./internal/chaos/runseed\.go:|^\./(bench|examples)/|^\./mccs\.go:[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$hits" ]; then \
+		echo "tenants: only internal/workload may run a tenant (use workload.Launch):" >&2; \
 		echo "$$hits" >&2; exit 1; \
 	fi
 

@@ -1,11 +1,12 @@
 // Package harness drives the paper's testbed experiments end to end: it
 // builds a cluster + fabric + deployment for one of the four evaluated
-// systems, launches tenant rank processes, runs measured collective loops
-// and aggregates bandwidth statistics. The cmd/ tools, the root-level
+// systems, runs each experiment's tenants through workload.Launch and
+// aggregates bandwidth statistics. The cmd/ tools, the root-level
 // benchmarks and the integration tests all share these drivers.
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
@@ -14,16 +15,17 @@ import (
 
 	"mccs/internal/collective"
 	"mccs/internal/diagnosis"
-	"mccs/internal/gpusim"
 	"mccs/internal/mccsd"
 	"mccs/internal/metrics"
 	"mccs/internal/ncclsim"
 	"mccs/internal/netsim"
 	"mccs/internal/policy"
 	"mccs/internal/sim"
+	"mccs/internal/spec"
 	"mccs/internal/telemetry"
 	"mccs/internal/topo"
 	"mccs/internal/trace"
+	"mccs/internal/workload"
 )
 
 // Env is one experiment environment.
@@ -357,144 +359,80 @@ func runSingleTrial(cfg SingleAppConfig, trial int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(gpus)
-	count := cfg.Bytes / 4
-	perRank := count
-	if cfg.Op == collective.AllGather {
-		perRank = count / int64(n)
-		if perRank < 1 {
-			return nil, fmt.Errorf("harness: %d bytes too small for %d-rank AllGather", cfg.Bytes, n)
-		}
-	}
-	var algbw []float64
-	errs := make([]error, n)
-
 	// Autotune: every rank checks in after communicator setup, the
 	// controller scores and installs the winning strategy while the
-	// datapath is idle, then the measured loops are released.
+	// datapath is idle, then the measured loops are released; the
+	// achieved completion time is recorded when the last one ends.
 	var ctrl *policy.Controller
-	var ready *sim.Latch
-	tuned := &sim.Event{}
+	var id spec.CommID
 	var tuneErr error
+	iters := cfg.Warmup + cfg.Iters
+	done := make([]sim.Time, 0, iters)
+	rc := workload.RunConfig{
+		Dep: env.Deployment, App: "bench", Key: "bench", GPUs: gpus,
+		Trace: loopTrace(cfg.Op, cfg.Bytes, false), Iterations: iters,
+		// One collective in flight: synchronizing per iteration is how
+		// the paper's Fig. 6 benchmark observes the per-operation
+		// datapath latency.
+		Depth: 1,
+		OnIteration: func(_ int, end sim.Time, _ time.Duration) {
+			if done = append(done, end); len(done) == iters && ctrl != nil && tuneErr == nil {
+				_, tuneErr = ctrl.ObserveAchieved(id, 0)
+			}
+		},
+	}
 	if cfg.Autotune {
 		if env.Deployment.Config().Baseline {
 			return nil, fmt.Errorf("harness: autotune requires a service-mode system")
 		}
 		ctrl = policy.NewController(env.Deployment)
-		ready = sim.NewLatch(n)
+		ready := sim.NewLatch(len(gpus))
+		tuned := &sim.Event{}
 		env.S.Go("tuner", func(p *sim.Proc) {
 			ready.Wait(p)
-			view := env.Deployment.View()
-			if len(view) == 0 {
-				tuneErr = fmt.Errorf("harness: no communicator to autotune")
-			} else if _, err := ctrl.Autotune(p, view[0].ID, policy.AutotuneOptions{
-				Op: cfg.Op, Bytes: cfg.Bytes,
-			}); err != nil {
-				tuneErr = err
-			}
+			_, tuneErr = ctrl.Autotune(p, id, policy.AutotuneOptions{Op: cfg.Op, Bytes: cfg.Bytes})
 			tuned.Signal(env.S)
 		})
-	}
-
-	for rank, gpu := range gpus {
-		rank, gpu := rank, gpu
-		host := env.Cluster.HostOfGPU(gpu)
-		env.S.Go(fmt.Sprintf("app:rank%d", rank), func(p *sim.Proc) {
-			f := env.Deployment.Service(host).Frontend("bench")
-			var send, recv *gpusim.Buffer
-			var err error
-			if cfg.Op == collective.AllGather {
-				if send, err = f.MemAlloc(p, gpu, perRank*4, false); err != nil {
-					errs[rank] = err
-					return
-				}
-				if recv, err = f.MemAlloc(p, gpu, perRank*4*int64(n), false); err != nil {
-					errs[rank] = err
-					return
-				}
-			} else {
-				if recv, err = f.MemAlloc(p, gpu, perRank*4, false); err != nil {
-					errs[rank] = err
-					return
-				}
-			}
-			comm, err := f.CommInitRank(p, "bench", n, rank, gpu)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			if cfg.Autotune {
-				ready.Done(env.S)
-				tuned.Wait(p)
-				if tuneErr != nil {
-					return
-				}
-			}
-			issue := func() (*mccsd.OpHandle, error) {
-				switch cfg.Op {
-				case collective.AllGather:
-					return comm.AllGather(p, send, recv, perRank, nil)
-				case collective.AllReduce:
-					return comm.AllReduce(p, nil, recv, perRank, nil)
-				default:
-					return nil, fmt.Errorf("harness: unsupported single-app op %v", cfg.Op)
-				}
-			}
-			// One collective in flight: synchronizing per iteration is how
-			// the paper's Fig. 6 benchmark observes the per-operation
-			// datapath latency.
-			done, err := pipelinedLoop(p, issue, cfg.Warmup+cfg.Iters, 1)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			if rank == 0 {
-				algbw = append(algbw, gapBandwidth(done, cfg.Bytes, cfg.Warmup)...)
-				if ctrl != nil {
-					if _, err := ctrl.ObserveAchieved(comm.ID(), 0); err != nil {
-						errs[rank] = err
-					}
-				}
-			}
-		})
-	}
-	if err := env.S.Run(); err != nil {
-		return nil, err
-	}
-	if tuneErr != nil {
-		return nil, tuneErr
-	}
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+		rc.OnReady = func(p *sim.Proc, _ int, comm spec.CommID) {
+			id = comm
+			ready.Done(env.S)
+			tuned.Wait(p)
 		}
+	}
+	jobErr := firstErr(env.S, workload.Launch(rc))
+	runErr := env.S.Run()
+	if err := cmp.Or(*jobErr, tuneErr, runErr); err != nil {
+		return nil, err
 	}
 	if err := env.Export(); err != nil {
 		return nil, err
 	}
-	return algbw, nil
+	return gapBandwidth(done, cfg.Bytes, cfg.Warmup), nil
 }
 
-// pipelinedLoop issues total collectives keeping up to depth in flight
-// (nccl-tests style) and returns each op's tenant-observed completion time.
-func pipelinedLoop(p *sim.Proc, issue func() (*mccsd.OpHandle, error), total, depth int) ([]sim.Time, error) {
-	var pending []*mccsd.OpHandle
-	done := make([]sim.Time, 0, total)
-	for it := 0; it < total; it++ {
-		h, err := issue()
-		if err != nil {
-			return nil, err
+// manyIters is the iteration count of a job that runs until the
+// experiment's horizon cuts it off.
+const manyIters = 1 << 20
+
+// loopTrace is a benchmark loop as a trace: one collective an iteration.
+func loopTrace(op collective.Op, bytes int64, overlap bool) workload.Trace {
+	return workload.Trace{Name: op.String(), Phases: []workload.Phase{
+		{Kind: workload.Collective, Op: op, Bytes: bytes, Overlap: overlap},
+	}}
+}
+
+// firstErr points at the first error among the jobs' results, in launch
+// order, once the run is over.
+func firstErr(s *sim.Scheduler, jobs ...*sim.Future[*workload.Result]) *error {
+	var err error
+	s.Go("jobs", func(p *sim.Proc) {
+		for _, j := range jobs {
+			if r := j.Wait(p); r.Err != nil && err == nil {
+				err = fmt.Errorf("job %s: %w", r.App, r.Err)
+			}
 		}
-		pending = append(pending, h)
-		if len(pending) >= depth {
-			done = append(done, pending[0].Wait(p).Done)
-			pending = pending[1:]
-		}
-	}
-	for _, h := range pending {
-		done = append(done, h.Wait(p).Done)
-	}
-	return done, nil
+	})
+	return &err
 }
 
 // gapBandwidth converts completion timestamps into steady-state algorithm

@@ -1,16 +1,18 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
+	"time"
 
 	"mccs/internal/collective"
-	"mccs/internal/mccsd"
 	"mccs/internal/metrics"
 	"mccs/internal/ncclsim"
 	"mccs/internal/policy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/topo"
+	"mccs/internal/workload"
 )
 
 // AppPlacement assigns an application's ranks to GPUs (in user-rank
@@ -137,7 +139,6 @@ func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, err
 	defer env.S.Shutdown()
 	ctrl := policy.NewController(env.Deployment)
 
-	algbw := make(map[spec.AppID][]float64, len(cfg.Apps))
 	totalRanks := 0
 	for _, a := range cfg.Apps {
 		totalRanks += len(a.GPUs)
@@ -170,47 +171,30 @@ func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, err
 		start.Signal(env.S)
 	})
 
-	for _, app := range cfg.Apps {
-		app := app
-		n := len(app.GPUs)
-		count := cfg.Bytes / 4
-		for rank, gpu := range app.GPUs {
-			rank, gpu := rank, gpu
-			host := env.Cluster.HostOfGPU(gpu)
-			env.S.Go(fmt.Sprintf("%s:rank%d", app.Name, rank), func(p *sim.Proc) {
-				f := env.Deployment.Service(host).Frontend(app.Name)
-				buf, err := f.MemAlloc(p, gpu, count*4, false)
-				if err != nil {
-					errs = append(errs, err)
-					inited.Done(env.S)
-					return
-				}
-				comm, err := f.CommInitRank(p, string(app.Name), n, rank, gpu)
-				if err != nil {
-					errs = append(errs, err)
-					inited.Done(env.S)
-					return
-				}
+	ends := make(map[spec.AppID][]sim.Time, len(cfg.Apps))
+	jobs := make([]*sim.Future[*workload.Result], len(cfg.Apps))
+	for i, app := range cfg.Apps {
+		app := app.Name
+		jobs[i] = workload.Launch(workload.RunConfig{
+			Dep: env.Deployment, App: app, Key: string(app), GPUs: cfg.Apps[i].GPUs,
+			Trace: loopTrace(collective.AllReduce, cfg.Bytes, true), Iterations: cfg.Warmup + cfg.Iters,
+			// Two collectives in flight keep each app's flows continuous
+			// (nccl-tests enqueues timed iterations back-to-back), so
+			// contention measurements see the steady state rather than
+			// iteration-boundary slack.
+			Depth: 2,
+			OnReady: func(p *sim.Proc, _ int, _ spec.CommID) {
 				inited.Done(env.S)
 				start.Wait(p)
-				// Two collectives in flight keep each app's flows
-				// continuous (nccl-tests enqueues timed iterations
-				// back-to-back), so contention measurements see the
-				// steady state rather than iteration-boundary slack.
-				done, err := pipelinedLoop(p, func() (*mccsd.OpHandle, error) {
-					return comm.AllReduce(p, nil, buf, count, nil)
-				}, cfg.Warmup+cfg.Iters, 2)
-				if err != nil {
-					errs = append(errs, err)
-					return
-				}
-				if rank == 0 {
-					algbw[app.Name] = gapBandwidth(done, cfg.Bytes, cfg.Warmup)
-				}
-			})
-		}
+			},
+			OnIteration: func(_ int, end sim.Time, _ time.Duration) {
+				ends[app] = append(ends[app], end)
+			},
+		})
 	}
-	if err := env.S.Run(); err != nil {
+	jobErr := firstErr(env.S, jobs...)
+	runErr := env.S.Run()
+	if err := cmp.Or(*jobErr, runErr); err != nil {
 		return nil, err
 	}
 	if len(errs) > 0 {
@@ -218,6 +202,10 @@ func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, err
 	}
 	if err := env.Export(); err != nil {
 		return nil, err
+	}
+	algbw := make(map[spec.AppID][]float64, len(cfg.Apps))
+	for app, done := range ends {
+		algbw[app] = gapBandwidth(done, cfg.Bytes, cfg.Warmup)
 	}
 	return algbw, nil
 }

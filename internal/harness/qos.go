@@ -266,7 +266,6 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 	ctrl := policy.NewController(d)
 	ctrl.PrioThreshold = 2
 
-	const manyIters = 1 << 20 // run until the horizon cuts the jobs off
 	iterEnds := map[spec.AppID][]sim.Time{}
 	iterTimes := map[spec.AppID][]time.Duration{}
 	launch := func(pl AppPlacement, trace workload.Trace, at time.Duration) {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"mccs/internal/telemetry"
 	"mccs/internal/topo"
 	"mccs/internal/transport"
+	"mccs/internal/workload"
 )
 
 // ReconfigConfig parameterizes the Fig. 7 runtime-adaptation showcase:
@@ -108,47 +110,22 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 	for _, h := range cluster.Hosts {
 		gpus = append(gpus, h.GPUs...)
 	}
-	n := len(gpus)
-	count := cfg.Bytes / 4
 	var series []TimePoint
 	var errs []error
 	var commID spec.CommID
 
-	// Rank processes loop forever as daemons; RunUntil bounds the
-	// experiment. (Per-rank completion times skew slightly, so a
-	// time-based loop exit would desynchronize the ranks' iteration
-	// counts and deadlock the final collective.)
-	for rank, gpu := range gpus {
-		rank, gpu := rank, gpu
-		host := cluster.HostOfGPU(gpu)
-		s.GoDaemon(fmt.Sprintf("job:rank%d", rank), func(p *sim.Proc) {
-			f := dep.Service(host).Frontend("job")
-			buf, err := f.MemAlloc(p, gpu, count*4, false)
-			if err != nil {
-				errs = append(errs, err)
-				return
-			}
-			comm, err := f.CommInitRank(p, "job", n, rank, gpu)
-			if err != nil {
-				errs = append(errs, err)
-				return
-			}
-			if rank == 0 {
-				commID = comm.ID()
-			}
-			for {
-				h, err := comm.AllReduce(p, nil, buf, count, nil)
-				if err != nil {
-					errs = append(errs, err)
-					return
-				}
-				stats := h.Wait(p)
-				if rank == 0 {
-					series = append(series, TimePoint{T: stats.Done, AlgBW: stats.AlgBW()})
-				}
-			}
-		})
-	}
+	// The job runs until RunUntil bounds the experiment. (Per-rank
+	// completion times skew slightly, so a time-based loop exit would
+	// desynchronize the ranks' iteration counts and deadlock the final
+	// collective.)
+	jobErr := firstErr(s, workload.Launch(workload.RunConfig{
+		Dep: dep, App: "job", Key: "job", GPUs: gpus,
+		Trace: loopTrace(collective.AllReduce, cfg.Bytes, false), Iterations: manyIters,
+		OnReady: func(_ *sim.Proc, _ int, id spec.CommID) { commID = id },
+		OnIteration: func(_ int, end sim.Time, dur time.Duration) {
+			series = append(series, TimePoint{T: end, AlgBW: collective.AlgBW(cfg.Bytes, dur)})
+		},
+	}))
 
 	// Background flow between two switches in the clockwise direction
 	// (the direction the job's ring uses).
@@ -202,7 +179,8 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 		latch.Wait(p)
 	})
 
-	if err := s.RunUntil(sim.Time(cfg.RunFor)); err != nil {
+	runErr := s.RunUntil(sim.Time(cfg.RunFor))
+	if err := cmp.Or(*jobErr, runErr); err != nil {
 		return ReconfigResult{}, err
 	}
 	if len(errs) > 0 {

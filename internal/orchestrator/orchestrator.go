@@ -391,12 +391,13 @@ func (o *Orchestrator) start(j *Job, gpus []topo.GPUID) {
 		GPUs:       gpus,
 		Trace:      j.Spec.Trace,
 		Iterations: j.Spec.Iterations,
-		OnReady: func(id spec.CommID) {
-			j.CommID = id
-			o.byComm[id] = j
-			o.pushChurn("arrival")
+		OnReady: func(_ *sim.Proc, rank int, id spec.CommID) {
+			if rank == 0 {
+				j.CommID = id
+				o.byComm[id] = j
+				o.pushChurn("arrival")
+			}
 		},
-		Teardown:     true,
 		TeardownGate: o.teardownGate,
 	})
 	o.s.Go(fmt.Sprintf("orchestrator:join-job%d", j.ID), func(p *sim.Proc) {

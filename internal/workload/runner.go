@@ -12,11 +12,14 @@ import (
 	"mccs/internal/topo"
 )
 
-// issueCollective dispatches one trace collective onto the communicator
-// (in place on the job's working buffer).
-func issueCollective(p *sim.Proc, comm *mccsd.Comm, ph Phase, buf *gpusim.Buffer) (*mccsd.OpHandle, error) {
+// issueCollective dispatches one trace collective onto the communicator:
+// in place on the job's working buffer, except an AllGather, which
+// gathers each rank's share of send into it.
+func issueCollective(p *sim.Proc, comm *mccsd.Comm, ph Phase, send, buf *gpusim.Buffer) (*mccsd.OpHandle, error) {
 	count := ph.Bytes / 4
 	switch ph.Op {
+	case collective.AllGather:
+		return comm.AllGather(p, send, buf, count/int64(comm.Size()), nil)
 	case collective.AllReduce:
 		return comm.AllReduce(p, nil, buf, count, nil)
 	case collective.ReduceScatter:
@@ -33,7 +36,8 @@ func issueCollective(p *sim.Proc, comm *mccsd.Comm, ph Phase, buf *gpusim.Buffer
 // This file is the traffic generator (paper §6.1: "a traffic generator
 // with profile traces ... implemented with Rust using the MCCS library"):
 // it replays a Trace against the MCCS service as a multi-rank tenant and
-// measures iteration times and the Fig. 2 breakdown.
+// measures iteration times and the Fig. 2 breakdown. Every experiment's
+// tenants run through it.
 
 // RunConfig launches one training job.
 type RunConfig struct {
@@ -44,26 +48,31 @@ type RunConfig struct {
 	GPUs       []topo.GPUID
 	Trace      Trace
 	Iterations int
+	// Depth is how many iterations' overlapped collectives may be in
+	// flight (nccl-tests' pipelining; 0 means 1): iteration i's are
+	// joined at the end of iteration i+Depth-1, and iteration i ends at
+	// the later of its phases' end and its collectives' completion.
+	Depth int
 	// StartAt optionally delays the job's start (dynamic arrivals).
 	StartAt sim.Time
-	// OnIteration, when non-nil, is invoked by rank 0 at the end of
-	// every iteration (timeline experiments consume this instead of
-	// waiting for job completion).
+	// OnIteration, when non-nil, is invoked by rank 0 once an iteration
+	// is joined, with its end and duration (timeline experiments consume
+	// this instead of waiting for job completion).
 	OnIteration func(iter int, end sim.Time, dur time.Duration)
-	// OnReady, when non-nil, is invoked by rank 0 once the communicator
-	// is established, before the first iteration. The orchestrator uses
-	// it to trigger policy recomputes the moment a new tenant shows up
-	// in the management view.
-	OnReady func(id spec.CommID)
-	// Teardown makes every rank destroy its communicator handle and
-	// free its buffer after the last iteration, so a finished job
-	// disappears from the deployment view and leaves no engine state
-	// behind (the lifecycle a real multi-tenant service runs).
-	Teardown bool
-	// TeardownGate, when non-nil, brackets each rank's teardown: it is
-	// called before the destroy and the release function it returns is
-	// called after the destroy completes. The orchestrator supplies a
-	// gate that keeps communicator teardown from interleaving with a
+	// OnReady, when non-nil, is invoked by every rank once its
+	// communicator is established, before the first iteration; it may
+	// block. The figure drivers gate the measured loops on it (all ranks
+	// ready, the controller acts, go); the orchestrator triggers policy
+	// recomputes from rank 0's call, the moment a new tenant shows up in
+	// the management view.
+	OnReady func(p *sim.Proc, rank int, id spec.CommID)
+	// TeardownGate, when non-nil, makes every rank destroy its
+	// communicator and free its buffers after the last iteration, so a
+	// finished job disappears from the deployment view and leaves no
+	// engine state behind (the lifecycle a real multi-tenant service
+	// runs). It brackets the teardown: it is called before the destroy,
+	// and the release function it returns after. The orchestrator's gate
+	// keeps communicator teardown from interleaving with a
 	// reconfiguration barrier (a destroyed runner can never process its
 	// barrier message, which would wedge the recompute).
 	TeardownGate func(p *sim.Proc) (release func())
@@ -96,15 +105,19 @@ type Result struct {
 func (r *Result) JCT() time.Duration { return r.Finished.Sub(r.Started) }
 
 // Launch spawns the job's rank processes and returns a future resolved at
-// completion. Iteration metrics are taken at rank 0.
+// completion. Iteration metrics are taken at rank 0. A trace the datapath
+// cannot run is refused before any service command.
 func Launch(cfg RunConfig) *sim.Future[*Result] {
 	fut := sim.NewFuture[*Result]()
-	if err := cfg.Trace.Validate(); err != nil {
+	if err := cfg.Trace.Validate(len(cfg.GPUs)); err != nil {
 		cfg.Dep.S.After(0, func() { fut.Set(cfg.Dep.S, &Result{App: cfg.App, Err: err}) })
 		return fut
 	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1
+	}
+	if cfg.Depth <= 0 {
+		cfg.Depth = 1
 	}
 	n := len(cfg.GPUs)
 	res := &Result{App: cfg.App, Iterations: cfg.Iterations}
@@ -139,15 +152,26 @@ func Launch(cfg RunConfig) *sim.Future[*Result] {
 
 func runRank(p *sim.Proc, cfg RunConfig, rank int, gpu topo.GPUID, host topo.HostID, res *Result) error {
 	f := cfg.Dep.Service(host).Frontend(cfg.App)
-	// One buffer sized for the largest collective of the trace.
-	var maxBytes int64 = 4
+	// One buffer sized for the largest collective of the trace, and an
+	// AllGather send buffer for the largest per-rank share.
+	var maxBytes, maxGather int64 = 4, 0
 	for _, ph := range cfg.Trace.Phases {
-		if ph.Kind == Collective && ph.Bytes > maxBytes {
-			maxBytes = ph.Bytes
+		if ph.Kind != Collective {
+			continue
+		}
+		maxBytes = max(maxBytes, ph.Bytes)
+		if ph.Op == collective.AllGather {
+			maxGather = max(maxGather, ph.Bytes/4/int64(len(cfg.GPUs))*4)
 		}
 	}
-	buf, err := f.MemAlloc(p, gpu, maxBytes, false)
-	if err != nil {
+	var send, buf *gpusim.Buffer
+	var err error
+	if maxGather > 0 {
+		if send, err = f.MemAlloc(p, gpu, maxGather, false); err != nil {
+			return err
+		}
+	}
+	if buf, err = f.MemAlloc(p, gpu, maxBytes, false); err != nil {
 		return err
 	}
 	comm, err := f.CommInitRank(p, cfg.Key, len(cfg.GPUs), rank, gpu)
@@ -156,15 +180,39 @@ func runRank(p *sim.Proc, cfg RunConfig, rank int, gpu topo.GPUID, host topo.Hos
 	}
 	if rank == 0 {
 		res.CommID = comm.ID()
-		if cfg.OnReady != nil {
-			cfg.OnReady(comm.ID())
-		}
+	}
+	if cfg.OnReady != nil {
+		cfg.OnReady(p, rank, comm.ID())
 	}
 
 	var busyCompute, busyMemcpy, busyIdle, busyComm time.Duration
+	// The last Depth iterations, whose overlapped collectives may still
+	// be in flight: one slot each, reused from iteration to iteration.
+	window := make([]struct {
+		start, end sim.Time // the iteration's start and its phases' end
+		ops        []*mccsd.OpHandle
+	}, cfg.Depth)
+	// join waits for iteration it's overlapped collectives; only the
+	// wait beyond the compute tail is exposed communication.
+	join := func(it int) {
+		w := &window[it%cfg.Depth]
+		t, end := p.Now(), w.end
+		for _, h := range w.ops {
+			end = max(end, h.Wait(p).Done)
+		}
+		busyComm += time.Duration(p.Now().Sub(t))
+		if rank == 0 {
+			d := time.Duration(end.Sub(w.start))
+			res.IterTimes = append(res.IterTimes, d)
+			res.IterEnds = append(res.IterEnds, end)
+			if cfg.OnIteration != nil {
+				cfg.OnIteration(it, end, d)
+			}
+		}
+	}
 	for it := 0; it < cfg.Iterations; it++ {
-		iterStart := p.Now()
-		var overlapped []*mccsd.OpHandle
+		w := &window[it%cfg.Depth]
+		w.start, w.ops = p.Now(), w.ops[:0]
 		for _, ph := range cfg.Trace.Phases {
 			switch ph.Kind {
 			case Compute:
@@ -177,34 +225,26 @@ func runRank(p *sim.Proc, cfg RunConfig, rank int, gpu topo.GPUID, host topo.Hos
 				p.Sleep(ph.Duration)
 				busyIdle += ph.Duration
 			case Collective:
-				h, err := issueCollective(p, comm, ph, buf)
+				h, err := issueCollective(p, comm, ph, send, buf)
 				if err != nil {
 					return err
 				}
 				if ph.Overlap {
-					overlapped = append(overlapped, h)
+					w.ops = append(w.ops, h)
 				} else {
-					w := p.Now()
+					t := p.Now()
 					h.Wait(p)
-					busyComm += time.Duration(p.Now().Sub(w))
+					busyComm += time.Duration(p.Now().Sub(t))
 				}
 			}
 		}
-		// Join overlapped gradient buckets; only the wait beyond the
-		// compute tail is exposed communication.
-		w := p.Now()
-		for _, h := range overlapped {
-			h.Wait(p)
+		w.end = p.Now()
+		if it >= cfg.Depth-1 {
+			join(it - cfg.Depth + 1)
 		}
-		busyComm += time.Duration(p.Now().Sub(w))
-		if rank == 0 {
-			d := time.Duration(p.Now().Sub(iterStart))
-			res.IterTimes = append(res.IterTimes, d)
-			res.IterEnds = append(res.IterEnds, p.Now())
-			if cfg.OnIteration != nil {
-				cfg.OnIteration(it, p.Now(), d)
-			}
-		}
+	}
+	for it := max(cfg.Iterations-cfg.Depth+1, 0); it < cfg.Iterations; it++ {
+		join(it)
 	}
 	if rank == 0 {
 		total := busyCompute + busyMemcpy + busyIdle + busyComm
@@ -217,21 +257,15 @@ func runRank(p *sim.Proc, cfg RunConfig, rank int, gpu topo.GPUID, host topo.Hos
 			}
 		}
 	}
-	if cfg.Teardown {
-		var release func()
-		if cfg.TeardownGate != nil {
-			release = cfg.TeardownGate(p)
-		}
-		err := comm.Destroy(p)
-		if err == nil {
-			err = f.MemFree(p, buf)
-		}
-		if release != nil {
-			release()
-		}
-		if err != nil {
-			return err
+	if cfg.TeardownGate == nil {
+		return nil
+	}
+	defer cfg.TeardownGate(p)()
+	err = comm.Destroy(p)
+	for _, b := range []*gpusim.Buffer{buf, send} {
+		if err == nil && b != nil {
+			err = f.MemFree(p, b)
 		}
 	}
-	return nil
+	return err
 }

@@ -53,8 +53,11 @@ type Trace struct {
 	Phases []Phase
 }
 
-// Validate reports malformed traces.
-func (t *Trace) Validate() error {
+// Validate reports a trace the runner cannot replay on ranks ranks: no
+// phases, a timed phase without a duration, or a collective whose op the
+// runner does not issue, whose size is not a positive whole number of
+// 4-byte elements, or, for an AllGather, less than one element per rank.
+func (t *Trace) Validate(ranks int) error {
 	if len(t.Phases) == 0 {
 		return fmt.Errorf("workload: trace %q has no phases", t.Name)
 	}
@@ -65,8 +68,13 @@ func (t *Trace) Validate() error {
 				return fmt.Errorf("workload: %q phase %d has duration %v", t.Name, i, p.Duration)
 			}
 		case Collective:
-			if p.Bytes <= 0 {
-				return fmt.Errorf("workload: %q phase %d has %d bytes", t.Name, i, p.Bytes)
+			switch {
+			case p.Bytes <= 0 || p.Bytes%4 != 0:
+				return fmt.Errorf("workload: %q phase %d has %d bytes, not a positive multiple of 4", t.Name, i, p.Bytes)
+			case p.Op < collective.AllReduce || p.Op > collective.Reduce:
+				return fmt.Errorf("workload: %q phase %d has unsupported collective %v", t.Name, i, p.Op)
+			case p.Op == collective.AllGather && p.Bytes/4 < int64(ranks):
+				return fmt.Errorf("workload: %q phase %d: %d bytes is less than one element per rank of a %d-rank AllGather", t.Name, i, p.Bytes, ranks)
 			}
 		default:
 			return fmt.Errorf("workload: %q phase %d has unknown kind %d", t.Name, i, p.Kind)

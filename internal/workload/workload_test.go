@@ -19,7 +19,7 @@ func TestTraceValidation(t *testing.T) {
 		VGG19DataParallel(1),
 		GPT27BTensorParallel(1),
 	} {
-		if err := tr.Validate(); err != nil {
+		if err := tr.Validate(8); err != nil {
 			t.Errorf("%s: %v", tr.Name, err)
 		}
 		var bytes int64
@@ -39,19 +39,19 @@ func TestTraceValidation(t *testing.T) {
 		}
 	}
 	for _, tr := range ProductGroupProfiles() {
-		if err := tr.Validate(); err != nil {
+		if err := tr.Validate(2); err != nil {
 			t.Errorf("%s: %v", tr.Name, err)
 		}
 	}
 	bad := Trace{Name: "bad", Phases: []Phase{{Kind: Compute, Duration: 0}}}
-	if err := bad.Validate(); err == nil {
+	if err := bad.Validate(1); err == nil {
 		t.Error("zero-duration phase accepted")
 	}
 	bad2 := Trace{Name: "bad2", Phases: []Phase{{Kind: Collective, Bytes: 0}}}
-	if err := bad2.Validate(); err == nil {
+	if err := bad2.Validate(1); err == nil {
 		t.Error("zero-byte collective accepted")
 	}
-	if err := (&Trace{Name: "empty"}).Validate(); err == nil {
+	if err := (&Trace{Name: "empty"}).Validate(1); err == nil {
 		t.Error("empty trace accepted")
 	}
 }
@@ -107,20 +107,22 @@ func newEnv() (*sim.Scheduler, *mccsd.Deployment) {
 	return s, mccsd.NewDeployment(s, cluster, fb, ncclsim.Config(ncclsim.MCCS))
 }
 
-func TestRunnerExecutesJob(t *testing.T) {
+// fourGPUs is one GPU on each of the testbed's four hosts.
+func fourGPUs(d *mccsd.Deployment) []topo.GPUID {
+	var gpus []topo.GPUID
+	for _, h := range d.Cluster.Hosts[:4] {
+		gpus = append(gpus, h.GPUs[0])
+	}
+	return gpus
+}
+
+// launch runs one job on the testbed's four first GPUs to completion.
+func launch(t *testing.T, cfg RunConfig) *Result {
+	t.Helper()
 	s, d := newEnv()
-	gpus := []topo.GPUID{d.Cluster.Hosts[0].GPUs[0], d.Cluster.Hosts[1].GPUs[0],
-		d.Cluster.Hosts[2].GPUs[0], d.Cluster.Hosts[3].GPUs[0]}
-	// A ResNet-50 data-parallel iteration: 120 ms of compute, then one
-	// 100 MB gradient AllReduce.
-	resnet := Trace{Name: "resnet50-dp", Phases: []Phase{
-		{Kind: Compute, Duration: 120 * time.Millisecond},
-		{Kind: Collective, Op: collective.AllReduce, Bytes: 100 << 20},
-	}}
-	fut := Launch(RunConfig{
-		Dep: d, App: "train", Key: "j1", GPUs: gpus,
-		Trace: resnet, Iterations: 5,
-	})
+	cfg.Dep, cfg.App, cfg.Key = d, "train", "j"
+	cfg.GPUs = fourGPUs(d)
+	fut := Launch(cfg)
 	var res *Result
 	s.Go("wait", func(p *sim.Proc) { res = fut.Wait(p) })
 	if err := s.Run(); err != nil {
@@ -129,6 +131,17 @@ func TestRunnerExecutesJob(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
+	return res
+}
+
+func TestRunnerExecutesJob(t *testing.T) {
+	// A ResNet-50 data-parallel iteration: 120 ms of compute, then one
+	// 100 MB gradient AllReduce.
+	resnet := Trace{Name: "resnet50-dp", Phases: []Phase{
+		{Kind: Compute, Duration: 120 * time.Millisecond},
+		{Kind: Collective, Op: collective.AllReduce, Bytes: 100 << 20},
+	}}
+	res := launch(t, RunConfig{Trace: resnet, Iterations: 5})
 	if len(res.IterTimes) != 5 {
 		t.Fatalf("iterations recorded = %d", len(res.IterTimes))
 	}
@@ -158,9 +171,6 @@ func TestRunnerExecutesJob(t *testing.T) {
 func TestOverlapHidesCommunication(t *testing.T) {
 	// The same bytes take less wall time when buckets overlap compute.
 	run := func(overlap bool) time.Duration {
-		s, d := newEnv()
-		gpus := []topo.GPUID{d.Cluster.Hosts[0].GPUs[0], d.Cluster.Hosts[1].GPUs[0],
-			d.Cluster.Hosts[2].GPUs[0], d.Cluster.Hosts[3].GPUs[0]}
 		tr := Trace{Name: "x"}
 		for b := 0; b < 4; b++ {
 			tr.Phases = append(tr.Phases,
@@ -168,16 +178,7 @@ func TestOverlapHidesCommunication(t *testing.T) {
 				Phase{Kind: Collective, Op: collective.AllReduce, Bytes: 64 << 20, Overlap: overlap},
 			)
 		}
-		fut := Launch(RunConfig{Dep: d, App: "train", Key: "j", GPUs: gpus, Trace: tr, Iterations: 3})
-		var res *Result
-		s.Go("wait", func(p *sim.Proc) { res = fut.Wait(p) })
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		return res.JCT()
+		return launch(t, RunConfig{Trace: tr, Iterations: 3}).JCT()
 	}
 	sync := run(false)
 	async := run(true)
@@ -186,19 +187,41 @@ func TestOverlapHidesCommunication(t *testing.T) {
 	}
 }
 
+// TestLaunchRejectsBadTrace: a trace the datapath cannot carry fails
+// before any rank pays MemAlloc or CommInitRank — the deployment never
+// sees a communicator.
 func TestLaunchRejectsBadTrace(t *testing.T) {
-	s, d := newEnv()
-	fut := Launch(RunConfig{
-		Dep: d, App: "x", Key: "k", GPUs: []topo.GPUID{0},
-		Trace: Trace{Name: "empty"},
-	})
-	var res *Result
-	s.Go("wait", func(p *sim.Proc) { res = fut.Wait(p) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
+	coll := func(op collective.Op, bytes int64) Trace {
+		return Trace{Name: "bad", Phases: []Phase{{Kind: Collective, Op: op, Bytes: bytes}}}
 	}
-	if res.Err == nil {
-		t.Error("invalid trace accepted")
+	for _, tc := range []struct {
+		name  string
+		trace Trace
+	}{
+		{"empty", Trace{Name: "empty"}},
+		{"zero-bytes", coll(collective.AllReduce, 0)},
+		{"negative-bytes", coll(collective.AllReduce, -4)},
+		{"partial-element", coll(collective.AllReduce, 6)},
+		{"two-bytes", coll(collective.Broadcast, 2)},
+		{"allgather-below-one-per-rank", coll(collective.AllGather, 12)},
+		{"unsupported-op", coll(collective.Op(99), 1024)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, d := newEnv()
+			gpus := fourGPUs(d)
+			fut := Launch(RunConfig{Dep: d, App: "x", Key: "k", GPUs: gpus, Trace: tc.trace})
+			var res *Result
+			s.Go("wait", func(p *sim.Proc) { res = fut.Wait(p) })
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if res.Err == nil {
+				t.Error("invalid trace accepted")
+			}
+			if n := d.NumComms(); n != 0 {
+				t.Errorf("%d communicator(s) created before the trace was refused", n)
+			}
+		})
 	}
 }
 
@@ -236,5 +259,88 @@ func TestBreakdownProfilesDiffer(t *testing.T) {
 	}
 	if results[2].Breakdown.Compute <= results[0].Breakdown.Compute {
 		t.Error("group C should be compute-heavier than group A")
+	}
+}
+
+// TestDepthPipelinesIterations: at depth 2 an overlapped collective stays
+// in flight across the iteration boundary, so the next one is issued
+// before it completes and the datapath latency hides behind it.
+func TestDepthPipelinesIterations(t *testing.T) {
+	const iters = 20
+	tr := Trace{Name: "loop", Phases: []Phase{
+		{Kind: Collective, Op: collective.AllReduce, Bytes: 32 << 10, Overlap: true},
+	}}
+	serial := launch(t, RunConfig{Trace: tr, Iterations: iters, Depth: 1})
+	piped := launch(t, RunConfig{Trace: tr, Iterations: iters, Depth: 2})
+	if len(piped.IterEnds) != iters || len(piped.IterTimes) != iters {
+		t.Fatalf("depth 2 recorded %d ends and %d times, want %d", len(piped.IterEnds), len(piped.IterTimes), iters)
+	}
+	for i := 1; i < iters; i++ {
+		if piped.IterEnds[i] <= piped.IterEnds[i-1] {
+			t.Fatalf("IterEnds[%d] = %v, not after %v", i, piped.IterEnds[i], piped.IterEnds[i-1])
+		}
+	}
+	if piped.JCT() >= serial.JCT() {
+		t.Errorf("depth 2 JCT %v, not below depth 1's %v", piped.JCT(), serial.JCT())
+	}
+}
+
+func TestAllGatherTraceCompletes(t *testing.T) {
+	res := launch(t, RunConfig{Trace: Trace{Name: "ag", Phases: []Phase{
+		{Kind: Collective, Op: collective.AllGather, Bytes: 1 << 20},
+	}}, Iterations: 3})
+	if len(res.IterEnds) != 3 {
+		t.Errorf("IterEnds = %d, want 3", len(res.IterEnds))
+	}
+}
+
+// TestOnReadyGatesEveryRank: OnReady runs once per rank after its
+// communicator exists, and may block: the Fig. 6/8 gate (every rank
+// ready, the controller acts, go) holds each rank's first issue.
+func TestOnReadyGatesEveryRank(t *testing.T) {
+	const open = 50 * time.Millisecond
+	s, d := newEnv()
+	gpus := fourGPUs(d)
+	ready := sim.NewLatch(len(gpus))
+	gate := &sim.Event{}
+	s.Go("controller", func(p *sim.Proc) {
+		ready.Wait(p)
+		p.SleepUntil(sim.Time(open))
+		gate.Signal(s)
+	})
+	calls := map[int]int{}
+	fut := Launch(RunConfig{
+		Dep: d, App: "train", Key: "j", GPUs: gpus,
+		Trace: Trace{Name: "loop", Phases: []Phase{
+			{Kind: Collective, Op: collective.AllReduce, Bytes: 32 << 10},
+		}},
+		OnReady: func(p *sim.Proc, rank int, id spec.CommID) {
+			calls[rank]++
+			if d.NumComms() != 1 {
+				t.Errorf("rank %d ready before its communicator exists", rank)
+			}
+			ready.Done(s)
+			gate.Wait(p)
+		},
+	})
+	var res *Result
+	s.Go("wait", func(p *sim.Proc) { res = fut.Wait(p) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	for rank := range gpus {
+		if calls[rank] != 1 {
+			t.Errorf("rank %d: OnReady called %d times", rank, calls[rank])
+		}
+		hist, err := d.CommTrace(res.CommID, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hist) != 1 || hist[0].Start < sim.Time(open) {
+			t.Errorf("rank %d: history %+v, want one collective started at or after %v", rank, hist, open)
+		}
 	}
 }
