@@ -164,9 +164,10 @@ bench-compare:
 
 # bench-pairs is how a host-speed claim is measured on a host whose speed
 # drifts: bench/ built at BASE and at the working tree, run alternately N
-# times on workload W, each pair's ratio printed, then the medians of the
-# end-to-end metrics (scripts/bench-pairs.sh). Every run is the benchmark's
-# own 10 s run: make bench-pairs BASE=HEAD~1 W=ar_large N=10 [SEED=1]
+# times on workload W, each pair's ratio printed, then each side's median
+# and q1..q3 of the end-to-end metrics and whether the gain rule held
+# (scripts/bench-pairs.sh). Every run is the benchmark's own 10 s run:
+# make bench-pairs BASE=HEAD~1 W=ar_large N=10 [SEED=1]
 BASE ?= HEAD
 W ?= ar_large
 N ?= 10

@@ -34,7 +34,7 @@ func TestLinkDegradationReroute(t *testing.T) {
 	// Find the leaf0 -> spine0 link to degrade.
 	var victim netsim.LinkID = -1
 	for i := 0; i < env.Cluster.Net.NumLinks(); i++ {
-		if env.Cluster.Net.Link(netsim.LinkID(i)).Name == "leaf0->spine0" {
+		if env.Cluster.Net.LinkName(netsim.LinkID(i)) == "leaf0->spine0" {
 			victim = netsim.LinkID(i)
 		}
 	}

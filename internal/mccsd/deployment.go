@@ -163,8 +163,8 @@ func registerTopology(rec *trace.Recorder, cluster *topo.Cluster) {
 	}
 	links := make([]trace.LinkMeta, cluster.Net.NumLinks())
 	for l := range links {
-		lk := cluster.Net.Link(netsim.LinkID(l))
-		links[l] = trace.LinkMeta{Name: lk.Name, CapBps: lk.Capacity}
+		id := netsim.LinkID(l)
+		links[l] = trace.LinkMeta{Name: cluster.Net.LinkName(id), CapBps: cluster.Net.Link(id).Capacity}
 	}
 	rec.SetTopology(hosts, gpuHost, nodeHost, nodeNames)
 	rec.SetLinks(links)

@@ -81,9 +81,9 @@ func (d *Deployment) instrumentTelemetry(reg *telemetry.Registry) *fabricCollect
 	}
 	for l := 0; l < nLinks; l++ {
 		id := netsim.LinkID(l)
-		lk := net.Link(id)
-		links[l] = telemetry.LinkInfo{ID: int32(l), Name: lk.Name, CapBps: lk.Capacity}
-		lb := telemetry.L("link", lk.Name)
+		name := net.LinkName(id)
+		links[l] = telemetry.LinkInfo{ID: int32(l), Name: name, CapBps: net.Link(id).Capacity}
+		lb := telemetry.L("link", name)
 		reg.GaugeFunc("mccs_fabric_link_bps", "bytes/s", func() float64 { return fb.LinkRate(id) }, lb)
 		reg.GaugeFunc("mccs_fabric_link_utilization", "ratio", func() float64 { return fb.LinkUtilization(id) }, lb)
 		reg.GaugeFunc("mccs_fabric_link_external_bps", "bytes/s", func() float64 { return fb.ExternalRate(id) }, lb)
@@ -178,8 +178,7 @@ func (c *fabricCollector) observe(now sim.Time) {
 				}
 			}
 			id := netsim.LinkID(l)
-			lk := net.Link(id)
-			c.reg.SLO.ObserveLink(now, int32(l), lk.Name, lk.Capacity, fb.LinkRate(id), ls.share)
+			c.reg.SLO.ObserveLink(now, int32(l), net.LinkName(id), net.Link(id).Capacity, fb.LinkRate(id), ls.share)
 		}
 	}
 	c.novel = false
@@ -199,5 +198,5 @@ func (c *fabricCollector) register(t, l int) {
 			return 0
 		}
 		return c.links[l].share[sl.idx].Bps
-	}, telemetry.L("tenant", c.reg.TenantName(t)), telemetry.L("link", c.d.Cluster.Net.Link(netsim.LinkID(l)).Name))
+	}, telemetry.L("tenant", c.reg.TenantName(t)), telemetry.L("link", c.d.Cluster.Net.LinkName(netsim.LinkID(l))))
 }

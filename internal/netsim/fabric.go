@@ -162,7 +162,8 @@ type Fabric struct {
 
 	// linkRate[l] is the currently allocated aggregate rate on link l,
 	// maintained by recompute for monitoring queries; externalRate[l]
-	// is the portion from flows marked External.
+	// is the portion from flows marked External. Both are zero on every
+	// link no active flow crosses: remove zeroes a departing flow's route.
 	linkRate     []float64
 	externalRate []float64
 
@@ -188,7 +189,7 @@ type Fabric struct {
 	fillDone   []bool    // current water-fill: flow stopped rising
 	// Flow/link scratch:
 	active    []*Flow   // water-fill participant list
-	remCap    []float64 // per-link remaining capacity
+	remCap    []float64 // per-link remaining capacity; valid on touched links only
 	nActive   []int     // per-link count of unfrozen crossing flows
 	linkMark  []bool    // per-link membership in touched
 	touched   []LinkID  // links crossed by any active flow
@@ -359,6 +360,9 @@ func (fb *Fabric) remove(fl *Flow) {
 	}
 	if fl.priority {
 		fb.nPriority--
+	}
+	for _, l := range fl.Route {
+		fb.linkRate[l], fb.externalRate[l] = 0, 0
 	}
 }
 
@@ -563,8 +567,6 @@ func (fb *Fabric) growScratch(n int) {
 // memo in front of it (memo.go), which hands back the very floats solve
 // produced for that input.
 func (fb *Fabric) allocate() {
-	clear(fb.linkRate)
-	clear(fb.externalRate)
 	n := len(fb.flows)
 	if n == 0 {
 		return
@@ -581,13 +583,22 @@ func (fb *Fabric) allocate() {
 
 // commit accumulates the link-rate sums in flow-ID order (they are float
 // accumulations; the order must be deterministic) and samples the new
-// rates for the flight recorder.
+// rates for the flight recorder. remove zeroes a departing flow's route,
+// so only the links on the active flows' routes can hold an old sum; those
+// are all it zeroes first.
 func (fb *Fabric) commit() {
+	linkRate, externalRate := fb.linkRate, fb.externalRate
 	for _, fl := range fb.flows {
 		for _, l := range fl.Route {
-			fb.linkRate[l] += fl.rate
+			linkRate[l], externalRate[l] = 0, 0
+		}
+	}
+	for _, fl := range fb.flows {
+		r := fl.rate
+		for _, l := range fl.Route {
+			linkRate[l] += r
 			if fl.external {
-				fb.externalRate[l] += fl.rate
+				externalRate[l] += r
 			}
 		}
 	}
@@ -702,27 +713,10 @@ func (fb *Fabric) waterfill(priorityOnly bool) {
 		active = append(active, fl)
 	}
 
-	remCap := fb.remCap
-	for _, l := range fb.net.links {
-		remCap[l.ID] = l.Capacity
-	}
-	// Frozen flows are fixed background load. Subtract in flow-ID order:
-	// float subtraction is order-sensitive in its low bits, and this was
-	// the one map-ordered (and therefore nondeterministic) accumulation
-	// in the original allocator.
-	for _, fl := range fb.flows {
-		if !fb.frozenSet[fl.slot] {
-			continue
-		}
-		r := fb.frozenRate[fl.slot]
-		for _, l := range fl.Route {
-			remCap[l] -= r
-			if remCap[l] < 0 {
-				remCap[l] = 0
-			}
-		}
-	}
-	nAct, mark := fb.nActive, fb.linkMark
+	// Only the links the participants cross are read below: seed those
+	// with their capacity (read now, so a SetLinkCapacity since the last
+	// fill counts) and leave the rest of remCap stale.
+	remCap, nAct, mark, links := fb.remCap, fb.nActive, fb.linkMark, fb.net.links
 	touched := fb.touched[:0]
 	for _, fl := range active {
 		for _, l := range fl.Route {
@@ -730,6 +724,27 @@ func (fb *Fabric) waterfill(priorityOnly bool) {
 			if !mark[l] {
 				mark[l] = true
 				touched = append(touched, l)
+				remCap[l] = links[l].Capacity
+			}
+		}
+	}
+	// Frozen flows are fixed background load on the links they share with
+	// the participants. Subtract in flow-ID order: float subtraction is
+	// order-sensitive in its low bits, and this was the one map-ordered
+	// (and therefore nondeterministic) accumulation in the original
+	// allocator.
+	for _, fl := range fb.flows {
+		if !fb.frozenSet[fl.slot] {
+			continue
+		}
+		r := fb.frozenRate[fl.slot]
+		for _, l := range fl.Route {
+			if !mark[l] {
+				continue
+			}
+			remCap[l] -= r
+			if remCap[l] < 0 {
+				remCap[l] = 0
 			}
 		}
 	}

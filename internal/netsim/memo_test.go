@@ -13,8 +13,6 @@ import (
 // recompute did before the memo existed, and what an over-limit flow set
 // still does.
 func allocateUnmemoised(fb *Fabric) {
-	clear(fb.linkRate)
-	clear(fb.externalRate)
 	if len(fb.flows) == 0 {
 		return
 	}

@@ -609,3 +609,62 @@ func TestExternalRateAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// On a fabric much larger than its flows' routes, the fabric zeroes the
+// link sums only on the routes (and on a departing flow's route) and seeds
+// the water-fill only on the links its flows cross. Neither may leave a
+// stale value behind: a route whose flows finished reads zero on every link
+// while flows on a disjoint route keep running, and a capacity changed
+// between fills — on a link in use or on one idle since an earlier fill —
+// is the capacity the next fill shares.
+func TestFabricResetsWhatFlowsLeft(t *testing.T) {
+	s := sim.New()
+	n, a, _, c := lineNet(100*gbps, 100*gbps)
+	// Idle links between two extra nodes make the routes a small share of
+	// the fabric.
+	x, y := n.AddNode("x"), n.AddNode("y")
+	for i := 0; i < 32; i++ {
+		n.AddDuplex(x, y, gbps)
+	}
+	fb := NewFabric(s, n)
+	fwd, rev := []LinkID{0, 2}, []LinkID{3, 1} // a->b->c and c->b->a
+	s.Go("app", func(p *sim.Proc) {
+		_, done := startFlow(fb, FlowOpts{Src: a, Dst: c, Route: fwd, Bytes: 1e6})
+		fb.StartFlow(FlowOpts{Src: a, Dst: c, Route: fwd, Bytes: 1e5, FixedRate: 10 * gbps, External: true})
+		stay := fb.StartFlow(FlowOpts{Src: c, Dst: a, Route: rev})
+		fb.StartFlow(FlowOpts{Src: c, Dst: a, Route: rev, FixedRate: 20 * gbps, External: true})
+		for _, l := range fwd {
+			if fb.LinkRate(l) != 100*gbps || fb.ExternalRate(l) != 10*gbps {
+				t.Errorf("busy link %d: rate %g, external %g", l, fb.LinkRate(l), fb.ExternalRate(l))
+			}
+		}
+		done.Wait(p)
+		for _, l := range fwd {
+			if fb.LinkRate(l) != 0 || fb.ExternalRate(l) != 0 {
+				t.Errorf("link %d after its flows finished: rate %g, external %g, want 0", l, fb.LinkRate(l), fb.ExternalRate(l))
+			}
+		}
+		for _, l := range rev {
+			if fb.LinkRate(l) != 100*gbps || fb.ExternalRate(l) != 20*gbps {
+				t.Errorf("link %d still carrying flows: rate %g, external %g", l, fb.LinkRate(l), fb.ExternalRate(l))
+			}
+		}
+		// A link in use: the running flow gets the new residual at once.
+		fb.SetLinkCapacity(rev[0], 50*gbps)
+		if got := stay.Rate(); got != 30*gbps {
+			t.Errorf("after degrading link %d: rate %g, want %g", rev[0], got, 30*gbps)
+		}
+		// An idle link, last filled at 100G: a new flow across it sees 40G.
+		fb.SetLinkCapacity(fwd[1], 40*gbps)
+		again := fb.StartFlow(FlowOpts{Src: a, Dst: c, Route: fwd})
+		if got := again.Rate(); got != 40*gbps {
+			t.Errorf("flow over degraded idle link %d: rate %g, want %g", fwd[1], got, 40*gbps)
+		}
+		if got := fb.LinkRate(fwd[0]); got != 40*gbps {
+			t.Errorf("link %d: rate %g, want %g", fwd[0], got, 40*gbps)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -35,34 +35,43 @@ type NodeID int
 // LinkID identifies one directed link.
 type LinkID int
 
-// Link is one directed, capacity-limited edge.
+// Link is one directed, capacity-limited edge. Its label is
+// Network.LinkName.
 type Link struct {
 	ID       LinkID
 	From, To NodeID
 	// Capacity is in bytes per second.
 	Capacity float64
-	// Name is a human-readable label used in errors and traces.
-	Name string
 }
 
 // Network is the static fabric topology. Build it once, then share it
 // between a Fabric (dynamic state) and routing/path queries.
 type Network struct {
 	nodeNames []string
-	links     []*Link
-	out       [][]LinkID // adjacency: outgoing links per node
+	// links holds the links by value, in ID order: building a fabric
+	// allocates nothing per link or node, and the solver reads capacities
+	// from one array.
+	links []Link
+	// linkNames[l] is link l's label, formatted on first request (LinkName);
+	// names never change, so adding links only leaves the table short.
+	linkNames []string
 
 	pathCache map[[2]NodeID][][]LinkID
+	// searches counts the breadth-first searches computeShortestPaths has
+	// run (for tests: a path query that reuses cached paths runs none).
+	searches int
 
 	// Path-query state derived from the links, built on the first query
-	// and dropped by AddLink: inFrom[inOff[v]:inOff[v+1]] are the tails of
-	// v's incoming links (CSR), distTo[v] is v's hop distance to the
+	// and dropped by AddLink: outLink[outOff[v]:outOff[v+1]] are v's
+	// outgoing links and inLink[inOff[v]:inOff[v+1]] its incoming ones
+	// (CSR, each in link-ID order), distTo[v] is v's hop distance to the
 	// current query's destination (-1 = not labelled; every label is reset
 	// before the query returns), and queue/cur/flat are the BFS queue, the
 	// DFS's path prefix and its output, reused across queries.
-	inOff, distTo []int32
-	inFrom, queue []NodeID
-	cur, flat     []LinkID
+	outOff, inOff, distTo []int32
+	outLink, inLink       []LinkID
+	cur, flat             []LinkID
+	queue                 []NodeID
 }
 
 // NewNetwork returns an empty topology.
@@ -70,10 +79,20 @@ func NewNetwork() *Network {
 	return &Network{pathCache: make(map[[2]NodeID][][]LinkID)}
 }
 
+// Grow makes room for nodes more nodes and links more links, so that a
+// builder that knows its fabric's size adds them without regrowing the
+// tables.
+func (n *Network) Grow(nodes, links int) {
+	// Not slices.Grow: under the race detector its append of a made slice
+	// is a second allocation.
+	n.nodeNames = append(make([]string, 0, len(n.nodeNames)+nodes), n.nodeNames...)
+	n.links = append(make([]Link, 0, len(n.links)+links), n.links...)
+}
+
 // AddNode adds a vertex and returns its ID.
 func (n *Network) AddNode(name string) NodeID {
 	n.nodeNames = append(n.nodeNames, name)
-	n.out = append(n.out, nil)
+	n.inOff = nil
 	return NodeID(len(n.nodeNames) - 1)
 }
 
@@ -94,12 +113,7 @@ func (n *Network) NumLinks() int { return len(n.links) }
 // AddLink adds one directed link with the given capacity in bytes/second.
 func (n *Network) AddLink(from, to NodeID, capacity float64) LinkID {
 	id := LinkID(len(n.links))
-	l := &Link{
-		ID: id, From: from, To: to, Capacity: capacity,
-		Name: fmt.Sprintf("%s->%s", n.NodeName(from), n.NodeName(to)),
-	}
-	n.links = append(n.links, l)
-	n.out[from] = append(n.out[from], id)
+	n.links = append(n.links, Link{ID: id, From: from, To: to, Capacity: capacity})
 	// Invalidate everything derived from the link set. BuildClos calls
 	// this thousands of times before the first query: nothing to clear.
 	if len(n.pathCache) > 0 {
@@ -115,8 +129,19 @@ func (n *Network) AddDuplex(a, b NodeID, capacity float64) (LinkID, LinkID) {
 	return n.AddLink(a, b, capacity), n.AddLink(b, a, capacity)
 }
 
-// Link returns the link with the given ID.
-func (n *Network) Link(id LinkID) *Link { return n.links[id] }
+// Link returns the link with the given ID. The pointer is into the
+// Network's link table and stays valid until the next AddLink.
+func (n *Network) Link(id LinkID) *Link { return &n.links[id] }
+
+// LinkName returns link id's human-readable label, "from->to", for errors,
+// traces and telemetry. Labels are formatted the first time any is asked
+// for, and then kept: a fabric nobody observes never formats one.
+func (n *Network) LinkName(id LinkID) string {
+	for l := len(n.linkNames); l < len(n.links); l++ {
+		n.linkNames = append(n.linkNames, n.NodeName(n.links[l].From)+"->"+n.NodeName(n.links[l].To))
+	}
+	return n.linkNames[id]
+}
 
 // ValidateRoute checks that route is a connected path from src to dst.
 func (n *Network) ValidateRoute(src, dst NodeID, route []LinkID) error {
@@ -131,9 +156,9 @@ func (n *Network) ValidateRoute(src, dst NodeID, route []LinkID) error {
 		if int(id) < 0 || int(id) >= len(n.links) {
 			return fmt.Errorf("netsim: route hop %d: unknown link %d", i, id)
 		}
-		l := n.links[id]
+		l := &n.links[id]
 		if l.From != at {
-			return fmt.Errorf("netsim: route hop %d (%s) does not start at %s", i, l.Name, n.NodeName(at))
+			return fmt.Errorf("netsim: route hop %d (%s) does not start at %s", i, n.LinkName(id), n.NodeName(at))
 		}
 		at = l.To
 	}
@@ -156,8 +181,63 @@ func (n *Network) PathsBetween(src, dst NodeID) [][]LinkID {
 	if p, ok := n.pathCache[key]; ok {
 		return p
 	}
-	paths := n.computeShortestPaths(src, dst)
+	if n.inOff == nil {
+		n.buildAdjacency()
+	}
+	var paths [][]LinkID
+	if up, down, ok := n.singleHomed(src, dst); ok {
+		paths = n.throughSwitches(up, down)
+	} else {
+		paths = n.computeShortestPaths(src, dst)
+	}
 	n.pathCache[key] = paths
+	return paths
+}
+
+// singleHomed reports whether src has exactly one outgoing link (up) and
+// dst exactly one incoming link (down), src != dst: a NIC and its one
+// uplink, a NIC and its one downlink, on every fabric internal/topo
+// builds.
+func (n *Network) singleHomed(src, dst NodeID) (up, down LinkID, ok bool) {
+	if src == dst || n.outOff[src+1]-n.outOff[src] != 1 || n.inOff[dst+1]-n.inOff[dst] != 1 {
+		return 0, 0, false
+	}
+	return n.outLink[n.outOff[src]], n.inLink[n.inOff[dst]], true
+}
+
+// throughSwitches answers a single-homed pair (singleHomed) from the
+// cached paths between the far end of its uplink and the near end of its
+// downlink — on a Clos, one search per leaf pair instead of one per NIC
+// pair. Every path from src leaves over up and every path into dst
+// arrives over down, and a shortest path between them never revisits
+// either end, so the shortest src→dst paths are exactly up + (each
+// shortest path from up.To to down.From) + down, and in the same order:
+// the paths share their first and last link, so the reference enumerator
+// orders them by their middle, as it orders the middles themselves. The
+// middle pair is enumerated by search, never by this rule again, so a
+// chain or cycle of single-homed nodes cannot recurse. An unreachable
+// middle (including a self-loop uplink or downlink) leaves dst
+// unreachable: nil.
+func (n *Network) throughSwitches(up, down LinkID) [][]LinkID {
+	if up == down {
+		return [][]LinkID{{up}} // src's one link is dst's one link
+	}
+	key := [2]NodeID{n.links[up].To, n.links[down].From}
+	mid, ok := n.pathCache[key]
+	if !ok {
+		mid = n.computeShortestPaths(key[0], key[1])
+		n.pathCache[key] = mid
+	}
+	if len(mid) == 0 {
+		return nil
+	}
+	hops := len(mid[0]) + 2
+	backing := make([]LinkID, 0, len(mid)*hops)
+	paths := make([][]LinkID, len(mid))
+	for i, p := range mid {
+		backing = append(append(append(backing, up), p...), down)
+		paths[i] = backing[i*hops : (i+1)*hops : (i+1)*hops]
+	}
 	return paths
 }
 
@@ -165,22 +245,21 @@ func (n *Network) PathsBetween(src, dst NodeID) [][]LinkID {
 // over incoming links that stops as soon as src is labelled — BFS labels in
 // distance order, so every node nearer to dst than src has its label by
 // then — and then walks from src along links that lose exactly one hop.
-// Every link the walk takes lies on a shortest path, and it tries out[u] in
-// order, so the paths come out in the order of a forward level-graph DFS
-// (path order is an ECMP input and the meaning of a pinned route index).
+// Every link the walk takes lies on a shortest path, and it tries u's
+// outgoing links in ID order, so the paths come out in the order of a
+// forward level-graph DFS (path order is an ECMP input and the meaning of a
+// pinned route index). The caller has built the adjacency.
 func (n *Network) computeShortestPaths(src, dst NodeID) [][]LinkID {
 	if src == dst {
 		return [][]LinkID{{}}
 	}
-	if len(n.inOff) != len(n.nodeNames)+1 {
-		n.buildInAdjacency()
-	}
+	n.searches++
 	n.distTo[dst] = 0
 	n.queue = append(n.queue[:0], dst)
 	for head := 0; head < len(n.queue) && n.distTo[src] < 0; head++ {
 		v := n.queue[head]
-		for _, u := range n.inFrom[n.inOff[v]:n.inOff[v+1]] {
-			if n.distTo[u] < 0 {
+		for _, lid := range n.inLink[n.inOff[v]:n.inOff[v+1]] {
+			if u := n.links[lid].From; n.distTo[u] < 0 {
 				n.distTo[u] = n.distTo[v] + 1
 				n.queue = append(n.queue, u)
 			}
@@ -211,7 +290,7 @@ func (n *Network) descend(u NodeID) {
 		n.flat = append(n.flat, n.cur...)
 		return
 	}
-	for _, lid := range n.out[u] {
+	for _, lid := range n.outLink[n.outOff[u]:n.outOff[u+1]] {
 		if v := n.links[lid].To; n.distTo[v] == n.distTo[u]-1 {
 			n.cur = append(n.cur, lid)
 			n.descend(v)
@@ -220,26 +299,36 @@ func (n *Network) descend(u NodeID) {
 	}
 }
 
-// buildInAdjacency derives the CSR in-adjacency from the links and sizes
-// the distance labels to the node set.
-func (n *Network) buildInAdjacency() {
-	n.inOff = make([]int32, len(n.nodeNames)+1)
-	for _, l := range n.links {
-		n.inOff[l.To+1]++
-	}
-	for v := range n.nodeNames {
-		n.inOff[v+1] += n.inOff[v]
-	}
-	n.inFrom = make([]NodeID, len(n.links))
-	next := append([]int32(nil), n.inOff...)
-	for _, l := range n.links {
-		n.inFrom[next[l.To]] = l.From
-		next[l.To]++
-	}
-	n.distTo = make([]int32, len(n.nodeNames))
+// buildAdjacency derives the CSR out- and in-adjacency from the links and
+// sizes the distance labels to the node set.
+func (n *Network) buildAdjacency() {
+	nodes := len(n.nodeNames)
+	n.outOff, n.outLink = csr(n.links, nodes, func(l *Link) NodeID { return l.From })
+	n.inOff, n.inLink = csr(n.links, nodes, func(l *Link) NodeID { return l.To })
+	n.distTo = make([]int32, nodes)
 	for v := range n.distTo {
 		n.distTo[v] = -1
 	}
+}
+
+// csr groups the link IDs by the node end(l) names, keeping ID order within
+// a node: the IDs of node v's group are ids[off[v]:off[v+1]].
+func csr(links []Link, nodes int, end func(*Link) NodeID) (off []int32, ids []LinkID) {
+	off = make([]int32, nodes+1)
+	for i := range links {
+		off[end(&links[i])+1]++
+	}
+	for v := 0; v < nodes; v++ {
+		off[v+1] += off[v]
+	}
+	ids = make([]LinkID, len(links))
+	next := append([]int32(nil), off[:nodes]...)
+	for i := range links {
+		v := end(&links[i])
+		ids[next[v]] = LinkID(i)
+		next[v]++
+	}
+	return off, ids
 }
 
 // FNV-1a constants, for the inlined ECMP hash below.

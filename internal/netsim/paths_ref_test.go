@@ -9,6 +9,12 @@ func (n *Network) referenceShortestPaths(src, dst NodeID) [][]LinkID {
 	if src == dst {
 		return [][]LinkID{{}}
 	}
+	// The out-links per node, in ID order (the Network keeps only a link
+	// table and derives its own adjacency).
+	out := make([][]LinkID, len(n.nodeNames))
+	for i, l := range n.links {
+		out[l.From] = append(out[l.From], LinkID(i))
+	}
 	// BFS to establish distance-from-src per node.
 	const inf = int(^uint(0) >> 1)
 	dist := make([]int, len(n.nodeNames))
@@ -20,7 +26,7 @@ func (n *Network) referenceShortestPaths(src, dst NodeID) [][]LinkID {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, lid := range n.out[u] {
+		for _, lid := range out[u] {
 			v := n.links[lid].To
 			if dist[v] == inf {
 				dist[v] = dist[u] + 1
@@ -40,7 +46,7 @@ func (n *Network) referenceShortestPaths(src, dst NodeID) [][]LinkID {
 			paths = append(paths, append([]LinkID(nil), cur...))
 			return
 		}
-		for _, lid := range n.out[u] {
+		for _, lid := range out[u] {
 			v := n.links[lid].To
 			if dist[v] == dist[u]+1 && dist[v] <= dist[dst] {
 				cur = append(cur, lid)
@@ -59,3 +65,7 @@ func (n *Network) referenceShortestPaths(src, dst NodeID) [][]LinkID {
 func ReferencePaths(n *Network, src, dst NodeID) [][]LinkID {
 	return n.referenceShortestPaths(src, dst)
 }
+
+// Searches exposes the number of breadth-first searches n has run to the
+// external tests.
+func Searches(n *Network) int { return n.searches }

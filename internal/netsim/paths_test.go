@@ -56,6 +56,18 @@ func FuzzPathsBetween(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 0, 1, 1, 2, 1, 1})             // parallel links, self-loop
 	f.Add(uint8(6), []byte{0, 1, 1, 2, 2, 0, 3, 4})             // cycle, second component, isolated node
 	f.Add(uint8(5), []byte{0, 1, 1, 4, 0, 2, 2, 3, 3, 4, 0, 4}) // unequal-length alternatives
+	// Single-homed pairs (one link out of the source, one into the
+	// destination), which PathsBetween answers through the pair between
+	// them: the middle is unreachable, so 0 -> 3 has no paths (nil, not an
+	// empty list) ...
+	f.Add(uint8(4), []byte{0, 1, 2, 3})
+	// ... the destination's one incoming link is a self-loop, and so is the
+	// middle's one outgoing link: asking the middle pair by the same rule
+	// would ask it again ...
+	f.Add(uint8(3), []byte{0, 1, 1, 1, 2, 2})
+	// ... and 0 <-> 1 and 2 <-> 3 are 2-cycles of single-homed nodes: the
+	// middle of 0 -> 2 is 1 -> 3, whose middle is 0 -> 2 again.
+	f.Add(uint8(4), []byte{0, 1, 1, 0, 2, 3, 3, 2})
 	f.Fuzz(func(t *testing.T, nodes uint8, edges []byte) {
 		if len(edges) > 128 {
 			edges = edges[:128]

@@ -99,3 +99,22 @@ func TestColdPathsBetweenAllocatesOnlyItsResult(t *testing.T) {
 		t.Errorf("cold PathsBetween: %.0f allocs/query, want <= 2", allocs)
 	}
 }
+
+// TestClosPathSearches pins how many searches a fixed set of cold NIC pairs
+// costs on the 768-GPU Clos: the 256 pairs of the benchmark's
+// netsim.probe.paths_cold_ms probe. A NIC has one uplink and one downlink,
+// so a NIC pair is answered from its leaf pair's cached paths, and only a
+// leaf pair not asked before is searched; a same-leaf pair needs no search
+// at all. When every NIC pair ran its own search this read 256.
+func TestClosPathSearches(t *testing.T) {
+	c := largeClos(t)
+	for i := 0; i < 256; i++ {
+		a, b := topo.NICID(i*3%len(c.NICs)), topo.NICID((i*7+101)%len(c.NICs))
+		if got, want := c.PathsBetweenNICs(a, b), netsim.ReferencePaths(c.Net, c.NICNode(a), c.NICNode(b)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("NIC %d -> %d:\n got  %v\n want %v", a, b, got, want)
+		}
+	}
+	if got, want := netsim.Searches(c.Net), 70; got != want {
+		t.Errorf("256 cold NIC pairs ran %d searches, want %d", got, want)
+	}
+}

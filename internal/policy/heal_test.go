@@ -131,7 +131,7 @@ func TestRepinMovesExactlyTheConnsOnTheLink(t *testing.T) {
 	net := env.Cluster.Net
 	l := netsim.LinkID(-1)
 	for i := 0; i < net.NumLinks(); i++ {
-		if net.Link(netsim.LinkID(i)).Name == "leaf0->spine0" {
+		if net.LinkName(netsim.LinkID(i)) == "leaf0->spine0" {
 			l = netsim.LinkID(i)
 		}
 	}
@@ -142,7 +142,7 @@ func TestRepinMovesExactlyTheConnsOnTheLink(t *testing.T) {
 	before := comm.ConnRoutes()
 	aff := policy.AffectedConns(env.Deployment, ci, l)
 	if len(aff) == 0 || len(aff) == len(before) {
-		t.Fatalf("%d of %d connections cross %s, want some but not all", len(aff), len(before), net.Link(l).Name)
+		t.Fatalf("%d of %d connections cross %s, want some but not all", len(aff), len(before), net.LinkName(l))
 	}
 	if !policy.Repin(env.Deployment, ci, aff, l) {
 		t.Fatal("Repin found no clean path on a fabric with path diversity")
@@ -154,10 +154,10 @@ func TestRepinMovesExactlyTheConnsOnTheLink(t *testing.T) {
 	}
 	for key, path := range after {
 		if slices.Contains(path, l) {
-			t.Errorf("connection %+v still crosses %s", key, net.Link(l).Name)
+			t.Errorf("connection %+v still crosses %s", key, net.LinkName(l))
 		}
 		if !slices.Contains(aff, key) && !slices.Equal(path, before[key]) {
-			t.Errorf("connection %+v did not cross %s but moved %v -> %v", key, net.Link(l).Name, before[key], path)
+			t.Errorf("connection %+v did not cross %s but moved %v -> %v", key, net.LinkName(l), before[key], path)
 		}
 	}
 	if g := comm.Runners[0].Generation(); g != 0 {

@@ -281,7 +281,7 @@ func TestRemediationRepinsOnClos(t *testing.T) {
 	env.S.At(sim.Time(2*time.Second), func() {
 		var victim netsim.LinkID = -1
 		for i := 0; i < env.Cluster.Net.NumLinks(); i++ {
-			if env.Cluster.Net.Link(netsim.LinkID(i)).Name == "leaf0->spine0" {
+			if env.Cluster.Net.LinkName(netsim.LinkID(i)) == "leaf0->spine0" {
 				victim = netsim.LinkID(i)
 			}
 		}

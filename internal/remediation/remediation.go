@@ -219,9 +219,9 @@ func Attach(s *sim.Scheduler, dep *mccsd.Deployment, diag *diagnosis.Engine, cfg
 	e.linkNames = make([]string, net.NumLinks())
 	e.links = make([]linkState, net.NumLinks())
 	for i := range e.nominal {
-		l := net.Link(netsim.LinkID(i))
-		e.nominal[i] = l.Capacity
-		e.linkNames[i] = l.Name
+		id := netsim.LinkID(i)
+		e.nominal[i] = net.Link(id).Capacity
+		e.linkNames[i] = net.LinkName(id)
 	}
 	e.registerMetrics()
 	if diag != nil {

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"strconv"
 
 	"mccs/internal/netsim"
 )
@@ -56,24 +57,22 @@ func BuildFatTree(cfg FatTreeConfig) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{Net: netsim.NewNetwork(), IntraHostBps: cfg.IntraHostBps}
-	if c.IntraHostBps <= 0 {
-		c.IntraHostBps = 200 * Gbps
-	}
+	nAggs, nLeaves := cfg.Pods*cfg.AggsPerPod, cfg.Pods*cfg.LeavesPerPod
+	c := newCluster(cfg.IntraHostBps, cfg.AggsPerPod*cfg.CoresPerAgg+nAggs+nLeaves,
+		nAggs*cfg.CoresPerAgg+nLeaves*cfg.AggsPerPod, nLeaves*cfg.HostsPerLeaf, cfg.NICsPerHost, cfg.GPUsPerHost)
 
 	// Core tier: cores[a][j] links to agg a of every pod.
 	cores := make([][]netsim.NodeID, cfg.AggsPerPod)
 	for a := range cores {
 		for j := 0; j < cfg.CoresPerAgg; j++ {
-			cores[a] = append(cores[a], c.Net.AddNode(fmt.Sprintf("core%d-%d", a, j)))
+			cores[a] = append(cores[a], c.Net.AddNode("core"+strconv.Itoa(a)+"-"+strconv.Itoa(j)))
 		}
 	}
 
-	gpusPerNIC := cfg.GPUsPerHost / cfg.NICsPerHost
 	for pod := 0; pod < cfg.Pods; pod++ {
 		var aggs []netsim.NodeID
 		for a := 0; a < cfg.AggsPerPod; a++ {
-			agg := c.Net.AddNode(fmt.Sprintf("pod%d-agg%d", pod, a))
+			agg := c.Net.AddNode("pod" + strconv.Itoa(pod) + "-agg" + strconv.Itoa(a))
 			aggs = append(aggs, agg)
 			c.SpineNodes = append(c.SpineNodes, agg)
 			for _, core := range cores[a] {
@@ -81,7 +80,7 @@ func BuildFatTree(cfg FatTreeConfig) (*Cluster, error) {
 			}
 		}
 		for l := 0; l < cfg.LeavesPerPod; l++ {
-			leaf := c.Net.AddNode(fmt.Sprintf("pod%d-leaf%d", pod, l))
+			leaf := c.Net.AddNode("pod" + strconv.Itoa(pod) + "-leaf" + strconv.Itoa(l))
 			rack := RackID(len(c.LeafNodes))
 			c.LeafNodes = append(c.LeafNodes, leaf)
 			c.PodOfRack = append(c.PodOfRack, pod)
@@ -89,21 +88,8 @@ func BuildFatTree(cfg FatTreeConfig) (*Cluster, error) {
 				c.Net.AddDuplex(leaf, agg, cfg.LeafAggBps)
 			}
 			for h := 0; h < cfg.HostsPerLeaf; h++ {
-				hid := HostID(len(c.Hosts))
-				host := Host{ID: hid, Name: fmt.Sprintf("p%d-l%d-h%d", pod, l, h), Rack: rack}
-				for n := 0; n < cfg.NICsPerHost; n++ {
-					node := c.Net.AddNode(fmt.Sprintf("%s-nic%d", host.Name, n))
-					c.Net.AddDuplex(node, leaf, cfg.NICBps)
-					nid := NICID(len(c.NICs))
-					c.NICs = append(c.NICs, NIC{ID: nid, Host: hid, Index: n, Node: node, Rate: cfg.NICBps})
-					host.NICs = append(host.NICs, nid)
-				}
-				for g := 0; g < cfg.GPUsPerHost; g++ {
-					gid := GPUID(len(c.GPUs))
-					c.GPUs = append(c.GPUs, GPU{ID: gid, Host: hid, Index: g, NIC: host.NICs[g/gpusPerNIC]})
-					host.GPUs = append(host.GPUs, gid)
-				}
-				c.Hosts = append(c.Hosts, host)
+				name := "p" + strconv.Itoa(pod) + "-l" + strconv.Itoa(l) + "-h" + strconv.Itoa(h)
+				c.addHost(name, rack, leaf, cfg.NICsPerHost, cfg.GPUsPerHost, cfg.NICBps)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package topo
 
 import (
 	"fmt"
+	"strconv"
 
 	"mccs/internal/netsim"
 )
@@ -137,44 +138,63 @@ func BuildClos(cfg ClosConfig) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{Net: netsim.NewNetwork(), IntraHostBps: cfg.IntraHostBps}
-	if c.IntraHostBps <= 0 {
-		// A conservative PCIe/shared-memory figure; NVLink-class systems
-		// override via the config.
-		c.IntraHostBps = 200 * Gbps
-	}
+	c := newCluster(cfg.IntraHostBps, cfg.Spines+cfg.Leaves, cfg.Spines*cfg.Leaves,
+		cfg.Leaves*cfg.HostsPerLeaf, cfg.NICsPerHost, cfg.GPUsPerHost)
 	for s := 0; s < cfg.Spines; s++ {
-		c.SpineNodes = append(c.SpineNodes, c.Net.AddNode(fmt.Sprintf("spine%d", s)))
+		c.SpineNodes = append(c.SpineNodes, c.Net.AddNode("spine"+strconv.Itoa(s)))
 	}
-	gpusPerNIC := cfg.GPUsPerHost / cfg.NICsPerHost
 	for l := 0; l < cfg.Leaves; l++ {
-		leaf := c.Net.AddNode(fmt.Sprintf("leaf%d", l))
+		leaf := c.Net.AddNode("leaf" + strconv.Itoa(l))
 		c.LeafNodes = append(c.LeafNodes, leaf)
 		for _, spine := range c.SpineNodes {
 			c.Net.AddDuplex(leaf, spine, cfg.LeafSpineBps)
 		}
 		for h := 0; h < cfg.HostsPerLeaf; h++ {
-			hid := HostID(len(c.Hosts))
-			host := Host{ID: hid, Name: fmt.Sprintf("h%d-%d", l, h), Rack: RackID(l)}
-			for n := 0; n < cfg.NICsPerHost; n++ {
-				node := c.Net.AddNode(fmt.Sprintf("%s-nic%d", host.Name, n))
-				c.Net.AddDuplex(node, leaf, cfg.NICBps)
-				nid := NICID(len(c.NICs))
-				c.NICs = append(c.NICs, NIC{ID: nid, Host: hid, Index: n, Node: node, Rate: cfg.NICBps})
-				host.NICs = append(host.NICs, nid)
-			}
-			for g := 0; g < cfg.GPUsPerHost; g++ {
-				gid := GPUID(len(c.GPUs))
-				c.GPUs = append(c.GPUs, GPU{
-					ID: gid, Host: hid, Index: g,
-					NIC: host.NICs[g/gpusPerNIC],
-				})
-				host.GPUs = append(host.GPUs, gid)
-			}
-			c.Hosts = append(c.Hosts, host)
+			c.addHost("h"+strconv.Itoa(l)+"-"+strconv.Itoa(h), RackID(l), leaf, cfg.NICsPerHost, cfg.GPUsPerHost, cfg.NICBps)
 		}
 	}
 	return c, nil
+}
+
+// newCluster returns an empty cluster whose fabric and inventory tables
+// have room for switches switches joined by duplexes duplex links, plus
+// hosts hosts of nics NICs (each with its own duplex uplink) and gpus GPUs,
+// so a builder never regrows them. intraHostBps <= 0 picks a conservative
+// PCIe/shared-memory figure; NVLink-class systems override it via the
+// config.
+func newCluster(intraHostBps float64, switches, duplexes, hosts, nics, gpus int) *Cluster {
+	if intraHostBps <= 0 {
+		intraHostBps = 200 * Gbps
+	}
+	c := &Cluster{
+		Net:   netsim.NewNetwork(),
+		Hosts: make([]Host, 0, hosts), NICs: make([]NIC, 0, hosts*nics), GPUs: make([]GPU, 0, hosts*gpus),
+		IntraHostBps: intraHostBps,
+	}
+	c.Net.Grow(switches+hosts*nics, 2*(duplexes+hosts*nics))
+	return c
+}
+
+// addHost adds a host in rack under switch leaf: nics NICs, each with its
+// own duplex link of rate bps to the switch, and gpus GPUs striped across
+// them (GPU i uses NIC i*nics/gpus).
+func (c *Cluster) addHost(name string, rack RackID, leaf netsim.NodeID, nics, gpus int, bps float64) {
+	hid := HostID(len(c.Hosts))
+	host := Host{ID: hid, Name: name, Rack: rack, NICs: make([]NICID, 0, nics), GPUs: make([]GPUID, 0, gpus)}
+	for n := 0; n < nics; n++ {
+		node := c.Net.AddNode(name + "-nic" + strconv.Itoa(n))
+		c.Net.AddDuplex(node, leaf, bps)
+		nid := NICID(len(c.NICs))
+		c.NICs = append(c.NICs, NIC{ID: nid, Host: hid, Index: n, Node: node, Rate: bps})
+		host.NICs = append(host.NICs, nid)
+	}
+	gpusPerNIC := gpus / nics
+	for g := 0; g < gpus; g++ {
+		gid := GPUID(len(c.GPUs))
+		c.GPUs = append(c.GPUs, GPU{ID: gid, Host: hid, Index: g, NIC: host.NICs[g/gpusPerNIC]})
+		host.GPUs = append(host.GPUs, gid)
+	}
+	c.Hosts = append(c.Hosts, host)
 }
 
 // TestbedConfig returns the paper's testbed (§6.1, Fig. 5a): 4 hosts in
@@ -230,13 +250,9 @@ func BuildSwitchRing(cfg RingConfig) (*Cluster, error) {
 	if cfg.NICBps <= 0 || cfg.SwitchBps <= 0 {
 		return nil, fmt.Errorf("topo: link rates must be positive")
 	}
-	c := &Cluster{Net: netsim.NewNetwork(), IntraHostBps: cfg.IntraHostBps}
-	if c.IntraHostBps <= 0 {
-		c.IntraHostBps = 200 * Gbps
-	}
-	gpusPerNIC := cfg.GPUsPerHost / cfg.NICsPerHost
+	c := newCluster(cfg.IntraHostBps, cfg.Switches, cfg.Switches, cfg.Switches, cfg.NICsPerHost, cfg.GPUsPerHost)
 	for sw := 0; sw < cfg.Switches; sw++ {
-		node := c.Net.AddNode(fmt.Sprintf("sw%d", sw))
+		node := c.Net.AddNode("sw" + strconv.Itoa(sw))
 		c.LeafNodes = append(c.LeafNodes, node)
 	}
 	for sw := 0; sw < cfg.Switches; sw++ {
@@ -244,21 +260,7 @@ func BuildSwitchRing(cfg RingConfig) (*Cluster, error) {
 		c.Net.AddDuplex(c.LeafNodes[sw], c.LeafNodes[next], cfg.SwitchBps)
 	}
 	for sw := 0; sw < cfg.Switches; sw++ {
-		hid := HostID(len(c.Hosts))
-		host := Host{ID: hid, Name: fmt.Sprintf("h%d", sw), Rack: RackID(sw)}
-		for n := 0; n < cfg.NICsPerHost; n++ {
-			node := c.Net.AddNode(fmt.Sprintf("%s-nic%d", host.Name, n))
-			c.Net.AddDuplex(node, c.LeafNodes[sw], cfg.NICBps)
-			nid := NICID(len(c.NICs))
-			c.NICs = append(c.NICs, NIC{ID: nid, Host: hid, Index: n, Node: node, Rate: cfg.NICBps})
-			host.NICs = append(host.NICs, nid)
-		}
-		for g := 0; g < cfg.GPUsPerHost; g++ {
-			gid := GPUID(len(c.GPUs))
-			c.GPUs = append(c.GPUs, GPU{ID: gid, Host: hid, Index: g, NIC: host.NICs[g/gpusPerNIC]})
-			host.GPUs = append(host.GPUs, gid)
-		}
-		c.Hosts = append(c.Hosts, host)
+		c.addHost("h"+strconv.Itoa(sw), RackID(sw), c.LeafNodes[sw], cfg.NICsPerHost, cfg.GPUsPerHost, cfg.NICBps)
 	}
 	return c, nil
 }

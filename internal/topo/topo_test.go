@@ -228,3 +228,22 @@ func TestQuickClosConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBuildClosAllocations pins what building the 768-GPU Clos costs. Links
+// live by value in the Network's table, their labels are formatted on
+// demand, the adjacency is derived on the first path query and every table
+// is sized up front, so nothing is allocated per link: what is left is a
+// name per node (808) and per host (96), each host's NIC and GPU lists (192)
+// and the tables themselves.
+// When each link was its own *Link with an fmt-formatted name and each node
+// grew its own out-link list, this read 12 769.
+func TestBuildClosAllocations(t *testing.T) {
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := BuildClos(LargeScaleConfig()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := 1115.0; got != want {
+		t.Errorf("BuildClos(LargeScaleConfig()) allocates %v times, want %v", got, want)
+	}
+}

@@ -14,9 +14,13 @@
 # odd pairs and B first in even ones, so neither side always runs on the
 # heels of an idle stretch or of the other's warm caches; each pair prints
 # both runs' ops_per_s, cpu_s_per_kop and allocs_per_op and the B/A ratio of
-# ops_per_s, and a pair whose result or schedule hashes differ is flagged.
-# How many pairs B won on ops_per_s and the medians of every end-to-end
-# metric close the report.
+# ops_per_s, and a pair whose result or schedule hashes or whose failed-op
+# counts differ is flagged. How many pairs B won on ops_per_s and each
+# side's median and q1..q3 of every end-to-end metric close the report,
+# followed by one line saying whether the gain rule of the choosing-metrics
+# guide (section 8) held for ops_per_s: B won at least nine tenths of the
+# pairs (ties count for neither), and B's median exceeds A's by more than
+# A's own quartile spread (q3 - q1).
 set -euo pipefail
 base=${1:?usage: bench-pairs.sh BASE WORKLOAD PAIRS [SEED]}
 workload=${2:?workload}
@@ -36,6 +40,9 @@ metrics="ops_per_s cpu_s_per_kop allocs_per_op alloc_kb_per_op peak_rss_mb setup
 # value FILE METRIC prints a metric from a run's report ("  name  value unit kind").
 value() { awk -v m="$2" '$1 == m { print $2; exit }' "$1"; }
 hashes() { awk '$1 == "result_hash" { print $2, $4; exit }' "$1"; }
+# failed FILE prints a run's failed-operation count (its first line ends
+# "attempted N  failed M").
+failed() { awk '$1 == "workload" { for (i = 1; i < NF; i++) if ($i == "failed") { print $(i + 1); exit } }' "$1"; }
 
 echo "A = $base ($(git -C "$root" rev-parse --short "$base")), B = working tree; $workload, seed $seed"
 for i in $(seq 1 "$pairs"); do
@@ -50,20 +57,39 @@ for i in $(seq 1 "$pairs"); do
 	if [ "$(hashes "$tmp/A.$i")" != "$(hashes "$tmp/B.$i")" ]; then
 		flag="  HASHES DIFFER: A $(hashes "$tmp/A.$i"), B $(hashes "$tmp/B.$i")"
 	fi
+	if [ "$(failed "$tmp/A.$i")" != "$(failed "$tmp/B.$i")" ]; then
+		flag="$flag  FAILED DIFFER: A $(failed "$tmp/A.$i"), B $(failed "$tmp/B.$i")"
+	fi
 	awk -v i="$i" -v flag="$flag" \
 		-v a1="$(value "$tmp/A.$i" ops_per_s)" -v a2="$(value "$tmp/A.$i" cpu_s_per_kop)" -v a3="$(value "$tmp/A.$i" allocs_per_op)" \
 		-v b1="$(value "$tmp/B.$i" ops_per_s)" -v b2="$(value "$tmp/B.$i" cpu_s_per_kop)" -v b3="$(value "$tmp/B.$i" allocs_per_op)" \
 		'BEGIN { printf "pair %2d  ops_per_s %9.2f -> %9.2f (%.3fx)  cpu_s_per_kop %.4f -> %.4f  allocs_per_op %.4f -> %.4f%s\n", i, a1, b1, b1 / a1, a2, b2, a3, b3, flag }'
 done
 
-# median prints the median of the numbers on stdin.
-median() { sort -g | awk '{ v[NR] = $1 } END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
+# quartiles prints the first quartile, median and third quartile of the
+# numbers on stdin, interpolated between closest ranks as bench/ does.
+quartiles() {
+	sort -g | awk '
+		function q(p,  pos, lo) { pos = p * (NR - 1); lo = int(pos); return v[lo + 1] + (pos - lo) * (v[(lo + 1 < NR ? lo + 2 : NR)] - v[lo + 1]) }
+		{ v[NR] = $1 }
+		END { print q(0.25), q(0.5), q(0.75) }'
+}
 won=$(for i in $(seq 1 "$pairs"); do
 	awk -v a="$(value "$tmp/A.$i" ops_per_s)" -v b="$(value "$tmp/B.$i" ops_per_s)" 'BEGIN { print (b > a) }'
 done | awk '{ n += $1 } END { print n }')
-echo "B has the higher ops_per_s in $won of $pairs pairs; medians:"
+echo "B has the higher ops_per_s in $won of $pairs pairs; median (q1..q3) per side:"
+rule=""
 for m in $metrics; do
-	a=$(for i in $(seq 1 "$pairs"); do value "$tmp/A.$i" "$m"; done | median)
-	b=$(for i in $(seq 1 "$pairs"); do value "$tmp/B.$i" "$m"; done | median)
-	awk -v m="$m" -v a="$a" -v b="$b" 'BEGIN { printf "  %-18s %12.6g -> %12.6g  (B/A %.4f)\n", m, a, b, (a != 0) ? b / a : 0 }'
+	read -r aq1 amed aq3 <<< "$(for i in $(seq 1 "$pairs"); do value "$tmp/A.$i" "$m"; done | quartiles)"
+	read -r bq1 bmed bq3 <<< "$(for i in $(seq 1 "$pairs"); do value "$tmp/B.$i" "$m"; done | quartiles)"
+	awk -v m="$m" -v a="$amed" -v a1="$aq1" -v a3="$aq3" -v b="$bmed" -v b1="$bq1" -v b3="$bq3" \
+		'BEGIN { printf "  %-18s A %12.6g (%.6g..%.6g)  B %12.6g (%.6g..%.6g)  B/A %.4f\n", m, a, a1, a3, b, b1, b3, (a != 0) ? b / a : 0 }'
+	if [ "$m" = ops_per_s ]; then
+		rule=$(awk -v won="$won" -v n="$pairs" -v a="$amed" -v a1="$aq1" -v a3="$aq3" -v b="$bmed" 'BEGIN {
+			gap = b - a; spread = a3 - a1
+			held = (n >= 10 && 10 * won >= 9 * n && gap > spread)
+			printf "%s: B won %d of %d pairs (needs >= 9/10 of at least 10), median gap %.6g vs A q1..q3 spread %.6g",
+				held ? "HELD" : "NOT HELD", won, n, gap, spread }')
+	fi
 done
+echo "choosing-metrics section 8 rule on ops_per_s $rule"
