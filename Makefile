@@ -166,14 +166,15 @@ bench-compare:
 # drifts: bench/ built at BASE and at the working tree, run alternately N
 # times on workload W, each pair's ratio printed, then each side's median
 # and q1..q3 of the end-to-end metrics and whether the gain rule held
-# (scripts/bench-pairs.sh). Every run is the benchmark's own 10 s run:
-# make bench-pairs BASE=HEAD~1 W=ar_large N=10 [SEED=1]
+# (scripts/bench-pairs.sh), all of it once per seed in SEEDS: a host-time
+# claim needs two seeds. Every run is the benchmark's own 10 s run:
+# make bench-pairs BASE=HEAD~1 W=ar_large N=10 [SEEDS="1 2"]
 BASE ?= HEAD
 W ?= ar_large
 N ?= 10
-SEED ?= 1
+SEEDS ?= 1 2
 bench-pairs:
-	bash scripts/bench-pairs.sh $(BASE) $(W) $(N) $(SEED)
+	bash scripts/bench-pairs.sh $(BASE) $(W) $(N) $(SEEDS)
 
 # trace records a short Fig. 7 reconfiguration run with the flight
 # recorder and prints the bottleneck-attribution summary. The JSON also

@@ -175,12 +175,32 @@ type job struct {
 	routes map[spec.ConnKey]int
 	info   spec.CommInfo // pseudo comm info for the shared policy code
 
+	// The job runs as a step function (stepJob): phase is where it resumes,
+	// iter counts the iterations finished and commStart is when the current
+	// one's AllReduce began.
+	phase     jobPhase
+	iter      int
+	commStart sim.Time
+
 	// inflight counts the unfinished flows of the iteration in progress;
 	// the completion that brings it to zero wakes the job's process.
 	s        *sim.Scheduler
 	inflight int
 	iterDone sim.WaitQueue
 }
+
+// jobPhase is where a job's step function resumes.
+type jobPhase uint8
+
+const (
+	// jobCompute starts the next iteration with its compute phase, or
+	// retires the job once every iteration is done.
+	jobCompute jobPhase = iota
+	// jobComm starts the iteration's flows.
+	jobComm
+	// jobRecord records the AllReduce time once the last flow is done.
+	jobRecord
+)
 
 // OnEvent is the completion callback of every flow the job starts.
 func (j *job) OnEvent(uint64) {
@@ -201,11 +221,16 @@ type sim11 struct {
 	placeRng   *rand.Rand
 	ringRng    *rand.Rand
 
-	free    []topo.GPUID // unallocated GPUs, ascending
-	queue   []*pendingJob
-	active  map[int]*job
-	results []JobResult
-	done    *sim.Latch
+	free []topo.GPUID // unallocated GPUs, ascending
+	// shuffled is random placement's scratch copy of free, reused across
+	// placements.
+	shuffled []topo.GPUID
+	queue    []*pendingJob
+	active   map[int]*job
+	results  []JobResult
+	done     *sim.Latch
+	// arrived counts the jobs the arrival process has admitted so far.
+	arrived int
 }
 
 type pendingJob struct {
@@ -216,15 +241,22 @@ type pendingJob struct {
 
 // Run executes the simulation and returns per-job results (sorted by job
 // ID).
-func Run(cfg Config) (*RunResult, error) {
-	if cfg.NumJobs <= 0 || cfg.Iterations <= 0 || cfg.ModelBytes <= 0 {
+func Run(cfg Config) (*RunResult, error) { return run(cfg, sim.New()) }
+
+// run is Run on a given scheduler, so a test can observe its events.
+func run(cfg Config, s *sim.Scheduler) (*RunResult, error) {
+	if cfg.NumJobs <= 0 || cfg.Iterations <= 0 || cfg.ModelBytes <= 0 || len(cfg.JobSizes) == 0 {
 		return nil, fmt.Errorf("cluster: bad config %+v", cfg)
 	}
 	cl, err := topo.BuildClos(cfg.Topo)
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New()
+	for _, n := range cfg.JobSizes {
+		if n < 1 || n > len(cl.GPUs) {
+			return nil, fmt.Errorf("cluster: job size %d outside [1, %d] GPUs", n, len(cl.GPUs))
+		}
+	}
 	m := &sim11{
 		cfg: cfg, s: s, cluster: cl,
 		fabric:     netsim.NewFabric(s, cl.Net),
@@ -240,27 +272,31 @@ func Run(cfg Config) (*RunResult, error) {
 		m.free[g] = topo.GPUID(g)
 	}
 
-	// Arrival process.
-	s.Go("arrivals", func(p *sim.Proc) {
-		for i := 0; i < cfg.NumJobs; i++ {
-			if i > 0 {
-				gap := time.Duration(m.arrivalRng.ExpFloat64() * float64(cfg.MeanArrival))
-				p.Sleep(gap)
-			}
-			size := cfg.JobSizes[m.arrivalRng.Intn(len(cfg.JobSizes))]
-			m.queue = append(m.queue, &pendingJob{id: i, size: size, arrived: p.Now()})
-			m.results[i] = JobResult{ID: i, Size: size, Arrived: p.Now()}
-			m.tryPlace()
-		}
-	})
-
-	s.Go("join", func(p *sim.Proc) {
-		m.done.Wait(p)
-	})
+	// Every process is a step function (sim.Scheduler.GoStep): the run
+	// starts no goroutine.
+	s.GoStep("arrivals", m.arrive)
+	s.GoStep("join", m.done.Park)
 	if err := s.Run(); err != nil {
 		return nil, err
 	}
 	return &RunResult{Config: cfg, Jobs: m.results}, nil
+}
+
+// arrive is the arrival process. Each dispatch admits the next job, with a
+// size drawn now, then draws the gap to the one after it and sleeps: the
+// arrival stream draws size, gap, size, gap, ... and ends with a size.
+func (m *sim11) arrive(p *sim.Proc) bool {
+	i := m.arrived
+	m.arrived++
+	size := m.cfg.JobSizes[m.arrivalRng.Intn(len(m.cfg.JobSizes))]
+	m.queue = append(m.queue, &pendingJob{id: i, size: size, arrived: p.Now()})
+	m.results[i] = JobResult{ID: i, Size: size, Arrived: p.Now()}
+	m.tryPlace()
+	if m.arrived == m.cfg.NumJobs {
+		return true
+	}
+	p.ParkSleep(time.Duration(m.arrivalRng.ExpFloat64() * float64(m.cfg.MeanArrival)))
+	return false
 }
 
 // tryPlace admits queued jobs FIFO while capacity lasts.
@@ -312,9 +348,10 @@ func (m *sim11) place(n int) ([]topo.GPUID, bool) {
 		}
 		return nil, false
 	default: // PlacementRandom: the first n of a shuffle of the free GPUs
-		free := slices.Clone(m.free)
+		free := append(m.shuffled[:0], m.free...)
+		m.shuffled = free
 		m.placeRng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
-		return free[:n], true
+		return slices.Clone(free[:n]), true
 	}
 }
 
@@ -385,13 +422,13 @@ func (m *sim11) start(pj *pendingJob, gpus []topo.GPUID) {
 	if m.cfg.Strategy == StratORFFA {
 		m.reassignRoutes()
 	}
-	m.s.Go(fmt.Sprintf("job%d", j.id), func(p *sim.Proc) { m.runJob(p, j) })
+	m.s.GoStep(fmt.Sprintf("job%d", j.id), func(p *sim.Proc) bool { return m.stepJob(p, j) })
 }
 
 // reassignRoutes recomputes FFA over all active jobs (invoked on every
 // join and exit, as the paper describes).
 func (m *sim11) reassignRoutes() {
-	var infos []spec.CommInfo
+	infos := make([]spec.CommInfo, 0, len(m.active))
 	ids := make([]int, 0, len(m.active))
 	for id := range m.active {
 		ids = append(ids, id)
@@ -407,53 +444,80 @@ func (m *sim11) reassignRoutes() {
 	}
 }
 
-// runJob executes the job's iterations.
-func (m *sim11) runJob(p *sim.Proc, j *job) {
+// stepJob is a job's process: it computes, starts the iteration's flows and
+// parks until the last one is done, Iterations times, then releases the
+// job's GPUs. It parks in the compute phase (ParkSleep) and on the
+// iteration's flows (iterDone) and resumes at j.phase.
+func (m *sim11) stepJob(p *sim.Proc, j *job) bool {
+	for {
+		switch j.phase {
+		case jobCompute:
+			if j.iter == m.cfg.Iterations {
+				m.finish(j)
+				return true
+			}
+			j.phase = jobComm
+			if m.cfg.ComputeTime > 0 {
+				p.ParkSleep(m.cfg.ComputeTime)
+				return false
+			}
+		case jobComm:
+			j.commStart = p.Now()
+			m.sendIteration(j)
+			j.phase = jobRecord
+			if j.inflight > 0 {
+				j.iterDone.Park(p)
+				return false
+			}
+		case jobRecord:
+			m.results[j.id].ARTimes = append(m.results[j.id].ARTimes, time.Duration(p.Now().Sub(j.commStart)))
+			j.iter++
+			j.phase = jobCompute
+		}
+	}
+}
+
+// sendIteration starts one AllReduce iteration's flows: one per directed
+// inter-host ring edge.
+func (m *sim11) sendIteration(j *job) {
 	n := len(j.gpus)
 	nrings := len(j.rings)
 	// Bytes per directed inter-host ring edge per iteration: each ring
 	// carries 1/nrings of the model, and ring AllReduce moves
 	// 2(n-1)/n of a ring's bytes over every edge.
 	perEdge := float64(m.cfg.ModelBytes) / float64(nrings) * 2 * float64(n-1) / float64(n)
-
-	for it := 0; it < m.cfg.Iterations; it++ {
-		if m.cfg.ComputeTime > 0 {
-			p.Sleep(m.cfg.ComputeTime)
-		}
-		start := p.Now()
-		// All rings' flows start at one virtual instant; the fabric
-		// coalesces the whole batch into a single max-min recompute at
-		// the end of the instant (see DESIGN.md §10). The flows are the
-		// fabric's own (Send): each reports to j.OnEvent and is recycled.
-		for ri, order := range j.rings {
-			for pos := 0; pos < n; pos++ {
-				from := j.info.Ranks[order[pos]]
-				to := j.info.Ranks[order[(pos+1)%n]]
-				if from.Host == to.Host {
-					continue
-				}
-				var route []netsim.LinkID
-				if idx, ok := j.routes[spec.ConnKey{Channel: ri, FromRank: from.Rank, ToRank: to.Rank}]; ok {
-					paths := m.cluster.PathsBetweenNICs(from.NIC, to.NIC)
-					route = paths[idx%len(paths)]
-				}
-				j.inflight++
-				m.fabric.Send(&netsim.FlowOpts{
-					Src: m.cluster.NICNode(from.NIC), Dst: m.cluster.NICNode(to.NIC),
-					Bytes:  perEdge,
-					Route:  route,
-					Label:  flowLabel(uint64(m.cfg.Seed), j.id, ri, from.Rank, to.Rank),
-					OnDone: j,
-				})
+	// All rings' flows start at one virtual instant; the fabric coalesces
+	// the whole batch into a single max-min recompute at the end of the
+	// instant (see DESIGN.md §10). The flows are the fabric's own (Send):
+	// each reports to j.OnEvent and is recycled.
+	for ri, order := range j.rings {
+		for pos := 0; pos < n; pos++ {
+			from := j.info.Ranks[order[pos]]
+			to := j.info.Ranks[order[(pos+1)%n]]
+			if from.Host == to.Host {
+				continue
 			}
+			var route []netsim.LinkID
+			if idx, ok := j.routes[spec.ConnKey{Channel: ri, FromRank: from.Rank, ToRank: to.Rank}]; ok {
+				paths := m.cluster.PathsBetweenNICs(from.NIC, to.NIC)
+				route = paths[idx%len(paths)]
+			}
+			j.inflight++
+			m.fabric.Send(&netsim.FlowOpts{
+				Src: m.cluster.NICNode(from.NIC), Dst: m.cluster.NICNode(to.NIC),
+				Bytes:  perEdge,
+				Route:  route,
+				Label:  flowLabel(uint64(m.cfg.Seed), j.id, ri, from.Rank, to.Rank),
+				OnDone: j,
+			})
 		}
-		if j.inflight > 0 {
-			j.iterDone.Wait(p)
-		}
-		m.results[j.id].ARTimes = append(m.results[j.id].ARTimes, time.Duration(p.Now().Sub(start)))
 	}
-	m.results[j.id].Finished = p.Now()
-	// Release resources and admit queued jobs.
+}
+
+// finish retires a job that has run every iteration: it releases the GPUs,
+// re-runs FFA when that is the strategy and admits queued jobs.
+func (m *sim11) finish(j *job) {
+	m.results[j.id].Finished = m.s.Now()
 	for _, g := range j.gpus {
 		i, _ := slices.BinarySearch(m.free, g)
 		m.free = slices.Insert(m.free, i, g)

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"mccs/internal/metrics"
+	"mccs/internal/sim"
 	"mccs/internal/topo"
 )
 
@@ -153,16 +155,26 @@ func TestCompactPlacementSpansFewerRacks(t *testing.T) {
 	}
 }
 
+// TestConfigValidation checks that Run rejects, before simulating, a config
+// it cannot simulate: among them job sizes that cannot be drawn (none), that
+// place no GPU (0, -4) or that no free list can hold (1000 on 768 GPUs).
 func TestConfigValidation(t *testing.T) {
-	bad := DefaultConfig()
-	bad.NumJobs = 0
-	if _, err := Run(bad); err == nil {
-		t.Error("zero jobs accepted")
-	}
-	bad2 := DefaultConfig()
-	bad2.ModelBytes = 0
-	if _, err := Run(bad2); err == nil {
-		t.Error("zero model accepted")
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero jobs", func(c *Config) { c.NumJobs = 0 }},
+		{"zero model", func(c *Config) { c.ModelBytes = 0 }},
+		{"no job sizes", func(c *Config) { c.JobSizes = []int{} }},
+		{"negative job size", func(c *Config) { c.JobSizes = []int{-4} }},
+		{"zero-GPU job", func(c *Config) { c.JobSizes = []int{0} }},
+		{"job larger than the cluster", func(c *Config) { c.JobSizes = []int{1000} }},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 
@@ -232,5 +244,29 @@ func TestClusterRunHashPinned(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: hashes = %#x, want %#x", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestRunStartsNoGoroutine pins that every process of a run — the arrival
+// process, the join and each job — is a step function: sampled before every
+// event, the goroutine count never rises above what it was before the run.
+// (With a goroutine per process it read 2 more, plus one per running job.)
+func TestRunStartsNoGoroutine(t *testing.T) {
+	cfg := smallConfig()
+	s := sim.New()
+	before, peak, events := runtime.NumGoroutine(), 0, 0
+	s.SetEventObserver(func(sim.Time, uint64, sim.EventKind, sim.Handler) {
+		events++
+		peak = max(peak, runtime.NumGoroutine())
+	})
+	res, err := run(cfg, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Jobs) != cfg.NumJobs || events == 0 {
+		t.Fatalf("%d jobs over %d events", len(res.Jobs), events)
+	}
+	if peak > before {
+		t.Errorf("%d goroutines during the run, %d before it", peak, before)
 	}
 }

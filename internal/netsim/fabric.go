@@ -160,12 +160,16 @@ type Fabric struct {
 	timer      sim.Timer
 	onTimerFn  func() // fb.onTimer, bound once so arming the timer allocates nothing
 
-	// linkRate[l] is the currently allocated aggregate rate on link l,
-	// maintained by recompute for monitoring queries; externalRate[l]
-	// is the portion from flows marked External. Both are zero on every
-	// link no active flow crosses: remove zeroes a departing flow's route.
+	// linkRate[l] is the aggregate allocated rate on link l and
+	// externalRate[l] the portion from flows marked External, for
+	// monitoring queries. No allocation writes them: the first read after
+	// one (LinkRate, ExternalRate, LinkUtilization, or the flight
+	// recorder's sampleRates) sums them while sumsStale is set. Both are
+	// zero on every link no active flow crosses: remove zeroes a departing
+	// flow's route.
 	linkRate     []float64
 	externalRate []float64
+	sumsStale    bool
 
 	// Counters are plain event counts, for tests and perf sanity.
 	Counters
@@ -418,7 +422,7 @@ func (fb *Fabric) RestoreLink(st LinkState) {
 
 // LinkRate returns the aggregate allocated rate on link l in bytes/sec.
 func (fb *Fabric) LinkRate(l LinkID) float64 {
-	fb.flush()
+	fb.settleSums()
 	return fb.linkRate[l]
 }
 
@@ -426,13 +430,13 @@ func (fb *Fabric) LinkRate(l LinkID) float64 {
 // the signal a provider's switch agent reports for traffic outside the
 // collective service's management.
 func (fb *Fabric) ExternalRate(l LinkID) float64 {
-	fb.flush()
+	fb.settleSums()
 	return fb.externalRate[l]
 }
 
 // LinkUtilization returns allocated rate / capacity for link l.
 func (fb *Fabric) LinkUtilization(l LinkID) float64 {
-	fb.flush()
+	fb.settleSums()
 	c := fb.net.Link(l).Capacity
 	if c <= 0 {
 		return 0
@@ -562,7 +566,7 @@ func (fb *Fabric) growScratch(n int) {
 }
 
 // allocate sets every active flow's rate and committed bottleneck, then
-// accumulates the per-link sums. The rates come from solve, or — for a
+// commits them. The rates come from solve, or — for a
 // small flow set seen before under the same link capacities — from the
 // memo in front of it (memo.go), which hands back the very floats solve
 // produced for that input.
@@ -581,12 +585,29 @@ func (fb *Fabric) allocate() {
 	fb.commit()
 }
 
-// commit accumulates the link-rate sums in flow-ID order (they are float
-// accumulations; the order must be deterministic) and samples the new
-// rates for the flight recorder. remove zeroes a departing flow's route,
-// so only the links on the active flows' routes can hold an old sum; those
-// are all it zeroes first.
+// commit marks the link-rate sums stale and samples the new rates for the
+// flight recorder. The sums are left to the first read (settleSums), so an
+// allocation nobody reads them after costs nothing per link.
 func (fb *Fabric) commit() {
+	fb.sumsStale = true
+	fb.sampleRates()
+}
+
+// settleSums flushes the pending recompute, then sums the link rates if an
+// allocation has run since they were last summed.
+func (fb *Fabric) settleSums() {
+	fb.flush()
+	if fb.sumsStale {
+		fb.sumLinks()
+	}
+}
+
+// sumLinks accumulates the link-rate sums in flow-ID order (they are float
+// accumulations; the order must be deterministic). remove zeroes a
+// departing flow's route, so only the links on the active flows' routes
+// can hold an old sum; those are all it zeroes first.
+func (fb *Fabric) sumLinks() {
+	fb.sumsStale = false
 	linkRate, externalRate := fb.linkRate, fb.externalRate
 	for _, fl := range fb.flows {
 		for _, l := range fl.Route {
@@ -602,7 +623,6 @@ func (fb *Fabric) commit() {
 			}
 		}
 	}
-	fb.sampleRates()
 }
 
 // solve computes max-min fair rates under per-flow rate caps, leaving each
@@ -662,6 +682,7 @@ func (fb *Fabric) sampleRates() {
 	if !rec.Enabled(trace.KindFlow) {
 		return
 	}
+	fb.sumLinks()
 	now := fb.s.Now()
 	for _, fl := range fb.flows {
 		b := fb.bott[fl.slot]

@@ -11,7 +11,8 @@ import (
 
 // allocateUnmemoised is allocate with the memo taken out: what every
 // recompute did before the memo existed, and what an over-limit flow set
-// still does.
+// still does. It reads the link sums back through settleSums, as a
+// monitoring query would.
 func allocateUnmemoised(fb *Fabric) {
 	if len(fb.flows) == 0 {
 		return
@@ -19,6 +20,7 @@ func allocateUnmemoised(fb *Fabric) {
 	fb.growScratch(len(fb.flows))
 	fb.solve()
 	fb.commit()
+	fb.settleSums()
 }
 
 // checkMemoParity flushes, then re-solves the same flow set with the memo
@@ -27,7 +29,7 @@ func allocateUnmemoised(fb *Fabric) {
 // not compute and a memo hit has to restore.
 func checkMemoParity(t *testing.T, fb *Fabric, when string) {
 	t.Helper()
-	fb.flush()
+	fb.settleSums()
 	n := len(fb.flows)
 	rates := make([]float64, n)
 	for i, fl := range fb.flows {

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"mccs/internal/sim"
+	"mccs/internal/trace"
 )
 
 const gbps = 125e6 // 1 Gbit/s in bytes/sec
@@ -666,5 +668,79 @@ func TestFabricResetsWhatFlowsLeft(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinkSumsOnRead checks that the link sums cost nothing until read: an
+// allocation nobody reads after leaves linkRate and externalRate as they
+// were, the first read sums them to exactly what the oracle does, every
+// link reads 0 once its flows have left (also when they leave before
+// anyone read their sums), and a traced fabric's rate samples quote the
+// sums LinkRate and ExternalRate return at the same instant.
+func TestLinkSumsOnRead(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		s := sim.New()
+		if traced {
+			trace.Attach(s, trace.NewRecorder(trace.LevelFull, 0))
+		}
+		n, a, _, c := lineNet(100*gbps, 40*gbps)
+		fb := NewFabric(s, n)
+		zero := func() bool {
+			for l := range fb.linkRate {
+				if fb.linkRate[l] != 0 || fb.externalRate[l] != 0 {
+					return false
+				}
+			}
+			return true
+		}
+		// samplesMatch compares every flow's latest rate sample with the
+		// sums read now.
+		samplesMatch := func(when string) {
+			for _, fl := range fb.flows {
+				smp := fl.samples[len(fl.samples)-1]
+				if b := LinkID(smp.Bottleneck); b >= 0 && (smp.LinkBps != fb.LinkRate(b) || smp.ExtBps != fb.ExternalRate(b)) {
+					t.Errorf("%s: flow %d sampled link %d at %g (external %g), LinkRate reads %g (%g)",
+						when, fl.ID, b, smp.LinkBps, smp.ExtBps, fb.LinkRate(b), fb.ExternalRate(b))
+				}
+			}
+		}
+		s.Go("app", func(p *sim.Proc) {
+			_, done := startFlow(fb, FlowOpts{Src: a, Dst: c, Bytes: 1e6})
+			fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 3e6, External: true})
+			fb.StartFlow(FlowOpts{Src: c, Dst: a, Bytes: 2e6, FixedRate: 10 * gbps})
+			fb.flush()
+			if fb.Recomputes != 1 {
+				t.Fatalf("traced=%v: %d recomputes, want 1", traced, fb.Recomputes)
+			}
+			if !traced && !zero() {
+				t.Errorf("an allocation nobody read wrote the link sums: %v, %v", fb.linkRate, fb.externalRate)
+			}
+			if traced {
+				samplesMatch("start")
+			}
+			_, refLink, refExt := fb.referenceAllocate()
+			fb.LinkRate(0)
+			if !slices.Equal(fb.linkRate, refLink) || !slices.Equal(fb.externalRate, refExt) {
+				t.Errorf("traced=%v: first read summed %v / %v, oracle %v / %v", traced, fb.linkRate, fb.externalRate, refLink, refExt)
+			}
+			// One flow leaves after its sums were read, the other two with
+			// their last allocation unread.
+			done.Wait(p)
+			if traced {
+				samplesMatch("after the first completion")
+			}
+			p.Sleep(time.Second)
+			if fb.ActiveFlows() != 0 {
+				t.Fatalf("%d flows still active", fb.ActiveFlows())
+			}
+			for l := range fb.linkRate {
+				if fb.LinkRate(LinkID(l)) != 0 || fb.ExternalRate(LinkID(l)) != 0 || fb.LinkUtilization(LinkID(l)) != 0 {
+					t.Errorf("traced=%v: link %d reads %g (external %g) with no flows", traced, l, fb.LinkRate(LinkID(l)), fb.ExternalRate(LinkID(l)))
+				}
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // identical float accumulation order, so every bit must agree.
 func checkOracle(t *testing.T, fb *Fabric, seed int64) bool {
 	t.Helper()
-	fb.flush()
+	fb.settleSums()
 	refRates, refLink, refExt := fb.referenceAllocate()
 	ok := true
 	for _, fl := range fb.flows {

@@ -26,7 +26,7 @@ type Flow struct {
 // different hosts in both directions (rings are used forward by most
 // collectives and backward by rooted reduces).
 func ExtractFlows(cluster *topo.Cluster, comms []spec.CommInfo) []Flow {
-	var flows []Flow
+	flows := make([]Flow, 0, countFlows(comms))
 	for _, ci := range comms {
 		n := ci.NumRanks()
 		for chIdx, ch := range ci.Strategy.Channels {
@@ -51,6 +51,24 @@ func ExtractFlows(cluster *topo.Cluster, comms []spec.CommInfo) []Flow {
 		}
 	}
 	return flows
+}
+
+// countFlows is the number of connections ExtractFlows returns for comms,
+// so it sizes its slice once.
+func countFlows(comms []spec.CommInfo) int {
+	count := 0
+	for _, ci := range comms {
+		n := ci.NumRanks()
+		for _, ch := range ci.Strategy.Channels {
+			for pos := 0; pos < n; pos++ {
+				from, to := ch.Order[pos], ch.Order[(pos+1)%n]
+				if from != to && ci.Ranks[from].Host != ci.Ranks[to].Host {
+					count++
+				}
+			}
+		}
+	}
+	return count
 }
 
 // Assignment is a policy's routing decision: per communicator, per
