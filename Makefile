@@ -39,9 +39,13 @@ race:
 # span emission), the policy controller (the recovery moves and the
 # route-push order) and the fabric (an allocation memo and a flow free
 # list sit on its per-message path) — running them twice under the
-# detector.
+# detector. The chaos checker's producer and verifier goroutines read the
+# script and finished device buffers beside the event loop; the whole
+# chaos package takes minutes a pass under the detector, so only the
+# pinned corpus hashes and one self-heal test run twice there.
 race-hot:
 	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/policy/ ./internal/remediation/
+	$(GO) test -race -count=2 -run '^(TestCorpusTraceHashPinned|TestSelfHealByteDeterministic)$$' ./internal/chaos/
 
 # fuzz runs the native fuzz targets for 10 s each (their seed corpora also
 # run as part of `test`). Schedule IR: random (algorithm, op, ranks, root,

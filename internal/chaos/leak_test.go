@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -20,9 +21,13 @@ func liveHeap() uint64 {
 // whole environment (about 6 MB: trace ring, telemetry samples, fabric).
 // RunSeed must shut its scheduler down, so that a sweep's memory and
 // goroutine count stay flat however many seeds it runs — weakened runs,
-// which end in a panic or a deadlock, included.
+// which end in a panic or a deadlock, included — and so must the checker's
+// own goroutines, also on a run that fails before any rank starts (nine
+// ranks do not fit the 8-GPU testbed).
 func TestRunSeedReleasesItsEnvironment(t *testing.T) {
 	sc, weak := ReconfigStorm(), ReconfigStorm().Weakened()
+	tooWide := Straggler()
+	tooWide.Ranks = 9
 	RunSeed(sc, 1) // path caches and other process-lifetime state
 	baseGoroutines, baseHeap := runtime.NumGoroutine(), liveHeap()
 	for seed := uint64(2); seed < 8; seed++ {
@@ -30,16 +35,19 @@ func TestRunSeedReleasesItsEnvironment(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, res.Err)
 		}
 		RunSeed(weak, seed)
+		if res := RunSeed(tooWide, seed); res.Err == nil || !strings.Contains(res.Err.Error(), "selecting GPUs") {
+			t.Fatalf("9 ranks on 8 GPUs, seed %d: %v", seed, res.Err)
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseGoroutines && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > baseGoroutines {
-		t.Errorf("%d goroutines after 12 runs, %d before", n, baseGoroutines)
+		t.Errorf("%d goroutines after 18 runs, %d before", n, baseGoroutines)
 	}
 	const slack = 4 << 20 // well under one leaked environment
 	if heap := liveHeap(); heap > baseHeap+slack {
-		t.Errorf("live heap grew from %d KB to %d KB over 12 runs", baseHeap>>10, heap>>10)
+		t.Errorf("live heap grew from %d KB to %d KB over 18 runs", baseHeap>>10, heap>>10)
 	}
 }

@@ -60,30 +60,40 @@ func (o *opSpec) out() []uint8 {
 // (for a power of two, Intn(n) is Int31() & (n-1), and Int31 is
 // Int63 >> 32), so the stream is consumed exactly as the float32 tables
 // this replaced consumed it and every schedule hash is unchanged.
+//
+// A run draws the same ops one at a time, with buildOp, on its checker's
+// producer goroutine; buildScript is the whole-script form that
+// TestScriptMatchesReference and TestBuildScriptAllocations pin.
 func buildScript(sc Scenario, rng *rand.Rand) []opSpec {
 	ops := make([]opSpec, sc.Ops)
 	for i := range ops {
-		op := collective.AllReduce
-		if rng.Intn(2) == 1 {
-			op = collective.AllGather
-		}
-		count := 16 + rng.Int63n(sc.MaxCount-15)
-		in := make([]uint8, int64(sc.Ranks)*count)
-		for k := range in {
-			in[k] = uint8(rng.Int63()>>32) & 7
-		}
-		ops[i] = opSpec{op: op, count: count, in: in}
-		if op == collective.AllReduce {
-			sum := make([]uint8, count)
-			for r := 0; r < sc.Ranks; r++ {
-				for j, v := range ops[i].rankIn(r) {
-					sum[j] += v
-				}
-			}
-			ops[i].sum = sum
-		}
+		ops[i] = buildOp(sc, rng)
 	}
 	return ops
+}
+
+// buildOp draws the script's next op from the workload stream: its kind,
+// its count, then every rank's inputs, rank-major.
+func buildOp(sc Scenario, rng *rand.Rand) opSpec {
+	op := collective.AllReduce
+	if rng.Intn(2) == 1 {
+		op = collective.AllGather
+	}
+	count := 16 + rng.Int63n(sc.MaxCount-15)
+	in := make([]uint8, int64(sc.Ranks)*count)
+	for k := range in {
+		in[k] = uint8(rng.Int63()>>32) & 7
+	}
+	o := opSpec{op: op, count: count, in: in}
+	if op == collective.AllReduce {
+		o.sum = make([]uint8, count)
+		for r := 0; r < sc.Ranks; r++ {
+			for j, v := range o.rankIn(r) {
+				o.sum[j] += v
+			}
+		}
+	}
+	return o
 }
 
 // randStream derives one of a seed's independent PRNG streams.
@@ -107,6 +117,9 @@ type runOpts struct {
 	// self-heal fault corpus is independent of the link-flap corpus.
 	heal    bool
 	healCfg remediation.Config
+	// tamper, when set, is the run's checker.tamper: the probe that
+	// proves a corrupted result fails the run.
+	tamper func(rank, idx int, recv, send []float32)
 }
 
 // RunSeed executes one seeded chaos run and checks every invariant.
@@ -191,7 +204,9 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 		inj = randStream(seed, 0xda942042e4dd58b5, 6)
 	}
 
-	script := buildScript(sc, wrk)
+	chk := startChecker(sc, wrk)
+	defer chk.join()
+	chk.tamper = opts.tamper
 
 	led := newLedger()
 	// The diagnosis engine taps the recorder from the start, so it sees
@@ -228,7 +243,7 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 		rank := rank
 		gpu := gpus[rank]
 		env.S.Go(fmt.Sprintf("chaos:rank%d", rank), func(p *sim.Proc) {
-			rankErrs[rank] = runRank(p, env, sc, script, rank, gpu, &scriptComm)
+			rankErrs[rank] = runRank(p, env, sc, chk, rank, gpu, &scriptComm)
 			finished++
 		})
 	}
@@ -255,6 +270,14 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	}
 
 	simErr := runSim(env.S)
+	// A rank's own errors (init, alloc, issue) stop it before it issues
+	// the failing op, so any op the verifier failed comes earlier: the
+	// verifier's failure, when there is one, is the rank's lowest.
+	for r, f := range chk.join() {
+		if f.err != nil {
+			rankErrs[r] = f.err
+		}
+	}
 
 	// Fill in the trace fingerprint before invariant checks so even a
 	// failed run reports its replay coordinates.
@@ -325,22 +348,12 @@ type pendingOp struct {
 	send, recv *gpusim.Buffer
 }
 
-// checkData compares a device buffer with the bytes it must hold.
-func checkData(what string, got []float32, want []uint8) error {
-	got = got[:len(want)]
-	for j, w := range want {
-		if got[j] != float32(w) {
-			return fmt.Errorf("%s element %d = %v, want %d", what, j, got[j], w)
-		}
-	}
-	return nil
-}
-
 // runRank issues the scripted collectives for one rank with a bounded
-// pipeline, verifying each result against the closed form (opSpec.out).
-// Both ops are out of place, so the send buffer must also still hold the
-// rank's inputs.
-func runRank(p *sim.Proc, env *harness.Env, sc Scenario, script []opSpec, rank int, gpu topo.GPUID, scriptComm *spec.CommID) error {
+// pipeline: before it issues op i+Depth it waits for op i and hands op i's
+// buffers to the checker's verifier, which checks them against the closed
+// form off the event loop. A rank issues its whole script whatever the
+// verifier finds; its error is its own (init, alloc or issue).
+func runRank(p *sim.Proc, env *harness.Env, sc Scenario, chk *checker, rank int, gpu topo.GPUID, scriptComm *spec.CommID) error {
 	host := env.Cluster.HostOfGPU(gpu)
 	f := env.Deployment.Service(host).Frontend("chaos")
 	comm, err := f.CommInitRank(p, "chaos", sc.Ranks, rank, gpu)
@@ -354,21 +367,17 @@ func runRank(p *sim.Proc, env *harness.Env, sc Scenario, script []opSpec, rank i
 		*scriptComm = comm.ID()
 	}
 
-	verify := func(po pendingOp) error {
+	finish := func(po pendingOp) {
 		po.h.Wait(p)
-		op := &script[po.idx]
-		err := checkData("recv", po.recv.Data(), op.out())
-		if err == nil {
-			err = checkData("send", po.send.Data(), op.rankIn(rank))
-		}
-		if err != nil {
-			return fmt.Errorf("rank %d op %d (%v count %d): %w", rank, po.idx, op.op, op.count, err)
-		}
-		return nil
+		chk.hand(rank, po.idx, po.recv.Data(), po.send.Data())
 	}
 
 	var pending []pendingOp
-	for i, op := range script {
+	for i := 0; i < sc.Ops; i++ {
+		op, err := chk.op(i)
+		if err != nil {
+			return fmt.Errorf("rank %d op %d: script: %w", rank, i, err)
+		}
 		send, err := f.MemAlloc(p, gpu, op.count*4, true)
 		if err != nil {
 			return fmt.Errorf("rank %d op %d: alloc send: %w", rank, i, err)
@@ -398,16 +407,12 @@ func runRank(p *sim.Proc, env *harness.Env, sc Scenario, script []opSpec, rank i
 		}
 		pending = append(pending, pendingOp{h: h, idx: i, send: send, recv: recv})
 		if len(pending) >= sc.Depth {
-			if err := verify(pending[0]); err != nil {
-				return err
-			}
+			finish(pending[0])
 			pending = pending[1:]
 		}
 	}
 	for _, po := range pending {
-		if err := verify(po); err != nil {
-			return err
-		}
+		finish(po)
 	}
 	return nil
 }
