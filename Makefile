@@ -37,15 +37,17 @@ race:
 # its lowerings, the proxy engine, the strategy autotuner, the lifecycle
 # orchestrator, the diagnosis engine (whose recorder tap runs inside
 # span emission), the policy controller (the recovery moves and the
-# route-push order) and the fabric (an allocation memo and a flow free
-# list sit on its per-message path) — running them twice under the
-# detector. The chaos checker's producer and verifier goroutines read the
-# script and finished device buffers beside the event loop; the whole
-# chaos package takes minutes a pass under the detector, so only the
-# pinned corpus hashes and one self-heal test run twice there.
+# route-push order), the fabric (an allocation memo and a flow free list
+# sit on its per-message path) and gpusim (the process-wide free list of
+# device memory) — running them twice under the detector. The chaos
+# checker's producer and verifier goroutines read the script and finished
+# device buffers beside the event loop, and concurrent runs trade device
+# memory through gpusim's free list; the whole chaos package takes minutes
+# a pass under the detector, so only the pinned corpus hashes, one
+# self-heal test and the concurrent-runs test run twice there.
 race-hot:
-	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/policy/ ./internal/remediation/
-	$(GO) test -race -count=2 -run '^(TestCorpusTraceHashPinned|TestSelfHealByteDeterministic)$$' ./internal/chaos/
+	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/policy/ ./internal/remediation/ ./internal/gpusim/
+	$(GO) test -race -count=2 -run '^(TestCorpusTraceHashPinned|TestSelfHealByteDeterministic|TestConcurrentRunsKeepTheirHashes)$$' ./internal/chaos/
 
 # fuzz runs the native fuzz targets for 10 s each (their seed corpora also
 # run as part of `test`). Schedule IR: random (algorithm, op, ranks, root,

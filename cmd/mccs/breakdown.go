@@ -28,7 +28,7 @@ func runBreakdown(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer env.S.Shutdown()
+	defer env.Close()
 	profiles := workload.ProductGroupProfiles()
 	results := make([]*workload.Result, len(profiles))
 	// Each group trains on its own pair of GPUs (one per rack) so the

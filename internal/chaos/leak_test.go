@@ -51,3 +51,25 @@ func TestRunSeedReleasesItsEnvironment(t *testing.T) {
 		t.Errorf("live heap grew from %d KB to %d KB over 18 runs", baseHeap>>10, heap>>10)
 	}
 }
+
+// TestRepeatedRunReusesDeviceMemory: a run's backed buffers go back to
+// gpusim's free list when its environment closes, so a second run of the
+// same seed takes its device memory from there rather than from the heap.
+// A self-heal run allocates ≈ 110 MB when its device memory is fresh.
+func TestRepeatedRunReusesDeviceMemory(t *testing.T) {
+	sc := SelfHeal()
+	if res := RunSeedHealed(sc, 1); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := RunSeedHealed(sc, 1)
+	runtime.ReadMemStats(&after)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	const limit = 16 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("the repeated run allocated %d KB, want at most %d KB", got>>10, limit>>10)
+	}
+}

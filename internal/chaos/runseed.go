@@ -205,8 +205,18 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	}
 
 	chk := startChecker(sc, wrk)
-	defer chk.join()
 	chk.tamper = opts.tamper
+	// One teardown for every return path, in this order: the verifier
+	// reads finished device buffers until join returns, and Close hands
+	// their memory to the next deployment. Everything returned is copied
+	// out first; see harness.Env.
+	var env *harness.Env
+	defer func() {
+		chk.join()
+		if env != nil {
+			env.Close()
+		}
+	}()
 
 	led := newLedger()
 	// The diagnosis engine taps the recorder from the start, so it sees
@@ -224,7 +234,6 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 		res.Err = fmt.Errorf("chaos: building testbed: %w", err)
 		return res, &DoctorRun{}
 	}
-	defer env.S.Shutdown() // everything returned is copied out first; see harness.Env
 	rec := trace.Of(env.S)
 	env.S.SetPicker(&fuzzPicker{rng: sched})
 	tr := newTracer()

@@ -212,7 +212,9 @@ func TestSelfHealDoctorCreditsOnlyRemediableIncidents(t *testing.T) {
 // TestSelfHealByteDeterministic re-runs seeds and requires the trace
 // hash, the remediation reports (JSONL and text) and the telemetry
 // export to be byte-identical — the same determinism bar the doctor
-// reports meet.
+// reports meet. The second run of a seed takes its device memory from
+// what the first released to gpusim's free list, so this also compares
+// a run on fresh memory with one on recycled memory.
 func TestSelfHealByteDeterministic(t *testing.T) {
 	sc := SelfHeal()
 	for seed := uint64(1); seed <= 3; seed++ {

@@ -1,6 +1,9 @@
 package chaos
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // Pinned (at, seq) trace hashes — one seed per scenario, captured from
 // the container/heap scheduler core before the pooled-arena overhaul
@@ -48,4 +51,37 @@ func TestCorpusTraceHashPinned(t *testing.T) {
 				pin.scenario, pin.seed, res.TraceHash, res.Events, pin.hash, pin.events)
 		}
 	}
+}
+
+// TestConcurrentRunsKeepTheirHashes: runs on separate goroutines draw
+// device memory from, and release it to, gpusim's one process-wide free
+// list. Two pinned runs, each repeated on its own goroutine, must replay
+// their pinned schedules while they trade buffers; under -race (make
+// race-hot) this is the free list's data-race check.
+func TestConcurrentRunsKeepTheirHashes(t *testing.T) {
+	t.Parallel()
+	byName := map[string]Scenario{}
+	for _, sc := range Scenarios() {
+		byName[sc.Name] = sc
+	}
+	var wg sync.WaitGroup
+	for _, pin := range pinnedTraceHashes {
+		if pin.scenario != "link-flap" && pin.scenario != "reconfig-storm" {
+			continue
+		}
+		sc := byName[pin.scenario]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				res := RunSeed(sc, pin.seed)
+				if res.Failed() || res.TraceHash != pin.hash || res.Events != pin.events {
+					t.Errorf("%s seed %d, round %d: hash=%#x events=%d err=%v, want hash=%#x events=%d",
+						pin.scenario, pin.seed, round, res.TraceHash, res.Events, res.Err, pin.hash, pin.events)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

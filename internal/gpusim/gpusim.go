@@ -8,10 +8,20 @@
 // be backed by real float32 data so that tests can prove a collective
 // produced the mathematically correct result; performance experiments use
 // unbacked buffers and only the cost model runs.
+//
+// Backed storage outlives the buffer that held it: Free, and Device.Reset
+// (the cudaDeviceReset analogue a deployment runs when it closes), hand it
+// to a process-wide free list that later allocations, on any device of any
+// deployment, draw from. A recycled buffer is cleared and reads exactly
+// like a fresh one, so the simulation cannot tell; a buffer is unreadable
+// once freed or reset (Data returns nil), and a slice taken from Data
+// before then must not be used after it.
 package gpusim
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 	"time"
 
 	"mccs/internal/sim"
@@ -118,7 +128,8 @@ func (d *Device) Alloc(bytes int64) (*Buffer, error) {
 }
 
 // AllocBacked reserves device memory with a real float32 backing array of
-// bytes/4 elements, letting kernels move and reduce actual values.
+// bytes/4 elements, letting kernels move and reduce actual values. bytes
+// must be a whole number of elements.
 func (d *Device) AllocBacked(bytes int64) (*Buffer, error) {
 	return d.alloc(bytes, true)
 }
@@ -127,7 +138,10 @@ func (d *Device) alloc(bytes int64, backed bool) (*Buffer, error) {
 	if bytes <= 0 {
 		return nil, fmt.Errorf("gpusim: allocation of %d bytes", bytes)
 	}
-	if d.allocated+bytes > d.cfg.MemoryBytes {
+	if backed && bytes%4 != 0 {
+		return nil, fmt.Errorf("gpusim: backed allocation of %d bytes is not a whole number of float32 elements", bytes)
+	}
+	if bytes > d.cfg.MemoryBytes-d.allocated {
 		return nil, fmt.Errorf("gpusim: device %d out of memory: %d in use, %d requested, %d capacity",
 			d.ID, d.allocated, bytes, d.cfg.MemoryBytes)
 	}
@@ -135,14 +149,15 @@ func (d *Device) alloc(bytes int64, backed bool) (*Buffer, error) {
 	d.nextBuf++
 	b := &Buffer{dev: d, id: d.nextBuf, bytes: bytes, refs: 1}
 	if backed {
-		b.data = make([]float32, bytes/4)
+		b.data = storage.get(int(bytes / 4))
 	}
 	d.buffers[b.id] = b
 	return b, nil
 }
 
 // Free releases the buffer. Freeing while IPC handles remain open is an
-// error, mirroring CUDA's ownership rules.
+// error, mirroring CUDA's ownership rules. The backing goes back to the
+// free list: Data reads nil from here on.
 func (b *Buffer) Free() error {
 	if b.freed {
 		return fmt.Errorf("gpusim: double free of buffer %d on device %d", b.id, b.dev.ID)
@@ -151,10 +166,88 @@ func (b *Buffer) Free() error {
 		return fmt.Errorf("gpusim: buffer %d on device %d freed with %d IPC handle(s) open",
 			b.id, b.dev.ID, b.refs-1)
 	}
-	b.freed = true
 	b.dev.allocated -= b.bytes
 	delete(b.dev.buffers, b.id)
+	b.release()
 	return nil
+}
+
+// release marks the buffer freed and returns its backing.
+func (b *Buffer) release() {
+	b.freed = true
+	if b.data != nil {
+		storage.put(b.data)
+		b.data = nil
+	}
+}
+
+// Reset frees every buffer still allocated on the device, open IPC
+// mappings and in-flight uses notwithstanding (cudaDeviceReset): each one
+// reads as freed, its backing back on the free list. Call it only once
+// nothing will read or write the device's buffers again — a closed
+// deployment, its scheduler shut down.
+func (d *Device) Reset() {
+	for id, b := range d.buffers {
+		b.release()
+		delete(d.buffers, id)
+	}
+	d.allocated = 0
+}
+
+// storage is the free list every device's backed buffers come from and
+// return to.
+var storage recycler
+
+// recycler keeps the float32 backings of freed buffers for reuse, binned
+// by floor(log2(cap)). get takes the tightest fit from the request's bin
+// or the next one up, so a backing never serves a request of under a
+// quarter of its capacity, and the list settles at what one run releases
+// instead of growing with every size a run draws. It is not a sync.Pool:
+// a collection would empty that, and the next run would fault its memory
+// in afresh. The lock is taken per allocation and release, never on a
+// kernel's data path.
+type recycler struct {
+	mu   sync.Mutex
+	bins [64][][]float32
+}
+
+// get returns a zeroed slice of n elements, recycled when one fits.
+func (r *recycler) get(n int) []float32 {
+	lo := bits.Len(uint(n)) - 1
+	r.mu.Lock()
+	for k := lo; k <= lo+1 && k < len(r.bins); k++ {
+		bin := r.bins[k]
+		best := -1
+		for i, s := range bin {
+			if c := cap(s); c >= n && (best < 0 || c < cap(bin[best])) {
+				best = i
+				if c == n {
+					break
+				}
+			}
+		}
+		if best >= 0 {
+			s := bin[best]
+			last := len(bin) - 1
+			bin[best] = bin[last]
+			bin[last] = nil
+			r.bins[k] = bin[:last]
+			r.mu.Unlock()
+			s = s[:n]
+			clear(s)
+			return s
+		}
+	}
+	r.mu.Unlock()
+	return make([]float32, n)
+}
+
+// put returns a backing to the list.
+func (r *recycler) put(s []float32) {
+	k := bits.Len(uint(cap(s))) - 1
+	r.mu.Lock()
+	r.bins[k] = append(r.bins[k], s)
+	r.mu.Unlock()
 }
 
 // MemHandle is an inter-process memory handle (cudaIpcGetMemHandle

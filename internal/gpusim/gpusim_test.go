@@ -1,6 +1,8 @@
 package gpusim
 
 import (
+	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,6 +53,211 @@ func TestAllocOOM(t *testing.T) {
 	}
 	if err := b.Free(); err != nil {
 		t.Fatal(err)
+	}
+	// In use + requested must not wrap: with anything allocated, a
+	// request near the int64 limit is still over capacity.
+	if _, err := d.Alloc(16); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{math.MaxInt64, math.MaxInt64 - 15} {
+		if _, err := d.Alloc(n); err == nil {
+			t.Errorf("Alloc(%d) with 16 bytes in use accepted; allocated = %d", n, d.allocated)
+		}
+		if _, err := d.AllocBacked(n - n%4); err == nil {
+			t.Errorf("AllocBacked(%d) with 16 bytes in use accepted", n-n%4)
+		}
+	}
+	if d.allocated != 16 {
+		t.Errorf("allocated = %d after refused requests, want 16", d.allocated)
+	}
+}
+
+func TestAllocBackedWholeElements(t *testing.T) {
+	d := newDev(sim.New())
+	for _, n := range []int64{1, 2, 3, 6, 4099} {
+		if b, err := d.AllocBacked(n); err == nil {
+			t.Errorf("AllocBacked(%d) accepted: Bytes %d, %d elements, Backed %v", n, b.Bytes(), len(b.Data()), b.Backed())
+		}
+	}
+	if d.allocated != 0 {
+		t.Errorf("refused requests left %d bytes allocated", d.allocated)
+	}
+	// Unbacked memory has no element size.
+	if _, err := d.Alloc(6); err != nil {
+		t.Errorf("Alloc(6): %v", err)
+	}
+	b, err := d.AllocBacked(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Data()) != 2 {
+		t.Errorf("AllocBacked(8) holds %d elements, want 2", len(b.Data()))
+	}
+}
+
+// TestFreedBackingIsRecycledCleared: Free hands a buffer's backing to the
+// free list and leaves the buffer unreadable; the next allocation of that
+// size gets the same memory, cleared, so it reads like a fresh one.
+func TestFreedBackingIsRecycledCleared(t *testing.T) {
+	const n = 12347 // elements; no other test allocates this size
+	d := newDev(sim.New())
+	b, err := d.AllocBacked(n * 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := b.Data()
+	for i := range data {
+		data[i] = float32(i + 1)
+	}
+	if err := b.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Data() != nil || b.Backed() {
+		t.Fatalf("freed buffer still reads %d elements", len(b.Data()))
+	}
+	again, err := d.AllocBacked(n * 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := again.Data()
+	if len(got) != n {
+		t.Fatalf("reallocated buffer holds %d elements, want %d", len(got), n)
+	}
+	if &got[0] != &data[0] {
+		t.Error("the freed backing was not reused")
+	}
+	for i, v := range got {
+		if v != 0 {
+			t.Fatalf("recycled element %d = %v, want 0", i, v)
+		}
+	}
+	if err := again.Free(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecyclerTightestFit: a request takes the smallest free backing that
+// holds it from its own size class or the next, and never one four or
+// more times its size.
+func TestRecyclerTightestFit(t *testing.T) {
+	var r recycler
+	for _, c := range []int{1000, 700, 640, 2047, 4096} {
+		r.put(make([]float32, c))
+	}
+	for _, tc := range []struct{ n, cap int }{
+		{600, 640}, // class 9 (512..1023) holds 640, 700 and 1000
+		{650, 700},
+		{513, 1000},
+		{513, 2047}, // class 9 is empty: the next class up
+		{1024, 0},   // 4096 is class 12, two classes up: a fresh slice
+	} {
+		s := r.get(tc.n)
+		if len(s) != tc.n {
+			t.Fatalf("get(%d) holds %d elements", tc.n, len(s))
+		}
+		if tc.cap > 0 && cap(s) != tc.cap {
+			t.Errorf("get(%d) took a backing of %d, want %d", tc.n, cap(s), tc.cap)
+		}
+		if tc.cap == 0 && cap(s) != tc.n {
+			t.Errorf("get(%d) took a backing of %d on a miss, want a fresh %d", tc.n, cap(s), tc.n)
+		}
+	}
+}
+
+// TestRecyclerSharedAcrossDevices: devices of separate deployments, each
+// driven by its own goroutine, allocate from and release to the one free
+// list; every allocation must read zeroed and stay private to its buffer.
+// Run it under -race.
+func TestRecyclerSharedAcrossDevices(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			d := NewDevice(sim.New(), w, DefaultConfig())
+			for round := 0; round < 50; round++ {
+				var bufs []*Buffer
+				for i := 1; i <= 8; i++ {
+					b, err := d.AllocBacked(int64(4 * (i*97 + round%5)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for j, v := range b.Data() {
+						if v != 0 {
+							t.Errorf("worker %d: fresh element %d = %v", w, j, v)
+							return
+						}
+						b.Data()[j] = float32(w + 1)
+					}
+					bufs = append(bufs, b)
+				}
+				for _, b := range bufs {
+					for _, v := range b.Data() {
+						if v != float32(w+1) {
+							t.Errorf("worker %d: a buffer changed under it: %v", w, v)
+							return
+						}
+					}
+				}
+				if round%2 == 0 {
+					for _, b := range bufs {
+						if err := b.Free(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				} else {
+					d.Reset()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestResetFreesEverything: Device.Reset frees every buffer on the
+// device, IPC mappings open or not, and returns its memory.
+func TestResetFreesEverything(t *testing.T) {
+	d := newDev(sim.New())
+	var bufs []*Buffer
+	for _, n := range []int64{64, 4096, 1 << 20} {
+		b, err := d.AllocBacked(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Data()[0] = 1
+		bufs = append(bufs, b)
+	}
+	plain, err := d.Alloc(1 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs = append(bufs, plain)
+	alias, err := OpenMemHandle(bufs[1].IPCHandle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Reset()
+	if d.allocated != 0 || len(d.buffers) != 0 {
+		t.Errorf("after Reset: allocated %d bytes in %d buffers, want none", d.allocated, len(d.buffers))
+	}
+	for i, b := range bufs {
+		if b.Backed() || b.Data() != nil {
+			t.Errorf("buffer %d still backed after Reset", i)
+		}
+		if err := b.Free(); err == nil {
+			t.Errorf("buffer %d: Free after Reset accepted", i)
+		}
+	}
+	if alias.Data() != nil {
+		t.Error("IPC mapping still reads memory after Reset")
+	}
+	if _, err := OpenMemHandle(bufs[0].IPCHandle()); err == nil {
+		t.Error("IPC handle opened after Reset")
+	}
+	if _, err := d.Alloc(d.cfg.MemoryBytes); err != nil {
+		t.Errorf("full-capacity allocation after Reset: %v", err)
 	}
 }
 

@@ -171,7 +171,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer env.S.Shutdown()
+	defer env.Close()
 	orch := orchestrator.New(env.S, env.Cluster, env.Deployment, orchestrator.Config{
 		Quota:       cfg.Quota,
 		Placer:      cfg.Placer,

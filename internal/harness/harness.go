@@ -30,10 +30,13 @@ import (
 
 // Env is one experiment environment.
 //
-// Whoever builds one calls S.Shutdown once it has copied the results out
-// (the Run* drivers defer it): the deployment's service loops are daemons
-// parked forever, and each parked goroutine keeps the whole environment —
-// trace ring, telemetry samples, fabric — reachable until it is unwound.
+// Whoever builds one calls Close once it has copied the results out (the
+// Run* drivers defer it). Close shuts the scheduler down — the deployment's
+// service loops are daemons parked forever, and each parked goroutine keeps
+// the whole environment (trace ring, telemetry samples, fabric) reachable
+// until it is unwound — and then closes the deployment, whose device memory
+// goes back to gpusim's free list: a backed buffer reads nil from then on,
+// and a slice taken from one before must not be used after.
 type Env struct {
 	S          *sim.Scheduler
 	Cluster    *topo.Cluster
@@ -173,7 +176,21 @@ func NewEnv(o EnvOptions) (*Env, error) {
 	if doctor {
 		env.Doctor = diagnosis.Attach(s, trace.Of(s), reg, diagnosis.DefaultConfig())
 	}
+	if envBuilt != nil {
+		envBuilt(env)
+	}
 	return env, nil
+}
+
+// envBuilt, when set, is handed every environment NewEnv builds. It is a
+// test seam: the driver tests reach the environment a driver builds and
+// tears down inside one call through it.
+var envBuilt func(*Env)
+
+// Close tears the environment down; see Env.
+func (e *Env) Close() {
+	e.S.Shutdown()
+	e.Deployment.Close()
 }
 
 // Export writes every output path the environment's observers name, once
@@ -354,7 +371,7 @@ func runSingleTrial(cfg SingleAppConfig, trial int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer env.S.Shutdown()
+	defer env.Close()
 	gpus, err := SingleAppGPUs(env.Cluster, cfg.NumGPUs)
 	if err != nil {
 		return nil, err

@@ -6,15 +6,30 @@ import (
 	"time"
 
 	"mccs/internal/collective"
+	"mccs/internal/gpusim"
 	"mccs/internal/mccsd"
 	"mccs/internal/ncclsim"
+	"mccs/internal/topo"
 )
 
-// TestDriversShutTheirSchedulerDown: every Run* driver must unwind its
-// deployment's parked daemons once the results are out (see Env), or each
-// call leaves its goroutines — and through them its whole environment —
-// behind.
+// TestDriversShutTheirSchedulerDown: every Run* driver must close its
+// environment once the results are out (see Env). Without the scheduler's
+// shutdown each call leaves its goroutines — and through them its whole
+// environment — behind; without the deployment's close its device memory
+// never goes back to the free list. A backed buffer planted on every GPU of
+// every environment the driver builds must read as freed when it returns.
 func TestDriversShutTheirSchedulerDown(t *testing.T) {
+	var planted []*gpusim.Buffer
+	envBuilt = func(e *Env) {
+		for g := range e.Cluster.GPUs {
+			b, err := e.Deployment.Device(topo.GPUID(g)).AllocBacked(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			planted = append(planted, b)
+		}
+	}
+	defer func() { envBuilt = nil }()
 	single := SingleAppConfig{System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 1 << 20, NumGPUs: 8, Warmup: 1, Iters: 2}
 	drivers := []struct {
 		name string
@@ -32,7 +47,7 @@ func TestDriversShutTheirSchedulerDown(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			defer env.S.Shutdown()
+			defer env.Close()
 			apps, err := Setup(env.Cluster, 3)
 			if err != nil {
 				return err
@@ -63,8 +78,18 @@ func TestDriversShutTheirSchedulerDown(t *testing.T) {
 	}
 	for _, d := range drivers {
 		base := runtime.NumGoroutine()
+		planted = planted[:0]
 		if err := d.run(); err != nil {
 			t.Fatalf("%s: %v", d.name, err)
+		}
+		if len(planted) == 0 {
+			t.Errorf("%s built no environment", d.name)
+		}
+		for i, b := range planted {
+			if b.Data() != nil {
+				t.Errorf("%s: device buffer %d of %d still backed: the deployment was not closed", d.name, i, len(planted))
+				break
+			}
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {

@@ -136,7 +136,7 @@ func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, err
 	if err != nil {
 		return nil, err
 	}
-	defer env.S.Shutdown()
+	defer env.Close()
 	ctrl := policy.NewController(env.Deployment)
 
 	totalRanks := 0

@@ -71,7 +71,7 @@ func RunQoS(cfg QoSConfig) (QoSResult, error) {
 	if err != nil {
 		return QoSResult{}, err
 	}
-	defer env.S.Shutdown()
+	defer env.Close()
 	return runQoS(env, cfg)
 }
 
@@ -254,7 +254,7 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 	if err != nil {
 		return DynamicResult{}, err
 	}
-	defer env.S.Shutdown()
+	defer env.Close()
 	d := env.Deployment
 	d.SetPriority("A", 2)
 	d.SetPriority("B", 1)

@@ -103,7 +103,7 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 	if err != nil {
 		return ReconfigResult{}, err
 	}
-	defer env.S.Shutdown()
+	defer env.Close()
 	s, fabric, dep := env.S, env.Fabric, env.Deployment
 
 	var gpus []topo.GPUID

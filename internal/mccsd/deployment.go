@@ -170,6 +170,16 @@ func registerTopology(rec *trace.Recorder, cluster *topo.Cluster) {
 	rec.SetLinks(links)
 }
 
+// Close releases the deployment's device memory: every device is reset
+// (gpusim.Device.Reset), so each buffer still allocated reads as freed and
+// its backing is free for the next deployment. Shut the scheduler down
+// first; no buffer of the deployment may be read or written afterwards.
+func (d *Deployment) Close() {
+	for g := range d.Cluster.GPUs {
+		d.devices[topo.GPUID(g)].Reset()
+	}
+}
+
 // Config returns the deployment's configuration.
 func (d *Deployment) Config() Config { return d.cfg }
 
