@@ -57,13 +57,17 @@ race-hot:
 # shortest-path lists, order included, as the reference enumerator. The three
 # parsers: arbitrary bytes never panic trace.ReadChrome or telemetry.ReadJSONL
 # and what they accept round-trips through the writer; a strategy
-# spec.Strategy.Validate accepts builds its rings and edges.
+# spec.Strategy.Validate accepts builds its rings and edges. Locality ring:
+# bytes decode to a GPU subset and a rank permutation on the §6.5 Clos, the
+# testbed or a fat tree, and policy.LocalityRing must return the same order
+# as the map-based reference it replaced.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLowerExecute -fuzztime 10s ./internal/collective/
 	$(GO) test -run '^$$' -fuzz FuzzPathsBetween -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzReadChrome -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzStrategyValidate -fuzztime 10s ./internal/spec/
+	$(GO) test -run '^$$' -fuzz FuzzLocalityRing -fuzztime 10s ./internal/policy/
 
 # check is the CI gate: everything must build, vet clean, keep the one
 # door for reconfiguration, the one attach site for observers, the one

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"mccs/internal/metrics"
@@ -225,10 +226,19 @@ type sim11 struct {
 	// shuffled is random placement's scratch copy of free, reused across
 	// placements.
 	shuffled []topo.GPUID
-	queue    []*pendingJob
-	active   map[int]*job
-	results  []JobResult
-	done     *sim.Latch
+	queue    []pendingJob
+	// active holds the running jobs in ID order: jobs are admitted FIFO in
+	// arrival order, which is ID order, so a started job is appended.
+	active  []*job
+	results []JobResult
+	// Scratch reused from job to job: perHost[h] counts a job's GPUs on
+	// host h (ringCount; zero between calls), hosts is a job's host per
+	// rank (start) and infos the active jobs' views FFA runs over
+	// (reassignRoutes).
+	perHost []int
+	hosts   []topo.HostID
+	infos   []spec.CommInfo
+	done    *sim.Latch
 	// arrived counts the jobs the arrival process has admitted so far.
 	arrived int
 }
@@ -248,6 +258,16 @@ func run(cfg Config, s *sim.Scheduler) (*RunResult, error) {
 	if cfg.NumJobs <= 0 || cfg.Iterations <= 0 || cfg.ModelBytes <= 0 || len(cfg.JobSizes) == 0 {
 		return nil, fmt.Errorf("cluster: bad config %+v", cfg)
 	}
+	switch {
+	case cfg.Strategy < StratRandomRing || cfg.Strategy > StratORFFA:
+		return nil, fmt.Errorf("cluster: unknown strategy %d", int(cfg.Strategy))
+	case cfg.Placement < PlacementRandom || cfg.Placement > PlacementCompact:
+		return nil, fmt.Errorf("cluster: unknown placement %d", int(cfg.Placement))
+	case cfg.MeanArrival < 0:
+		return nil, fmt.Errorf("cluster: negative mean arrival gap %v", cfg.MeanArrival)
+	case cfg.ComputeTime < 0:
+		return nil, fmt.Errorf("cluster: negative compute time %v", cfg.ComputeTime)
+	}
 	cl, err := topo.BuildClos(cfg.Topo)
 	if err != nil {
 		return nil, err
@@ -264,12 +284,18 @@ func run(cfg Config, s *sim.Scheduler) (*RunResult, error) {
 		placeRng:   rand.New(rand.NewSource(cfg.Seed + 1)),
 		ringRng:    rand.New(rand.NewSource(cfg.Seed + 2)),
 		free:       make([]topo.GPUID, len(cl.GPUs)),
-		active:     make(map[int]*job),
+		perHost:    make([]int, len(cl.Hosts)),
 		results:    make([]JobResult, cfg.NumJobs),
 		done:       sim.NewLatch(cfg.NumJobs),
 	}
 	for g := range m.free {
 		m.free[g] = topo.GPUID(g)
+	}
+	// Every job records Iterations AllReduce times: one array holds them
+	// all, each job's a capped window of it.
+	arTimes := make([]time.Duration, 0, cfg.NumJobs*cfg.Iterations)
+	for i := range m.results {
+		m.results[i].ARTimes = arTimes[i*cfg.Iterations : i*cfg.Iterations : (i+1)*cfg.Iterations]
 	}
 
 	// Every process is a step function (sim.Scheduler.GoStep): the run
@@ -289,8 +315,9 @@ func (m *sim11) arrive(p *sim.Proc) bool {
 	i := m.arrived
 	m.arrived++
 	size := m.cfg.JobSizes[m.arrivalRng.Intn(len(m.cfg.JobSizes))]
-	m.queue = append(m.queue, &pendingJob{id: i, size: size, arrived: p.Now()})
-	m.results[i] = JobResult{ID: i, Size: size, Arrived: p.Now()}
+	m.queue = append(m.queue, pendingJob{id: i, size: size, arrived: p.Now()})
+	r := &m.results[i]
+	r.ID, r.Size, r.Arrived = i, size, p.Now()
 	m.tryPlace()
 	if m.arrived == m.cfg.NumJobs {
 		return true
@@ -308,7 +335,7 @@ func (m *sim11) tryPlace() {
 			return // head-of-line blocks; capacity frees on job exit
 		}
 		m.queue = m.queue[1:]
-		m.start(next, gpus)
+		m.start(&next, gpus)
 	}
 }
 
@@ -366,37 +393,33 @@ func (m *sim11) take(gpus []topo.GPUID) {
 // ringCount returns the rings per job: one per NIC the job can drive per
 // host, bounded by the fabric's path diversity.
 func (m *sim11) ringCount(gpus []topo.GPUID) int {
-	perHost := make(map[topo.HostID]int)
 	for _, g := range gpus {
-		perHost[m.cluster.HostOfGPU(g)]++
+		m.perHost[m.cluster.HostOfGPU(g)]++
 	}
 	minPerHost := len(gpus)
-	for _, c := range perHost {
-		if c < minPerHost {
-			minPerHost = c
+	for _, g := range gpus {
+		// The first of a host's GPUs reads its count and clears it.
+		if h := m.cluster.HostOfGPU(g); m.perHost[h] > 0 {
+			minPerHost = min(minPerHost, m.perHost[h])
+			m.perHost[h] = 0
 		}
 	}
-	n := m.cfg.Topo.Spines
-	if minPerHost < n {
-		n = minPerHost
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(min(m.cfg.Topo.Spines, minPerHost), 1)
 }
 
 // start spawns a placed job.
 func (m *sim11) start(pj *pendingJob, gpus []topo.GPUID) {
 	m.take(gpus)
+	// The job's process and its application share one name.
+	name := "job" + strconv.Itoa(pj.id)
 	j := &job{id: pj.id, size: pj.size, gpus: gpus, s: m.s}
-	j.info = spec.CommInfo{ID: spec.CommID(pj.id + 1), App: spec.AppID(fmt.Sprintf("job%d", pj.id))}
+	j.info = spec.CommInfo{ID: spec.CommID(pj.id + 1), App: spec.AppID(name), Ranks: make([]spec.RankInfo, len(gpus))}
 	for rank, g := range gpus {
-		j.info.Ranks = append(j.info.Ranks, spec.RankInfo{
+		j.info.Ranks[rank] = spec.RankInfo{
 			Rank: rank, GPU: g,
 			Host: m.cluster.HostOfGPU(g),
 			NIC:  m.cluster.NICOfGPU(g),
-		})
+		}
 	}
 	nrings := m.ringCount(gpus)
 	var base []int
@@ -407,39 +430,33 @@ func (m *sim11) start(pj *pendingJob, gpus []topo.GPUID) {
 	default:
 		base = policy.LocalityRing(m.cluster, j.info.Ranks)
 	}
-	hosts := make([]topo.HostID, len(gpus))
-	for i, ri := range j.info.Ranks {
-		hosts[i] = ri.Host
+	m.hosts = m.hosts[:0]
+	for _, ri := range j.info.Ranks {
+		m.hosts = append(m.hosts, ri.Host)
 	}
-	j.rings = spec.StripeChannelOrders(base, hosts, nrings)
-	for _, order := range j.rings {
-		j.info.Strategy.Channels = append(j.info.Strategy.Channels,
-			spec.ChannelSpec{Order: order, Route: spec.RouteECMP})
+	j.rings = spec.StripeChannelOrders(base, m.hosts, nrings)
+	j.info.Strategy.Channels = make([]spec.ChannelSpec, len(j.rings))
+	for i, order := range j.rings {
+		j.info.Strategy.Channels[i] = spec.ChannelSpec{Order: order, Route: spec.RouteECMP}
 	}
 
-	m.active[j.id] = j
+	m.active = append(m.active, j)
 	m.results[j.id].Started = m.s.Now()
 	if m.cfg.Strategy == StratORFFA {
 		m.reassignRoutes()
 	}
-	m.s.GoStep(fmt.Sprintf("job%d", j.id), func(p *sim.Proc) bool { return m.stepJob(p, j) })
+	m.s.GoStep(name, func(p *sim.Proc) bool { return m.stepJob(p, j) })
 }
 
 // reassignRoutes recomputes FFA over all active jobs (invoked on every
 // join and exit, as the paper describes).
 func (m *sim11) reassignRoutes() {
-	infos := make([]spec.CommInfo, 0, len(m.active))
-	ids := make([]int, 0, len(m.active))
-	for id := range m.active {
-		ids = append(ids, id)
+	m.infos = m.infos[:0]
+	for _, j := range m.active {
+		m.infos = append(m.infos, j.info)
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		infos = append(infos, m.active[id].info)
-	}
-	assign := policy.FFA(m.cluster, infos)
-	for _, id := range ids {
-		j := m.active[id]
+	assign := policy.FFA(m.cluster, m.infos)
+	for _, j := range m.active {
 		j.routes = assign[j.info.ID]
 	}
 }
@@ -522,7 +539,8 @@ func (m *sim11) finish(j *job) {
 		i, _ := slices.BinarySearch(m.free, g)
 		m.free = slices.Insert(m.free, i, g)
 	}
-	delete(m.active, j.id)
+	i := slices.Index(m.active, j)
+	m.active = slices.Delete(m.active, i, i+1)
 	if m.cfg.Strategy == StratORFFA {
 		m.reassignRoutes()
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mccs/internal/allocpin"
 	"mccs/internal/metrics"
 	"mccs/internal/sim"
 	"mccs/internal/topo"
@@ -157,7 +158,10 @@ func TestCompactPlacementSpansFewerRacks(t *testing.T) {
 
 // TestConfigValidation checks that Run rejects, before simulating, a config
 // it cannot simulate: among them job sizes that cannot be drawn (none), that
-// place no GPU (0, -4) or that no free list can hold (1000 on 768 GPUs).
+// place no GPU (0, -4) or that no free list can hold (1000 on 768 GPUs), and
+// a config it cannot honour: an unknown strategy or placement (which ran as
+// OR and as random placement) or a negative arrival gap or compute time
+// (which the scheduler clamped to zero, so every job arrived at t = 0).
 func TestConfigValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -169,6 +173,11 @@ func TestConfigValidation(t *testing.T) {
 		{"negative job size", func(c *Config) { c.JobSizes = []int{-4} }},
 		{"zero-GPU job", func(c *Config) { c.JobSizes = []int{0} }},
 		{"job larger than the cluster", func(c *Config) { c.JobSizes = []int{1000} }},
+		{"unknown strategy", func(c *Config) { c.Strategy = Strategy(7) }},
+		{"negative strategy", func(c *Config) { c.Strategy = -1 }},
+		{"unknown placement", func(c *Config) { c.Placement = Placement(9) }},
+		{"negative mean arrival", func(c *Config) { c.MeanArrival = -time.Millisecond }},
+		{"negative compute time", func(c *Config) { c.ComputeTime = -time.Millisecond }},
 	} {
 		cfg := DefaultConfig()
 		tc.edit(&cfg)
@@ -268,5 +277,29 @@ func TestRunStartsNoGoroutine(t *testing.T) {
 	}
 	if peak > before {
 		t.Errorf("%d goroutines during the run, %d before it", peak, before)
+	}
+}
+
+// TestRunAllocations pins what a whole cluster.Run on smallConfig (12 jobs,
+// 4 iterations, 96 GPUs) allocates under each strategy. The policy and path
+// code allocates a constant per decision: per job a fixed handful (its
+// record, name, rank and channel tables, ring orders and process), per FFA
+// run a constant per communicator, and paths in chunks shared by many NIC
+// pairs; nothing per rank, per NIC pair or per iteration. With per-rank
+// maps in LocalityRing and ringCount, a path list per NIC pair, FFA maps
+// grown flow by flow and AllReduce times appended one by one it read
+// 1 588, 1 755 and 2 472.
+func TestRunAllocations(t *testing.T) {
+	for st, want := range map[Strategy]float64{StratRandomRing: 486, StratOR: 380, StratORFFA: 673} {
+		cfg := smallConfig()
+		cfg.Strategy = st
+		got := allocpin.Min(3, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want {
+			t.Errorf("%v: Run allocates %v times, want %v", st, got, want)
+		}
 	}
 }

@@ -51,7 +51,7 @@ const (
 
 // flowSpec is one interned (route content, maxRate, priority) triple.
 type flowSpec struct {
-	route    []LinkID // private copy: the caller may reuse its slice
+	route    []LinkID // a cached path, or a private copy: a caller may reuse its own slice
 	route32  []int32  // the route as trace spans carry it, converted on first use
 	maxRate  float64
 	priority bool
@@ -79,13 +79,14 @@ type allocMemo struct {
 // over-limit, untraced flow sets costs nothing here.
 func (fb *Fabric) specOf(fl *Flow) uint32 {
 	if fl.spec == 0 {
-		fl.spec = fb.memo.intern(fl)
+		fl.spec = fb.memo.intern(fl, fb.net)
 	}
 	return fl.spec
 }
 
-// intern finds or adds the spec with fl's content.
-func (m *allocMemo) intern(fl *Flow) uint32 {
+// intern finds or adds the spec with fl's content. A new spec keeps fl's
+// route itself when it is one of net's cached paths, and a copy otherwise.
+func (m *allocMemo) intern(fl *Flow, net *Network) uint32 {
 	rateBits := math.Float64bits(fl.maxRate)
 	h := fnv64Offset
 	for _, l := range fl.Route {
@@ -105,8 +106,12 @@ func (m *allocMemo) intern(fl *Flow) uint32 {
 		m.specByHash = make(map[uint64]uint32)
 		m.specs = make([]flowSpec, 1)
 	}
+	route := fl.Route
+	if !net.isCachedPath(fl.Src, fl.Dst, route) {
+		route = slices.Clone(route)
+	}
 	m.specs = append(m.specs, flowSpec{
-		route: slices.Clone(fl.Route), maxRate: fl.maxRate, priority: fl.priority,
+		route: route, maxRate: fl.maxRate, priority: fl.priority,
 		next: m.specByHash[h],
 	})
 	id := uint32(len(m.specs) - 1)

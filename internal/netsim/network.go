@@ -57,6 +57,12 @@ type Network struct {
 	linkNames []string
 
 	pathCache map[[2]NodeID][][]LinkID
+	// pathLinks and pathLists are the chunks the path lists PathsBetween
+	// composes or finds are carved from (newPaths): the paths' links and
+	// the lists of them. A chunk is only ever appended to, never rewritten
+	// or reused, so every path handed out stays valid and unchanged.
+	pathLinks []LinkID
+	pathLists [][]LinkID
 	// searches counts the breadth-first searches computeShortestPaths has
 	// run (for tests: a path query that reuses cached paths runs none).
 	searches int
@@ -175,7 +181,7 @@ func (n *Network) ValidateRoute(src, dst NodeID, route []LinkID) error {
 //
 // The returned slices are shared: the cache hands the same ones to every
 // caller, policy and the fabric keep references to them, and the paths of
-// one pair sit in one backing array. Treat them as read-only.
+// many pairs sit in one backing array. Treat them as read-only.
 func (n *Network) PathsBetween(src, dst NodeID) [][]LinkID {
 	key := [2]NodeID{src, dst}
 	if p, ok := n.pathCache[key]; ok {
@@ -231,14 +237,59 @@ func (n *Network) throughSwitches(up, down LinkID) [][]LinkID {
 	if len(mid) == 0 {
 		return nil
 	}
-	hops := len(mid[0]) + 2
-	backing := make([]LinkID, 0, len(mid)*hops)
-	paths := make([][]LinkID, len(mid))
+	paths := n.newPaths(len(mid), len(mid[0])+2)
 	for i, p := range mid {
-		backing = append(append(append(backing, up), p...), down)
-		paths[i] = backing[i*hops : (i+1)*hops : (i+1)*hops]
+		path := paths[i]
+		path[0], path[len(path)-1] = up, down
+		copy(path[1:], p)
 	}
 	return paths
+}
+
+// Path chunks grow by doubling from the first list's size up to these
+// many elements (32 KiB of links, 24 KiB of list headers), so a fabric
+// with a few paths keeps a few small chunks and a Clos's thousands of NIC
+// pairs share a few dozen.
+const (
+	maxLinkChunk = 4096
+	maxListChunk = 1024
+)
+
+// newPaths returns a list of count paths of hops links each, carved from
+// the path chunks. Each path is capped at its length, so an append to one
+// copies it instead of running into the next.
+func (n *Network) newPaths(count, hops int) [][]LinkID {
+	links := carve(&n.pathLinks, count*hops, maxLinkChunk)
+	paths := carve(&n.pathLists, count, maxListChunk)
+	for i := range paths {
+		paths[i] = links[i*hops : (i+1)*hops : (i+1)*hops]
+	}
+	return paths
+}
+
+// carve returns the next k elements of *chunk, capped at k, starting a new
+// chunk — twice the old one's capacity, at most maxChunk elements unless k
+// needs more — when what is left is too short. The rest of the old chunk
+// is never used.
+func carve[T any](chunk *[]T, k, maxChunk int) []T {
+	if cap(*chunk)-len(*chunk) < k {
+		*chunk = make([]T, 0, max(k, min(2*cap(*chunk), maxChunk)))
+	}
+	at := len(*chunk)
+	*chunk = (*chunk)[:at+k]
+	return (*chunk)[at : at+k : at+k]
+}
+
+// isCachedPath reports whether route is one of the paths PathsBetween(src,
+// dst) handed out — the very slice, not an equal one — which nothing ever
+// changes, so a holder may keep it without a copy.
+func (n *Network) isCachedPath(src, dst NodeID, route []LinkID) bool {
+	for _, p := range n.pathCache[[2]NodeID{src, dst}] {
+		if len(p) == len(route) && len(p) > 0 && &p[0] == &route[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // computeShortestPaths labels nodes with their distance to dst by a BFS
@@ -269,12 +320,9 @@ func (n *Network) computeShortestPaths(src, dst NodeID) [][]LinkID {
 	if hops := int(n.distTo[src]); hops > 0 {
 		n.cur, n.flat = n.cur[:0], n.flat[:0]
 		n.descend(src)
-		// One backing array per pair; the capacity limit keeps an append
-		// to one path out of the next.
-		backing := append([]LinkID(nil), n.flat...)
-		paths = make([][]LinkID, len(backing)/hops)
-		for i := range paths {
-			paths[i] = backing[i*hops : (i+1)*hops : (i+1)*hops]
+		paths = n.newPaths(len(n.flat)/hops, hops)
+		for i, p := range paths {
+			copy(p, n.flat[i*hops:])
 		}
 	}
 	for _, v := range n.queue {

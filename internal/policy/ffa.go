@@ -1,7 +1,8 @@
 package policy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mccs/internal/netsim"
 	"mccs/internal/spec"
@@ -11,20 +12,22 @@ import (
 // Flow is one directed inter-host connection extracted from a
 // communicator's strategy — the unit FFA/PFA assign routes to.
 type Flow struct {
-	App     spec.AppID
-	Comm    spec.CommID
-	Key     spec.ConnKey
-	SrcNIC  topo.NICID
-	DstNIC  topo.NICID
-	Demand  float64           // bytes/sec the flow would like (its NIC rate)
-	paths   [][]netsim.LinkID // the fabric's cached path list, aliased: read-only
-	prioApp bool
+	App    spec.AppID
+	Comm   spec.CommID
+	Key    spec.ConnKey
+	SrcNIC topo.NICID
+	DstNIC topo.NICID
+	Demand float64           // bytes/sec the flow would like (its NIC rate)
+	paths  [][]netsim.LinkID // the fabric's cached path list, aliased: read-only
 }
 
 // ExtractFlows enumerates the inter-host connections of the given
 // communicators: for every channel, each consecutive ring pair on
-// different hosts in both directions (rings are used forward by most
-// collectives and backward by rooted reduces).
+// different hosts, forward only (the rank at position i to the one at
+// i+1, the direction every ring collective but a rooted Reduce sends in),
+// communicator by communicator. The backward connections a rooted Reduce
+// uses (next to prev) are not extracted, so FFA and PFA leave them on
+// their channel's route.
 func ExtractFlows(cluster *topo.Cluster, comms []spec.CommInfo) []Flow {
 	flows := make([]Flow, 0, countFlows(comms))
 	for _, ci := range comms {
@@ -75,13 +78,24 @@ func countFlows(comms []spec.CommInfo) int {
 // connection, the equal-cost path index to pin.
 type Assignment map[spec.CommID]map[spec.ConnKey]int
 
-func (a Assignment) set(comm spec.CommID, key spec.ConnKey, route int) {
-	m, ok := a[comm]
-	if !ok {
-		m = make(map[spec.ConnKey]int)
-		a[comm] = m
+// newAssignment returns an empty assignment for flows, ExtractFlows'
+// output for comms: each communicator's inner map is made at its final
+// size, since ExtractFlows emits a communicator's flows contiguously, so
+// filling it neither grows nor rehashes it. A communicator without flows
+// gets no map, as it gets no routes.
+func newAssignment(flows []Flow, comms int) Assignment {
+	a := make(Assignment, comms)
+	for i := 0; i < len(flows); {
+		j := i + 1
+		for j < len(flows) && flows[j].Comm == flows[i].Comm {
+			j++
+		}
+		if _, ok := a[flows[i].Comm]; !ok {
+			a[flows[i].Comm] = make(map[spec.ConnKey]int, j-i)
+		}
+		i = j
 	}
-	m[key] = route
+	return a
 }
 
 // FFA implements best-fit fair flow assignment (paper example #2): a
@@ -89,8 +103,9 @@ func (a Assignment) set(comm spec.CommID, key spec.ConnKey, route int) {
 // accumulated demand, round-robining between applications so no tenant
 // systematically gets the leftovers.
 func FFA(cluster *topo.Cluster, comms []spec.CommInfo) Assignment {
-	a := make(Assignment)
-	assignInto(a, ExtractFlows(cluster, comms), make([]float64, cluster.Net.NumLinks()), nil)
+	flows := ExtractFlows(cluster, comms)
+	a := newAssignment(flows, len(comms))
+	assignInto(a, flows, make([]float64, cluster.Net.NumLinks()), nil)
 	return a
 }
 
@@ -109,49 +124,44 @@ func PFA(cluster *topo.Cluster, comms []spec.CommInfo, reservedRoutes []int, pri
 	var low, high []Flow
 	for _, f := range flows {
 		if prioApps[f.App] {
-			f.prioApp = true
 			high = append(high, f)
 		} else {
 			low = append(low, f)
 		}
 	}
-	reserved := make(map[int]bool)
-	for _, r := range reservedRoutes {
-		reserved[r] = true
-	}
 	load := make([]float64, cluster.Net.NumLinks()) // accumulated demand, by LinkID
-	a := make(Assignment)
+	a := newAssignment(flows, len(comms))
 	// Low-priority first, restricted to non-reserved routes; then
 	// high-priority with free choice (they see low-priority load and
 	// will prefer the clean reserved paths).
-	assignInto(a, low, load, func(route int) bool { return !reserved[route] })
+	assignInto(a, low, load, func(route int) bool { return !slices.Contains(reservedRoutes, route) })
 	assignInto(a, high, load, nil)
 	return a
 }
 
-// interleaveByApp returns the order flows are placed in, as indices into
-// flows: round-robin across applications for fairness (the paper: "We
-// round-robin between flows from different jobs"), applications in name
-// order, each application's flows in extraction order.
-func interleaveByApp(flows []Flow) []int {
-	byApp := make(map[spec.AppID][]int)
-	var apps []spec.AppID
-	for i := range flows {
-		app := flows[i].App
-		if _, ok := byApp[app]; !ok {
-			apps = append(apps, app)
-		}
-		byApp[app] = append(byApp[app], i)
+// placement is one flow's turn in interleaveByApp's order: flows[flow]
+// is its app's round-th flow in extraction order.
+type placement struct{ flow, round int }
+
+// interleaveByApp returns the order flows are placed in: round-robin across
+// applications for fairness (the paper: "We round-robin between flows from
+// different jobs"), applications in name order, each application's flows in
+// extraction order. It is two stable sorts over one buffer: by app, which
+// numbers each flow's round within its app, then by round.
+func interleaveByApp(flows []Flow) []placement {
+	order := make([]placement, len(flows))
+	for i := range order {
+		order[i].flow = i
 	}
-	sort.Slice(apps, func(i, j int) bool { return apps[i] < apps[j] })
-	order := make([]int, 0, len(flows))
-	for round := 0; len(order) < len(flows); round++ {
-		for _, app := range apps {
-			if idx := byApp[app]; round < len(idx) {
-				order = append(order, idx[round])
-			}
+	slices.SortStableFunc(order, func(a, b placement) int {
+		return cmp.Compare(flows[a.flow].App, flows[b.flow].App)
+	})
+	for i := 1; i < len(order); i++ {
+		if flows[order[i].flow].App == flows[order[i-1].flow].App {
+			order[i].round = order[i-1].round + 1
 		}
 	}
+	slices.SortStableFunc(order, func(a, b placement) int { return cmp.Compare(a.round, b.round) })
 	return order
 }
 
@@ -160,8 +170,8 @@ func interleaveByApp(flows []Flow) []int {
 // has the least accumulated demand after adding the flow (minimal excess
 // bandwidth demand). load is indexed by LinkID.
 func assignInto(a Assignment, flows []Flow, load []float64, allowed func(route int) bool) {
-	for _, i := range interleaveByApp(flows) {
-		f := &flows[i]
+	for _, p := range interleaveByApp(flows) {
+		f := &flows[p.flow]
 		if len(f.paths) == 0 {
 			continue
 		}
@@ -188,6 +198,6 @@ func assignInto(a Assignment, flows []Flow, load []float64, allowed func(route i
 		for _, l := range f.paths[best] {
 			load[l] += f.Demand
 		}
-		a.set(f.Comm, f.Key, best)
+		a[f.Comm][f.Key] = best
 	}
 }

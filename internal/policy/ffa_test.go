@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mccs/internal/allocpin"
 	"mccs/internal/spec"
 	"mccs/internal/topo"
 )
@@ -164,19 +165,39 @@ func TestFFAPFAGoldenAssignments(t *testing.T) {
 	}
 }
 
-// FFA on a cluster whose path cache is warm allocates per flow — the flow
-// list, the interleaving order, the assignment maps — and nothing per path
-// or per hop: flows alias the fabric's cached path lists. (The copying
-// version made 49 allocations per 16-path, 4-hop flow.)
-func TestFFAAllocatesPerFlow(t *testing.T) {
+// FFA on a cluster whose path cache is warm allocates a constant per
+// communicator and nothing per flow, path or hop: the flow list, the link
+// loads and the placement order (3), the outer assignment map (4 once it
+// holds more than eight communicators) and each communicator's inner map,
+// made at its final size (4 for the probe's 16 flows). Flows alias the
+// fabric's cached path lists. (The copying version made 49 allocations per
+// 16-path, 4-hop flow; with maps grown flow by flow, a map-based
+// interleaving and sort swappers, the probe's 48 communicators took 604.)
+func TestFFAAllocatesPerComm(t *testing.T) {
 	large, err := topo.BuildClos(topo.LargeScaleConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	comms := probeComms(large)
-	flows := len(ExtractFlows(large, comms)) // warms the path cache
-	allocs := testing.AllocsPerRun(5, func() { FFA(large, comms) })
-	if allocs > float64(flows) {
-		t.Errorf("FFA over %d flows: %.0f allocs, want at most one per flow", flows, allocs)
+	ExtractFlows(large, comms) // warms the path cache
+	for _, n := range []int{12, 24, 48} {
+		got := allocpin.Min(5, func() { FFA(large, comms[:n]) })
+		if want := float64(7 + 4*n); got != want {
+			t.Errorf("FFA over %d communicators: %v allocations, want %v", n, got, want)
+		}
+	}
+}
+
+// LocalityRing allocates its result and nothing else. (The four-map version
+// took 76 allocations for a 16-rank communicator.)
+func TestLocalityRingAllocatesOnce(t *testing.T) {
+	large, err := topo.BuildClos(topo.LargeScaleConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ci := range probeComms(large)[:4] {
+		if got := allocpin.Min(5, func() { LocalityRing(large, ci.Ranks) }); got != 1 {
+			t.Errorf("LocalityRing on %d ranks: %v allocations, want 1", len(ci.Ranks), got)
+		}
 	}
 }

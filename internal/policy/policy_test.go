@@ -207,6 +207,22 @@ func TestExtractFlows(t *testing.T) {
 			t.Errorf("flow demand = %g, want NIC rate", f.Demand)
 		}
 	}
+	// Forward edges only: FFA pins each ring edge's forward connection and
+	// leaves the backward one a rooted Reduce sends on (next to prev) on the
+	// channel's route. Extracting both would move the golden assignments.
+	a := FFA(c, []spec.CommInfo{info})
+	for r := 0; r < 4; r++ {
+		next := (r + 1) % 4
+		if f := flows[r].Key; f != (spec.ConnKey{FromRank: r, ToRank: next}) {
+			t.Errorf("flow %d = %+v, want the forward edge %d>%d", r, f, r, next)
+		}
+		if _, ok := a[info.ID][spec.ConnKey{FromRank: r, ToRank: next}]; !ok {
+			t.Errorf("FFA left forward connection %d>%d unassigned", r, next)
+		}
+		if route, ok := a[info.ID][spec.ConnKey{FromRank: next, ToRank: r}]; ok {
+			t.Errorf("FFA assigned backward connection %d>%d route %d", next, r, route)
+		}
+	}
 }
 
 func TestFFASpreadsCrossRackFlows(t *testing.T) {

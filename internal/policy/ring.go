@@ -12,7 +12,8 @@
 package policy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mccs/internal/spec"
 	"mccs/internal/topo"
@@ -21,36 +22,21 @@ import (
 // LocalityRing computes the locality-aware ring order for a communicator
 // (paper example #1): ranks are grouped by host and hosts by rack, then
 // chained sequentially, which minimizes the number of ring edges that
-// cross rack boundaries (at most two per occupied rack).
+// cross rack boundaries (at most two per occupied rack). The order is the
+// ranks sorted by (rack, host, rank), racks and hosts in ID order; it is
+// the one allocation a call makes.
 func LocalityRing(cluster *topo.Cluster, ranks []spec.RankInfo) []int {
-	// rack -> host -> ranks, preserving deterministic order.
-	byHost := make(map[topo.HostID][]int)
-	hostOrder := make(map[topo.RackID][]topo.HostID)
-	var rackOrder []topo.RackID
-	seenRack := make(map[topo.RackID]bool)
-	seenHost := make(map[topo.HostID]bool)
-	for _, ri := range ranks {
-		rack := cluster.RackOf(ri.Host)
-		if !seenRack[rack] {
-			seenRack[rack] = true
-			rackOrder = append(rackOrder, rack)
-		}
-		if !seenHost[ri.Host] {
-			seenHost[ri.Host] = true
-			hostOrder[rack] = append(hostOrder[rack], ri.Host)
-		}
-		byHost[ri.Host] = append(byHost[ri.Host], ri.Rank)
+	order := make([]int, len(ranks))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Slice(rackOrder, func(i, j int) bool { return rackOrder[i] < rackOrder[j] })
-	order := make([]int, 0, len(ranks))
-	for _, rack := range rackOrder {
-		hosts := hostOrder[rack]
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-		for _, h := range hosts {
-			rs := byHost[h]
-			sort.Ints(rs)
-			order = append(order, rs...)
-		}
+	slices.SortFunc(order, func(i, j int) int {
+		a, b := &ranks[i], &ranks[j]
+		return cmp.Or(cmp.Compare(cluster.RackOf(a.Host), cluster.RackOf(b.Host)),
+			cmp.Compare(a.Host, b.Host), cmp.Compare(a.Rank, b.Rank))
+	})
+	for i, idx := range order {
+		order[i] = ranks[idx].Rank
 	}
 	return order
 }

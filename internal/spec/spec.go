@@ -197,28 +197,28 @@ func (c *CommInfo) NumRanks() int { return len(c.Ranks) }
 // affinity NIC) at each host boundary. With one ring per NIC this spreads
 // inter-host traffic across all of a host's NICs — NCCL's multi-channel
 // NIC striping, which both MCCS and the baseline get.
+//
+// The orders are capped windows of one array: two allocations per call,
+// whatever the channel count.
 func StripeChannelOrders(base []int, hostOfRank []topo.HostID, nch int) [][]int {
+	n := len(base)
 	out := make([][]int, nch)
-	// Identify host-contiguous segments of the base order.
-	type seg struct{ start, end int } // [start, end)
-	var segs []seg
-	for i := 0; i < len(base); {
-		j := i + 1
-		for j < len(base) && hostOfRank[base[j]] == hostOfRank[base[i]] {
-			j++
-		}
-		segs = append(segs, seg{i, j})
-		i = j
+	backing := make([]int, nch*n)
+	for c := range out {
+		out[c] = backing[c*n : (c+1)*n : (c+1)*n]
 	}
-	for c := 0; c < nch; c++ {
-		order := make([]int, len(base))
-		for _, sg := range segs {
-			n := sg.end - sg.start
-			for k := 0; k < n; k++ {
-				order[sg.start+k] = base[sg.start+(k+c)%n]
+	// Rotate each host-contiguous segment [start, end) of the base order.
+	for start := 0; start < n; {
+		end := start + 1
+		for end < n && hostOfRank[base[end]] == hostOfRank[base[start]] {
+			end++
+		}
+		for c, order := range out {
+			for k := start; k < end; k++ {
+				order[k] = base[start+(k-start+c)%(end-start)]
 			}
 		}
-		out[c] = order
+		start = end
 	}
 	return out
 }

@@ -9,6 +9,7 @@ package topo
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"mccs/internal/netsim"
 )
@@ -72,6 +73,12 @@ type Cluster struct {
 	// (NVLink / shared host memory), used by the collective engine for
 	// same-host steps that never touch the fabric.
 	IntraHostBps float64
+
+	// nicIDs and gpuIDs list every NIC's and GPU's ID in ID order; a
+	// host's NICs and GPUs get consecutive IDs, so Host.NICs and Host.GPUs
+	// are capped windows of them, not lists of their own.
+	nicIDs []NICID
+	gpuIDs []GPUID
 }
 
 // NumRacks returns the number of racks (leaf switches).
@@ -170,6 +177,7 @@ func newCluster(intraHostBps float64, switches, duplexes, hosts, nics, gpus int)
 		Net:   netsim.NewNetwork(),
 		Hosts: make([]Host, 0, hosts), NICs: make([]NIC, 0, hosts*nics), GPUs: make([]GPU, 0, hosts*gpus),
 		IntraHostBps: intraHostBps,
+		nicIDs:       make([]NICID, 0, hosts*nics), gpuIDs: make([]GPUID, 0, hosts*gpus),
 	}
 	c.Net.Grow(switches+hosts*nics, 2*(duplexes+hosts*nics))
 	return c
@@ -180,21 +188,35 @@ func newCluster(intraHostBps float64, switches, duplexes, hosts, nics, gpus int)
 // them (GPU i uses NIC i*nics/gpus).
 func (c *Cluster) addHost(name string, rack RackID, leaf netsim.NodeID, nics, gpus int, bps float64) {
 	hid := HostID(len(c.Hosts))
-	host := Host{ID: hid, Name: name, Rack: rack, NICs: make([]NICID, 0, nics), GPUs: make([]GPUID, 0, gpus)}
+	firstNIC, firstGPU := len(c.NICs), len(c.GPUs)
+	// The NIC nodes' names, name-nic0, name-nic1, ..., are substrings of
+	// one string: one allocation per host, not one per NIC.
+	var names strings.Builder
+	names.Grow(nics * (len(name) + len("-nic") + 3))
 	for n := 0; n < nics; n++ {
-		node := c.Net.AddNode(name + "-nic" + strconv.Itoa(n))
+		start := names.Len()
+		names.WriteString(name)
+		names.WriteString("-nic")
+		names.WriteString(strconv.Itoa(n))
+		node := c.Net.AddNode(names.String()[start:])
 		c.Net.AddDuplex(node, leaf, bps)
 		nid := NICID(len(c.NICs))
 		c.NICs = append(c.NICs, NIC{ID: nid, Host: hid, Index: n, Node: node, Rate: bps})
-		host.NICs = append(host.NICs, nid)
+		c.nicIDs = append(c.nicIDs, nid)
 	}
 	gpusPerNIC := gpus / nics
 	for g := 0; g < gpus; g++ {
 		gid := GPUID(len(c.GPUs))
-		c.GPUs = append(c.GPUs, GPU{ID: gid, Host: hid, Index: g, NIC: host.NICs[g/gpusPerNIC]})
-		host.GPUs = append(host.GPUs, gid)
+		c.GPUs = append(c.GPUs, GPU{ID: gid, Host: hid, Index: g, NIC: NICID(firstNIC + g/gpusPerNIC)})
+		c.gpuIDs = append(c.gpuIDs, gid)
 	}
-	c.Hosts = append(c.Hosts, host)
+	// A table that outgrew its reservation moved; the windows taken
+	// before then still read the IDs they were given.
+	c.Hosts = append(c.Hosts, Host{
+		ID: hid, Name: name, Rack: rack,
+		NICs: c.nicIDs[firstNIC:len(c.nicIDs):len(c.nicIDs)],
+		GPUs: c.gpuIDs[firstGPU:len(c.gpuIDs):len(c.gpuIDs)],
+	})
 }
 
 // TestbedConfig returns the paper's testbed (§6.1, Fig. 5a): 4 hosts in
