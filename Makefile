@@ -60,7 +60,10 @@ race-hot:
 # spec.Strategy.Validate accepts builds its rings and edges. Locality ring:
 # bytes decode to a GPU subset and a rank permutation on the §6.5 Clos, the
 # testbed or a fat tree, and policy.LocalityRing must return the same order
-# as the map-based reference it replaced.
+# as the map-based reference it replaced. FFA workspace: bytes decode to a
+# sequence of communicator sets on the same clusters, and one reused
+# policy.Workspace must decide each exactly as policy.FFA and the map-based
+# reference FFA do, and policy.PFA as the reference PFA.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLowerExecute -fuzztime 10s ./internal/collective/
 	$(GO) test -run '^$$' -fuzz FuzzPathsBetween -fuzztime 10s ./internal/netsim/
@@ -68,6 +71,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzStrategyValidate -fuzztime 10s ./internal/spec/
 	$(GO) test -run '^$$' -fuzz FuzzLocalityRing -fuzztime 10s ./internal/policy/
+	$(GO) test -run '^$$' -fuzz FuzzFFAWorkspace -fuzztime 10s ./internal/policy/
 
 # check is the CI gate: everything must build, vet clean, keep the one
 # door for reconfiguration, the one attach site for observers, the one

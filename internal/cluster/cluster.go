@@ -9,7 +9,8 @@
 // paper: "Our flow-level simulator assumes per-flow fairness"): each
 // AllReduce iteration becomes one flow per inter-host ring edge carrying
 // that edge's share of the traffic. Route decisions reuse exactly the policy
-// code the MCCS service runs (policy.FFA, policy.LocalityRing).
+// code the MCCS service runs (policy.LocalityRing, and FFA through a
+// policy.Workspace kept for the whole run).
 package cluster
 
 import (
@@ -171,10 +172,10 @@ type job struct {
 	id    int
 	size  int
 	gpus  []topo.GPUID
-	rings [][]int // per-ring order (rank space)
-	// routes[ring][edgeKey] -> path index; nil means ECMP.
-	routes map[spec.ConnKey]int
-	info   spec.CommInfo // pseudo comm info for the shared policy code
+	rings [][]int       // per-ring order (rank space)
+	info  spec.CommInfo // pseudo comm info for the shared policy code
+	// The job's send list is sim11.sends[sendOff : sendOff+nsend].
+	sendOff, nsend int
 
 	// The job runs as a step function (stepJob): phase is where it resumes,
 	// iter counts the iterations finished and commStart is when the current
@@ -222,6 +223,8 @@ type sim11 struct {
 	placeRng   *rand.Rand
 	ringRng    *rand.Rand
 
+	// jobs holds every job's record, indexed by ID.
+	jobs []job
 	free []topo.GPUID // unallocated GPUs, ascending
 	// shuffled is random placement's scratch copy of free, reused across
 	// placements.
@@ -231,13 +234,19 @@ type sim11 struct {
 	// arrival order, which is ID order, so a started job is appended.
 	active  []*job
 	results []JobResult
+	// sends holds the running jobs' send lists back to back, in active
+	// order: per job, one resolved flow per directed inter-host ring edge,
+	// ring by ring, in the order policy.AppendFlows extracts the job's
+	// connections. Under OR+FFA, flows holds those connections, index for
+	// index, and ffa is the workspace every decision over them runs in.
+	sends []netsim.FlowOpts
+	flows []policy.Flow
+	ffa   policy.Workspace
 	// Scratch reused from job to job: perHost[h] counts a job's GPUs on
-	// host h (ringCount; zero between calls), hosts is a job's host per
-	// rank (start) and infos the active jobs' views FFA runs over
-	// (reassignRoutes).
+	// host h (ringCount; zero between calls) and hosts is a job's host per
+	// rank (start).
 	perHost []int
 	hosts   []topo.HostID
-	infos   []spec.CommInfo
 	done    *sim.Latch
 	// arrived counts the jobs the arrival process has admitted so far.
 	arrived int
@@ -255,6 +264,15 @@ func Run(cfg Config) (*RunResult, error) { return run(cfg, sim.New()) }
 
 // run is Run on a given scheduler, so a test can observe its events.
 func run(cfg Config, s *sim.Scheduler) (*RunResult, error) {
+	m, err := newSim(cfg, s)
+	if err != nil {
+		return nil, err
+	}
+	return m.simulate()
+}
+
+// newSim validates cfg and builds a run's state on s.
+func newSim(cfg Config, s *sim.Scheduler) (*sim11, error) {
 	if cfg.NumJobs <= 0 || cfg.Iterations <= 0 || cfg.ModelBytes <= 0 || len(cfg.JobSizes) == 0 {
 		return nil, fmt.Errorf("cluster: bad config %+v", cfg)
 	}
@@ -283,6 +301,7 @@ func run(cfg Config, s *sim.Scheduler) (*RunResult, error) {
 		arrivalRng: rand.New(rand.NewSource(cfg.Seed)),
 		placeRng:   rand.New(rand.NewSource(cfg.Seed + 1)),
 		ringRng:    rand.New(rand.NewSource(cfg.Seed + 2)),
+		jobs:       make([]job, cfg.NumJobs),
 		free:       make([]topo.GPUID, len(cl.GPUs)),
 		perHost:    make([]int, len(cl.Hosts)),
 		results:    make([]JobResult, cfg.NumJobs),
@@ -297,7 +316,12 @@ func run(cfg Config, s *sim.Scheduler) (*RunResult, error) {
 	for i := range m.results {
 		m.results[i].ARTimes = arTimes[i*cfg.Iterations : i*cfg.Iterations : (i+1)*cfg.Iterations]
 	}
+	return m, nil
+}
 
+// simulate runs the simulation to its end.
+func (m *sim11) simulate() (*RunResult, error) {
+	s := m.s
 	// Every process is a step function (sim.Scheduler.GoStep): the run
 	// starts no goroutine.
 	s.GoStep("arrivals", m.arrive)
@@ -305,7 +329,7 @@ func run(cfg Config, s *sim.Scheduler) (*RunResult, error) {
 	if err := s.Run(); err != nil {
 		return nil, err
 	}
-	return &RunResult{Config: cfg, Jobs: m.results}, nil
+	return &RunResult{Config: m.cfg, Jobs: m.results}, nil
 }
 
 // arrive is the arrival process. Each dispatch admits the next job, with a
@@ -412,7 +436,8 @@ func (m *sim11) start(pj *pendingJob, gpus []topo.GPUID) {
 	m.take(gpus)
 	// The job's process and its application share one name.
 	name := "job" + strconv.Itoa(pj.id)
-	j := &job{id: pj.id, size: pj.size, gpus: gpus, s: m.s}
+	j := &m.jobs[pj.id]
+	j.id, j.size, j.gpus, j.s = pj.id, pj.size, gpus, m.s
 	j.info = spec.CommInfo{ID: spec.CommID(pj.id + 1), App: spec.AppID(name), Ranks: make([]spec.RankInfo, len(gpus))}
 	for rank, g := range gpus {
 		j.info.Ranks[rank] = spec.RankInfo{
@@ -442,22 +467,55 @@ func (m *sim11) start(pj *pendingJob, gpus []topo.GPUID) {
 
 	m.active = append(m.active, j)
 	m.results[j.id].Started = m.s.Now()
+	m.appendSends(j)
 	if m.cfg.Strategy == StratORFFA {
+		m.flows = policy.AppendFlows(m.flows, m.cluster, &j.info)
 		m.reassignRoutes()
 	}
 	m.s.GoStep(name, func(p *sim.Proc) bool { return m.stepJob(p, j) })
 }
 
-// reassignRoutes recomputes FFA over all active jobs (invoked on every
-// join and exit, as the paper describes).
-func (m *sim11) reassignRoutes() {
-	m.infos = m.infos[:0]
-	for _, j := range m.active {
-		m.infos = append(m.infos, j.info)
+// appendSends appends j's send list to m.sends: one flow per directed
+// inter-host ring edge, carrying the edge's share of an iteration's bytes
+// on the path ECMP hashes its label to — the very slice Fabric.start would
+// pick for the same options without a route, picked once here instead of
+// at every send. Under OR+FFA, reassignRoutes replaces the route.
+func (m *sim11) appendSends(j *job) {
+	n := len(j.gpus)
+	// Bytes per directed inter-host ring edge per iteration: each ring
+	// carries 1/nrings of the model, and ring AllReduce moves
+	// 2(n-1)/n of a ring's bytes over every edge.
+	perEdge := float64(m.cfg.ModelBytes) / float64(len(j.rings)) * 2 * float64(n-1) / float64(n)
+	j.sendOff = len(m.sends)
+	for ri, order := range j.rings {
+		for pos := 0; pos < n; pos++ {
+			from := j.info.Ranks[order[pos]]
+			to := j.info.Ranks[order[(pos+1)%n]]
+			if from.Host == to.Host {
+				continue
+			}
+			src, dst := m.cluster.NICNode(from.NIC), m.cluster.NICNode(to.NIC)
+			label := flowLabel(uint64(m.cfg.Seed), j.id, ri, from.Rank, to.Rank)
+			var route []netsim.LinkID // none: the fabric reports the missing path
+			if paths := m.cluster.PathsBetweenNICs(from.NIC, to.NIC); len(paths) > 0 {
+				route = paths[netsim.ECMPIndex(src, dst, label, len(paths))]
+			}
+			m.sends = append(m.sends, netsim.FlowOpts{
+				Src: src, Dst: dst, Bytes: perEdge, Route: route, Label: label, OnDone: j,
+			})
+		}
 	}
-	assign := policy.FFA(m.cluster, m.infos)
-	for _, j := range m.active {
-		j.routes = assign[j.info.ID]
+	j.nsend = len(m.sends) - j.sendOff
+}
+
+// reassignRoutes recomputes FFA over all active jobs (invoked on every
+// join and exit, as the paper describes) and pins each send to the path
+// its connection was assigned. Flows in flight keep the route they started
+// on.
+func (m *sim11) reassignRoutes() {
+	m.ffa.Assign(m.cluster, m.flows)
+	for i := range m.flows {
+		m.sends[i].Route = m.flows[i].Route()
 	}
 }
 
@@ -494,40 +552,16 @@ func (m *sim11) stepJob(p *sim.Proc, j *job) bool {
 	}
 }
 
-// sendIteration starts one AllReduce iteration's flows: one per directed
-// inter-host ring edge.
+// sendIteration starts one AllReduce iteration's flows: the job's send
+// list, one per directed inter-host ring edge. All of them start at one
+// virtual instant; the fabric coalesces the whole batch into a single
+// max-min recompute at the end of the instant (see DESIGN.md §10). The
+// flows are the fabric's own (Send): each reports to j.OnEvent and is
+// recycled.
 func (m *sim11) sendIteration(j *job) {
-	n := len(j.gpus)
-	nrings := len(j.rings)
-	// Bytes per directed inter-host ring edge per iteration: each ring
-	// carries 1/nrings of the model, and ring AllReduce moves
-	// 2(n-1)/n of a ring's bytes over every edge.
-	perEdge := float64(m.cfg.ModelBytes) / float64(nrings) * 2 * float64(n-1) / float64(n)
-	// All rings' flows start at one virtual instant; the fabric coalesces
-	// the whole batch into a single max-min recompute at the end of the
-	// instant (see DESIGN.md §10). The flows are the fabric's own (Send):
-	// each reports to j.OnEvent and is recycled.
-	for ri, order := range j.rings {
-		for pos := 0; pos < n; pos++ {
-			from := j.info.Ranks[order[pos]]
-			to := j.info.Ranks[order[(pos+1)%n]]
-			if from.Host == to.Host {
-				continue
-			}
-			var route []netsim.LinkID
-			if idx, ok := j.routes[spec.ConnKey{Channel: ri, FromRank: from.Rank, ToRank: to.Rank}]; ok {
-				paths := m.cluster.PathsBetweenNICs(from.NIC, to.NIC)
-				route = paths[idx%len(paths)]
-			}
-			j.inflight++
-			m.fabric.Send(&netsim.FlowOpts{
-				Src: m.cluster.NICNode(from.NIC), Dst: m.cluster.NICNode(to.NIC),
-				Bytes:  perEdge,
-				Route:  route,
-				Label:  flowLabel(uint64(m.cfg.Seed), j.id, ri, from.Rank, to.Rank),
-				OnDone: j,
-			})
-		}
+	for i := j.sendOff; i < j.sendOff+j.nsend; i++ {
+		j.inflight++
+		m.fabric.Send(&m.sends[i])
 	}
 }
 
@@ -541,7 +575,14 @@ func (m *sim11) finish(j *job) {
 	}
 	i := slices.Index(m.active, j)
 	m.active = slices.Delete(m.active, i, i+1)
+	// The send lists (and flows) after j's move down into its place.
+	end := j.sendOff + j.nsend
+	m.sends = slices.Delete(m.sends, j.sendOff, end)
+	for _, k := range m.active[i:] {
+		k.sendOff -= j.nsend
+	}
 	if m.cfg.Strategy == StratORFFA {
+		m.flows = slices.Delete(m.flows, j.sendOff, end)
 		m.reassignRoutes()
 	}
 	m.tryPlace()

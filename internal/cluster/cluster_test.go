@@ -3,12 +3,16 @@ package cluster
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"mccs/internal/allocpin"
 	"mccs/internal/metrics"
+	"mccs/internal/netsim"
+	"mccs/internal/policy"
 	"mccs/internal/sim"
+	"mccs/internal/spec"
 	"mccs/internal/topo"
 )
 
@@ -282,15 +286,17 @@ func TestRunStartsNoGoroutine(t *testing.T) {
 
 // TestRunAllocations pins what a whole cluster.Run on smallConfig (12 jobs,
 // 4 iterations, 96 GPUs) allocates under each strategy. The policy and path
-// code allocates a constant per decision: per job a fixed handful (its
-// record, name, rank and channel tables, ring orders and process), per FFA
-// run a constant per communicator, and paths in chunks shared by many NIC
-// pairs; nothing per rank, per NIC pair or per iteration. With per-rank
-// maps in LocalityRing and ringCount, a path list per NIC pair, FFA maps
-// grown flow by flow and AllReduce times appended one by one it read
-// 1 588, 1 755 and 2 472.
+// code allocates a constant per job and nothing per decision once the run's
+// buffers have grown: per job a fixed handful (its name, rank and channel
+// tables, ring orders and process), per run one table of job records, the
+// send lists and, under OR+FFA, the flows and the FFA workspace, which grow
+// like any slice, and paths in chunks shared by many NIC pairs; nothing per
+// rank, per NIC pair or per iteration. With per-rank maps in LocalityRing
+// and ringCount, a path list per NIC pair, FFA maps grown flow by flow and
+// AllReduce times appended one by one it read 1 588, 1 755 and 2 472; with
+// a record per job and a map-returning FFA per decision, 486, 380 and 673.
 func TestRunAllocations(t *testing.T) {
-	for st, want := range map[Strategy]float64{StratRandomRing: 486, StratOR: 380, StratORFFA: 673} {
+	for st, want := range map[Strategy]float64{StratRandomRing: 483, StratOR: 376, StratORFFA: 387} {
 		cfg := smallConfig()
 		cfg.Strategy = st
 		got := allocpin.Min(3, func() {
@@ -300,6 +306,106 @@ func TestRunAllocations(t *testing.T) {
 		})
 		if got != want {
 			t.Errorf("%v: Run allocates %v times, want %v", st, got, want)
+		}
+	}
+}
+
+// referenceSends is the send lists of m's running jobs as sendIteration
+// built them flow by flow before the lists were resolved once per decision:
+// per ring edge, the options it passed to Fabric.Send, with as route the
+// one the fabric itself then picked — the ECMP hash of the label over the
+// pair's cached paths — unless assign, FFA's map over the running jobs,
+// pinned the edge.
+func referenceSends(m *sim11, assign policy.Assignment) []netsim.FlowOpts {
+	var out []netsim.FlowOpts
+	for _, j := range m.active {
+		n, nrings := len(j.gpus), len(j.rings)
+		perEdge := float64(m.cfg.ModelBytes) / float64(nrings) * 2 * float64(n-1) / float64(n)
+		for ri, order := range j.rings {
+			for pos := 0; pos < n; pos++ {
+				from := j.info.Ranks[order[pos]]
+				to := j.info.Ranks[order[(pos+1)%n]]
+				if from.Host == to.Host {
+					continue
+				}
+				src, dst := m.cluster.NICNode(from.NIC), m.cluster.NICNode(to.NIC)
+				label := flowLabel(uint64(m.cfg.Seed), j.id, ri, from.Rank, to.Rank)
+				paths := m.cluster.Net.PathsBetween(src, dst)
+				route := paths[netsim.ECMPIndex(src, dst, label, len(paths))]
+				if idx, ok := assign[j.info.ID][spec.ConnKey{Channel: ri, FromRank: from.Rank, ToRank: to.Rank}]; ok {
+					route = paths[idx%len(paths)]
+				}
+				out = append(out, netsim.FlowOpts{Src: src, Dst: dst, Bytes: perEdge, Route: route, Label: label, OnDone: j})
+			}
+		}
+	}
+	return out
+}
+
+// TestSendListsMatchPerFlowRouting checks the run's send lists before every
+// event of a run on smallConfig, under each strategy and both placements,
+// against referenceSends: the same options in the same order, each job's
+// list where its offset says, and every route the very slice (compared by
+// address) the fabric's ECMP would pick under RandomRing and OR, and the
+// one FFA's map pins under OR+FFA.
+func TestSendListsMatchPerFlowRouting(t *testing.T) {
+	for _, placement := range []Placement{PlacementRandom, PlacementCompact} {
+		for _, st := range []Strategy{StratRandomRing, StratOR, StratORFFA} {
+			cfg := smallConfig()
+			cfg.Placement, cfg.Strategy = placement, st
+			s := sim.New()
+			m, err := newSim(cfg, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []int
+			var assign policy.Assignment
+			checked := 0
+			s.SetEventObserver(func(sim.Time, uint64, sim.EventKind, sim.Handler) {
+				if t.Failed() {
+					return
+				}
+				var now []int
+				for _, j := range m.active {
+					now = append(now, j.id)
+				}
+				if st == StratORFFA && !slices.Equal(now, ids) {
+					var infos []spec.CommInfo
+					for _, j := range m.active {
+						infos = append(infos, j.info)
+					}
+					ids, assign = now, policy.FFA(m.cluster, infos)
+				}
+				want := referenceSends(m, assign)
+				if len(m.sends) != len(want) {
+					t.Errorf("%v %v: %d sends for jobs %v, want %d", placement, st, len(m.sends), now, len(want))
+					return
+				}
+				off := 0
+				for _, j := range m.active {
+					if j.sendOff != off {
+						t.Errorf("%v %v: job %d's sends start at %d, want %d", placement, st, j.id, j.sendOff, off)
+					}
+					off += j.nsend
+				}
+				for i, g := range m.sends {
+					w := want[i]
+					same := len(g.Route) == len(w.Route) && (len(g.Route) == 0 || &g.Route[0] == &w.Route[0])
+					g.Route, w.Route = nil, nil
+					if !same || g.Src != w.Src || g.Dst != w.Dst || g.Bytes != w.Bytes || g.Label != w.Label || g.OnDone != w.OnDone ||
+						g.MaxRate != 0 || g.FixedRate != 0 || g.External || g.Tag != w.Tag || g.OnDoneArg != 0 {
+						t.Errorf("%v %v: send %d of jobs %v = %+v (same route %v), want %+v", placement, st, i, now, g, same, w)
+						return
+					}
+					checked++
+				}
+			})
+			if _, err := m.simulate(); err != nil {
+				t.Fatal(err)
+			}
+			if checked == 0 {
+				t.Errorf("%v %v: no send checked", placement, st)
+			}
 		}
 	}
 }

@@ -22,9 +22,14 @@ import (
 // invalidates every stored entry in O(1). A lookup compares the whole key,
 // never the hash alone.
 //
-// Flow sets of more than memoMaxFlows flows bypass the memo entirely: a
-// Clos-scale flow set practically never recurs, and storing it would cost
-// memory for nothing. Their flows are not even interned.
+// Flow sets of more than memoMaxFlows flows bypass the memo entirely; their
+// flows are not even interned. Such sets do recur: on the 768-GPU Clos
+// (cluster.Run, 50 jobs, seeds 1 and 2 under each of its three strategies)
+// a run solves 451 to 1 399 sets of more than 16 flows, and 135 to 557 of
+// them (28 to 65 %) repeat an earlier set's flow sequence exactly. Keeping
+// them would cost more than the hits save: about 700 entries of 3 + 2n
+// words per run, ≈ 0.8 KB per job iteration, a fifth of what a whole run
+// allocates per iteration.
 
 const (
 	// memoMaxFlows is the largest flow set the memo handles; testbed

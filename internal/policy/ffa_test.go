@@ -179,11 +179,30 @@ func TestFFAAllocatesPerComm(t *testing.T) {
 		t.Fatal(err)
 	}
 	comms := probeComms(large)
-	ExtractFlows(large, comms) // warms the path cache
+	FFA(large, comms) // warms the path cache
 	for _, n := range []int{12, 24, 48} {
 		got := allocpin.Min(5, func() { FFA(large, comms[:n]) })
 		if want := float64(7 + 4*n); got != want {
 			t.Errorf("FFA over %d communicators: %v allocations, want %v", n, got, want)
+		}
+	}
+}
+
+// A workspace that has seen its input allocates nothing on it again: the
+// extraction buffer, the link loads and the interleaving scratch are all
+// reused, and a decision's choices go into the flows, not into maps. (FFA,
+// the map wrapper, made 7 + 4n allocations per decision for this input.)
+func TestWorkspaceAllocatesNothingWarm(t *testing.T) {
+	large, err := topo.BuildClos(topo.LargeScaleConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	comms := probeComms(large)
+	var w Workspace
+	w.Assign(large, w.Extract(large, comms))
+	for _, n := range []int{48, 12, 24} {
+		if got := allocpin.Min(5, func() { w.Assign(large, w.Extract(large, comms[:n])) }); got != 0 {
+			t.Errorf("warm workspace over %d communicators: %v allocations, want 0", n, got)
 		}
 	}
 }

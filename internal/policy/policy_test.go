@@ -194,7 +194,7 @@ func TestExtractFlows(t *testing.T) {
 	gpus := []topo.GPUID{c.Hosts[0].GPUs[0], c.Hosts[1].GPUs[0], c.Hosts[2].GPUs[0], c.Hosts[3].GPUs[0]}
 	info := spec.CommInfo{ID: 1, App: "a", Ranks: ranksOn(c, gpus)}
 	info.Strategy = spec.Strategy{Channels: []spec.ChannelSpec{{Order: []int{0, 1, 2, 3}, Route: spec.RouteECMP}}}
-	flows := ExtractFlows(c, []spec.CommInfo{info})
+	flows := AppendFlows(nil, c, &info)
 	// All hosts distinct: every ring edge is a flow; 4 edges, 1 channel.
 	if len(flows) != 4 {
 		t.Fatalf("flows = %d, want 4", len(flows))
@@ -437,7 +437,7 @@ func TestQuickFFAWellFormed(t *testing.T) {
 			comms = append(comms, info)
 		}
 		a := FFA(c, comms)
-		flows := ExtractFlows(c, comms)
+		flows := new(Workspace).Extract(c, comms)
 		covered := 0
 		for _, fl := range flows {
 			r, ok := a[fl.Comm][fl.Key]
