@@ -63,7 +63,11 @@ race-hot:
 # as the map-based reference it replaced. FFA workspace: bytes decode to a
 # sequence of communicator sets on the same clusters, and one reused
 # policy.Workspace must decide each exactly as policy.FFA and the map-based
-# reference FFA do, and policy.PFA as the reference PFA.
+# reference FFA do, and policy.PFA as the reference PFA. Cluster run: bytes
+# decode to a §6.5-style config (Clos shape, link rates, jobs, placement,
+# strategy, seed), and cluster.Run must give every job the same arrival,
+# start, finish and AllReduce times, bit for bit, as the blocking reference
+# job loop in internal/cluster/reference_test.go.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLowerExecute -fuzztime 10s ./internal/collective/
 	$(GO) test -run '^$$' -fuzz FuzzPathsBetween -fuzztime 10s ./internal/netsim/
@@ -72,6 +76,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStrategyValidate -fuzztime 10s ./internal/spec/
 	$(GO) test -run '^$$' -fuzz FuzzLocalityRing -fuzztime 10s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz FuzzFFAWorkspace -fuzztime 10s ./internal/policy/
+	$(GO) test -run '^$$' -fuzz FuzzClusterRun -fuzztime 10s ./internal/cluster/
 
 # check is the CI gate: everything must build, vet clean, keep the one
 # door for reconfiguration, the one attach site for observers, the one

@@ -8,9 +8,11 @@
 // Like the paper's own evaluation, this is a flow-level simulation (the
 // paper: "Our flow-level simulator assumes per-flow fairness"): each
 // AllReduce iteration becomes one flow per inter-host ring edge carrying
-// that edge's share of the traffic. Route decisions reuse exactly the policy
-// code the MCCS service runs (policy.LocalityRing, and FFA through a
-// policy.Workspace kept for the whole run).
+// that edge's share of the traffic. The rings and the decisions over them
+// are the policy code the MCCS service runs: spec.RingStrategy lays out a
+// job's channels, policy.AppendFlows extracts its inter-host connections
+// (the run's one list of them, which every iteration sends from) and FFA
+// routes them through a policy.Workspace kept for the whole run.
 package cluster
 
 import (
@@ -169,13 +171,11 @@ func SpeedupCDF(baseline, improved *RunResult) ([]metrics.CDFPoint, float64, err
 
 // job is the in-flight state of one placed job.
 type job struct {
-	id    int
-	size  int
-	gpus  []topo.GPUID
-	rings [][]int       // per-ring order (rank space)
-	info  spec.CommInfo // pseudo comm info for the shared policy code
-	// The job's send list is sim11.sends[sendOff : sendOff+nsend].
-	sendOff, nsend int
+	id   int
+	gpus []topo.GPUID
+	info spec.CommInfo // pseudo comm info for the shared policy code
+	// The job's connections are sim11.flows[flowOff : flowOff+nflow].
+	flowOff, nflow int
 
 	// The job runs as a step function (stepJob): phase is where it resumes,
 	// iter counts the iterations finished and commStart is when the current
@@ -229,33 +229,27 @@ type sim11 struct {
 	// shuffled is random placement's scratch copy of free, reused across
 	// placements.
 	shuffled []topo.GPUID
-	queue    []pendingJob
+	// queue holds the IDs of the admitted jobs still waiting for GPUs, in
+	// arrival order; each one's size is in its result.
+	queue []int
 	// active holds the running jobs in ID order: jobs are admitted FIFO in
 	// arrival order, which is ID order, so a started job is appended.
 	active  []*job
 	results []JobResult
-	// sends holds the running jobs' send lists back to back, in active
-	// order: per job, one resolved flow per directed inter-host ring edge,
-	// ring by ring, in the order policy.AppendFlows extracts the job's
-	// connections. Under OR+FFA, flows holds those connections, index for
-	// index, and ffa is the workspace every decision over them runs in.
-	sends []netsim.FlowOpts
+	// flows holds the running jobs' connections back to back, in active
+	// order: per job, one per directed inter-host ring edge, as
+	// policy.AppendFlows extracts them, each with its route (Flow.Path)
+	// chosen: by ECMP at the job's start under RandomRing and OR, by FFA
+	// (in ffa, the workspace every decision runs in) on every join and
+	// exit under OR+FFA.
 	flows []policy.Flow
 	ffa   policy.Workspace
-	// Scratch reused from job to job: perHost[h] counts a job's GPUs on
-	// host h (ringCount; zero between calls) and hosts is a job's host per
-	// rank (start).
+	// perHost[h] counts a job's GPUs on host h (ringCount's scratch, reused
+	// from job to job; zero between calls).
 	perHost []int
-	hosts   []topo.HostID
 	done    *sim.Latch
 	// arrived counts the jobs the arrival process has admitted so far.
 	arrived int
-}
-
-type pendingJob struct {
-	id      int
-	size    int
-	arrived sim.Time
 }
 
 // Run executes the simulation and returns per-job results (sorted by job
@@ -339,7 +333,7 @@ func (m *sim11) arrive(p *sim.Proc) bool {
 	i := m.arrived
 	m.arrived++
 	size := m.cfg.JobSizes[m.arrivalRng.Intn(len(m.cfg.JobSizes))]
-	m.queue = append(m.queue, pendingJob{id: i, size: size, arrived: p.Now()})
+	m.queue = append(m.queue, i)
 	r := &m.results[i]
 	r.ID, r.Size, r.Arrived = i, size, p.Now()
 	m.tryPlace()
@@ -353,13 +347,13 @@ func (m *sim11) arrive(p *sim.Proc) bool {
 // tryPlace admits queued jobs FIFO while capacity lasts.
 func (m *sim11) tryPlace() {
 	for len(m.queue) > 0 {
-		next := m.queue[0]
-		gpus, ok := m.place(next.size)
+		id := m.queue[0]
+		gpus, ok := m.place(m.results[id].Size)
 		if !ok {
 			return // head-of-line blocks; capacity frees on job exit
 		}
 		m.queue = m.queue[1:]
-		m.start(&next, gpus)
+		m.start(id, gpus)
 	}
 }
 
@@ -431,14 +425,15 @@ func (m *sim11) ringCount(gpus []topo.GPUID) int {
 	return max(min(m.cfg.Topo.Spines, minPerHost), 1)
 }
 
-// start spawns a placed job.
-func (m *sim11) start(pj *pendingJob, gpus []topo.GPUID) {
+// start spawns placed job id: it lays out the job's rings, appends its
+// connections to m.flows and routes them.
+func (m *sim11) start(id int, gpus []topo.GPUID) {
 	m.take(gpus)
 	// The job's process and its application share one name.
-	name := "job" + strconv.Itoa(pj.id)
-	j := &m.jobs[pj.id]
-	j.id, j.size, j.gpus, j.s = pj.id, pj.size, gpus, m.s
-	j.info = spec.CommInfo{ID: spec.CommID(pj.id + 1), App: spec.AppID(name), Ranks: make([]spec.RankInfo, len(gpus))}
+	name := "job" + strconv.Itoa(id)
+	j := &m.jobs[id]
+	j.id, j.gpus, j.s = id, gpus, m.s
+	j.info = spec.CommInfo{ID: spec.CommID(id + 1), App: spec.AppID(name), Ranks: make([]spec.RankInfo, len(gpus))}
 	for rank, g := range gpus {
 		j.info.Ranks[rank] = spec.RankInfo{
 			Rank: rank, GPU: g,
@@ -446,7 +441,6 @@ func (m *sim11) start(pj *pendingJob, gpus []topo.GPUID) {
 			NIC:  m.cluster.NICOfGPU(g),
 		}
 	}
-	nrings := m.ringCount(gpus)
 	var base []int
 	switch m.cfg.Strategy {
 	case StratRandomRing:
@@ -455,68 +449,29 @@ func (m *sim11) start(pj *pendingJob, gpus []topo.GPUID) {
 	default:
 		base = policy.LocalityRing(m.cluster, j.info.Ranks)
 	}
-	m.hosts = m.hosts[:0]
-	for _, ri := range j.info.Ranks {
-		m.hosts = append(m.hosts, ri.Host)
-	}
-	j.rings = spec.StripeChannelOrders(base, m.hosts, nrings)
-	j.info.Strategy.Channels = make([]spec.ChannelSpec, len(j.rings))
-	for i, order := range j.rings {
-		j.info.Strategy.Channels[i] = spec.ChannelSpec{Order: order, Route: spec.RouteECMP}
-	}
+	j.info.Strategy = spec.RingStrategy(base, j.info.Ranks, m.ringCount(gpus), false)
 
 	m.active = append(m.active, j)
-	m.results[j.id].Started = m.s.Now()
-	m.appendSends(j)
+	m.results[id].Started = m.s.Now()
+	j.flowOff = len(m.flows)
+	m.flows = policy.AppendFlows(m.flows, m.cluster, &j.info)
+	j.nflow = len(m.flows) - j.flowOff
 	if m.cfg.Strategy == StratORFFA {
-		m.flows = policy.AppendFlows(m.flows, m.cluster, &j.info)
-		m.reassignRoutes()
-	}
-	m.s.GoStep(name, func(p *sim.Proc) bool { return m.stepJob(p, j) })
-}
-
-// appendSends appends j's send list to m.sends: one flow per directed
-// inter-host ring edge, carrying the edge's share of an iteration's bytes
-// on the path ECMP hashes its label to — the very slice Fabric.start would
-// pick for the same options without a route, picked once here instead of
-// at every send. Under OR+FFA, reassignRoutes replaces the route.
-func (m *sim11) appendSends(j *job) {
-	n := len(j.gpus)
-	// Bytes per directed inter-host ring edge per iteration: each ring
-	// carries 1/nrings of the model, and ring AllReduce moves
-	// 2(n-1)/n of a ring's bytes over every edge.
-	perEdge := float64(m.cfg.ModelBytes) / float64(len(j.rings)) * 2 * float64(n-1) / float64(n)
-	j.sendOff = len(m.sends)
-	for ri, order := range j.rings {
-		for pos := 0; pos < n; pos++ {
-			from := j.info.Ranks[order[pos]]
-			to := j.info.Ranks[order[(pos+1)%n]]
-			if from.Host == to.Host {
-				continue
+		// FFA reruns over all active jobs on every join and exit, as the
+		// paper describes. Flows in flight keep the route they started on.
+		m.ffa.Assign(m.cluster, m.flows)
+	} else {
+		// ECMP: the path the fabric would hash each connection's label to,
+		// picked once here instead of at every send.
+		for i := j.flowOff; i < len(m.flows); i++ {
+			f := &m.flows[i]
+			if paths := m.cluster.PathsBetweenNICs(f.SrcNIC, f.DstNIC); len(paths) > 0 {
+				o := m.sendOpts(j, f)
+				f.Path = netsim.ECMPIndex(o.Src, o.Dst, o.Label, len(paths))
 			}
-			src, dst := m.cluster.NICNode(from.NIC), m.cluster.NICNode(to.NIC)
-			label := flowLabel(uint64(m.cfg.Seed), j.id, ri, from.Rank, to.Rank)
-			var route []netsim.LinkID // none: the fabric reports the missing path
-			if paths := m.cluster.PathsBetweenNICs(from.NIC, to.NIC); len(paths) > 0 {
-				route = paths[netsim.ECMPIndex(src, dst, label, len(paths))]
-			}
-			m.sends = append(m.sends, netsim.FlowOpts{
-				Src: src, Dst: dst, Bytes: perEdge, Route: route, Label: label, OnDone: j,
-			})
 		}
 	}
-	j.nsend = len(m.sends) - j.sendOff
-}
-
-// reassignRoutes recomputes FFA over all active jobs (invoked on every
-// join and exit, as the paper describes) and pins each send to the path
-// its connection was assigned. Flows in flight keep the route they started
-// on.
-func (m *sim11) reassignRoutes() {
-	m.ffa.Assign(m.cluster, m.flows)
-	for i := range m.flows {
-		m.sends[i].Route = m.flows[i].Route()
-	}
+	m.s.GoStep(name, func(p *sim.Proc) bool { return m.stepJob(p, j) })
 }
 
 // stepJob is a job's process: it computes, starts the iteration's flows and
@@ -552,16 +507,35 @@ func (m *sim11) stepJob(p *sim.Proc, j *job) bool {
 	}
 }
 
-// sendIteration starts one AllReduce iteration's flows: the job's send
-// list, one per directed inter-host ring edge. All of them start at one
-// virtual instant; the fabric coalesces the whole batch into a single
-// max-min recompute at the end of the instant (see DESIGN.md §10). The
-// flows are the fabric's own (Send): each reports to j.OnEvent and is
-// recycled.
+// sendIteration starts one AllReduce iteration's flows: one per connection
+// of the job, each on its chosen route. All of them start at one virtual
+// instant; the fabric coalesces the whole batch into a single max-min
+// recompute at the end of the instant (see DESIGN.md §10). The flows are
+// the fabric's own (Send): each reports to j.OnEvent and is recycled.
 func (m *sim11) sendIteration(j *job) {
-	for i := j.sendOff; i < j.sendOff+j.nsend; i++ {
+	for i := j.flowOff; i < j.flowOff+j.nflow; i++ {
+		o := m.sendOpts(j, &m.flows[i])
 		j.inflight++
-		m.fabric.Send(&m.sends[i])
+		m.fabric.Send(&o)
+	}
+}
+
+// sendOpts returns the options of connection f of job j: its NICs, its
+// share of an iteration's bytes, its route (nil for a connection without
+// paths: the fabric reports the missing path) and a label that names it
+// for ECMP.
+func (m *sim11) sendOpts(j *job, f *policy.Flow) netsim.FlowOpts {
+	// Bytes per directed inter-host ring edge per iteration: each ring
+	// carries 1/nrings of the model, and ring AllReduce moves
+	// 2(n-1)/n of a ring's bytes over every edge.
+	n, nrings := len(j.gpus), len(j.info.Strategy.Channels)
+	perEdge := float64(m.cfg.ModelBytes) / float64(nrings) * 2 * float64(n-1) / float64(n)
+	return netsim.FlowOpts{
+		Src: m.cluster.NICNode(f.SrcNIC), Dst: m.cluster.NICNode(f.DstNIC),
+		Bytes:  perEdge,
+		Route:  f.Route(),
+		Label:  flowLabel(uint64(m.cfg.Seed), j.id, f.Key.Channel, f.Key.FromRank, f.Key.ToRank),
+		OnDone: j,
 	}
 }
 
@@ -575,15 +549,13 @@ func (m *sim11) finish(j *job) {
 	}
 	i := slices.Index(m.active, j)
 	m.active = slices.Delete(m.active, i, i+1)
-	// The send lists (and flows) after j's move down into its place.
-	end := j.sendOff + j.nsend
-	m.sends = slices.Delete(m.sends, j.sendOff, end)
+	// The connections after j's move down into its place.
+	m.flows = slices.Delete(m.flows, j.flowOff, j.flowOff+j.nflow)
 	for _, k := range m.active[i:] {
-		k.sendOff -= j.nsend
+		k.flowOff -= j.nflow
 	}
 	if m.cfg.Strategy == StratORFFA {
-		m.flows = slices.Delete(m.flows, j.sendOff, end)
-		m.reassignRoutes()
+		m.ffa.Assign(m.cluster, m.flows)
 	}
 	m.tryPlace()
 	m.done.Done(m.s)

@@ -289,14 +289,16 @@ func TestRunStartsNoGoroutine(t *testing.T) {
 // code allocates a constant per job and nothing per decision once the run's
 // buffers have grown: per job a fixed handful (its name, rank and channel
 // tables, ring orders and process), per run one table of job records, the
-// send lists and, under OR+FFA, the flows and the FFA workspace, which grow
-// like any slice, and paths in chunks shared by many NIC pairs; nothing per
-// rank, per NIC pair or per iteration. With per-rank maps in LocalityRing
-// and ringCount, a path list per NIC pair, FFA maps grown flow by flow and
+// connection list and, under OR+FFA, the FFA workspace, which grow like any
+// slice, and paths in chunks shared by many NIC pairs; nothing per rank, per
+// NIC pair or per iteration. With per-rank maps in LocalityRing and
+// ringCount, a path list per NIC pair, FFA maps grown flow by flow and
 // AllReduce times appended one by one it read 1 588, 1 755 and 2 472; with
-// a record per job and a map-returning FFA per decision, 486, 380 and 673.
+// a record per job and a map-returning FFA per decision, 486, 380 and 673;
+// with a resolved send list (a netsim.FlowOpts per ring edge) and a host
+// scratch beside the connections, 483, 376 and 387.
 func TestRunAllocations(t *testing.T) {
-	for st, want := range map[Strategy]float64{StratRandomRing: 483, StratOR: 376, StratORFFA: 387} {
+	for st, want := range map[Strategy]float64{StratRandomRing: 477, StratOR: 370, StratORFFA: 374} {
 		cfg := smallConfig()
 		cfg.Strategy = st
 		got := allocpin.Min(3, func() {
@@ -310,21 +312,21 @@ func TestRunAllocations(t *testing.T) {
 	}
 }
 
-// referenceSends is the send lists of m's running jobs as sendIteration
-// built them flow by flow before the lists were resolved once per decision:
-// per ring edge, the options it passed to Fabric.Send, with as route the
-// one the fabric itself then picked — the ECMP hash of the label over the
-// pair's cached paths — unless assign, FFA's map over the running jobs,
-// pinned the edge.
+// referenceSends is the options of m's running jobs' flows as
+// sendIteration built them flow by flow before a job's connections were
+// routed once per decision: per ring edge, the options it passed to
+// Fabric.Send, with as route the one the fabric itself then picked — the
+// ECMP hash of the label over the pair's cached paths — unless assign,
+// FFA's map over the running jobs, pinned the edge.
 func referenceSends(m *sim11, assign policy.Assignment) []netsim.FlowOpts {
 	var out []netsim.FlowOpts
 	for _, j := range m.active {
-		n, nrings := len(j.gpus), len(j.rings)
+		n, nrings := len(j.gpus), len(j.info.Strategy.Channels)
 		perEdge := float64(m.cfg.ModelBytes) / float64(nrings) * 2 * float64(n-1) / float64(n)
-		for ri, order := range j.rings {
+		for ri, ch := range j.info.Strategy.Channels {
 			for pos := 0; pos < n; pos++ {
-				from := j.info.Ranks[order[pos]]
-				to := j.info.Ranks[order[(pos+1)%n]]
+				from := j.info.Ranks[ch.Order[pos]]
+				to := j.info.Ranks[ch.Order[(pos+1)%n]]
 				if from.Host == to.Host {
 					continue
 				}
@@ -342,12 +344,13 @@ func referenceSends(m *sim11, assign policy.Assignment) []netsim.FlowOpts {
 	return out
 }
 
-// TestSendListsMatchPerFlowRouting checks the run's send lists before every
-// event of a run on smallConfig, under each strategy and both placements,
-// against referenceSends: the same options in the same order, each job's
-// list where its offset says, and every route the very slice (compared by
-// address) the fabric's ECMP would pick under RandomRing and OR, and the
-// one FFA's map pins under OR+FFA.
+// TestSendListsMatchPerFlowRouting checks, before every event of a run on
+// smallConfig under each strategy and both placements, the options
+// sendIteration builds from the run's connections (sendOpts over each
+// running job's window of m.flows) against referenceSends: the same fields
+// in the same order, each job's window where its offset says, and every
+// route the very slice (compared by address) the fabric's ECMP would pick
+// under RandomRing and OR, and the one FFA's map pins under OR+FFA.
 func TestSendListsMatchPerFlowRouting(t *testing.T) {
 	for _, placement := range []Placement{PlacementRandom, PlacementCompact} {
 		for _, st := range []Strategy{StratRandomRing, StratOR, StratORFFA} {
@@ -360,9 +363,15 @@ func TestSendListsMatchPerFlowRouting(t *testing.T) {
 			}
 			var ids []int
 			var assign policy.Assignment
-			checked := 0
+			// bad stops this run's checks at its first mismatch; the other
+			// runs still check theirs.
+			checked, bad := 0, false
+			fail := func(format string, args ...any) {
+				t.Errorf("%v %v: "+format, append([]any{placement, st}, args...)...)
+				bad = true
+			}
 			s.SetEventObserver(func(sim.Time, uint64, sim.EventKind, sim.Handler) {
-				if t.Failed() {
+				if bad {
 					return
 				}
 				var now []int
@@ -377,24 +386,28 @@ func TestSendListsMatchPerFlowRouting(t *testing.T) {
 					ids, assign = now, policy.FFA(m.cluster, infos)
 				}
 				want := referenceSends(m, assign)
-				if len(m.sends) != len(want) {
-					t.Errorf("%v %v: %d sends for jobs %v, want %d", placement, st, len(m.sends), now, len(want))
-					return
-				}
+				var got []netsim.FlowOpts
 				off := 0
 				for _, j := range m.active {
-					if j.sendOff != off {
-						t.Errorf("%v %v: job %d's sends start at %d, want %d", placement, st, j.id, j.sendOff, off)
+					if j.flowOff != off {
+						fail("job %d's flows start at %d, want %d", j.id, j.flowOff, off)
 					}
-					off += j.nsend
+					off += j.nflow
+					for i := j.flowOff; i < j.flowOff+j.nflow && i < len(m.flows); i++ {
+						got = append(got, m.sendOpts(j, &m.flows[i]))
+					}
 				}
-				for i, g := range m.sends {
+				if len(m.flows) != off || len(got) != len(want) {
+					fail("%d flows (%d in windows) for jobs %v, want %d", len(m.flows), off, now, len(want))
+					return
+				}
+				for i, g := range got {
 					w := want[i]
 					same := len(g.Route) == len(w.Route) && (len(g.Route) == 0 || &g.Route[0] == &w.Route[0])
 					g.Route, w.Route = nil, nil
 					if !same || g.Src != w.Src || g.Dst != w.Dst || g.Bytes != w.Bytes || g.Label != w.Label || g.OnDone != w.OnDone ||
 						g.MaxRate != 0 || g.FixedRate != 0 || g.External || g.Tag != w.Tag || g.OnDoneArg != 0 {
-						t.Errorf("%v %v: send %d of jobs %v = %+v (same route %v), want %+v", placement, st, i, now, g, same, w)
+						fail("send %d of jobs %v = %+v (same route %v), want %+v", i, now, g, same, w)
 						return
 					}
 					checked++
@@ -403,7 +416,7 @@ func TestSendListsMatchPerFlowRouting(t *testing.T) {
 			if _, err := m.simulate(); err != nil {
 				t.Fatal(err)
 			}
-			if checked == 0 {
+			if checked == 0 && !bad {
 				t.Errorf("%v %v: no send checked", placement, st)
 			}
 		}

@@ -202,21 +202,9 @@ func RankOrderStrategy(cluster *topo.Cluster, info *spec.CommInfo) spec.Strategy
 	for i := range order {
 		order[i] = i
 	}
-	nch := defaultChannelCount(cluster, info)
-	hosts := make([]topo.HostID, info.NumRanks())
-	for i, ri := range info.Ranks {
-		hosts[i] = ri.Host
-	}
-	st := spec.Strategy{}
 	// NCCL stripes NICs across channels within a host (its intra-host
 	// optimization works even when the inter-host order is naive).
-	for _, chOrder := range spec.StripeChannelOrders(order, hosts, nch) {
-		st.Channels = append(st.Channels, spec.ChannelSpec{
-			Order: chOrder,
-			Route: spec.RouteECMP,
-		})
-	}
-	return st
+	return spec.RingStrategy(order, info.Ranks, defaultChannelCount(cluster, info), false)
 }
 
 // defaultChannelCount mirrors NCCL's multi-channel behaviour: enough rings

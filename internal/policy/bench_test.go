@@ -28,15 +28,7 @@ func benchView(b *testing.B, nJobs int) (*topo.Cluster, []spec.CommInfo) {
 				Rank: i, GPU: gid, Host: c.HostOfGPU(gid), NIC: c.NICOfGPU(gid),
 			})
 		}
-		order := LocalityRing(c, info.Ranks)
-		hosts := make([]topo.HostID, n)
-		for i, ri := range info.Ranks {
-			hosts[i] = ri.Host
-		}
-		for _, chOrder := range spec.StripeChannelOrders(order, hosts, 8) {
-			info.Strategy.Channels = append(info.Strategy.Channels,
-				spec.ChannelSpec{Order: chOrder, Route: spec.RouteECMP})
-		}
+		info.Strategy = spec.RingStrategy(LocalityRing(c, info.Ranks), info.Ranks, 8, false)
 		comms = append(comms, info)
 	}
 	return c, comms

@@ -24,8 +24,8 @@ type CrossRackPoint struct {
 	Analytic float64
 }
 
-// CrossRackRatio computes the cross-rack flow count of a host-level ring
-// order, where rackOf[i] is the rack of host order[i]'s slot.
+// crossRackCount returns the cross-rack flow count of a host-level ring
+// order, where rackOf[h] is host h's rack.
 func crossRackCount(order []int, rackOf []int) int {
 	n := len(order)
 	if n < 2 {

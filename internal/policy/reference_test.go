@@ -281,13 +281,7 @@ var oracleApps = []spec.AppID{"job2", "job10", "b", "A", "a"}
 // from the communicator's locality ring.
 func oracleComm(c *topo.Cluster, id spec.CommID, app, prio, channels int, gpus []topo.GPUID) spec.CommInfo {
 	info := spec.CommInfo{ID: id, App: oracleApps[app%len(oracleApps)], Priority: prio, Ranks: ranksOn(c, gpus)}
-	hosts := make([]topo.HostID, len(gpus))
-	for i, ri := range info.Ranks {
-		hosts[i] = ri.Host
-	}
-	for _, order := range spec.StripeChannelOrders(LocalityRing(c, info.Ranks), hosts, channels) {
-		info.Strategy.Channels = append(info.Strategy.Channels, spec.ChannelSpec{Order: order, Route: spec.RouteECMP})
-	}
+	info.Strategy = spec.RingStrategy(LocalityRing(c, info.Ranks), info.Ranks, channels, false)
 	return info
 }
 

@@ -109,21 +109,8 @@ func OptimalRingStrategy(opts RingStrategyOptions) func(*topo.Cluster, *spec.Com
 	return func(cluster *topo.Cluster, info *spec.CommInfo) spec.Strategy {
 		order := LocalityRing(cluster, info.Ranks)
 		nch := channelCount(cluster, info, opts.MaxChannels)
-		hosts := make([]topo.HostID, info.NumRanks())
-		for i, ri := range info.Ranks {
-			hosts[i] = ri.Host
-		}
-		st := spec.Strategy{TreeThreshold: opts.TreeThreshold}
-		for c, chOrder := range spec.StripeChannelOrders(order, hosts, nch) {
-			route := spec.RouteECMP
-			if opts.PinRoutes {
-				route = c
-			}
-			st.Channels = append(st.Channels, spec.ChannelSpec{
-				Order: chOrder,
-				Route: route,
-			})
-		}
+		st := spec.RingStrategy(order, info.Ranks, nch, opts.PinRoutes)
+		st.TreeThreshold = opts.TreeThreshold
 		return st
 	}
 }

@@ -63,7 +63,8 @@ type Config struct {
 	Interval time.Duration
 	// LinkTolerance is how far below nominal capacity the capacity left
 	// for managed traffic (capacity minus external load) may fall before
-	// a link counts as degraded (matches the doctor's default).
+	// a link counts as degraded. The default is the doctor's own
+	// (diagnosis.DefaultConfig), so both call the same links degraded.
 	LinkTolerance float64
 	// SuspectAfter is how many consecutive degraded ticks move a link
 	// from suspect to quarantined. A congested-link diagnosis verdict
@@ -94,7 +95,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Interval:          200 * time.Microsecond,
-		LinkTolerance:     0.05,
+		LinkTolerance:     diagnosis.DefaultConfig().LinkTolerance,
 		SuspectAfter:      2,
 		ProbationAfter:    3,
 		Cooldown:          500 * time.Microsecond,

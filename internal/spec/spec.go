@@ -196,11 +196,12 @@ func (c *CommInfo) NumRanks() int { return len(c.Ranks) }
 // so consecutive channels put a different GPU (and therefore a different
 // affinity NIC) at each host boundary. With one ring per NIC this spreads
 // inter-host traffic across all of a host's NICs — NCCL's multi-channel
-// NIC striping, which both MCCS and the baseline get.
+// NIC striping, which both MCCS and the baseline get. ranks[r].Host is
+// rank r's host.
 //
 // The orders are capped windows of one array: two allocations per call,
 // whatever the channel count.
-func StripeChannelOrders(base []int, hostOfRank []topo.HostID, nch int) [][]int {
+func StripeChannelOrders(base []int, ranks []RankInfo, nch int) [][]int {
 	n := len(base)
 	out := make([][]int, nch)
 	backing := make([]int, nch*n)
@@ -210,7 +211,7 @@ func StripeChannelOrders(base []int, hostOfRank []topo.HostID, nch int) [][]int 
 	// Rotate each host-contiguous segment [start, end) of the base order.
 	for start := 0; start < n; {
 		end := start + 1
-		for end < n && hostOfRank[base[end]] == hostOfRank[base[start]] {
+		for end < n && ranks[base[end]].Host == ranks[base[start]].Host {
 			end++
 		}
 		for c, order := range out {
@@ -221,6 +222,25 @@ func StripeChannelOrders(base []int, hostOfRank []topo.HostID, nch int) [][]int 
 		start = end
 	}
 	return out
+}
+
+// RingStrategy returns the ring strategy of nch channels over base, striped
+// across each host's NICs (StripeChannelOrders). Channel c is pinned to
+// equal-cost path c when pinned is set and routed by ECMP otherwise. The
+// strategy providers and the flow-level cluster simulation all lay their
+// rings out here and differ only in base order and channel count;
+// TreeThreshold and Algorithm are the caller's to set.
+func RingStrategy(base []int, ranks []RankInfo, nch int, pinned bool) Strategy {
+	orders := StripeChannelOrders(base, ranks, nch)
+	st := Strategy{Channels: make([]ChannelSpec, nch)}
+	for c, order := range orders {
+		route := RouteECMP
+		if pinned {
+			route = c
+		}
+		st.Channels[c] = ChannelSpec{Order: order, Route: route}
+	}
+	return st
 }
 
 // Hosts returns the distinct hosts of the communicator's ranks, in rank

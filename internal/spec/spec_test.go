@@ -2,6 +2,7 @@ package spec
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -82,8 +83,7 @@ func TestStrategyValidate(t *testing.T) {
 func TestStripeChannelOrders(t *testing.T) {
 	// 2 hosts x 2 GPUs, base order host-contiguous.
 	base := []int{0, 1, 2, 3}
-	hosts := []topo.HostID{0, 0, 1, 1}
-	chs := StripeChannelOrders(base, hosts, 2)
+	chs := StripeChannelOrders(base, ranksOnHosts([]topo.HostID{0, 0, 1, 1}), 2)
 	if len(chs) != 2 {
 		t.Fatalf("channels = %d", len(chs))
 	}
@@ -105,6 +105,41 @@ func TestStripeChannelOrders(t *testing.T) {
 	// host segment.
 	if chs[0][1] == chs[1][1] {
 		t.Error("channel 1 did not rotate the host boundary")
+	}
+}
+
+// ranksOnHosts returns one rank per entry of hosts, rank r on hosts[r].
+func ranksOnHosts(hosts []topo.HostID) []RankInfo {
+	ranks := make([]RankInfo, len(hosts))
+	for r, h := range hosts {
+		ranks[r] = RankInfo{Rank: r, Host: h}
+	}
+	return ranks
+}
+
+// RingStrategy lays the striped orders out as channels, channel c pinned to
+// path c or routed by ECMP, and leaves the rest of the strategy zero.
+func TestRingStrategy(t *testing.T) {
+	ranks := ranksOnHosts([]topo.HostID{1, 0, 1, 0, 0})
+	base := []int{0, 2, 1, 3, 4}
+	orders := StripeChannelOrders(base, ranks, 3)
+	for _, pinned := range []bool{false, true} {
+		st := RingStrategy(base, ranks, 3, pinned)
+		if len(st.Channels) != 3 || st.Routes != nil || st.TreeThreshold != 0 || st.Algorithm != AlgoRing {
+			t.Fatalf("pinned %v: %+v", pinned, st)
+		}
+		for c, ch := range st.Channels {
+			route := RouteECMP
+			if pinned {
+				route = c
+			}
+			if !slices.Equal(ch.Order, orders[c]) || ch.Route != route {
+				t.Errorf("pinned %v: channel %d = %+v, want order %v route %d", pinned, c, ch, orders[c], route)
+			}
+		}
+		if err := st.Validate(len(ranks)); err != nil {
+			t.Errorf("pinned %v: %v", pinned, err)
+		}
 	}
 }
 
@@ -131,7 +166,7 @@ func TestQuickStripePermutation(t *testing.T) {
 				rank++
 			}
 		}
-		chs := StripeChannelOrders(base, hosts, nch)
+		chs := StripeChannelOrders(base, ranksOnHosts(hosts), nch)
 		if len(chs) != nch {
 			return false
 		}

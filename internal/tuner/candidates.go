@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mccs/internal/spec"
-	"mccs/internal/topo"
 )
 
 // Order is one base ring order under consideration, named for telemetry
@@ -37,11 +36,6 @@ type Space struct {
 // locality == rank order on a contiguous allocation) are dropped so the
 // search never scores the same strategy twice under different names.
 func Candidates(info *spec.CommInfo, sp Space, bytes int64) []Candidate {
-	n := info.NumRanks()
-	hostOf := make([]topo.HostID, n)
-	for _, r := range info.Ranks {
-		hostOf[r.Rank] = r.Host
-	}
 	orders := dedupOrders(sp.Orders)
 	pins := sp.Pins
 	if len(pins) == 0 {
@@ -53,14 +47,7 @@ func Candidates(info *spec.CommInfo, sp Space, bytes int64) []Candidate {
 	}
 
 	build := func(base []int, nch int, pin bool, algo spec.Algorithm) spec.Strategy {
-		var st spec.Strategy
-		for ci, order := range spec.StripeChannelOrders(base, hostOf, nch) {
-			route := spec.RouteECMP
-			if pin {
-				route = ci
-			}
-			st.Channels = append(st.Channels, spec.ChannelSpec{Order: order, Route: route})
-		}
+		st := spec.RingStrategy(base, info.Ranks, nch, pin)
 		st.Algorithm = algo
 		return st
 	}
