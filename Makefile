@@ -38,15 +38,17 @@ race:
 # orchestrator, the diagnosis engine (whose recorder tap runs inside
 # span emission), the policy controller (the recovery moves and the
 # route-push order), the fabric (an allocation memo and a flow free list
-# sit on its per-message path) and gpusim (the process-wide free list of
-# device memory) — running them twice under the detector. The chaos
-# checker's producer and verifier goroutines read the script and finished
-# device buffers beside the event loop, and concurrent runs trade device
-# memory through gpusim's free list; the whole chaos package takes minutes
+# sit on its per-message path), gpusim, trace and freelist (the
+# process-wide stores of device memory and recorder chunks, and the one
+# free list behind them and the proxy's snapshot store) — running them
+# twice under the detector. The chaos checker's producer and verifier
+# goroutines read the script and finished device buffers beside the event
+# loop, and concurrent runs trade device memory, recorder chunks and
+# message snapshots through those stores; the whole chaos package takes minutes
 # a pass under the detector, so only the pinned corpus hashes, one
 # self-heal test and the concurrent-runs test run twice there.
 race-hot:
-	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/policy/ ./internal/remediation/ ./internal/gpusim/
+	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/policy/ ./internal/remediation/ ./internal/gpusim/ ./internal/trace/ ./internal/freelist/
 	$(GO) test -race -count=2 -run '^(TestCorpusTraceHashPinned|TestSelfHealByteDeterministic|TestConcurrentRunsKeepTheirHashes)$$' ./internal/chaos/
 
 # fuzz runs the native fuzz targets for 10 s each (their seed corpora also

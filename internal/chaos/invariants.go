@@ -203,23 +203,26 @@ func checkTelemetry(sm *telemetry.Sampler) error {
 	if sm == nil {
 		return nil
 	}
-	cols := sm.Registry().Schema()
-	prev := make([]float64, len(cols))
+	// Only the column kinds are read per run; a column's name is built
+	// (through the full Schema) only for the error that reports it.
+	kinds := sm.Registry().ColumnKinds(nil)
+	name := func(ci int) string { return sm.Registry().Schema()[ci].Name }
+	prev := make([]float64, len(kinds))
 	for si, s := range sm.Samples() {
 		// Samples taken before a late-registered metric existed are
 		// narrower than the final schema; indexes are registration-order
 		// so the prefix still lines up column for column.
-		if len(s.V) > len(cols) {
-			return fmt.Errorf("sample %d has %d columns, schema has %d", si, len(s.V), len(cols))
+		if len(s.V) > len(kinds) {
+			return fmt.Errorf("sample %d has %d columns, schema has %d", si, len(s.V), len(kinds))
 		}
 		for ci, v := range s.V {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("sample %d (t=%d) column %q: non-finite value %v", si, int64(s.T), cols[ci].Name, v)
+				return fmt.Errorf("sample %d (t=%d) column %q: non-finite value %v", si, int64(s.T), name(ci), v)
 			}
-			if cols[ci].Kind != "gauge" {
+			if kinds[ci] != telemetry.KindGauge {
 				if v < prev[ci] {
 					return fmt.Errorf("sample %d (t=%d) column %q: counter decreased %v -> %v",
-						si, int64(s.T), cols[ci].Name, prev[ci], v)
+						si, int64(s.T), name(ci), prev[ci], v)
 				}
 				prev[ci] = v
 			}

@@ -318,7 +318,10 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 // chaosTraceCap bounds the per-seed flight-recorder ring. Chaos
 // workloads are small (a thousand spans or so, a few thousand at most),
 // so the bound is a ceiling on what a runaway seed can hold, not a cost:
-// the ring allocates by the chunk as spans arrive.
+// the ring takes its storage a chunk at a time as spans arrive, from the
+// chunks an earlier run's Env.Close released when there are any. It is a
+// whole number of chunks, so every chunk a run fills goes back for the
+// next run.
 const chaosTraceCap = 1 << 15
 
 // chaosTelemetryEvery is the per-seed telemetry sampling interval. The

@@ -20,10 +20,9 @@ package gpusim
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 	"time"
 
+	"mccs/internal/freelist"
 	"mccs/internal/sim"
 	"mccs/internal/trace"
 )
@@ -149,7 +148,7 @@ func (d *Device) alloc(bytes int64, backed bool) (*Buffer, error) {
 	d.nextBuf++
 	b := &Buffer{dev: d, id: d.nextBuf, bytes: bytes, refs: 1}
 	if backed {
-		b.data = storage.get(int(bytes / 4))
+		b.data = newBacking(int(bytes / 4))
 	}
 	d.buffers[b.id] = b
 	return b, nil
@@ -176,7 +175,7 @@ func (b *Buffer) Free() error {
 func (b *Buffer) release() {
 	b.freed = true
 	if b.data != nil {
-		storage.put(b.data)
+		storage.Put(b.data)
 		b.data = nil
 	}
 }
@@ -195,59 +194,17 @@ func (d *Device) Reset() {
 }
 
 // storage is the free list every device's backed buffers come from and
-// return to.
-var storage recycler
+// return to (freelist.List: tightest fit over floor-log2 bins). The lock is
+// taken per allocation and release, never on a kernel's data path.
+var storage freelist.List[float32]
 
-// recycler keeps the float32 backings of freed buffers for reuse, binned
-// by floor(log2(cap)). get takes the tightest fit from the request's bin
-// or the next one up, so a backing never serves a request of under a
-// quarter of its capacity, and the list settles at what one run releases
-// instead of growing with every size a run draws. It is not a sync.Pool:
-// a collection would empty that, and the next run would fault its memory
-// in afresh. The lock is taken per allocation and release, never on a
-// kernel's data path.
-type recycler struct {
-	mu   sync.Mutex
-	bins [64][][]float32
-}
-
-// get returns a zeroed slice of n elements, recycled when one fits.
-func (r *recycler) get(n int) []float32 {
-	lo := bits.Len(uint(n)) - 1
-	r.mu.Lock()
-	for k := lo; k <= lo+1 && k < len(r.bins); k++ {
-		bin := r.bins[k]
-		best := -1
-		for i, s := range bin {
-			if c := cap(s); c >= n && (best < 0 || c < cap(bin[best])) {
-				best = i
-				if c == n {
-					break
-				}
-			}
-		}
-		if best >= 0 {
-			s := bin[best]
-			last := len(bin) - 1
-			bin[best] = bin[last]
-			bin[last] = nil
-			r.bins[k] = bin[:last]
-			r.mu.Unlock()
-			s = s[:n]
-			clear(s)
-			return s
-		}
+// newBacking returns a zeroed backing of n elements, recycled when one fits.
+func newBacking(n int) []float32 {
+	if s := storage.Get(n); s != nil {
+		clear(s)
+		return s
 	}
-	r.mu.Unlock()
 	return make([]float32, n)
-}
-
-// put returns a backing to the list.
-func (r *recycler) put(s []float32) {
-	k := bits.Len(uint(cap(s))) - 1
-	r.mu.Lock()
-	r.bins[k] = append(r.bins[k], s)
-	r.mu.Unlock()
 }
 
 // MemHandle is an inter-process memory handle (cudaIpcGetMemHandle

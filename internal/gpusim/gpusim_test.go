@@ -136,34 +136,6 @@ func TestFreedBackingIsRecycledCleared(t *testing.T) {
 	}
 }
 
-// TestRecyclerTightestFit: a request takes the smallest free backing that
-// holds it from its own size class or the next, and never one four or
-// more times its size.
-func TestRecyclerTightestFit(t *testing.T) {
-	var r recycler
-	for _, c := range []int{1000, 700, 640, 2047, 4096} {
-		r.put(make([]float32, c))
-	}
-	for _, tc := range []struct{ n, cap int }{
-		{600, 640}, // class 9 (512..1023) holds 640, 700 and 1000
-		{650, 700},
-		{513, 1000},
-		{513, 2047}, // class 9 is empty: the next class up
-		{1024, 0},   // 4096 is class 12, two classes up: a fresh slice
-	} {
-		s := r.get(tc.n)
-		if len(s) != tc.n {
-			t.Fatalf("get(%d) holds %d elements", tc.n, len(s))
-		}
-		if tc.cap > 0 && cap(s) != tc.cap {
-			t.Errorf("get(%d) took a backing of %d, want %d", tc.n, cap(s), tc.cap)
-		}
-		if tc.cap == 0 && cap(s) != tc.n {
-			t.Errorf("get(%d) took a backing of %d on a miss, want a fresh %d", tc.n, cap(s), tc.n)
-		}
-	}
-}
-
 // TestRecyclerSharedAcrossDevices: devices of separate deployments, each
 // driven by its own goroutine, allocate from and release to the one free
 // list; every allocation must read zeroed and stay private to its buffer.

@@ -35,8 +35,11 @@ import (
 // service loops are daemons parked forever, and each parked goroutine keeps
 // the whole environment (trace ring, telemetry samples, fabric) reachable
 // until it is unwound — and then closes the deployment, whose device memory
-// goes back to gpusim's free list: a backed buffer reads nil from then on,
-// and a slice taken from one before must not be used after.
+// goes back to gpusim's free list and whose communicators' idle message
+// snapshots go back to the proxy's: a backed buffer reads nil from then on,
+// and a slice taken from one before must not be used after. Last, the
+// flight recorder is released: its chunks go back to the trace chunk store
+// and it holds no span, so take any Recording (Recorder.Snapshot) first.
 type Env struct {
 	S          *sim.Scheduler
 	Cluster    *topo.Cluster
@@ -187,10 +190,15 @@ func NewEnv(o EnvOptions) (*Env, error) {
 // tears down inside one call through it.
 var envBuilt func(*Env)
 
-// Close tears the environment down; see Env.
+// Close tears the environment down; see Env. It releases, in order: the
+// scheduler's parked processes (Shutdown), the deployment's device memory
+// and its live communicators' idle message snapshots (Deployment.Close),
+// and the flight recorder's chunks (trace.Recorder.Release), each to the
+// process-wide store the next environment takes from.
 func (e *Env) Close() {
 	e.S.Shutdown()
 	e.Deployment.Close()
+	trace.Of(e.S).Release()
 }
 
 // Export writes every output path the environment's observers name, once

@@ -170,13 +170,19 @@ func registerTopology(rec *trace.Recorder, cluster *topo.Cluster) {
 	rec.SetLinks(links)
 }
 
-// Close releases the deployment's device memory: every device is reset
-// (gpusim.Device.Reset), so each buffer still allocated reads as freed and
-// its backing is free for the next deployment. Shut the scheduler down
-// first; no buffer of the deployment may be read or written afterwards.
+// Close releases the deployment's run-scoped memory for the next
+// deployment: every device is reset (gpusim.Device.Reset), so each buffer
+// still allocated reads as freed and its backing is free, and every
+// communicator still alive hands its idle message snapshots back
+// (proxy.Comm.Release; a destroyed one did when it was destroyed). Shut the
+// scheduler down first; no buffer of the deployment may be read or written
+// afterwards.
 func (d *Deployment) Close() {
 	for g := range d.Cluster.GPUs {
 		d.devices[topo.GPUID(g)].Reset()
+	}
+	for _, c := range d.comms {
+		c.Release()
 	}
 }
 

@@ -517,7 +517,14 @@ func (c *Comm) Destroy() {
 	for _, conn := range c.p2p {
 		conn.Close()
 	}
+	c.Release()
 }
+
+// Release hands the communicator's idle message snapshots to the
+// process-wide store the next communicator's misses take from (see
+// snapPool). Destroy calls it; a deployment that closes calls it for the
+// communicators still alive.
+func (c *Comm) Release() { c.snaps.release() }
 
 // Undelivered returns an error naming a connection of the communicator —
 // of any generation, or point-to-point — that holds a message sent and

@@ -456,6 +456,22 @@ func (r *Registry) readInto(dst []float64) []float64 {
 	return dst
 }
 
+// ColumnKinds appends the kind of every column to dst, in readInto's
+// layout: a histogram's bucket, _sum and _count columns are all
+// KindHistogram. Unlike Schema it builds no name or label.
+func (r *Registry) ColumnKinds(dst []Kind) []Kind {
+	for _, e := range r.entries {
+		n := 1
+		if e.kind == KindHistogram {
+			n = len(e.h.counts) + 2
+		}
+		for range n {
+			dst = append(dst, e.kind)
+		}
+	}
+	return dst
+}
+
 // Schema returns the column descriptors in registration order, matching
 // readInto's layout.
 func (r *Registry) Schema() []Column {

@@ -91,6 +91,26 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// ColumnKinds lays the kinds out as Schema lays out its columns, and as
+// readInto its values.
+func TestColumnKindsMatchSchema(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("ops_total", "ops", L("tenant", "a"))
+	r.Histogram("lat_seconds", "seconds", []float64{0.1, 1, 10})
+	r.Gauge("depth", "commands")
+	r.Histogram("wait_seconds", "seconds", nil, L("tenant", "a"))
+	kinds := r.ColumnKinds(nil)
+	cols := r.Schema()
+	if len(kinds) != len(cols) || len(kinds) != len(r.readInto(nil)) {
+		t.Fatalf("%d kinds, %d schema columns, %d values", len(kinds), len(cols), len(r.readInto(nil)))
+	}
+	for i, k := range kinds {
+		if k.String() != cols[i].Kind {
+			t.Errorf("column %d (%s): kind %v, schema says %s", i, cols[i].Name, k, cols[i].Kind)
+		}
+	}
+}
+
 // The emit path must not allocate: telemetry is on in every chaos seed
 // and in production-shaped runs, so a single allocation per op would
 // dominate the simulator's profile.

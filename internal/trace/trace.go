@@ -27,6 +27,7 @@ import (
 	"hash/fnv"
 	"math"
 
+	"mccs/internal/freelist"
 	"mccs/internal/sim"
 )
 
@@ -264,12 +265,15 @@ const (
 )
 
 // Recorder is a fixed-capacity ring of spans whose storage grows as it
-// fills: the ring is a table of chunkSpans-sized chunks, each allocated
-// when the first span lands in it and never moved or copied afterwards,
-// so a recorder costs what it has recorded (rounded up to a chunk), not
-// what it could record. Once capacity spans are held the ring wraps in
-// place like a flat one. All methods are safe on a nil receiver (no-ops /
-// zero values), which is what makes "disabled" free at the emit sites.
+// fills: the ring is a table of chunkSpans-sized chunks, each taken when
+// the first span lands in it and never moved or copied afterwards, so a
+// recorder costs what it has recorded (rounded up to a chunk), not what it
+// could record. Once capacity spans are held the ring wraps in place like a
+// flat one. A full-size chunk comes from the process-wide chunk store when
+// a released recorder left one there, and is allocated otherwise; Release
+// hands the recorder's chunks back once its run is over. All methods are
+// safe on a nil receiver (no-ops / zero values), which is what makes
+// "disabled" free at the emit sites.
 type Recorder struct {
 	level    Level
 	capacity int
@@ -295,16 +299,49 @@ func NewRecorder(level Level, capacity int) *Recorder {
 	}
 }
 
-// slot returns the storage of ring position p, allocating its chunk on
-// first use. The last chunk is cut to the capacity.
+// chunkStore is the store full-size chunks go back to when a recorder is
+// released and the next recorder's come from. Every chunk in it has
+// chunkSpans spans, all zero.
+var chunkStore freelist.List[Span]
+
+// slot returns the storage of ring position p, taking its chunk on first
+// use: a full-size one from the store when it holds one, a fresh one
+// otherwise. The last chunk is cut to the capacity and always fresh.
 func (r *Recorder) slot(p int) *Span {
 	ci := p >> chunkShift
 	ch := r.chunks[ci]
 	if ch == nil {
-		ch = make([]Span, min(chunkSpans, r.capacity-ci<<chunkShift))
+		n := min(chunkSpans, r.capacity-ci<<chunkShift)
+		if n == chunkSpans {
+			ch = chunkStore.Get(chunkSpans)
+		}
+		if ch == nil {
+			ch = make([]Span, n)
+		}
 		r.chunks[ci] = ch
 	}
 	return &ch[p&(chunkSpans-1)]
+}
+
+// Release ends the recorder's run: its full-size chunks are cleared (so no
+// span's route, rate history or label stays reachable through them) and go
+// back to the chunk store for the next recorder, and the recorder is left
+// empty — Len and Dropped read 0, Snapshot holds no span, and Emit records
+// again from an empty ring. Level, capacity, tap and metadata are kept. A
+// Recording taken before keeps its spans: Snapshot copies them out. Release
+// on a nil recorder does nothing.
+func (r *Recorder) Release() {
+	if r == nil {
+		return
+	}
+	for i, ch := range r.chunks {
+		if len(ch) == chunkSpans {
+			clear(ch)
+			chunkStore.Put(ch)
+		}
+		r.chunks[i] = nil
+	}
+	r.n, r.head, r.total = 0, 0, 0
 }
 
 // Attach installs r as the scheduler's flight recorder.
@@ -326,8 +363,9 @@ func (r *Recorder) Enabled(k Kind) bool {
 
 // Emit records sp unless recording is off. The caller's Span is
 // copied into the ring; the only allocation on any path is the chunk a
-// span is the first to land in — one per chunkSpans admitted spans until
-// the ring has filled once, none after.
+// span is the first to land in when the chunk store has none to give — at
+// most one per chunkSpans admitted spans until the ring has filled once,
+// none after.
 func (r *Recorder) Emit(sp Span) {
 	if r == nil || r.level == LevelOff {
 		return

@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
+	"mccs/internal/allocpin"
 	"mccs/internal/sim"
 )
 
@@ -349,4 +351,122 @@ func TestChunkedRingMatchesFlatRing(t *testing.T) {
 		}
 		check()
 	}
+}
+
+// flowSpan is a fabric span with every reference field set: what a chunk
+// must not carry into the next recorder.
+func flowSpan(seq uint64) Span {
+	sp := opSpan(seq)
+	sp.Kind, sp.Label = KindFlow, "external"
+	sp.Route = []int32{int32(seq), 7}
+	sp.Rates = []RateSample{{T: sp.Start, Bps: float64(seq), Bottleneck: 3}}
+	return sp
+}
+
+// TestReleaseLeavesRecorderEmpty defines the released state: Len and
+// Dropped read 0, Snapshot holds no span, Emit records again from an empty
+// ring, the metadata stays, and a Recording taken before keeps its spans.
+// The chunks given back come out cleared to the next recorder.
+func TestReleaseLeavesRecorderEmpty(t *testing.T) {
+	var nilRec *Recorder
+	nilRec.Release()
+
+	for _, capacity := range []int{3 * chunkSpans, chunkSpans + 5, 100} {
+		r := NewRecorder(LevelFull, capacity)
+		r.NoteComm(1, "app")
+		emits := 2*capacity + 7 // wraps the ring
+		for seq := uint64(0); seq < uint64(emits); seq++ {
+			r.Emit(flowSpan(seq))
+		}
+		before := r.Snapshot()
+		want := before.Fingerprint()
+		r.Release()
+		if r.Len() != 0 || r.Dropped() != 0 {
+			t.Errorf("cap %d: released recorder has Len %d, Dropped %d", capacity, r.Len(), r.Dropped())
+		}
+		if snap := r.Snapshot(); len(snap.Spans) != 0 || snap.Dropped != 0 || snap.Meta.CommApp[1] != "app" {
+			t.Errorf("cap %d: released snapshot holds %d spans, %d dropped, meta %v", capacity, len(snap.Spans), snap.Dropped, snap.Meta.CommApp)
+		}
+		for _, ch := range r.chunks {
+			if ch != nil {
+				t.Fatalf("cap %d: a released recorder still holds a chunk", capacity)
+			}
+		}
+		if before.Fingerprint() != want || len(before.Spans) != capacity || before.Spans[0].Route == nil {
+			t.Errorf("cap %d: the recording taken before Release changed", capacity)
+		}
+
+		// The next recorder takes the cleared chunks; this one records again.
+		next := NewRecorder(LevelFull, capacity)
+		next.Emit(opSpan(1))
+		for i, sp := range next.chunks[0][1:] {
+			if !reflect.DeepEqual(sp, Span{}) {
+				t.Fatalf("cap %d: slot %d of a reused chunk holds %+v", capacity, i+1, sp)
+			}
+		}
+		next.Release()
+		ref := &flatRing{buf: make([]Span, 0, capacity)}
+		for seq := uint64(0); seq < uint64(capacity+3); seq++ {
+			ref.emit(opSpan(seq))
+			r.Emit(opSpan(seq))
+		}
+		if got := r.Snapshot(); got.Dropped != 3 || got.Fingerprint() != (Recording{Spans: ref.spans()}).Fingerprint() {
+			t.Errorf("cap %d: after Release the recorder holds %d spans (%d dropped), not the flat ring's", capacity, len(got.Spans), got.Dropped)
+		}
+		r.Release()
+	}
+}
+
+// TestWarmRecorderAllocatesOnlyItsTable pins the chunk store: once a
+// released recorder has left a chunk there, a recorder that fills one chunk
+// and is released allocates its chunk table and nothing else — not the
+// Recorder (NewRecorder is inlined, and the test keeps it on the stack),
+// not the chunk.
+func TestWarmRecorderAllocatesOnlyItsTable(t *testing.T) {
+	run := func() {
+		r := NewRecorder(LevelFull, 4*chunkSpans)
+		for seq := uint64(0); seq < chunkSpans; seq++ {
+			r.Emit(opSpan(seq))
+		}
+		r.Release()
+	}
+	run()
+	if n := allocpin.Min(20, run); n != 1 {
+		t.Errorf("a warm recorder filling one chunk allocates %v times, want 1 (its chunk table)", n)
+	}
+}
+
+// TestRecordersShareChunksAcrossGoroutines: recorders of concurrent runs
+// take chunks from, and release them to, the one chunk store; each must
+// read back exactly what it recorded. Run it under -race.
+func TestRecordersShareChunksAcrossGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				r := NewRecorder(LevelFull, 3*chunkSpans)
+				n := chunkSpans + round*97 + w
+				for seq := 0; seq < n; seq++ {
+					sp := flowSpan(uint64(seq))
+					sp.Rank = int32(w)
+					r.Emit(sp)
+				}
+				rec := r.Snapshot()
+				r.Release()
+				if len(rec.Spans) != n {
+					t.Errorf("worker %d: %d spans recorded, %d read back", w, n, len(rec.Spans))
+					return
+				}
+				for i := range rec.Spans {
+					if sp := &rec.Spans[i]; sp.Rank != int32(w) || sp.Seq != uint64(i) || sp.Route[0] != int32(i) {
+						t.Errorf("worker %d: span %d reads rank %d seq %d", w, i, sp.Rank, sp.Seq)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
