@@ -161,9 +161,12 @@ api:
 	$(GO) test -count=1 -run '^TestExportedAPIHasNonTestCallers$$' .
 
 # chaos runs the seeded chaos sweep on its own (it is also part of
-# `test`); useful when iterating on the harness.
+# `test`); useful when iterating on the harness. Beside the sweep it runs
+# what pins the Fig. 4 generation check's sensitivity: the weakened
+# protocol caught over a seed range and on the pinned seeds, and the
+# hand-built ledgers the check must accept or reject.
 chaos:
-	$(GO) test ./internal/chaos/ -v -run 'TestChaosSweep|TestChaosCatchesWeakenedProtocol'
+	$(GO) test ./internal/chaos/ -v -run '^(TestChaosSweep|TestChaosCatchesWeakenedProtocol|TestCorpusWeakenedDetection|TestLedgerHoldsChurnCommsToTheirJob)$$'
 
 bench:
 	$(GO) test -bench=. -benchtime=1x .

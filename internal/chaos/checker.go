@@ -12,10 +12,10 @@ import (
 // need nothing from the simulation but the script and the contents of
 // finished buffers, so they run on a second core instead:
 //
-//   - the producer builds the script op by op (buildOp, the code
-//     buildScript runs) from the workload stream, which nothing else
-//     draws, and publishes each op once it is complete; a rank waits for
-//     op i (op) before it allocates op i's buffers;
+//   - the producer builds the script op by op (buildOp) from the
+//     workload stream, which nothing else draws, and publishes each op
+//     once it is complete; a rank waits for op i (op) before it
+//     allocates op i's buffers;
 //   - the verifier checks each finished op (hand) against the closed form
 //     while the rank goes on issuing, and keeps, per rank, the failure
 //     with the lowest op index.

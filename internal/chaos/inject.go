@@ -7,6 +7,7 @@ import (
 
 	"mccs/internal/collective"
 	"mccs/internal/harness"
+	"mccs/internal/mccsd"
 	"mccs/internal/netsim"
 	"mccs/internal/policy"
 	"mccs/internal/remediation"
@@ -77,15 +78,10 @@ func injectAutotune(env *harness.Env, sc Scenario, tune *rand.Rand, fl *faultLog
 	}
 	ctrl := policy.NewController(env.Deployment)
 	env.S.Go("chaos:autotune", func(p *sim.Proc) {
-		dep := env.Deployment
-		// Wait for the communicator, bounded like the storm driver.
-		for i := 0; dep.NumComms() == 0; i++ {
-			if i > 4000 {
-				return
-			}
-			p.Sleep(20 * time.Microsecond)
+		id, ok := awaitComm(p, env.Deployment)
+		if !ok {
+			return
 		}
-		id := dep.View()[0].ID
 		for _, ps := range plan {
 			p.Sleep(ps.after)
 			fl.add(FaultRecord{Kind: "autotune", Start: env.S.Now(), End: FaultOpenEnd, Link: -1, Rank: -1})
@@ -206,15 +202,10 @@ func injectReconfigStorm(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faul
 	}
 	env.S.Go("chaos:storm", func(p *sim.Proc) {
 		dep := env.Deployment
-		// Wait for the communicator to come up; bounded so a rendezvous
-		// wedged by some other fault cannot livelock the run.
-		for i := 0; dep.NumComms() == 0; i++ {
-			if i > 4000 {
-				return
-			}
-			p.Sleep(20 * time.Microsecond)
+		id, ok := awaitComm(p, dep)
+		if !ok {
+			return
 		}
-		id := dep.View()[0].ID
 		for _, rc := range plan {
 			p.Sleep(rc.after)
 			fl.add(FaultRecord{Kind: "reconfig", Start: env.S.Now(), End: FaultOpenEnd, Link: -1, Rank: -1})
@@ -223,6 +214,20 @@ func injectReconfigStorm(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faul
 			}
 		}
 	})
+}
+
+// awaitComm waits for the run's first communicator to come up and returns
+// its ID. It polls every 20 µs and gives up (ok false) after 4 001 sleeps,
+// so a rendezvous wedged by some other fault cannot livelock the run. The
+// autotune and storm drivers both start this way.
+func awaitComm(p *sim.Proc, dep *mccsd.Deployment) (id spec.CommID, ok bool) {
+	for i := 0; dep.NumComms() == 0; i++ {
+		if i > 4000 {
+			return 0, false
+		}
+		p.Sleep(20 * time.Microsecond)
+	}
+	return dep.View()[0].ID, true
 }
 
 // randomStrategy builds a valid but adversarial strategy: a random ring

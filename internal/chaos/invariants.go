@@ -1,49 +1,73 @@
 package chaos
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"mccs/internal/harness"
+	"mccs/internal/mccsd"
 	"mccs/internal/orchestrator"
 	"mccs/internal/spec"
 	"mccs/internal/telemetry"
+	"mccs/internal/trace"
 	"mccs/internal/workload"
 )
 
-// ledger records every collective execution the proxies perform —
-// (communicator, rank, generation, sequence number) — via the proxy's
-// ExecObserver hook. After the run it certifies the Fig. 4 guarantee:
-// each sequence number executes exactly once per rank, on every rank,
-// and all ranks execute it under the same generation (ring view). A
-// mixed-generation execution means some rank ran an op on the old ring
-// while a peer ran the same op on the new one — exactly the corruption
-// the sequence-number barrier exists to prevent.
-type ledger struct {
-	gens map[execKey]int
-	errs []string
-}
+// ledger is every collective execution of a drained run: (communicator,
+// rank, sequence number) and the generation (ring view) it ran under, read
+// from what the run recorded (foldLedger). check certifies the Fig. 4
+// guarantee over it: each sequence number executes exactly once on every
+// rank, all under one generation. A mixed-generation execution means some
+// rank ran an op on the old ring while a peer ran it on the new one —
+// exactly the corruption the sequence-number barrier exists to prevent.
+type ledger []execRec
 
-type execKey struct {
+type execRec struct {
 	comm spec.CommID
-	rank int
 	seq  uint64
+	rank int
+	gen  int
 }
 
-func newLedger() *ledger { return &ledger{gens: make(map[execKey]int)} }
+// errIncompleteRecording is the generation check failing closed: a
+// recorder that dropped spans cannot show that every collective ran.
+var errIncompleteRecording = errors.New("the flight recording is incomplete, so the execution ledger cannot be built")
 
-func (l *ledger) observe(comm spec.CommID, rank, gen int, seq uint64) {
-	k := execKey{comm: comm, rank: rank, seq: seq}
-	if prev, ok := l.gens[k]; ok {
-		l.errs = append(l.errs, fmt.Sprintf(
-			"comm %d rank %d seq %d executed twice (gen %d then %d)", comm, rank, seq, prev, gen))
-		return
+// foldLedger builds a drained run's ledger: one record per KindOp span the
+// recorder holds (a collective a rank completed, read in place), then
+// begun, the collectives runners began and never finished (begunOps) — a
+// deadlocked op completes nowhere, so only its runner still shows it.
+func foldLedger(rec *trace.Recorder, begun []execRec) (ledger, error) {
+	if n := rec.Dropped(); n > 0 {
+		return nil, fmt.Errorf("%w: the recorder dropped %d spans", errIncompleteRecording, n)
 	}
-	l.gens[k] = gen
+	var l ledger
+	rec.Each(func(sp *trace.Span) {
+		if sp.Kind == trace.KindOp {
+			l = append(l, execRec{comm: spec.CommID(sp.Comm), seq: sp.Seq, rank: int(sp.Rank), gen: int(sp.Gen)})
+		}
+	})
+	return append(l, begun...), nil
+}
+
+// begunOps returns the collective every runner of the deployment's live
+// communicators has begun and not finished, in communicator and rank
+// order.
+func begunOps(dep *mccsd.Deployment) []execRec {
+	var out []execRec
+	for _, info := range dep.View() {
+		c, _ := dep.Comm(info.ID)
+		for rank, r := range c.Runners {
+			if seq, ok := r.Executing(); ok {
+				out = append(out, execRec{comm: info.ID, seq: seq, rank: rank, gen: r.Generation()})
+			}
+		}
+	}
+	return out
 }
 
 // commShape is what the ledger holds one communicator to: its rank count
@@ -75,33 +99,47 @@ func commShapes(sc Scenario, script spec.CommID, jobs []*orchestrator.Job) map[s
 // communicator shapes: every communicator in want executed exactly its
 // op count, every sequence number executed on exactly its ranks 0..n-1
 // under one generation, and no communicator outside want executed at
-// all.
-func (l *ledger) check(want map[spec.CommID]commShape) error {
-	if len(l.errs) > 0 {
-		return errors.New(strings.Join(l.errs, "; "))
-	}
-	type seqKey struct {
-		comm spec.CommID
-		seq  uint64
-	}
-	byOp := make(map[seqKey]map[int]int)
-	ops := make(map[spec.CommID]int)
-	for k, gen := range l.gens {
-		sk := seqKey{comm: k.comm, seq: k.seq}
-		m := byOp[sk]
-		if m == nil {
-			m = make(map[int]int)
-			byOp[sk] = m
-			ops[sk.comm]++
+// all. It sorts the ledger by (comm, seq, rank), stably, and walks it
+// once. Duplicate executions are reported first, then op counts in
+// communicator order, then the first op with wrong ranks or generations.
+func (l ledger) check(want map[spec.CommID]commShape) error {
+	slices.SortStableFunc(l, func(a, b execRec) int {
+		return cmp.Or(cmp.Compare(a.comm, b.comm), cmp.Compare(a.seq, b.seq), cmp.Compare(a.rank, b.rank))
+	})
+	var twice []string
+	var ranks []execRec // the current op's first record per rank
+	var opErr error
+	ops := make(map[spec.CommID]int, len(want)) // distinct collectives per communicator
+	for i := 0; i < len(l); {
+		// l[i:j] is one (comm, seq).
+		j := i + 1
+		for j < len(l) && l[j].comm == l[i].comm && l[j].seq == l[i].seq {
+			j++
 		}
-		m[k.rank] = gen
+		ranks = ranks[:0]
+		for k := i; k < j; k++ {
+			if e := l[k]; len(ranks) > 0 && ranks[len(ranks)-1].rank == e.rank {
+				twice = append(twice, fmt.Sprintf("comm %d rank %d seq %d executed twice (gen %d then %d)",
+					e.comm, e.rank, e.seq, ranks[len(ranks)-1].gen, e.gen))
+			} else {
+				ranks = append(ranks, e)
+			}
+		}
+		ops[l[i].comm]++
+		if opErr == nil {
+			opErr = checkOp(ranks, want[l[i].comm].ranks)
+		}
+		i = j
 	}
-	comms := make([]spec.CommID, 0, len(want)+len(ops))
-	for c := range want {
+	if len(twice) > 0 {
+		return errors.New(strings.Join(twice, "; "))
+	}
+	comms := make([]spec.CommID, 0, len(ops)+len(want))
+	for c := range ops {
 		comms = append(comms, c)
 	}
-	for c := range ops {
-		if _, ok := want[c]; !ok {
+	for c := range want {
+		if _, ok := ops[c]; !ok {
 			comms = append(comms, c)
 		}
 	}
@@ -115,33 +153,25 @@ func (l *ledger) check(want map[spec.CommID]commShape) error {
 			return fmt.Errorf("%d distinct collectives executed on comm %d, want %d", ops[c], c, w.ops)
 		}
 	}
-	keys := make([]seqKey, 0, len(byOp))
-	for sk := range byOp {
-		keys = append(keys, sk)
+	return opErr
+}
+
+// checkOp checks one collective's executions, one per rank in rank order,
+// against its communicator's n ranks: no more than n ranks, each of 0..n-1
+// present, all in rank 0's generation.
+func checkOp(ranks []execRec, n int) error {
+	e := ranks[0]
+	if len(ranks) > n {
+		return fmt.Errorf("comm %d seq %d executed on %d ranks, want %d", e.comm, e.seq, len(ranks), n)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].comm != keys[j].comm {
-			return keys[i].comm < keys[j].comm
+	for r := 0; r < n; r++ {
+		if r >= len(ranks) || ranks[r].rank != r {
+			return fmt.Errorf("comm %d seq %d never executed on rank %d", e.comm, e.seq, r)
 		}
-		return keys[i].seq < keys[j].seq
-	})
-	for _, sk := range keys {
-		m := byOp[sk]
-		n := want[sk.comm].ranks
-		if len(m) > n {
-			return fmt.Errorf("comm %d seq %d executed on %d ranks, want %d", sk.comm, sk.seq, len(m), n)
-		}
-		gen0 := m[0]
-		for r := 0; r < n; r++ {
-			g, ok := m[r]
-			if !ok {
-				return fmt.Errorf("comm %d seq %d never executed on rank %d", sk.comm, sk.seq, r)
-			}
-			if g != gen0 {
-				return fmt.Errorf(
-					"comm %d seq %d executed with mixed ring views: rank 0 in gen %d, rank %d in gen %d",
-					sk.comm, sk.seq, gen0, r, g)
-			}
+		if g := ranks[r].gen; g != e.gen {
+			return fmt.Errorf(
+				"comm %d seq %d executed with mixed ring views: rank 0 in gen %d, rank %d in gen %d",
+				e.comm, e.seq, e.gen, r, g)
 		}
 	}
 	return nil
@@ -154,13 +184,14 @@ func (l *ledger) check(want map[spec.CommID]commShape) error {
 //   - every rank proc ran to completion;
 //   - every collective's output matched the closed form, and its send
 //     buffer still held the rank's inputs;
-//   - generation agreement (ledger.check);
+//   - generation agreement (ledger.check over foldLedger), which fails
+//     closed when the recorder dropped a span;
 //   - quiescence: no leaked managed flows on the fabric, and no queued
 //     or in-flight work left in any proxy runner;
 //   - lifecycle (churn scenarios): the orchestrator drained (every job
 //     finished and returned its capacity), and no tenant communicator
 //     outlived its teardown (checkChurn).
-func checkInvariants(env *harness.Env, sc Scenario, led *ledger, simErr error, rankErrs []error, finished int, scriptComm spec.CommID, orch *orchestrator.Orchestrator, churnJobs []*orchestrator.Job) error {
+func checkInvariants(env *harness.Env, sc Scenario, simErr error, rankErrs []error, finished int, scriptComm spec.CommID, orch *orchestrator.Orchestrator, churnJobs []*orchestrator.Job) error {
 	var errs []string
 	if simErr != nil {
 		errs = append(errs, "scheduler: "+simErr.Error())
@@ -173,7 +204,11 @@ func checkInvariants(env *harness.Env, sc Scenario, led *ledger, simErr error, r
 			errs = append(errs, "data: "+e.Error())
 		}
 	}
-	if err := led.check(commShapes(sc, scriptComm, churnJobs)); err != nil {
+	led, err := foldLedger(trace.Of(env.S), begunOps(env.Deployment))
+	if err == nil {
+		err = led.check(commShapes(sc, scriptComm, churnJobs))
+	}
+	if err != nil {
 		errs = append(errs, "generation: "+err.Error())
 	}
 	errs = append(errs, checkChurn(env, orch)...)

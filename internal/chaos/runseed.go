@@ -51,29 +51,19 @@ func (o *opSpec) out() []uint8 {
 	return o.in
 }
 
-// buildScript derives the collective workload from the seed's workload
-// stream: a mix of AllReduce and AllGather with inputs in [0, 8) (sums of
-// small ints are exact in float32, so reduction order — which the ring
-// permutations change — cannot perturb the check).
+// buildOp draws the script's next op from the workload stream: its kind,
+// its count, then every rank's inputs, rank-major. The script mixes
+// AllReduce and AllGather with inputs in [0, 8) (sums of small ints are
+// exact in float32, so reduction order — which the ring permutations
+// change — cannot perturb the check).
 //
 // Each element is one Int63 draw: uint8(Int63()>>32) & 7 is rand.Intn(8)
 // (for a power of two, Intn(n) is Int31() & (n-1), and Int31 is
 // Int63 >> 32), so the stream is consumed exactly as the float32 tables
 // this replaced consumed it and every schedule hash is unchanged.
 //
-// A run draws the same ops one at a time, with buildOp, on its checker's
-// producer goroutine; buildScript is the whole-script form that
-// TestScriptMatchesReference and TestBuildScriptAllocations pin.
-func buildScript(sc Scenario, rng *rand.Rand) []opSpec {
-	ops := make([]opSpec, sc.Ops)
-	for i := range ops {
-		ops[i] = buildOp(sc, rng)
-	}
-	return ops
-}
-
-// buildOp draws the script's next op from the workload stream: its kind,
-// its count, then every rank's inputs, rank-major.
+// A run draws its ops one at a time on its checker's producer goroutine;
+// buildScript (script_test.go) is the whole-script form its tests pin.
 func buildOp(sc Scenario, rng *rand.Rand) opSpec {
 	op := collective.AllReduce
 	if rng.Intn(2) == 1 {
@@ -218,14 +208,12 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 		}
 	}()
 
-	led := newLedger()
 	// The diagnosis engine taps the recorder from the start, so it sees
 	// every span; it schedules no events and consumes no PRNG draws, so
 	// the fuzzed schedule is untouched.
 	env, err := harness.NewEnv(harness.EnvOptions{
 		System: ncclsim.MCCS, Salt: seed,
 		Mutate: func(c *mccsd.Config) {
-			c.Proxy.ExecObserver = led.observe
 			c.Proxy.UnsafeSkipSeqBarrier = sc.SkipSeqBarrier
 		},
 		Observers: harness.Observers{TraceCap: chaosTraceCap, TelemetryEvery: chaosTelemetryEvery, Doctor: opts.doctor},
@@ -295,7 +283,7 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	fl.addRemediations(congest)
 	res.Faults = fl.recs
 
-	res.Err = checkInvariants(env, sc, led, simErr, rankErrs, finished, scriptComm, orch, churnJobs)
+	res.Err = checkInvariants(env, sc, simErr, rankErrs, finished, scriptComm, orch, churnJobs)
 	if res.Err != nil {
 		res.DumpPath = dumpTrace(env, rec, sc, seed)
 	}

@@ -9,6 +9,17 @@ import (
 	"mccs/internal/collective"
 )
 
+// buildScript draws a whole script the way a run's checker draws it, op by
+// op with buildOp, for TestScriptMatchesReference and
+// TestBuildScriptAllocations.
+func buildScript(sc Scenario, rng *rand.Rand) []opSpec {
+	ops := make([]opSpec, sc.Ops)
+	for i := range ops {
+		ops[i] = buildOp(sc, rng)
+	}
+	return ops
+}
+
 // refOpSpec and referenceScript are the script as it was built before the
 // closed-form check: float32 input tables drawn with rng.Intn(8) and the
 // expected output computed by lowering the op onto a ring and running it

@@ -60,9 +60,6 @@ func NewRing(s *sim.Scheduler, n int, hopLatency time.Duration) (*Ring, error) {
 	return r, nil
 }
 
-// Size returns the ring size.
-func (r *Ring) Size() int { return r.n }
-
 // AllGather contributes val as rank's element and blocks until the full
 // vector is known. Every rank must call it once per generation; calls block
 // until all peers participate (the barrier property the reconfiguration

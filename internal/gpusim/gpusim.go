@@ -87,9 +87,6 @@ func (d *Device) Slowdown() float64 {
 	return d.slow
 }
 
-// Config returns the device's cost model.
-func (d *Device) Config() DeviceConfig { return d.cfg }
-
 // Buffer is a device memory allocation. Data is nil unless the buffer was
 // allocated backed.
 type Buffer struct {

@@ -48,7 +48,8 @@ func (d *Deployment) RoutesOver(l netsim.LinkID) bool {
 	return false
 }
 
-// Comm returns the internal communicator object (tests and benchmarks).
+// Comm returns the internal communicator object: the policy controller
+// acts on it, and the chaos harness reads its runners after a run.
 func (d *Deployment) Comm(id spec.CommID) (*proxy.Comm, bool) {
 	c, ok := d.comms[id]
 	return c, ok

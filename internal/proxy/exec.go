@@ -72,9 +72,6 @@ func (r *Runner) execStep(p *sim.Proc) bool {
 			if op.Count <= 0 {
 				panic(fmt.Sprintf("proxy: operation with count %d", op.Count))
 			}
-			if obs := r.comm.cfg.ExecObserver; obs != nil && op.P2P == 0 {
-				obs(r.comm.Info.ID, r.rank, r.gen, op.seq)
-			}
 			x.at = exPrograms
 			if copiesInput(op) {
 				x.at = exCopied

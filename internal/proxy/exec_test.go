@@ -333,3 +333,51 @@ func TestDatapathOwnsNoGoroutine(t *testing.T) {
 		t.Errorf("%d goroutines left after Shutdown, started with %d", got, base)
 	}
 }
+
+// TestExecutingCountsBegunCollectives pins what Executing reports: a
+// collective counts once it is past its app-event wait and until it
+// completes. Ranks 0–2 begin seq 1 and wait in the ring for rank 3, whose
+// copy of the op waits on an app event that fires only later. Had it never
+// fired, the run would drain in this state: the deadlock the chaos harness's
+// generation ledger reads from Executing, since no rank completed the op.
+func TestExecutingCountsBegunCollectives(t *testing.T) {
+	r := newRig(t)
+	gpus := r.fourHostGPUs()
+	comm := r.commOn(t, gpus, [][]int{{0, 1, 2, 3}})
+	const count = 1 << 10
+	bufs, _ := backedBuffers(t, r, gpus, count, 1)
+	app := &gpusim.RecordInstance{}
+	ev := gpusim.NewEvent()
+	ev.ManualRecord(app)
+	executing := func(when string, want ...bool) {
+		t.Helper()
+		for rank, rn := range comm.Runners {
+			seq, ok := rn.Executing()
+			if ok != want[rank] || ok && seq != 1 {
+				t.Errorf("%s: rank %d Executing() = (%d, %v), want (1, %v)", when, rank, seq, ok, want[rank])
+			}
+		}
+	}
+	executing("before any op", false, false, false, false)
+	for i, rn := range comm.Runners {
+		req := &OpRequest{Op: collective.AllReduce, Count: count, SendBuf: bufs[i], RecvBuf: bufs[i]}
+		if i == 3 {
+			req.AppEvent = ev.Snapshot()
+		}
+		rn.Enqueue(req)
+	}
+	r.s.At(sim.Time(10*time.Millisecond), func() {
+		executing("rank 3 waiting on its app event", true, true, true, false)
+		app.Fire(r.s)
+	})
+	if err := r.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	executing("after the op completed", false, false, false, false)
+	for rank, rn := range comm.Runners {
+		if h := rn.History(); len(h) != 1 || h[0].Seq != 1 {
+			t.Errorf("rank %d history %+v, want seq 1 completed", rank, h)
+		}
+	}
+	r.s.Shutdown()
+}

@@ -48,13 +48,6 @@ type Config struct {
 	// harnesses sample the ECMP collision distribution across trials.
 	LabelSalt uint64
 
-	// ExecObserver, when non-nil, is invoked at the start of every
-	// collective execution with the communicator, rank, connection
-	// generation and sequence number. The chaos harness uses it to check
-	// the Fig. 4 safety invariant: a given sequence number must execute
-	// under the same generation on every rank.
-	ExecObserver func(comm spec.CommID, rank, gen int, seq uint64)
-
 	// UnsafeSkipSeqBarrier disables the sequence-number AllGather /
 	// drain / completion barrier of the Fig. 4 reconfiguration protocol:
 	// a rank switches generations as soon as its own pipeline is idle,
@@ -452,6 +445,19 @@ func (r *Runner) History() []OpResult {
 func (r *Runner) Quiescent() bool {
 	return r.queue.Len() == 0 && r.execQ.Len() == 0 && r.ex.op == nil &&
 		r.collInFlight == 0 && len(r.pendingReconfigs) == 0
+}
+
+// Executing returns the sequence number of the collective the runner has
+// begun — past its app-event wait — and not finished; ok is false when
+// there is none or the op is point-to-point. A reconfiguration waits for
+// running collectives, so Generation is the one the op runs in. After the
+// scheduler drains, it is an op this rank began and never finished.
+func (r *Runner) Executing() (seq uint64, ok bool) {
+	x := &r.ex
+	if x.op == nil || x.at <= exBegin || x.op.P2P != 0 {
+		return 0, false
+	}
+	return x.op.seq, true
 }
 
 // runControl is the command loop: it launches operations onto the

@@ -53,8 +53,6 @@ type Sampler struct {
 	copied  int64     // columns read by captures
 	samples []Sample
 	dropped int
-
-	start sim.Time
 }
 
 // StartSampler attaches a sampler for reg to s. interval <= 0 selects
@@ -65,17 +63,11 @@ func StartSampler(s *sim.Scheduler, reg *Registry, interval sim.Duration) *Sampl
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	sm := &Sampler{s: s, reg: reg, interval: interval, start: s.Now(), next: s.Now()}
+	sm := &Sampler{s: s, reg: reg, interval: interval, next: s.Now()}
 	reg.SLO.window = interval
 	s.OnInstantEnd(sm.flush)
 	return sm
 }
-
-// Interval returns the sampling period.
-func (sm *Sampler) Interval() sim.Duration { return sm.interval }
-
-// Start returns the virtual time sampling began.
-func (sm *Sampler) Start() sim.Time { return sm.start }
 
 // flush is the end-of-instant hook; see the type comment for the
 // backfill and capture discipline.

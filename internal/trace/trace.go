@@ -421,8 +421,10 @@ func (r *Recorder) Dropped() uint64 {
 	return r.total - uint64(r.n)
 }
 
-// each visits the held spans oldest-first.
-func (r *Recorder) each(fn func(*Span)) {
+// Each visits the held spans oldest-first, in place: fn gets a pointer
+// into the ring, valid only for the call, and must not emit. A post-run
+// pass reads the recording this way without copying it (Snapshot does).
+func (r *Recorder) Each(fn func(*Span)) {
 	if r == nil {
 		return
 	}
@@ -484,7 +486,7 @@ func (r *Recorder) Snapshot() Recording {
 		return rec
 	}
 	rec.Spans = make([]Span, 0, r.n)
-	r.each(func(sp *Span) { rec.Spans = append(rec.Spans, *sp) })
+	r.Each(func(sp *Span) { rec.Spans = append(rec.Spans, *sp) })
 	rec.Meta = r.meta
 	return rec
 }

@@ -323,7 +323,7 @@ func TestChunkedRingMatchesFlatRing(t *testing.T) {
 			t.Helper()
 			want := ref.spans()
 			var got []Span
-			r.each(func(sp *Span) { got = append(got, *sp) })
+			r.Each(func(sp *Span) { got = append(got, *sp) })
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("cap %d after %d emits: each order differs from the flat ring", capacity, ref.total)
 			}
