@@ -80,11 +80,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFFAWorkspace -fuzztime 10s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz FuzzClusterRun -fuzztime 10s ./internal/cluster/
 
-# check is the CI gate: everything must build, vet clean, keep the one
-# door for reconfiguration, the one attach site for observers, the one
-# tenant runner and an exported surface that non-test code reaches,
-# reproduce every committed result file, and pass the full test suite twice — once plain, once under
-# the race detector.
+# check is the CI gate: everything must build, vet clean, keep the four
+# architecture rules (the one door for reconfiguration, the one attach
+# site for observers, the one tenant runner and an exported surface that
+# non-test code reaches), reproduce every committed result file, and pass
+# the full test suite twice — once plain, once under the race detector.
 check: build fmt vet door observers tenants api goldens test race
 
 # goldens regenerates every result file EXPERIMENTS.md quotes, plus the
@@ -110,55 +110,31 @@ goldens: $(MCCS)
 	$(MCCS) selfheal -seeds 4 -jsonl results/selfheal.jsonl -doctor results/selfheal.doctor.txt > results/selfheal.txt
 	git diff --exit-code --stat -- results/
 
-# door fails if non-test Go outside internal/mccsd and internal/policy
-# changes a communicator's strategy or routes: policy decides, the
-# service executes (paper §4.3). The one exception is the chaos reconfig
-# storm in internal/chaos/inject.go, the Fig. 4 adversary, not a decider.
-door:
-	@hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
-		'\.(UpdateRoutes|Reconfigure)\(' . | grep -vE '^\./internal/(mccsd|policy)/|^\./internal/chaos/inject\.go:'); \
-	if [ -n "$$hits" ]; then \
-		echo "door: only internal/policy may change a communicator's strategy or routes:" >&2; \
-		echo "$$hits" >&2; exit 1; \
-	fi
-
-# observers fails if non-test Go outside internal/harness and bench/
-# attaches an observer: a run's observers are chosen in one place
-# (harness.Observers, attached by harness.NewEnv), and no layer of the
-# system installs one of its own. The benchmark module attaches its own
-# recorder and registry for its traced pass.
-observers:
-	@hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
-		'\b(trace\.Attach|trace\.NewRecorder|telemetry\.Attach|diagnosis\.Attach)\(' . | grep -vE '^\./(internal/harness|bench)/'); \
-	if [ -n "$$hits" ]; then \
-		echo "observers: only internal/harness may attach an observer:" >&2; \
-		echo "$$hits" >&2; exit 1; \
-	fi
-
-# tenants fails if non-test Go outside internal/workload and internal/mccsd
-# joins a communicator: every experiment runs its tenants through
-# workload.Launch (MemAlloc, CommInitRank, the issue loop, rank-0
-# timestamps), so the tenant lifecycle changes in one place. Allowed, each
-# for its reason: internal/chaos/runseed.go, whose ranks allocate backed
-# buffers per op and check every result against the closed form (Launch
-# does neither yet); bench/, the frozen benchmark module; examples/, the
-# public-API demos; and the doc comment of mccs.go, which shows the API.
-tenants:
-	@hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
-		'CommInitRank\(' . | grep -vE '^\./internal/(workload|mccsd)/|^\./internal/chaos/runseed\.go:|^\./(bench|examples)/|^\./mccs\.go:[0-9]+:[[:space:]]*//'); \
-	if [ -n "$$hits" ]; then \
-		echo "tenants: only internal/workload may run a tenant (use workload.Launch):" >&2; \
-		echo "$$hits" >&2; exit 1; \
-	fi
-
-# api fails if an exported function or method declared in a non-test file
-# under internal/ is named by nothing but its own package's tests
-# (api_test.go, a go/parser scan of the repository): such a function is
-# dead code its tests keep alive, or a test oracle that belongs in a test
-# file. The check is by name, so two functions sharing a name vouch for
-# each other; its short allowlist gives each exception its reason.
-api:
-	$(GO) test -count=1 -run '^TestExportedAPIHasNonTestCallers$$' .
+# api, door, observers and tenants are the four rules of the architecture
+# gate, TestArchitecture in architecture_test.go: the root module and bench/
+# are type-checked once with go/types (stdlib only; a type error or a
+# failed `go list` fails the gate), and each rule is applied to what every
+# identifier resolves to, so a method value or an aliased import counts
+# like a call. Its one allowlist gives every exception its reason.
+#   api: every exported function or method declared in a non-test file
+#     under internal/ is referred to by something other than its own
+#     package's tests (a String method, a method of a type mccs.go
+#     re-exports and a method that implements a used interface count as
+#     used). Dead code its tests keep alive is deleted; a test oracle
+#     lives in a test file.
+#   door: only internal/policy decides a communicator's strategy or
+#     routes (the Reconfigure and UpdateRoutes methods); internal/mccsd
+#     executes, and the chaos reconfig storm in internal/chaos/inject.go is
+#     the Fig. 4 adversary, not a decider (paper §4.3).
+#   observers: only internal/harness (and the benchmark module, for its
+#     traced pass) calls trace.Attach, trace.NewRecorder, telemetry.Attach
+#     or diagnosis.Attach: a run's observers are chosen in one place.
+#   tenants: only internal/workload joins a communicator (CommInitRank),
+#     so the tenant lifecycle changes in one place; the chaos ranks
+#     (internal/chaos/runseed.go), bench/ and examples/ are the exceptions.
+# Test files may do all of it. CI runs the four together, once.
+api door observers tenants:
+	$(GO) test -count=1 -run '^TestArchitecture$$/^$@$$' .
 
 # chaos runs the seeded chaos sweep on its own (it is also part of
 # `test`); useful when iterating on the harness. Beside the sweep it runs

@@ -75,14 +75,6 @@ type Scenario struct {
 	SkipSeqBarrier bool
 }
 
-// Weakened returns a copy of the scenario with the Fig. 4 sequence-number
-// barrier disabled, for bug-detection-power tests.
-func (sc Scenario) Weakened() Scenario {
-	sc.Name += "+skip-seq-barrier"
-	sc.SkipSeqBarrier = true
-	return sc
-}
-
 // LinkFlap is the link-failure scenario: capacity flaps (including full
 // blackouts) on random fabric links while collectives stream.
 func LinkFlap() Scenario {
@@ -183,18 +175,6 @@ func SelfHeal() Scenario {
 	}
 }
 
-// Clean is a fault-free control: the link-flap workload shape with no
-// injectors at all. The diagnosis false-positive tests require zero
-// incidents on it; it is deliberately not part of Scenarios() (nothing
-// to chaos-test without faults).
-func Clean() Scenario {
-	return Scenario{
-		Name:  "clean",
-		Ranks: 4, Ops: 6, MaxCount: 4096, Depth: 2,
-		Horizon: 8 * time.Millisecond,
-	}
-}
-
 // TraceEntry is one scheduler event in the deterministic event trace:
 // the virtual time it fired at and the event's global sequence number.
 // The (At, Seq) stream is a complete fingerprint of a run's schedule.
@@ -248,45 +228,6 @@ func (r Result) String() string {
 		fmt.Fprintf(&b, "\n  flight recorder dump: %s", r.DumpPath)
 	}
 	return b.String()
-}
-
-// SweepResult aggregates one scenario swept over many seeds.
-type SweepResult struct {
-	Scenario string
-	Results  []Result
-}
-
-// Failures returns the failing runs.
-func (s SweepResult) Failures() []Result {
-	var out []Result
-	for _, r := range s.Results {
-		if r.Failed() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Run sweeps a scenario over the given seeds. Failures carry the seed
-// and trace tail needed to replay them exactly; use Seeds to build a
-// deterministic seed range.
-func Run(seeds []uint64, sc Scenario) SweepResult {
-	out := SweepResult{Scenario: sc.Name}
-	for _, seed := range seeds {
-		out.Results = append(out.Results, RunSeed(sc, seed))
-	}
-	return out
-}
-
-// Seeds returns n consecutive seeds starting at start. Consecutive
-// integers are fine: each run splits its seed into independent PRNG
-// streams with distinct odd multipliers.
-func Seeds(start uint64, n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = start + uint64(i)
-	}
-	return out
 }
 
 // tracer folds the scheduler's event stream into an FNV-1a fingerprint

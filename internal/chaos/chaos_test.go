@@ -2,7 +2,69 @@ package chaos
 
 import (
 	"testing"
+	"time"
 )
+
+// The sweep helpers and the presets only the tests run.
+
+// Weakened returns a copy of the scenario with the Fig. 4 sequence-number
+// barrier disabled, for bug-detection-power tests.
+func (sc Scenario) Weakened() Scenario {
+	sc.Name += "+skip-seq-barrier"
+	sc.SkipSeqBarrier = true
+	return sc
+}
+
+// Clean is a fault-free control: the link-flap workload shape with no
+// injectors at all. The diagnosis false-positive tests require zero
+// incidents on it; it is deliberately not part of Scenarios() (nothing
+// to chaos-test without faults).
+func Clean() Scenario {
+	return Scenario{
+		Name:  "clean",
+		Ranks: 4, Ops: 6, MaxCount: 4096, Depth: 2,
+		Horizon: 8 * time.Millisecond,
+	}
+}
+
+// SweepResult aggregates one scenario swept over many seeds.
+type SweepResult struct {
+	Scenario string
+	Results  []Result
+}
+
+// Failures returns the failing runs.
+func (s SweepResult) Failures() []Result {
+	var out []Result
+	for _, r := range s.Results {
+		if r.Failed() {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// Run sweeps a scenario over the given seeds. Failures carry the seed
+// and trace tail needed to replay them exactly; use Seeds to build a
+// deterministic seed range.
+func Run(seeds []uint64, sc Scenario) SweepResult {
+	out := SweepResult{Scenario: sc.Name}
+	for _, seed := range seeds {
+		out.Results = append(out.Results, RunSeed(sc, seed))
+	}
+	return out
+}
+
+// Seeds returns n consecutive seeds starting at start. Consecutive
+// integers are fine: each run splits its seed into independent PRNG
+// streams with distinct odd multipliers.
+func Seeds(start uint64, n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = start + uint64(i)
+	}
+	return out
+}
 
 // TestChaosSweep is the headline chaos run: every scenario swept over 120
 // seeds (600 runs total), then every seed replayed to prove the harness

@@ -104,8 +104,8 @@ type EnvOptions struct {
 	// come from exactly this variance).
 	Salt uint64
 	// Mutate edits the system's service config before the deployment is
-	// built. The chaos harness installs exec observers and protocol
-	// weakenings with it; ablations override individual knobs.
+	// built. The chaos harness weakens the reconfiguration protocol with
+	// it; ablations override individual knobs.
 	Mutate    func(*mccsd.Config)
 	Observers Observers
 }

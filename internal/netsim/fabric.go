@@ -58,21 +58,6 @@ type Flow struct {
 	traceDone bool
 }
 
-// Rate returns the currently allocated rate in bytes per second. Reading
-// it flushes any coalesced recompute, so the value always reflects every
-// mutation made so far this instant.
-func (f *Flow) Rate() float64 {
-	f.fb.flush()
-	return f.rate
-}
-
-// Transferred returns the bytes delivered so far (as of the last fabric
-// update; call Fabric.Sync for an up-to-the-instant figure).
-func (f *Flow) Transferred() float64 {
-	f.fb.flush()
-	return f.done
-}
-
 // FlowOpts configures StartFlow.
 type FlowOpts struct {
 	Src, Dst NodeID
@@ -370,13 +355,6 @@ func (fb *Fabric) remove(fl *Flow) {
 	}
 }
 
-// Sync flushes any pending recompute and advances all flow byte counters
-// to the current instant. Call before reading Transferred.
-func (fb *Fabric) Sync() {
-	fb.flush()
-	fb.progress()
-}
-
 // SetLinkCapacity changes a link's capacity at runtime (maintenance,
 // degradation, failure when set to ~0). Reallocation is coalesced like
 // any other fabric mutation.
@@ -519,11 +497,12 @@ func (fb *Fabric) progress() {
 
 // flush applies the pending mutation batch, if any: it recomputes max-min
 // rates once for everything that changed this instant and re-arms the
-// completion timer. Every user-visible read (Rate, Transferred, Sync,
-// LinkRate, ExternalRate, LinkUtilization, FlushTrace) forces a flush,
-// and the scheduler's end-of-instant hook forces one before virtual time
-// advances — so rates are always consistent at any observation point and
-// across instants, no matter how many mutations were batched.
+// completion timer. Every user-visible read (LinkRate, ExternalRate,
+// LinkUtilization, FlushTrace; the tests' Rate, Transferred and Sync)
+// forces a flush, and the scheduler's end-of-instant hook forces one
+// before virtual time advances — so rates are always consistent at any
+// observation point and across instants, no matter how many mutations
+// were batched.
 func (fb *Fabric) flush() {
 	if !fb.dirty {
 		return

@@ -13,6 +13,31 @@ import (
 	"mccs/internal/trace"
 )
 
+// Only the tests read one flow's rate and progress, so these accessors
+// live with them.
+
+// Rate returns the currently allocated rate in bytes per second. Reading
+// it flushes any coalesced recompute, so the value always reflects every
+// mutation made so far this instant.
+func (f *Flow) Rate() float64 {
+	f.fb.flush()
+	return f.rate
+}
+
+// Transferred returns the bytes delivered so far (as of the last fabric
+// update; call Fabric.Sync for an up-to-the-instant figure).
+func (f *Flow) Transferred() float64 {
+	f.fb.flush()
+	return f.done
+}
+
+// Sync flushes any pending recompute and advances all flow byte counters
+// to the current instant. Call before reading Transferred.
+func (fb *Fabric) Sync() {
+	fb.flush()
+	fb.progress()
+}
+
 const gbps = 125e6 // 1 Gbit/s in bytes/sec
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

@@ -422,9 +422,6 @@ type Runner struct {
 // calling.
 func (r *Runner) Enqueue(m Msg) { r.queue.Push(r.comm.s, m) }
 
-// Seq returns the number of collectives launched so far.
-func (r *Runner) Seq() uint64 { return r.seq }
-
 // Generation returns the current connection generation.
 func (r *Runner) Generation() int { return r.gen }
 

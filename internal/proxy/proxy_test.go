@@ -338,8 +338,8 @@ func TestReconfigureFig4Race(t *testing.T) {
 		}
 		latch.Wait(p)
 		for i, rn := range comm.Runners {
-			if rn.Seq() != 1 {
-				t.Errorf("rank %d seq = %d, want 1", i, rn.Seq())
+			if rn.seq != 1 {
+				t.Errorf("rank %d seq = %d, want 1", i, rn.seq)
 			}
 			if rn.Generation() != 1 {
 				t.Errorf("rank %d generation = %d, want 1", i, rn.Generation())

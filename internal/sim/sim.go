@@ -842,8 +842,9 @@ func (s *Scheduler) commitReady() {
 // itself. Observables that accrue continuously between events (the
 // fabric's transferred-byte counters) are therefore stale by up to
 // limit − lastEvent; readers sampling at the limit must force their own
-// sync (netsim.Fabric.Sync). When the queue instead drains before limit,
-// the clock stops at the last executed event, not at limit.
+// sync (netsim's tests do, with Fabric.Sync). When the queue instead
+// drains before limit, the clock stops at the last executed event, not at
+// limit.
 //
 // If a process panics, RunUntil terminates every other live process (their
 // deferred calls run) and re-panics the original value, so a recovered

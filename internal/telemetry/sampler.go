@@ -119,15 +119,6 @@ func (sm *Sampler) Samples() []Sample {
 	return sm.samples
 }
 
-// Dropped returns how many boundary samples were discarded to the
-// maxSamples cap.
-func (sm *Sampler) Dropped() int {
-	if sm == nil {
-		return 0
-	}
-	return sm.dropped
-}
-
 // ColumnsCopied returns how many column values the sampler's captures
 // have read out of the registry — the observer's own cost, as a count.
 func (sm *Sampler) ColumnsCopied() int64 {

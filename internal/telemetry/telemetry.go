@@ -110,14 +110,6 @@ func (g *Gauge) Add(d float64) {
 	}
 }
 
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Histogram is a fixed-bucket cumulative histogram handle; nil-safe.
 // Buckets are upper bounds in ascending order; observations above the
 // last bound land only in the implicit +Inf bucket (count).
@@ -142,14 +134,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
 }
 
 // DefBuckets is the default latency bucket ladder (seconds): 10µs … 1s.
@@ -413,14 +397,6 @@ func (r *Registry) SetLinks(links []LinkInfo) {
 		return
 	}
 	r.links = links
-}
-
-// Links returns the registered fabric link identities.
-func (r *Registry) Links() []LinkInfo {
-	if r == nil {
-		return nil
-	}
-	return r.links
 }
 
 // Column is one flattened value slot in a snapshot. Counters and gauges
