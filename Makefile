@@ -80,12 +80,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFFAWorkspace -fuzztime 10s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz FuzzClusterRun -fuzztime 10s ./internal/cluster/
 
-# check is the CI gate: everything must build, vet clean, keep the four
-# architecture rules (the one door for reconfiguration, the one attach
-# site for observers, the one tenant runner and an exported surface that
-# non-test code reaches), reproduce every committed result file, and pass
-# the full test suite twice — once plain, once under the race detector.
-check: build fmt vet door observers tenants api goldens test race
+# check is the CI gate: everything must build, vet clean, reproduce every
+# committed result file, and pass the full test suite twice — once plain,
+# once under the race detector. The suite holds the architecture gate,
+# TestArchitecture (the one door for reconfiguration, the one attach site
+# for observers, the one tenant runner and an exported surface that
+# non-test code reaches), so check type-checks the repository for it once
+# per pass rather than once per rule.
+check: build fmt vet goldens test race
 
 # goldens regenerates every result file EXPERIMENTS.md quotes, plus the
 # live doctor report and trace summary of CI's doctor smoke run and the
@@ -132,7 +134,9 @@ goldens: $(MCCS)
 #   tenants: only internal/workload joins a communicator (CommInitRank),
 #     so the tenant lifecycle changes in one place; the chaos ranks
 #     (internal/chaos/runseed.go), bench/ and examples/ are the exceptions.
-# Test files may do all of it. CI runs the four together, once.
+# A reference in the package that declares the target counts too; test
+# files may do all of it. CI and `check` (through `test`) run the four
+# together, once.
 api door observers tenants:
 	$(GO) test -count=1 -run '^TestArchitecture$$/^$@$$' .
 

@@ -322,15 +322,14 @@ func isModuleMethod(fn *types.Func, names ...string) bool {
 func isTestFile(rel string) bool { return strings.HasSuffix(rel, "_test.go") }
 
 // referrers is a rule that forbids non-test code to refer to a function
-// target selects, a call or a method value alike, except in the function's
-// own package.
+// target selects, a call or a method value alike, in its own package too.
 func referrers(does string, target func(*types.Func) bool) func(*archProgram) []archHit {
 	return func(p *archProgram) []archHit {
 		var hits []archHit
 		for _, u := range p.units {
 			for id, obj := range u.info.Uses {
 				fn, ok := obj.(*types.Func)
-				if !ok || !target(fn) || fn.Pkg() == u.pkg {
+				if !ok || !target(fn) {
 					continue
 				}
 				if rel := p.rel(id.Pos()); !isTestFile(rel) {
@@ -561,6 +560,9 @@ func (k Kind) String() string { return "" }`,
 		}},
 		{"door: call", "door", map[string]string{
 			"internal/harness/reconf.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc reconf(d *mccsd.Deployment) { d.Reconfigure() }",
+		}},
+		{"door: the declaring package's own non-test code", "door", map[string]string{
+			"internal/proxy/reroute.go": "package proxy\nfunc reroute(c *Comm) { c.UpdateRoutes() }",
 		}},
 		{"door: method value", "door", map[string]string{
 			"internal/harness/reconf.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc reconf(d *mccsd.Deployment) { f := d.Reconfigure; f() }",
