@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers tenants api goldens
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers tenants api state goldens
 
 all: check
 
@@ -38,18 +38,19 @@ race:
 # orchestrator, the diagnosis engine (whose recorder tap runs inside
 # span emission), the policy controller (the recovery moves and the
 # route-push order), the fabric (an allocation memo and a flow free list
-# sit on its per-message path), gpusim, trace and freelist (the
-# process-wide stores of device memory and recorder chunks, and the one
-# free list behind them and the proxy's snapshot store) — running them
-# twice under the detector. The chaos checker's producer and verifier
+# sit on its per-message path), gpusim, trace and freelist (device memory,
+# recorder chunks and the one free list behind them and the proxy's
+# snapshot store, all owned by a deployment's mccsd.Scratch) — running
+# them twice under the detector. The chaos checker's producer and verifier
 # goroutines read the script and finished device buffers beside the event
-# loop, and concurrent runs trade device memory, recorder chunks and
-# message snapshots through those stores; the whole chaos package takes minutes
-# a pass under the detector, so only the pinned corpus hashes, one
-# self-heal test and the concurrent-runs test run twice there.
+# loop, and concurrent chaos runs trade device memory, recorder chunks and
+# message snapshots through the one scratch the package keeps; the whole
+# chaos package takes minutes a pass under the detector, so only the pinned
+# corpus hashes, one self-heal test, the concurrent-runs test and the
+# cold/warm test (two runs sharing one scratch) run twice there.
 race-hot:
 	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/policy/ ./internal/remediation/ ./internal/gpusim/ ./internal/trace/ ./internal/freelist/
-	$(GO) test -race -count=2 -run '^(TestCorpusTraceHashPinned|TestSelfHealByteDeterministic|TestConcurrentRunsKeepTheirHashes)$$' ./internal/chaos/
+	$(GO) test -race -count=2 -run '^(TestCorpusTraceHashPinned|TestSelfHealByteDeterministic|TestConcurrentRunsKeepTheirHashes|TestColdAndWarmRunsAgree)$$' ./internal/chaos/
 
 # fuzz runs the native fuzz targets for 10 s each (their seed corpora also
 # run as part of `test`). Schedule IR: random (algorithm, op, ranks, root,
@@ -84,9 +85,10 @@ fuzz:
 # committed result file, and pass the full test suite twice — once plain,
 # once under the race detector. The suite holds the architecture gate,
 # TestArchitecture (the one door for reconfiguration, the one attach site
-# for observers, the one tenant runner and an exported surface that
-# non-test code reaches), so check type-checks the repository for it once
-# per pass rather than once per rule.
+# for observers, the one tenant runner, an exported surface that non-test
+# code reaches and no free list in a package variable), so check
+# type-checks the repository for it once per pass rather than once per
+# rule.
 check: build fmt vet goldens test race
 
 # goldens regenerates every result file EXPERIMENTS.md quotes, plus the
@@ -112,18 +114,20 @@ goldens: $(MCCS)
 	$(MCCS) selfheal -seeds 4 -jsonl results/selfheal.jsonl -doctor results/selfheal.doctor.txt > results/selfheal.txt
 	git diff --exit-code --stat -- results/
 
-# api, door, observers and tenants are the four rules of the architecture
-# gate, TestArchitecture in architecture_test.go: the root module and bench/
-# are type-checked once with go/types (stdlib only; a type error or a
-# failed `go list` fails the gate), and each rule is applied to what every
-# identifier resolves to, so a method value or an aliased import counts
-# like a call. Its one allowlist gives every exception its reason.
+# api, door, observers, tenants and state are the five rules of the
+# architecture gate, TestArchitecture in architecture_test.go: the root
+# module and bench/ are type-checked once with go/types (stdlib only; a
+# type error or a failed `go list` fails the gate), and each rule is
+# applied to what every identifier resolves to, so a method value or an
+# aliased import counts like a call. Its one allowlist gives every
+# exception its reason.
 #   api: every exported function or method declared in a non-test file
 #     under internal/ is referred to by something other than its own
 #     package's tests (a String method, a method of a type mccs.go
 #     re-exports and a method that implements a used interface count as
-#     used). Dead code its tests keep alive is deleted; a test oracle
-#     lives in a test file.
+#     used; for a module interface, only when that interface's method of
+#     the same name is used). Dead code its tests keep alive is deleted; a
+#     test oracle lives in a test file.
 #   door: only internal/policy decides a communicator's strategy or
 #     routes (the Reconfigure and UpdateRoutes methods); internal/mccsd
 #     executes, and the chaos reconfig storm in internal/chaos/inject.go is
@@ -134,10 +138,14 @@ goldens: $(MCCS)
 #   tenants: only internal/workload joins a communicator (CommInitRank),
 #     so the tenant lifecycle changes in one place; the chaos ranks
 #     (internal/chaos/runseed.go), bench/ and examples/ are the exceptions.
+#   state: no package variable, test files included, is or holds a
+#     freelist.List: scratch memory belongs to a deployment
+#     (mccsd.Scratch), and only the chaos harness keeps one for the runs
+#     it makes in a row (internal/chaos/runseed.go).
 # A reference in the package that declares the target counts too; test
-# files may do all of it. CI and `check` (through `test`) run the four
+# files may do all but state. CI and `check` (through `test`) run the five
 # together, once.
-api door observers tenants:
+api door observers tenants state:
 	$(GO) test -count=1 -run '^TestArchitecture$$/^$@$$' .
 
 # chaos runs the seeded chaos sweep on its own (it is also part of

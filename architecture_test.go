@@ -1,8 +1,8 @@
 // The architecture gate (`make api`, `make door`, `make observers`, `make
-// tenants`): the root module and bench/ are type-checked once with
-// go/types, and four rules are applied to what every identifier resolves
-// to, so a method value, an aliased import or two functions that share a
-// name are seen for what they are.
+// tenants`, and the state rule): the root module and bench/ are
+// type-checked once with go/types, and five rules are applied to what
+// every identifier resolves to, so a method value, an aliased import or
+// two functions that share a name are seen for what they are.
 package mccs_test
 
 import (
@@ -38,9 +38,10 @@ var archAllowed = []struct{ rule, where, reason string }{
 	{"tenants", "internal/chaos/runseed.go", "chaos ranks allocate backed buffers per op and check every result against the closed form, which Launch does not"},
 	{"tenants", "bench/", "the frozen benchmark module"},
 	{"tenants", "examples/", "the public-API demos"},
+	{"state", "internal/chaos/runseed.go", "chaos runs many environments in a row (a sweep, the benchmark's seeds), so it keeps the one mccsd.Scratch they share"},
 }
 
-// archRules are the four rules, each a function from the type-checked
+// archRules are the five rules, each a function from the type-checked
 // program to every reference it forbids, before the allowlist.
 var archRules = []struct {
 	name string
@@ -67,6 +68,9 @@ var archRules = []struct {
 	{"tenants", referrers("joins a communicator outside workload.Launch", func(fn *types.Func) bool {
 		return isModuleMethod(fn, "CommInitRank")
 	})},
+	// Scratch memory belongs to a deployment (mccsd.Scratch): no package
+	// variable holds a free list.
+	{"state", freeListVars},
 }
 
 func TestArchitecture(t *testing.T) {
@@ -345,13 +349,15 @@ func referrers(does string, target func(*types.Func) bool) func(*archProgram) []
 // file of the declaring package's directory. A method that nothing names
 // still counts as used when it is String (fmt calls it), when its type is
 // re-exported by a type alias of the root package (the public API), or
-// when its type implements an interface that has the method and one of
-// whose methods is used.
+// when its type implements an interface that has the method and is used:
+// a module interface only when its method of that name is used, a std
+// interface (which std code calls) when any of its methods is.
 func deadExports(p *archProgram) []archHit {
 	decls := map[token.Pos]*types.Func{}
 	used := map[token.Pos]bool{}
 	aliased := map[token.Pos]bool{}
-	ifaces := map[string]*types.Interface{} // interfaces with a used method
+	ifaces := map[string]*types.Interface{}   // interfaces with a used method
+	ifaceUsed := map[string]map[string]bool{} // interface -> its used methods
 	for _, u := range p.units {
 		for _, f := range u.files {
 			rel := p.rel(f.Pos())
@@ -387,7 +393,12 @@ func deadExports(p *archProgram) []archHit {
 			used[fn.Pos()] = true
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 				if it, ok := recv.Type().Underlying().(*types.Interface); ok {
-					ifaces[types.TypeString(recv.Type(), nil)] = it
+					key := types.TypeString(recv.Type(), nil)
+					ifaces[key] = it
+					if ifaceUsed[key] == nil {
+						ifaceUsed[key] = map[string]bool{}
+					}
+					ifaceUsed[key][fn.Name()] = true
 				}
 			}
 		}
@@ -400,12 +411,53 @@ func deadExports(p *archProgram) []archHit {
 		key := fn.Pkg().Name() + "." + fn.Name()
 		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 			named := recvNamed(recv.Type())
-			if fn.Name() == "String" || aliased[named.Obj().Pos()] || implementsUsed(named, fn.Name(), ifaces) {
+			if fn.Name() == "String" || aliased[named.Obj().Pos()] || implementsUsed(named, fn.Name(), ifaces, ifaceUsed) {
 				continue
 			}
 			key = fn.Pkg().Name() + "." + named.Obj().Name() + "." + fn.Name()
 		}
 		hits = append(hits, archHit{key, fmt.Sprintf("%s: %s has no referrer outside its own package's tests; delete it, or move a test oracle into a test file", p.position(pos), key)})
+	}
+	return hits
+}
+
+// freeListVars is the state rule: a package-level variable, in any file,
+// whose type is a freelist.List, a pointer to one, or a struct or array
+// that holds one by value.
+func freeListVars(p *archProgram) []archHit {
+	var holds func(t types.Type) bool
+	holds = func(t types.Type) bool {
+		if n, ok := types.Unalias(t).(*types.Named); ok && n.Origin().Obj().Pkg() != nil &&
+			n.Origin().Obj().Pkg().Path()+"."+n.Origin().Obj().Name() == "mccs/internal/freelist.List" {
+			return true
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if holds(u.Field(i).Type()) {
+					return true
+				}
+			}
+		case *types.Array:
+			return holds(u.Elem())
+		}
+		return false
+	}
+	var hits []archHit
+	for _, u := range p.units {
+		for _, obj := range u.info.Defs {
+			v, ok := obj.(*types.Var)
+			if !ok || v.Parent() != u.pkg.Scope() {
+				continue
+			}
+			t := v.Type()
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			if holds(t) {
+				hits = append(hits, archHit{p.rel(v.Pos()), fmt.Sprintf("%s: package variable %s holds a free list (%s); a deployment owns its scratch memory (mccsd.Scratch)", p.position(v.Pos()), v.Name(), v.Type())})
+			}
+		}
 	}
 	return hits
 }
@@ -418,9 +470,10 @@ func recvNamed(t types.Type) *types.Named {
 }
 
 // implementsUsed reports whether *named implements one of ifaces that
-// has a method called name. Signatures are compared as strings, so the
-// type and the interface may come from different variants of a package.
-func implementsUsed(named *types.Named, name string, ifaces map[string]*types.Interface) bool {
+// has a method called name, used (per used) when the interface is the
+// module's. Signatures are compared as strings, so the type and the
+// interface may come from different variants of a package.
+func implementsUsed(named *types.Named, name string, ifaces map[string]*types.Interface, used map[string]map[string]bool) bool {
 	mset := types.NewMethodSet(types.NewPointer(named))
 	sig := func(f types.Object) string {
 		s := f.Type().(*types.Signature)
@@ -434,7 +487,10 @@ func implementsUsed(named *types.Named, name string, ifaces map[string]*types.In
 		return b.String()
 	}
 next:
-	for _, it := range ifaces {
+	for key, it := range ifaces {
+		if (key == "mccs" || strings.HasPrefix(key, "mccs.") || strings.HasPrefix(key, "mccs/")) && !used[key][name] {
+			continue
+		}
 		has := false
 		for i := 0; i < it.NumMethods(); i++ {
 			m := it.Method(i)
@@ -468,6 +524,8 @@ func (f *Frontend) CommInitRank() {}`,
 type Recorder struct{}
 func NewRecorder() *Recorder { return &Recorder{} }
 func Attach(r *Recorder)     {}`,
+	"internal/freelist/freelist.go": `package freelist
+type List[T any] struct{ bins [][]T }`,
 	"internal/telemetry/telemetry.go": `package telemetry
 func Attach() {}`,
 	"internal/diagnosis/diagnosis.go": `package diagnosis
@@ -558,6 +616,18 @@ func (k Kind) String() string { return "" }`,
 			"internal/mccsd/service.go": "package mccsd\nfunc (f *Frontend) MemAlloc() {}",
 			"mccs.go":                   "package mccs\nimport \"mccs/internal/mccsd\"\ntype Frontend = mccsd.Frontend",
 		}},
+		{"api: a module interface's method that nobody calls", "api", map[string]string{
+			"internal/proxy/placer.go": `package proxy
+type Placer interface {
+	Place()
+	Name() string
+}
+type BinPack struct{}
+func (BinPack) Place()       {}
+func (BinPack) Name() string { return "" }
+func Run(p Placer)           { p.Place() }`,
+			"cmd/app/place.go": "package main\nimport \"mccs/internal/proxy\"\nfunc place() { proxy.Run(proxy.BinPack{}) }",
+		}},
 		{"door: call", "door", map[string]string{
 			"internal/harness/reconf.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc reconf(d *mccsd.Deployment) { d.Reconfigure() }",
 		}},
@@ -585,6 +655,22 @@ func (k Kind) String() string { return "" }`,
 		}},
 		{"tenants: a doc comment is not a use", "", map[string]string{
 			"internal/harness/doc.go": "// A tenant calls f.CommInitRank(p, key, n, rank, gpu).\npackage harness",
+		}},
+		{"state: a package variable is a free list", "state", map[string]string{
+			"internal/gpusim/pool.go": "package gpusim\nimport \"mccs/internal/freelist\"\nvar pool freelist.List[float32]",
+		}},
+		{"state: a package variable holds one by value", "state", map[string]string{
+			"internal/trace/store.go": `package trace
+import "mccs/internal/freelist"
+type stores struct{ chunks [2]freelist.List[Recorder] }
+var store = new(stores)`,
+		}},
+		{"state: a local list and a list behind a field may", "", map[string]string{
+			"internal/gpusim/device.go": `package gpusim
+import "mccs/internal/freelist"
+type device struct{ backings *freelist.List[float32] }
+var devices []device
+func alloc() { var l freelist.List[float32]; devices = append(devices, device{&l}) }`,
 		}},
 	}
 	for _, row := range rows {

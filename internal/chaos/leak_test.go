@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mccs/internal/mccsd"
+	"mccs/internal/remediation"
 )
 
 // liveHeap returns the bytes still reachable after a full collection.
@@ -52,18 +55,19 @@ func TestRunSeedReleasesItsEnvironment(t *testing.T) {
 	}
 }
 
-// TestRepeatedRunReusesDeviceMemory: a run's backed buffers go back to
-// gpusim's free list when its environment closes, so a second run of the
-// same seed takes its device memory from there rather than from the heap.
-// A self-heal run allocates ≈ 110 MB when its device memory is fresh.
+// TestRepeatedRunReusesDeviceMemory: a run's backed buffers go back to its
+// deployment's scratch when its environment closes, so a second run of the
+// same seed on that scratch takes its device memory from there rather than
+// from the heap. A self-heal run allocates ≈ 110 MB when its device memory
+// is fresh.
 func TestRepeatedRunReusesDeviceMemory(t *testing.T) {
-	sc := SelfHeal()
-	if res := RunSeedHealed(sc, 1); res.Err != nil {
+	sc, opts := SelfHeal(), runOpts{doctor: true, heal: true, healCfg: remediation.DefaultConfig(), scratch: new(mccsd.Scratch)}
+	if res, _ := runSeed(sc, 1, opts); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res := RunSeedHealed(sc, 1)
+	res, _ := runSeed(sc, 1, opts)
 	runtime.ReadMemStats(&after)
 	if res.Err != nil {
 		t.Fatal(res.Err)

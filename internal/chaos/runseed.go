@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"os"
@@ -109,8 +110,12 @@ type runOpts struct {
 	healCfg remediation.Config
 	// tamper, when set, is the run's checker.tamper: the probe that
 	// proves a corrupted result fails the run.
-	tamper func(rank, idx int, recv, send []float32)
+	tamper  func(rank, idx int, recv, send []float32)
+	scratch *mccsd.Scratch // replaces the package's when set: a fresh one is a cold run
 }
+
+// scratch is the one mccsd.Scratch of the runs the package makes in a row.
+var scratch mccsd.Scratch
 
 // RunSeed executes one seeded chaos run and checks every invariant.
 // The same (scenario, seed) pair always produces the identical event
@@ -215,6 +220,7 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 		System: ncclsim.MCCS, Salt: seed,
 		Mutate: func(c *mccsd.Config) {
 			c.Proxy.UnsafeSkipSeqBarrier = sc.SkipSeqBarrier
+			c.Scratch = cmp.Or(opts.scratch, &scratch)
 		},
 		Observers: harness.Observers{TraceCap: chaosTraceCap, TelemetryEvery: chaosTelemetryEvery, Doctor: opts.doctor},
 	})

@@ -2,35 +2,32 @@ package chaos
 
 import (
 	"bytes"
-	"flag"
-	"fmt"
-	"os"
-	"os/exec"
-	"strconv"
 	"testing"
 
+	"mccs/internal/mccsd"
+	"mccs/internal/remediation"
 	"mccs/internal/trace"
 )
 
-// coldWarmArg, given to the test binary after its flags with a case index,
-// makes TestColdAndWarmRunsAgree run that case in the fresh process instead
-// of spawning one per case.
-const coldWarmArg = "cold-warm"
-
-// coldWarmCases are the runs TestColdAndWarmRunsAgree repeats: a diagnosed
-// corpus run under external congestion, whose chunks hold flow spans with
-// Route, Rates and Label set when the second run takes them over, and a
-// self-heal run.
+// coldWarmCases are the runs TestColdAndWarmRunsAgree repeats on one
+// scratch: a diagnosed corpus run under external congestion, whose chunks
+// hold flow spans with Route, Rates and Label set when the second run takes
+// them over, and a self-heal run.
 var coldWarmCases = []struct {
 	name string
-	run  func() DoctorRun
+	run  func(*mccsd.Scratch) DoctorRun
 	// labeled requires a flow span with Route, Rates and Label set.
 	labeled bool
 }{
-	{"reconfig-storm/2", func() DoctorRun { return RunSeedDiagnosed(ReconfigStorm(), 2) }, true},
-	{"self-heal/1", func() DoctorRun {
-		hr := RunSeedHealed(SelfHeal(), 1)
-		return DoctorRun{Result: hr.Result, Report: hr.Doctor, Recording: hr.Recording}
+	{"reconfig-storm/2", func(mem *mccsd.Scratch) DoctorRun {
+		res, dr := runSeed(ReconfigStorm(), 2, runOpts{doctor: true, scratch: mem})
+		dr.Result = res
+		return *dr
+	}, true},
+	{"self-heal/1", func(mem *mccsd.Scratch) DoctorRun {
+		res, dr := runSeed(SelfHeal(), 1, runOpts{doctor: true, heal: true, healCfg: remediation.DefaultConfig(), scratch: mem})
+		dr.Result = res
+		return *dr
 	}, false},
 }
 
@@ -59,39 +56,25 @@ func digestOf(t *testing.T, dr DoctorRun) runDigest {
 }
 
 // TestColdAndWarmRunsAgree: a run's device backings, trace chunks and
-// message snapshots go back to process-wide stores when its environment
-// closes, and the next run takes from them. Each case runs twice in a
-// fresh process — first on empty stores, then on the ones the first run
-// filled — and both runs must give the same Result (trace hash, events,
-// error), the same recording fingerprint and the same doctor report.
+// message snapshots go back to its deployment's scratch when its
+// environment closes, and the next run sharing the scratch takes from it.
+// Each case runs twice on a fresh scratch — first on empty stores, then on
+// the ones the first run filled — and both runs must give the same Result
+// (trace hash, events, error), the same recording fingerprint and the same
+// doctor report: a store that handed one slice out twice would corrupt the
+// warm run.
 func TestColdAndWarmRunsAgree(t *testing.T) {
-	if flag.Arg(0) == coldWarmArg {
-		i, err := strconv.Atoi(flag.Arg(1))
-		if err != nil || i < 0 || i >= len(coldWarmCases) {
-			t.Fatalf("bad case index %q", flag.Arg(1))
-		}
-		c := coldWarmCases[i]
-		cold := c.run()
+	for _, c := range coldWarmCases {
+		mem := new(mccsd.Scratch)
+		cold := c.run(mem)
 		if !holdsFlowSpan(cold.Recording, c.labeled) {
 			t.Fatalf("%s: no flow span with Route and Rates (and Label: %v) set", c.name, c.labeled)
 		}
-		a, b := digestOf(t, cold), digestOf(t, c.run())
+		a, b := digestOf(t, cold), digestOf(t, c.run(mem))
 		if a != b {
-			t.Fatalf("%s: cold run %+v\nwarm run %+v", c.name, a, b)
+			t.Errorf("%s: cold run %+v\nwarm run %+v", c.name, a, b)
 		}
-		fmt.Printf("%s: hash %#x events %d spans %d: cold and warm agree\n", c.name, a.hash, a.events, a.spans)
-		return
-	}
-	for i, c := range coldWarmCases {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestColdAndWarmRunsAgree$", coldWarmArg, strconv.Itoa(i))
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Errorf("%s in a fresh process: %v\n%s", c.name, err, out)
-			continue
-		}
-		if !bytes.Contains(out, []byte(c.name+": hash")) {
-			t.Errorf("%s in a fresh process ran no case:\n%s", c.name, out)
-		}
+		t.Logf("%s: hash %#x events %d spans %d err %q", c.name, a.hash, a.events, a.spans, a.err)
 	}
 }
 

@@ -128,8 +128,7 @@ func (j *JobResult) MeanAR() time.Duration {
 
 // RunResult is a full simulation outcome.
 type RunResult struct {
-	Config Config
-	Jobs   []JobResult
+	Jobs []JobResult
 }
 
 // MeanARs returns every job's mean AllReduce time in job-ID order
@@ -323,7 +322,7 @@ func (m *sim11) simulate() (*RunResult, error) {
 	if err := s.Run(); err != nil {
 		return nil, err
 	}
-	return &RunResult{Config: m.cfg, Jobs: m.results}, nil
+	return &RunResult{Jobs: m.results}, nil
 }
 
 // arrive is the arrival process. Each dispatch admits the next job, with a

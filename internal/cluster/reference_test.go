@@ -62,7 +62,7 @@ func referenceRun(cfg Config) (*RunResult, error) {
 	if err := s.Run(); err != nil {
 		return nil, err
 	}
-	return &RunResult{Config: cfg, Jobs: m.results}, nil
+	return &RunResult{Jobs: m.results}, nil
 }
 
 type refJob struct {

@@ -1,10 +1,10 @@
-// Package freelist is the one free-list form behind the process-wide
-// stores that run-scoped scratch memory goes back to when its run ends:
-// device backings (gpusim), flight-recorder chunks (trace) and message
-// snapshots (proxy). A store fills only through an explicit Put — a freed
-// buffer, a released recorder, a destroyed or closed communicator — and the
-// next run takes from it before it allocates, the way the MCCS service
-// keeps its memory across tenants' communicators.
+// Package freelist is the one free-list form behind the deployment's
+// scratch memory (mccsd.Scratch): device backings (gpusim), flight-recorder
+// chunks (trace) and message snapshots (proxy). A store fills only through
+// an explicit Put — a freed buffer, a released recorder, a destroyed or
+// closed communicator — and the next run sharing it takes from it before it
+// allocates, the way the MCCS service keeps its memory across tenants'
+// communicators.
 package freelist
 
 import (
@@ -19,7 +19,7 @@ import (
 // a run draws. It is not a sync.Pool: a collection would empty that, and
 // the next run would fault its memory in afresh. The lock is taken per Get
 // and Put, never on a data path. The zero value is an empty list, safe for
-// concurrent use.
+// concurrent use; a nil list recycles nothing (Get misses, Put drops).
 type List[T any] struct {
 	mu   sync.Mutex
 	bins [64][][]T
@@ -29,7 +29,7 @@ type List[T any] struct {
 // when none fits (or n <= 0). Its elements are what its last owner left in
 // them: a caller that needs zeroes clears it.
 func (l *List[T]) Get(n int) []T {
-	if n <= 0 {
+	if l == nil || n <= 0 {
 		return nil
 	}
 	lo := bits.Len(uint(n)) - 1
@@ -60,9 +60,9 @@ func (l *List[T]) Get(n int) []T {
 }
 
 // Put hands s to the list; the caller keeps no reference to it. A slice of
-// zero capacity is dropped.
+// zero capacity is dropped, and so is every slice put to a nil list.
 func (l *List[T]) Put(s []T) {
-	if cap(s) == 0 {
+	if l == nil || cap(s) == 0 {
 		return
 	}
 	k := bits.Len(uint(cap(s))) - 1

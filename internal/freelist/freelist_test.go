@@ -87,3 +87,13 @@ func TestConcurrentGetPut(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestNilListRecyclesNothing: a nil list is the owner's way to say no
+// memory is kept between runs: Put drops the slice and Get misses.
+func TestNilListRecyclesNothing(t *testing.T) {
+	var l *List[int]
+	l.Put(make([]int, 8))
+	if s := l.Get(8); s != nil {
+		t.Errorf("a nil list handed out a slice of capacity %d", cap(s))
+	}
+}

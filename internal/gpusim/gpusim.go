@@ -11,11 +11,11 @@
 //
 // Backed storage outlives the buffer that held it: Free, and Device.Reset
 // (the cudaDeviceReset analogue a deployment runs when it closes), hand it
-// to a process-wide free list that later allocations, on any device of any
-// deployment, draw from. A recycled buffer is cleared and reads exactly
-// like a fresh one, so the simulation cannot tell; a buffer is unreadable
-// once freed or reset (Data returns nil), and a slice taken from Data
-// before then must not be used after it.
+// to the device's free list, which its deployment owns (mccsd.Scratch). A
+// recycled buffer is cleared and reads exactly like a fresh one, so the
+// simulation cannot tell; a buffer is unreadable once freed or reset (Data
+// returns nil), and a slice taken from Data before then must not be used
+// after it.
 package gpusim
 
 import (
@@ -53,18 +53,19 @@ type Device struct {
 	cfg        DeviceConfig
 	s          *sim.Scheduler
 	allocated  int64
-	nextBuf    int
-	nextStream int
+	nextBuf    int32 // 32-bit counters keep a Device in the 80-byte size class
+	nextStream int32
 	buffers    map[int]*Buffer
+	backings   *freelist.List[float32] // backed buffers come from and go back to it; nil recycles none
 
 	// slow divides the effective memory bandwidth; 1 is nominal speed.
 	// Fault injection uses it to turn the device into a straggler.
 	slow float64
 }
 
-// NewDevice creates a device with the given ID and config.
-func NewDevice(s *sim.Scheduler, id int, cfg DeviceConfig) *Device {
-	return &Device{ID: id, cfg: cfg, s: s, buffers: make(map[int]*Buffer), slow: 1}
+// NewDevice creates a device with the given ID, config and free list.
+func NewDevice(s *sim.Scheduler, id int, cfg DeviceConfig, backings *freelist.List[float32]) *Device {
+	return &Device{ID: id, cfg: cfg, s: s, buffers: make(map[int]*Buffer), backings: backings, slow: 1}
 }
 
 // SetSlowdown makes every kernel on the device take factor times longer
@@ -143,9 +144,13 @@ func (d *Device) alloc(bytes int64, backed bool) (*Buffer, error) {
 	}
 	d.allocated += bytes
 	d.nextBuf++
-	b := &Buffer{dev: d, id: d.nextBuf, bytes: bytes, refs: 1}
+	b := &Buffer{dev: d, id: int(d.nextBuf), bytes: bytes, refs: 1}
 	if backed {
-		b.data = newBacking(int(bytes / 4))
+		if b.data = d.backings.Get(int(bytes / 4)); b.data != nil {
+			clear(b.data)
+		} else {
+			b.data = make([]float32, bytes/4)
+		}
 	}
 	d.buffers[b.id] = b
 	return b, nil
@@ -153,7 +158,7 @@ func (d *Device) alloc(bytes int64, backed bool) (*Buffer, error) {
 
 // Free releases the buffer. Freeing while IPC handles remain open is an
 // error, mirroring CUDA's ownership rules. The backing goes back to the
-// free list: Data reads nil from here on.
+// device's free list: Data reads nil from here on.
 func (b *Buffer) Free() error {
 	if b.freed {
 		return fmt.Errorf("gpusim: double free of buffer %d on device %d", b.id, b.dev.ID)
@@ -171,37 +176,21 @@ func (b *Buffer) Free() error {
 // release marks the buffer freed and returns its backing.
 func (b *Buffer) release() {
 	b.freed = true
-	if b.data != nil {
-		storage.Put(b.data)
-		b.data = nil
-	}
+	b.dev.backings.Put(b.data)
+	b.data = nil
 }
 
 // Reset frees every buffer still allocated on the device, open IPC
 // mappings and in-flight uses notwithstanding (cudaDeviceReset): each one
-// reads as freed, its backing back on the free list. Call it only once
-// nothing will read or write the device's buffers again — a closed
-// deployment, its scheduler shut down.
+// reads as freed, its backing back on the device's free list. Call it
+// only once nothing will read or write the device's buffers again — a
+// closed deployment, its scheduler shut down.
 func (d *Device) Reset() {
 	for id, b := range d.buffers {
 		b.release()
 		delete(d.buffers, id)
 	}
 	d.allocated = 0
-}
-
-// storage is the free list every device's backed buffers come from and
-// return to (freelist.List: tightest fit over floor-log2 bins). The lock is
-// taken per allocation and release, never on a kernel's data path.
-var storage freelist.List[float32]
-
-// newBacking returns a zeroed backing of n elements, recycled when one fits.
-func newBacking(n int) []float32 {
-	if s := storage.Get(n); s != nil {
-		clear(s)
-		return s
-	}
-	return make([]float32, n)
 }
 
 // MemHandle is an inter-process memory handle (cudaIpcGetMemHandle
@@ -357,7 +346,7 @@ type Stream struct {
 // NewStream creates a stream on the device.
 func (d *Device) NewStream(name string) *Stream {
 	d.nextStream++
-	return &Stream{dev: d, name: name, id: d.nextStream}
+	return &Stream{dev: d, name: name, id: int(d.nextStream)}
 }
 
 // Depth returns the number of pending operations (including the running

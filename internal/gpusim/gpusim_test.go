@@ -6,10 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"mccs/internal/freelist"
 	"mccs/internal/sim"
 )
 
-func newDev(s *sim.Scheduler) *Device { return NewDevice(s, 0, DefaultConfig()) }
+func newDev(s *sim.Scheduler) *Device { return NewDevice(s, 0, DefaultConfig(), nil) }
 
 func TestAllocAccounting(t *testing.T) {
 	s := sim.New()
@@ -37,7 +38,7 @@ func TestAllocAccounting(t *testing.T) {
 
 func TestAllocOOM(t *testing.T) {
 	s := sim.New()
-	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1024, MemBandwidth: 1e9, LaunchLatency: 0})
+	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1024, MemBandwidth: 1e9, LaunchLatency: 0}, nil)
 	if _, err := d.Alloc(2048); err == nil {
 		t.Error("over-capacity allocation accepted")
 	}
@@ -96,11 +97,11 @@ func TestAllocBackedWholeElements(t *testing.T) {
 }
 
 // TestFreedBackingIsRecycledCleared: Free hands a buffer's backing to the
-// free list and leaves the buffer unreadable; the next allocation of that
-// size gets the same memory, cleared, so it reads like a fresh one.
+// device's free list and leaves the buffer unreadable; the next allocation
+// of that size gets the same memory, cleared, so it reads like a fresh one.
 func TestFreedBackingIsRecycledCleared(t *testing.T) {
-	const n = 12347 // elements; no other test allocates this size
-	d := newDev(sim.New())
+	const n = 12347 // elements
+	d := NewDevice(sim.New(), 0, DefaultConfig(), new(freelist.List[float32]))
 	b, err := d.AllocBacked(n * 4)
 	if err != nil {
 		t.Fatal(err)
@@ -137,16 +138,17 @@ func TestFreedBackingIsRecycledCleared(t *testing.T) {
 }
 
 // TestRecyclerSharedAcrossDevices: devices of separate deployments, each
-// driven by its own goroutine, allocate from and release to the one free
-// list; every allocation must read zeroed and stay private to its buffer.
-// Run it under -race.
+// driven by its own goroutine, allocate from and release to one shared
+// free list; every allocation must read zeroed and stay private to its
+// buffer. Run it under -race.
 func TestRecyclerSharedAcrossDevices(t *testing.T) {
+	var backings freelist.List[float32]
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			d := NewDevice(sim.New(), w, DefaultConfig())
+			d := NewDevice(sim.New(), w, DefaultConfig(), &backings)
 			for round := 0; round < 50; round++ {
 				var bufs []*Buffer
 				for i := 1; i <= 8; i++ {
@@ -270,7 +272,7 @@ func TestIPCHandleLifecycle(t *testing.T) {
 
 func TestStreamOrderingAndTiming(t *testing.T) {
 	s := sim.New()
-	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1 << 30, MemBandwidth: 1e9, LaunchLatency: time.Microsecond})
+	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1 << 30, MemBandwidth: 1e9, LaunchLatency: time.Microsecond}, nil)
 	st := d.NewStream("s")
 	var order []string
 	var endTimes []sim.Time
@@ -303,7 +305,7 @@ func TestStreamOrderingAndTiming(t *testing.T) {
 
 func TestEventCrossStream(t *testing.T) {
 	s := sim.New()
-	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1 << 30, MemBandwidth: 1e9, LaunchLatency: 0})
+	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1 << 30, MemBandwidth: 1e9, LaunchLatency: 0}, nil)
 	a := d.NewStream("a")
 	b := d.NewStream("b")
 	ev := NewEvent()
@@ -346,7 +348,7 @@ func TestEventReRecordSnapshotsAtWaitTime(t *testing.T) {
 	// WaitEvent must wait on the record instance current at call time,
 	// not on later re-records.
 	s := sim.New()
-	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1 << 30, MemBandwidth: 1e9, LaunchLatency: 0})
+	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1 << 30, MemBandwidth: 1e9, LaunchLatency: 0}, nil)
 	a := d.NewStream("a")
 	b := d.NewStream("b")
 	ev := NewEvent()
@@ -371,7 +373,7 @@ func TestEventReRecordSnapshotsAtWaitTime(t *testing.T) {
 
 func TestEventWaitHost(t *testing.T) {
 	s := sim.New()
-	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1 << 30, MemBandwidth: 1e9, LaunchLatency: 0})
+	d := NewDevice(s, 0, DeviceConfig{MemoryBytes: 1 << 30, MemBandwidth: 1e9, LaunchLatency: 0}, nil)
 	st := d.NewStream("s")
 	ev := NewEvent()
 	var doneAt sim.Time

@@ -26,7 +26,6 @@ import (
 
 // ChurnConfig parameterizes one churn run.
 type ChurnConfig struct {
-	System ncclsim.System
 	// Seed drives the arrival stream: same seed, same binary => the
 	// same job mix, placements, and byte-identical report.
 	Seed uint64
@@ -55,7 +54,6 @@ type ChurnConfig struct {
 // MCCS service with churn-triggered FFA reconfiguration on.
 func DefaultChurnConfig() ChurnConfig {
 	return ChurnConfig{
-		System:      ncclsim.MCCS,
 		Seed:        1,
 		Jobs:        8,
 		MeanGap:     30 * time.Millisecond,
@@ -65,7 +63,6 @@ func DefaultChurnConfig() ChurnConfig {
 
 // ChurnResult reports one churn run.
 type ChurnResult struct {
-	Config ChurnConfig
 	// Jobs is every generated job in submission order, with lifecycle
 	// timestamps, placement and workload results filled in.
 	Jobs []*orchestrator.Job
@@ -164,10 +161,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if cfg.MeanGap <= 0 {
 		cfg.MeanGap = 30 * time.Millisecond
 	}
-	if (cfg.Reconfigure || cfg.Autotune) && ncclsim.Config(cfg.System).Baseline {
-		return nil, fmt.Errorf("harness: churn reconfiguration requires a service-mode system")
-	}
-	env, err := NewEnv(EnvOptions{System: cfg.System, Salt: cfg.Seed, Observers: cfg.Observers})
+	env, err := NewEnv(EnvOptions{System: ncclsim.MCCS, Salt: cfg.Seed, Observers: cfg.Observers})
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +196,6 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		return nil, err
 	}
 	res := &ChurnResult{
-		Config:      cfg,
 		Jobs:        orch.Jobs(),
 		Reconfigs:   orch.Reconfigs(),
 		Utilization: orch.Utilization(),

@@ -134,8 +134,6 @@ func scheduleLine(j *orchestrator.Job) string {
 // NCCL baseline.
 type zigzagPlacer struct{}
 
-func (zigzagPlacer) Name() string { return "zigzag" }
-
 func (zigzagPlacer) Place(c *topo.Cluster, free []topo.GPUID, n int) ([]topo.GPUID, bool) {
 	gpus, ok := orchestrator.RackSpread{}.Place(c, free, n)
 	if !ok {

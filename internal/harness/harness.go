@@ -35,10 +35,10 @@ import (
 // service loops are daemons parked forever, and each parked goroutine keeps
 // the whole environment (trace ring, telemetry samples, fabric) reachable
 // until it is unwound — and then closes the deployment, whose device memory
-// goes back to gpusim's free list and whose communicators' idle message
-// snapshots go back to the proxy's: a backed buffer reads nil from then on,
-// and a slice taken from one before must not be used after. Last, the
-// flight recorder is released: its chunks go back to the trace chunk store
+// and communicators' idle message snapshots go back to its scratch
+// (mccsd.Config.Scratch; only chaos sets one): a backed buffer reads nil
+// from then on, and a slice taken from one before must not be used after.
+// Last, the flight recorder is released: its chunks go back to the scratch
 // and it holds no span, so take any Recording (Recorder.Snapshot) first.
 type Env struct {
 	S          *sim.Scheduler
@@ -104,8 +104,8 @@ type EnvOptions struct {
 	// come from exactly this variance).
 	Salt uint64
 	// Mutate edits the system's service config before the deployment is
-	// built. The chaos harness weakens the reconfiguration protocol with
-	// it; ablations override individual knobs.
+	// built. The chaos harness weakens the reconfiguration protocol and
+	// sets its mccsd.Scratch with it; ablations override individual knobs.
 	Mutate    func(*mccsd.Config)
 	Observers Observers
 }
@@ -193,8 +193,8 @@ var envBuilt func(*Env)
 // Close tears the environment down; see Env. It releases, in order: the
 // scheduler's parked processes (Shutdown), the deployment's device memory
 // and its live communicators' idle message snapshots (Deployment.Close),
-// and the flight recorder's chunks (trace.Recorder.Release), each to the
-// process-wide store the next environment takes from.
+// and the flight recorder's chunks (trace.Recorder.Release), each into the
+// deployment's scratch, which the next environment sharing it takes from.
 func (e *Env) Close() {
 	e.S.Shutdown()
 	e.Deployment.Close()
@@ -328,7 +328,6 @@ type SingleAppConfig struct {
 
 // SingleAppResult aggregates one Fig. 6 cell.
 type SingleAppResult struct {
-	Config SingleAppConfig
 	// AlgBW and BusBW summarize per-iteration bandwidth in bytes/sec.
 	AlgBW metrics.Summary
 	BusBW metrics.Summary
@@ -357,9 +356,8 @@ func RunSingleApp(cfg SingleAppConfig) (SingleAppResult, error) {
 		busbw[i] = v * factor
 	}
 	return SingleAppResult{
-		Config: cfg,
-		AlgBW:  metrics.Summarize(algbw),
-		BusBW:  metrics.Summarize(busbw),
+		AlgBW: metrics.Summarize(algbw),
+		BusBW: metrics.Summarize(busbw),
 	}, nil
 }
 

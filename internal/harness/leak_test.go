@@ -16,8 +16,8 @@ import (
 // environment once the results are out (see Env). Without the scheduler's
 // shutdown each call leaves its goroutines — and through them its whole
 // environment — behind; without the deployment's close its device memory
-// never goes back to the free list. A backed buffer planted on every GPU of
-// every environment the driver builds must read as freed when it returns.
+// is never freed. A backed buffer planted on every GPU of every
+// environment the driver builds must read as freed when it returns.
 func TestDriversShutTheirSchedulerDown(t *testing.T) {
 	var planted []*gpusim.Buffer
 	envBuilt = func(e *Env) {

@@ -49,7 +49,6 @@ type QoSConfig struct {
 	// IterationsA / IterationsBC set each job's length.
 	IterationsA  int
 	IterationsBC int
-	Seed         uint64
 	Observers
 }
 
@@ -67,7 +66,7 @@ func RunQoS(cfg QoSConfig) (QoSResult, error) {
 	if cfg.Solution == SolutionECMP {
 		sys = ncclsim.MCCSNoFA
 	}
-	env, err := NewEnv(EnvOptions{System: sys, Salt: cfg.Seed, Observers: cfg.Observers})
+	env, err := NewEnv(EnvOptions{System: sys, Observers: cfg.Observers})
 	if err != nil {
 		return QoSResult{}, err
 	}

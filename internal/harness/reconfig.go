@@ -28,8 +28,6 @@ type ReconfigConfig struct {
 	BgStart    time.Duration // when the background flow appears
 	BgRate     float64       // background flow rate, bytes/sec
 	ReconfigAt time.Duration // when the controller reverses the ring
-	SwitchBps  float64
-	NICBps     float64
 	// UnserializedConns disables the transport's per-connection FIFO
 	// (the ablation showing why message serialization matters for
 	// recovery after phase skew).
@@ -57,8 +55,6 @@ func DefaultReconfigConfig() ReconfigConfig {
 		BgStart:    7500 * time.Millisecond,
 		BgRate:     75 * 125e6,
 		ReconfigAt: 12 * time.Second,
-		SwitchBps:  100 * 125e6,
-		NICBps:     50 * 125e6,
 	}
 }
 
@@ -86,7 +82,7 @@ type ReconfigResult struct {
 func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 	cluster, err := topo.BuildSwitchRing(topo.RingConfig{
 		Switches: 4, GPUsPerHost: 2, NICsPerHost: 2,
-		NICBps: cfg.NICBps, SwitchBps: cfg.SwitchBps,
+		NICBps: 50 * 125e6, SwitchBps: 100 * 125e6,
 	})
 	if err != nil {
 		return ReconfigResult{}, err

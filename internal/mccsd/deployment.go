@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"mccs/internal/freelist"
 	"mccs/internal/gpusim"
 	"mccs/internal/netsim"
 	"mccs/internal/proxy"
@@ -51,6 +52,19 @@ type Config struct {
 	// Strategy picks initial strategies; nil defaults to rank-order
 	// rings with ECMP routing (what NCCL does with user-assigned ranks).
 	Strategy StrategyProvider
+
+	// Scratch keeps the deployment's memory for the next run sharing it
+	// once Close hands it back; nil keeps none.
+	Scratch *Scratch
+}
+
+// Scratch is the memory a service keeps from one run to the next (paper
+// §3: the service owns GPU memory): device backings, message snapshots and
+// the attached recorder's chunks. The zero value is empty and safe for
+// concurrent deployments.
+type Scratch struct {
+	backings, snapshots freelist.List[float32]
+	chunks              freelist.List[trace.Span]
 }
 
 // DefaultConfig returns the MCCS service configuration with the paper's
@@ -86,6 +100,7 @@ type Deployment struct {
 	services map[topo.HostID]*Service
 
 	comms      map[spec.CommID]*proxy.Comm
+	snapshots  *freelist.List[float32] // the scratch's, for new communicators
 	nextCommID spec.CommID
 	rdv        map[string]*rendezvous
 	destroyed  map[spec.CommID]int
@@ -120,9 +135,14 @@ func NewDeployment(s *sim.Scheduler, cluster *topo.Cluster, fabric *netsim.Fabri
 		d.engines[hid] = transport.NewEngine(s, cluster, fabric, hid, cfg.Transport)
 		d.services[hid] = &Service{dep: d, host: hid, frontends: make(map[spec.AppID]*Frontend)}
 	}
+	var backings *freelist.List[float32]
+	if sc := cfg.Scratch; sc != nil {
+		backings, d.snapshots = &sc.backings, &sc.snapshots
+		trace.Of(s).SetStore(&sc.chunks)
+	}
 	for g := range cluster.GPUs {
 		gid := topo.GPUID(g)
-		d.devices[gid] = gpusim.NewDevice(s, g, cfg.Device)
+		d.devices[gid] = gpusim.NewDevice(s, g, cfg.Device, backings)
 	}
 	// Observers are the caller's to attach (harness.NewEnv); the service
 	// keeps its own collective history (CommTrace) without one.
@@ -170,13 +190,13 @@ func registerTopology(rec *trace.Recorder, cluster *topo.Cluster) {
 	rec.SetLinks(links)
 }
 
-// Close releases the deployment's run-scoped memory for the next
-// deployment: every device is reset (gpusim.Device.Reset), so each buffer
-// still allocated reads as freed and its backing is free, and every
-// communicator still alive hands its idle message snapshots back
-// (proxy.Comm.Release; a destroyed one did when it was destroyed). Shut the
-// scheduler down first; no buffer of the deployment may be read or written
-// afterwards.
+// Close releases the deployment's run-scoped memory into its scratch
+// (Config.Scratch) for the next deployment: every device is reset
+// (gpusim.Device.Reset), so each buffer still allocated reads as freed and
+// its backing is free, and every communicator still alive hands its idle
+// message snapshots back (proxy.Comm.Release; a destroyed one did when it
+// was destroyed). Shut the scheduler down first; no buffer of the
+// deployment may be read or written afterwards.
 func (d *Deployment) Close() {
 	for g := range d.Cluster.GPUs {
 		d.devices[topo.GPUID(g)].Reset()
@@ -314,7 +334,7 @@ func (d *Deployment) register(key string, app spec.AppID, nranks, rank int, gpu 
 			Priority: d.priorities[app],
 		}
 		info.Strategy = d.cfg.Strategy(d.Cluster, &info)
-		comm, err := proxy.NewComm(d.S, d.Cluster, d.engines, d.devices, info, d.cfg.Proxy)
+		comm, err := proxy.NewComm(d.S, d.Cluster, d.engines, d.devices, info, d.cfg.Proxy, d.snapshots)
 		if err != nil {
 			r.fut.Set(d.S, commOrErr{err: err})
 			return r.fut, nil

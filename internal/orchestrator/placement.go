@@ -34,7 +34,6 @@ func (l Locality) String() string {
 // identically. ok is false when no placement exists under the placer's
 // policy (the job stays queued).
 type Placer interface {
-	Name() string
 	Place(c *topo.Cluster, free []topo.GPUID, n int) (gpus []topo.GPUID, ok bool)
 }
 
@@ -101,8 +100,6 @@ func freeByRack(hosts []hostFree) []rackFree {
 // emptiest racks first so the spill touches as few spine paths as
 // possible.
 type BinPack struct{}
-
-func (BinPack) Name() string { return "binpack" }
 
 func (BinPack) Place(c *topo.Cluster, free []topo.GPUID, n int) ([]topo.GPUID, bool) {
 	if n <= 0 || n > len(free) {
@@ -186,8 +183,6 @@ func takeFromHosts(hosts []hostFree, n int) []topo.GPUID {
 // failure-domain spreading and for experiments that want cross-rack
 // rings under contention.
 type RackSpread struct{}
-
-func (RackSpread) Name() string { return "rack-spread" }
 
 func (RackSpread) Place(c *topo.Cluster, free []topo.GPUID, n int) ([]topo.GPUID, bool) {
 	if n <= 0 || n > len(free) {

@@ -31,7 +31,7 @@ func TestRouteUpdatesCoverEveryEdge(t *testing.T) {
 		Algorithm:     spec.AlgoHD,
 		TreeThreshold: 4096,
 	}
-	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig())
+	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRoutePushIsAllOrNothing(t *testing.T) {
 	// Every ring edge crosses the racks, so every one has a second path.
 	order := []int{0, 4, 1, 5, 2, 6, 3, 7}
 	info.Strategy = spec.Strategy{Channels: []spec.ChannelSpec{{Order: order, Route: 0}}}
-	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig())
+	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -492,18 +492,14 @@ func (c *chanRun) land() {
 // collective allocates, and at step-function speed the collector no
 // longer keeps up with them (the heap overshoots its goal while marking).
 // The pool is the communicator's own lock-free front: a miss takes from
-// the process-wide snapStore before it allocates, and release hands the
-// idle snapshots back there when the communicator ends. Bin c holds only
-// slices whose capacity covers 1<<c elements: put files a slice by
+// the deployment's snapshot store before it allocates, and release hands
+// the idle snapshots back there when the communicator ends. Bin c holds
+// only slices whose capacity covers 1<<c elements: put files a slice by
 // floor(log2(cap)), and a fresh one is made with capacity 1<<c.
 type snapPool struct {
-	free [48][][]float32
+	free  [48][][]float32
+	store *freelist.List[float32] // ended communicators' snapshots, all of power-of-two capacity; nil keeps none
 }
-
-// snapStore holds the idle snapshots of communicators that have ended,
-// for the next communicator's misses. Every slice in it has a power-of-two
-// capacity.
-var snapStore freelist.List[float32]
 
 func (sp *snapPool) get(n int64) []float32 {
 	class := bits.Len64(uint64(n - 1))
@@ -512,7 +508,7 @@ func (sp *snapPool) get(n int64) []float32 {
 		sp.free[class] = sp.free[class][:k-1]
 		return b[:n]
 	}
-	if b := snapStore.Get(1 << class); b != nil {
+	if b := sp.store.Get(1 << class); b != nil {
 		return b[:n]
 	}
 	return make([]float32, n, 1<<class)
@@ -523,13 +519,13 @@ func (sp *snapPool) put(b []float32) {
 	sp.free[class] = append(sp.free[class], b)
 }
 
-// release hands every idle snapshot to snapStore and empties the pool.
+// release hands every idle snapshot to the store and empties the pool.
 // A snapshot still riding a message is not idle: if it lands later it
 // comes back to this pool, and goes no further.
 func (sp *snapPool) release() {
 	for c, bin := range sp.free {
 		for _, b := range bin {
-			snapStore.Put(b)
+			sp.store.Put(b)
 		}
 		sp.free[c] = nil
 	}

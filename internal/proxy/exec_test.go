@@ -65,7 +65,7 @@ func TestInterpreterAgainstOracle(t *testing.T) {
 			info.Strategy.Algorithm, info.Strategy.TreeThreshold = tc.algo, tc.tree
 			cfg := DefaultConfig()
 			cfg.MinSliceBytes = 64
-			comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, cfg)
+			comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestExecutorStateIsReusedAcrossOpShapes(t *testing.T) {
 	info.Strategy = twoRings
 	cfg := DefaultConfig()
 	cfg.MinSliceBytes = 64
-	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, cfg)
+	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func (r *rig) hdComm(t *testing.T, gpus []topo.GPUID, nch int, threshold int64) 
 	}
 	info.Strategy.Algorithm = spec.AlgoHD
 	info.Strategy.TreeThreshold = threshold
-	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig())
+	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

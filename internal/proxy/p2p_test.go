@@ -69,7 +69,7 @@ func TestP2PProperty(t *testing.T) {
 				// a count below that leaves some slices empty.
 				cfg.MinSliceBytes = 1
 			}
-			comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, cfg)
+			comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

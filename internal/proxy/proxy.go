@@ -15,6 +15,7 @@ import (
 
 	"mccs/internal/collective"
 	"mccs/internal/control"
+	"mccs/internal/freelist"
 	"mccs/internal/gpusim"
 	"mccs/internal/netsim"
 	"mccs/internal/sim"
@@ -216,7 +217,7 @@ func (cs *connSet) closeFrom(rank int) {
 // NewComm wires up a communicator: control ring, generation-0 connections
 // and one runner per rank. Runner processes are spawned immediately: per
 // rank, a goroutine for the control loop and a stackless process for the
-// execution pipeline.
+// execution pipeline. Message snapshots miss into, and go back to, snaps.
 func NewComm(
 	s *sim.Scheduler,
 	cluster *topo.Cluster,
@@ -224,6 +225,7 @@ func NewComm(
 	devices map[topo.GPUID]*gpusim.Device,
 	info spec.CommInfo,
 	cfg Config,
+	snaps *freelist.List[float32],
 ) (*Comm, error) {
 	if err := info.Strategy.Validate(info.NumRanks()); err != nil {
 		return nil, err
@@ -235,8 +237,9 @@ func NewComm(
 	c := &Comm{
 		Info: info, cfg: cfg, s: s, cluster: cluster,
 		engines: engines, devices: devices, ctrl: ctrl,
-		rec: trace.Of(s),
-		p2p: make(map[collective.Edge]*transport.Conn),
+		rec:   trace.Of(s),
+		p2p:   make(map[collective.Edge]*transport.Conn),
+		snaps: snapPool{store: snaps},
 	}
 	reg := telemetry.Of(s)
 	tenant := telemetry.L("tenant", string(info.App))
@@ -523,8 +526,8 @@ func (c *Comm) Destroy() {
 	c.Release()
 }
 
-// Release hands the communicator's idle message snapshots to the
-// process-wide store the next communicator's misses take from (see
+// Release hands the communicator's idle message snapshots to the store
+// it was built with, which the next communicator's misses take from (see
 // snapPool). Destroy calls it; a deployment that closes calls it for the
 // communicators still alive.
 func (c *Comm) Release() { c.snaps.release() }

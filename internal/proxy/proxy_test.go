@@ -46,7 +46,7 @@ func newRig(t *testing.T) *rig {
 	}
 	for g := range cluster.GPUs {
 		gid := topo.GPUID(g)
-		r.devices[gid] = gpusim.NewDevice(s, g, gpusim.DefaultConfig())
+		r.devices[gid] = gpusim.NewDevice(s, g, gpusim.DefaultConfig(), nil)
 	}
 	return r
 }
@@ -66,7 +66,7 @@ func (r *rig) commOn(t *testing.T, gpus []topo.GPUID, orders [][]int) *Comm {
 	for ci, o := range orders {
 		info.Strategy.Channels = append(info.Strategy.Channels, spec.ChannelSpec{Order: o, Route: ci})
 	}
-	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig())
+	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestQuickStackAllReduce(t *testing.T) {
 		for ci, o := range orders {
 			info.Strategy.Channels = append(info.Strategy.Channels, spec.ChannelSpec{Order: o, Route: ci % 2})
 		}
-		comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig())
+		comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig(), nil)
 		if err != nil {
 			return false
 		}
@@ -540,7 +540,7 @@ func newRigQuiet() *rig {
 	}
 	for g := range cluster.GPUs {
 		gid := topo.GPUID(g)
-		r.devices[gid] = gpusim.NewDevice(s, g, gpusim.DefaultConfig())
+		r.devices[gid] = gpusim.NewDevice(s, g, gpusim.DefaultConfig(), nil)
 	}
 	return r
 }

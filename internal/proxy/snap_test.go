@@ -4,15 +4,18 @@ import (
 	"testing"
 
 	"mccs/internal/allocpin"
+	"mccs/internal/freelist"
 	"mccs/internal/gpusim"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 )
 
 // TestSnapBinsCoverTheirClass: whatever capacity a slice comes back with,
-// the bin it lands in only serves requests it can hold.
+// the bin it lands in only serves requests it can hold, and release hands
+// what the bins still hold to the pool's store.
 func TestSnapBinsCoverTheirClass(t *testing.T) {
-	var sp snapPool
+	var store freelist.List[float32]
+	sp := snapPool{store: &store}
 	for _, c := range []int{1, 5, 8, 12, 16, 1000, 1024} {
 		sp.put(make([]float32, c))
 	}
@@ -28,13 +31,14 @@ func TestSnapBinsCoverTheirClass(t *testing.T) {
 			t.Errorf("get(%d) = len %d cap %d", n, len(b), cap(b))
 		}
 	}
-}
-
-// drainSnapStore empties the process-wide snapshot store.
-func drainSnapStore() {
-	for c := range len(snapPool{}.free) {
-		for snapStore.Get(1<<c) != nil {
+	sp.release()
+	for c, bin := range sp.free {
+		if len(bin) != 0 {
+			t.Errorf("bin %d keeps %d slices after release", c, len(bin))
 		}
+	}
+	if b := store.Get(1000); cap(b) != 1000 {
+		t.Errorf("the store serves a slice of capacity %d after release, want the pool's 1000", cap(b))
 	}
 }
 
@@ -55,9 +59,9 @@ func newSnapRig(t *testing.T) *snapRig {
 	return &snapRig{t: t, r: r, bufs: bufs}
 }
 
-// build makes n communicators ahead of the runs, so a measured run pays
-// for its AllReduce and Destroy only.
-func (sr *snapRig) build(n int) {
+// build makes n communicators on the snapshot store ahead of the runs, so
+// a measured run pays for its AllReduce and Destroy only.
+func (sr *snapRig) build(n int, store *freelist.List[float32]) {
 	for ; n > 0; n-- {
 		sr.next++
 		info := spec.CommInfo{ID: sr.next, App: "snaps"}
@@ -67,7 +71,7 @@ func (sr *snapRig) build(n int) {
 		for ci := 0; ci < 2; ci++ {
 			info.Strategy.Channels = append(info.Strategy.Channels, spec.ChannelSpec{Order: []int{0, 1, 2, 3}, Route: ci})
 		}
-		comm, err := NewComm(sr.r.s, sr.r.cluster, sr.r.engines, sr.r.devices, info, DefaultConfig())
+		comm, err := NewComm(sr.r.s, sr.r.cluster, sr.r.engines, sr.r.devices, info, DefaultConfig(), store)
 		if err != nil {
 			sr.t.Fatal(err)
 		}
@@ -102,8 +106,8 @@ func (sr *snapRig) run() (idle [][]float32) {
 // left, not on new ones.
 func TestWarmStoreServesSnapshots(t *testing.T) {
 	sr := newSnapRig(t)
-	sr.build(2)
-	drainSnapStore()
+	var store freelist.List[float32]
+	sr.build(2, &store)
 	first := map[*float32]bool{}
 	for _, b := range sr.run() {
 		first[&b[:1][0]] = true
@@ -121,7 +125,7 @@ func TestWarmStoreServesSnapshots(t *testing.T) {
 
 // TestSnapshotStoreAllocations pins the store with allocpin: the first
 // backed AllReduce on a communicator (built beforehand) allocates exactly
-// one object more per snapshot on an emptied store than on the store a
+// one object more per snapshot without a store than on the store a
 // destroyed communicator filled — on a warm store it makes no snapshot.
 // Under the race detector the counts move by several objects from run to
 // run; TestWarmStoreServesSnapshots covers that build.
@@ -130,15 +134,15 @@ func TestSnapshotStoreAllocations(t *testing.T) {
 		t.Skip("allocation counts are inexact under the race detector")
 	}
 	sr := newSnapRig(t)
-	sr.build(13)
+	// One run fills the store, allocpin.Min runs each side six times.
+	var store freelist.List[float32]
+	sr.build(7, &store)
+	sr.build(6, nil)
 	idle := len(sr.run())
 	warm := allocpin.Min(1, func() { sr.run() })
-	cold := allocpin.Min(1, func() {
-		drainSnapStore()
-		sr.run()
-	})
+	cold := allocpin.Min(1, func() { sr.run() })
 	if idle == 0 || cold-warm != float64(idle) {
-		t.Errorf("a first AllReduce allocates %v times on an emptied store, %v on a warm one: %v more, want %d (one per snapshot)",
+		t.Errorf("a first AllReduce allocates %v times without a store, %v on a warm one: %v more, want %d (one per snapshot)",
 			cold, warm, cold-warm, idle)
 	}
 	sr.r.s.Shutdown()

@@ -171,7 +171,7 @@ func quietComm(r *rig, gpus []topo.GPUID) *Comm {
 		})
 	}
 	info.Strategy = spec.Strategy{Channels: []spec.ChannelSpec{{Order: []int{0, 1, 2, 3}, Route: 0}}}
-	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig())
+	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig(), nil)
 	if err != nil {
 		panic(err)
 	}

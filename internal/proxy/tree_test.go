@@ -31,7 +31,7 @@ func (r *rig) treeComm(t *testing.T, gpus []topo.GPUID, threshold int64) *Comm {
 		Channels:      []spec.ChannelSpec{{Order: order, Route: 0}},
 		TreeThreshold: threshold,
 	}
-	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig())
+	comm, err := NewComm(r.s, r.cluster, r.engines, r.devices, info, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

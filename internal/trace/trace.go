@@ -269,8 +269,8 @@ const (
 // the first span lands in it and never moved or copied afterwards, so a
 // recorder costs what it has recorded (rounded up to a chunk), not what it
 // could record. Once capacity spans are held the ring wraps in place like a
-// flat one. A full-size chunk comes from the process-wide chunk store when
-// a released recorder left one there, and is allocated otherwise; Release
+// flat one. A full-size chunk comes from the chunk store (SetStore) when a
+// released recorder left one there, and is allocated otherwise; Release
 // hands the recorder's chunks back once its run is over. All methods are
 // safe on a nil receiver (no-ops / zero values), which is what makes
 // "disabled" free at the emit sites.
@@ -283,6 +283,7 @@ type Recorder struct {
 	total    uint64   // spans ever emitted (kept + dropped)
 	tap      func(*Span)
 	meta     Meta
+	store    *freelist.List[Span] // full-size chunks come from and go back to it; nil recycles none
 }
 
 // NewRecorder returns a recorder keeping at most capacity spans at the
@@ -299,10 +300,13 @@ func NewRecorder(level Level, capacity int) *Recorder {
 	}
 }
 
-// chunkStore is the store full-size chunks go back to when a recorder is
-// released and the next recorder's come from. Every chunk in it has
-// chunkSpans spans, all zero.
-var chunkStore freelist.List[Span]
+// SetStore gives the recorder the chunk store of the deployment that owns
+// its run's memory (mccsd.Scratch); every chunk there is full-size, zero.
+func (r *Recorder) SetStore(store *freelist.List[Span]) {
+	if r != nil {
+		r.store = store
+	}
+}
 
 // slot returns the storage of ring position p, taking its chunk on first
 // use: a full-size one from the store when it holds one, a fresh one
@@ -313,7 +317,7 @@ func (r *Recorder) slot(p int) *Span {
 	if ch == nil {
 		n := min(chunkSpans, r.capacity-ci<<chunkShift)
 		if n == chunkSpans {
-			ch = chunkStore.Get(chunkSpans)
+			ch = r.store.Get(chunkSpans)
 		}
 		if ch == nil {
 			ch = make([]Span, n)
@@ -325,7 +329,8 @@ func (r *Recorder) slot(p int) *Span {
 
 // Release ends the recorder's run: its full-size chunks are cleared (so no
 // span's route, rate history or label stays reachable through them) and go
-// back to the chunk store for the next recorder, and the recorder is left
+// back to its chunk store for the next recorder (without a store they are
+// dropped), and the recorder is left
 // empty — Len and Dropped read 0, Snapshot holds no span, and Emit records
 // again from an empty ring. Level, capacity, tap and metadata are kept. A
 // Recording taken before keeps its spans: Snapshot copies them out. Release
@@ -335,9 +340,9 @@ func (r *Recorder) Release() {
 		return
 	}
 	for i, ch := range r.chunks {
-		if len(ch) == chunkSpans {
+		if len(ch) == chunkSpans && r.store != nil {
 			clear(ch)
-			chunkStore.Put(ch)
+			r.store.Put(ch)
 		}
 		r.chunks[i] = nil
 	}

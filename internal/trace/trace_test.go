@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"mccs/internal/allocpin"
+	"mccs/internal/freelist"
 	"mccs/internal/sim"
 )
 
@@ -366,13 +367,16 @@ func flowSpan(seq uint64) Span {
 // TestReleaseLeavesRecorderEmpty defines the released state: Len and
 // Dropped read 0, Snapshot holds no span, Emit records again from an empty
 // ring, the metadata stays, and a Recording taken before keeps its spans.
-// The chunks given back come out cleared to the next recorder.
+// The chunks given back come out cleared to the next recorder that shares
+// the store.
 func TestReleaseLeavesRecorderEmpty(t *testing.T) {
 	var nilRec *Recorder
 	nilRec.Release()
 
+	var store freelist.List[Span]
 	for _, capacity := range []int{3 * chunkSpans, chunkSpans + 5, 100} {
 		r := NewRecorder(LevelFull, capacity)
+		r.SetStore(&store)
 		r.NoteComm(1, "app")
 		emits := 2*capacity + 7 // wraps the ring
 		for seq := uint64(0); seq < uint64(emits); seq++ {
@@ -398,6 +402,7 @@ func TestReleaseLeavesRecorderEmpty(t *testing.T) {
 
 		// The next recorder takes the cleared chunks; this one records again.
 		next := NewRecorder(LevelFull, capacity)
+		next.SetStore(&store)
 		next.Emit(opSpan(1))
 		for i, sp := range next.chunks[0][1:] {
 			if !reflect.DeepEqual(sp, Span{}) {
@@ -423,8 +428,10 @@ func TestReleaseLeavesRecorderEmpty(t *testing.T) {
 // Recorder (NewRecorder is inlined, and the test keeps it on the stack),
 // not the chunk.
 func TestWarmRecorderAllocatesOnlyItsTable(t *testing.T) {
+	var store freelist.List[Span]
 	run := func() {
 		r := NewRecorder(LevelFull, 4*chunkSpans)
+		r.SetStore(&store)
 		for seq := uint64(0); seq < chunkSpans; seq++ {
 			r.Emit(opSpan(seq))
 		}
@@ -437,9 +444,10 @@ func TestWarmRecorderAllocatesOnlyItsTable(t *testing.T) {
 }
 
 // TestRecordersShareChunksAcrossGoroutines: recorders of concurrent runs
-// take chunks from, and release them to, the one chunk store; each must
+// take chunks from, and release them to, one shared chunk store; each must
 // read back exactly what it recorded. Run it under -race.
 func TestRecordersShareChunksAcrossGoroutines(t *testing.T) {
+	var store freelist.List[Span]
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -447,6 +455,7 @@ func TestRecordersShareChunksAcrossGoroutines(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 10; round++ {
 				r := NewRecorder(LevelFull, 3*chunkSpans)
+				r.SetStore(&store)
 				n := chunkSpans + round*97 + w
 				for seq := 0; seq < n; seq++ {
 					sp := flowSpan(uint64(seq))
