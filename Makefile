@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers tenants api state goldens
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers tenants api state service goldens
 
 all: check
 
@@ -34,7 +34,8 @@ race:
 # race-hot doubles down on the packages with the most schedule-sensitive
 # surface — the scheduler core itself (goroutine and stackless
 # processes), the transport message path, the collective schedule IR and
-# its lowerings, the proxy engine, the strategy autotuner, the lifecycle
+# its lowerings, the proxy engine and its control ring (the Park form of
+# the reconfiguration barrier), the strategy autotuner, the lifecycle
 # orchestrator, the diagnosis engine (whose recorder tap runs inside
 # span emission), the policy controller (the recovery moves and the
 # route-push order), the fabric (an allocation memo and a flow free list
@@ -49,7 +50,7 @@ race:
 # corpus hashes, one self-heal test, the concurrent-runs test and the
 # cold/warm test (two runs sharing one scratch) run twice there.
 race-hot:
-	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/policy/ ./internal/remediation/ ./internal/gpusim/ ./internal/trace/ ./internal/freelist/
+	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/control/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/policy/ ./internal/remediation/ ./internal/gpusim/ ./internal/trace/ ./internal/freelist/
 	$(GO) test -race -count=2 -run '^(TestCorpusTraceHashPinned|TestSelfHealByteDeterministic|TestConcurrentRunsKeepTheirHashes|TestColdAndWarmRunsAgree)$$' ./internal/chaos/
 
 # fuzz runs the native fuzz targets for 10 s each (their seed corpora also
@@ -70,7 +71,11 @@ race-hot:
 # decode to a §6.5-style config (Clos shape, link rates, jobs, placement,
 # strategy, seed), and cluster.Run must give every job the same arrival,
 # start, finish and AllReduce times, bit for bit, as the blocking reference
-# job loop in internal/cluster/reference_test.go.
+# job loop in internal/cluster/reference_test.go. Control ring: a random ring
+# size, values, join delays and one to three back-to-back barriers under a
+# seeded Picker must gather the same vectors and fire the same (at, seq)
+# event stream with step-function ranks on Ring.Begin/Park as with goroutine
+# ranks on the blocking oracle in internal/control/control_test.go.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLowerExecute -fuzztime 10s ./internal/collective/
 	$(GO) test -run '^$$' -fuzz FuzzPathsBetween -fuzztime 10s ./internal/netsim/
@@ -80,13 +85,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLocalityRing -fuzztime 10s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz FuzzFFAWorkspace -fuzztime 10s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz FuzzClusterRun -fuzztime 10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzControlRing -fuzztime 10s ./internal/control/
 
 # check is the CI gate: everything must build, vet clean, reproduce every
 # committed result file, and pass the full test suite twice — once plain,
 # once under the race detector. The suite holds the architecture gate,
 # TestArchitecture (the one door for reconfiguration, the one attach site
 # for observers, the one tenant runner, an exported surface that non-test
-# code reaches and no free list in a package variable), so check
+# code reaches, no free list in a package variable and no goroutine process
+# in a service engine), so check
 # type-checks the repository for it once per pass rather than once per
 # rule.
 check: build fmt vet goldens test race
@@ -114,7 +121,7 @@ goldens: $(MCCS)
 	$(MCCS) selfheal -seeds 4 -jsonl results/selfheal.jsonl -doctor results/selfheal.doctor.txt > results/selfheal.txt
 	git diff --exit-code --stat -- results/
 
-# api, door, observers, tenants and state are the five rules of the
+# api, door, observers, tenants, state and service are the six rules of the
 # architecture gate, TestArchitecture in architecture_test.go: the root
 # module and bench/ are type-checked once with go/types (stdlib only; a
 # type error or a failed `go list` fails the gate), and each rule is
@@ -142,10 +149,14 @@ goldens: $(MCCS)
 #     freelist.List: scratch memory belongs to a deployment
 #     (mccsd.Scratch), and only the chaos harness keeps one for the runs
 #     it makes in a row (internal/chaos/runseed.go).
+#   service: no non-test code in internal/{proxy,mccsd,transport,netsim,
+#     gpusim,control} calls sim.Scheduler.Go or GoDaemon: the service's
+#     engines are step functions (GoStep), so an op's path through them
+#     costs no goroutine switch. No exceptions.
 # A reference in the package that declares the target counts too; test
-# files may do all but state. CI and `check` (through `test`) run the five
+# files may do all but state. CI and `check` (through `test`) run the six
 # together, once.
-api door observers tenants state:
+api door observers tenants state service:
 	$(GO) test -count=1 -run '^TestArchitecture$$/^$@$$' .
 
 # chaos runs the seeded chaos sweep on its own (it is also part of

@@ -1,6 +1,6 @@
 // The architecture gate (`make api`, `make door`, `make observers`, `make
-// tenants`, and the state rule): the root module and bench/ are
-// type-checked once with go/types, and five rules are applied to what
+// tenants`, `make state` and `make service`): the root module and bench/
+// are type-checked once with go/types, and six rules are applied to what
 // every identifier resolves to, so a method value, an aliased import or
 // two functions that share a name are seen for what they are.
 package mccs_test
@@ -41,7 +41,7 @@ var archAllowed = []struct{ rule, where, reason string }{
 	{"state", "internal/chaos/runseed.go", "chaos runs many environments in a row (a sweep, the benchmark's seeds), so it keeps the one mccsd.Scratch they share"},
 }
 
-// archRules are the five rules, each a function from the type-checked
+// archRules are the six rules, each a function from the type-checked
 // program to every reference it forbids, before the allowlist.
 var archRules = []struct {
 	name string
@@ -71,6 +71,36 @@ var archRules = []struct {
 	// Scratch memory belongs to a deployment (mccsd.Scratch): no package
 	// variable holds a free list.
 	{"state", freeListVars},
+	// The service engines are step functions (sim.Scheduler.GoStep): none
+	// starts a goroutine process.
+	{"service", inside(serviceEngines, referrers("starts a goroutine process in a service engine", func(fn *types.Func) bool {
+		switch fn.FullName() {
+		case "(*mccs/internal/sim.Scheduler).Go", "(*mccs/internal/sim.Scheduler).GoDaemon":
+			return true
+		}
+		return false
+	}))},
+}
+
+// serviceEngines are the directories of the service stack below the
+// tenants: the daemon, the proxy engine and its control ring, the
+// transport, the fabric and the devices.
+var serviceEngines = []string{
+	"internal/proxy/", "internal/mccsd/", "internal/transport/",
+	"internal/netsim/", "internal/gpusim/", "internal/control/",
+}
+
+// inside narrows a rule to the references it finds under dirs.
+func inside(dirs []string, rule func(*archProgram) []archHit) func(*archProgram) []archHit {
+	return func(p *archProgram) []archHit {
+		var hits []archHit
+		for _, h := range rule(p) {
+			if slices.ContainsFunc(dirs, func(d string) bool { return strings.HasPrefix(h.where, d) }) {
+				hits = append(hits, h)
+			}
+		}
+		return hits
+	}
 }
 
 func TestArchitecture(t *testing.T) {
@@ -511,8 +541,15 @@ next:
 // rows of TestArchitectureRulesCatchPlanted each add a file to it.
 var plantedBase = map[string]string{
 	"internal/proxy/proxy.go": `package proxy
+import "mccs/internal/sim"
 type Comm struct{}
-func (c *Comm) UpdateRoutes() {}`,
+func (c *Comm) UpdateRoutes() {}
+func start(s *sim.Scheduler)  { s.GoStep(nil) }`,
+	"internal/sim/sim.go": `package sim
+type Scheduler struct{}
+func (s *Scheduler) Go(fn func())           {}
+func (s *Scheduler) GoDaemon(fn func())     {}
+func (s *Scheduler) GoStep(fn func() bool) {}`,
 	"internal/mccsd/mccsd.go": `package mccsd
 import "mccs/internal/proxy"
 type Deployment struct{ c proxy.Comm }
@@ -539,17 +576,21 @@ func Launch(f *mccsd.Frontend) { f.CommInitRank() }`,
 	"internal/harness/harness.go": `package harness
 import (
 	"mccs/internal/diagnosis"
+	"mccs/internal/sim"
 	"mccs/internal/telemetry"
 	"mccs/internal/trace"
 )
-func NewEnv() { trace.Attach(trace.NewRecorder()); telemetry.Attach(); diagnosis.Attach() }`,
+func NewEnv(s *sim.Scheduler) {
+	trace.Attach(trace.NewRecorder()); telemetry.Attach(); diagnosis.Attach()
+	s.Go(nil); s.GoDaemon(nil)
+}`,
 	"cmd/app/main.go": `package main
 import (
 	"mccs/internal/harness"
 	"mccs/internal/policy"
 	"mccs/internal/workload"
 )
-func main() { harness.NewEnv(); policy.Apply(nil); workload.Launch(nil) }`,
+func main() { harness.NewEnv(nil); policy.Apply(nil); workload.Launch(nil) }`,
 }
 
 // plant type-checks plantedBase with extra added, one package per
@@ -664,6 +705,17 @@ func Run(p Placer)           { p.Place() }`,
 import "mccs/internal/freelist"
 type stores struct{ chunks [2]freelist.List[Recorder] }
 var store = new(stores)`,
+		}},
+		{"service: a daemon goroutine in a service engine", "service", map[string]string{
+			"internal/proxy/loop.go": "package proxy\nimport \"mccs/internal/sim\"\nfunc loop(s *sim.Scheduler) { s.GoDaemon(nil) }",
+		}},
+		{"service: a method value of Go", "service", map[string]string{
+			"internal/mccsd/spawn.go": "package mccsd\nimport \"mccs/internal/sim\"\nfunc spawn(s *sim.Scheduler) { g := s.Go; g(nil) }",
+		}},
+		{"service: a step function in an engine, goroutines in its tests and outside the engines may", "", map[string]string{
+			"internal/transport/engine.go":      "package transport\nimport \"mccs/internal/sim\"\nfunc run(s *sim.Scheduler) { s.GoStep(nil) }",
+			"internal/transport/engine_test.go": "package transport\nimport \"mccs/internal/sim\"\nfunc drive(s *sim.Scheduler) { s.Go(nil) }",
+			"internal/workload/rank.go":         "package workload\nimport \"mccs/internal/sim\"\nfunc rank(s *sim.Scheduler) { s.GoDaemon(nil) }",
 		}},
 		{"state: a local list and a list behind a field may", "", map[string]string{
 			"internal/gpusim/device.go": `package gpusim

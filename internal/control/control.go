@@ -6,7 +6,9 @@
 // modeled with a fixed per-hop latency. What matters for the protocol is
 // the ordering and completion semantics of the ring AllGather, which are
 // implemented exactly: a rank's AllGather completes only after every rank
-// has contributed, and the result is identical at every rank.
+// has contributed, and the result is identical at every rank. A rank runs
+// its part as a step function (sim.Scheduler.GoStep) would: Begin, then
+// Park until it reports done.
 package control
 
 import (
@@ -60,10 +62,21 @@ func NewRing(s *sim.Scheduler, n int, hopLatency time.Duration) (*Ring, error) {
 	return r, nil
 }
 
-// AllGather contributes val as rank's element and blocks until the full
-// vector is known. Every rank must call it once per generation; calls block
-// until all peers participate (the barrier property the reconfiguration
-// protocol relies on).
+// Gather is one rank's AllGather in progress: Begin starts it, Park moves
+// it forward. Out is the gathered vector, complete once Park reports done;
+// it is a fresh slice per barrier, so a caller may keep it.
+type Gather struct {
+	Out   []int64
+	rank  int
+	epoch uint64 // the barrier's epoch at rank
+	recvd int    // messages of this barrier taken off rank's inbox
+}
+
+// Begin contributes val as rank's element of a new AllGather and sends it
+// on. Every rank must begin once per generation, and no rank's gather
+// completes until all peers have begun (the barrier property the
+// reconfiguration protocol relies on). The caller then calls Park until it
+// reports done.
 //
 // The implementation is the standard ring allgather, but forwarding is
 // content-driven rather than round-indexed: a rank forwards each message
@@ -74,7 +87,7 @@ func NewRing(s *sim.Scheduler, n int, hopLatency time.Duration) (*Ring, error) {
 // round-indexed forwarding would propagate unfilled slots. Each slot's
 // value visits every other rank exactly once either way, so message
 // counts and pacing are identical on the unperturbed schedule.
-func (r *Ring) AllGather(p *sim.Proc, rank int, val int64) []int64 {
+func (r *Ring) Begin(g *Gather, rank int, val int64) {
 	if rank < 0 || rank >= r.n {
 		panic(fmt.Sprintf("control: rank %d out of range [0,%d)", rank, r.n))
 	}
@@ -83,42 +96,55 @@ func (r *Ring) AllGather(p *sim.Proc, rank int, val int64) []int64 {
 		out[i] = noValue
 	}
 	out[rank] = val
+	*g = Gather{Out: out, rank: rank}
 	if r.n == 1 {
-		return out
+		return
 	}
 	r.epoch[rank]++
-	ep := r.epoch[rank]
-	next := (rank + 1) % r.n
-	r.send(next, ctrlMsg{slot: rank, val: val, hops: 1, epoch: ep})
-	for recvd := 0; recvd < r.n-1; recvd++ {
-		m := r.pop(p, rank, ep)
-		out[m.slot] = m.val
+	g.epoch = r.epoch[rank]
+	r.send((rank+1)%r.n, ctrlMsg{slot: rank, val: val, hops: 1, epoch: g.epoch})
+}
+
+// Park takes every message of g's barrier that has reached its rank,
+// forwarding each on, and reports whether g.Out is complete. When it is
+// not, p is parked on the rank's inbox (sim.Queue.Park): the step function
+// must return false and call Park again once dispatched.
+func (r *Ring) Park(p *sim.Proc, g *Gather) (done bool) {
+	next := (g.rank + 1) % r.n
+	for g.recvd < r.n-1 {
+		m, ok := r.pop(g.rank, g.epoch)
+		if !ok {
+			r.in[g.rank].Park(p)
+			return false
+		}
+		g.Out[m.slot] = m.val
+		g.recvd++
 		if m.hops < r.n-1 {
-			r.send(next, ctrlMsg{slot: m.slot, val: m.val, hops: m.hops + 1, epoch: ep})
+			r.send(next, ctrlMsg{slot: m.slot, val: m.val, hops: m.hops + 1, epoch: g.epoch})
 		}
 	}
-	return out
+	return true
 }
 
 const noValue = int64(-1 << 62)
 
-// pop returns the next message of the given barrier epoch for rank,
-// stashing messages from barriers rank has not entered yet (a fast
-// successor can start the protocol's second barrier while we are still
-// in the first). Past-epoch messages cannot arrive: exactly n-1 messages
-// target each rank per epoch and all were consumed before that call
-// returned.
-func (r *Ring) pop(p *sim.Proc, rank int, ep uint64) ctrlMsg {
+// pop returns the next message of the given barrier epoch for rank that
+// has arrived, and false when none has, stashing messages from barriers
+// rank has not entered yet (a fast successor can start the protocol's
+// second barrier while we are still in the first). Past-epoch messages
+// cannot arrive: exactly n-1 messages target each rank per epoch and all
+// were consumed before that gather completed.
+func (r *Ring) pop(rank int, ep uint64) (ctrlMsg, bool) {
 	for i, m := range r.stash[rank] {
 		if m.epoch == ep {
 			r.stash[rank] = append(r.stash[rank][:i], r.stash[rank][i+1:]...)
-			return m
+			return m, true
 		}
 	}
 	for {
-		m := r.in[rank].Pop(p)
-		if m.epoch == ep {
-			return m
+		m, ok := r.in[rank].TryPop()
+		if !ok || m.epoch == ep {
+			return m, ok
 		}
 		r.stash[rank] = append(r.stash[rank], m)
 	}

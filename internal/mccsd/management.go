@@ -128,12 +128,14 @@ func (d *Deployment) ClearTrafficSchedule(app spec.AppID) {
 }
 
 // CheckQuiescent verifies that no communicator in the deployment has
-// queued or in-flight work: every runner's command queue and execution
-// pipeline are empty, no reconfiguration is stashed, and every message
-// sent on any of its connections — every generation's and the
-// point-to-point ones — was received. The chaos harness calls it after the
-// scheduler drains — leftover work at that point means an operation was
-// silently dropped or stranded, or a message lost or leaked.
+// queued or in-flight work: every runner's control loop is reading
+// commands (none is wedged in a reconfiguration barrier), its command
+// queue and execution pipeline are empty, no reconfiguration is stashed,
+// and every message sent on any of its connections — every generation's
+// and the point-to-point ones — was received. The chaos harness calls it
+// after the scheduler drains — leftover work at that point means an
+// operation was silently dropped or stranded, a barrier never completed, or
+// a message lost or leaked.
 func (d *Deployment) CheckQuiescent() error {
 	for id := spec.CommID(1); id <= d.nextCommID; id++ {
 		c, ok := d.comms[id]

@@ -1,10 +1,12 @@
 package mccsd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"mccs/internal/proxy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/topo"
@@ -239,4 +241,41 @@ func TestCheckQuiescentCatchesUnreceivedMessage(t *testing.T) {
 		}
 		s.Shutdown()
 	}
+}
+
+// TestCheckQuiescentNamesAWedgedRank: a reconfiguration that reaches ranks
+// 1–3 of four parks them in the sequence-number AllGather, waiting for
+// rank 0, for good. The run drains without a deadlock error (the control
+// loops are service daemons), and CheckQuiescent must name the first
+// wedged rank.
+func TestCheckQuiescentNamesAWedgedRank(t *testing.T) {
+	s, d := newDeployment(DefaultConfig())
+	gpus := oneGPUPerHost(d)
+	var id spec.CommID
+	launchRanks(s, d, "appA", gpus, func(p *sim.Proc, rank int, f *Frontend, gpu topo.GPUID) {
+		comm, err := f.CommInitRank(p, "job0", len(gpus), rank, gpu)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		id = comm.ID()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckQuiescent(); err != nil {
+		t.Fatalf("before the reconfiguration: %v", err)
+	}
+	c := d.comms[id]
+	for _, r := range c.Runners[1:] {
+		r.Enqueue(&proxy.ReconfigRequest{Strategy: c.Strategy()})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("mccsd: communicator %d rank 1 not quiescent after drain", id)
+	if err := d.CheckQuiescent(); err == nil || err.Error() != want {
+		t.Errorf("CheckQuiescent = %v, want %q", err, want)
+	}
+	s.Shutdown()
 }

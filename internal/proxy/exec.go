@@ -476,13 +476,37 @@ func (c *chanRun) land() {
 		panic(fmt.Sprintf("proxy: slice size mismatch: got %d elems, want %d", len(d.Data), c.l))
 	}
 	if c.prog.Steps[c.si].RecvReduce {
-		for i := range dst {
-			dst[i] += d.Data[i]
-		}
+		addInto(dst, d.Data)
 	} else {
 		copy(dst, d.Data)
 	}
 	c.r.comm.snaps.put(d.Data)
+}
+
+// addInto is the receive-side reduce, dst[i] += src[i] for every i of dst;
+// src is at least as long. The body runs eight lanes a round with one
+// bounds check per round (on src: dst's is proved away), then a scalar
+// tail. Each lane is the same float32 add of the same two operands as the
+// plain loop, so every sum is bit-identical to it, infinities, signed
+// zeros, subnormals and a NaN operand included; which payload NaN + NaN
+// carries is the compiler's choice of operand order, for either loop.
+func addInto(dst, src []float32) {
+	src = src[:len(dst)]
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		d, s := (*[8]float32)(dst[i:]), (*[8]float32)(src[i:])
+		d[0] += s[0]
+		d[1] += s[1]
+		d[2] += s[2]
+		d[3] += s[3]
+		d[4] += s[4]
+		d[5] += s[5]
+		d[6] += s[6]
+		d[7] += s[7]
+	}
+	for ; i < len(dst); i++ {
+		dst[i] += src[i]
+	}
 }
 
 // snapPool recycles the data snapshots that ride the messages of

@@ -2,7 +2,10 @@ package proxy
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -269,11 +272,11 @@ func runAgainstOracle(p *sim.Proc, r *rig, comm *Comm, gpus []topo.GPUID, op col
 	return nil
 }
 
-// TestDatapathOwnsNoGoroutine pins the process model: a communicator of n
-// ranks costs n goroutines — the control loops — however many channels it
-// runs and however many operations it executes; the execution pipelines and
-// the channel programs are step functions. A drained run leaves every runner
-// quiescent.
+// TestDatapathOwnsNoGoroutine pins the process model: a communicator owns
+// no goroutine, however many channels it runs, however many operations it
+// executes and in whatever phase of a reconfiguration its control loops
+// are; the control loops, the execution pipelines and the channel programs
+// are step functions. A drained run leaves every runner quiescent.
 func TestDatapathOwnsNoGoroutine(t *testing.T) {
 	// settle gives goroutines that have finished their work time to exit:
 	// it returns the count once it is down to want, or has stopped falling.
@@ -297,16 +300,16 @@ func TestDatapathOwnsNoGoroutine(t *testing.T) {
 	}
 	base := settle(0)
 	comm := r.commOn(t, gpus, [][]int{order, order})
-	if got := runtime.NumGoroutine() - base; got != n {
-		t.Fatalf("NewComm on %d ranks started %d goroutines, want %d", n, got, n)
+	if got := runtime.NumGoroutine() - base; got != 0 {
+		t.Fatalf("NewComm on %d ranks started %d goroutines, want 0", n, got)
 	}
 	const count = 1 << 16
 	bufs, want := backedBuffers(t, r, gpus, count, 5)
 	r.s.Go("driver", func(p *sim.Proc) {
 		runAllReduce(p, comm, bufs, count)
-		// Still the control loops and nothing else, mid-run (plus this driver).
-		if got := runtime.NumGoroutine() - base; got != n+1 {
-			t.Errorf("%d goroutines after a 2-channel AllReduce, want %d", got, n+1)
+		// Nothing but this driver, mid-run.
+		if got := runtime.NumGoroutine() - base; got != 1 {
+			t.Errorf("%d goroutines after a 2-channel AllReduce, want 1 (the driver)", got)
 		}
 		recv, _ := r.devices[gpus[1]].AllocBacked(count * 4)
 		done := newOpDone(r.s)
@@ -316,14 +319,33 @@ func TestDatapathOwnsNoGoroutine(t *testing.T) {
 		if got := recv.Data()[count-1]; got != want[count-1] {
 			t.Errorf("received %g, want %g", got, want[count-1])
 		}
+		// Mid-reconfiguration: every control loop is past its commands
+		// phase, in the barrier or the teardown and rebuild sleeps.
+		switched := sim.NewLatch(n)
+		for _, rn := range comm.Runners {
+			rn.Enqueue(&ReconfigRequest{Strategy: comm.Strategy(), Done: switched})
+		}
+		p.Sleep(50 * time.Microsecond)
+		for rank, rn := range comm.Runners {
+			if rn.ctl.at == ctlCommands {
+				t.Errorf("rank %d reads commands 50µs into a reconfiguration", rank)
+			}
+		}
+		if got := runtime.NumGoroutine() - base; got != 1 {
+			t.Errorf("%d goroutines mid-reconfiguration, want 1 (the driver)", got)
+		}
+		switched.Wait(p)
 	})
 	if err := r.s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := settle(base+n) - base; got != n {
-		t.Errorf("%d goroutines after the run drained, want %d", got, n)
+	if got := settle(base) - base; got != 0 {
+		t.Errorf("%d goroutines after the run drained, want 0", got)
 	}
 	for rank, rn := range comm.Runners {
+		if rn.Generation() != 1 {
+			t.Errorf("rank %d in generation %d, want 1", rank, rn.Generation())
+		}
 		if !rn.Quiescent() {
 			t.Errorf("rank %d not quiescent", rank)
 		}
@@ -331,6 +353,81 @@ func TestDatapathOwnsNoGoroutine(t *testing.T) {
 	r.s.Shutdown()
 	if got := settle(base); got != base {
 		t.Errorf("%d goroutines left after Shutdown, started with %d", got, base)
+	}
+}
+
+// TestWedgedBarrierIsNotQuiescent: a reconfiguration that reaches three of
+// four ranks parks those three in the sequence-number AllGather for good.
+// The control loops are daemons, so the run drains without a deadlock
+// error, and their queues, pipelines and stashes are all empty; Quiescent
+// must still see that they never came back to reading commands.
+func TestWedgedBarrierIsNotQuiescent(t *testing.T) {
+	r := newRig(t)
+	comm := r.commOn(t, r.fourHostGPUs(), [][]int{{0, 1, 2, 3}})
+	for _, rn := range comm.Runners[1:] {
+		rn.Enqueue(&ReconfigRequest{Strategy: comm.Strategy()})
+	}
+	if err := r.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for rank, rn := range comm.Runners {
+		if want := rank == 0; rn.Quiescent() != want {
+			t.Errorf("rank %d Quiescent() = %v, want %v", rank, rn.Quiescent(), want)
+		}
+	}
+	r.s.Shutdown()
+}
+
+// TestAddIntoMatchesLoop checks the unrolled reduce bit for bit against the
+// plain loop it replaced, at every length across the unrolled body and its
+// tail and one long one, over inputs full of NaNs (payloads on both sides),
+// infinities, signed zeros and subnormals. The one sum whose bits Go leaves
+// to the compiler is NaN + NaN: the hardware returns one operand's payload,
+// and which operand comes first is an instruction-selection choice (the
+// race-instrumented build orders this test's own loop differently). There
+// the sum must be a NaN carrying one of the two operands' quieted payloads.
+func TestAddIntoMatchesLoop(t *testing.T) {
+	specials := []float32{
+		float32(math.NaN()), math.Float32frombits(0x7fc00001), math.Float32frombits(0xffa00000),
+		float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
+		math.Float32frombits(1), math.Float32frombits(0x807fffff), math.SmallestNonzeroFloat32,
+		math.MaxFloat32, -math.MaxFloat32, 1, -1, 0.1,
+	}
+	rng := rand.New(rand.NewSource(1))
+	value := func() float32 {
+		if rng.Intn(2) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return math.Float32frombits(rng.Uint32())
+	}
+	lengths := []int{1<<16 + 5}
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		dst, src := make([]float32, n), make([]float32, n+rng.Intn(3)) // src may be longer
+		for i := range dst {
+			dst[i] = value()
+		}
+		for i := range src {
+			src[i] = value()
+		}
+		orig, want := slices.Clone(dst), slices.Clone(dst)
+		for i := range want {
+			want[i] += src[i]
+		}
+		addInto(dst, src)
+		const quiet = 0x00400000
+		for i, v := range dst {
+			got, a, b := math.Float32bits(v), math.Float32bits(orig[i]), math.Float32bits(src[i])
+			if math.IsNaN(float64(orig[i])) && math.IsNaN(float64(src[i])) {
+				if got != a|quiet && got != b|quiet {
+					t.Fatalf("length %d element %d: %#x + %#x = %#x, want either quieted operand", n, i, a, b, got)
+				}
+			} else if got != math.Float32bits(want[i]) {
+				t.Fatalf("length %d element %d: %#x + %#x = %#x, want %#x", n, i, a, b, got, math.Float32bits(want[i]))
+			}
+		}
 	}
 }
 

@@ -216,8 +216,9 @@ func (cs *connSet) closeFrom(rank int) {
 
 // NewComm wires up a communicator: control ring, generation-0 connections
 // and one runner per rank. Runner processes are spawned immediately: per
-// rank, a goroutine for the control loop and a stackless process for the
-// execution pipeline. Message snapshots miss into, and go back to, snaps.
+// rank, two stackless processes (sim.Scheduler.GoStep), the control loop
+// and the execution pipeline, so a communicator owns no goroutine. Message
+// snapshots miss into, and go back to, snaps.
 func NewComm(
 	s *sim.Scheduler,
 	cluster *topo.Cluster,
@@ -259,7 +260,7 @@ func NewComm(
 			execQ: sim.NewQueue[*OpRequest](),
 		}
 		c.Runners = append(c.Runners, r)
-		s.GoDaemon(fmt.Sprintf("proxy:c%d:r%d:ctl", info.ID, rank), r.runControl)
+		s.GoStep(fmt.Sprintf("proxy:c%d:r%d:ctl", info.ID, rank), r.ctlStep).Daemon()
 		s.GoStep(fmt.Sprintf("proxy:c%d:r%d:exec", info.ID, rank), r.execStep).Daemon()
 	}
 	return c, nil
@@ -395,13 +396,15 @@ func (c *Comm) Strategy() spec.Strategy {
 // (exec.go) that actually runs them — so the control path is never blocked
 // behind the data path (the property that makes the Fig. 4 barrier
 // deadlock-free: a rank that already launched AR1 can still join the
-// AllGather while AR1 is stalled waiting for peers).
+// AllGather while AR1 is stalled waiting for peers). Both are step
+// functions, ctlStep and execStep, whose state lives here.
 type Runner struct {
 	comm  *Comm
 	rank  int
 	dev   *gpusim.Device
 	queue *sim.Queue[Msg]        // control commands from the frontend
 	execQ *sim.Queue[*OpRequest] // launched operations, in order
+	ctl   ctlState               // the control loop
 	ex    execState              // the execution pipeline (exec.go)
 
 	gen          int
@@ -439,12 +442,13 @@ func (r *Runner) History() []OpResult {
 }
 
 // Quiescent reports whether the runner has no queued or in-flight work:
-// empty command queue, empty and idle execution pipeline, no outstanding
-// collectives, and no stashed reconfigurations. The chaos harness asserts
-// this for every runner once the simulation drains.
+// a control loop reading commands (not wedged in a reconfiguration
+// barrier), empty command queue, empty and idle execution pipeline, no
+// outstanding collectives, and no stashed reconfigurations. The chaos
+// harness asserts this for every runner once the simulation drains.
 func (r *Runner) Quiescent() bool {
-	return r.queue.Len() == 0 && r.execQ.Len() == 0 && r.ex.op == nil &&
-		r.collInFlight == 0 && len(r.pendingReconfigs) == 0
+	return r.ctl.at == ctlCommands && r.queue.Len() == 0 && r.execQ.Len() == 0 &&
+		r.ex.op == nil && r.collInFlight == 0 && len(r.pendingReconfigs) == 0
 }
 
 // Executing returns the sequence number of the collective the runner has
@@ -460,28 +464,6 @@ func (r *Runner) Executing() (seq uint64, ok bool) {
 	return x.op.seq, true
 }
 
-// runControl is the command loop: it launches operations onto the
-// execution pipeline and runs the reconfiguration protocol.
-func (r *Runner) runControl(p *sim.Proc) {
-	for !r.stopped {
-		switch m := r.queue.Pop(p).(type) {
-		case *OpRequest:
-			r.launch(m)
-		case *ReconfigRequest:
-			r.reconfigure(p, m)
-			for len(r.pendingReconfigs) > 0 && !r.stopped {
-				next := r.pendingReconfigs[0]
-				r.pendingReconfigs = r.pendingReconfigs[1:]
-				r.reconfigure(p, next)
-			}
-		case shutdownMsg:
-			r.stopped = true
-		default:
-			panic(fmt.Sprintf("proxy: unknown message %T", m))
-		}
-	}
-}
-
 // launch hands the op to the execution pipeline. A collective is assigned
 // the next sequence number; a point-to-point operation is not (see p2p.go
 // for why).
@@ -492,18 +474,6 @@ func (r *Runner) launch(op *OpRequest) {
 		r.collInFlight++
 	}
 	r.execQ.Push(r.comm.s, op)
-}
-
-// waitCollIdle blocks until every launched collective has completed. P2P
-// operations are deliberately excluded: their connections survive
-// reconfigurations, so an in-flight pairwise transfer can safely straddle
-// the strategy switch — and waiting for one could deadlock the barrier,
-// since its matching half may be queued behind the peer's own
-// reconfiguration.
-func (r *Runner) waitCollIdle(p *sim.Proc) {
-	for r.collInFlight > 0 {
-		r.idleWQ.Wait(p)
-	}
 }
 
 // Shutdown stops the runner after it drains messages ahead of the marker.
@@ -581,99 +551,215 @@ func (r *Runner) emitPhase(p *sim.Proc, code int32, start sim.Time) {
 	})
 }
 
-// reconfigure implements the Fig. 4 protocol for this rank.
-func (r *Runner) reconfigure(p *sim.Proc, req *ReconfigRequest) {
-	if err := req.Strategy.Validate(r.comm.Info.NumRanks()); err != nil {
-		panic(fmt.Sprintf("proxy: reconfigure with bad strategy: %v", err))
-	}
-	reconfigStart := p.Now()
-	if !r.comm.cfg.UnsafeSkipSeqBarrier {
-		// 1. Exchange last-launched sequence numbers on the control ring.
-		//    This stalls new launches locally (we are not reading the
-		//    command queue) without any fast-path cost when no reconfig is
-		//    pending.
-		t0 := p.Now()
-		vals := r.comm.ctrl.AllGather(p, r.rank, int64(r.seq))
-		maxSeq := uint64(control.Max(vals))
-		r.emitPhase(p, trace.PhaseSeqExchange, t0)
+// ctlPhase says where ctlStep continues: reading commands, or a phase of the
+// Fig. 4 protocol. Every phase but the first is a reconfiguration in
+// progress, and each ends in a wait.
+type ctlPhase uint8
 
-		// 2. Drain-launch: collectives that peers already launched must
-		//    run under the old configuration. The frontend will deliver
-		//    them; non-op messages that arrive meanwhile are stashed.
-		t0 = p.Now()
-		for r.seq < maxSeq {
-			switch m := r.queue.Pop(p).(type) {
+const (
+	ctlCommands   ctlPhase = iota // launch ops and start reconfigurations; park on the command queue
+	ctlSeq                        // the sequence-number AllGather
+	ctlDrain                      // launch until this rank has launched what any peer has
+	ctlIdle                       // wait for this rank's launched collectives to complete
+	ctlCompletion                 // the completion AllGather, then the teardown sleep
+	ctlTeardown                   // (after the teardown sleep) switch generation; the rebuild sleep
+	ctlRebuild                    // (after the rebuild sleep) replay the stashed collectives
+)
+
+// ctlState is what ctlStep keeps between dispatches: the phase, and the
+// reconfiguration in progress.
+type ctlState struct {
+	at      ctlPhase
+	req     *ReconfigRequest
+	gather  control.Gather // this rank's part of the barrier in progress
+	maxSeq  uint64         // the highest sequence number any rank has launched
+	start   sim.Time       // when the reconfiguration began
+	phase   sim.Time       // when the current phase began (the completion phase spans the idle wait)
+	stashed []*OpRequest   // collectives that arrived during the drain, replayed after the switch
+}
+
+// ctlStep is the control loop: it launches operations onto the execution
+// pipeline and runs the Fig. 4 reconfiguration protocol, one phase after
+// another, parking on the command queue, the control ring, the idle wait
+// queue and the teardown and rebuild sleeps. It returns true once a
+// shutdown has been read.
+func (r *Runner) ctlStep(p *sim.Proc) bool {
+	x, c := &r.ctl, r.comm
+	for {
+		switch x.at {
+		case ctlCommands:
+			if r.stopped {
+				return true
+			}
+			m, ok := r.queue.TryPop()
+			if !ok {
+				r.queue.Park(p)
+				return false
+			}
+			switch m := m.(type) {
+			case *OpRequest:
+				r.launch(m)
+			case *ReconfigRequest:
+				r.beginReconfig(p, m)
+			case shutdownMsg:
+				r.stopped = true
+			default:
+				panic(fmt.Sprintf("proxy: unknown message %T", m))
+			}
+		case ctlSeq:
+			// 1. Exchange last-launched sequence numbers on the control
+			//    ring. This stalls new launches locally (we are not reading
+			//    the command queue) without any fast-path cost when no
+			//    reconfig is pending.
+			if !c.ctrl.Park(p, &x.gather) {
+				return false
+			}
+			x.maxSeq = uint64(control.Max(x.gather.Out))
+			r.emitPhase(p, trace.PhaseSeqExchange, x.phase)
+			x.phase, x.at = p.Now(), ctlDrain
+		case ctlDrain:
+			// 2. Drain-launch: collectives that peers already launched must
+			//    run under the old configuration. The frontend will deliver
+			//    them; reconfigurations that arrive meanwhile are stashed.
+			if r.seq >= x.maxSeq {
+				r.emitPhase(p, trace.PhaseDrain, x.phase)
+				r.beginCompletion(p)
+				continue
+			}
+			m, ok := r.queue.TryPop()
+			if !ok {
+				r.queue.Park(p)
+				return false
+			}
+			switch m := m.(type) {
 			case *OpRequest:
 				r.launch(m)
 			case *ReconfigRequest:
 				r.pendingReconfigs = append(r.pendingReconfigs, m)
 			case shutdownMsg:
-				r.stopped = true
-				return
+				r.stop()
+			}
+		case ctlIdle:
+			// Wait for every launched collective to complete. P2P
+			// operations are deliberately excluded: their connections
+			// survive reconfigurations, so an in-flight pairwise transfer
+			// can safely straddle the strategy switch — and waiting for one
+			// could deadlock the barrier, since its matching half may be
+			// queued behind the peer's own reconfiguration.
+			if r.collInFlight > 0 {
+				r.idleWQ.Park(p)
+				return false
+			}
+			x.at = ctlCompletion
+			if !c.cfg.UnsafeSkipSeqBarrier {
+				c.ctrl.Begin(&x.gather, r.rank, int64(r.seq))
+			}
+		case ctlCompletion:
+			if !c.cfg.UnsafeSkipSeqBarrier && !c.ctrl.Park(p, &x.gather) {
+				return false
+			}
+			r.emitPhase(p, trace.PhaseCompletion, x.phase)
+			// 4. Tear down this rank's send connections and switch to the
+			//    next generation, rebuilding connections under the new
+			//    strategy.
+			x.phase, x.at = p.Now(), ctlTeardown
+			c.gens[r.gen].closeFrom(r.rank)
+			p.ParkSleep(c.cfg.ConnTeardown)
+			return false
+		case ctlTeardown:
+			r.emitPhase(p, trace.PhaseTeardown, x.phase)
+			x.phase, x.at = p.Now(), ctlRebuild
+			r.gen++
+			if _, err := c.connsFor(r.gen, x.req.Strategy); err != nil {
+				panic(fmt.Sprintf("proxy: rebuilding connections: %v", err))
+			}
+			p.ParkSleep(c.cfg.ConnSetup)
+			return false
+		case ctlRebuild:
+			r.emitPhase(p, trace.PhaseRebuild, x.phase)
+			c.telReconfigs.Inc()
+			c.telReconfigDur.Observe(p.Now().Sub(x.start).Seconds())
+			// Replay collectives that arrived during the drain under the
+			// new configuration, in arrival order.
+			for _, op := range x.stashed {
+				r.launch(op)
+			}
+			clear(x.stashed)
+			req := x.req
+			x.req, x.stashed, x.at = nil, x.stashed[:0], ctlCommands
+			if req.Done != nil {
+				req.Done.Done(c.s)
+			}
+			// Reconfigurations stashed during this one run next, in order,
+			// before another command is read.
+			if len(r.pendingReconfigs) > 0 {
+				next := r.pendingReconfigs[0]
+				r.pendingReconfigs = r.pendingReconfigs[1:]
+				r.beginReconfig(p, next)
 			}
 		}
-		r.emitPhase(p, trace.PhaseDrain, t0)
 	}
+}
 
-	// 3. Completion barrier: wait for this rank's execution pipeline to
-	//    drain, then AllGather again. Local completion means this rank's
-	//    receives are done, but its final sends may still be in flight to
-	//    peers; closing connections is safe only once every rank has
-	//    finished op maxSeq, which the second AllGather guarantees (it
-	//    doubles as the teardown handshake).
-	//
-	//    Point-to-point operations are not part of the barrier: any
-	//    queued P2P requests are launched now (their connections are
-	//    communicator-lifetime, so they may straddle the switch), and
-	//    the idle wait below covers collectives only.
-	barrierStart := p.Now()
-	var stashed []*OpRequest
+// beginReconfig starts the Fig. 4 protocol for req on this rank: with its
+// sequence-number AllGather, or — without the barrier — straight at the
+// completion phase.
+func (r *Runner) beginReconfig(p *sim.Proc, req *ReconfigRequest) {
+	if err := req.Strategy.Validate(r.comm.Info.NumRanks()); err != nil {
+		panic(fmt.Sprintf("proxy: reconfigure with bad strategy: %v", err))
+	}
+	x := &r.ctl
+	x.req, x.start, x.phase = req, p.Now(), p.Now()
+	if r.comm.cfg.UnsafeSkipSeqBarrier {
+		r.beginCompletion(p)
+		return
+	}
+	r.comm.ctrl.Begin(&x.gather, r.rank, int64(r.seq))
+	x.at = ctlSeq
+}
+
+// beginCompletion starts step 3, the completion barrier: wait for this
+// rank's execution pipeline to drain, then AllGather again. Local
+// completion means this rank's receives are done, but its final sends may
+// still be in flight to peers; closing connections is safe only once every
+// rank has finished op maxSeq, which the second AllGather guarantees (it
+// doubles as the teardown handshake).
+//
+// Point-to-point operations are not part of the barrier: any queued P2P
+// requests are launched now (their connections are communicator-lifetime,
+// so they may straddle the switch), and the idle wait covers collectives
+// only. Queued collectives are stashed for replay, queued reconfigurations
+// for after this one.
+func (r *Runner) beginCompletion(p *sim.Proc) {
+	x := &r.ctl
+	x.phase, x.at = p.Now(), ctlIdle
 	for {
 		m, ok := r.queue.TryPop()
 		if !ok {
-			break
+			return
 		}
 		switch m := m.(type) {
 		case *OpRequest:
 			if m.P2P != 0 {
 				r.launch(m)
 			} else {
-				stashed = append(stashed, m)
+				x.stashed = append(x.stashed, m)
 			}
 		case *ReconfigRequest:
 			r.pendingReconfigs = append(r.pendingReconfigs, m)
 		case shutdownMsg:
-			r.stopped = true
+			r.stop()
 			return
 		}
 	}
-	r.waitCollIdle(p)
-	if !r.comm.cfg.UnsafeSkipSeqBarrier {
-		r.comm.ctrl.AllGather(p, r.rank, int64(r.seq))
-	}
-	r.emitPhase(p, trace.PhaseCompletion, barrierStart)
+}
 
-	// 4. Tear down this rank's send connections and switch to the next
-	//    generation, rebuilding connections under the new strategy.
-	tearStart := p.Now()
-	r.comm.gens[r.gen].closeFrom(r.rank)
-	p.Sleep(r.comm.cfg.ConnTeardown)
-	r.emitPhase(p, trace.PhaseTeardown, tearStart)
-	rebuildStart := p.Now()
-	r.gen++
-	if _, err := r.comm.connsFor(r.gen, req.Strategy); err != nil {
-		panic(fmt.Sprintf("proxy: rebuilding connections: %v", err))
-	}
-	p.Sleep(r.comm.cfg.ConnSetup)
-	r.emitPhase(p, trace.PhaseRebuild, rebuildStart)
-	r.comm.telReconfigs.Inc()
-	r.comm.telReconfigDur.Observe(p.Now().Sub(reconfigStart).Seconds())
-	// Replay collectives that arrived during the drain under the new
-	// configuration, in arrival order.
-	for _, op := range stashed {
-		r.launch(op)
-	}
-	if req.Done != nil {
-		req.Done.Done(r.comm.s)
-	}
+// stop abandons the reconfiguration in progress on a shutdown read during
+// its drain or completion phase: the collectives it stashed are dropped,
+// and the loop goes back to the commands phase, which finishes it.
+func (r *Runner) stop() {
+	x := &r.ctl
+	r.stopped = true
+	clear(x.stashed)
+	x.req, x.stashed, x.at = nil, x.stashed[:0], ctlCommands
 }

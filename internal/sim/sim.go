@@ -26,9 +26,10 @@
 // The blocking primitives are their Park forms followed by the baton
 // hand-off, so a body written either way schedules exactly the same events
 // (EventWake → ready → EventDispatch) in the same order: the observable schedule
-// cannot tell the two kinds apart. The datapath (the proxy's execution
-// pipeline and its schedule interpreter) is stackless; control paths,
-// tenants and tests are goroutine processes.
+// cannot tell the two kinds apart. The service's engines (the proxy's
+// control loop, its execution pipeline and its schedule interpreter) are
+// stackless; tenants, the controllers above the service and tests are
+// goroutine processes.
 //
 // # Performance shape
 //
