@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers tenants api state service goldens
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers tenants api state service fields goldens
 
 all: check
 
@@ -92,8 +92,8 @@ fuzz:
 # once under the race detector. The suite holds the architecture gate,
 # TestArchitecture (the one door for reconfiguration, the one attach site
 # for observers, the one tenant runner, an exported surface that non-test
-# code reaches, no free list in a package variable and no goroutine process
-# in a service engine), so check
+# code reaches, no free list in a package variable, no goroutine process
+# in a service engine and no exported field that nothing reads), so check
 # type-checks the repository for it once per pass rather than once per
 # rule.
 check: build fmt vet goldens test race
@@ -121,8 +121,8 @@ goldens: $(MCCS)
 	$(MCCS) selfheal -seeds 4 -jsonl results/selfheal.jsonl -doctor results/selfheal.doctor.txt > results/selfheal.txt
 	git diff --exit-code --stat -- results/
 
-# api, door, observers, tenants, state and service are the six rules of the
-# architecture gate, TestArchitecture in architecture_test.go: the root
+# api, door, observers, tenants, state, service and fields are the seven
+# rules of the architecture gate, TestArchitecture in architecture_test.go: the root
 # module and bench/ are type-checked once with go/types (stdlib only; a
 # type error or a failed `go list` fails the gate), and each rule is
 # applied to what every identifier resolves to, so a method value or an
@@ -153,10 +153,18 @@ goldens: $(MCCS)
 #     gpusim,control} calls sim.Scheduler.Go or GoDaemon: the service's
 #     engines are step functions (GoStep), so an op's path through them
 #     costs no goroutine switch. No exceptions.
+#   fields: every exported field of a struct type declared in a non-test
+#     file under internal/ is read by something other than its own
+#     package's tests. A composite-literal key, the left side of an
+#     assignment and an ++/-- operand write; every other use, &x.F too,
+#     reads. A field with a struct tag (encoding/json reads it) and a field
+#     of a type mccs.go re-exports are exempt; the allowlist keeps the
+#     cluster.JobResult fields the reference run compares bit for bit, the
+#     chaos fault ground truth and netsim.Counters.Fills.
 # A reference in the package that declares the target counts too; test
-# files may do all but state. CI and `check` (through `test`) run the six
-# together, once.
-api door observers tenants state service:
+# files may do all but state. CI and `check` (through `test`) run the
+# seven together, once.
+api door observers tenants state service fields:
 	$(GO) test -count=1 -run '^TestArchitecture$$/^$@$$' .
 
 # chaos runs the seeded chaos sweep on its own (it is also part of

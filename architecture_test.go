@@ -1,8 +1,9 @@
 // The architecture gate (`make api`, `make door`, `make observers`, `make
-// tenants`, `make state` and `make service`): the root module and bench/
-// are type-checked once with go/types, and six rules are applied to what
-// every identifier resolves to, so a method value, an aliased import or
-// two functions that share a name are seen for what they are.
+// tenants`, `make state`, `make service` and `make fields`): the root
+// module and bench/ are type-checked once with go/types, and seven rules
+// are applied to what every identifier resolves to, so a method value, an
+// aliased import or two functions that share a name are seen for what
+// they are.
 package mccs_test
 
 import (
@@ -16,6 +17,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -25,10 +27,13 @@ import (
 	"testing"
 )
 
-// archAllowed is the one allowlist: each entry lets rule reach where (a
-// path prefix relative to the repository root, or for api an exported
-// name as the rule prints it) for its reason. It only grows with a reason.
-var archAllowed = []struct{ rule, where, reason string }{
+// archAllow lets rule reach where (a path prefix relative to the
+// repository root, or for api and fields an exported name as the rule
+// prints it) for its reason.
+type archAllow struct{ rule, where, reason string }
+
+// archAllowed is the one allowlist. It only grows with a reason.
+var archAllowed = []archAllow{
 	{"door", "internal/policy/", "policy decides a communicator's strategy and routes (paper §4.3)"},
 	{"door", "internal/mccsd/", "the service executes a decision: Deployment pushes routes to its proxies"},
 	{"door", "internal/chaos/inject.go", "the chaos reconfig storm, the Fig. 4 adversary, not a decider"},
@@ -39,9 +44,14 @@ var archAllowed = []struct{ rule, where, reason string }{
 	{"tenants", "bench/", "the frozen benchmark module"},
 	{"tenants", "examples/", "the public-API demos"},
 	{"state", "internal/chaos/runseed.go", "chaos runs many environments in a row (a sweep, the benchmark's seeds), so it keeps the one mccsd.Scratch they share"},
+	{"fields", "cluster.JobResult.ID", "TestRunMatchesReference and FuzzClusterRun compare every job result bit for bit against referenceRun"},
+	{"fields", "cluster.JobResult.Arrived", "TestRunMatchesReference and FuzzClusterRun compare every job result bit for bit against referenceRun"},
+	{"fields", "cluster.JobResult.Started", "TestRunMatchesReference and FuzzClusterRun compare every job result bit for bit against referenceRun"},
+	{"fields", "chaos.Result.Faults", "the injected-fault ground truth the doctor and self-heal tests score against"},
+	{"fields", "netsim.Counters.Fills", "TestSolveFillsOncePlusPriority pins one fill per solve, and two with a priority flow"},
 }
 
-// archRules are the six rules, each a function from the type-checked
+// archRules are the seven rules, each a function from the type-checked
 // program to every reference it forbids, before the allowlist.
 var archRules = []struct {
 	name string
@@ -80,6 +90,9 @@ var archRules = []struct {
 		}
 		return false
 	}))},
+	// Only what is read: an exported field of a struct type under
+	// internal/ is read by something other than its own package's tests.
+	{"fields", unreadFields},
 }
 
 // serviceEngines are the directories of the service stack below the
@@ -111,7 +124,7 @@ func TestArchitecture(t *testing.T) {
 	}
 	for _, r := range archRules {
 		t.Run(r.name, func(t *testing.T) {
-			msgs, stale := disallowed(r.name, r.hits(prog))
+			msgs, stale := disallowed(archAllowed, r.name, r.hits(prog))
 			for _, msg := range msgs {
 				t.Error(msg)
 			}
@@ -123,18 +136,18 @@ func TestArchitecture(t *testing.T) {
 }
 
 // archHit is one forbidden reference: where is the file holding it (or,
-// for api, the exported name) and msg says what it does.
+// for api and fields, the exported name) and msg says what it does.
 type archHit struct{ where, msg string }
 
-// disallowed returns the messages of the hits no allowlist entry of rule
+// disallowed returns the messages of the hits no entry of allowed for rule
 // covers, sorted and without repeats, and the entries of rule that cover
 // no hit.
-func disallowed(rule string, hits []archHit) (msgs, stale []string) {
+func disallowed(allowed []archAllow, rule string, hits []archHit) (msgs, stale []string) {
 	covered := map[string]bool{}
 	seen := map[string]bool{}
 next:
 	for _, h := range hits {
-		for _, a := range archAllowed {
+		for _, a := range allowed {
 			if a.rule == rule && (h.where == a.where || strings.HasSuffix(a.where, "/") && strings.HasPrefix(h.where, a.where)) {
 				covered[a.where] = true
 				continue next
@@ -145,7 +158,7 @@ next:
 			msgs = append(msgs, h.msg)
 		}
 	}
-	for _, a := range archAllowed {
+	for _, a := range allowed {
 		if a.rule == rule && !covered[a.where] {
 			stale = append(stale, a.where)
 		}
@@ -385,7 +398,7 @@ func referrers(does string, target func(*types.Func) bool) func(*archProgram) []
 func deadExports(p *archProgram) []archHit {
 	decls := map[token.Pos]*types.Func{}
 	used := map[token.Pos]bool{}
-	aliased := map[token.Pos]bool{}
+	aliased := aliasedTypes(p)
 	ifaces := map[string]*types.Interface{}   // interfaces with a used method
 	ifaceUsed := map[string]map[string]bool{} // interface -> its used methods
 	for _, u := range p.units {
@@ -400,25 +413,14 @@ func deadExports(p *archProgram) []archHit {
 				}
 			}
 		}
-		if u.pkg.Path() == "mccs" {
-			for _, name := range u.pkg.Scope().Names() {
-				if tn, ok := u.pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
-					if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
-						aliased[n.Obj().Pos()] = true
-					}
-				}
-			}
-		}
 		for id, obj := range u.info.Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok || !fn.Exported() {
 				continue
 			}
 			fn = fn.Origin()
-			if fn.Pkg() != nil && strings.HasPrefix(fn.Pkg().Path(), "mccs/") {
-				if rel := p.rel(id.Pos()); isTestFile(rel) && filepath.Dir(rel) == filepath.Dir(p.rel(fn.Pos())) {
-					continue
-				}
+			if p.ownTest(id, fn) {
+				continue
 			}
 			used[fn.Pos()] = true
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
@@ -447,6 +449,118 @@ func deadExports(p *archProgram) []archHit {
 			key = fn.Pkg().Name() + "." + named.Obj().Name() + "." + fn.Name()
 		}
 		hits = append(hits, archHit{key, fmt.Sprintf("%s: %s has no referrer outside its own package's tests; delete it, or move a test oracle into a test file", p.position(pos), key)})
+	}
+	return hits
+}
+
+// aliasedTypes are the declarations of the named types a type alias of
+// the root package re-exports: the public API.
+func aliasedTypes(p *archProgram) map[token.Pos]bool {
+	aliased := map[token.Pos]bool{}
+	for _, u := range p.units {
+		if u.pkg.Path() != "mccs" {
+			continue
+		}
+		for _, name := range u.pkg.Scope().Names() {
+			if tn, ok := u.pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+				if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+					aliased[n.Obj().Pos()] = true
+				}
+			}
+		}
+	}
+	return aliased
+}
+
+// ownTest reports whether id, a use of the module's obj, stands in a test
+// file of the package directory that declares obj: a use api and fields
+// do not count.
+func (p *archProgram) ownTest(id *ast.Ident, obj types.Object) bool {
+	if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), "mccs/") {
+		return false
+	}
+	rel := p.rel(id.Pos())
+	return isTestFile(rel) && filepath.Dir(rel) == filepath.Dir(p.rel(obj.Pos()))
+}
+
+// unreadFields is the fields rule: every exported field of a struct type
+// declared in a non-test file under internal/ is read by something other
+// than its own package's tests. A use is a read unless it is a
+// composite-literal key, the left side of an assignment or the operand of
+// ++ or --; &x.F reads. A field with a struct tag (encoding/json reads it)
+// and a field of a type the root package aliases (the public API) are
+// exempt; an embedded field, read through what it promotes, is not
+// checked.
+func unreadFields(p *archProgram) []archHit {
+	aliased := aliasedTypes(p)
+	decls := map[token.Pos]string{} // field -> its name as the rule prints it
+	read := map[token.Pos]bool{}
+	var declare func(prefix string, st *ast.StructType)
+	declare = func(prefix string, st *ast.StructType) {
+		for _, f := range st.Fields.List {
+			if inner, ok := f.Type.(*ast.StructType); ok {
+				for _, n := range f.Names {
+					declare(prefix+"."+n.Name, inner)
+				}
+			}
+			if f.Tag != nil {
+				continue
+			}
+			for _, n := range f.Names {
+				if n.IsExported() {
+					decls[n.Pos()] = prefix + "." + n.Name
+				}
+			}
+		}
+	}
+	for _, u := range p.units {
+		writes := map[*ast.Ident]bool{}
+		written := func(x ast.Expr) {
+			switch x := ast.Unparen(x).(type) {
+			case *ast.SelectorExpr:
+				writes[x.Sel] = true
+			case *ast.Ident:
+				writes[x] = true
+			}
+		}
+		for _, f := range u.files {
+			if rel := p.rel(f.Pos()); !isTestFile(rel) && strings.HasPrefix(rel, "internal/") {
+				for _, d := range f.Decls {
+					if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+						for _, spec := range gd.Specs {
+							ts := spec.(*ast.TypeSpec)
+							if st, ok := ts.Type.(*ast.StructType); ok && !aliased[ts.Name.Pos()] {
+								declare(u.pkg.Name()+"."+ts.Name.Name, st)
+							}
+						}
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					written(n.Key)
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						written(l)
+					}
+				case *ast.IncDecStmt:
+					written(n.X)
+				}
+				return true
+			})
+		}
+		for id, obj := range u.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] && !p.ownTest(id, v.Origin()) {
+				read[v.Origin().Pos()] = true
+			}
+		}
+	}
+	var hits []archHit
+	for pos, name := range decls {
+		if !read[pos] {
+			hits = append(hits, archHit{name, fmt.Sprintf("%s: %s is never read outside its own package's tests; delete it and what fills it", p.position(pos), name)})
+		}
 	}
 	return hits
 }
@@ -558,8 +672,8 @@ func (d *Deployment) UpdateRoutes() {}
 type Frontend struct{}
 func (f *Frontend) CommInitRank() {}`,
 	"internal/trace/trace.go": `package trace
-type Recorder struct{}
-func NewRecorder() *Recorder { return &Recorder{} }
+type Recorder struct{ Dropped int }
+func NewRecorder() *Recorder { return &Recorder{Dropped: 0} }
 func Attach(r *Recorder)     {}`,
 	"internal/freelist/freelist.go": `package freelist
 type List[T any] struct{ bins [][]T }`,
@@ -593,6 +707,17 @@ import (
 func main() { harness.NewEnv(nil); policy.Apply(nil); workload.Launch(nil) }`,
 }
 
+// plantedAllowed is the allowlist of the miniature, each entry covering
+// something in plantedBase, so that a row which leaves an entry covering
+// nothing fails its rule.
+var plantedAllowed = []archAllow{
+	{"door", "internal/policy/", "policy decides"},
+	{"door", "internal/mccsd/", "the service executes"},
+	{"observers", "internal/harness/", "the one attach site"},
+	{"tenants", "internal/workload/", "the one tenant runner"},
+	{"fields", "trace.Recorder.Dropped", "written only; the stale-entry row reads it"},
+}
+
 // plant type-checks plantedBase with extra added, one package per
 // directory, the directory's import path under the module path mccs.
 func plant(extra map[string]string) (*archProgram, error) {
@@ -620,11 +745,22 @@ func plant(extra map[string]string) (*archProgram, error) {
 }
 
 // TestArchitectureRulesCatchPlanted plants one violation per row in a
-// miniature repository and checks that exactly the row's rule reports it:
-// one row per rule that its grep or name-scan form also caught, and the
-// cases that form missed. Rows without a rule must pass every rule.
+// miniature repository and checks that exactly the row's rule reports it,
+// a disallowed reference or a stale allowlist entry alike: one row per
+// rule that its grep or name-scan form also caught, and the cases that
+// form missed. Rows without a rule must pass every rule.
 func TestArchitectureRulesCatchPlanted(t *testing.T) {
 	t.Parallel()
+	// writeOnly plants proxy.Stats.Sent, which a literal key, ++ and +=
+	// write and nothing reads.
+	writeOnly := func(extra map[string]string) map[string]string {
+		files := map[string]string{
+			"internal/proxy/stats.go": "package proxy\ntype Stats struct{ Sent int }\nfunc Count(s *Stats) { *s = Stats{Sent: 1}; s.Sent++; s.Sent += 2 }",
+			"cmd/app/stats.go":        "package main\nimport \"mccs/internal/proxy\"\nfunc count() { proxy.Count(nil) }",
+		}
+		maps.Copy(files, extra)
+		return files
+	}
 	rows := []struct {
 		name, rule string
 		files      map[string]string
@@ -724,6 +860,27 @@ type device struct{ backings *freelist.List[float32] }
 var devices []device
 func alloc() { var l freelist.List[float32]; devices = append(devices, device{&l}) }`,
 		}},
+		{"fields: a write-only field", "fields", writeOnly(nil)},
+		{"fields: read only by its own package's tests", "fields", writeOnly(map[string]string{
+			"internal/proxy/stats_test.go": "package proxy\nfunc sent(s Stats) int { return s.Sent }",
+		})},
+		{"fields: read by another package's test, &x.F too", "", writeOnly(map[string]string{
+			"internal/harness/stats_test.go": "package harness\nimport \"mccs/internal/proxy\"\nfunc sent(s *proxy.Stats) *int { return &s.Sent }",
+		})},
+		{"fields: a generic type's field read through an instance", "", map[string]string{
+			"internal/proxy/box.go": "package proxy\ntype Box[T any] struct{ V T }",
+			"cmd/app/box.go":        "package main\nimport \"mccs/internal/proxy\"\nfunc unbox(b proxy.Box[int]) int { return b.V }",
+		}},
+		{"fields: a tagged field", "", map[string]string{
+			"internal/proxy/stats.go": "package proxy\ntype Stats struct{ Sent int `json:\"sent\"` }\nfunc Count(s *Stats) { s.Sent++ }",
+			"cmd/app/stats.go":        "package main\nimport \"mccs/internal/proxy\"\nfunc count() { proxy.Count(nil) }",
+		}},
+		{"fields: a field of a type the root package aliases", "", writeOnly(map[string]string{
+			"mccs.go": "package mccs\nimport \"mccs/internal/proxy\"\ntype Stats = proxy.Stats",
+		})},
+		{"fields: an allowlist entry whose field is now read is stale", "fields", map[string]string{
+			"cmd/app/dropped.go": "package main\nimport \"mccs/internal/trace\"\nfunc dropped(r *trace.Recorder) int { return r.Dropped }",
+		}},
 	}
 	for _, row := range rows {
 		prog, err := plant(row.files)
@@ -731,9 +888,9 @@ func alloc() { var l freelist.List[float32]; devices = append(devices, device{&l
 			t.Fatalf("%s: %v", row.name, err)
 		}
 		for _, r := range archRules {
-			got, _ := disallowed(r.name, r.hits(prog))
-			if want := r.name == row.rule; want != (len(got) > 0) {
-				t.Errorf("%s: rule %s reports %q, want a report: %v", row.name, r.name, got, want)
+			got, stale := disallowed(plantedAllowed, r.name, r.hits(prog))
+			if want := r.name == row.rule; want != (len(got)+len(stale) > 0) {
+				t.Errorf("%s: rule %s reports %q and stale entries %q, want a report: %v", row.name, r.name, got, stale, want)
 			}
 		}
 	}

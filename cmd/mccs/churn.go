@@ -32,6 +32,12 @@ func runChurn(args []string, stdout io.Writer) error {
 	if err := parseFlags(fs, args, stdout); err != nil {
 		return err
 	}
+	if cfg.Jobs < 1 {
+		return usagef("-jobs %d: the arrival stream needs at least one job", cfg.Jobs)
+	}
+	if cfg.MeanGap <= 0 {
+		return usagef("-gap %v: the mean inter-arrival gap must be positive", cfg.MeanGap)
+	}
 	cfg.Reconfigure = !*noReconfig
 	cfg.Observers = *obs
 	switch *placer {
@@ -47,8 +53,8 @@ func runChurn(args []string, stdout io.Writer) error {
 		for _, kv := range strings.Split(*quota, ",") {
 			tenant, val, ok := strings.Cut(kv, "=")
 			n, err := strconv.Atoi(val)
-			if !ok || err != nil {
-				return usagef("bad -quota entry %q (want tenant=N)", kv)
+			if !ok || err != nil || n < 0 {
+				return usagef("bad -quota entry %q (want tenant=N, N >= 0)", kv)
 			}
 			cfg.Quota[spec.AppID(tenant)] = n
 		}

@@ -104,6 +104,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"bench", "-sizes=big"}, 2, "bad size"},
 		{[]string{"churn", "-placer=random"}, 2, "unknown -placer"},
 		{[]string{"churn", "-quota=tenant-a"}, 2, "bad -quota"},
+		{[]string{"churn", "-jobs=0"}, 2, "-jobs 0"},
+		{[]string{"churn", "-gap=-5ms"}, 2, "-gap -5ms"},
+		{[]string{"churn", "-quota=tenant-a=-1"}, 2, "bad -quota"},
 		{[]string{"top", "-live", "-scenario=qos"}, 2, "unknown -scenario"},
 		{[]string{"top"}, 2, "telemetry.jsonl"},
 		{[]string{"trace", "explode", "x.json"}, 2, "summarize|dump"},

@@ -194,7 +194,9 @@ func runRing(t *testing.T, seed int64, n, barriers int, park bool) ringRun {
 	s := sim.New()
 	s.SetPicker(&rngPicker{rng: rand.New(rand.NewSource(seed ^ 0x5eed))})
 	var run ringRun
-	s.SetObserver(func(at sim.Time, seq uint64) { run.stream = append(run.stream, uint64(at), seq) })
+	s.SetEventObserver(func(at sim.Time, seq uint64, _ sim.EventKind, _ sim.Handler) {
+		run.stream = append(run.stream, uint64(at), seq)
+	})
 	r, err := NewRing(s, n, time.Duration(rng.Intn(50))*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)

@@ -29,9 +29,9 @@ type ChurnConfig struct {
 	// Seed drives the arrival stream: same seed, same binary => the
 	// same job mix, placements, and byte-identical report.
 	Seed uint64
-	// Jobs is how many jobs to generate (default 8).
+	// Jobs is how many jobs to generate, at least one.
 	Jobs int
-	// MeanGap is the mean exponential inter-arrival gap (default 30ms).
+	// MeanGap is the mean exponential inter-arrival gap, positive.
 	MeanGap time.Duration
 	// Reconfigure re-pins FFA routes on every churn event (default on
 	// via DefaultChurnConfig).
@@ -155,12 +155,6 @@ func GenerateChurnJobs(seed uint64, n int, meanGap time.Duration) []orchestrator
 
 // RunChurn executes one churn experiment end to end.
 func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = 8
-	}
-	if cfg.MeanGap <= 0 {
-		cfg.MeanGap = 30 * time.Millisecond
-	}
 	env, err := NewEnv(EnvOptions{System: ncclsim.MCCS, Salt: cfg.Seed, Observers: cfg.Observers})
 	if err != nil {
 		return nil, err

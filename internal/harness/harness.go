@@ -328,9 +328,8 @@ type SingleAppConfig struct {
 
 // SingleAppResult aggregates one Fig. 6 cell.
 type SingleAppResult struct {
-	// AlgBW and BusBW summarize per-iteration bandwidth in bytes/sec.
+	// AlgBW summarizes per-iteration algorithm bandwidth in bytes/sec.
 	AlgBW metrics.Summary
-	BusBW metrics.Summary
 }
 
 // RunSingleApp executes a single-application collective benchmark,
@@ -350,15 +349,7 @@ func RunSingleApp(cfg SingleAppConfig) (SingleAppResult, error) {
 		}
 		algbw = append(algbw, vals...)
 	}
-	factor := collective.BusBWFactor(cfg.Op, cfg.NumGPUs)
-	busbw := make([]float64, len(algbw))
-	for i, v := range algbw {
-		busbw[i] = v * factor
-	}
-	return SingleAppResult{
-		AlgBW: metrics.Summarize(algbw),
-		BusBW: metrics.Summarize(busbw),
-	}, nil
+	return SingleAppResult{AlgBW: metrics.Summarize(algbw)}, nil
 }
 
 // trialEnv builds the environment of one ECMP-salt trial of a multi-trial

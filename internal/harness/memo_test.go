@@ -7,6 +7,21 @@ import (
 	"mccs/internal/netsim"
 )
 
+// fabricCounters calls run, a driver that builds one environment, and
+// returns that environment's fabric counts, read through envBuilt.
+func fabricCounters(t *testing.T, run func() error) netsim.Counters {
+	var envs []*Env
+	envBuilt = func(e *Env) { envs = append(envs, e) }
+	defer func() { envBuilt = nil }()
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(envs) != 1 {
+		t.Fatalf("the driver built %d environments, want 1", len(envs))
+	}
+	return envs[0].Fabric.Counters
+}
+
 // memoHitRate is hits over the recomputes that consulted the memo.
 func memoHitRate(c netsim.Counters) float64 {
 	return float64(c.MemoHits) / float64(c.MemoHits+c.MemoMisses)
@@ -17,24 +32,24 @@ func memoHitRate(c netsim.Counters) float64 {
 // configurations, ask the fabric for the same few allocations over and over
 // (DESIGN.md §10.3 quotes these rates).
 func TestFabricMemoHitRates(t *testing.T) {
-	dyn, err := RunDynamic(DynamicConfig{
-		T1: 3 * time.Second, T2: 6 * time.Second, T3: 9 * time.Second, T4: 12 * time.Second,
-		RunFor: 15 * time.Second,
+	dyn := fabricCounters(t, func() error {
+		_, err := RunDynamic(DynamicConfig{
+			T1: 3 * time.Second, T2: 6 * time.Second, T3: 9 * time.Second, T4: 12 * time.Second,
+			RunFor: 15 * time.Second,
+		})
+		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := RunReconfigShowcase(DefaultReconfigConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := fabricCounters(t, func() error {
+		_, err := RunReconfigShowcase(DefaultReconfigConfig())
+		return err
+	})
 	for _, tc := range []struct {
 		name string
 		c    netsim.Counters
 		want float64
 	}{
-		{"RunDynamic", dyn.Fabric, 0.95},
-		{"RunReconfigShowcase", rec.Fabric, 0.99},
+		{"RunDynamic", dyn, 0.95},
+		{"RunReconfigShowcase", rec, 0.99},
 	} {
 		c := tc.c
 		t.Logf("%s: %d recomputes, %d hits, %d misses (%.2f%% hits), %d entries, %d flows recycled",

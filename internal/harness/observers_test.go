@@ -78,7 +78,7 @@ func TestObserverMatrixScheduleNeutral(t *testing.T) {
 		}
 		defer env.S.Shutdown()
 		hash = 14695981039346656037
-		env.S.SetObserver(func(at sim.Time, seq uint64) {
+		env.S.SetEventObserver(func(at sim.Time, seq uint64, _ sim.EventKind, _ sim.Handler) {
 			for _, v := range [2]uint64{uint64(at), seq} {
 				for i := 0; i < 8; i++ {
 					hash = (hash ^ v&0xff) * 1099511628211

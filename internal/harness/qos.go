@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mccs/internal/ncclsim"
-	"mccs/internal/netsim"
 	"mccs/internal/policy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
@@ -240,9 +239,6 @@ type DynamicResult struct {
 	IterEnds  map[spec.AppID][]sim.Time
 	IterTimes map[spec.AppID][]time.Duration
 	Events    []DynamicEvent
-	// Fabric is the run's fabric event counts (recomputes, memo hits and
-	// misses, recycled flows).
-	Fabric netsim.Counters
 }
 
 // RunDynamic executes the Fig. 10 experiment: A occupies the cluster,
@@ -334,6 +330,5 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 			{T: sim.Time(cfg.T3), Name: "PFA prioritizes A"},
 			{T: sim.Time(cfg.T4), Name: "TS prioritizes B"},
 		},
-		Fabric: env.Fabric.Counters,
 	}, nil
 }

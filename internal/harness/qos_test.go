@@ -167,7 +167,7 @@ func TestRunQoSScheduleIsDeterministic(t *testing.T) {
 		}
 		defer env.S.Shutdown()
 		h := fnv.New64a()
-		env.S.SetObserver(func(at sim.Time, seq uint64) {
+		env.S.SetEventObserver(func(at sim.Time, seq uint64, _ sim.EventKind, _ sim.Handler) {
 			events++
 			var b [16]byte
 			binary.LittleEndian.PutUint64(b[:8], uint64(at))

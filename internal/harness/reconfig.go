@@ -73,9 +73,6 @@ type ReconfigResult struct {
 	// Telemetry is the sampled metrics series when the run was
 	// instrumented (TelemetryPath or TelemetryEvery set); nil otherwise.
 	Telemetry *telemetry.Series
-	// Fabric is the run's fabric event counts (recomputes, memo hits and
-	// misses, recycled flows).
-	Fabric netsim.Counters
 }
 
 // RunReconfigShowcase executes the Fig. 7 experiment.
@@ -186,7 +183,7 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 		return ReconfigResult{}, err
 	}
 
-	res := ReconfigResult{Series: series, Telemetry: telemetry.SeriesOf(env.Telemetry), Fabric: fabric.Counters}
+	res := ReconfigResult{Series: series, Telemetry: telemetry.SeriesOf(env.Telemetry)}
 	var nb, nd, nr int
 	// The first post-reconfig sample straddles the barrier stall; skip a
 	// short settle window when averaging the recovered phase.

@@ -13,9 +13,7 @@ import (
 type Summary struct {
 	N                 int
 	Mean              float64
-	Min, Max          float64
 	P5, P50, P95, P99 float64
-	StdDev            float64
 }
 
 // Summarize computes a Summary. Non-finite values (NaN, ±Inf) are
@@ -34,23 +32,17 @@ func Summarize(vals []float64) Summary {
 		return Summary{}
 	}
 	sort.Float64s(s)
-	var sum, sq float64
+	var sum float64
 	for _, v := range s {
 		sum += v
 	}
-	mean := sum / float64(len(s))
-	for _, v := range s {
-		sq += (v - mean) * (v - mean)
-	}
 	return Summary{
 		N:    len(s),
-		Mean: mean,
-		Min:  s[0], Max: s[len(s)-1],
-		P5:     Percentile(s, 0.05),
-		P50:    Percentile(s, 0.50),
-		P95:    Percentile(s, 0.95),
-		P99:    Percentile(s, 0.99),
-		StdDev: math.Sqrt(sq / float64(len(s))),
+		Mean: sum / float64(len(s)),
+		P5:   Percentile(s, 0.05),
+		P50:  Percentile(s, 0.50),
+		P95:  Percentile(s, 0.95),
+		P99:  Percentile(s, 0.99),
 	}
 }
 

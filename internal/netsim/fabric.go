@@ -19,7 +19,6 @@ type Flow struct {
 	ID       int
 	Src, Dst NodeID
 	Route    []LinkID
-	Label    uint64
 
 	// Tag identifies the collective step this flow carries, for the
 	// flight recorder (zero for untagged/external traffic).
@@ -264,7 +263,7 @@ func (fb *Fabric) start(o *FlowOpts, owned bool) *Flow {
 	// fl is zero (new, or reset when it was recycled), so setting the
 	// fields one by one leaves it exactly as a composite literal would,
 	// without building the whole Flow on the stack and copying it over.
-	fl.ID, fl.Src, fl.Dst, fl.Route, fl.Label = fb.nextFlowID, o.Src, o.Dst, route, o.Label
+	fl.ID, fl.Src, fl.Dst, fl.Route = fb.nextFlowID, o.Src, o.Dst, route
 	fl.Tag = o.Tag
 	fl.fb, fl.slot = fb, len(fb.flows)
 	fl.bytes, fl.maxRate, fl.priority, fl.external = bytes, maxRate, priority, o.External
@@ -441,10 +440,8 @@ func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
 // (the telemetry collector). Route aliases live fabric state: visitors
 // must not retain or mutate it.
 type FlowView struct {
-	ID         int
 	Comm       int32 // collective tag communicator; 0 for untagged
 	External   bool
-	Priority   bool
 	Rate       float64
 	Bottleneck LinkID // committed water-fill bottleneck; -1 if cap/demand-limited
 	Route      []LinkID
@@ -457,8 +454,7 @@ func (fb *Fabric) EachFlow(fn func(FlowView)) {
 	fb.flush()
 	for _, fl := range fb.flows {
 		fn(FlowView{
-			ID: fl.ID, Comm: fl.Tag.Comm,
-			External: fl.external, Priority: fl.priority,
+			Comm: fl.Tag.Comm, External: fl.external,
 			Rate: fl.rate, Bottleneck: fb.bott[fl.slot], Route: fl.Route,
 		})
 	}

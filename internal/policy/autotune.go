@@ -6,10 +6,12 @@ import (
 
 	"mccs/internal/collective"
 	"mccs/internal/netsim"
+	"mccs/internal/proxy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/telemetry"
 	"mccs/internal/trace"
+	"mccs/internal/transport"
 	"mccs/internal/tuner"
 )
 
@@ -35,8 +37,8 @@ type AutotuneOptions struct {
 func (c *Controller) TuneModel() *tuner.Model {
 	cfg := c.dep.Config()
 	m := tuner.DefaultModel(c.dep.Cluster)
-	m.Alpha = cfg.Transport.NetLatency + 2*time.Microsecond
-	m.Fixed = cfg.CmdLatency + cfg.CompletionLatency + cfg.Proxy.KernelLaunch
+	m.Alpha = transport.NetLatency + 2*time.Microsecond
+	m.Fixed = cfg.CmdLatency + cfg.CompletionLatency + proxy.KernelLaunch
 	m.IntraBps = cfg.Transport.IntraBps
 	fb := c.dep.Fabric
 	m.ExtLoad = func(l netsim.LinkID) float64 { return fb.ExternalRate(l) }

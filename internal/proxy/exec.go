@@ -215,22 +215,7 @@ func sliceCount(cfg Config, bytes int64) int {
 	if bytes <= 0 {
 		return 0
 	}
-	minSlice := cfg.MinSliceBytes
-	if minSlice <= 0 {
-		minSlice = 512 << 10
-	}
-	maxSlices := cfg.MaxSlices
-	if maxSlices <= 0 {
-		maxSlices = 8
-	}
-	k := int((bytes + minSlice - 1) / minSlice)
-	if k < 1 {
-		k = 1
-	}
-	if k > maxSlices {
-		k = maxSlices
-	}
-	return k
+	return min(int((bytes+cfg.MinSliceBytes-1)/cfg.MinSliceBytes), cfg.MaxSlices)
 }
 
 // channel returns this rank's interpreter for channel ch.
@@ -349,7 +334,7 @@ func (c *chanRun) step(p *sim.Proc) bool {
 		case atLaunch:
 			// Fused communication kernel launch, once per channel.
 			c.at = atStep
-			p.ParkSleep(c.r.comm.cfg.KernelLaunch)
+			p.ParkSleep(KernelLaunch)
 			return false
 		case atStep:
 			if !c.beginStep(p) {

@@ -28,16 +28,6 @@ import (
 
 // Config is the proxy-engine cost model.
 type Config struct {
-	// KernelLaunch is charged once per collective per channel (the fused
-	// NCCL-style communication kernel launch).
-	KernelLaunch time.Duration
-	// ConnSetup and ConnTeardown model per-generation connection
-	// (re)establishment during init and reconfiguration.
-	ConnSetup    time.Duration
-	ConnTeardown time.Duration
-	// CtrlHopLatency is the per-hop latency of the communicator's
-	// control ring.
-	CtrlHopLatency time.Duration
 	// MinSliceBytes and MaxSlices control intra-step pipelining: each
 	// ring step's chunk is cut into up to MaxSlices slices of at least
 	// MinSliceBytes, and slices stream independently. This mirrors
@@ -59,15 +49,26 @@ type Config struct {
 	UnsafeSkipSeqBarrier bool
 }
 
-// DefaultConfig returns latencies in the range the paper reports.
+// The proxy engine's fixed latencies, in the range the paper reports.
+const (
+	// KernelLaunch is charged once per collective per channel (the fused
+	// NCCL-style communication kernel launch).
+	KernelLaunch = 10 * time.Microsecond
+	// ConnSetup and ConnTeardown model per-generation connection
+	// (re)establishment during init and reconfiguration.
+	ConnSetup    = 300 * time.Microsecond
+	ConnTeardown = 100 * time.Microsecond
+	// CtrlHopLatency is the per-hop latency of the communicator's
+	// control ring.
+	CtrlHopLatency = 15 * time.Microsecond
+)
+
+// DefaultConfig returns the slicing every deployment runs with: slices of
+// at least 512 KiB, at most eight per step.
 func DefaultConfig() Config {
 	return Config{
-		KernelLaunch:   10 * time.Microsecond,
-		ConnSetup:      300 * time.Microsecond,
-		ConnTeardown:   100 * time.Microsecond,
-		CtrlHopLatency: 15 * time.Microsecond,
-		MinSliceBytes:  512 << 10,
-		MaxSlices:      8,
+		MinSliceBytes: 512 << 10,
+		MaxSlices:     8,
 	}
 }
 
@@ -231,7 +232,7 @@ func NewComm(
 	if err := info.Strategy.Validate(info.NumRanks()); err != nil {
 		return nil, err
 	}
-	ctrl, err := control.NewRing(s, info.NumRanks(), cfg.CtrlHopLatency)
+	ctrl, err := control.NewRing(s, info.NumRanks(), CtrlHopLatency)
 	if err != nil {
 		return nil, err
 	}
@@ -664,7 +665,7 @@ func (r *Runner) ctlStep(p *sim.Proc) bool {
 			//    strategy.
 			x.phase, x.at = p.Now(), ctlTeardown
 			c.gens[r.gen].closeFrom(r.rank)
-			p.ParkSleep(c.cfg.ConnTeardown)
+			p.ParkSleep(ConnTeardown)
 			return false
 		case ctlTeardown:
 			r.emitPhase(p, trace.PhaseTeardown, x.phase)
@@ -673,7 +674,7 @@ func (r *Runner) ctlStep(p *sim.Proc) bool {
 			if _, err := c.connsFor(r.gen, x.req.Strategy); err != nil {
 				panic(fmt.Sprintf("proxy: rebuilding connections: %v", err))
 			}
-			p.ParkSleep(c.cfg.ConnSetup)
+			p.ParkSleep(ConnSetup)
 			return false
 		case ctlRebuild:
 			r.emitPhase(p, trace.PhaseRebuild, x.phase)

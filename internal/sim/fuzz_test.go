@@ -69,7 +69,7 @@ func TestObserverFingerprint(t *testing.T) {
 		s := New()
 		s.SetPicker(&rngPicker{rng: rand.New(rand.NewSource(seed))})
 		var fp []uint64
-		s.SetObserver(func(at Time, seq uint64) { fp = append(fp, uint64(at)^seq<<32) })
+		s.SetEventObserver(func(at Time, seq uint64, _ EventKind, _ Handler) { fp = append(fp, uint64(at)^seq<<32) })
 		for i := 0; i < 4; i++ {
 			s.Go("worker", func(p *Proc) {
 				for j := 0; j < 3; j++ {

@@ -66,7 +66,9 @@ func (q *ringOnlyQueue) WakeAll(s *Scheduler) int {
 func runWaitQueueScript(q parker, seed int64, nprocs, steps int) (log, events []string) {
 	s := New()
 	defer s.Shutdown()
-	s.SetObserver(func(at Time, seq uint64) { events = append(events, fmt.Sprintf("%d/%d", at, seq)) })
+	s.SetEventObserver(func(at Time, seq uint64, _ EventKind, _ Handler) {
+		events = append(events, fmt.Sprintf("%d/%d", at, seq))
+	})
 	rng := rand.New(rand.NewSource(seed))
 	procs := make([]*Proc, nprocs)
 	for i := range procs {
@@ -179,7 +181,9 @@ func runRounds(t *testing.T, rounds int, reuse bool) []string {
 	t.Helper()
 	s := New()
 	var events []string
-	s.SetObserver(func(at Time, seq uint64) { events = append(events, fmt.Sprintf("%d/%d", at, seq)) })
+	s.SetEventObserver(func(at Time, seq uint64, _ EventKind, _ Handler) {
+		events = append(events, fmt.Sprintf("%d/%d", at, seq))
+	})
 	s.GoDaemon("bystander", func(p *Proc) {
 		for {
 			p.Sleep(time.Microsecond)

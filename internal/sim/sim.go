@@ -285,10 +285,9 @@ func (s *Scheduler) Now() Time { return s.now }
 // from that point on.
 func (s *Scheduler) SetPicker(pk Picker) { s.picker = pk }
 
-// SetObserver installs a hook invoked immediately before every executed
-// event with the event's firing time and sequence number. The sequence of
-// (at, seq) pairs is a complete fingerprint of the simulation schedule:
-// two runs are the same interleaving iff their observer streams match.
+// SetObserver installs an EventObserver that sees only (at, seq). The
+// benchmark module (bench/) is its one caller; it goes with that module's
+// next change.
 func (s *Scheduler) SetObserver(fn func(at Time, seq uint64)) {
 	s.observer = nil
 	if fn != nil {
@@ -296,10 +295,14 @@ func (s *Scheduler) SetObserver(fn func(at Time, seq uint64)) {
 	}
 }
 
-// EventObserver is the hook SetEventObserver installs: SetObserver's (at,
-// seq) plus what the event does and, for an EventCall, the handler it goes
-// to (nil otherwise). It only observes; counting fired events by kind and
-// handler type is one (see the op-path event-mix test in internal/mccsd).
+// EventObserver is the hook SetEventObserver installs, invoked
+// immediately before every executed event with the event's firing time
+// and sequence number, what the event does and, for an EventCall, the
+// handler it goes to (nil otherwise). The sequence of (at, seq) pairs is
+// a complete fingerprint of the simulation schedule: two runs are the
+// same interleaving iff their observer streams match. It only observes;
+// counting fired events by kind and handler type is one (see the op-path
+// event-mix test in internal/mccsd).
 type EventObserver func(at Time, seq uint64, kind EventKind, h Handler)
 
 // SetEventObserver installs fn in place of any observer; nil removes it.

@@ -122,7 +122,7 @@ func runEquiv(t *testing.T, stackless bool, pk Picker) *equivLog {
 	s := New()
 	s.SetPicker(pk)
 	log := &equivLog{}
-	s.SetObserver(func(at Time, seq uint64) {
+	s.SetEventObserver(func(at Time, seq uint64, _ EventKind, _ Handler) {
 		log.events = append(log.events, fmt.Sprintf("%d/%d", at, seq))
 	})
 	e := &equivEnv{s: s, q: NewQueue[int](), log: log}

@@ -29,20 +29,16 @@ type (
 // GPU is one accelerator. Its NIC field is the host NIC with the best
 // affinity (the one the provider uses for this GPU's inter-host traffic).
 type GPU struct {
-	ID    GPUID
-	Host  HostID
-	Index int // index within the host
-	NIC   NICID
+	Host HostID
+	NIC  NICID
 }
 
 // NIC is one (possibly virtual) network interface, an endpoint node in the
 // fabric graph.
 type NIC struct {
-	ID    NICID
-	Host  HostID
-	Index int // index within the host
-	Node  netsim.NodeID
-	Rate  float64 // bytes/sec
+	Host HostID
+	Node netsim.NodeID
+	Rate float64 // bytes/sec
 }
 
 // Host is one server.
@@ -201,14 +197,13 @@ func (c *Cluster) addHost(name string, rack RackID, leaf netsim.NodeID, nics, gp
 		node := c.Net.AddNode(names.String()[start:])
 		c.Net.AddDuplex(node, leaf, bps)
 		nid := NICID(len(c.NICs))
-		c.NICs = append(c.NICs, NIC{ID: nid, Host: hid, Index: n, Node: node, Rate: bps})
+		c.NICs = append(c.NICs, NIC{Host: hid, Node: node, Rate: bps})
 		c.nicIDs = append(c.nicIDs, nid)
 	}
 	gpusPerNIC := gpus / nics
 	for g := 0; g < gpus; g++ {
-		gid := GPUID(len(c.GPUs))
-		c.GPUs = append(c.GPUs, GPU{ID: gid, Host: hid, Index: g, NIC: NICID(firstNIC + g/gpusPerNIC)})
-		c.gpuIDs = append(c.gpuIDs, gid)
+		c.gpuIDs = append(c.gpuIDs, GPUID(len(c.GPUs)))
+		c.GPUs = append(c.GPUs, GPU{Host: hid, NIC: NICID(firstNIC + g/gpusPerNIC)})
 	}
 	// A table that outgrew its reservation moved; the windows taken
 	// before then still read the IDs they were given.

@@ -196,11 +196,11 @@ func TestQuickClosConsistency(t *testing.T) {
 		if len(c.GPUs) != len(c.Hosts)*cfg.GPUsPerHost {
 			return false
 		}
-		for _, g := range c.GPUs {
+		for i, g := range c.GPUs {
 			if c.NICs[g.NIC].Host != g.Host {
 				return false // GPU affinity NIC must be on its own host
 			}
-			if c.HostOfGPU(g.ID) != g.Host {
+			if c.HostOfGPU(GPUID(i)) != g.Host {
 				return false
 			}
 		}

@@ -30,17 +30,14 @@ import (
 // OpReport is the attribution result for one collective.
 type OpReport struct {
 	Comm  int32
-	App   string
 	Seq   uint64
 	Op    int32
 	Start sim.Time
 	End   sim.Time
-	Ranks int
 
 	// Gating transfer and where it ran.
 	GatingFlow           int64
 	GatingFrom, GatingTo int32
-	GatingStep           int32
 	IntraHost            bool
 
 	// Gating link and its occupancy, time-weighted over the gating
@@ -79,13 +76,11 @@ func Attribute(rec Recording) []OpReport {
 			r = &OpReport{
 				Comm: sp.Comm, Seq: sp.Seq, Op: sp.Op,
 				Start: sp.Start, End: sp.End,
-				GatingLink: -1, GatingFrom: -1, GatingTo: -1, GatingStep: -1, GatingFlow: -1,
-				App: rec.Meta.CommApp[sp.Comm],
+				GatingLink: -1, GatingFrom: -1, GatingTo: -1, GatingFlow: -1,
 			}
 			ops[k] = r
 			order = append(order, k)
 		}
-		r.Ranks++
 		if sp.Start < r.Start {
 			r.Start = sp.Start
 		}
@@ -116,7 +111,6 @@ func Attribute(rec Recording) []OpReport {
 		r := ops[k]
 		r.GatingFlow = fl.Flow
 		r.GatingFrom, r.GatingTo = fl.Rank, fl.Peer
-		r.GatingStep = fl.Step
 		r.IntraHost = fl.Kind == KindXfer
 		b.Fold(fl)
 		if j := b.Best; j >= 0 {

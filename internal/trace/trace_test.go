@@ -189,7 +189,7 @@ func TestAttributeFindsGatingLink(t *testing.T) {
 		t.Fatalf("got %d reports, want 1", len(reports))
 	}
 	r := reports[0]
-	if r.Comm != 1 || r.Seq != 1 || r.App != "bench" {
+	if r.Comm != 1 || r.Seq != 1 {
 		t.Errorf("report identity wrong: %+v", r)
 	}
 	if r.GatingFlow != 7 || r.GatingFrom != 0 || r.GatingTo != 1 {

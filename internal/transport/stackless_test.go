@@ -58,7 +58,7 @@ func runReordered(t *testing.T, stackless bool, pk sim.Picker, sizes []int64) oo
 	}
 	var out oooRun
 	s.SetPicker(pk)
-	s.SetObserver(func(at sim.Time, seq uint64) {
+	s.SetEventObserver(func(at sim.Time, seq uint64, _ sim.EventKind, _ sim.Handler) {
 		out.events = append(out.events, fmt.Sprintf("%d/%d", at, seq))
 	})
 	total := 0

@@ -22,13 +22,18 @@ import (
 	"mccs/internal/trace"
 )
 
-// Config sets the transport cost model.
-type Config struct {
+// The transport's fixed per-message latencies, the paper's testbed
+// datapath constants.
+const (
 	// NetLatency is the fixed per-message inter-host latency (RDMA op
 	// issue + propagation), added after the flow completes.
-	NetLatency time.Duration
+	NetLatency = 6 * time.Microsecond
 	// IntraLatency is the per-message latency of intra-host channels.
-	IntraLatency time.Duration
+	IntraLatency = 3 * time.Microsecond
+)
+
+// Config sets the transport cost model.
+type Config struct {
 	// IntraBps is the intra-host channel bandwidth (shared host memory /
 	// NVLink class), bytes per second.
 	IntraBps float64
@@ -40,18 +45,14 @@ type Config struct {
 	UnserializedSends bool
 }
 
-// DefaultConfig mirrors the paper's testbed datapath constants.
+// DefaultConfig is the testbed datapath with intra-host channels of
+// intraBps.
 func DefaultConfig(intraBps float64) Config {
-	return Config{
-		NetLatency:   6 * time.Microsecond,
-		IntraLatency: 3 * time.Microsecond,
-		IntraBps:     intraBps,
-	}
+	return Config{IntraBps: intraBps}
 }
 
 // Delivery is one received message.
 type Delivery struct {
-	Bytes int64
 	// Data is a snapshot of the sent elements when the sender's buffer
 	// was backed; nil otherwise. Correctness tests run backed, the
 	// performance harness unbacked.
@@ -91,9 +92,6 @@ type Engine struct {
 
 // NewEngine creates the transport engine for one host.
 func NewEngine(s *sim.Scheduler, cluster *topo.Cluster, fabric *netsim.Fabric, host topo.HostID, cfg Config) *Engine {
-	if cfg.IntraBps <= 0 {
-		cfg.IntraBps = cluster.IntraHostBps
-	}
 	e := &Engine{
 		s: s, cluster: cluster, fabric: fabric, cfg: cfg, host: host,
 		gates: make(map[spec.AppID]*Gate),
@@ -213,7 +211,7 @@ type (
 
 func (h *connTransmit) OnEvent(seq uint64)  { (*Conn)(h).transmit(seq) }
 func (h *connIntraDone) OnEvent(seq uint64) { (*Conn)(h).intraDone(seq) }
-func (h *connFlowDone) OnEvent(seq uint64)  { (*Conn)(h).sent(seq, (*Conn)(h).eng.cfg.NetLatency) }
+func (h *connFlowDone) OnEvent(seq uint64)  { (*Conn)(h).sent(seq, NetLatency) }
 func (h *connDeliver) OnEvent(seq uint64)   { (*Conn)(h).deliver(seq) }
 
 // inFlight returns the index of in-flight message seq in c.msgs. With
@@ -417,7 +415,7 @@ func (c *Conn) intraDone(seq uint64) {
 			Src:   int32(c.src), Dst: int32(c.dst),
 		})
 	}
-	c.sent(seq, e.cfg.IntraLatency)
+	c.sent(seq, IntraLatency)
 }
 
 // sent runs when message seq has left its channel: the receiver sees it
@@ -431,7 +429,7 @@ func (c *Conn) sent(seq uint64, latency time.Duration) {
 func (c *Conn) deliver(seq uint64) {
 	i := c.inFlight(seq)
 	msg := c.msgs.At(i)
-	d := Delivery{Bytes: msg.bytes, Data: msg.data, Seq: msg.seq}
+	d := Delivery{Data: msg.data, Seq: msg.seq}
 	// Messages almost always leave flight in order, from the head; one
 	// that a reordered same-instant delivery overtook has the head moved
 	// into its place. The queued messages behind the in-flight ones keep

@@ -47,8 +47,6 @@ type Scored struct {
 // Decision is the full, ordered outcome of one search: every candidate
 // scored, best first.
 type Decision struct {
-	Op    collective.Op
-	Bytes int64
 	// Scored is sorted by ascending predicted time, candidate name
 	// breaking ties.
 	Scored []Scored
@@ -65,7 +63,7 @@ func (m *Model) Search(info *spec.CommInfo, cands []Candidate, op collective.Op,
 	if len(cands) == 0 {
 		return Decision{}, fmt.Errorf("tuner: no candidates")
 	}
-	d := Decision{Op: op, Bytes: bytes, Scored: make([]Scored, 0, len(cands))}
+	d := Decision{Scored: make([]Scored, 0, len(cands))}
 	for _, c := range cands {
 		if err := c.Strategy.Validate(info.NumRanks()); err != nil {
 			return Decision{}, fmt.Errorf("tuner: candidate %q: %w", c.Name, err)

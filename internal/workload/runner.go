@@ -90,15 +90,13 @@ type Breakdown struct {
 
 // Result reports a completed job.
 type Result struct {
-	App        spec.AppID
-	CommID     spec.CommID
-	Started    sim.Time
-	Finished   sim.Time
-	IterTimes  []time.Duration
-	IterEnds   []sim.Time
-	Breakdown  Breakdown
-	Iterations int
-	Err        error
+	App       spec.AppID
+	Started   sim.Time
+	Finished  sim.Time
+	IterTimes []time.Duration
+	IterEnds  []sim.Time
+	Breakdown Breakdown
+	Err       error
 }
 
 // JCT returns the job completion time.
@@ -120,7 +118,7 @@ func Launch(cfg RunConfig) *sim.Future[*Result] {
 		cfg.Depth = 1
 	}
 	n := len(cfg.GPUs)
-	res := &Result{App: cfg.App, Iterations: cfg.Iterations}
+	res := &Result{App: cfg.App}
 	done := sim.NewLatch(n)
 	s := cfg.Dep.S
 
@@ -177,9 +175,6 @@ func runRank(p *sim.Proc, cfg RunConfig, rank int, gpu topo.GPUID, host topo.Hos
 	comm, err := f.CommInitRank(p, cfg.Key, len(cfg.GPUs), rank, gpu)
 	if err != nil {
 		return err
-	}
-	if rank == 0 {
-		res.CommID = comm.ID()
 	}
 	if cfg.OnReady != nil {
 		cfg.OnReady(p, rank, comm.ID())

@@ -309,6 +309,7 @@ func TestOnReadyGatesEveryRank(t *testing.T) {
 		gate.Signal(s)
 	})
 	calls := map[int]int{}
+	var comm spec.CommID
 	fut := Launch(RunConfig{
 		Dep: d, App: "train", Key: "j", GPUs: gpus,
 		Trace: Trace{Name: "loop", Phases: []Phase{
@@ -316,6 +317,7 @@ func TestOnReadyGatesEveryRank(t *testing.T) {
 		}},
 		OnReady: func(p *sim.Proc, rank int, id spec.CommID) {
 			calls[rank]++
+			comm = id
 			if d.NumComms() != 1 {
 				t.Errorf("rank %d ready before its communicator exists", rank)
 			}
@@ -335,7 +337,7 @@ func TestOnReadyGatesEveryRank(t *testing.T) {
 		if calls[rank] != 1 {
 			t.Errorf("rank %d: OnReady called %d times", rank, calls[rank])
 		}
-		hist, err := d.CommTrace(res.CommID, rank)
+		hist, err := d.CommTrace(comm, rank)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 // Schedule-fingerprint golden: the (at, seq) observer stream of one
 // representative multi-tenant run, hashed and pinned. The stream is a
 // complete fingerprint of the simulation schedule (see
-// sim.Scheduler.SetObserver), so any sim-core change that perturbs the
+// sim.Scheduler.SetEventObserver), so any sim-core change that perturbs the
 // interleaving — and would therefore silently invalidate the chaos
 // corpus and every same-seed golden — fails here loudly instead.
 //
@@ -45,7 +45,7 @@ func observe(s *sim.Scheduler) *fingerprint {
 			v >>= 8
 		}
 	}
-	s.SetObserver(func(at sim.Time, seq uint64) {
+	s.SetEventObserver(func(at sim.Time, seq uint64, _ sim.EventKind, _ sim.Handler) {
 		mix(uint64(at))
 		mix(seq)
 		f.events++
