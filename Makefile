@@ -75,7 +75,12 @@ race-hot:
 # size, values, join delays and one to three back-to-back barriers under a
 # seeded Picker must gather the same vectors and fire the same (at, seq)
 # event stream with step-function ranks on Ring.Begin/Park as with goroutine
-# ranks on the blocking oracle in internal/control/control_test.go.
+# ranks on the blocking oracle in internal/control/control_test.go. Tuner:
+# bytes decode to a communicator on the testbed and a strategy (channel
+# orders and counts, route pins and overrides, algorithm, tree threshold)
+# and a size, and tuner.Predict, one model and workspace reused across
+# inputs, must give every op the duration of the map-based referencePredict
+# in internal/tuner/reference_test.go.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLowerExecute -fuzztime 10s ./internal/collective/
 	$(GO) test -run '^$$' -fuzz FuzzPathsBetween -fuzztime 10s ./internal/netsim/
@@ -86,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFFAWorkspace -fuzztime 10s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz FuzzClusterRun -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzControlRing -fuzztime 10s ./internal/control/
+	$(GO) test -run '^$$' -fuzz FuzzPredict -fuzztime 10s ./internal/tuner/
 
 # check is the CI gate: everything must build, vet clean, reproduce every
 # committed result file, and pass the full test suite twice — once plain,

@@ -43,7 +43,7 @@ var archAllowed = []archAllow{
 	{"tenants", "internal/chaos/runseed.go", "chaos ranks allocate backed buffers per op and check every result against the closed form, which Launch does not"},
 	{"tenants", "bench/", "the frozen benchmark module"},
 	{"tenants", "examples/", "the public-API demos"},
-	{"state", "internal/chaos/runseed.go", "chaos runs many environments in a row (a sweep, the benchmark's seeds), so it keeps the one mccsd.Scratch they share"},
+	{"state", "internal/chaos/runseed.go", "chaos runs many environments in a row (a sweep, the benchmark's seeds), so it keeps the one runScratch they share: the deployments' mccsd.Scratch and the script tables"},
 	{"fields", "cluster.JobResult.ID", "TestRunMatchesReference and FuzzClusterRun compare every job result bit for bit against referenceRun"},
 	{"fields", "cluster.JobResult.Arrived", "TestRunMatchesReference and FuzzClusterRun compare every job result bit for bit against referenceRun"},
 	{"fields", "cluster.JobResult.Started", "TestRunMatchesReference and FuzzClusterRun compare every job result bit for bit against referenceRun"},

@@ -121,7 +121,7 @@ func BenchmarkFig8MultiApp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := harness.RunMultiApp(harness.MultiAppConfig{
 			System: ncclsim.MCCS, Apps: apps, Bytes: 128 << 20,
-			Warmup: 2, Iters: 8, Seed: uint64(i),
+			Warmup: 2, Iters: 8, Trials: 1, Seed: uint64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -243,7 +243,7 @@ func BenchmarkAblationTreeVsRing(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := harness.RunSingleApp(harness.SingleAppConfig{
 					System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: tc.bytes,
-					NumGPUs: 8, Warmup: 1, Iters: 4,
+					NumGPUs: 8, Warmup: 1, Iters: 4, Trials: 1,
 					Mutate: func(c *mccsd.Config) {
 						c.Strategy = policy.OptimalRingStrategy(policy.RingStrategyOptions{
 							PinRoutes: true, TreeThreshold: tc.threshold,
@@ -271,7 +271,7 @@ func BenchmarkAblationChannels(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := harness.RunSingleApp(harness.SingleAppConfig{
 					System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 128 << 20,
-					NumGPUs: 8, Warmup: 1, Iters: 3,
+					NumGPUs: 8, Warmup: 1, Iters: 3, Trials: 1,
 					Mutate: func(c *mccsd.Config) {
 						c.Strategy = policy.OptimalRingStrategy(policy.RingStrategyOptions{
 							MaxChannels: ch, PinRoutes: true,
@@ -362,7 +362,7 @@ func BenchmarkAblationAlgorithms(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := harness.RunSingleApp(harness.SingleAppConfig{
 					System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 32 << 10,
-					NumGPUs: 8, Warmup: 1, Iters: 4,
+					NumGPUs: 8, Warmup: 1, Iters: 4, Trials: 1,
 					Mutate: func(c *mccsd.Config) {
 						c.Strategy = func(*topo.Cluster, *spec.CommInfo) spec.Strategy { return st.Clone() }
 					},

@@ -30,6 +30,9 @@ func runBench(args []string, stdout io.Writer) error {
 	if err := parseFlags(fs, args, stdout); err != nil {
 		return err
 	}
+	if err := atLeastOne(fs, "iters", "trials"); err != nil {
+		return err
+	}
 
 	sizes, err := parseSizes(*sizesFlag)
 	if err != nil {

@@ -24,7 +24,7 @@ func TestReplayPipeline(t *testing.T) {
 
 	_, err := harness.RunSingleApp(harness.SingleAppConfig{
 		System: ncclsim.MCCS, Op: collective.AllReduce,
-		Bytes: 1 << 20, NumGPUs: 4, Warmup: 1, Iters: 2,
+		Bytes: 1 << 20, NumGPUs: 4, Warmup: 1, Iters: 2, Trials: 1,
 		Observers: harness.Observers{TracePath: tracePath, TelemetryPath: telemetryPath, DoctorPath: doctorPath},
 	})
 	if err != nil {

@@ -126,6 +126,17 @@ func parseFlags(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	return nil
 }
 
+// atLeastOne refuses any of the named int flags of fs set below 1: an
+// iteration or trial count.
+func atLeastOne(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < 1 {
+			return usagef("-%s %d: must be at least 1", name, v)
+		}
+	}
+	return nil
+}
+
 // observerFlags registers the flags every experiment subcommand shares
 // and returns the Observers value they fill. Subcommands that run more
 // than one experiment hand it to the first and clear it: one recording

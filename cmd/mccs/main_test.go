@@ -102,6 +102,12 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"bench", "-gpus=5"}, 2, "5 GPUs over 4 hosts"},
 		{[]string{"bench", "-op=allscatter"}, 2, "unknown -op"},
 		{[]string{"bench", "-sizes=big"}, 2, "bad size"},
+		{[]string{"bench", "-iters=0"}, 2, "-iters 0"},
+		{[]string{"bench", "-trials=-1"}, 2, "-trials -1"},
+		{[]string{"multi", "-iters=0"}, 2, "-iters 0"},
+		{[]string{"multi", "-trials=0"}, 2, "-trials 0"},
+		{[]string{"qos", "-iters-a=0"}, 2, "-iters-a 0"},
+		{[]string{"qos", "-iters-bc=-3"}, 2, "-iters-bc -3"},
 		{[]string{"churn", "-placer=random"}, 2, "unknown -placer"},
 		{[]string{"churn", "-quota=tenant-a"}, 2, "bad -quota"},
 		{[]string{"churn", "-jobs=0"}, 2, "-jobs 0"},

@@ -26,6 +26,9 @@ func runMulti(args []string, stdout io.Writer) error {
 	if err := parseFlags(fs, args, stdout); err != nil {
 		return err
 	}
+	if err := atLeastOne(fs, "iters", "trials"); err != nil {
+		return err
+	}
 	written := *obs
 
 	testbed, err := topo.BuildClos(topo.TestbedConfig())

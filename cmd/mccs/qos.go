@@ -22,6 +22,9 @@ func runQoS(args []string, stdout io.Writer) error {
 	if err := parseFlags(fs, args, stdout); err != nil {
 		return err
 	}
+	if err := atLeastOne(fs, "iters-a", "iters-bc"); err != nil {
+		return err
+	}
 	if *dynamic {
 		return runDynamic(stdout, *obs)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+
+	"mccs/internal/freelist"
 )
 
 // checker runs a chaos run's data work beside the event loop, on two
@@ -59,8 +61,9 @@ type opFailure struct {
 }
 
 // startChecker starts a run's producer on the workload stream wrk, which
-// it owns from here on, and its verifier.
-func startChecker(sc Scenario, wrk *rand.Rand) *checker {
+// it owns from here on, building the script over tables from store, and
+// its verifier.
+func startChecker(sc Scenario, wrk *rand.Rand, store *freelist.List[uint8]) *checker {
 	c := &checker{
 		ops: make([]opSpec, sc.Ops),
 		// One slot per op the ranks can finish, so a hand-off never blocks.
@@ -69,12 +72,12 @@ func startChecker(sc Scenario, wrk *rand.Rand) *checker {
 	}
 	c.ready.L = &c.mu
 	c.wg.Add(2)
-	go c.produce(sc, wrk)
+	go c.produce(sc, wrk, store)
 	go c.verify()
 	return c
 }
 
-func (c *checker) produce(sc Scenario, wrk *rand.Rand) {
+func (c *checker) produce(sc Scenario, wrk *rand.Rand, store *freelist.List[uint8]) {
 	defer c.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
@@ -85,7 +88,7 @@ func (c *checker) produce(sc Scenario, wrk *rand.Rand) {
 		}
 	}()
 	for i := range c.ops {
-		c.ops[i] = buildOp(sc, wrk)
+		c.ops[i] = buildOp(sc, wrk, store)
 		c.mu.Lock()
 		c.built = i + 1
 		c.ready.Broadcast()

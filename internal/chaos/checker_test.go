@@ -25,7 +25,7 @@ func TestCheckDataShortBuffer(t *testing.T) {
 // verifier's check.
 func TestCheckerRecoversPanics(t *testing.T) {
 	sc := Scenario{Ranks: 2, Ops: 2, MaxCount: 10}
-	c := startChecker(sc, rand.New(rand.NewSource(1)))
+	c := startChecker(sc, rand.New(rand.NewSource(1)), nil)
 	if _, err := c.op(0); err == nil || !strings.Contains(err.Error(), "script producer panicked") {
 		t.Errorf("op(0) with a panicking producer: %v", err)
 	}

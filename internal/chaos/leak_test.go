@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mccs/internal/mccsd"
 	"mccs/internal/remediation"
 )
 
@@ -61,7 +60,7 @@ func TestRunSeedReleasesItsEnvironment(t *testing.T) {
 // from the heap. A self-heal run allocates ≈ 110 MB when its device memory
 // is fresh.
 func TestRepeatedRunReusesDeviceMemory(t *testing.T) {
-	sc, opts := SelfHeal(), runOpts{doctor: true, heal: true, healCfg: remediation.DefaultConfig(), scratch: new(mccsd.Scratch)}
+	sc, opts := SelfHeal(), runOpts{doctor: true, heal: true, healCfg: remediation.DefaultConfig(), scratch: new(runScratch)}
 	if res, _ := runSeed(sc, 1, opts); res.Err != nil {
 		t.Fatal(res.Err)
 	}

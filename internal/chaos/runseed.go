@@ -10,6 +10,7 @@ import (
 
 	"mccs/internal/collective"
 	"mccs/internal/diagnosis"
+	"mccs/internal/freelist"
 	"mccs/internal/gpusim"
 	"mccs/internal/harness"
 	"mccs/internal/mccsd"
@@ -63,21 +64,26 @@ func (o *opSpec) out() []uint8 {
 // Int63 >> 32), so the stream is consumed exactly as the float32 tables
 // this replaced consumed it and every schedule hash is unchanged.
 //
+// The tables come from store when it holds one that fits (every element
+// of in is drawn over, and a recycled sum is cleared before it
+// accumulates) and are allocated otherwise; releaseOps hands them back.
+//
 // A run draws its ops one at a time on its checker's producer goroutine;
 // buildScript (script_test.go) is the whole-script form its tests pin.
-func buildOp(sc Scenario, rng *rand.Rand) opSpec {
+func buildOp(sc Scenario, rng *rand.Rand, store *freelist.List[uint8]) opSpec {
 	op := collective.AllReduce
 	if rng.Intn(2) == 1 {
 		op = collective.AllGather
 	}
 	count := 16 + rng.Int63n(sc.MaxCount-15)
-	in := make([]uint8, int64(sc.Ranks)*count)
+	in := table(store, int64(sc.Ranks)*count)
 	for k := range in {
 		in[k] = uint8(rng.Int63()>>32) & 7
 	}
 	o := opSpec{op: op, count: count, in: in}
 	if op == collective.AllReduce {
-		o.sum = make([]uint8, count)
+		o.sum = table(store, count)
+		clear(o.sum)
 		for r := 0; r < sc.Ranks; r++ {
 			for j, v := range o.rankIn(r) {
 				o.sum[j] += v
@@ -85,6 +91,25 @@ func buildOp(sc Scenario, rng *rand.Rand) opSpec {
 		}
 	}
 	return o
+}
+
+// table returns a table of n bytes from store, or a new one when store
+// has none that fits. A recycled table holds what its last op left in it.
+func table(store *freelist.List[uint8], n int64) []uint8 {
+	if t := store.Get(int(n)); t != nil {
+		return t
+	}
+	return make([]uint8, n)
+}
+
+// releaseOps hands every table of ops to store and drops them from ops.
+// Nothing may read the tables afterwards.
+func releaseOps(ops []opSpec, store *freelist.List[uint8]) {
+	for i := range ops {
+		store.Put(ops[i].in)
+		store.Put(ops[i].sum)
+		ops[i].in, ops[i].sum = nil, nil
+	}
 }
 
 // randStream derives one of a seed's independent PRNG streams.
@@ -111,11 +136,20 @@ type runOpts struct {
 	// tamper, when set, is the run's checker.tamper: the probe that
 	// proves a corrupted result fails the run.
 	tamper  func(rank, idx int, recv, send []float32)
-	scratch *mccsd.Scratch // replaces the package's when set: a fresh one is a cold run
+	scratch *runScratch // replaces the package's when set: a fresh one is a cold run
 }
 
-// scratch is the one mccsd.Scratch of the runs the package makes in a row.
-var scratch mccsd.Scratch
+// runScratch is the memory a run keeps for the next run sharing it: its
+// deployment's (device backings, recorder chunks, message snapshots) and
+// its script's input and sum tables. The zero value is empty and safe for
+// concurrent runs.
+type runScratch struct {
+	dep    mccsd.Scratch
+	script freelist.List[uint8]
+}
+
+// scratch is the one runScratch of the runs the package makes in a row.
+var scratch runScratch
 
 // RunSeed executes one seeded chaos run and checks every invariant.
 // The same (scenario, seed) pair always produces the identical event
@@ -199,18 +233,21 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 		inj = randStream(seed, 0xda942042e4dd58b5, 6)
 	}
 
-	chk := startChecker(sc, wrk)
+	mem := cmp.Or(opts.scratch, &scratch)
+	chk := startChecker(sc, wrk, &mem.script)
 	chk.tamper = opts.tamper
 	// One teardown for every return path, in this order: the verifier
-	// reads finished device buffers until join returns, and Close hands
-	// their memory to the next deployment. Everything returned is copied
-	// out first; see harness.Env.
+	// reads finished device buffers and the script until join returns,
+	// Close hands the buffers' memory to the next deployment, and the
+	// script's tables go back last, once no rank can read them either.
+	// Everything returned is copied out first; see harness.Env.
 	var env *harness.Env
 	defer func() {
 		chk.join()
 		if env != nil {
 			env.Close()
 		}
+		releaseOps(chk.ops, &mem.script)
 	}()
 
 	// The diagnosis engine taps the recorder from the start, so it sees
@@ -220,7 +257,7 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 		System: ncclsim.MCCS, Salt: seed,
 		Mutate: func(c *mccsd.Config) {
 			c.Proxy.UnsafeSkipSeqBarrier = sc.SkipSeqBarrier
-			c.Scratch = cmp.Or(opts.scratch, &scratch)
+			c.Scratch = &mem.dep
 		},
 		Observers: harness.Observers{TraceCap: chaosTraceCap, TelemetryEvery: chaosTelemetryEvery, Doctor: opts.doctor},
 	})

@@ -7,15 +7,16 @@ import (
 	"testing"
 
 	"mccs/internal/collective"
+	"mccs/internal/freelist"
 )
 
 // buildScript draws a whole script the way a run's checker draws it, op by
-// op with buildOp, for TestScriptMatchesReference and
-// TestBuildScriptAllocations.
-func buildScript(sc Scenario, rng *rand.Rand) []opSpec {
+// op with buildOp over tables from store, for TestScriptMatchesReference,
+// TestBuildScriptAllocations and TestScriptFromDirtyStore.
+func buildScript(sc Scenario, rng *rand.Rand, store *freelist.List[uint8]) []opSpec {
 	ops := make([]opSpec, sc.Ops)
 	for i := range ops {
-		ops[i] = buildOp(sc, rng)
+		ops[i] = buildOp(sc, rng, store)
 	}
 	return ops
 }
@@ -116,7 +117,7 @@ func TestScriptMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", sc.Name, err)
 				}
-				got := buildScript(sc, rng)
+				got := buildScript(sc, rng, nil)
 				if len(got) != len(ref) {
 					t.Fatalf("%s: %d ops, reference has %d", sc.Name, len(got), len(ref))
 				}
@@ -146,25 +147,76 @@ func TestScriptMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBuildScriptAllocations pins what a script costs: the op table, one
-// input table per op, and one sum table per AllReduce. AllocsPerRun
-// counts the whole process, so it averages over a few runs.
+// TestBuildScriptAllocations pins what a script costs. Cold (a nil store)
+// it is the op table, one input table per op and one sum table per
+// AllReduce; warm (the store holding the tables of the previous build of
+// the same script, as a run's teardown leaves it for the next run) it is
+// the op table alone. AllocsPerRun counts the whole process, so it
+// averages over a few runs.
 func TestBuildScriptAllocations(t *testing.T) {
 	for _, sc := range scriptShapes() {
 		rng := rand.New(rand.NewSource(1))
-		want := 1
-		for _, o := range buildScript(sc, rng) {
-			want++
+		cold := 1
+		for _, o := range buildScript(sc, rng, nil) {
+			cold++
 			if o.op == collective.AllReduce {
-				want++
+				cold++
 			}
 		}
-		got := testing.AllocsPerRun(5, func() {
+		if got := testing.AllocsPerRun(5, func() {
 			rng.Seed(1)
-			buildScript(sc, rng)
-		})
-		if got != float64(want) {
-			t.Errorf("%s: buildScript allocates %v times, want %d", sc.Name, got, want)
+			buildScript(sc, rng, nil)
+		}); got != float64(cold) {
+			t.Errorf("%s: a cold buildScript allocates %v times, want %d", sc.Name, got, cold)
+		}
+		var store freelist.List[uint8]
+		if got := testing.AllocsPerRun(5, func() {
+			rng.Seed(1)
+			releaseOps(buildScript(sc, rng, &store), &store)
+		}); got != 1 {
+			t.Errorf("%s: a warm buildScript allocates %v times, want 1 (cold: %d)", sc.Name, got, cold)
+		}
+		t.Logf("%s: %d allocations cold, 1 warm", sc.Name, cold)
+	}
+}
+
+// TestScriptFromDirtyStore: a script built over recycled tables is the
+// script built over fresh ones. The store is seeded with the tables of the
+// same script scribbled over (so every table the second build takes holds
+// garbage, its sums included), and every table of the second build must
+// come from it: an input table not drawn over in full, or a sum table not
+// cleared before it accumulates, shows as a differing element.
+func TestScriptFromDirtyStore(t *testing.T) {
+	for _, sc := range scriptShapes() {
+		for _, seed := range Seeds(1, 5) {
+			var store freelist.List[uint8]
+			dirty := buildScript(sc, wrkStream(seed), nil)
+			recycled := map[*uint8]bool{}
+			for _, o := range dirty {
+				for _, tab := range [][]uint8{o.in, o.sum} {
+					for j := range tab {
+						tab[j] = uint8(0xa5 ^ j)
+					}
+					if len(tab) > 0 {
+						recycled[&tab[0]] = true
+					}
+				}
+			}
+			releaseOps(dirty, &store)
+			want := buildScript(sc, wrkStream(seed), nil)
+			got := buildScript(sc, wrkStream(seed), &store)
+			for i, w := range want {
+				g := got[i]
+				if g.op != w.op || g.count != w.count {
+					t.Fatalf("%s seed %d op %d: %v count %d, fresh %v count %d", sc.Name, seed, i, g.op, g.count, w.op, w.count)
+				}
+				if !recycled[&g.in[0]] || (g.sum != nil && !recycled[&g.sum[0]]) {
+					t.Fatalf("%s seed %d op %d: a table did not come from the store", sc.Name, seed, i)
+				}
+				if !slices.Equal(g.in, w.in) || !slices.Equal(g.sum, w.sum) {
+					t.Fatalf("%s seed %d op %d (%v): the recycled tables differ from the fresh ones", sc.Name, seed, i, g.op)
+				}
+			}
 		}
 	}
 }

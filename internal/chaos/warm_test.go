@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"mccs/internal/mccsd"
 	"mccs/internal/remediation"
 	"mccs/internal/trace"
 )
@@ -15,16 +14,16 @@ import (
 // them over, and a self-heal run.
 var coldWarmCases = []struct {
 	name string
-	run  func(*mccsd.Scratch) DoctorRun
+	run  func(*runScratch) DoctorRun
 	// labeled requires a flow span with Route, Rates and Label set.
 	labeled bool
 }{
-	{"reconfig-storm/2", func(mem *mccsd.Scratch) DoctorRun {
+	{"reconfig-storm/2", func(mem *runScratch) DoctorRun {
 		res, dr := runSeed(ReconfigStorm(), 2, runOpts{doctor: true, scratch: mem})
 		dr.Result = res
 		return *dr
 	}, true},
-	{"self-heal/1", func(mem *mccsd.Scratch) DoctorRun {
+	{"self-heal/1", func(mem *runScratch) DoctorRun {
 		res, dr := runSeed(SelfHeal(), 1, runOpts{doctor: true, heal: true, healCfg: remediation.DefaultConfig(), scratch: mem})
 		dr.Result = res
 		return *dr
@@ -65,7 +64,7 @@ func digestOf(t *testing.T, dr DoctorRun) runDigest {
 // warm run.
 func TestColdAndWarmRunsAgree(t *testing.T) {
 	for _, c := range coldWarmCases {
-		mem := new(mccsd.Scratch)
+		mem := new(runScratch)
 		cold := c.run(mem)
 		if !holdsFlowSpan(cold.Recording, c.labeled) {
 			t.Fatalf("%s: no flow span with Route and Rates (and Label: %v) set", c.name, c.labeled)

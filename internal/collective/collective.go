@@ -15,6 +15,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -48,24 +49,35 @@ type Ring struct {
 // NewRing builds a ring from a permutation of [0, n). order[i] is the rank
 // at ring position i; data flows from position i to position i+1 (mod n).
 func NewRing(order []int) (*Ring, error) {
+	r := new(Ring)
+	if err := r.set(order); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// set makes r the ring order describes, over r's own tables when they are
+// large enough.
+func (r *Ring) set(order []int) error {
 	n := len(order)
 	if n == 0 {
-		return nil, fmt.Errorf("collective: empty ring")
+		return fmt.Errorf("collective: empty ring")
 	}
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
+	r.pos = slices.Grow(r.pos[:0], n)[:n]
+	for i := range r.pos {
+		r.pos[i] = -1
 	}
-	for p, r := range order {
-		if r < 0 || r >= n {
-			return nil, fmt.Errorf("collective: rank %d out of range [0,%d)", r, n)
+	for p, rk := range order {
+		if rk < 0 || rk >= n {
+			return fmt.Errorf("collective: rank %d out of range [0,%d)", rk, n)
 		}
-		if pos[r] != -1 {
-			return nil, fmt.Errorf("collective: rank %d appears twice in ring", r)
+		if r.pos[rk] != -1 {
+			return fmt.Errorf("collective: rank %d appears twice in ring", rk)
 		}
-		pos[r] = p
+		r.pos[rk] = p
 	}
-	return &Ring{order: append([]int(nil), order...), pos: pos}, nil
+	r.order = append(r.order[:0], order...)
+	return nil
 }
 
 // Size returns the number of ranks.

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"mccs/internal/spec"
 )
@@ -100,17 +101,22 @@ func Select(st *spec.Strategy, op Op, n, root int, bytes int64) Algo {
 	return AlgoRing
 }
 
-// Rings builds the ring of every channel of st.
-func Rings(st *spec.Strategy) ([]*Ring, error) {
-	rings := make([]*Ring, len(st.Channels))
+// Rings builds the ring of every channel of st over buf's rings, whatever
+// they held; a new ring is allocated only for a channel buf has none for,
+// so a caller that builds strategy after strategy keeps the returned
+// slice and passes it back in. The returned rings are valid until then.
+// nil allocates.
+func Rings(buf []*Ring, st *spec.Strategy) ([]*Ring, error) {
+	buf = slices.Grow(buf[:0], len(st.Channels))[:len(st.Channels)]
 	for ci, ch := range st.Channels {
-		ring, err := NewRing(ch.Order)
-		if err != nil {
+		if buf[ci] == nil {
+			buf[ci] = new(Ring)
+		}
+		if err := buf[ci].set(ch.Order); err != nil {
 			return nil, fmt.Errorf("channel %d: %w", ci, err)
 		}
-		rings[ci] = ring
 	}
-	return rings, nil
+	return buf, nil
 }
 
 // Channels returns how many channel programs a rank runs under algo: the

@@ -543,7 +543,7 @@ func TestEdgesOrder(t *testing.T) {
 		TreeThreshold: 1,
 		Algorithm:     spec.AlgoHD,
 	}
-	rings, err := Rings(&st)
+	rings, err := Rings(nil, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

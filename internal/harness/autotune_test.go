@@ -55,7 +55,7 @@ func TestAutotuneDecisionVisible(t *testing.T) {
 	dir := t.TempDir()
 	cfg := SingleAppConfig{
 		System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 64 << 20,
-		NumGPUs: 8, Warmup: 1, Iters: 3,
+		NumGPUs: 8, Warmup: 1, Iters: 3, Trials: 1,
 		Autotune: true,
 		Observers: Observers{
 			TracePath:     filepath.Join(dir, "trace.json"),
@@ -98,7 +98,7 @@ func TestAutotuneDeterministic(t *testing.T) {
 	run := func(name string) ([]byte, []byte) {
 		cfg := SingleAppConfig{
 			System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 16 << 20,
-			NumGPUs: 8, Warmup: 1, Iters: 3, Seed: 7,
+			NumGPUs: 8, Warmup: 1, Iters: 3, Trials: 1, Seed: 7,
 			Autotune: true,
 			Observers: Observers{
 				TracePath:     filepath.Join(dir, name+".trace.json"),

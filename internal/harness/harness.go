@@ -309,7 +309,8 @@ type SingleAppConfig struct {
 	Warmup  int
 	Iters   int
 	// Trials repeats the whole experiment with different ECMP label
-	// salts; samples pool across trials. Defaults to 1.
+	// salts; samples pool across trials. Iters and Trials must be at
+	// least 1.
 	Trials int
 	// Seed offsets the trial salts.
 	Seed uint64
@@ -335,11 +336,8 @@ type SingleAppResult struct {
 // RunSingleApp executes a single-application collective benchmark,
 // pooling per-iteration bandwidth samples across Trials ECMP-salt trials.
 func RunSingleApp(cfg SingleAppConfig) (SingleAppResult, error) {
-	if cfg.Iters <= 0 {
-		cfg.Iters = 10
-	}
-	if cfg.Trials <= 0 {
-		cfg.Trials = 1
+	if cfg.Iters < 1 || cfg.Trials < 1 {
+		return SingleAppResult{}, fmt.Errorf("harness: %d iterations over %d trials: both must be at least 1", cfg.Iters, cfg.Trials)
 	}
 	var algbw []float64
 	for trial := 0; trial < cfg.Trials; trial++ {

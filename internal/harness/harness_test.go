@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -105,7 +106,7 @@ func TestFig8Setup3FairShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := RunMultiApp(MultiAppConfig{
-		System: ncclsim.MCCS, Apps: apps, Bytes: 128 << 20, Warmup: 5, Iters: 25,
+		System: ncclsim.MCCS, Apps: apps, Bytes: 128 << 20, Warmup: 5, Iters: 25, Trials: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +146,7 @@ func TestFig8MCCSBeatsNCCLAggregate(t *testing.T) {
 		}
 		run := func(sys ncclsim.System) MultiAppResult {
 			res, err := RunMultiApp(MultiAppConfig{
-				System: sys, Apps: apps, Bytes: 128 << 20, Warmup: 2, Iters: 6,
+				System: sys, Apps: apps, Bytes: 128 << 20, Warmup: 2, Iters: 6, Trials: 1,
 			})
 			if err != nil {
 				t.Fatalf("setup %d %v: %v", setup, sys, err)
@@ -199,4 +200,27 @@ func TestSetupsWellFormed(t *testing.T) {
 		t.Error("over-capacity GPU count accepted")
 	}
 	_ = spec.RouteECMP
+}
+
+// TestDriversRefuseNonPositiveCounts: a driver takes its iteration and
+// trial counts as given; one below 1 is an error, not a default.
+func TestDriversRefuseNonPositiveCounts(t *testing.T) {
+	single := SingleAppConfig{System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 1 << 20, NumGPUs: 4, Warmup: 1, Iters: 2, Trials: 1}
+	multi := MultiAppConfig{System: ncclsim.MCCS, Bytes: 1 << 20, Warmup: 1, Iters: 2, Trials: 1}
+	qos := QoSConfig{Solution: SolutionFFA, IterationsA: 1, IterationsBC: 1}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"RunSingleApp/Iters=0", func() error { c := single; c.Iters = 0; _, err := RunSingleApp(c); return err }},
+		{"RunSingleApp/Trials=0", func() error { c := single; c.Trials = 0; _, err := RunSingleApp(c); return err }},
+		{"RunMultiApp/Iters=-1", func() error { c := multi; c.Iters = -1; _, err := RunMultiApp(c); return err }},
+		{"RunMultiApp/Trials=0", func() error { c := multi; c.Trials = 0; _, err := RunMultiApp(c); return err }},
+		{"RunQoS/IterationsA=0", func() error { c := qos; c.IterationsA = 0; _, err := RunQoS(c); return err }},
+		{"RunQoS/IterationsBC=0", func() error { c := qos; c.IterationsBC = 0; _, err := RunQoS(c); return err }},
+	} {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), "must be at least 1") {
+			t.Errorf("%s: %v, want a count error", tc.name, err)
+		}
+	}
 }

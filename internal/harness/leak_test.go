@@ -30,7 +30,7 @@ func TestDriversShutTheirSchedulerDown(t *testing.T) {
 		}
 	}
 	defer func() { envBuilt = nil }()
-	single := SingleAppConfig{System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 1 << 20, NumGPUs: 8, Warmup: 1, Iters: 2}
+	single := SingleAppConfig{System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 1 << 20, NumGPUs: 8, Warmup: 1, Iters: 2, Trials: 1}
 	drivers := []struct {
 		name string
 		run  func() error
@@ -52,7 +52,7 @@ func TestDriversShutTheirSchedulerDown(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = RunMultiApp(MultiAppConfig{System: ncclsim.MCCS, Apps: apps, Bytes: 1 << 20, Warmup: 1, Iters: 2})
+			_, err = RunMultiApp(MultiAppConfig{System: ncclsim.MCCS, Apps: apps, Bytes: 1 << 20, Warmup: 1, Iters: 2, Trials: 1})
 			return err
 		}},
 		{"RunQoS", func() error {

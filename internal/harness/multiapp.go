@@ -76,7 +76,7 @@ type MultiAppConfig struct {
 	Iters  int
 	// Trials repeats the experiment with different ECMP label salts,
 	// pooling samples (ECMP variance is the whole point of Fig. 8's
-	// error bars). Defaults to 1.
+	// error bars). Iters and Trials must be at least 1.
 	Trials int
 	Seed   uint64
 	// Observers attach to the first trial (see Observers).
@@ -100,11 +100,8 @@ type MultiAppResult struct {
 // full-MCCS system once all communicators exist. Samples pool across
 // Trials ECMP-salt trials.
 func RunMultiApp(cfg MultiAppConfig) (MultiAppResult, error) {
-	if cfg.Iters <= 0 {
-		cfg.Iters = 10
-	}
-	if cfg.Trials <= 0 {
-		cfg.Trials = 1
+	if cfg.Iters < 1 || cfg.Trials < 1 {
+		return MultiAppResult{}, fmt.Errorf("harness: %d iterations over %d trials: both must be at least 1", cfg.Iters, cfg.Trials)
 	}
 	pooled := make(map[spec.AppID][]float64, len(cfg.Apps))
 	for trial := 0; trial < cfg.Trials; trial++ {

@@ -45,7 +45,7 @@ func QoSSolutions() []QoSSolution {
 // fine-tuning GPT-2.7B on 2 GPUs each.
 type QoSConfig struct {
 	Solution QoSSolution
-	// IterationsA / IterationsBC set each job's length.
+	// IterationsA / IterationsBC set each job's length, at least 1.
 	IterationsA  int
 	IterationsBC int
 	Observers
@@ -75,11 +75,8 @@ func RunQoS(cfg QoSConfig) (QoSResult, error) {
 
 // runQoS runs the Fig. 9 jobs and controller on env.
 func runQoS(env *Env, cfg QoSConfig) (QoSResult, error) {
-	if cfg.IterationsA <= 0 {
-		cfg.IterationsA = 20
-	}
-	if cfg.IterationsBC <= 0 {
-		cfg.IterationsBC = 20
+	if cfg.IterationsA < 1 || cfg.IterationsBC < 1 {
+		return QoSResult{}, fmt.Errorf("harness: jobs of %d (A) and %d (B, C) iterations: both must be at least 1", cfg.IterationsA, cfg.IterationsBC)
 	}
 	d := env.Deployment
 	d.SetPriority("A", 2)

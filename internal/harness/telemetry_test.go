@@ -151,7 +151,7 @@ func TestSingleAppTelemetryExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.jsonl")
 	_, err := RunSingleApp(SingleAppConfig{
 		System: ncclsim.MCCS, Op: collective.AllReduce,
-		Bytes: 4 << 20, NumGPUs: 4, Warmup: 1, Iters: 3,
+		Bytes: 4 << 20, NumGPUs: 4, Warmup: 1, Iters: 3, Trials: 1,
 		Observers: Observers{TelemetryPath: path, TelemetryEvery: time.Millisecond},
 	})
 	if err != nil {

@@ -276,7 +276,7 @@ func (c *Comm) connsFor(gen int, strategy spec.Strategy) (*connSet, error) {
 	if gen < len(c.gens) {
 		return c.gens[gen], nil
 	}
-	rings, err := collective.Rings(&strategy)
+	rings, err := collective.Rings(nil, &strategy)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: %w", err)
 	}

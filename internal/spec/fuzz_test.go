@@ -46,7 +46,7 @@ func FuzzStrategyValidate(f *testing.F) {
 				t.Fatalf("Validate(%d) accepted channel %d route %d", nranks, c, ch.Route)
 			}
 		}
-		rings, err := collective.Rings(&st)
+		rings, err := collective.Rings(nil, &st)
 		if err != nil {
 			t.Fatalf("Validate(%d) accepted %+v, Rings rejects it: %v", nranks, st, err)
 		}

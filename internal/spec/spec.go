@@ -150,11 +150,19 @@ func (s *Strategy) Validate(nranks int) error {
 	if len(s.Channels) == 0 {
 		return fmt.Errorf("spec: strategy has no channels")
 	}
+	// One table for every channel, on the stack up to 64 ranks: the
+	// tuner validates each candidate it scores.
+	var small [64]bool
+	seen := small[:]
+	if nranks > len(small) {
+		seen = make([]bool, nranks)
+	}
+	seen = seen[:nranks]
 	for ci, ch := range s.Channels {
 		if len(ch.Order) != nranks {
 			return fmt.Errorf("spec: channel %d ring has %d ranks, want %d", ci, len(ch.Order), nranks)
 		}
-		seen := make([]bool, nranks)
+		clear(seen)
 		for _, r := range ch.Order {
 			if r < 0 || r >= nranks || seen[r] {
 				return fmt.Errorf("spec: channel %d ring is not a permutation", ci)

@@ -2,6 +2,7 @@ package tuner
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mccs/internal/collective"
@@ -36,6 +37,9 @@ type Model struct {
 	// which the provider can observe and the tenant cannot. Nil means an
 	// idle fabric.
 	ExtLoad func(netsim.LinkID) float64
+
+	// ws is Predict's workspace, kept from one prediction to the next.
+	ws *workspace
 }
 
 // DefaultModel returns a model with the stack's stock timing constants.
@@ -63,30 +67,74 @@ type conn struct {
 // slow", not a division by zero.
 const minBps = 1.0
 
+// workspace is what one prediction works in and the next one reuses: the
+// strategy's rings, one lowered program at a time, the rounds' transfers
+// and largest sizes, the pipelined connection set, and the per-link tables
+// rates prices them with. Each slice is overwritten, not reallocated, once
+// it has grown to the largest candidate's size.
+type workspace struct {
+	rings  []*collective.Ring
+	steps  []collective.Step
+	rounds [][]conn // rounds[s]: round s's transfers over all channels and ranks
+	sizes  []int64  // sizes[s]: the largest of rounds[s], in elements
+	all    []conn   // every connection of rounds, in first-seen order
+	seen   []bool   // by (channel, from, to): the connection is in all; false between calls
+	paths  [][][]netsim.LinkID
+	out    []float64
+
+	// load and own are dense by LinkID and zero between uses: loaded and
+	// owned list the links a call made non-zero, and only those are reset.
+	load, own     []float64
+	loaded, owned []netsim.LinkID
+}
+
+// addLoad adds v (> 0) to l's entry of tab, noting l in touched the first
+// time.
+func addLoad(tab []float64, touched *[]netsim.LinkID, l netsim.LinkID, v float64) {
+	if tab[l] == 0 {
+		*touched = append(*touched, l)
+	}
+	tab[l] += v
+}
+
+// resetLoad zeroes the entries of tab that touched lists and empties it.
+func resetLoad(tab []float64, touched *[]netsim.LinkID) {
+	for _, l := range *touched {
+		tab[l] = 0
+	}
+	*touched = (*touched)[:0]
+}
+
 // rates computes the bytes/sec each connection achieves when all conns
 // run concurrently: links are loaded by every pinned path (weight 1) and
 // every ECMP path (weight 1/npaths), then each conn is bottlenecked by
 // the most loaded link on its path(s). This mirrors the max-min water
-// fill of the simulator closely enough to rank strategies.
+// fill of the simulator closely enough to rank strategies. The result is
+// the workspace's, valid until the next call.
 func (m *Model) rates(info *spec.CommInfo, conns []conn) []float64 {
-	load := make(map[netsim.LinkID]float64)
-	paths := make([][][]netsim.LinkID, len(conns))
+	ws := m.ws
+	if nl := m.Cluster.Net.NumLinks(); len(ws.load) < nl {
+		ws.load, ws.own = make([]float64, nl), make([]float64, nl)
+	}
+	load := ws.load
+	ws.paths = slices.Grow(ws.paths[:0], len(conns))[:len(conns)]
 	for i, c := range conns {
+		ws.paths[i] = nil
 		a, b := info.Ranks[c.From], info.Ranks[c.To]
 		if a.Host == b.Host {
 			continue
 		}
 		ps := m.Cluster.PathsBetweenNICs(a.NIC, b.NIC)
-		paths[i] = ps
+		ws.paths[i] = ps
 		if c.route >= 0 {
 			for _, l := range ps[c.route%len(ps)] {
-				load[l]++
+				addLoad(load, &ws.loaded, l, 1)
 			}
 		} else {
 			w := 1.0 / float64(len(ps))
 			for _, p := range ps {
 				for _, l := range p {
-					load[l] += w
+					addLoad(load, &ws.loaded, l, w)
 				}
 			}
 		}
@@ -101,13 +149,14 @@ func (m *Model) rates(info *spec.CommInfo, conns []conn) []float64 {
 		}
 		return a
 	}
-	out := make([]float64, len(conns))
+	out := slices.Grow(ws.out[:0], len(conns))[:len(conns)]
+	ws.out = out
 	for i, c := range conns {
-		if paths[i] == nil {
+		if ws.paths[i] == nil {
 			out[i] = m.IntraBps
 			continue
 		}
-		ps := paths[i]
+		ps := ws.paths[i]
 		if c.route >= 0 {
 			p := ps[c.route%len(ps)]
 			r := 1e300
@@ -127,10 +176,10 @@ func (m *Model) rates(info *spec.CommInfo, conns []conn) []float64 {
 		// uplinks really do collide half the time). The residual discount
 		// covers imbalance the expectation still can't see.
 		w := 1.0 / float64(len(ps))
-		own := make(map[netsim.LinkID]float64, 8)
+		own := ws.own
 		for _, p := range ps {
 			for _, l := range p {
-				own[l] += w
+				addLoad(own, &ws.owned, l, w)
 			}
 		}
 		sum := 0.0
@@ -143,8 +192,10 @@ func (m *Model) rates(info *spec.CommInfo, conns []conn) []float64 {
 			}
 			sum += r
 		}
+		resetLoad(own, &ws.owned)
 		out[i] = m.ECMPDiscount * sum / float64(len(ps))
 	}
+	resetLoad(load, &ws.loaded)
 	return out
 }
 
@@ -162,57 +213,77 @@ func (m *Model) rates(info *spec.CommInfo, conns []conn) []float64 {
 // fabric in every round. Ring rounds all move one region of (nearly) the
 // same size over that one set, which is why this equals the familiar
 // steps × (α + stepBytes / min-rate of the slowest channel).
+//
+// The programs are lowered one at a time into the model's workspace, and
+// everything a prediction collects lives there too, so once the workspace
+// has grown a prediction allocates nothing; a Model therefore serves one
+// caller at a time.
 func (m *Model) Predict(info *spec.CommInfo, st *spec.Strategy, op collective.Op, root int, bytes int64) time.Duration {
 	n := info.NumRanks()
 	if n <= 1 {
 		return m.Fixed
 	}
-	rings, err := collective.Rings(st)
+	if m.ws == nil {
+		m.ws = new(workspace)
+	}
+	ws := m.ws
+	rings, err := collective.Rings(ws.rings, st)
 	if err != nil {
 		panic(fmt.Sprintf("tuner: predicting an invalid strategy: %v", err))
 	}
+	ws.rings = rings
 	count := bytes / 4 // float32 elements
 	if op == collective.AllGather {
 		count /= int64(n)
 	}
 	algo := collective.Select(st, op, n, root, bytes)
-	progs := collective.LowerAll(algo, op, rings, root, count)
 
-	// rounds[s] holds round s's transfers over all channels and ranks,
-	// sizes[s] the largest of them in elements.
-	rounds := make([][]conn, len(progs[0][0].Steps))
-	sizes := make([]int64, len(rounds))
-	for ch, ranks := range progs {
-		for rank, prog := range ranks {
+	// Every rank's program on every channel, in channel-major order; the
+	// first one fixes the number of rounds and whether they pipeline.
+	nch, nr := collective.Channels(algo, rings), rings[0].Size()
+	var pipelined bool
+	for ch := 0; ch < nch; ch++ {
+		for rank := 0; rank < nr; rank++ {
+			prog := collective.Lower(ws.steps, algo, op, rings, rank, ch, root, count)
+			ws.steps = prog.Steps
+			if ch == 0 && rank == 0 {
+				pipelined = prog.Pipelined
+				ws.startRounds(len(prog.Steps))
+			}
 			for s, step := range prog.Steps {
 				if step.SendLen == 0 {
 					continue
 				}
 				e := collective.Edge{Algo: algo, Channel: ch, From: rank, To: step.SendPeer}
-				rounds[s] = append(rounds[s], conn{e, e.Route(st)})
-				if step.SendLen > sizes[s] {
-					sizes[s] = step.SendLen
+				ws.rounds[s] = append(ws.rounds[s], conn{e, e.Route(st)})
+				if step.SendLen > ws.sizes[s] {
+					ws.sizes[s] = step.SendLen
 				}
 			}
 		}
 	}
-	pipelined := progs[0][0].Pipelined
 	var pipelineRate float64
 	if pipelined {
-		var all []conn
-		seen := make(map[conn]bool)
-		for _, conns := range rounds {
+		// One algorithm per prediction, and a connection's route is its
+		// edge's, so (channel, from, to) identifies a conn.
+		ws.seen = slices.Grow(ws.seen[:0], nch*nr*nr)[:nch*nr*nr]
+		key := func(c conn) int { return (c.Channel*nr+c.From)*nr + c.To }
+		ws.all = ws.all[:0]
+		for _, conns := range ws.rounds {
 			for _, c := range conns {
-				if !seen[c] {
-					seen[c] = true
-					all = append(all, c)
+				if k := key(c); !ws.seen[k] {
+					ws.seen[k] = true
+					ws.all = append(ws.all, c)
 				}
 			}
 		}
-		pipelineRate = m.slowest(info, all)
+		for _, c := range ws.all {
+			ws.seen[key(c)] = false
+		}
+		pipelineRate = m.slowest(info, ws.all)
 	}
 	total := m.Fixed
-	for s, conns := range rounds {
+	for s, conns := range ws.rounds {
 		total += m.Alpha
 		if len(conns) == 0 {
 			continue
@@ -221,9 +292,20 @@ func (m *Model) Predict(info *spec.CommInfo, st *spec.Strategy, op collective.Op
 		if !pipelined {
 			rate = m.slowest(info, conns)
 		}
-		total += seconds(float64(sizes[s]*4) / rate)
+		total += seconds(float64(ws.sizes[s]*4) / rate)
 	}
 	return total
+}
+
+// startRounds empties the workspace's k rounds and their sizes, keeping
+// each round's array.
+func (ws *workspace) startRounds(k int) {
+	ws.rounds = slices.Grow(ws.rounds[:0], k)[:k]
+	for s := range ws.rounds {
+		ws.rounds[s] = ws.rounds[s][:0]
+	}
+	ws.sizes = slices.Grow(ws.sizes[:0], k)[:k]
+	clear(ws.sizes)
 }
 
 // slowest returns the rate of the slowest connection when all of conns
