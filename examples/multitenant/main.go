@@ -29,7 +29,7 @@ func runTenants(system mccs.System, applyFFA bool) map[mccs.AppID]float64 {
 	// The provider's controller applies FFA once both communicators are
 	// registered.
 	if applyFFA {
-		ctrl := env.NewController()
+		ctrl := env.Controller()
 		env.Scheduler().GoDaemon("controller", func(p *mccs.Proc) {
 			for len(env.Deployment().View()) < len(apps) {
 				p.Sleep(1e6) // 1ms

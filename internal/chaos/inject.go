@@ -76,20 +76,38 @@ func injectAutotune(env *harness.Env, sc Scenario, tune *rand.Rand, fl *faultLog
 			},
 		}
 	}
-	ctrl := policy.NewController(env.Deployment)
-	env.S.Go("chaos:autotune", func(p *sim.Proc) {
-		id, ok := awaitComm(p, env.Deployment)
-		if !ok {
-			return
-		}
-		for _, ps := range plan {
-			p.Sleep(ps.after)
-			fl.add(FaultRecord{Kind: "autotune", Start: env.S.Now(), End: FaultOpenEnd, Link: -1, Rank: -1})
-			if _, err := ctrl.Autotune(p, id, ps.opts); err != nil {
-				panic(fmt.Sprintf("chaos: autotune: %v", err))
+	ctrl := env.Controller()
+	var id spec.CommID
+	polls := 0
+	rows := policy.Plan{{
+		// awaitComm's poll and its give-up.
+		When: policy.Every(20*time.Microsecond, func() bool {
+			done := env.Deployment.NumComms() > 0 || polls > 4000
+			polls++
+			return done
+		}, nil),
+		Do: func() (*sim.Latch, error) {
+			if env.Deployment.NumComms() == 0 {
+				return nil, policy.ErrStop
 			}
-		}
-	})
+			id = env.Deployment.View()[0].ID
+			return nil, nil
+		},
+	}}
+	tunings := make([]policy.Tuning, len(plan))
+	for i, ps := range plan {
+		rows = append(rows,
+			policy.Row{When: policy.After(ps.after), Do: func() (*sim.Latch, error) {
+				fl.add(FaultRecord{Kind: "autotune", Start: env.S.Now(), End: FaultOpenEnd, Link: -1, Rank: -1})
+				installed, err := ctrl.StartAutotune(&tunings[i], id, ps.opts)
+				if err != nil {
+					panic(fmt.Sprintf("chaos: autotune: %v", err))
+				}
+				return installed, nil
+			}},
+			policy.Row{Do: func() (*sim.Latch, error) { tunings[i].Finish(); return nil, nil }})
+	}
+	ctrl.Run("chaos:autotune", rows)
 }
 
 // injectLinkFlaps degrades random fabric links to a fraction of their
@@ -314,7 +332,7 @@ func injectCongestion(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faultLo
 
 	cfg := remediation.DefaultConfig()
 	cfg.MaxActions = 1
-	eng := remediation.Attach(env.S, env.Deployment, nil, cfg)
+	eng := remediation.Attach(env.S, env.Deployment, env.Controller(), nil, cfg)
 	stop := &sim.Event{}
 	eng.Start(stop)
 	env.S.At(sim.Time(sc.Horizon), func() { stop.Signal(env.S) })

@@ -294,7 +294,7 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	// probation and re-admit before the run drains.
 	var heal *remediation.Engine
 	if opts.heal {
-		heal = remediation.Attach(env.S, env.Deployment, env.Doctor, opts.healCfg)
+		heal = remediation.Attach(env.S, env.Deployment, env.Controller(), env.Doctor, opts.healCfg)
 		stop := &sim.Event{}
 		heal.Start(stop)
 		env.S.At(sim.Time(sc.Horizon+sc.Horizon/2), func() { stop.Signal(env.S) })

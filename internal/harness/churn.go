@@ -10,6 +10,7 @@ import (
 	"mccs/internal/collective"
 	"mccs/internal/ncclsim"
 	"mccs/internal/orchestrator"
+	"mccs/internal/policy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/telemetry"
@@ -160,7 +161,11 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		return nil, err
 	}
 	defer env.Close()
-	orch := orchestrator.New(env.S, env.Cluster, env.Deployment, orchestrator.Config{
+	var ctrl *policy.Controller
+	if cfg.Reconfigure || cfg.Autotune {
+		ctrl = env.Controller()
+	}
+	orch := orchestrator.New(env.S, env.Cluster, env.Deployment, ctrl, orchestrator.Config{
 		Quota:       cfg.Quota,
 		Placer:      cfg.Placer,
 		Reconfigure: cfg.Reconfigure,

@@ -52,7 +52,8 @@ type Env struct {
 	// it; nil otherwise.
 	Doctor *diagnosis.Engine
 
-	obs Observers
+	obs  Observers
+	ctrl *policy.Controller
 }
 
 // Observers selects the observation planes an environment carries and
@@ -189,6 +190,19 @@ func NewEnv(o EnvOptions) (*Env, error) {
 // test seam: the driver tests reach the environment a driver builds and
 // tears down inside one call through it.
 var envBuilt func(*Env)
+
+// Controller returns the deployment's one policy controller, building it
+// on the first call. Every decider on the deployment acts through it: the
+// drivers' plans, the orchestrator, the remediation engine and the chaos
+// autotuner. Building it registers the controller's decision counters, so
+// a driver first calls Controller where it first needs to decide and no
+// earlier, and a run that makes no decision never calls it.
+func (e *Env) Controller() *policy.Controller {
+	if e.ctrl == nil {
+		e.ctrl = policy.NewController(e.Deployment)
+	}
+	return e.ctrl
+}
 
 // Close tears the environment down; see Env. It releases, in order: the
 // scheduler's parked processes (Shutdown), the deployment's device memory
@@ -377,7 +391,7 @@ func runSingleTrial(cfg SingleAppConfig, trial int) ([]float64, error) {
 	// achieved completion time is recorded when the last one ends.
 	var ctrl *policy.Controller
 	var id spec.CommID
-	var tuneErr error
+	var observeErr error
 	iters := cfg.Warmup + cfg.Iters
 	done := make([]sim.Time, 0, iters)
 	rc := workload.RunConfig{
@@ -388,8 +402,8 @@ func runSingleTrial(cfg SingleAppConfig, trial int) ([]float64, error) {
 		// datapath latency.
 		Depth: 1,
 		OnIteration: func(_ int, end sim.Time, _ time.Duration) {
-			if done = append(done, end); len(done) == iters && ctrl != nil && tuneErr == nil {
-				_, tuneErr = ctrl.ObserveAchieved(id, 0)
+			if done = append(done, end); len(done) == iters && ctrl != nil && ctrl.Err() == nil {
+				_, observeErr = ctrl.ObserveAchieved(id, 0)
 			}
 		},
 	}
@@ -397,13 +411,19 @@ func runSingleTrial(cfg SingleAppConfig, trial int) ([]float64, error) {
 		if env.Deployment.Config().Baseline {
 			return nil, fmt.Errorf("harness: autotune requires a service-mode system")
 		}
-		ctrl = policy.NewController(env.Deployment)
+		ctrl = env.Controller()
 		ready := sim.NewLatch(len(gpus))
 		tuned := &sim.Event{}
-		env.S.Go("tuner", func(p *sim.Proc) {
-			ready.Wait(p)
-			_, tuneErr = ctrl.Autotune(p, id, policy.AutotuneOptions{Op: cfg.Op, Bytes: cfg.Bytes})
-			tuned.Signal(env.S)
+		var tuning policy.Tuning
+		ctrl.Run("tuner", policy.Plan{
+			{When: policy.Opened(ready), Do: func() (*sim.Latch, error) {
+				return ctrl.StartAutotune(&tuning, id, policy.AutotuneOptions{Op: cfg.Op, Bytes: cfg.Bytes})
+			}},
+			{Do: func() (*sim.Latch, error) {
+				tuning.Finish()
+				tuned.Signal(env.S)
+				return nil, nil
+			}},
 		})
 		rc.OnReady = func(p *sim.Proc, _ int, comm spec.CommID) {
 			id = comm
@@ -413,13 +433,22 @@ func runSingleTrial(cfg SingleAppConfig, trial int) ([]float64, error) {
 	}
 	jobErr := firstErr(env.S, workload.Launch(rc))
 	runErr := env.S.Run()
-	if err := cmp.Or(*jobErr, tuneErr, runErr); err != nil {
+	if err := cmp.Or(*jobErr, ctrlErr(ctrl), observeErr, runErr); err != nil {
 		return nil, err
 	}
 	if err := env.Export(); err != nil {
 		return nil, err
 	}
 	return gapBandwidth(done, cfg.Bytes, cfg.Warmup), nil
+}
+
+// ctrlErr is the first error a driver's plans ended on, nil when the
+// driver made no decision.
+func ctrlErr(c *policy.Controller) error {
+	if c == nil {
+		return nil
+	}
+	return c.Err()
 }
 
 // manyIters is the iteration count of a job that runs until the

@@ -134,7 +134,7 @@ func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, err
 		return nil, err
 	}
 	defer env.Close()
-	ctrl := policy.NewController(env.Deployment)
+	ctrl := env.Controller()
 
 	totalRanks := 0
 	for _, a := range cfg.Apps {
@@ -142,31 +142,36 @@ func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, err
 	}
 	inited := sim.NewLatch(totalRanks)
 	start := &sim.Event{}
-	var errs []error
 
 	// Controller: wait for every communicator, apply FFA if this is full
 	// MCCS, then release the measured loops.
-	env.S.Go("controller", func(p *sim.Proc) {
-		inited.Wait(p)
-		// Autotune picks each communicator's shape (order, channels,
-		// algorithm) in isolation; FFA then coordinates route pins
-		// *across* tenants, which no per-communicator search can see.
-		if cfg.Autotune && !env.Deployment.Config().Baseline {
-			for _, ci := range env.Deployment.View() { // ascending ID order
-				if _, err := ctrl.Autotune(p, ci.ID, policy.AutotuneOptions{
-					Op: collective.AllReduce, Bytes: cfg.Bytes,
-				}); err != nil {
-					errs = append(errs, err)
-				}
-			}
+	plan := policy.Plan{{When: policy.Opened(inited)}}
+	// Autotune picks each communicator's shape (order, channels,
+	// algorithm) in isolation; FFA then coordinates route pins *across*
+	// tenants, which no per-communicator search can see. Every app has one
+	// communicator, tuned in ascending ID order.
+	if cfg.Autotune && !env.Deployment.Config().Baseline {
+		tunings := make([]policy.Tuning, len(cfg.Apps))
+		for i := range tunings {
+			plan = append(plan,
+				policy.Row{Do: func() (*sim.Latch, error) {
+					return ctrl.StartAutotune(&tunings[i], env.Deployment.View()[i].ID, policy.AutotuneOptions{
+						Op: collective.AllReduce, Bytes: cfg.Bytes,
+					})
+				}},
+				policy.Row{Do: func() (*sim.Latch, error) { tunings[i].Finish(); return nil, nil }})
 		}
+	}
+	plan = append(plan, policy.Row{Do: func() (*sim.Latch, error) {
 		if cfg.System == ncclsim.MCCS {
 			if err := ctrl.ApplyFFA(); err != nil {
-				errs = append(errs, err)
+				return nil, err
 			}
 		}
 		start.Signal(env.S)
-	})
+		return nil, nil
+	}})
+	ctrl.Run("controller", plan)
 
 	ends := make(map[spec.AppID][]sim.Time, len(cfg.Apps))
 	jobs := make([]*sim.Future[*workload.Result], len(cfg.Apps))
@@ -191,11 +196,8 @@ func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, err
 	}
 	jobErr := firstErr(env.S, jobs...)
 	runErr := env.S.Run()
-	if err := cmp.Or(*jobErr, runErr); err != nil {
+	if err := cmp.Or(ctrl.Err(), *jobErr, runErr); err != nil {
 		return nil, err
-	}
-	if len(errs) > 0 {
-		return nil, errs[0]
 	}
 	if err := env.Export(); err != nil {
 		return nil, err

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
+	"mccs/internal/mccsd"
 	"mccs/internal/ncclsim"
 	"mccs/internal/policy"
 	"mccs/internal/sim"
@@ -104,7 +106,7 @@ func runQoS(env *Env, cfg QoSConfig) (QoSResult, error) {
 		futs[1].Wait(p) // B
 		bDone.Signal(env.S)
 	})
-	runQoSController(env, cfg.Solution, allDone, bDone)
+	ctrl := runQoSController(env, cfg.Solution, allDone, bDone)
 
 	res := QoSResult{
 		JCT:      make(map[spec.AppID]time.Duration),
@@ -131,11 +133,8 @@ func runQoS(env *Env, cfg QoSConfig) (QoSResult, error) {
 		}
 		allDone.Signal(env.S)
 	})
-	if err := env.S.Run(); err != nil {
+	if err := cmp.Or(env.S.Run(), ctrlErr(ctrl), firstErr); err != nil {
 		return QoSResult{}, err
-	}
-	if firstErr != nil {
-		return QoSResult{}, firstErr
 	}
 	if err := env.Export(); err != nil {
 		return QoSResult{}, err
@@ -146,62 +145,72 @@ func runQoS(env *Env, cfg QoSConfig) (QoSResult, error) {
 // runQoSController drives the provider-side policy for a solution: wait
 // for all three communicators, apply flow assignment, and for PFA+TS keep
 // re-deriving tenant C's traffic windows from tenant B's live trace (the
-// re-application re-anchors the window phase as B's cadence drifts).
-func runQoSController(env *Env, sol QoSSolution, stop, bDone *sim.Event) {
+// re-application re-anchors the window phase as B's cadence drifts). It
+// returns the controller, nil for ECMP, which decides nothing.
+func runQoSController(env *Env, sol QoSSolution, stop, bDone *sim.Event) *policy.Controller {
 	if sol == SolutionECMP {
-		return
+		return nil
 	}
 	d := env.Deployment
-	ctrl := policy.NewController(d)
-	// Only tenant A (priority 2) is PFA-prioritized; B's priority 1 is
-	// used later by TS, not by route reservation.
-	ctrl.PrioThreshold = 2
-	env.S.GoDaemon("qos-controller", func(p *sim.Proc) {
-		for d.NumComms() < 3 {
-			p.Sleep(time.Millisecond)
-		}
-		switch sol {
-		case SolutionFFA:
-			if err := ctrl.ApplyFFA(); err != nil {
-				panic(err)
+	ctrl := env.Controller()
+	var bComm spec.CommID
+	plan := policy.Plan{{
+		When: policy.Every(time.Millisecond, func() bool { return d.NumComms() >= 3 }, nil),
+		Do: func() (*sim.Latch, error) {
+			if sol == SolutionFFA {
+				return nil, ctrl.ApplyFFA()
 			}
-		case SolutionPFA, SolutionPFATS:
+			// Only tenant A (priority 2) is PFA-prioritized; B's
+			// priority 1 is used later by TS, not by route reservation.
 			if err := ctrl.ApplyPFA(); err != nil {
-				panic(err)
+				return nil, err
 			}
+			bComm = commOf(d, "B")
+			return nil, nil
+		},
+	}}
+	if sol == SolutionPFATS {
+		plan = append(plan,
+			// Wait for enough of B's trace, then keep C scheduled around
+			// B's windows while B runs (the periodic re-application
+			// re-anchors the window phase as B's cadence drifts). Once the
+			// prioritized job completes, clear the stale schedule —
+			// otherwise C would stay throttled by windows derived from a
+			// tenant that no longer exists.
+			policy.Row{When: policy.Every(5*time.Millisecond, func() bool {
+				if stop.Done() {
+					return true
+				}
+				tr, err := d.CommTrace(bComm, 0)
+				return err == nil && len(tr) >= 8
+			}, nil)},
+			policy.Row{
+				When: policy.Every(250*time.Millisecond,
+					func() bool { return stop.Done() || bDone.Done() },
+					func() error { applyTSForC(ctrl, bComm); return nil }),
+				Do: func() (*sim.Latch, error) { ctrl.ClearTSFor("C"); return nil, nil },
+			})
+	}
+	ctrl.Run("qos-controller", plan)
+	return ctrl
+}
+
+// commOf returns the ID of app's communicator (0 when it has none).
+func commOf(d *mccsd.Deployment, app spec.AppID) spec.CommID {
+	var id spec.CommID
+	for _, ci := range d.View() {
+		if ci.App == app {
+			id = ci.ID
 		}
-		if sol != SolutionPFATS {
-			return
-		}
-		// Find B's communicator, wait for enough trace, then keep C
-		// scheduled around B's windows.
-		var bComm spec.CommID
-		for _, ci := range d.View() {
-			if ci.App == "B" {
-				bComm = ci.ID
-			}
-		}
-		for !stop.Done() {
-			tr, err := d.CommTrace(bComm, 0)
-			if err == nil && len(tr) >= 8 {
-				break
-			}
-			p.Sleep(5 * time.Millisecond)
-		}
-		// Keep re-deriving the windows while B runs (the periodic
-		// re-application re-anchors the window phase as B's cadence
-		// drifts). Once the prioritized job completes, clear the stale
-		// schedule — otherwise C would stay throttled by windows derived
-		// from a tenant that no longer exists.
-		for !stop.Done() && !bDone.Done() {
-			if err := ctrl.ApplyTSFor(bComm, 0, []spec.AppID{"C"}); err != nil {
-				// B may be between collectives; retry on next cycle.
-				_ = err
-			}
-			p.Sleep(250 * time.Millisecond)
-		}
-		ctrl.ClearTSFor("C")
-	})
+	}
+	return id
+}
+
+// applyTSForC schedules tenant C around tenant B's windows. B may be
+// between collectives, with too little trace to derive them from; the
+// next poll retries, so the error is dropped.
+func applyTSForC(ctrl *policy.Controller, bComm spec.CommID) {
+	_ = ctrl.ApplyTSFor(bComm, 0, []spec.AppID{"C"})
 }
 
 // DynamicEvent marks a Fig. 10 timeline event.
@@ -255,9 +264,7 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 	if err != nil {
 		return DynamicResult{}, err
 	}
-	ctrl := policy.NewController(d)
-	ctrl.PrioThreshold = 2
-
+	ctrl := env.Controller()
 	iterEnds := map[spec.AppID][]sim.Time{}
 	iterTimes := map[spec.AppID][]time.Duration{}
 	launch := func(pl AppPlacement, trace workload.Trace, at time.Duration) {
@@ -276,42 +283,30 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 	launch(apps[2], workload.GPT27BTensorParallel(1), cfg.T2)
 
 	// Controller: re-apply FFA as tenants arrive, switch to PFA at T3,
-	// add TS for C at T4.
-	env.S.GoDaemon("dyn-controller", func(p *sim.Proc) {
-		seen := 0
-		for p.Now() < sim.Time(cfg.T3) {
+	// add TS for C at T4 and keep re-deriving it.
+	now := env.S.Now
+	seen := 0
+	var bComm spec.CommID
+	ctrl.Run("dyn-controller", policy.Plan{
+		{When: policy.Every(10*time.Millisecond, func() bool { return now() >= sim.Time(cfg.T3) }, func() error {
 			if n := d.NumComms(); n != seen {
 				seen = n
-				if err := ctrl.ApplyFFA(); err != nil {
-					panic(err)
-				}
+				return ctrl.ApplyFFA()
 			}
-			p.Sleep(10 * time.Millisecond)
-		}
-		if err := ctrl.ApplyPFA(); err != nil {
-			panic(err)
-		}
-		for p.Now() < sim.Time(cfg.T4) {
-			p.Sleep(10 * time.Millisecond)
-		}
-		var bComm spec.CommID
-		for _, ci := range d.View() {
-			if ci.App == "B" {
-				bComm = ci.ID
-			}
-		}
-		for {
-			if err := ctrl.ApplyTSFor(bComm, 0, []spec.AppID{"C"}); err != nil {
-				_ = err // B between collectives; retry
-			}
-			p.Sleep(250 * time.Millisecond)
-		}
+			return nil
+		}), Do: func() (*sim.Latch, error) { return nil, ctrl.ApplyPFA() }},
+		{When: policy.Every(10*time.Millisecond, func() bool { return now() >= sim.Time(cfg.T4) }, nil),
+			Do: func() (*sim.Latch, error) { bComm = commOf(d, "B"); return nil, nil }},
+		{When: policy.Every(250*time.Millisecond, func() bool { return false }, func() error {
+			applyTSForC(ctrl, bComm)
+			return nil
+		})},
 	})
 
 	// The jobs run past the horizon by design; iteration timelines are
 	// reconstructed afterwards from the service's own tracing facility
 	// (the same data the TS policy consumes).
-	if err := env.S.RunUntil(sim.Time(cfg.RunFor)); err != nil {
+	if err := cmp.Or(env.S.RunUntil(sim.Time(cfg.RunFor)), ctrl.Err()); err != nil {
 		return DynamicResult{}, err
 	}
 	if err := env.Export(); err != nil {

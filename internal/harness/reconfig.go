@@ -104,7 +104,7 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 		gpus = append(gpus, h.GPUs...)
 	}
 	var series []TimePoint
-	var errs []error
+	var bgErr error
 	var commID spec.CommID
 
 	// The job runs until RunUntil bounds the experiment. (Per-rank
@@ -125,7 +125,7 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 	s.At(sim.Time(cfg.BgStart), func() {
 		link, err := cluster.RingLinkBetween(1, 2)
 		if err != nil {
-			errs = append(errs, err)
+			bgErr = err
 			return
 		}
 		l := cluster.Net.Link(link)
@@ -140,44 +140,38 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 
 	// The external centralized manager issues the ring reversal — either
 	// hand-coded (the paper's scripted Fig. 7) or rediscovered by the
-	// autotuner from the observed link load.
-	s.Go("controller", func(p *sim.Proc) {
-		p.SleepUntil(sim.Time(cfg.ReconfigAt))
+	// autotuner from the observed link load. Only the autotuner builds the
+	// controller, at the reconfiguration instant; the scripted reversal is
+	// a recovery move that needs none.
+	var tuning policy.Tuning
+	plan := policy.Plan{{When: policy.At(sim.Time(cfg.ReconfigAt)), Do: func() (*sim.Latch, error) {
 		if commID == 0 {
-			errs = append(errs, fmt.Errorf("harness: communicator not ready at reconfig time"))
-			return
+			return nil, fmt.Errorf("harness: communicator not ready at reconfig time")
 		}
 		if cfg.Autotune {
-			ctrl := policy.NewController(dep)
-			if _, err := ctrl.Autotune(p, commID, policy.AutotuneOptions{
+			return env.Controller().StartAutotune(&tuning, commID, policy.AutotuneOptions{
 				Op: collective.AllReduce, Bytes: cfg.Bytes,
-			}); err != nil {
-				errs = append(errs, err)
-				return
-			}
+			})
+		}
+		return policy.Reverse(dep, commID)
+	}}}
+	if cfg.Autotune {
+		plan = append(plan,
+			policy.Row{Do: func() (*sim.Latch, error) { tuning.Finish(); return nil, nil }},
 			// Let a few post-install iterations land, then record the
 			// achieved completion time against the prediction (visible
 			// as predicted-vs-achieved in mccs top's TUNER section).
-			p.Sleep(2 * time.Second)
-			if _, err := ctrl.ObserveAchieved(commID, 0); err != nil {
-				errs = append(errs, err)
-			}
-			return
-		}
-		latch, err := policy.Reverse(dep, commID)
-		if err != nil {
-			errs = append(errs, err)
-			return
-		}
-		latch.Wait(p)
-	})
+			policy.Row{When: policy.After(2 * time.Second), Do: func() (*sim.Latch, error) {
+				_, err := env.Controller().ObserveAchieved(commID, 0)
+				return nil, err
+			}})
+	}
+	var planErr error
+	plan.Start(s, "controller", &planErr)
 
 	runErr := s.RunUntil(sim.Time(cfg.RunFor))
-	if err := cmp.Or(*jobErr, runErr); err != nil {
+	if err := cmp.Or(*jobErr, runErr, bgErr, planErr); err != nil {
 		return ReconfigResult{}, err
-	}
-	if len(errs) > 0 {
-		return ReconfigResult{}, errs[0]
 	}
 	if err := env.Export(); err != nil {
 		return ReconfigResult{}, err

@@ -186,16 +186,18 @@ type Orchestrator struct {
 	mReconfigs *telemetry.Counter
 }
 
-// New builds an orchestrator owning every GPU of the cluster. The
-// deployment must be in service mode when Reconfigure or Autotune is on
-// (baseline lib-mode deployments refuse reconfiguration).
-func New(s *sim.Scheduler, cluster *topo.Cluster, dep *mccsd.Deployment, cfg Config) *Orchestrator {
+// New builds an orchestrator owning every GPU of the cluster. ctrl is the
+// deployment's policy controller, through which every churn-triggered
+// recompute acts; it may be nil when neither Reconfigure nor Autotune is
+// on. The deployment must be in service mode when either is (baseline
+// lib-mode deployments refuse reconfiguration).
+func New(s *sim.Scheduler, cluster *topo.Cluster, dep *mccsd.Deployment, ctrl *policy.Controller, cfg Config) *Orchestrator {
 	placer := cfg.Placer
 	if placer == nil {
 		placer = BinPack{}
 	}
 	o := &Orchestrator{
-		s: s, cluster: cluster, dep: dep, cfg: cfg, placer: placer,
+		s: s, cluster: cluster, dep: dep, ctrl: ctrl, cfg: cfg, placer: placer,
 		free:   make(map[topo.GPUID]bool),
 		usage:  make(map[spec.AppID]int),
 		byComm: make(map[spec.CommID]*Job),
@@ -208,9 +210,6 @@ func New(s *sim.Scheduler, cluster *topo.Cluster, dep *mccsd.Deployment, cfg Con
 		}
 	}
 	o.totalGPUs = len(o.free)
-	if cfg.Reconfigure || cfg.Autotune {
-		o.ctrl = policy.NewController(dep)
-	}
 	reg := telemetry.Of(s)
 	o.mRunning = reg.Gauge("mccs_sched_jobs_running", "jobs")
 	o.mQueued = reg.Gauge("mccs_sched_jobs_queued", "jobs")
@@ -474,7 +473,7 @@ func (o *Orchestrator) recompute(p *sim.Proc, cause string) {
 	if o.cfg.Autotune {
 		for _, ci := range view {
 			opts := policy.AutotuneOptions{Op: collective.AllReduce, Bytes: o.tuneBytes(ci.ID)}
-			if _, err := o.ctrl.Autotune(p, ci.ID, opts); err != nil {
+			if err := o.ctrl.Autotune(p, ci.ID, opts); err != nil {
 				o.errs = append(o.errs, fmt.Errorf("autotune comm %d: %w", ci.ID, err))
 			}
 		}

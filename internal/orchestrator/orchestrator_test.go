@@ -9,6 +9,7 @@ import (
 	"mccs/internal/mccsd"
 	"mccs/internal/ncclsim"
 	"mccs/internal/netsim"
+	"mccs/internal/policy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/topo"
@@ -79,7 +80,7 @@ func checkNoLeaks(t *testing.T, e *env, o *Orchestrator) {
 
 func TestJobLargerThanClusterRejected(t *testing.T) {
 	e := newEnv(t)
-	o := New(e.s, e.cluster, e.dep, Config{})
+	o := New(e.s, e.cluster, e.dep, nil, Config{})
 	j := o.Submit(JobSpec{Tenant: "t", GPUs: 16, Trace: tinyTrace()})
 	run(t, e, o)
 	if j.State != StateRejected {
@@ -98,7 +99,7 @@ func TestJobLargerThanClusterRejected(t *testing.T) {
 func TestDrainedNamesWhatIsLeft(t *testing.T) {
 	e := newEnv(t)
 	defer e.s.Shutdown()
-	o := New(e.s, e.cluster, e.dep, Config{})
+	o := New(e.s, e.cluster, e.dep, nil, Config{})
 	o.Submit(JobSpec{Tenant: "a", GPUs: 8, Trace: slowTrace(10 * time.Millisecond)})
 	o.Submit(JobSpec{Tenant: "b", GPUs: 4, Arrival: time.Millisecond, Trace: tinyTrace()})
 	if err := e.s.RunUntil(sim.Time(5 * time.Millisecond)); err != nil {
@@ -119,7 +120,7 @@ func TestDrainedNamesWhatIsLeft(t *testing.T) {
 
 func TestJobOverQuotaRejected(t *testing.T) {
 	e := newEnv(t)
-	o := New(e.s, e.cluster, e.dep, Config{Quota: map[spec.AppID]int{"t": 4}})
+	o := New(e.s, e.cluster, e.dep, nil, Config{Quota: map[spec.AppID]int{"t": 4}})
 	j := o.Submit(JobSpec{Tenant: "t", GPUs: 8, Trace: tinyTrace()})
 	run(t, e, o)
 	if j.State != StateRejected || !strings.Contains(j.Reason, "quota is 4") {
@@ -129,7 +130,7 @@ func TestJobOverQuotaRejected(t *testing.T) {
 
 func TestClusterFullQueuesThenAdmits(t *testing.T) {
 	e := newEnv(t)
-	o := New(e.s, e.cluster, e.dep, Config{})
+	o := New(e.s, e.cluster, e.dep, nil, Config{})
 	a := o.Submit(JobSpec{Tenant: "a", GPUs: 8, Trace: slowTrace(10 * time.Millisecond)})
 	b := o.Submit(JobSpec{Tenant: "b", GPUs: 4, Arrival: time.Millisecond, Trace: tinyTrace()})
 	run(t, e, o)
@@ -147,7 +148,7 @@ func TestClusterFullQueuesThenAdmits(t *testing.T) {
 
 func TestQuotaCappedTenantSerializes(t *testing.T) {
 	e := newEnv(t)
-	o := New(e.s, e.cluster, e.dep, Config{Quota: map[spec.AppID]int{"capped": 4}})
+	o := New(e.s, e.cluster, e.dep, nil, Config{Quota: map[spec.AppID]int{"capped": 4}})
 	a := o.Submit(JobSpec{Tenant: "capped", GPUs: 4, Trace: tinyTrace()})
 	b := o.Submit(JobSpec{Tenant: "capped", GPUs: 4, Arrival: time.Microsecond, Trace: tinyTrace()})
 	// The other tenant is not blocked by capped's backlog.
@@ -169,7 +170,7 @@ func TestQuotaCappedTenantSerializes(t *testing.T) {
 
 func TestFragmentationForcesCrossRackSpill(t *testing.T) {
 	e := newEnv(t)
-	o := New(e.s, e.cluster, e.dep, Config{})
+	o := New(e.s, e.cluster, e.dep, nil, Config{})
 	// A 3-GPU job fragments rack 0 (g0, g1, g2 leave only g3 free
 	// there); the 5-GPU job that follows cannot fit either rack alone.
 	long := workload.Trace{Name: "long", Phases: []workload.Phase{
@@ -193,7 +194,7 @@ func TestFragmentationForcesCrossRackSpill(t *testing.T) {
 
 func TestPriorityAdmitsFirst(t *testing.T) {
 	e := newEnv(t)
-	o := New(e.s, e.cluster, e.dep, Config{})
+	o := New(e.s, e.cluster, e.dep, nil, Config{})
 	// The cluster is busy when lo and hi queue up together; hi must
 	// admit first once capacity frees even though lo arrived earlier.
 	hog := o.Submit(JobSpec{Tenant: "hog", GPUs: 8, Trace: slowTrace(10 * time.Millisecond)})
@@ -211,7 +212,7 @@ func TestPriorityAdmitsFirst(t *testing.T) {
 
 func TestChurnTriggersReconfigs(t *testing.T) {
 	e := newEnv(t)
-	o := New(e.s, e.cluster, e.dep, Config{Reconfigure: true})
+	o := New(e.s, e.cluster, e.dep, policy.NewController(e.dep), Config{Reconfigure: true})
 	o.Submit(JobSpec{Tenant: "a", GPUs: 4, Trace: tinyTrace(), Iterations: 3})
 	o.Submit(JobSpec{Tenant: "b", GPUs: 4, Arrival: 500 * time.Microsecond, Trace: tinyTrace(), Iterations: 3})
 	run(t, e, o)

@@ -30,11 +30,15 @@ type AutotuneOptions struct {
 	NoHD   bool
 }
 
-// TuneModel builds the tuner's cost model from the deployment's actual
-// timing configuration, reading external link load live from the fabric.
-// This is exactly the provider-only knowledge the paper argues for:
+// TuneModel returns the tuner's cost model, built on the first call from
+// the deployment's actual timing configuration and then kept: it reads
+// external link load live from the fabric, so one model serves every
+// pass. This is exactly the provider-only knowledge the paper argues for:
 // tenants can see none of these numbers.
 func (c *Controller) TuneModel() *tuner.Model {
+	if c.model != nil {
+		return c.model
+	}
 	cfg := c.dep.Config()
 	m := tuner.DefaultModel(c.dep.Cluster)
 	m.Alpha = transport.NetLatency + 2*time.Microsecond
@@ -42,6 +46,7 @@ func (c *Controller) TuneModel() *tuner.Model {
 	m.IntraBps = cfg.Transport.IntraBps
 	fb := c.dep.Fabric
 	m.ExtLoad = func(l netsim.LinkID) float64 { return fb.ExternalRate(l) }
+	c.model = m
 	return m
 }
 
@@ -75,20 +80,46 @@ func (c *Controller) TuneSpace(info *spec.CommInfo, opts AutotuneOptions) tuner.
 // under the live cost model, install the winner through the
 // reconfiguration protocol, and record the whole decision in telemetry
 // and the flight recorder (one KindTuner span per candidate plus one for
-// the install). It returns the ranked decision.
-func (c *Controller) Autotune(p *sim.Proc, id spec.CommID, opts AutotuneOptions) (tuner.Decision, error) {
+// the install). It blocks p until every rank has switched; a plan runs
+// the same two halves, StartAutotune and Tuning.Finish, as two rows.
+func (c *Controller) Autotune(p *sim.Proc, id spec.CommID, opts AutotuneOptions) error {
+	var t Tuning
+	installed, err := c.StartAutotune(&t, id, opts)
+	if err != nil {
+		return err
+	}
+	installed.Wait(p)
+	t.Finish()
+	return nil
+}
+
+// Tuning is one autotune decision between its install and the moment
+// every rank has switched: StartAutotune fills it, Finish closes it.
+type Tuning struct {
+	c      *Controller
+	id     spec.CommID
+	opts   AutotuneOptions
+	tenant telemetry.Label
+	win    tuner.Scored
+	start  sim.Time
+}
+
+// StartAutotune is Autotune's first half: it searches, records the ranked
+// candidates and starts installing the winner, filling t. The returned
+// latch opens when every rank has switched; call t.Finish then.
+func (c *Controller) StartAutotune(t *Tuning, id spec.CommID, opts AutotuneOptions) (*sim.Latch, error) {
 	info, err := c.commInfo(id)
 	if err != nil {
-		return tuner.Decision{}, err
+		return nil, err
 	}
 	if opts.Bytes <= 0 {
-		return tuner.Decision{}, fmt.Errorf("policy: autotune needs a positive byte size")
+		return nil, fmt.Errorf("policy: autotune needs a positive byte size")
 	}
 	model := c.TuneModel()
 	cands := tuner.Candidates(info, c.TuneSpace(info, opts), opts.Bytes)
 	d, err := model.Search(info, cands, opts.Op, opts.Bytes)
 	if err != nil {
-		return tuner.Decision{}, err
+		return nil, err
 	}
 
 	reg := telemetry.Of(c.dep.S)
@@ -115,21 +146,26 @@ func (c *Controller) Autotune(p *sim.Proc, id spec.CommID, opts AutotuneOptions)
 	c.setStrategyInfo(reg, info.App, win.Name)
 	latch, err := c.dep.Reconfigure(id, win.Strategy, nil)
 	if err != nil {
-		return tuner.Decision{}, fmt.Errorf("policy: installing %q: %w", win.Name, err)
+		return nil, fmt.Errorf("policy: installing %q: %w", win.Name, err)
 	}
-	latch.Wait(p)
-	reg.Counter("mccs_tuner_installs_total", "installs", tenant).Inc()
-	end := c.dep.S.Now()
-	rec.Emit(trace.Span{
-		Kind: trace.KindTuner, Op: int32(opts.Op),
-		Start: now, End: end,
-		Comm: int32(id), Rank: -1, Peer: -1,
+	*t = Tuning{c: c, id: id, opts: opts, tenant: tenant, win: win, start: now}
+	return latch, nil
+}
+
+// Finish is Autotune's second half, once every rank has switched: it
+// counts the install and records its span, from the search to now.
+func (t *Tuning) Finish() {
+	s := t.c.dep.S
+	telemetry.Of(s).Counter("mccs_tuner_installs_total", "installs", t.tenant).Inc()
+	trace.Of(s).Emit(trace.Span{
+		Kind: trace.KindTuner, Op: int32(t.opts.Op),
+		Start: t.start, End: s.Now(),
+		Comm: int32(t.id), Rank: -1, Peer: -1,
 		Channel: -1, Step: -1,
-		Flow: int64(win.Predicted), Bytes: opts.Bytes,
+		Flow: int64(t.win.Predicted), Bytes: t.opts.Bytes,
 		Src: -1, Dst: -1,
-		Label: win.Name,
+		Label: t.win.Name,
 	})
-	return d, nil
 }
 
 // ObserveAchieved reads the most recent completed collective of the

@@ -10,16 +10,21 @@ import (
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/telemetry"
+	"mccs/internal/tuner"
 )
 
 // Controller is the external centralized manager of paper §4.3: it
 // consumes the deployment's management view and pushes policy decisions
 // back through the management API. It holds no mechanism of its own.
+// A deployment has one (harness.Env.Controller builds it), shared by every
+// decider that acts on it: the experiment drivers' plans, the lifecycle
+// orchestrator, the remediation engine and the chaos autotuner.
 type Controller struct {
 	dep *mccsd.Deployment
-	// PrioThreshold is the priority at or above which an app counts as
-	// prioritized for PFA.
-	PrioThreshold int
+	// err is the first error a plan run by Run ended on.
+	err error
+	// model is the tuner's cost model, built on the first autotune pass.
+	model *tuner.Model
 
 	// Policy-decision audit counters; nil-safe when no registry is
 	// attached to the deployment's scheduler.
@@ -41,12 +46,16 @@ var reservedRoutes = []int{0}
 
 const tsGuard = 200 * time.Microsecond
 
+// prioThreshold is the priority at or above which PFA reserves routes for
+// an application: the QoS experiments prioritize tenant A (priority 2),
+// while B's priority 1 only orders TS.
+const prioThreshold = 2
+
 // NewController attaches a controller to a deployment.
 func NewController(dep *mccsd.Deployment) *Controller {
 	reg := telemetry.Of(dep.S)
 	return &Controller{
 		dep:           dep,
-		PrioThreshold: 1,
 		telFFA:        reg.Counter("mccs_policy_applies_total", "applies", telemetry.L("policy", "ffa")),
 		telPFA:        reg.Counter("mccs_policy_applies_total", "applies", telemetry.L("policy", "pfa")),
 		telRoutes:     reg.Counter("mccs_policy_routes_pinned_total", "route-sets"),
@@ -55,6 +64,14 @@ func NewController(dep *mccsd.Deployment) *Controller {
 		telTSClears:   reg.Counter("mccs_policy_ts_clears_total", "schedules"),
 	}
 }
+
+// Run executes plan as one stackless process named name, started now
+// (see Plan). The first error any of the controller's plans ends on is
+// kept; Err reports it.
+func (c *Controller) Run(name string, plan Plan) { plan.Start(c.dep.S, name, &c.err) }
+
+// Err is the first error a plan run by Run ended on, nil while none has.
+func (c *Controller) Err() error { return c.err }
 
 // ApplyFFA computes fair flow assignment over all active communicators
 // and pushes the route pins.
@@ -68,7 +85,7 @@ func (c *Controller) ApplyFFA() error {
 // ApplyPFA computes priority flow assignment and pushes the route pins.
 func (c *Controller) ApplyPFA() error {
 	view := c.dep.View()
-	a := PFA(c.dep.Cluster, view, reservedRoutes, c.PrioThreshold)
+	a := PFA(c.dep.Cluster, view, reservedRoutes, prioThreshold)
 	c.telPFA.Inc()
 	return c.push(a)
 }

@@ -50,7 +50,7 @@ func TestSlowGPURetunesTheNamedComm(t *testing.T) {
 		return comm.Runners[0].Generation()
 	}
 
-	e := Attach(env.S, env.Deployment, nil, DefaultConfig())
+	e := Attach(env.S, env.Deployment, env.Controller(), nil, DefaultConfig())
 	straggler := view[1].ID
 	const gone = 99
 	for _, comm := range []int32{int32(straggler), gone} {

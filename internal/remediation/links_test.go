@@ -194,7 +194,7 @@ func generation(t *testing.T, env *harness.Env) int {
 // traffic less than nominal minus tolerance.
 func TestExternalLoadQuarantinesLink(t *testing.T) {
 	env := newSwitchRingEnv(t)
-	e := Attach(env.S, env.Deployment, nil, linkHealthConfig())
+	e := Attach(env.S, env.Deployment, env.Controller(), nil, linkHealthConfig())
 	link, err := env.Cluster.RingLinkBetween(1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestExternalLoadQuarantinesLink(t *testing.T) {
 func TestRemediationReversesRingOnce(t *testing.T) {
 	env := newSwitchRingEnv(t)
 	series := startLoopingJob(t, env, allGPUs(env.Cluster), 128<<20)
-	e := Attach(env.S, env.Deployment, nil, linkHealthConfig())
+	e := Attach(env.S, env.Deployment, env.Controller(), nil, linkHealthConfig())
 	e.Start(nil)
 
 	// External 75 Gbps flow on a clockwise inter-switch link at t=2s.
@@ -273,7 +273,7 @@ func TestRemediationReversesRingOnce(t *testing.T) {
 func TestRemediationRepinsOnClos(t *testing.T) {
 	env, gpus := newClosEnv(t)
 	series := startLoopingJob(t, env, gpus, 32<<20)
-	e := Attach(env.S, env.Deployment, nil, linkHealthConfig())
+	e := Attach(env.S, env.Deployment, env.Controller(), nil, linkHealthConfig())
 	e.Start(nil)
 
 	// External flow loading leaf0->spine0 (the pinned path of the job's
@@ -317,7 +317,7 @@ func TestRemediationActsOncePerEpisode(t *testing.T) {
 	env, gpus := newClosEnv(t)
 	initIdleComm(t, env, gpus)
 	uplink := rank0Uplink(t, env, gpus)
-	e := Attach(env.S, env.Deployment, nil, linkHealthConfig())
+	e := Attach(env.S, env.Deployment, env.Controller(), nil, linkHealthConfig())
 	e.Start(nil)
 
 	// Episode 1: [2s, 4s). The link then stays clean for 4 s, far more
@@ -343,7 +343,7 @@ func TestRemediationFlappingIsOneEpisode(t *testing.T) {
 	env, gpus := newClosEnv(t)
 	initIdleComm(t, env, gpus)
 	uplink := rank0Uplink(t, env, gpus)
-	e := Attach(env.S, env.Deployment, nil, linkHealthConfig())
+	e := Attach(env.S, env.Deployment, env.Controller(), nil, linkHealthConfig())
 	e.Start(nil)
 
 	// 1 s bursts (four ticks) separated by 300 ms gaps (one or two clean
@@ -377,7 +377,7 @@ func TestQuarantinedTickAllocatesNothing(t *testing.T) {
 
 		cfg := DefaultConfig()
 		cfg.MaxActions = maxActions
-		e := Attach(env.S, env.Deployment, nil, cfg)
+		e := Attach(env.S, env.Deployment, env.Controller(), nil, cfg)
 		l := env.Cluster.Net.Link(uplink)
 		env.Fabric.StartFlow(netsim.FlowOpts{
 			Src: l.From, Dst: l.To, Route: []netsim.LinkID{uplink},

@@ -198,11 +198,12 @@ type Engine struct {
 
 // Attach builds the engine against a live deployment and subscribes it
 // to the diagnosis engine's incident stream (diag may be nil to run on
-// link-health evidence alone). Call before any fault is injected: the
+// link-health evidence alone). The engine acts through ctrl, the
+// deployment's policy controller. Call before any fault is injected: the
 // per-link nominal capacities are snapshotted here. cfg is taken as given —
 // start from DefaultConfig; a zero field is not filled in. Nothing runs
 // until Start.
-func Attach(s *sim.Scheduler, dep *mccsd.Deployment, diag *diagnosis.Engine, cfg Config) *Engine {
+func Attach(s *sim.Scheduler, dep *mccsd.Deployment, ctrl *policy.Controller, diag *diagnosis.Engine, cfg Config) *Engine {
 	if cfg.Interval <= 0 {
 		panic("remediation: Config.Interval must be positive (start from DefaultConfig)")
 	}
@@ -211,7 +212,7 @@ func Attach(s *sim.Scheduler, dep *mccsd.Deployment, diag *diagnosis.Engine, cfg
 		cfg:  cfg,
 		s:    s,
 		dep:  dep,
-		ctrl: policy.NewController(dep),
+		ctrl: ctrl,
 		rec:  trace.Of(s),
 		reg:  telemetry.Of(s),
 		eps:  make(map[epKey]*episode),
@@ -475,7 +476,7 @@ func (e *Engine) actOnLinks(p *sim.Proc, now sim.Time) {
 				})
 				e.emit(code, now, int32(l), int32(ci.ID), -1)
 			case 1:
-				if _, err := e.ctrl.Autotune(p, ci.ID, policy.AutotuneOptions{
+				if err := e.ctrl.Autotune(p, ci.ID, policy.AutotuneOptions{
 					Bytes:       e.cfg.RetuneBytes,
 					MaxChannels: e.cfg.RetuneMaxChannels,
 				}); err != nil {
@@ -524,7 +525,7 @@ func (e *Engine) actOnCauses(p *sim.Proc, now sim.Time) {
 		case diagnosis.ClassSlowGPU:
 			// Re-tune the communicator the verdict names; Autotune fails,
 			// and the rung is skipped, if that communicator is gone.
-			if _, err := e.ctrl.Autotune(p, spec.CommID(k.comm), policy.AutotuneOptions{
+			if err := e.ctrl.Autotune(p, spec.CommID(k.comm), policy.AutotuneOptions{
 				Bytes:       e.cfg.RetuneBytes,
 				MaxChannels: e.cfg.RetuneMaxChannels,
 			}); err != nil {

@@ -152,8 +152,11 @@ func (e *Env) Frontend(gpu GPUID, app AppID) *Frontend {
 	return e.env.Deployment.Service(e.env.Cluster.HostOfGPU(gpu)).Frontend(app)
 }
 
-// NewController attaches a policy controller to the deployment.
-func (e *Env) NewController() *Controller { return policy.NewController(e.env.Deployment) }
+// Controller returns the deployment's one policy controller (paper §4.3's
+// central manager), built on the first call: every call returns the same
+// controller, so all of a deployment's deciders share one view of what it
+// has decided (which strategy each tenant was tuned to, for one).
+func (e *Env) Controller() *Controller { return e.env.Controller() }
 
 // NewTestbed builds the paper's 4-host, 8-GPU, 2-rack testbed running the
 // given system.

@@ -70,7 +70,7 @@ func TestPublicAPIControllerAndManagement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := env.NewController()
+	ctrl := env.Controller()
 	var gpus []mccs.GPUID
 	for _, h := range env.Cluster().Hosts {
 		gpus = append(gpus, h.GPUs[0])
