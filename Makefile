@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers tenants api state service fields goldens
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers tenants api state service fields decider goldens
 
 all: check
 
@@ -99,7 +99,8 @@ fuzz:
 # TestArchitecture (the one door for reconfiguration, the one attach site
 # for observers, the one tenant runner, an exported surface that non-test
 # code reaches, no free list in a package variable, no goroutine process
-# in a service engine and no exported field that nothing reads), so check
+# in a service engine, no exported field that nothing reads and one
+# policy controller per deployment), so check
 # type-checks the repository for it once per pass rather than once per
 # rule.
 check: build fmt vet goldens test race
@@ -127,7 +128,7 @@ goldens: $(MCCS)
 	$(MCCS) selfheal -seeds 4 -jsonl results/selfheal.jsonl -doctor results/selfheal.doctor.txt > results/selfheal.txt
 	git diff --exit-code --stat -- results/
 
-# api, door, observers, tenants, state, service and fields are the seven
+# api, door, observers, tenants, state, service, fields and decider are the eight
 # rules of the architecture gate, TestArchitecture in architecture_test.go: the root
 # module and bench/ are type-checked once with go/types (stdlib only; a
 # type error or a failed `go list` fails the gate), and each rule is
@@ -167,10 +168,14 @@ goldens: $(MCCS)
 #     of a type mccs.go re-exports are exempt; the allowlist keeps the
 #     cluster.JobResult fields the reference run compares bit for bit, the
 #     chaos fault ground truth and netsim.Counters.Fills.
+#   decider: no non-test code but harness.Env.Controller calls
+#     policy.NewController: a deployment has one policy controller, and
+#     every decider (the drivers' plans, the orchestrator, remediation,
+#     the chaos autotuner) acts through it. No exceptions.
 # A reference in the package that declares the target counts too; test
 # files may do all but state. CI and `check` (through `test`) run the
-# seven together, once.
-api door observers tenants state service fields:
+# eight together, once.
+api door observers tenants state service fields decider:
 	$(GO) test -count=1 -run '^TestArchitecture$$/^$@$$' .
 
 # chaos runs the seeded chaos sweep on its own (it is also part of

@@ -1,6 +1,7 @@
 // The architecture gate (`make api`, `make door`, `make observers`, `make
-// tenants`, `make state`, `make service` and `make fields`): the root
-// module and bench/ are type-checked once with go/types, and seven rules
+// tenants`, `make state`, `make service`, `make fields` and `make
+// decider`): the root module and bench/ are type-checked once with
+// go/types, and eight rules
 // are applied to what every identifier resolves to, so a method value, an
 // aliased import or two functions that share a name are seen for what
 // they are.
@@ -51,7 +52,7 @@ var archAllowed = []archAllow{
 	{"fields", "netsim.Counters.Fills", "TestSolveFillsOncePlusPriority pins one fill per solve, and two with a priority flow"},
 }
 
-// archRules are the seven rules, each a function from the type-checked
+// archRules are the eight rules, each a function from the type-checked
 // program to every reference it forbids, before the allowlist.
 var archRules = []struct {
 	name string
@@ -93,6 +94,9 @@ var archRules = []struct {
 	// Only what is read: an exported field of a struct type under
 	// internal/ is read by something other than its own package's tests.
 	{"fields", unreadFields},
+	// One decider per deployment: only harness.Env.Controller builds a
+	// policy.Controller.
+	{"decider", deciders},
 }
 
 // serviceEngines are the directories of the service stack below the
@@ -565,6 +569,42 @@ func unreadFields(p *archProgram) []archHit {
 	return hits
 }
 
+// deciders is the decider rule: a non-test reference to
+// policy.NewController anywhere but in the body of harness.Env.Controller,
+// which builds a deployment's one controller.
+func deciders(p *archProgram) []archHit {
+	var hits []archHit
+	for _, u := range p.units {
+		for id, obj := range u.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.FullName() != "mccs/internal/policy.NewController" {
+				continue
+			}
+			rel := p.rel(id.Pos())
+			if isTestFile(rel) || u.enclosing(id.Pos()) == "(*mccs/internal/harness.Env).Controller" {
+				continue
+			}
+			hits = append(hits, archHit{rel, fmt.Sprintf("%s: builds a second policy controller (%s); a deployment has one, harness.Env.Controller", p.position(id.Pos()), fn.FullName())})
+		}
+	}
+	return hits
+}
+
+// enclosing names the function or method whose declaration holds pos, ""
+// outside any.
+func (u *archUnit) enclosing(pos token.Pos) string {
+	for _, f := range u.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos < fd.End() {
+				if fn, ok := u.info.Defs[fd.Name].(*types.Func); ok {
+					return fn.FullName()
+				}
+			}
+		}
+	}
+	return ""
+}
+
 // freeListVars is the state rule: a package-level variable, in any file,
 // whose type is a freelist.List, a pointer to one, or a struct or array
 // that holds one by value.
@@ -683,13 +723,16 @@ func Attach() {}`,
 func Attach() {}`,
 	"internal/policy/policy.go": `package policy
 import "mccs/internal/mccsd"
-func Apply(d *mccsd.Deployment) { d.Reconfigure(); d.UpdateRoutes() }`,
+func Apply(d *mccsd.Deployment) { d.Reconfigure(); d.UpdateRoutes() }
+type Controller struct{}
+func NewController(d *mccsd.Deployment) *Controller { return &Controller{} }`,
 	"internal/workload/workload.go": `package workload
 import "mccs/internal/mccsd"
 func Launch(f *mccsd.Frontend) { f.CommInitRank() }`,
 	"internal/harness/harness.go": `package harness
 import (
 	"mccs/internal/diagnosis"
+	"mccs/internal/policy"
 	"mccs/internal/sim"
 	"mccs/internal/telemetry"
 	"mccs/internal/trace"
@@ -697,14 +740,16 @@ import (
 func NewEnv(s *sim.Scheduler) {
 	trace.Attach(trace.NewRecorder()); telemetry.Attach(); diagnosis.Attach()
 	s.Go(nil); s.GoDaemon(nil)
-}`,
+}
+type Env struct{ ctrl *policy.Controller }
+func (e *Env) Controller() *policy.Controller { e.ctrl = policy.NewController(nil); return e.ctrl }`,
 	"cmd/app/main.go": `package main
 import (
 	"mccs/internal/harness"
 	"mccs/internal/policy"
 	"mccs/internal/workload"
 )
-func main() { harness.NewEnv(nil); policy.Apply(nil); workload.Launch(nil) }`,
+func main() { harness.NewEnv(nil); policy.Apply(nil); workload.Launch(nil); new(harness.Env).Controller() }`,
 }
 
 // plantedAllowed is the allowlist of the miniature, each entry covering
@@ -859,6 +904,13 @@ import "mccs/internal/freelist"
 type device struct{ backings *freelist.List[float32] }
 var devices []device
 func alloc() { var l freelist.List[float32]; devices = append(devices, device{&l}) }`,
+		}},
+		{"decider: a second controller beside harness.Env.Controller's", "decider", map[string]string{
+			"internal/harness/qos.go": "package harness\nimport \"mccs/internal/policy\"\nfunc decide() { policy.NewController(nil) }",
+		}},
+		{"decider: a method value in another package, a test may build its own", "decider", map[string]string{
+			"internal/chaos/tune.go":      "package chaos\nimport \"mccs/internal/policy\"\nvar build = policy.NewController",
+			"internal/chaos/tune_test.go": "package chaos\nimport \"mccs/internal/policy\"\nfunc decide() { policy.NewController(nil) }",
 		}},
 		{"fields: a write-only field", "fields", writeOnly(nil)},
 		{"fields: read only by its own package's tests", "fields", writeOnly(map[string]string{

@@ -94,18 +94,17 @@ func injectAutotune(env *harness.Env, sc Scenario, tune *rand.Rand, fl *faultLog
 			return nil, nil
 		},
 	}}
-	tunings := make([]policy.Tuning, len(plan))
-	for i, ps := range plan {
+	for _, ps := range plan {
+		var finish func()
 		rows = append(rows,
-			policy.Row{When: policy.After(ps.after), Do: func() (*sim.Latch, error) {
+			policy.Row{When: policy.After(ps.after), Do: func() (l *sim.Latch, err error) {
 				fl.add(FaultRecord{Kind: "autotune", Start: env.S.Now(), End: FaultOpenEnd, Link: -1, Rank: -1})
-				installed, err := ctrl.StartAutotune(&tunings[i], id, ps.opts)
-				if err != nil {
+				if l, finish, err = ctrl.StartAutotune(id, ps.opts); err != nil {
 					panic(fmt.Sprintf("chaos: autotune: %v", err))
 				}
-				return installed, nil
+				return l, nil
 			}},
-			policy.Row{Do: func() (*sim.Latch, error) { tunings[i].Finish(); return nil, nil }})
+			policy.Row{Do: func() (*sim.Latch, error) { finish(); return nil, nil }})
 	}
 	ctrl.Run("chaos:autotune", rows)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,11 @@ import (
 
 	"mccs/internal/collective"
 	"mccs/internal/ncclsim"
+	"mccs/internal/policy"
+	"mccs/internal/sim"
+	"mccs/internal/spec"
+	"mccs/internal/telemetry"
+	"mccs/internal/workload"
 )
 
 // The acceptance scenario: on the Fig. 6 cross-rack setup, the autotuned
@@ -177,5 +183,70 @@ func TestMultiAppAutotune(t *testing.T) {
 	}
 	if auto.Aggregate < 0.9*plain.Aggregate {
 		t.Errorf("autotuned aggregate %.4g well below FFA aggregate %.4g", auto.Aggregate, plain.Aggregate)
+	}
+}
+
+// Two deciders that retune one tenant and pick different winners leave
+// one mccs_tuner_strategy_info series at 1, the later winner's: they act
+// through the deployment's one controller, which remembers each tenant's
+// live strategy. Here a plan (as the chaos autotuner runs) tunes for
+// kilobyte collectives and the blocking form (as remediation calls it) for
+// 64 MB ones; when each decider built its own controller, both winners
+// read 1 and mccs top showed two strategies.
+func TestOneStrategyInfoPerTenant(t *testing.T) {
+	env, err := NewEnv(EnvOptions{System: ncclsim.MCCS, Observers: Observers{TelemetryEvery: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	gpus, err := SingleAppGPUs(env.Cluster, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id spec.CommID
+	workload.Launch(workload.RunConfig{
+		Dep: env.Deployment, App: "bench", Key: "bench", GPUs: gpus,
+		Trace: loopTrace(collective.AllReduce, 1<<20, false), Iterations: 40,
+		OnReady: func(_ *sim.Proc, _ int, comm spec.CommID) { id = comm },
+	})
+	small := policy.AutotuneOptions{Op: collective.AllReduce, Bytes: 1 << 10}
+	large := policy.AutotuneOptions{Op: collective.AllReduce, Bytes: 64 << 20, NoTree: true}
+	var finish func()
+	env.Controller().Run("small", policy.Plan{
+		{When: policy.After(time.Millisecond), Do: func() (l *sim.Latch, err error) {
+			l, finish, err = env.Controller().StartAutotune(id, small)
+			return l, err
+		}},
+		{Do: func() (*sim.Latch, error) { finish(); return nil, nil }},
+	})
+	var largeErr error
+	env.S.Go("large", func(p *sim.Proc) {
+		p.Sleep(5 * time.Millisecond)
+		largeErr = env.Controller().Autotune(p, id, large)
+	})
+	if err := env.S.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmp.Or(env.Controller().Err(), largeErr); err != nil {
+		t.Fatal(err)
+	}
+	var live, series []string
+	var prom strings.Builder
+	if err := telemetry.WritePrometheus(&prom, telemetry.Of(env.S)); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if strings.HasPrefix(line, "mccs_tuner_strategy_info{") && strings.Contains(line, `tenant="bench"`) {
+			series = append(series, line)
+			if strings.HasSuffix(line, " 1") {
+				live = append(live, line)
+			}
+		}
+	}
+	if len(series) != 2 {
+		t.Fatalf("the two passes picked %d strategies, want two different ones: %q", len(series), series)
+	}
+	if len(live) != 1 {
+		t.Errorf("%d strategy series read 1, want one: %q", len(live), series)
 	}
 }

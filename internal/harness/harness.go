@@ -414,16 +414,13 @@ func runSingleTrial(cfg SingleAppConfig, trial int) ([]float64, error) {
 		ctrl = env.Controller()
 		ready := sim.NewLatch(len(gpus))
 		tuned := &sim.Event{}
-		var tuning policy.Tuning
+		var finish func()
 		ctrl.Run("tuner", policy.Plan{
-			{When: policy.Opened(ready), Do: func() (*sim.Latch, error) {
-				return ctrl.StartAutotune(&tuning, id, policy.AutotuneOptions{Op: cfg.Op, Bytes: cfg.Bytes})
+			{When: policy.Opened(ready), Do: func() (l *sim.Latch, err error) {
+				l, finish, err = ctrl.StartAutotune(id, policy.AutotuneOptions{Op: cfg.Op, Bytes: cfg.Bytes})
+				return l, err
 			}},
-			{Do: func() (*sim.Latch, error) {
-				tuning.Finish()
-				tuned.Signal(env.S)
-				return nil, nil
-			}},
+			{Do: func() (*sim.Latch, error) { finish(); tuned.Signal(env.S); return nil, nil }},
 		})
 		rc.OnReady = func(p *sim.Proc, _ int, comm spec.CommID) {
 			id = comm
@@ -433,22 +430,13 @@ func runSingleTrial(cfg SingleAppConfig, trial int) ([]float64, error) {
 	}
 	jobErr := firstErr(env.S, workload.Launch(rc))
 	runErr := env.S.Run()
-	if err := cmp.Or(*jobErr, ctrlErr(ctrl), observeErr, runErr); err != nil {
+	if err := cmp.Or(*jobErr, ctrl.Err(), observeErr, runErr); err != nil {
 		return nil, err
 	}
 	if err := env.Export(); err != nil {
 		return nil, err
 	}
 	return gapBandwidth(done, cfg.Bytes, cfg.Warmup), nil
-}
-
-// ctrlErr is the first error a driver's plans ended on, nil when the
-// driver made no decision.
-func ctrlErr(c *policy.Controller) error {
-	if c == nil {
-		return nil
-	}
-	return c.Err()
 }
 
 // manyIters is the iteration count of a job that runs until the

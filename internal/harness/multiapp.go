@@ -151,15 +151,16 @@ func runMultiTrial(cfg MultiAppConfig, trial int) (map[spec.AppID][]float64, err
 	// tenants, which no per-communicator search can see. Every app has one
 	// communicator, tuned in ascending ID order.
 	if cfg.Autotune && !env.Deployment.Config().Baseline {
-		tunings := make([]policy.Tuning, len(cfg.Apps))
-		for i := range tunings {
+		for i := range cfg.Apps {
+			var finish func()
 			plan = append(plan,
-				policy.Row{Do: func() (*sim.Latch, error) {
-					return ctrl.StartAutotune(&tunings[i], env.Deployment.View()[i].ID, policy.AutotuneOptions{
+				policy.Row{Do: func() (l *sim.Latch, err error) {
+					l, finish, err = ctrl.StartAutotune(env.Deployment.View()[i].ID, policy.AutotuneOptions{
 						Op: collective.AllReduce, Bytes: cfg.Bytes,
 					})
+					return l, err
 				}},
-				policy.Row{Do: func() (*sim.Latch, error) { tunings[i].Finish(); return nil, nil }})
+				policy.Row{Do: func() (*sim.Latch, error) { finish(); return nil, nil }})
 		}
 	}
 	plan = append(plan, policy.Row{Do: func() (*sim.Latch, error) {

@@ -133,7 +133,7 @@ func runQoS(env *Env, cfg QoSConfig) (QoSResult, error) {
 		}
 		allDone.Signal(env.S)
 	})
-	if err := cmp.Or(env.S.Run(), ctrlErr(ctrl), firstErr); err != nil {
+	if err := cmp.Or(env.S.Run(), ctrl.Err(), firstErr); err != nil {
 		return QoSResult{}, err
 	}
 	if err := env.Export(); err != nil {
@@ -143,16 +143,16 @@ func runQoS(env *Env, cfg QoSConfig) (QoSResult, error) {
 }
 
 // runQoSController drives the provider-side policy for a solution: wait
-// for all three communicators, apply flow assignment, and for PFA+TS keep
-// re-deriving tenant C's traffic windows from tenant B's live trace (the
-// re-application re-anchors the window phase as B's cadence drifts). It
-// returns the controller, nil for ECMP, which decides nothing.
+// for all three communicators and apply flow assignment; for PFA+TS, once
+// B has enough trace, keep re-deriving tenant C's traffic windows from it
+// while B runs (the re-application re-anchors the window phase as B's
+// cadence drifts), then clear them, or C would stay throttled by windows
+// of a tenant that no longer exists. ECMP decides nothing: nil.
 func runQoSController(env *Env, sol QoSSolution, stop, bDone *sim.Event) *policy.Controller {
 	if sol == SolutionECMP {
 		return nil
 	}
-	d := env.Deployment
-	ctrl := env.Controller()
+	d, ctrl := env.Deployment, env.Controller()
 	var bComm spec.CommID
 	plan := policy.Plan{{
 		When: policy.Every(time.Millisecond, func() bool { return d.NumComms() >= 3 }, nil),
@@ -160,44 +160,28 @@ func runQoSController(env *Env, sol QoSSolution, stop, bDone *sim.Event) *policy
 			if sol == SolutionFFA {
 				return nil, ctrl.ApplyFFA()
 			}
-			// Only tenant A (priority 2) is PFA-prioritized; B's
-			// priority 1 is used later by TS, not by route reservation.
-			if err := ctrl.ApplyPFA(); err != nil {
-				return nil, err
-			}
 			bComm = commOf(d, "B")
-			return nil, nil
+			return nil, ctrl.ApplyPFA()
 		},
 	}}
 	if sol == SolutionPFATS {
-		plan = append(plan,
-			// Wait for enough of B's trace, then keep C scheduled around
-			// B's windows while B runs (the periodic re-application
-			// re-anchors the window phase as B's cadence drifts). Once the
-			// prioritized job completes, clear the stale schedule —
-			// otherwise C would stay throttled by windows derived from a
-			// tenant that no longer exists.
-			policy.Row{When: policy.Every(5*time.Millisecond, func() bool {
-				if stop.Done() {
-					return true
-				}
-				tr, err := d.CommTrace(bComm, 0)
-				return err == nil && len(tr) >= 8
-			}, nil)},
-			policy.Row{
-				When: policy.Every(250*time.Millisecond,
-					func() bool { return stop.Done() || bDone.Done() },
-					func() error { applyTSForC(ctrl, bComm); return nil }),
-				Do: func() (*sim.Latch, error) { ctrl.ClearTSFor("C"); return nil, nil },
-			})
+		plan = append(plan, policy.Row{When: policy.Every(5*time.Millisecond, func() bool {
+			if stop.Done() {
+				return true
+			}
+			tr, err := d.CommTrace(bComm, 0)
+			return err == nil && len(tr) >= 8
+		}, nil)}, policy.Row{
+			When: policy.Every(250*time.Millisecond, func() bool { return stop.Done() || bDone.Done() }, scheduleC(ctrl, &bComm)),
+			Do:   func() (*sim.Latch, error) { ctrl.ClearTSFor("C"); return nil, nil },
+		})
 	}
 	ctrl.Run("qos-controller", plan)
 	return ctrl
 }
 
 // commOf returns the ID of app's communicator (0 when it has none).
-func commOf(d *mccsd.Deployment, app spec.AppID) spec.CommID {
-	var id spec.CommID
+func commOf(d *mccsd.Deployment, app spec.AppID) (id spec.CommID) {
 	for _, ci := range d.View() {
 		if ci.App == app {
 			id = ci.ID
@@ -206,11 +190,14 @@ func commOf(d *mccsd.Deployment, app spec.AppID) spec.CommID {
 	return id
 }
 
-// applyTSForC schedules tenant C around tenant B's windows. B may be
-// between collectives, with too little trace to derive them from; the
-// next poll retries, so the error is dropped.
-func applyTSForC(ctrl *policy.Controller, bComm spec.CommID) {
-	_ = ctrl.ApplyTSFor(bComm, 0, []spec.AppID{"C"})
+// scheduleC is a TS poll's tick: schedule tenant C around the windows of
+// *bComm, tenant B's communicator. B may be between collectives, with too
+// little trace to derive them from; the next tick retries.
+func scheduleC(ctrl *policy.Controller, bComm *spec.CommID) func() error {
+	return func() error {
+		_ = ctrl.ApplyTSFor(*bComm, 0, []spec.AppID{"C"})
+		return nil
+	}
 }
 
 // DynamicEvent marks a Fig. 10 timeline event.
@@ -284,23 +271,19 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 
 	// Controller: re-apply FFA as tenants arrive, switch to PFA at T3,
 	// add TS for C at T4 and keep re-deriving it.
-	now := env.S.Now
 	seen := 0
 	var bComm spec.CommID
 	ctrl.Run("dyn-controller", policy.Plan{
-		{When: policy.Every(10*time.Millisecond, func() bool { return now() >= sim.Time(cfg.T3) }, func() error {
+		{When: policy.Every(10*time.Millisecond, func() bool { return env.S.Now() >= sim.Time(cfg.T3) }, func() error {
 			if n := d.NumComms(); n != seen {
 				seen = n
 				return ctrl.ApplyFFA()
 			}
 			return nil
 		}), Do: func() (*sim.Latch, error) { return nil, ctrl.ApplyPFA() }},
-		{When: policy.Every(10*time.Millisecond, func() bool { return now() >= sim.Time(cfg.T4) }, nil),
+		{When: policy.Every(10*time.Millisecond, func() bool { return env.S.Now() >= sim.Time(cfg.T4) }, nil),
 			Do: func() (*sim.Latch, error) { bComm = commOf(d, "B"); return nil, nil }},
-		{When: policy.Every(250*time.Millisecond, func() bool { return false }, func() error {
-			applyTSForC(ctrl, bComm)
-			return nil
-		})},
+		{When: policy.Every(250*time.Millisecond, func() bool { return false }, scheduleC(ctrl, &bComm))},
 	})
 
 	// The jobs run past the horizon by design; iteration timelines are

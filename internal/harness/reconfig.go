@@ -140,24 +140,24 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 
 	// The external centralized manager issues the ring reversal — either
 	// hand-coded (the paper's scripted Fig. 7) or rediscovered by the
-	// autotuner from the observed link load. Only the autotuner builds the
-	// controller, at the reconfiguration instant; the scripted reversal is
-	// a recovery move that needs none.
-	var tuning policy.Tuning
-	plan := policy.Plan{{When: policy.At(sim.Time(cfg.ReconfigAt)), Do: func() (*sim.Latch, error) {
-		if commID == 0 {
+	// autotuner from the observed link load. The plan starts at t = 0, so
+	// its first row fires at ReconfigAt. Only the autotuner builds the
+	// controller, there; the scripted reversal needs none.
+	var finish func()
+	plan := policy.Plan{{When: policy.After(cfg.ReconfigAt), Do: func() (l *sim.Latch, err error) {
+		switch {
+		case commID == 0:
 			return nil, fmt.Errorf("harness: communicator not ready at reconfig time")
-		}
-		if cfg.Autotune {
-			return env.Controller().StartAutotune(&tuning, commID, policy.AutotuneOptions{
+		case cfg.Autotune:
+			l, finish, err = env.Controller().StartAutotune(commID, policy.AutotuneOptions{
 				Op: collective.AllReduce, Bytes: cfg.Bytes,
 			})
+			return l, err
 		}
 		return policy.Reverse(dep, commID)
 	}}}
 	if cfg.Autotune {
-		plan = append(plan,
-			policy.Row{Do: func() (*sim.Latch, error) { tuning.Finish(); return nil, nil }},
+		plan = append(plan, policy.Row{Do: func() (*sim.Latch, error) { finish(); return nil, nil }},
 			// Let a few post-install iterations land, then record the
 			// achieved completion time against the prediction (visible
 			// as predicted-vs-achieved in mccs top's TUNER section).

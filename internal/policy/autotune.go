@@ -81,45 +81,34 @@ func (c *Controller) TuneSpace(info *spec.CommInfo, opts AutotuneOptions) tuner.
 // reconfiguration protocol, and record the whole decision in telemetry
 // and the flight recorder (one KindTuner span per candidate plus one for
 // the install). It blocks p until every rank has switched; a plan runs
-// the same two halves, StartAutotune and Tuning.Finish, as two rows.
+// StartAutotune and its finish as two rows instead.
 func (c *Controller) Autotune(p *sim.Proc, id spec.CommID, opts AutotuneOptions) error {
-	var t Tuning
-	installed, err := c.StartAutotune(&t, id, opts)
+	installed, finish, err := c.StartAutotune(id, opts)
 	if err != nil {
 		return err
 	}
 	installed.Wait(p)
-	t.Finish()
+	finish()
 	return nil
 }
 
-// Tuning is one autotune decision between its install and the moment
-// every rank has switched: StartAutotune fills it, Finish closes it.
-type Tuning struct {
-	c      *Controller
-	id     spec.CommID
-	opts   AutotuneOptions
-	tenant telemetry.Label
-	win    tuner.Scored
-	start  sim.Time
-}
-
-// StartAutotune is Autotune's first half: it searches, records the ranked
-// candidates and starts installing the winner, filling t. The returned
-// latch opens when every rank has switched; call t.Finish then.
-func (c *Controller) StartAutotune(t *Tuning, id spec.CommID, opts AutotuneOptions) (*sim.Latch, error) {
+// StartAutotune is Autotune up to the install: it searches, records the
+// ranked candidates and starts installing the winner. The returned latch
+// opens when every rank has switched; call finish then, to count the
+// install and record its span.
+func (c *Controller) StartAutotune(id spec.CommID, opts AutotuneOptions) (installed *sim.Latch, finish func(), err error) {
 	info, err := c.commInfo(id)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if opts.Bytes <= 0 {
-		return nil, fmt.Errorf("policy: autotune needs a positive byte size")
+		return nil, nil, fmt.Errorf("policy: autotune needs a positive byte size")
 	}
 	model := c.TuneModel()
 	cands := tuner.Candidates(info, c.TuneSpace(info, opts), opts.Bytes)
 	d, err := model.Search(info, cands, opts.Op, opts.Bytes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	reg := telemetry.Of(c.dep.S)
@@ -146,26 +135,20 @@ func (c *Controller) StartAutotune(t *Tuning, id spec.CommID, opts AutotuneOptio
 	c.setStrategyInfo(reg, info.App, win.Name)
 	latch, err := c.dep.Reconfigure(id, win.Strategy, nil)
 	if err != nil {
-		return nil, fmt.Errorf("policy: installing %q: %w", win.Name, err)
+		return nil, nil, fmt.Errorf("policy: installing %q: %w", win.Name, err)
 	}
-	*t = Tuning{c: c, id: id, opts: opts, tenant: tenant, win: win, start: now}
-	return latch, nil
-}
-
-// Finish is Autotune's second half, once every rank has switched: it
-// counts the install and records its span, from the search to now.
-func (t *Tuning) Finish() {
-	s := t.c.dep.S
-	telemetry.Of(s).Counter("mccs_tuner_installs_total", "installs", t.tenant).Inc()
-	trace.Of(s).Emit(trace.Span{
-		Kind: trace.KindTuner, Op: int32(t.opts.Op),
-		Start: t.start, End: s.Now(),
-		Comm: int32(t.id), Rank: -1, Peer: -1,
-		Channel: -1, Step: -1,
-		Flow: int64(t.win.Predicted), Bytes: t.opts.Bytes,
-		Src: -1, Dst: -1,
-		Label: t.win.Name,
-	})
+	return latch, func() {
+		reg.Counter("mccs_tuner_installs_total", "installs", tenant).Inc()
+		rec.Emit(trace.Span{
+			Kind: trace.KindTuner, Op: int32(opts.Op),
+			Start: now, End: c.dep.S.Now(),
+			Comm: int32(id), Rank: -1, Peer: -1,
+			Channel: -1, Step: -1,
+			Flow: int64(win.Predicted), Bytes: opts.Bytes,
+			Src: -1, Dst: -1,
+			Label: win.Name,
+		})
+	}, nil
 }
 
 // ObserveAchieved reads the most recent completed collective of the

@@ -70,8 +70,14 @@ func NewController(dep *mccsd.Deployment) *Controller {
 // kept; Err reports it.
 func (c *Controller) Run(name string, plan Plan) { plan.Start(c.dep.S, name, &c.err) }
 
-// Err is the first error a plan run by Run ended on, nil while none has.
-func (c *Controller) Err() error { return c.err }
+// Err is the first error a plan run by Run ended on: nil while none has,
+// and for a nil controller (a run that decided nothing).
+func (c *Controller) Err() error {
+	if c == nil {
+		return nil
+	}
+	return c.err
+}
 
 // ApplyFFA computes fair flow assignment over all active communicators
 // and pushes the route pins.

@@ -12,53 +12,55 @@ import (
 // latch (a reconfiguration installing), waits for that latch to open
 // before the next row's trigger is armed. A plan runs as one stackless
 // process (sim.Scheduler.GoStep), so a decider owns no goroutine, and it
-// parks exactly where the blocking loop it replaces slept or waited: a
-// plan schedules the same events as that loop.
+// parks exactly where the blocking loop it replaces slept or waited: it
+// schedules the same events as that loop.
 type Plan []Row
 
-// Row is one step of a plan.
+// Row is one step of a plan. A nil When fires at once; a nil Do does
+// nothing. An error from either ends the plan.
 type Row struct {
-	// When arms the row; the zero Trigger fires at once.
 	When Trigger
-	// Do is the row's action, nil for none. An error ends the plan.
-	Do func() (*sim.Latch, error)
+	Do   func() (*sim.Latch, error)
 }
 
-// Trigger is what a row waits for before its action runs.
-type Trigger struct {
-	kind  triggerKind
-	at    sim.Time
-	d     time.Duration
-	latch *sim.Latch
-	until func() bool
-	tick  func() error
-}
-
-type triggerKind uint8
-
-const (
-	triggerNow triggerKind = iota
-	triggerAt
-	triggerAfter
-	triggerOpened
-	triggerEvery
-)
-
-// At fires at virtual time t (at once, after one wakeup, when t has
-// passed).
-func At(t sim.Time) Trigger { return Trigger{kind: triggerAt, at: t} }
+// Trigger reports whether its row may run. When it may not, it has parked
+// p, and it is asked again once p wakes.
+type Trigger func(p *sim.Proc) (bool, error)
 
 // After fires d after the row is armed.
-func After(d time.Duration) Trigger { return Trigger{kind: triggerAfter, d: d} }
+func After(d time.Duration) Trigger {
+	slept := false
+	return func(p *sim.Proc) (bool, error) {
+		if slept {
+			return true, nil
+		}
+		slept = true
+		p.ParkSleep(d)
+		return false, nil
+	}
+}
 
 // Opened fires once l has opened.
-func Opened(l *sim.Latch) Trigger { return Trigger{kind: triggerOpened, latch: l} }
+func Opened(l *sim.Latch) Trigger {
+	return func(p *sim.Proc) (bool, error) { return l.Park(p), nil }
+}
 
 // Every polls: it fires as soon as until holds, checked when the row is
-// armed and then every d; on each check that fails, tick (when non-nil)
-// runs before the poll sleeps, and an error from it ends the plan.
+// armed and then every d. On each check that fails, tick (when non-nil)
+// runs before the poll sleeps.
 func Every(d time.Duration, until func() bool, tick func() error) Trigger {
-	return Trigger{kind: triggerEvery, d: d, until: until, tick: tick}
+	return func(p *sim.Proc) (bool, error) {
+		if until() {
+			return true, nil
+		}
+		if tick != nil {
+			if err := tick(); err != nil {
+				return false, err
+			}
+		}
+		p.ParkSleep(d)
+		return false, nil
+	}
 }
 
 // ErrStop ends a plan early without an error: an action returns it when
@@ -66,89 +68,44 @@ func Every(d time.Duration, until func() bool, tick func() error) Trigger {
 var ErrStop = errors.New("policy: plan stopped")
 
 // Start runs plan as a process named name on s, started now. The first
-// error an action or a tick returns ends the plan and is kept in *err
+// error an action or a trigger returns ends the plan and is kept in *err
 // unless *err already holds one. Controller.Run is Start for the
 // deployment's controller; Start alone serves a plan whose actions build
 // the controller only when they first decide.
 func (plan Plan) Start(s *sim.Scheduler, name string, err *error) {
-	r := &planRun{plan: plan, err: err}
-	s.GoStep(name, r.step)
-}
-
-// planRun is a running plan: the row it is at, whether that row's sleep
-// is armed, and the latch its action returned.
-type planRun struct {
-	plan  Plan
-	err   *error
-	row   int
-	slept bool
-	wait  *sim.Latch
-}
-
-func (r *planRun) step(p *sim.Proc) bool {
-	for ; r.row < len(r.plan); r.row++ {
-		row := &r.plan[r.row]
-		if r.wait == nil {
-			fired, err := r.fired(p, &row.When)
-			if err != nil {
-				return r.end(err)
-			}
-			if !fired {
-				return false
-			}
-			if row.Do != nil {
-				if r.wait, err = row.Do(); err != nil {
-					return r.end(err)
+	row := 0
+	var wait *sim.Latch
+	end := func(e error) bool {
+		if e != ErrStop && *err == nil {
+			*err = e
+		}
+		return true
+	}
+	s.GoStep(name, func(p *sim.Proc) bool {
+		for ; row < len(plan); row++ {
+			r := &plan[row]
+			if wait == nil {
+				if r.When != nil {
+					fired, e := r.When(p)
+					if e != nil {
+						return end(e)
+					}
+					if !fired {
+						return false
+					}
+				}
+				if r.Do != nil {
+					var e error
+					if wait, e = r.Do(); e != nil {
+						return end(e)
+					}
 				}
 			}
-		}
-		if r.wait != nil {
-			if !r.wait.Park(p) {
+			if wait != nil && !wait.Park(p) {
 				return false
 			}
-			r.wait = nil
+			wait = nil
 		}
-	}
-	return true
-}
-
-// fired reports whether t has fired; when it has not, p is parked.
-func (r *planRun) fired(p *sim.Proc, t *Trigger) (bool, error) {
-	switch t.kind {
-	case triggerAt, triggerAfter:
-		if r.slept {
-			r.slept = false
-			return true, nil
-		}
-		d := t.d
-		if t.kind == triggerAt {
-			d = t.at.Sub(p.Now())
-		}
-		p.ParkSleep(d)
-		r.slept = true
-		return false, nil
-	case triggerOpened:
-		return t.latch.Park(p), nil
-	case triggerEvery:
-		if t.until() {
-			return true, nil
-		}
-		if t.tick != nil {
-			if err := t.tick(); err != nil {
-				return false, err
-			}
-		}
-		p.ParkSleep(t.d)
-		return false, nil
-	}
-	return true, nil
-}
-
-// end finishes the plan on err, keeping it unless it is ErrStop or an
-// earlier error is kept.
-func (r *planRun) end(err error) bool {
-	if err != ErrStop && *r.err == nil {
-		*r.err = err
-	}
-	return true
+		return true
+	})
 }
