@@ -20,7 +20,7 @@ import (
 // of them to finish and leak nothing. The churn PRNG stream is drawn
 // nowhere else, so scenarios without churn replay byte-identically.
 func installChurn(env *harness.Env, sc Scenario, rng *rand.Rand) (*orchestrator.Orchestrator, []*orchestrator.Job) {
-	orch := orchestrator.New(env.S, env.Cluster, env.Deployment, env.Controller(), orchestrator.Config{
+	orch := orchestrator.New(env.S, env.Cluster, env.Deployment, env.Controller, orchestrator.Config{
 		// churn-a is quota-capped so the wait queue and the
 		// capacity-return admission path get exercised.
 		Quota:       map[spec.AppID]int{"churn-a": 4},

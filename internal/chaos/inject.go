@@ -54,59 +54,49 @@ func installInjectors(env *harness.Env, sc Scenario, inj, tune *rand.Rand, gpus 
 // the live deployment while collectives are in flight: each pass
 // searches the candidate space under whatever fabric state the other
 // faults have created and installs the winner through the same Fig. 4
-// reconfiguration path the storm driver stresses. The pass plan (times
-// and search options) is drawn at install time so it is fixed by the
-// seed before the simulation starts.
+// reconfiguration path the storm driver stresses. The passes (times and
+// search options) are drawn at install time so they are fixed by the
+// seed before the simulation starts; the deployment's controller runs
+// them as one plan.
 func injectAutotune(env *harness.Env, sc Scenario, tune *rand.Rand, fl *faultLog) {
-	type pass struct {
-		after time.Duration
-		opts  policy.AutotuneOptions
-	}
-	plan := make([]pass, sc.Autotunes)
-	gap := sc.Horizon / time.Duration(sc.Autotunes+1)
-	for i := range plan {
-		plan[i] = pass{
-			after: gap/2 + randDuration(tune, gap),
-			opts: policy.AutotuneOptions{
-				Op:          collective.AllReduce,
-				Bytes:       1 << (10 + tune.Intn(8)), // 1 KB .. 128 KB
-				MaxChannels: 1 + tune.Intn(2),
-				NoTree:      tune.Intn(2) == 0,
-				NoHD:        tune.Intn(2) == 0,
-			},
-		}
-	}
-	ctrl := env.Controller()
+	ctrl, dep := env.Controller(), env.Deployment
 	var id spec.CommID
 	polls := 0
-	rows := policy.Plan{{
-		// awaitComm's poll and its give-up.
+	plan := policy.Plan{{
+		// awaitComm, as a plan's first row.
 		When: policy.Every(20*time.Microsecond, func() bool {
-			done := env.Deployment.NumComms() > 0 || polls > 4000
+			done := dep.NumComms() > 0 || polls > 4000
 			polls++
 			return done
 		}, nil),
 		Do: func() (*sim.Latch, error) {
-			if env.Deployment.NumComms() == 0 {
+			if dep.NumComms() == 0 {
 				return nil, policy.ErrStop
 			}
-			id = env.Deployment.View()[0].ID
+			id = dep.View()[0].ID
 			return nil, nil
 		},
 	}}
-	for _, ps := range plan {
+	gap := sc.Horizon / time.Duration(sc.Autotunes+1)
+	for range sc.Autotunes {
+		after := gap/2 + randDuration(tune, gap)
+		opts := policy.AutotuneOptions{
+			Op:          collective.AllReduce,
+			Bytes:       1 << (10 + tune.Intn(8)), // 1 KB .. 128 KB
+			MaxChannels: 1 + tune.Intn(2),
+			NoTree:      tune.Intn(2) == 0,
+			NoHD:        tune.Intn(2) == 0,
+		}
 		var finish func()
-		rows = append(rows,
-			policy.Row{When: policy.After(ps.after), Do: func() (l *sim.Latch, err error) {
-				fl.add(FaultRecord{Kind: "autotune", Start: env.S.Now(), End: FaultOpenEnd, Link: -1, Rank: -1})
-				if l, finish, err = ctrl.StartAutotune(id, ps.opts); err != nil {
-					panic(fmt.Sprintf("chaos: autotune: %v", err))
-				}
-				return l, nil
-			}},
-			policy.Row{Do: func() (*sim.Latch, error) { finish(); return nil, nil }})
+		plan = append(plan, policy.Row{When: policy.After(after), Do: func() (l *sim.Latch, err error) {
+			fl.add(FaultRecord{Kind: "autotune", Start: env.S.Now(), End: FaultOpenEnd, Link: -1, Rank: -1})
+			if l, finish, err = ctrl.StartAutotune(id, opts); err != nil {
+				panic(fmt.Sprintf("chaos: autotune: %v", err))
+			}
+			return l, nil
+		}}, policy.Row{Do: func() (*sim.Latch, error) { finish(); return nil, nil }})
 	}
-	ctrl.Run("chaos:autotune", rows)
+	ctrl.Run("chaos:autotune", plan)
 }
 
 // injectLinkFlaps degrades random fabric links to a fraction of their
@@ -236,7 +226,7 @@ func injectReconfigStorm(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faul
 // awaitComm waits for the run's first communicator to come up and returns
 // its ID. It polls every 20 µs and gives up (ok false) after 4 001 sleeps,
 // so a rendezvous wedged by some other fault cannot livelock the run. The
-// autotune and storm drivers both start this way.
+// storm driver starts this way, the autotune plan with the same poll.
 func awaitComm(p *sim.Proc, dep *mccsd.Deployment) (id spec.CommID, ok bool) {
 	for i := 0; dep.NumComms() == 0; i++ {
 		if i > 4000 {

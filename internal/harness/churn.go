@@ -10,7 +10,6 @@ import (
 	"mccs/internal/collective"
 	"mccs/internal/ncclsim"
 	"mccs/internal/orchestrator"
-	"mccs/internal/policy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/telemetry"
@@ -161,11 +160,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		return nil, err
 	}
 	defer env.Close()
-	var ctrl *policy.Controller
-	if cfg.Reconfigure || cfg.Autotune {
-		ctrl = env.Controller()
-	}
-	orch := orchestrator.New(env.S, env.Cluster, env.Deployment, ctrl, orchestrator.Config{
+	orch := orchestrator.New(env.S, env.Cluster, env.Deployment, env.Controller, orchestrator.Config{
 		Quota:       cfg.Quota,
 		Placer:      cfg.Placer,
 		Reconfigure: cfg.Reconfigure,

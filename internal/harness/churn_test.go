@@ -175,7 +175,7 @@ func TestChurnReconfigImprovesSurvivor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orch := orchestrator.New(env.S, env.Cluster, env.Deployment, env.Controller(), orchestrator.Config{
+		orch := orchestrator.New(env.S, env.Cluster, env.Deployment, env.Controller, orchestrator.Config{
 			Placer:      zigzagPlacer{},
 			Reconfigure: reconfig,
 			Autotune:    reconfig,

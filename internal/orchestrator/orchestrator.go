@@ -186,18 +186,18 @@ type Orchestrator struct {
 	mReconfigs *telemetry.Counter
 }
 
-// New builds an orchestrator owning every GPU of the cluster. ctrl is the
-// deployment's policy controller, through which every churn-triggered
-// recompute acts; it may be nil when neither Reconfigure nor Autotune is
-// on. The deployment must be in service mode when either is (baseline
-// lib-mode deployments refuse reconfiguration).
-func New(s *sim.Scheduler, cluster *topo.Cluster, dep *mccsd.Deployment, ctrl *policy.Controller, cfg Config) *Orchestrator {
+// New builds an orchestrator owning every GPU of the cluster. controller
+// returns the deployment's policy controller, through which every
+// churn-triggered recompute acts; New asks for it only when Reconfigure
+// or Autotune is on, when the deployment must be in service mode
+// (baseline lib-mode deployments refuse reconfiguration).
+func New(s *sim.Scheduler, cluster *topo.Cluster, dep *mccsd.Deployment, controller func() *policy.Controller, cfg Config) *Orchestrator {
 	placer := cfg.Placer
 	if placer == nil {
 		placer = BinPack{}
 	}
 	o := &Orchestrator{
-		s: s, cluster: cluster, dep: dep, ctrl: ctrl, cfg: cfg, placer: placer,
+		s: s, cluster: cluster, dep: dep, cfg: cfg, placer: placer,
 		free:   make(map[topo.GPUID]bool),
 		usage:  make(map[spec.AppID]int),
 		byComm: make(map[spec.CommID]*Job),
@@ -210,6 +210,9 @@ func New(s *sim.Scheduler, cluster *topo.Cluster, dep *mccsd.Deployment, ctrl *p
 		}
 	}
 	o.totalGPUs = len(o.free)
+	if cfg.Reconfigure || cfg.Autotune {
+		o.ctrl = controller()
+	}
 	reg := telemetry.Of(s)
 	o.mRunning = reg.Gauge("mccs_sched_jobs_running", "jobs")
 	o.mQueued = reg.Gauge("mccs_sched_jobs_queued", "jobs")

@@ -212,7 +212,7 @@ func TestPriorityAdmitsFirst(t *testing.T) {
 
 func TestChurnTriggersReconfigs(t *testing.T) {
 	e := newEnv(t)
-	o := New(e.s, e.cluster, e.dep, policy.NewController(e.dep), Config{Reconfigure: true})
+	o := New(e.s, e.cluster, e.dep, func() *policy.Controller { return policy.NewController(e.dep) }, Config{Reconfigure: true})
 	o.Submit(JobSpec{Tenant: "a", GPUs: 4, Trace: tinyTrace(), Iterations: 3})
 	o.Submit(JobSpec{Tenant: "b", GPUs: 4, Arrival: 500 * time.Microsecond, Trace: tinyTrace(), Iterations: 3})
 	run(t, e, o)

@@ -7,13 +7,12 @@ import (
 	"mccs/internal/sim"
 )
 
-// Plan is a decider's control loop as data. Its rows run in order: each
-// waits for its trigger, runs its action and, when the action returns a
-// latch (a reconfiguration installing), waits for that latch to open
-// before the next row's trigger is armed. A plan runs as one stackless
-// process (sim.Scheduler.GoStep), so a decider owns no goroutine, and it
-// parks exactly where the blocking loop it replaces slept or waited: it
-// schedules the same events as that loop.
+// Plan is a decider's control loop as data: rows run in order, each
+// waiting for its trigger, running its action and, when the action returns
+// a latch (a reconfiguration installing), waiting for it to open. A plan
+// runs as one stackless process (sim.Scheduler.GoStep) that parks where
+// the blocking loop it replaces slept or waited, so it schedules the same
+// events as that loop and owns no goroutine.
 type Plan []Row
 
 // Row is one step of a plan. A nil When fires at once; a nil Do does
@@ -23,8 +22,8 @@ type Row struct {
 	Do   func() (*sim.Latch, error)
 }
 
-// Trigger reports whether its row may run. When it may not, it has parked
-// p, and it is asked again once p wakes.
+// Trigger reports whether its row may run; when not, it has parked p and
+// is asked again once p wakes.
 type Trigger func(p *sim.Proc) (bool, error)
 
 // After fires d after the row is armed.
@@ -45,9 +44,9 @@ func Opened(l *sim.Latch) Trigger {
 	return func(p *sim.Proc) (bool, error) { return l.Park(p), nil }
 }
 
-// Every polls: it fires as soon as until holds, checked when the row is
-// armed and then every d. On each check that fails, tick (when non-nil)
-// runs before the poll sleeps.
+// Every polls: it fires once until holds, checked when the row is armed
+// and then every d; a failed check runs tick (when non-nil) before the
+// poll sleeps.
 func Every(d time.Duration, until func() bool, tick func() error) Trigger {
 	return func(p *sim.Proc) (bool, error) {
 		if until() {
@@ -63,15 +62,14 @@ func Every(d time.Duration, until func() bool, tick func() error) Trigger {
 	}
 }
 
-// ErrStop ends a plan early without an error: an action returns it when
-// what the rest of its plan acts on never came.
+// ErrStop ends a plan without an error: an action returns it when what
+// the rest of its plan acts on never came.
 var ErrStop = errors.New("policy: plan stopped")
 
-// Start runs plan as a process named name on s, started now. The first
-// error an action or a trigger returns ends the plan and is kept in *err
-// unless *err already holds one. Controller.Run is Start for the
-// deployment's controller; Start alone serves a plan whose actions build
-// the controller only when they first decide.
+// Start runs plan as a process named name on s, from now. The first error
+// it ends on is kept in *err unless *err holds one already. Controller.Run
+// is Start for the deployment's controller; Start alone serves a plan
+// whose actions build the controller only when they first decide.
 func (plan Plan) Start(s *sim.Scheduler, name string, err *error) {
 	row := 0
 	var wait *sim.Latch

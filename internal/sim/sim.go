@@ -27,9 +27,9 @@
 // hand-off, so a body written either way schedules exactly the same events
 // (EventWake → ready → EventDispatch) in the same order: the observable schedule
 // cannot tell the two kinds apart. The service's engines (the proxy's
-// control loop, its execution pipeline and its schedule interpreter) are
-// stackless; tenants, the controllers above the service and tests are
-// goroutine processes.
+// control loop, its execution pipeline and its schedule interpreter) and
+// the policy controller's plans are stackless; tenants, the orchestrator
+// and remediation loops and tests are goroutine processes.
 //
 // # Performance shape
 //
