@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers tenants api state service fields decider goldens
+.PHONY: all build fmt test vet race race-hot fuzz check chaos bench bench-e2e bench-compare bench-pairs trace telemetry telemetry-cost churn doctor self-heal loc door observers tenants reach api state service fields decider goldens
 
 all: check
 
@@ -97,8 +97,8 @@ fuzz:
 # committed result file, and pass the full test suite twice — once plain,
 # once under the race detector. The suite holds the architecture gate,
 # TestArchitecture (the one door for reconfiguration, the one attach site
-# for observers, the one tenant runner, an exported surface that non-test
-# code reaches, no free list in a package variable, no goroutine process
+# for observers, the one tenant runner, production files that hold only
+# what a binary reaches, no free list in a package variable, no goroutine process
 # in a service engine, no exported field that nothing reads and one
 # policy controller per deployment), so check
 # type-checks the repository for it once per pass rather than once per
@@ -128,20 +128,23 @@ goldens: $(MCCS)
 	$(MCCS) selfheal -seeds 4 -jsonl results/selfheal.jsonl -doctor results/selfheal.doctor.txt > results/selfheal.txt
 	git diff --exit-code --stat -- results/
 
-# api, door, observers, tenants, state, service, fields and decider are the eight
-# rules of the architecture gate, TestArchitecture in architecture_test.go: the root
+# reach, door, observers, tenants, state, service, fields and decider are the
+# eight rules of the architecture gate, TestArchitecture in architecture_test.go: the root
 # module and bench/ are type-checked once with go/types (stdlib only; a
 # type error or a failed `go list` fails the gate), and each rule is
 # applied to what every identifier resolves to, so a method value or an
 # aliased import counts like a call. Its one allowlist gives every
 # exception its reason.
-#   api: every exported function or method declared in a non-test file
-#     under internal/ is referred to by something other than its own
-#     package's tests (a String method, a method of a type mccs.go
-#     re-exports and a method that implements a used interface count as
-#     used; for a module interface, only when that interface's method of
-#     the same name is used). Dead code its tests keep alive is deleted; a
-#     test oracle lives in a test file.
+#   reach: every function or method declared in a non-test file under
+#     internal/ is reached from a root: a main or init function, a
+#     package-level initialiser (the subcommand table among them) of a
+#     package a binary links, the root package's exported API and the
+#     methods of the types mccs.go re-exports. A method of a live type also
+#     counts when it is called through an interface or satisfies a std
+#     interface. Dead code, and what only tests or a dead caller reach, is
+#     deleted; a test oracle lives in a test file, or in a test-support
+#     package (allocpin, collectivetest) that only test files import: its
+#     allowlist row goes stale the day a non-test file imports it.
 #   door: only internal/policy decides a communicator's strategy or
 #     routes (the Reconfigure and UpdateRoutes methods); internal/mccsd
 #     executes, and the chaos reconfig storm in internal/chaos/inject.go is
@@ -175,8 +178,13 @@ goldens: $(MCCS)
 # A reference in the package that declares the target counts too; test
 # files may do all but state. CI and `check` (through `test`) run the
 # eight together, once.
-api door observers tenants state service fields decider:
+reach door observers tenants state service fields decider:
 	$(GO) test -count=1 -run '^TestArchitecture$$/^$@$$' .
+
+# api is the reach rule's former name, kept for one release.
+api:
+	@echo "make api: the api rule is now the reach rule; running make reach" >&2
+	@$(MAKE) --no-print-directory reach
 
 # chaos runs the seeded chaos sweep on its own (it is also part of
 # `test`); useful when iterating on the harness. Beside the sweep it runs
@@ -282,9 +290,14 @@ churn: $(MCCS)
 
 # loc prints the non-test .go line count of each top-level package and
 # their total — the number deletion PRs quote (`wc -l`, comments and blanks
-# included, so a reformat cannot fake a reduction).
+# included, so a reformat cannot fake a reduction). The test-support
+# packages, which no non-test file imports (the reach rule certifies
+# them), are printed on a line of their own and left out of the total.
 loc:
-	@total=0; for d in mccs.go cmd internal/*/; do \
-		n=$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); total=$$((total + n)); \
-		printf '%6d  %s\n' $$n $${d%/}; \
-	done; printf '%6d  total\n' $$total
+	@imported=$$( { $(GO) list -f '{{join .Imports "\n"}}' ./... && cd bench && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u); \
+	total=0; support=0; names=; for d in mccs.go cmd internal/*/; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); d=$${d%/}; \
+		case $$d in internal/*) if ! printf '%s\n' "$$imported" | grep -qx "mccs/$$d"; then \
+			support=$$((support + n)); names="$$names $${d#internal/}"; continue; fi;; esac; \
+		total=$$((total + n)); printf '%6d  %s\n' $$n $$d; \
+	done; printf '%6d  total\n' $$total; printf '%6d  test support, not in the total:%s\n' $$support "$$names"

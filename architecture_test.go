@@ -1,10 +1,9 @@
-// The architecture gate (`make api`, `make door`, `make observers`, `make
-// tenants`, `make state`, `make service`, `make fields` and `make
+// The architecture gate (`make reach`, `make door`, `make observers`,
+// `make tenants`, `make state`, `make service`, `make fields` and `make
 // decider`): the root module and bench/ are type-checked once with
-// go/types, and eight rules
-// are applied to what every identifier resolves to, so a method value, an
-// aliased import or two functions that share a name are seen for what
-// they are.
+// go/types, and eight rules are applied to what every identifier resolves
+// to, so a method value, an aliased import or two functions that share a
+// name are seen for what they are.
 package mccs_test
 
 import (
@@ -24,13 +23,14 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // archAllow lets rule reach where (a path prefix relative to the
-// repository root, or for api and fields an exported name as the rule
-// prints it) for its reason.
+// repository root, or for fields an exported name as the rule prints it)
+// for its reason.
 type archAllow struct{ rule, where, reason string }
 
 // archAllowed is the one allowlist. It only grows with a reason.
@@ -45,6 +45,8 @@ var archAllowed = []archAllow{
 	{"tenants", "bench/", "the frozen benchmark module"},
 	{"tenants", "examples/", "the public-API demos"},
 	{"state", "internal/chaos/runseed.go", "chaos runs many environments in a row (a sweep, the benchmark's seeds), so it keeps the one runScratch they share: the deployments' mccsd.Scratch and the script tables"},
+	{"reach", "internal/allocpin/", "test support: the exact allocation pins' reading of testing.AllocsPerRun; only test files import it"},
+	{"reach", "internal/collectivetest/", "test support: the schedule IR's reference executor and result oracle the tests of five packages share; only test files import it"},
 	{"fields", "cluster.JobResult.ID", "TestRunMatchesReference and FuzzClusterRun compare every job result bit for bit against referenceRun"},
 	{"fields", "cluster.JobResult.Arrived", "TestRunMatchesReference and FuzzClusterRun compare every job result bit for bit against referenceRun"},
 	{"fields", "cluster.JobResult.Started", "TestRunMatchesReference and FuzzClusterRun compare every job result bit for bit against referenceRun"},
@@ -58,10 +60,9 @@ var archRules = []struct {
 	name string
 	hits func(*archProgram) []archHit
 }{
-	// Only what production runs: an exported function or method declared
-	// in a non-test file under internal/ is referred to by something
-	// other than its own package's tests.
-	{"api", deadExports},
+	// Only what runs: a function or method declared in a non-test file
+	// under internal/ is reached from a binary, an init or the public API.
+	{"reach", unreached},
 	// One door for reconfiguration: policy decides, the service executes.
 	{"door", referrers("changes a communicator's strategy or routes", func(fn *types.Func) bool {
 		return isModuleMethod(fn, "Reconfigure", "UpdateRoutes")
@@ -140,7 +141,8 @@ func TestArchitecture(t *testing.T) {
 }
 
 // archHit is one forbidden reference: where is the file holding it (or,
-// for api and fields, the exported name) and msg says what it does.
+// for fields and for reach outside a test-support package, the name) and
+// msg says what it does.
 type archHit struct{ where, msg string }
 
 // disallowed returns the messages of the hits no entry of allowed for rule
@@ -181,6 +183,7 @@ type archProgram struct {
 }
 
 type archUnit struct {
+	id    string // the variant's import path as go list prints it
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
@@ -304,7 +307,7 @@ func typeCheck(root string, pkgs []archPackage, src, exports map[string]string) 
 		if done, ok := checked[p.ImportPath]; ok {
 			return done, nil
 		}
-		u := &archUnit{info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+		u := &archUnit{id: p.ImportPath, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
 		for _, name := range p.GoFiles {
 			f := parsed[name]
 			if f == nil {
@@ -392,67 +395,248 @@ func referrers(does string, target func(*types.Func) bool) func(*archProgram) []
 	}
 }
 
-// deadExports is the api rule. A use counts unless it stands in a test
-// file of the declaring package's directory. A method that nothing names
-// still counts as used when it is String (fmt calls it), when its type is
-// re-exported by a type alias of the root package (the public API), or
-// when its type implements an interface that has the method and is used:
-// a module interface only when its method of that name is used, a std
-// interface (which std code calls) when any of its methods is.
-func deadExports(p *archProgram) []archHit {
-	decls := map[token.Pos]*types.Func{}
-	used := map[token.Pos]bool{}
-	aliased := aliasedTypes(p)
-	ifaces := map[string]*types.Interface{}   // interfaces with a used method
-	ifaceUsed := map[string]map[string]bool{} // interface -> its used methods
+// unreached is the reach rule: a function or method declared in a non-test
+// file under internal/ that no root reaches. The roots are every main and
+// init function and every package-level initialiser of a package a binary
+// or the root package links, and the root package's exported API with the
+// methods of the types it re-exports. A function is reached when reached
+// code refers to it, a call and a method value alike; a method also when
+// its type is live (reached code names it or holds a value of it) and it
+// is called through an interface, or it satisfies a std interface (std
+// code calls it: fmt a String, sort a Less). A hit in a package that a
+// non-test file imports is reported under its name, so no package row can
+// cover it; one in a package that only tests import, under its file, so a
+// package row can certify a test-support package, and goes stale the day
+// production code imports it.
+func unreached(p *archProgram) []archHit {
+	type decl struct {
+		node ast.Node
+		info *types.Info
+	}
+	funcs := map[token.Pos]decl{} // by the declared name's position
+	typeDecls := map[token.Pos]decl{}
+	globals := map[string][]decl{} // package-level var declarations, by package
+	imported := map[string]bool{}
+	seen := map[*ast.File]bool{}
 	for _, u := range p.units {
 		for _, f := range u.files {
 			rel := p.rel(f.Pos())
-			if isTestFile(rel) || !strings.HasPrefix(rel, "internal/") {
+			if seen[f] || isTestFile(rel) || strings.HasPrefix(rel, "..") {
 				continue
+			}
+			seen[f] = true
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				imported[path] = true
 			}
 			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
-					decls[fd.Name.Pos()] = u.info.Defs[fd.Name].(*types.Func)
-				}
-			}
-		}
-		for id, obj := range u.info.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok || !fn.Exported() {
-				continue
-			}
-			fn = fn.Origin()
-			if p.ownTest(id, fn) {
-				continue
-			}
-			used[fn.Pos()] = true
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-				if it, ok := recv.Type().Underlying().(*types.Interface); ok {
-					key := types.TypeString(recv.Type(), nil)
-					ifaces[key] = it
-					if ifaceUsed[key] == nil {
-						ifaceUsed[key] = map[string]bool{}
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					funcs[d.Name.Pos()] = decl{d, u.info}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						if ts, ok := s.(*ast.TypeSpec); ok {
+							typeDecls[ts.Name.Pos()] = decl{ts, u.info}
+						}
 					}
-					ifaceUsed[key][fn.Name()] = true
+					if d.Tok == token.VAR {
+						globals[u.pkg.Path()] = append(globals[u.pkg.Path()], decl{d, u.info})
+					}
 				}
 			}
 		}
 	}
-	var hits []archHit
-	for pos, fn := range decls {
-		if used[pos] {
-			continue
+
+	// The packages a binary or the root package links: their inits and
+	// package-level initialisers run.
+	linked := map[string]bool{}
+	var link func(pkg *types.Package)
+	link = func(pkg *types.Package) {
+		if !linked[pkg.Path()] {
+			linked[pkg.Path()] = true
+			for _, imp := range pkg.Imports() {
+				link(imp)
+			}
 		}
-		key := fn.Pkg().Name() + "." + fn.Name()
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			named := recvNamed(recv.Type())
-			if fn.Name() == "String" || aliased[named.Obj().Pos()] || implementsUsed(named, fn.Name(), ifaces, ifaceUsed) {
+	}
+	for _, u := range p.units {
+		if !strings.Contains(u.id, " ") && !strings.HasSuffix(u.id, ".test") && (u.pkg.Name() == "main" || u.pkg.Path() == "mccs") {
+			link(u.pkg)
+		}
+	}
+
+	reached := map[token.Pos]bool{}
+	live := map[token.Pos]bool{}
+	var work []decl
+	var liveTypes []*types.Named
+	type ifaceMethod struct {
+		it   *types.Interface
+		name string // "" for every method: a std interface
+	}
+	var called []ifaceMethod
+	calledKey := map[string]bool{}
+	reach := func(fn *types.Func) {
+		pos := fn.Origin().Pos()
+		if d, ok := funcs[pos]; ok && !reached[pos] {
+			reached[pos] = true
+			work = append(work, d)
+		}
+	}
+	var markLive func(t types.Type)
+	markLive = func(t types.Type) {
+		if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		n, ok := types.Unalias(t).(*types.Named)
+		if !ok {
+			return
+		}
+		n = n.Origin()
+		pos := n.Obj().Pos()
+		if d, ok := typeDecls[pos]; ok && !live[pos] {
+			live[pos] = true
+			liveTypes = append(liveTypes, n)
+			work = append(work, d)
+		}
+	}
+	walk := func(d decl) {
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok || d.info.Uses[id] == nil {
+				return true
+			}
+			switch obj := d.info.Uses[id].(type) {
+			case *types.Func:
+				recv := obj.Type().(*types.Signature).Recv()
+				if recv == nil || !types.IsInterface(recv.Type()) {
+					reach(obj)
+					break
+				}
+				if key := types.TypeString(recv.Type(), nil) + "." + obj.Name(); !calledKey[key] {
+					calledKey[key] = true
+					called = append(called, ifaceMethod{recv.Type().Underlying().(*types.Interface), obj.Name()})
+				}
+			default: // a type name, a variable, a constant: its type is live
+				markLive(obj.Type())
+			}
+			return true
+		})
+	}
+
+	// Every std interface of a package the repository imports, and error.
+	called = append(called, ifaceMethod{types.Universe.Lookup("error").Type().Underlying().(*types.Interface), ""})
+	stdSeen := map[string]bool{}
+	for _, u := range p.units {
+		for _, imp := range u.pkg.Imports() {
+			if path := imp.Path(); path == "mccs" || strings.HasPrefix(path, "mccs/") || stdSeen[path] {
 				continue
 			}
-			key = fn.Pkg().Name() + "." + named.Obj().Name() + "." + fn.Name()
+			stdSeen[imp.Path()] = true
+			for _, name := range imp.Scope().Names() {
+				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+					if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() {
+						called = append(called, ifaceMethod{it, ""})
+					}
+				}
+			}
 		}
-		hits = append(hits, archHit{key, fmt.Sprintf("%s: %s has no referrer outside its own package's tests; delete it, or move a test oracle into a test file", p.position(pos), key)})
+	}
+
+	// The roots.
+	for _, u := range p.units {
+		if !linked[u.pkg.Path()] || strings.Contains(u.id, " ") {
+			continue
+		}
+		for _, f := range u.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && u.pkg.Name() == "main") {
+					if !reached[fd.Name.Pos()] {
+						reached[fd.Name.Pos()] = true
+						work = append(work, decl{fd, u.info})
+					}
+				}
+			}
+		}
+		if u.pkg.Path() != "mccs" {
+			continue
+		}
+		for _, name := range u.pkg.Scope().Names() {
+			switch obj := u.pkg.Scope().Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					reach(obj)
+				}
+			case *types.TypeName:
+				if obj.Exported() {
+					markLive(obj.Type())
+					mset := types.NewMethodSet(types.NewPointer(obj.Type()))
+					for i := 0; i < mset.Len(); i++ {
+						if m := mset.At(i).Obj(); m.Exported() {
+							reach(m.(*types.Func))
+						}
+					}
+				}
+			}
+		}
+	}
+	for path, ds := range globals {
+		if linked[path] {
+			for _, d := range ds {
+				walk(d)
+			}
+		}
+	}
+
+	// Walk to a fixed point: every (live type, called interface method)
+	// pair is checked once.
+	msets := map[*types.Named]*types.MethodSet{}
+	doneTypes, doneCalls := 0, 0
+	for len(work) > 0 {
+		for len(work) > 0 {
+			d := work[len(work)-1]
+			work = work[:len(work)-1]
+			walk(d)
+		}
+		nt, nc := len(liveTypes), len(called)
+		for i, n := range liveTypes[:nt] {
+			for j, c := range called[:nc] {
+				if i < doneTypes && j < doneCalls {
+					continue
+				}
+				if msets[n] == nil {
+					msets[n] = types.NewMethodSet(types.NewPointer(n))
+				}
+				if !implements(msets[n], c.it) {
+					continue
+				}
+				for k := 0; k < c.it.NumMethods(); k++ {
+					if m := c.it.Method(k); c.name == "" || m.Name() == c.name {
+						reach(msets[n].Lookup(m.Pkg(), m.Name()).Obj().(*types.Func))
+					}
+				}
+			}
+		}
+		doneTypes, doneCalls = nt, nc
+	}
+
+	var hits []archHit
+	for pos, d := range funcs {
+		rel := p.rel(pos)
+		if reached[pos] || !strings.HasPrefix(rel, "internal/") {
+			continue
+		}
+		fd := d.node.(*ast.FuncDecl)
+		fn := d.info.Defs[fd.Name].(*types.Func)
+		name := fn.Pkg().Name() + "." + fn.Name()
+		if recv := fd.Recv; recv != nil {
+			name = fn.Pkg().Name() + "." + recvName(fn) + "." + fn.Name()
+		}
+		lines := p.fset.Position(fd.End()).Line - p.fset.Position(fd.Pos()).Line + 1
+		where := rel
+		if imported[fn.Pkg().Path()] {
+			where = name
+		}
+		hits = append(hits, archHit{where, fmt.Sprintf("%s: %s (%d lines) is reached from no main, init, package initialiser or public API; delete it, or move a test oracle next to its tests", p.position(pos), name, lines)})
 	}
 	return hits
 }
@@ -477,8 +661,8 @@ func aliasedTypes(p *archProgram) map[token.Pos]bool {
 }
 
 // ownTest reports whether id, a use of the module's obj, stands in a test
-// file of the package directory that declares obj: a use api and fields
-// do not count.
+// file of the package directory that declares obj: a use fields does not
+// count.
 func (p *archProgram) ownTest(id *ast.Ident, obj types.Object) bool {
 	if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), "mccs/") {
 		return false
@@ -646,19 +830,19 @@ func freeListVars(p *archProgram) []archHit {
 	return hits
 }
 
-func recvNamed(t types.Type) *types.Named {
+// recvName is the name of the type fn, a method, is declared on.
+func recvName(fn *types.Func) string {
+	t := fn.Type().(*types.Signature).Recv().Type()
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	return types.Unalias(t).(*types.Named).Origin()
+	return types.Unalias(t).(*types.Named).Obj().Name()
 }
 
-// implementsUsed reports whether *named implements one of ifaces that
-// has a method called name, used (per used) when the interface is the
-// module's. Signatures are compared as strings, so the type and the
-// interface may come from different variants of a package.
-func implementsUsed(named *types.Named, name string, ifaces map[string]*types.Interface, used map[string]map[string]bool) bool {
-	mset := types.NewMethodSet(types.NewPointer(named))
+// implements reports whether the method set mset has every method of it.
+// Signatures are compared as strings, so the type and the interface may
+// come from different variants of a package.
+func implements(mset *types.MethodSet, it *types.Interface) bool {
 	sig := func(f types.Object) string {
 		s := f.Type().(*types.Signature)
 		var b strings.Builder
@@ -670,25 +854,14 @@ func implementsUsed(named *types.Named, name string, ifaces map[string]*types.In
 		}
 		return b.String()
 	}
-next:
-	for key, it := range ifaces {
-		if (key == "mccs" || strings.HasPrefix(key, "mccs.") || strings.HasPrefix(key, "mccs/")) && !used[key][name] {
-			continue
-		}
-		has := false
-		for i := 0; i < it.NumMethods(); i++ {
-			m := it.Method(i)
-			sel := mset.Lookup(m.Pkg(), m.Name())
-			if sel == nil || sig(sel.Obj()) != sig(m) {
-				continue next
-			}
-			has = has || m.Name() == name
-		}
-		if has {
-			return true
+	for i := 0; i < it.NumMethods(); i++ {
+		m := it.Method(i)
+		sel := mset.Lookup(m.Pkg(), m.Name())
+		if sel == nil || sig(sel.Obj()) != sig(m) {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // plantedBase is a miniature of the repository that keeps every rule: the
@@ -698,7 +871,7 @@ var plantedBase = map[string]string{
 import "mccs/internal/sim"
 type Comm struct{}
 func (c *Comm) UpdateRoutes() {}
-func start(s *sim.Scheduler)  { s.GoStep(nil) }`,
+func Start(s *sim.Scheduler)  { s.GoStep(nil) }`,
 	"internal/sim/sim.go": `package sim
 type Scheduler struct{}
 func (s *Scheduler) Go(fn func())           {}
@@ -743,13 +916,19 @@ func NewEnv(s *sim.Scheduler) {
 }
 type Env struct{ ctrl *policy.Controller }
 func (e *Env) Controller() *policy.Controller { e.ctrl = policy.NewController(nil); return e.ctrl }`,
+	"internal/pintest/pin.go":      "package pintest\nfunc Min() {}",
+	"internal/proxy/proxy_test.go": "package proxy\nimport \"mccs/internal/pintest\"\nfunc pin() { pintest.Min() }",
 	"cmd/app/main.go": `package main
 import (
 	"mccs/internal/harness"
 	"mccs/internal/policy"
+	"mccs/internal/proxy"
 	"mccs/internal/workload"
 )
-func main() { harness.NewEnv(nil); policy.Apply(nil); workload.Launch(nil); new(harness.Env).Controller() }`,
+func main() {
+	harness.NewEnv(nil); policy.Apply(nil); workload.Launch(nil); new(harness.Env).Controller()
+	proxy.Start(nil)
+}`,
 }
 
 // plantedAllowed is the allowlist of the miniature, each entry covering
@@ -761,6 +940,7 @@ var plantedAllowed = []archAllow{
 	{"observers", "internal/harness/", "the one attach site"},
 	{"tenants", "internal/workload/", "the one tenant runner"},
 	{"fields", "trace.Recorder.Dropped", "written only; the stale-entry row reads it"},
+	{"reach", "internal/pintest/", "test support: only test files import it"},
 }
 
 // plant type-checks plantedBase with extra added, one package per
@@ -801,7 +981,7 @@ func TestArchitectureRulesCatchPlanted(t *testing.T) {
 	writeOnly := func(extra map[string]string) map[string]string {
 		files := map[string]string{
 			"internal/proxy/stats.go": "package proxy\ntype Stats struct{ Sent int }\nfunc Count(s *Stats) { *s = Stats{Sent: 1}; s.Sent++; s.Sent += 2 }",
-			"cmd/app/stats.go":        "package main\nimport \"mccs/internal/proxy\"\nfunc count() { proxy.Count(nil) }",
+			"cmd/app/stats.go":        "package main\nimport \"mccs/internal/proxy\"\nfunc init() { proxy.Count(nil) }",
 		}
 		maps.Copy(files, extra)
 		return files
@@ -811,34 +991,38 @@ func TestArchitectureRulesCatchPlanted(t *testing.T) {
 		files      map[string]string
 	}{
 		{"base", "", nil},
-		{"api: dead function", "api", map[string]string{
+		{"reach: dead function", "reach", map[string]string{
 			"internal/proxy/dead.go": "package proxy\nfunc Dead() {}",
 		}},
-		{"api: called only by its own package's tests", "api", map[string]string{
+		{"reach: called only by its own package's tests", "reach", map[string]string{
 			"internal/proxy/oracle.go":      "package proxy\nfunc Oracle() {}",
 			"internal/proxy/oracle_test.go": "package proxy\nfunc check() { Oracle() }",
 		}},
-		{"api: dead Value beside a live Value", "api", map[string]string{
+		{"reach: called only by another package's tests", "reach", map[string]string{
+			"internal/proxy/oracle.go":        "package proxy\nfunc Oracle() {}",
+			"internal/harness/oracle_test.go": "package harness\nimport \"mccs/internal/proxy\"\nfunc check() { proxy.Oracle() }",
+		}},
+		{"reach: dead Value beside a live Value", "reach", map[string]string{
 			"internal/trace/value.go": `package trace
 type Gauge struct{}
 func (g *Gauge) Value() float64 { return 0 }
 type Counter struct{}
 func (c *Counter) Value() float64 { return 0 }`,
-			"cmd/app/read.go": "package main\nimport \"mccs/internal/trace\"\nfunc read(c *trace.Counter) float64 { return c.Value() }",
+			"cmd/app/read.go": "package main\nimport \"mccs/internal/trace\"\nfunc init() { new(trace.Counter).Value() }",
 		}},
-		{"api: used through an interface, by fmt, or through the public API", "", map[string]string{
+		{"reach: used through an interface, as a std interface, or through the public API", "", map[string]string{
 			"internal/proxy/iface.go": `package proxy
 type Stepper interface{ Step() }
 type Ring struct{}
 func (r *Ring) Step() {}
-func Run(s Stepper) { s.Step() }
-type Kind int
-func (k Kind) String() string { return "" }`,
-			"cmd/app/run.go":            "package main\nimport \"mccs/internal/proxy\"\nfunc run() { proxy.Run(&proxy.Ring{}) }",
+func Run(s Stepper) error { s.Step(); return Fault(0) }
+type Fault int
+func (f Fault) Error() string { return "" }`,
+			"cmd/app/run.go":            "package main\nimport \"mccs/internal/proxy\"\nfunc init() { proxy.Run(&proxy.Ring{}) }",
 			"internal/mccsd/service.go": "package mccsd\nfunc (f *Frontend) MemAlloc() {}",
 			"mccs.go":                   "package mccs\nimport \"mccs/internal/mccsd\"\ntype Frontend = mccsd.Frontend",
 		}},
-		{"api: a module interface's method that nobody calls", "api", map[string]string{
+		{"reach: a module interface's method that nobody calls", "reach", map[string]string{
 			"internal/proxy/placer.go": `package proxy
 type Placer interface {
 	Place()
@@ -848,32 +1032,50 @@ type BinPack struct{}
 func (BinPack) Place()       {}
 func (BinPack) Name() string { return "" }
 func Run(p Placer)           { p.Place() }`,
-			"cmd/app/place.go": "package main\nimport \"mccs/internal/proxy\"\nfunc place() { proxy.Run(proxy.BinPack{}) }",
+			"cmd/app/place.go": "package main\nimport \"mccs/internal/proxy\"\nfunc init() { proxy.Run(proxy.BinPack{}) }",
+		}},
+		{"reach: a function reached only through a dead caller", "reach", map[string]string{
+			"internal/proxy/chain.go": "package proxy\nfunc caller() { Helper() }\nfunc Helper() {}",
+		}},
+		{"reach: a method reached only through an interface nothing calls", "reach", map[string]string{
+			"internal/proxy/sink.go": `package proxy
+type Sink interface{ Flush() }
+type Buf struct{}
+func (*Buf) Flush() {}
+func Use(s Sink)    {}`,
+			"cmd/app/sink.go": "package main\nimport \"mccs/internal/proxy\"\nfunc init() { proxy.Use(&proxy.Buf{}) }",
+		}},
+		{"reach: a subcommand registered in a package-level table", "", map[string]string{
+			"internal/proxy/table.go": "package proxy\nfunc Table() {}",
+			"cmd/app/table.go":        "package main\nimport \"mccs/internal/proxy\"\nvar commands = []struct{ run func() }{{run: runTable}}\nfunc runTable() { proxy.Table() }",
+		}},
+		{"reach: production code imports a test-support package", "reach", map[string]string{
+			"internal/harness/pin.go": "package harness\nimport _ \"mccs/internal/pintest\"",
 		}},
 		{"door: call", "door", map[string]string{
-			"internal/harness/reconf.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc reconf(d *mccsd.Deployment) { d.Reconfigure() }",
+			"internal/harness/reconf.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc init() { new(mccsd.Deployment).Reconfigure() }",
 		}},
 		{"door: the declaring package's own non-test code", "door", map[string]string{
-			"internal/proxy/reroute.go": "package proxy\nfunc reroute(c *Comm) { c.UpdateRoutes() }",
+			"internal/proxy/reroute.go": "package proxy\nfunc init() { new(Comm).UpdateRoutes() }",
 		}},
 		{"door: method value", "door", map[string]string{
-			"internal/harness/reconf.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc reconf(d *mccsd.Deployment) { f := d.Reconfigure; f() }",
+			"internal/harness/reconf.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc init() { f := new(mccsd.Deployment).Reconfigure; f() }",
 		}},
 		{"door: policy and any test file may", "", map[string]string{
-			"internal/policy/heal.go":         "package policy\nimport \"mccs/internal/mccsd\"\nfunc heal(d *mccsd.Deployment) { f := d.UpdateRoutes; f() }",
+			"internal/policy/heal.go":         "package policy\nimport \"mccs/internal/mccsd\"\nfunc init() { f := new(mccsd.Deployment).UpdateRoutes; f() }",
 			"internal/harness/reconf_test.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc reconf(d *mccsd.Deployment) { d.Reconfigure() }",
 		}},
 		{"observers: call", "observers", map[string]string{
-			"internal/mccsd/observe.go": "package mccsd\nimport \"mccs/internal/trace\"\nfunc observe() { trace.Attach(trace.NewRecorder()) }",
+			"internal/mccsd/observe.go": "package mccsd\nimport \"mccs/internal/trace\"\nfunc init() { trace.Attach(trace.NewRecorder()) }",
 		}},
 		{"observers: aliased import", "observers", map[string]string{
-			"internal/mccsd/observe.go": "package mccsd\nimport tr \"mccs/internal/trace\"\nfunc observe(r *tr.Recorder) { tr.Attach(r) }",
+			"internal/mccsd/observe.go": "package mccsd\nimport tr \"mccs/internal/trace\"\nfunc init() { tr.Attach(nil) }",
 		}},
 		{"tenants: call", "tenants", map[string]string{
-			"internal/harness/join.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc join(f *mccsd.Frontend) { f.CommInitRank() }",
+			"internal/harness/join.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc init() { new(mccsd.Frontend).CommInitRank() }",
 		}},
 		{"tenants: method value", "tenants", map[string]string{
-			"internal/harness/join.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc join(f *mccsd.Frontend) { init := f.CommInitRank; init() }",
+			"internal/harness/join.go": "package harness\nimport \"mccs/internal/mccsd\"\nfunc init() { join := new(mccsd.Frontend).CommInitRank; join() }",
 		}},
 		{"tenants: a doc comment is not a use", "", map[string]string{
 			"internal/harness/doc.go": "// A tenant calls f.CommInitRank(p, key, n, rank, gpu).\npackage harness",
@@ -888,25 +1090,27 @@ type stores struct{ chunks [2]freelist.List[Recorder] }
 var store = new(stores)`,
 		}},
 		{"service: a daemon goroutine in a service engine", "service", map[string]string{
-			"internal/proxy/loop.go": "package proxy\nimport \"mccs/internal/sim\"\nfunc loop(s *sim.Scheduler) { s.GoDaemon(nil) }",
+			"internal/proxy/loop.go": "package proxy\nimport \"mccs/internal/sim\"\nfunc init() { new(sim.Scheduler).GoDaemon(nil) }",
 		}},
 		{"service: a method value of Go", "service", map[string]string{
-			"internal/mccsd/spawn.go": "package mccsd\nimport \"mccs/internal/sim\"\nfunc spawn(s *sim.Scheduler) { g := s.Go; g(nil) }",
+			"internal/mccsd/spawn.go": "package mccsd\nimport \"mccs/internal/sim\"\nfunc init() { g := new(sim.Scheduler).Go; g(nil) }",
 		}},
 		{"service: a step function in an engine, goroutines in its tests and outside the engines may", "", map[string]string{
-			"internal/transport/engine.go":      "package transport\nimport \"mccs/internal/sim\"\nfunc run(s *sim.Scheduler) { s.GoStep(nil) }",
+			"internal/transport/engine.go":      "package transport\nimport \"mccs/internal/sim\"\nfunc Run(s *sim.Scheduler) { s.GoStep(nil) }",
 			"internal/transport/engine_test.go": "package transport\nimport \"mccs/internal/sim\"\nfunc drive(s *sim.Scheduler) { s.Go(nil) }",
-			"internal/workload/rank.go":         "package workload\nimport \"mccs/internal/sim\"\nfunc rank(s *sim.Scheduler) { s.GoDaemon(nil) }",
+			"internal/workload/rank.go":         "package workload\nimport \"mccs/internal/sim\"\nfunc init() { new(sim.Scheduler).GoDaemon(nil) }",
+			"cmd/app/engine.go":                 "package main\nimport \"mccs/internal/transport\"\nfunc init() { transport.Run(nil) }",
 		}},
 		{"state: a local list and a list behind a field may", "", map[string]string{
 			"internal/gpusim/device.go": `package gpusim
 import "mccs/internal/freelist"
 type device struct{ backings *freelist.List[float32] }
 var devices []device
-func alloc() { var l freelist.List[float32]; devices = append(devices, device{&l}) }`,
+func Alloc() { var l freelist.List[float32]; devices = append(devices, device{&l}) }`,
+			"cmd/app/device.go": "package main\nimport \"mccs/internal/gpusim\"\nfunc init() { gpusim.Alloc() }",
 		}},
 		{"decider: a second controller beside harness.Env.Controller's", "decider", map[string]string{
-			"internal/harness/qos.go": "package harness\nimport \"mccs/internal/policy\"\nfunc decide() { policy.NewController(nil) }",
+			"internal/harness/qos.go": "package harness\nimport \"mccs/internal/policy\"\nfunc init() { policy.NewController(nil) }",
 		}},
 		{"decider: a method value in another package, a test may build its own", "decider", map[string]string{
 			"internal/chaos/tune.go":      "package chaos\nimport \"mccs/internal/policy\"\nvar build = policy.NewController",
@@ -925,7 +1129,7 @@ func alloc() { var l freelist.List[float32]; devices = append(devices, device{&l
 		}},
 		{"fields: a tagged field", "", map[string]string{
 			"internal/proxy/stats.go": "package proxy\ntype Stats struct{ Sent int `json:\"sent\"` }\nfunc Count(s *Stats) { s.Sent++ }",
-			"cmd/app/stats.go":        "package main\nimport \"mccs/internal/proxy\"\nfunc count() { proxy.Count(nil) }",
+			"cmd/app/stats.go":        "package main\nimport \"mccs/internal/proxy\"\nfunc init() { proxy.Count(nil) }",
 		}},
 		{"fields: a field of a type the root package aliases", "", writeOnly(map[string]string{
 			"mccs.go": "package mccs\nimport \"mccs/internal/proxy\"\ntype Stats = proxy.Stats",

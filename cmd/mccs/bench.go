@@ -17,7 +17,7 @@ import (
 // algorithm bandwidth on the 4-host testbed across data sizes, for the
 // four systems NCCL, NCCL(OR), MCCS(-FA) and MCCS.
 func runBench(args []string, stdout io.Writer) error {
-	fs := newFlagSet("bench", "[flags]", "Fig. 6: algorithm bandwidth per data size and system on the 4-host testbed.\nObserver flags apply to the first cell's first trial.")
+	fs := newFlagSet("bench", "[flags]", "Fig. 6: algorithm bandwidth per data size and system on the 4-host testbed.\nObserver flags apply to the last cell's first trial (MCCS, or MCCS(auto) with -autotune).")
 	var cell harness.SingleAppConfig
 	opFlag := fs.String("op", "both", "collective: allreduce, allgather or both")
 	gpusFlag := fs.String("gpus", "4,8", "comma-separated GPU counts (4 and/or 8)")
@@ -75,7 +75,7 @@ func runBench(args []string, stdout io.Writer) error {
 		cols = append(cols, column{"MCCS(auto)", ncclsim.MCCS, true})
 	}
 
-	written := *obs
+	observers := observeLast(*obs, len(ops)*len(gpuCounts)*len(sizes)*len(cols))
 	for _, cell.Op = range ops {
 		for _, cell.NumGPUs = range gpuCounts {
 			fmt.Fprintf(stdout, "\n[Fig. 6] %v, %d GPUs — algorithm bandwidth (GB/s), mean [p5, p95] over %d trials\n",
@@ -88,10 +88,7 @@ func runBench(args []string, stdout io.Writer) error {
 			for _, cell.Bytes = range sizes {
 				fmt.Fprintf(stdout, "%-8s", metrics.HumanBytes(cell.Bytes))
 				for _, c := range cols {
-					cell.System, cell.Autotune = c.system, c.autotune
-					// Only the very first cell is observed: one full-detail
-					// recording is the debugging artifact.
-					cell.Observers, *obs = *obs, harness.Observers{}
+					cell.System, cell.Autotune, cell.Observers = c.system, c.autotune, observers()
 					res, err := harness.RunSingleApp(cell)
 					if err != nil {
 						return fmt.Errorf("%v %v %d: %w", c.name, cell.Op, cell.Bytes, err)
@@ -103,7 +100,7 @@ func runBench(args []string, stdout io.Writer) error {
 			}
 		}
 	}
-	reportArtifacts(stdout, written)
+	reportArtifacts(stdout, *obs)
 	return nil
 }
 

@@ -139,8 +139,7 @@ func atLeastOne(fs *flag.FlagSet, names ...string) error {
 
 // observerFlags registers the flags every experiment subcommand shares
 // and returns the Observers value they fill. Subcommands that run more
-// than one experiment hand it to the first and clear it: one recording
-// is the artifact, later runs would overwrite it.
+// than one experiment hand it to one of them through observeLast.
 func observerFlags(fs *flag.FlagSet) *harness.Observers {
 	o := &harness.Observers{}
 	fs.StringVar(&o.TracePath, "trace", "", "record the run at full detail and write Chrome trace-event JSON here (Perfetto, or: mccs trace summarize)")
@@ -148,6 +147,20 @@ func observerFlags(fs *flag.FlagSet) *harness.Observers {
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 0, "telemetry sampling interval (default 100ms)")
 	fs.StringVar(&o.DoctorPath, "doctor", "", "attach the online diagnosis engine and write its health report here (.jsonl for incident JSONL)")
 	return o
+}
+
+// observeLast returns what each of runs experiments in a row is observed
+// with: obs for the last, nothing for the others. One recording is the
+// artifact (a later run would overwrite it), and the last run is the one
+// that decides: PFA+TS in Fig. 9, MCCS in Fig. 8's setup 4, MCCS(auto) or
+// MCCS in Fig. 6's last cell.
+func observeLast(obs harness.Observers, runs int) func() harness.Observers {
+	return func() harness.Observers {
+		if runs--; runs == 0 {
+			return obs
+		}
+		return harness.Observers{}
+	}
 }
 
 // reportArtifacts tells the user which observer files a run wrote.

@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"mccs/internal/telemetry"
 )
 
 // invocations is the smoke table: every subcommand runs in-process on a
-// tiny configuration. $TRACE and $TEL in args are replaced by the files
-// the "reconfig" case writes.
+// tiny configuration. $TRACE, $TEL and $CHURN in args are replaced by
+// the files the first "reconfig" and "churn" cases write.
 var invocations = []struct {
 	cmd  string
 	args []string
@@ -27,10 +30,11 @@ var invocations = []struct {
 	{cmd: "qos", args: []string{"-dynamic"}, want: "[Fig. 10]"},
 	{cmd: "reconfig", args: []string{"-run=1s", "-bg=300ms", "-reconfig=600ms", "-trace=$TRACE", "-telemetry=$TEL"}, want: "recovered (reversal"},
 	{cmd: "simcluster", args: []string{"-jobs=3", "-iters=2", "-runs=1"}, want: "OR+FFA"},
+	{cmd: "churn", args: []string{"-jobs=3", "-telemetry=$CHURN"}, want: "gpu utilization"},
 	{cmd: "churn", args: []string{"-jobs=3", "-quota=tenant-a=4"}, want: "gpu utilization"},
 	{cmd: "selfheal", args: []string{"-seed=1"}, want: "readmit"},
 	{cmd: "top", args: []string{"$TEL"}, want: "BUSIEST LINKS"},
-	{cmd: "top", args: []string{"-live", "-scenario=churn"}, want: "SCHED"},
+	{cmd: "top", args: []string{"$CHURN"}, want: "SCHED"},
 	{cmd: "trace", args: []string{"summarize", "$TRACE"}, want: "collectives"},
 	{cmd: "trace", args: []string{"dump", "$TRACE"}, want: "AllReduce#"},
 	{cmd: "doctor", args: []string{"$TRACE", "$TEL"}, want: "MCCS DOCTOR REPORT"},
@@ -38,11 +42,12 @@ var invocations = []struct {
 
 // TestSubcommandSmoke runs the table through dispatch, the same path
 // main takes: flag drift, a panic on start-up or a broken harness wiring
-// fails here without a `go run` per binary. The case that writes the
-// shared files runs first; the rest run in parallel.
+// fails here without a `go run` per binary. The cases that write
+// the shared files run first; the rest run in parallel.
 func TestSubcommandSmoke(t *testing.T) {
 	dir := t.TempDir()
-	files := strings.NewReplacer("$TRACE", filepath.Join(dir, "t.json"), "$TEL", filepath.Join(dir, "tel.jsonl"))
+	files := strings.NewReplacer("$TRACE", filepath.Join(dir, "t.json"), "$TEL", filepath.Join(dir, "tel.jsonl"), "$CHURN", filepath.Join(dir, "churn.jsonl"))
+	writes := func(args []string) bool { return strings.Contains(strings.Join(args, " "), "=$") }
 	run := func(t *testing.T, cmd string, tcArgs []string, want string) {
 		args := []string{cmd}
 		for _, a := range tcArgs {
@@ -58,13 +63,13 @@ func TestSubcommandSmoke(t *testing.T) {
 	ran := map[string]bool{}
 	for _, tc := range invocations {
 		ran[tc.cmd] = true
-		if tc.cmd == "reconfig" {
+		if writes(tc.args) {
 			run(t, tc.cmd, tc.args, tc.want)
 		}
 	}
 	t.Run("parallel", func(t *testing.T) {
 		for _, tc := range invocations {
-			if tc := tc; tc.cmd != "reconfig" {
+			if tc := tc; !writes(tc.args) {
 				t.Run(tc.cmd, func(t *testing.T) {
 					t.Parallel()
 					run(t, tc.cmd, tc.args, tc.want)
@@ -113,7 +118,6 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"churn", "-jobs=0"}, 2, "-jobs 0"},
 		{[]string{"churn", "-gap=-5ms"}, 2, "-gap -5ms"},
 		{[]string{"churn", "-quota=tenant-a=-1"}, 2, "bad -quota"},
-		{[]string{"top", "-live", "-scenario=qos"}, 2, "unknown -scenario"},
 		{[]string{"top"}, 2, "telemetry.jsonl"},
 		{[]string{"trace", "explode", "x.json"}, 2, "summarize|dump"},
 		{[]string{"selfheal", "-telemetry=x.jsonl"}, 2, "not supported"},
@@ -199,6 +203,52 @@ func TestObserverFlagsEverywhere(t *testing.T) {
 			}
 			if !bytes.Contains(raw, []byte(`"kind":"doctor"`)) {
 				t.Errorf("doctor JSONL missing its header record:\n%s", raw)
+			}
+		})
+	}
+}
+
+// TestObserversWatchTheDecidingRun: a subcommand that runs several
+// experiments observes the last one, the run that decides: Fig. 9's
+// PFA+TS run applies PFA and installs a traffic schedule, and Fig. 6's
+// autotuned cell searches the strategy space. The first run of either
+// (ECMP, library-mode NCCL) decides nothing.
+func TestObserversWatchTheDecidingRun(t *testing.T) {
+	cases := []struct {
+		args []string
+		want []string // column, or column{label value}, that reaches 1
+	}{
+		{[]string{"qos", "-iters-a=6", "-iters-bc=6"}, []string{"mccs_policy_applies_total{pfa}", "mccs_policy_ts_installs_total"}},
+		{[]string{"bench", "-gpus=8", "-op=allreduce", "-sizes=64K", "-iters=2", "-warmup=0", "-trials=1", "-autotune", "-telemetry-every=50us"}, []string{"mccs_tuner_searches_total"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.args[0], func(t *testing.T) {
+			t.Parallel()
+			path := filepath.Join(t.TempDir(), "tel.jsonl")
+			var stdout, stderr bytes.Buffer
+			if code := dispatch(append(tc.args, "-telemetry="+path), &stdout, &stderr); code != 0 {
+				t.Fatalf("mccs %v: exit %d\n%s", tc.args, code, stderr.String())
+			}
+			se, err := loadSeries(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range tc.want {
+				name, label, _ := strings.Cut(strings.TrimSuffix(want, "}"), "{")
+				most := 0.0
+				for i, c := range se.Cols {
+					if c.Name != name || label != "" && !slices.ContainsFunc(c.Labels, func(l telemetry.Label) bool { return l.Value == label }) {
+						continue
+					}
+					for _, s := range se.Samples {
+						if i < len(s.V) { // a sample holds the columns registered by its time
+							most = max(most, s.V[i])
+						}
+					}
+				}
+				if most < 1 {
+					t.Errorf("mccs %v: %s never reaches 1 in the exported series", tc.args, want)
+				}
 			}
 		})
 	}

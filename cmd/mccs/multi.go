@@ -15,7 +15,7 @@ import (
 // concurrent 128 MB AllReduce tenants in the four Fig. 5b placements,
 // under NCCL, NCCL(OR), MCCS(-FFA) and MCCS.
 func runMulti(args []string, stdout io.Writer) error {
-	fs := newFlagSet("multi", "[flags]", "Fig. 8: per-tenant bus bandwidth in the four multi-application placements.\nObserver flags apply to the first run's first trial.")
+	fs := newFlagSet("multi", "[flags]", "Fig. 8: per-tenant bus bandwidth in the four multi-application placements.\nObserver flags apply to the last run's first trial (setup 4, MCCS).")
 	var mcfg harness.MultiAppConfig
 	fs.Int64Var(&mcfg.Bytes, "bytes", 128<<20, "per-iteration AllReduce size")
 	fs.IntVar(&mcfg.Iters, "iters", 20, "measured iterations")
@@ -29,13 +29,13 @@ func runMulti(args []string, stdout io.Writer) error {
 	if err := atLeastOne(fs, "iters", "trials"); err != nil {
 		return err
 	}
-	written := *obs
-
 	testbed, err := topo.BuildClos(topo.TestbedConfig())
 	if err != nil {
 		return err
 	}
-	for setup := 1; setup <= 4; setup++ {
+	const setups = 4
+	observers := observeLast(*obs, setups*len(ncclsim.Systems()))
+	for setup := 1; setup <= setups; setup++ {
 		apps, err := harness.Setup(testbed, setup)
 		if err != nil {
 			return err
@@ -53,9 +53,7 @@ func runMulti(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, " %10s\n", "aggregate")
 		for _, sys := range ncclsim.Systems() {
-			mcfg.System = sys
-			// Observe only the first run: one recording is the artifact.
-			mcfg.Observers, *obs = *obs, harness.Observers{}
+			mcfg.System, mcfg.Observers = sys, observers()
 			res, err := harness.RunMultiApp(mcfg)
 			if err != nil {
 				return fmt.Errorf("setup %d %v: %w", setup, sys, err)
@@ -68,6 +66,6 @@ func runMulti(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, " %10.2f\n", res.Aggregate/1e9)
 		}
 	}
-	reportArtifacts(stdout, written)
+	reportArtifacts(stdout, *obs)
 	return nil
 }

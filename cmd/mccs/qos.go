@@ -14,7 +14,7 @@ import (
 // PFA / PFA+TS) and, with -dynamic, Figure 10 (throughput timeline under
 // dynamic arrivals and policy changes).
 func runQoS(args []string, stdout io.Writer) error {
-	fs := newFlagSet("qos", "[flags]", "Fig. 9: training JCT under ECMP/FFA/PFA/PFA+TS; -dynamic runs the Fig. 10 timeline.\nObserver flags apply to the first solution's run (ECMP), or to the -dynamic run.")
+	fs := newFlagSet("qos", "[flags]", "Fig. 9: training JCT under ECMP/FFA/PFA/PFA+TS; -dynamic runs the Fig. 10 timeline.\nObserver flags apply to the last solution's run (PFA+TS), or to the -dynamic run.")
 	dynamic := fs.Bool("dynamic", false, "run the Fig. 10 dynamic-arrival timeline instead of Fig. 9")
 	itersA := fs.Int("iters-a", 30, "VGG (tenant A) iterations")
 	itersBC := fs.Int("iters-bc", 30, "GPT (tenants B, C) iterations")
@@ -28,7 +28,6 @@ func runQoS(args []string, stdout io.Writer) error {
 	if *dynamic {
 		return runDynamic(stdout, *obs)
 	}
-	written := *obs
 
 	fmt.Fprintln(stdout, "[Fig. 9] job completion time, setup 3: A=VGG-19 DP (4 GPUs, prio 2),")
 	fmt.Fprintln(stdout, "         B,C=GPT-2.7B TP (2 GPUs each; B prio 1, C prio 0)")
@@ -37,9 +36,10 @@ func runQoS(args []string, stdout io.Writer) error {
 		res harness.QoSResult
 	}
 	var rows []row
-	for _, sol := range harness.QoSSolutions() {
-		cfg := harness.QoSConfig{Solution: sol, IterationsA: *itersA, IterationsBC: *itersBC}
-		cfg.Observers, *obs = *obs, harness.Observers{} // first solution only
+	sols := harness.QoSSolutions()
+	observers := observeLast(*obs, len(sols))
+	for _, sol := range sols {
+		cfg := harness.QoSConfig{Solution: sol, IterationsA: *itersA, IterationsBC: *itersBC, Observers: observers()}
 		res, err := harness.RunQoS(cfg)
 		if err != nil {
 			return fmt.Errorf("%v: %w", sol, err)
@@ -56,7 +56,7 @@ func runQoS(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout)
 	}
-	reportArtifacts(stdout, written)
+	reportArtifacts(stdout, *obs)
 	return nil
 }
 

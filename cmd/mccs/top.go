@@ -9,64 +9,30 @@ import (
 	"time"
 
 	"mccs/internal/diagnosis"
-	"mccs/internal/harness"
 	"mccs/internal/telemetry"
 )
 
 // runTop renders a cluster operator's view of an MCCS telemetry series
 // (the sections table below says what each section reads), then the
 // busiest fabric links and the SLO violations the run produced. It reads
-// a JSONL file exported with an experiment subcommand's -telemetry flag
-// or, with -live, runs a scenario itself — the contended Fig. 7
-// reconfiguration by default, the tenant churn experiment with -scenario
-// churn — and renders the resulting series. Sections always render in
-// the same order and share one first-column width, so the layout is
-// identical whether a series comes from a file or a -live run and
-// whichever sections have data.
+// a JSONL file exported with an experiment subcommand's -telemetry flag.
+// Sections always render in the same order and share one first-column
+// width, so the layout is identical whichever sections have data.
 func runTop(args []string, stdout io.Writer) error {
-	fs := newFlagSet("top", "[flags] telemetry.jsonl | -live [flags]", "Operator view of a telemetry series: tenants, scheduler, tuner, health, remediation, busiest links, SLO violations.")
-	live := fs.Bool("live", false, "run a scenario instead of reading a file")
-	scenario := fs.String("scenario", "reconfig", "-live scenario: reconfig (contended Fig. 7) or churn (tenant lifecycle)")
+	fs := newFlagSet("top", "[flags] telemetry.jsonl", "Operator view of a telemetry series: tenants, scheduler, tuner, health, remediation, busiest links, SLO violations.")
 	lastN := fs.Int("last", 0, "compute rates over the last N samples only (0 = whole series)")
 	topLinks := fs.Int("links", 6, "busiest links to show")
 	topViol := fs.Int("violations", 8, "most recent SLO violations to show")
-	every := fs.Duration("every", telemetry.DefaultInterval, "sampling interval for -live")
 	if err := parseFlags(fs, args, stdout); err != nil {
 		return err
 	}
-	if *every <= 0 {
-		return usagef("-every must be positive")
+	if fs.NArg() != 1 {
+		return usagef("expected one telemetry.jsonl")
 	}
-
-	var se *telemetry.Series
-	switch {
-	case *live && *scenario == "reconfig":
-		cfg := harness.DefaultReconfigConfig()
-		cfg.TelemetryEvery = *every
-		res, err := harness.RunReconfigShowcase(cfg)
-		if err != nil {
-			return err
-		}
-		se = res.Telemetry
-	case *live && *scenario == "churn":
-		cfg := harness.DefaultChurnConfig()
-		cfg.TelemetryEvery = *every
-		res, err := harness.RunChurn(cfg)
-		if err != nil {
-			return err
-		}
-		se = res.Telemetry
-	case *live:
-		return usagef("unknown -scenario %q (reconfig or churn)", *scenario)
-	case fs.NArg() == 1:
-		var err error
-		if se, err = loadSeries(fs.Arg(0)); err != nil {
-			return err
-		}
-	default:
-		return usagef("expected one telemetry.jsonl, or -live")
+	se, err := loadSeries(fs.Arg(0))
+	if err != nil {
+		return err
 	}
-
 	render(stdout, se, options{lastN: *lastN, topLinks: *topLinks, topViolations: *topViol})
 	return nil
 }

@@ -55,6 +55,14 @@ func Run(seeds []uint64, sc Scenario) SweepResult {
 	return out
 }
 
+// RunSeed executes one seeded chaos run and checks every invariant.
+// The same (scenario, seed) pair always produces the identical event
+// trace, so any failure replays exactly.
+func RunSeed(sc Scenario, seed uint64) Result {
+	res, _ := runSeed(sc, seed, runOpts{})
+	return res
+}
+
 // Seeds returns n consecutive seeds starting at start. Consecutive
 // integers are fine: each run splits its seed into independent PRNG
 // streams with distinct odd multipliers.

@@ -59,24 +59,9 @@ func installInjectors(env *harness.Env, sc Scenario, inj, tune *rand.Rand, gpus 
 // seed before the simulation starts; the deployment's controller runs
 // them as one plan.
 func injectAutotune(env *harness.Env, sc Scenario, tune *rand.Rand, fl *faultLog) {
-	ctrl, dep := env.Controller(), env.Deployment
+	ctrl := env.Controller()
 	var id spec.CommID
-	polls := 0
-	plan := policy.Plan{{
-		// awaitComm, as a plan's first row.
-		When: policy.Every(20*time.Microsecond, func() bool {
-			done := dep.NumComms() > 0 || polls > 4000
-			polls++
-			return done
-		}, nil),
-		Do: func() (*sim.Latch, error) {
-			if dep.NumComms() == 0 {
-				return nil, policy.ErrStop
-			}
-			id = dep.View()[0].ID
-			return nil, nil
-		},
-	}}
+	plan := policy.Plan{firstComm(env.Deployment, &id)}
 	gap := sc.Horizon / time.Duration(sc.Autotunes+1)
 	for range sc.Autotunes {
 		after := gap/2 + randDuration(tune, gap)
@@ -193,48 +178,46 @@ func injectSendDelays(env *harness.Env, inj *rand.Rand, gpus []topo.GPUID) {
 // skewed per-rank delivery — the exact storm the Fig. 4 sequence-number
 // protocol exists to survive.
 func injectReconfigStorm(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faultLog) {
-	type reconfig struct {
-		strat  spec.Strategy
-		delays []time.Duration
-		after  time.Duration
-	}
-	plan := make([]reconfig, sc.Reconfigs)
+	dep := env.Deployment
+	var id spec.CommID
+	plan := policy.Plan{firstComm(dep, &id)}
 	gap := sc.Horizon / time.Duration(sc.Reconfigs+1)
-	for i := range plan {
-		plan[i] = reconfig{
-			strat:  randomStrategy(inj, sc.Ranks),
-			delays: randomDelays(inj, sc.Ranks),
-			after:  randDuration(inj, 2*gap),
-		}
-	}
-	env.S.Go("chaos:storm", func(p *sim.Proc) {
-		dep := env.Deployment
-		id, ok := awaitComm(p, dep)
-		if !ok {
-			return
-		}
-		for _, rc := range plan {
-			p.Sleep(rc.after)
+	for range sc.Reconfigs {
+		strat := randomStrategy(inj, sc.Ranks)
+		delays := randomDelays(inj, sc.Ranks)
+		plan = append(plan, policy.Row{When: policy.After(randDuration(inj, 2*gap)), Do: func() (*sim.Latch, error) {
 			fl.add(FaultRecord{Kind: "reconfig", Start: env.S.Now(), End: FaultOpenEnd, Link: -1, Rank: -1})
-			if _, err := dep.Reconfigure(id, rc.strat, rc.delays); err != nil {
+			if _, err := dep.Reconfigure(id, strat, delays); err != nil {
 				panic(fmt.Sprintf("chaos: reconfigure: %v", err))
 			}
-		}
-	})
+			return nil, nil
+		}})
+	}
+	// The storm is the Fig. 4 adversary, not a decider: it runs without
+	// the deployment's controller, and no action of it returns an error.
+	plan.Start(env.S, "chaos:storm", new(error))
 }
 
-// awaitComm waits for the run's first communicator to come up and returns
-// its ID. It polls every 20 µs and gives up (ok false) after 4 001 sleeps,
-// so a rendezvous wedged by some other fault cannot livelock the run. The
-// storm driver starts this way, the autotune plan with the same poll.
-func awaitComm(p *sim.Proc, dep *mccsd.Deployment) (id spec.CommID, ok bool) {
-	for i := 0; dep.NumComms() == 0; i++ {
-		if i > 4000 {
-			return 0, false
-		}
-		p.Sleep(20 * time.Microsecond)
+// firstComm is the first row of both chaos plans: it waits for the run's
+// first communicator to come up and stores its ID in *id. It polls every
+// 20 µs and, after 4 001 polls without one, ends the plan, so a
+// rendezvous wedged by some other fault cannot livelock the run.
+func firstComm(dep *mccsd.Deployment, id *spec.CommID) policy.Row {
+	polls := 0
+	return policy.Row{
+		When: policy.Every(20*time.Microsecond, func() bool {
+			done := dep.NumComms() > 0 || polls > 4000
+			polls++
+			return done
+		}, nil),
+		Do: func() (*sim.Latch, error) {
+			if dep.NumComms() == 0 {
+				return nil, policy.ErrStop
+			}
+			*id = dep.View()[0].ID
+			return nil, nil
+		},
 	}
-	return dep.View()[0].ID, true
 }
 
 // randomStrategy builds a valid but adversarial strategy: a random ring

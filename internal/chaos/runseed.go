@@ -151,14 +151,6 @@ type runScratch struct {
 // scratch is the one runScratch of the runs the package makes in a row.
 var scratch runScratch
 
-// RunSeed executes one seeded chaos run and checks every invariant.
-// The same (scenario, seed) pair always produces the identical event
-// trace, so any failure replays exactly.
-func RunSeed(sc Scenario, seed uint64) Result {
-	res, _ := runSeed(sc, seed, runOpts{})
-	return res
-}
-
 // DoctorRun couples a chaos Result with the output of a live-attached
 // diagnosis engine. Recording is the run's final span snapshot, which
 // the ground-truth tests use to decide which injected fault windows were

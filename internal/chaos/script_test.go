@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mccs/internal/collective"
+	"mccs/internal/collectivetest"
 	"mccs/internal/freelist"
 )
 
@@ -24,7 +25,7 @@ func buildScript(sc Scenario, rng *rand.Rand, store *freelist.List[uint8]) []opS
 // refOpSpec and referenceScript are the script as it was built before the
 // closed-form check: float32 input tables drawn with rng.Intn(8) and the
 // expected output computed by lowering the op onto a ring and running it
-// through collective.Execute. They are kept here, unchanged apart from
+// through collectivetest.Execute. They are kept here, unchanged apart from
 // their names, as the differential oracle for buildScript.
 type refOpSpec struct {
 	op       collective.Op
@@ -34,7 +35,7 @@ type refOpSpec struct {
 }
 
 func referenceScript(sc Scenario, rng *rand.Rand) ([]refOpSpec, error) {
-	ring, err := collective.NewRing(identity(sc.Ranks))
+	ring, err := collectivetest.NewRing(identity(sc.Ranks))
 	if err != nil {
 		return nil, err
 	}
@@ -53,8 +54,8 @@ func referenceScript(sc Scenario, rng *rand.Rand) ([]refOpSpec, error) {
 			}
 			inputs[r] = in
 		}
-		progs := collective.LowerAll(collective.AlgoRing, op, []*collective.Ring{ring}, 0, count)
-		expected, err := collective.Execute(op, progs, inputs)
+		progs := collectivetest.LowerAll(collective.AlgoRing, op, []*collective.Ring{ring}, 0, count)
+		expected, err := collectivetest.Execute(op, progs, inputs)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +103,7 @@ func wrkStream(seed uint64) *rand.Rand { return randStream(seed, 0x9e3779b97f4a7
 // TestScriptMatchesReference is the differential proof that the byte
 // script is the float32 script it replaced: on seeds 1–20 of every
 // scenario, the same ops and counts, element-for-element equal inputs, a
-// closed-form expectation equal to what collective.Execute computes, and
+// closed-form expectation equal to what collectivetest.Execute computes, and
 // the workload stream left at the same position (so every later draw,
 // and with it every schedule hash, is unchanged).
 func TestScriptMatchesReference(t *testing.T) {

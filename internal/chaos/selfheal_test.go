@@ -52,7 +52,7 @@ func mergeFaultWindows(faults []FaultRecord) []healWindow {
 // permitting) — they count for precision but are not required for
 // recall.
 func healObservable(w healWindow, cfg remediation.Config) bool {
-	need := time.Duration(cfg.SuspectAfter+2) * cfg.Interval
+	need := time.Duration(remediation.SuspectAfter+2) * cfg.Interval
 	return w.end.Sub(w.start) >= need
 }
 
@@ -84,7 +84,7 @@ func TestSelfHealGroundTruth(t *testing.T) {
 		// i.e. at most one tick past restore plus an in-flight tuner
 		// pass). Readmits are excluded: probation legitimately completes
 		// after the window ends, and the recall loop validates them.
-		slack := sim.Duration(time.Duration(cfg.SuspectAfter+3) * cfg.Interval)
+		slack := sim.Duration(time.Duration(remediation.SuspectAfter+3) * cfg.Interval)
 		match := func(link int32, at sim.Time) *healWindow {
 			for i := range wins {
 				w := &wins[i]
@@ -331,6 +331,20 @@ func BenchmarkChaosSelfHeal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if hr := RunSeedHealed(SelfHeal(), 1); hr.Err != nil {
 			b.Fatal(hr.Err)
+		}
+	}
+}
+
+// BenchmarkSelfHealBaseline is the control of remediation's
+// BenchmarkRemediationLoop: the same scenario and seeds, no diagnosis or
+// remediation attached.
+func BenchmarkSelfHealBaseline(b *testing.B) {
+	sc := SelfHeal()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := RunSeed(sc, uint64(i)+1)
+		if r.Err != nil {
+			b.Fatal(r.Err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"mccs/internal/remediation"
@@ -32,20 +33,25 @@ var coldWarmCases = []struct {
 
 // runDigest is what a run's reuse of scratch memory must leave unchanged.
 type runDigest struct {
-	hash        uint64
-	events      int
-	err         string
-	fingerprint uint64
-	spans       int
-	report      string
+	hash   uint64
+	events int
+	err    string
+	chrome [sha256.Size]byte // the recording's Chrome export
+	spans  int
+	report string
 }
 
 func digestOf(t *testing.T, dr DoctorRun) runDigest {
 	t.Helper()
-	d := runDigest{hash: dr.TraceHash, events: dr.Events, fingerprint: dr.Recording.Fingerprint(), spans: len(dr.Recording.Spans)}
+	d := runDigest{hash: dr.TraceHash, events: dr.Events, spans: len(dr.Recording.Spans)}
 	if dr.Err != nil {
 		d.err = dr.Err.Error()
 	}
+	var chrome bytes.Buffer
+	if err := trace.WriteChrome(&chrome, dr.Recording); err != nil {
+		t.Fatal(err)
+	}
+	d.chrome = sha256.Sum256(chrome.Bytes())
 	var rep bytes.Buffer
 	if err := dr.Report.WriteText(&rep); err != nil {
 		t.Fatal(err)
@@ -59,9 +65,9 @@ func digestOf(t *testing.T, dr DoctorRun) runDigest {
 // environment closes, and the next run sharing the scratch takes from it.
 // Each case runs twice on a fresh scratch — first on empty stores, then on
 // the ones the first run filled — and both runs must give the same Result
-// (trace hash, events, error), the same recording fingerprint and the same
-// doctor report: a store that handed one slice out twice would corrupt the
-// warm run.
+// (trace hash, events, error), the same recording (its Chrome export,
+// every span field) and the same doctor report: a store that handed one
+// slice out twice would corrupt the warm run.
 func TestColdAndWarmRunsAgree(t *testing.T) {
 	for _, c := range coldWarmCases {
 		mem := new(runScratch)

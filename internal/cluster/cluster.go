@@ -23,7 +23,6 @@ import (
 	"strconv"
 	"time"
 
-	"mccs/internal/metrics"
 	"mccs/internal/netsim"
 	"mccs/internal/policy"
 	"mccs/internal/sim"
@@ -157,15 +156,6 @@ func Speedups(baseline, improved *RunResult) ([]float64, error) {
 		out[i] = base[i] / imp[i]
 	}
 	return out, nil
-}
-
-// SpeedupCDF returns the Fig. 11 CDF of per-job speedups.
-func SpeedupCDF(baseline, improved *RunResult) ([]metrics.CDFPoint, float64, error) {
-	sp, err := Speedups(baseline, improved)
-	if err != nil {
-		return nil, 0, err
-	}
-	return metrics.CDF(sp), metrics.Mean(sp), nil
 }
 
 // job is the in-flight state of one placed job.

@@ -100,14 +100,7 @@ func TestFig11StrategyOrdering(t *testing.T) {
 		or := run(StratOR)
 		orffa := run(StratORFFA)
 
-		_, orSpeed, err := SpeedupCDF(random, or)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, ffaSpeed, err := SpeedupCDF(random, orffa)
-		if err != nil {
-			t.Fatal(err)
-		}
+		orSpeed, ffaSpeed := meanSpeedup(t, random, or), meanSpeedup(t, random, orffa)
 		t.Logf("%v placement: OR %.2fx, OR+FFA %.2fx vs random ring", placement, orSpeed, ffaSpeed)
 		if orSpeed < 1.3 {
 			t.Errorf("%v: OR speedup %.2fx, want well above 1x", placement, orSpeed)
@@ -204,11 +197,20 @@ func TestSpeedupHelpers(t *testing.T) {
 	if _, err := Speedups(a, &RunResult{}); err == nil {
 		t.Error("mismatched job counts accepted")
 	}
-	cdf, mean, err := SpeedupCDF(a, b)
-	if err != nil || mean != 2 || len(cdf) != 1 {
-		t.Errorf("cdf=%v mean=%v err=%v", cdf, mean, err)
+	if cdf, mean := metrics.CDF(sp), meanSpeedup(t, a, b); mean != 2 || len(cdf) != 1 {
+		t.Errorf("cdf=%v mean=%v", cdf, mean)
 	}
-	_ = metrics.CDF(nil)
+}
+
+// meanSpeedup is the mean per-job speedup of improved over baseline, the
+// figure Fig. 11's summary line prints.
+func meanSpeedup(t *testing.T, baseline, improved *RunResult) float64 {
+	t.Helper()
+	sp, err := Speedups(baseline, improved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return metrics.Summarize(sp).Mean
 }
 
 // runHash folds every AllReduce completion time and every job's finish

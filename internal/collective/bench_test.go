@@ -1,8 +1,11 @@
-package collective
+package collective_test
 
 import (
 	"math/rand"
 	"testing"
+
+	. "mccs/internal/collective"
+	"mccs/internal/collectivetest"
 )
 
 // BenchmarkLower measures ring lowering (runs on every collective launch
@@ -21,10 +24,10 @@ func BenchmarkLower(b *testing.B) {
 func BenchmarkExecute(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	in := randInputs(rng, 8, 4096)
-	progs := LowerAll(AlgoRing, AllReduce, []*Ring{IdentityRing(8)}, 0, 4096)
+	progs := collectivetest.LowerAll(AlgoRing, AllReduce, []*Ring{IdentityRing(8)}, 0, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(AllReduce, progs, in); err != nil {
+		if _, err := collectivetest.Execute(AllReduce, progs, in); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,9 +8,9 @@
 // a program says *what* moves where and whether it is reduced; the proxy
 // and transport engines decide *how* (which NIC, which network route, what
 // timing). The same programs are executed on plain in-memory buffers by
-// Execute in verify.go, which is how the test suite proves that, e.g.,
-// AllReduce really computes the global sum for every ring ordering and
-// every algorithm.
+// the reference executor in internal/collectivetest, which is how the test
+// suite proves that, e.g., AllReduce really computes the global sum for
+// every ring ordering and every algorithm.
 package collective
 
 import (
@@ -44,16 +44,6 @@ func (o Op) String() string {
 type Ring struct {
 	order []int // order[pos] = rank
 	pos   []int // pos[rank] = position
-}
-
-// NewRing builds a ring from a permutation of [0, n). order[i] is the rank
-// at ring position i; data flows from position i to position i+1 (mod n).
-func NewRing(order []int) (*Ring, error) {
-	r := new(Ring)
-	if err := r.set(order); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // set makes r the ring order describes, over r's own tables when they are
@@ -100,22 +90,11 @@ func (r *Ring) Prev(rank int) int {
 	return r.order[(r.pos[rank]+n-1)%n]
 }
 
-// Regions splits count elements into n contiguous regions. Region i covers
-// [starts[i], starts[i]+lens[i]). Regions are ceil-balanced: the first
-// count%n regions hold one extra element, so sizes differ by at most one
-// and sum to count.
-func Regions(count int64, n int) (starts, lens []int64) {
-	starts = make([]int64, n)
-	lens = make([]int64, n)
-	for i := range starts {
-		starts[i], lens[i] = Part(count, n, i)
-	}
-	return starts, lens
-}
-
-// Part returns region i of Regions(total, parts) without building the
-// whole split. The offset of the one-past-last region (i == parts) is
-// total, so offsets double as region boundaries.
+// Part returns region i of total elements split into parts contiguous,
+// ceil-balanced regions: the first total%parts regions hold one extra
+// element, so sizes differ by at most one and sum to total. The offset of
+// the one-past-last region (i == parts) is total, so offsets double as
+// region boundaries.
 func Part(total int64, parts, i int) (off, n int64) {
 	base, rem := total/int64(parts), total%int64(parts)
 	if int64(i) < rem {

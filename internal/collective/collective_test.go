@@ -1,10 +1,13 @@
-package collective
+package collective_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"time"
+
+	. "mccs/internal/collective"
+	"mccs/internal/collectivetest"
 )
 
 // IdentityRing returns the rank-order ring 0,1,...,n-1 (what NCCL builds
@@ -14,13 +17,13 @@ func IdentityRing(n int) *Ring {
 	for i := range order {
 		order[i] = i
 	}
-	r, _ := NewRing(order)
+	r, _ := collectivetest.NewRing(order)
 	return r
 }
 
 func randRing(rng *rand.Rand, n int) *Ring {
 	order := rng.Perm(n)
-	r, err := NewRing(order)
+	r, err := collectivetest.NewRing(order)
 	if err != nil {
 		panic(err)
 	}
@@ -39,16 +42,16 @@ func randInputs(rng *rand.Rand, n int, count int) [][]float32 {
 }
 
 func TestNewRingValidation(t *testing.T) {
-	if _, err := NewRing(nil); err == nil {
+	if _, err := collectivetest.NewRing(nil); err == nil {
 		t.Error("empty ring accepted")
 	}
-	if _, err := NewRing([]int{0, 0}); err == nil {
+	if _, err := collectivetest.NewRing([]int{0, 0}); err == nil {
 		t.Error("duplicate rank accepted")
 	}
-	if _, err := NewRing([]int{0, 5}); err == nil {
+	if _, err := collectivetest.NewRing([]int{0, 5}); err == nil {
 		t.Error("out-of-range rank accepted")
 	}
-	r, err := NewRing([]int{2, 0, 1})
+	r, err := collectivetest.NewRing([]int{2, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestNewRingValidation(t *testing.T) {
 
 func TestRegionsBalanced(t *testing.T) {
 	for _, tc := range []struct{ count, n int64 }{{10, 3}, {7, 7}, {5, 8}, {1000, 4}, {1, 1}} {
-		starts, lens := Regions(tc.count, int(tc.n))
+		starts, lens := collectivetest.Regions(tc.count, int(tc.n))
 		var total int64
 		for i := range lens {
 			total += lens[i]

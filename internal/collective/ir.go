@@ -11,10 +11,10 @@ import (
 // is lowered to one Program per (rank, channel): a list of rounds, each
 // naming at most one send and one receive in resolved element ranges of
 // the output buffer. The proxy interprets programs against real
-// connections, the tuner prices them against the fabric graph, and
-// Execute runs them over plain memory; none of the three knows which
-// algorithm produced the steps, so adding an algorithm (or an op to an
-// algorithm) is adding a lowering.
+// connections, the tuner prices them against the fabric graph, and the
+// reference executor (internal/collectivetest) runs them over plain
+// memory; none of the three knows which algorithm produced the steps, so
+// adding an algorithm (or an op to an algorithm) is adding a lowering.
 
 // Step is one round of one rank's program on one channel. Ranges are
 // element offsets into the operation's output buffer, with the region
@@ -158,18 +158,6 @@ func Lower(buf []Step, algo Algo, op Op, rings []*Ring, rank, ch, root int, coun
 	default:
 		return Program{Steps: lowerRing(buf, op, rings[ch], rank, root, count, len(rings), ch), Pipelined: true}
 	}
-}
-
-// LowerAll lowers every channel and rank: progs[ch][rank].
-func LowerAll(algo Algo, op Op, rings []*Ring, root int, count int64) [][]Program {
-	progs := make([][]Program, Channels(algo, rings))
-	for ch := range progs {
-		progs[ch] = make([]Program, rings[0].Size())
-		for rank := range progs[ch] {
-			progs[ch][rank] = Lower(nil, algo, op, rings, rank, ch, root, count)
-		}
-	}
-	return progs
 }
 
 // Edge is one directed connection a strategy provisions: the connection

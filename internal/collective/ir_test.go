@@ -1,4 +1,4 @@
-package collective
+package collective_test
 
 import (
 	"fmt"
@@ -10,6 +10,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	. "mccs/internal/collective"
+	"mccs/internal/collectivetest"
 	"mccs/internal/spec"
 )
 
@@ -74,7 +76,7 @@ func (c lowering) check() error {
 		rings[i] = randRing(rng, c.n)
 	}
 	in := randInputs(rng, c.n, c.count)
-	progs := LowerAll(c.algo, c.op, rings, c.root, int64(c.count))
+	progs := collectivetest.LowerAll(c.algo, c.op, rings, c.root, int64(c.count))
 	for ch := range progs {
 		for rank := range progs[ch] {
 			if _, err := lowerOverDirty(c.algo, c.op, rings, rank, ch, c.root, int64(c.count)); err != nil {
@@ -85,11 +87,11 @@ func (c lowering) check() error {
 	if err := c.checkPrograms(rings, progs); err != nil {
 		return err
 	}
-	got, err := Execute(c.op, progs, in)
+	got, err := collectivetest.Execute(c.op, progs, in)
 	if err != nil {
 		return err
 	}
-	want, err := Oracle(c.op, c.root, in)
+	want, err := collectivetest.Oracle(c.op, c.root, in)
 	if err != nil {
 		return err
 	}
@@ -433,6 +435,7 @@ func TestTreeScheduleTables(t *testing.T) {
 	const count = 9
 	send := func(peer int) Step { return Step{SendPeer: peer, SendLen: count, RecvPeer: -1} }
 	recvR := func(peer int) Step { return Step{SendPeer: -1, RecvPeer: peer, RecvLen: count, RecvReduce: true} }
+	idle := Step{SendPeer: -1, RecvPeer: -1}
 
 	cases := []struct {
 		name    string
@@ -629,9 +632,9 @@ func TestExecuteRejectsMismatchedPrograms(t *testing.T) {
 		"range out of range": func(p [][]Program) { p[0][2].Steps[1].SendOff = 7 },
 		"ragged programs":    func(p [][]Program) { p[0][3].Steps = p[0][3].Steps[1:] },
 	} {
-		progs := LowerAll(AlgoRing, AllReduce, rings, 0, 8)
+		progs := collectivetest.LowerAll(AlgoRing, AllReduce, rings, 0, 8)
 		corrupt(progs)
-		if _, err := Execute(AllReduce, progs, in); err == nil {
+		if _, err := collectivetest.Execute(AllReduce, progs, in); err == nil {
 			t.Errorf("%s: Execute accepted corrupted programs", name)
 		}
 	}
@@ -647,7 +650,7 @@ func TestExecuteSendSnapshotPerRound(t *testing.T) {
 	recv := func(l int64) Step { return Step{SendPeer: -1, RecvPeer: 0, RecvLen: l} }
 
 	progs := [][]Program{{{Steps: []Step{send(3), send(0)}}, {Steps: []Step{recv(3), recv(0)}}}}
-	out, err := Execute(Broadcast, progs, in)
+	out, err := collectivetest.Execute(Broadcast, progs, in)
 	if err != nil {
 		t.Fatalf("zero-length send after a full one: %v", err)
 	}
@@ -656,7 +659,7 @@ func TestExecuteSendSnapshotPerRound(t *testing.T) {
 	}
 
 	progs = [][]Program{{{Steps: []Step{send(3), idle}}, {Steps: []Step{recv(3), recv(3)}}}}
-	if _, err := Execute(Broadcast, progs, in); err == nil {
+	if _, err := collectivetest.Execute(Broadcast, progs, in); err == nil {
 		t.Error("Execute accepted a receive from a rank that sent only in the previous round")
 	}
 }

@@ -176,7 +176,7 @@ func lowerTree(steps []Step, op Op, n, rank, root int, count int64) []Step {
 // through the core, and receive the finished result back in a final
 // unfold round.
 //
-// Spans are cut on the shared boundary grid Regions(count, p2), so the
+// Spans are cut on the shared boundary grid of Part(count, p2, ·), so the
 // elements a rank sends in a round are exactly the ones its peer expects
 // — including zero-length spans when count < p2.
 func lowerHD(steps []Step, n, rank int, base, count int64) []Step {

@@ -12,7 +12,6 @@ import (
 	"mccs/internal/orchestrator"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
-	"mccs/internal/telemetry"
 	"mccs/internal/topo"
 	"mccs/internal/workload"
 )
@@ -73,9 +72,6 @@ type ChurnResult struct {
 	Utilization float64
 	// Makespan is the virtual time at which the last job finished.
 	Makespan time.Duration
-	// Telemetry is the sampled metrics series when TelemetryPath or
-	// TelemetryEvery was set (mccs top -live -scenario churn reads it).
-	Telemetry *telemetry.Series
 }
 
 // splitmix64 is the deterministic PRNG behind the arrival stream (same
@@ -193,7 +189,6 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		Jobs:        orch.Jobs(),
 		Reconfigs:   orch.Reconfigs(),
 		Utilization: orch.Utilization(),
-		Telemetry:   telemetry.SeriesOf(env.Telemetry),
 	}
 	var last sim.Time
 	for _, j := range res.Jobs {

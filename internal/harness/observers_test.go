@@ -209,15 +209,12 @@ func TestObserverRuleOnEveryDriver(t *testing.T) {
 			res, err := RunReconfigShowcase(cfg)
 			return res.Telemetry, err
 		}},
-		{"RunChurn", true, func(o Observers) (*telemetry.Series, error) {
+		{"RunChurn", false, func(o Observers) (*telemetry.Series, error) {
 			cfg := DefaultChurnConfig()
 			cfg.Jobs = 2
 			cfg.Observers = o
-			res, err := RunChurn(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return res.Telemetry, nil
+			_, err := RunChurn(cfg)
+			return nil, err
 		}},
 	}
 	const every = 7 * time.Millisecond

@@ -51,12 +51,9 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 
 	rawA, recA := run("a.json")
-	rawB, recB := run("b.json")
+	rawB, _ := run("b.json")
 	if !bytes.Equal(rawA, rawB) {
 		t.Error("same seed produced different trace bytes")
-	}
-	if fa, fb := recA.Fingerprint(), recB.Fingerprint(); fa != fb {
-		t.Errorf("same seed produced different fingerprints: %#x vs %#x", fa, fb)
 	}
 	if len(recA.Spans) == 0 {
 		t.Fatal("trace is empty")

@@ -108,15 +108,3 @@ func HumanBytes(b int64) string {
 		return fmt.Sprintf("%dB", b)
 	}
 }
-
-// Mean of a sample (0 when empty).
-func Mean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
-}

@@ -74,10 +74,10 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestMean(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
+	if Summarize([]float64{3, 1, 2}).Mean != 2 {
 		t.Error("mean wrong")
 	}
-	if Mean(nil) != 0 {
+	if Summarize(nil).Mean != 0 {
 		t.Error("empty mean not 0")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mccs/internal/collective"
+	"mccs/internal/collectivetest"
 	"mccs/internal/gpusim"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
@@ -223,7 +224,7 @@ func runAgainstOracle(p *sim.Proc, r *rig, comm *Comm, gpus []topo.GPUID, op col
 			inputs[rank][j] = float32((rank + 1 + salt) * (j%7 + 1) % 13)
 		}
 	}
-	want, err := collective.Oracle(op, root, inputs)
+	want, err := collectivetest.Oracle(op, root, inputs)
 	if err != nil {
 		return err
 	}
@@ -253,7 +254,7 @@ func runAgainstOracle(p *sim.Proc, r *rig, comm *Comm, gpus []topo.GPUID, op col
 	for _, f := range futs {
 		f.Wait(p)
 	}
-	starts, lens := collective.Regions(count, n)
+	starts, lens := collectivetest.Regions(count, n)
 	for rank := range outs {
 		lo, hi := int64(0), int64(len(want[rank]))
 		switch {

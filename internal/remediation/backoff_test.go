@@ -11,7 +11,7 @@ import (
 // Cooldown×2^n, saturating at BackoffMax, and overflow of the shift can
 // never produce a zero or negative wait.
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	cfg := Config{Cooldown: 500 * time.Microsecond, BackoffMax: 10 * time.Millisecond}
+	cfg := Config{BackoffMax: 10 * time.Millisecond}
 	want := []sim.Duration{
 		sim.Duration(500 * time.Microsecond),
 		sim.Duration(1 * time.Millisecond),
@@ -40,7 +40,8 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 // TestDefaultConfigFilled: Attach takes its Config as given, and every
 // caller starts from DefaultConfig, so every knob there must be positive —
 // a zero would be a dead engine (interval 0 = busy loop, tolerance 0 =
-// everything quarantined).
+// everything quarantined) — and the backoff cap may not undercut the
+// base spacing.
 func TestDefaultConfigFilled(t *testing.T) {
 	cfg := DefaultConfig()
 	checks := []struct {
@@ -48,15 +49,9 @@ func TestDefaultConfigFilled(t *testing.T) {
 		ok   bool
 	}{
 		{"Interval", cfg.Interval > 0},
-		{"LinkTolerance", cfg.LinkTolerance > 0 && cfg.LinkTolerance < 1},
-		{"SuspectAfter", cfg.SuspectAfter > 0},
-		{"ProbationAfter", cfg.ProbationAfter > 0},
-		{"Cooldown", cfg.Cooldown > 0},
-		{"BackoffMax", cfg.BackoffMax >= cfg.Cooldown},
+		{"linkTolerance", linkTolerance > 0 && linkTolerance < 1},
+		{"BackoffMax", cfg.BackoffMax >= Cooldown},
 		{"MaxActions", cfg.MaxActions > 0},
-		{"EpisodeQuiet", cfg.EpisodeQuiet > 0},
-		{"RetuneBytes", cfg.RetuneBytes > 0},
-		{"RetuneMaxChannels", cfg.RetuneMaxChannels > 0},
 	}
 	for _, c := range checks {
 		if !c.ok {

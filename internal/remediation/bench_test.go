@@ -9,7 +9,7 @@ import (
 // BenchmarkRemediationLoop measures the full closed loop — chaos
 // self-heal scenario with the diagnosis engine and the remediation
 // daemon attached — against the same scenario without the control loop,
-// via BenchmarkSelfHealBaseline. The delta is the cost of detection,
+// via chaos's BenchmarkSelfHealBaseline. The delta is the cost of detection,
 // quarantine bookkeeping, recovery actions and report assembly
 // (DESIGN.md §15 quotes it).
 func BenchmarkRemediationLoop(b *testing.B) {
@@ -22,19 +22,6 @@ func BenchmarkRemediationLoop(b *testing.B) {
 		}
 		if hr.Remediation == nil {
 			b.Fatal("no remediation report")
-		}
-	}
-}
-
-// BenchmarkSelfHealBaseline is the control: identical scenario and
-// seeds, no diagnosis or remediation attached.
-func BenchmarkSelfHealBaseline(b *testing.B) {
-	sc := chaos.SelfHeal()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := chaos.RunSeed(sc, uint64(i)+1)
-		if r.Err != nil {
-			b.Fatal(r.Err)
 		}
 	}
 }

@@ -61,51 +61,50 @@ import (
 type Config struct {
 	// Interval between control-loop ticks.
 	Interval time.Duration
-	// LinkTolerance is how far below nominal capacity the capacity left
-	// for managed traffic (capacity minus external load) may fall before
-	// a link counts as degraded. The default is the doctor's own
-	// (diagnosis.DefaultConfig), so both call the same links degraded.
-	LinkTolerance float64
-	// SuspectAfter is how many consecutive degraded ticks move a link
-	// from suspect to quarantined. A congested-link diagnosis verdict
-	// quarantines immediately, skipping the wait.
-	SuspectAfter int
-	// ProbationAfter is how many consecutive clean ticks a quarantined
-	// link must hold before re-admission.
-	ProbationAfter int
-	// Cooldown is the base spacing between actions within one episode;
-	// the n-th action waits Cooldown×2^(n-1), capped at BackoffMax.
-	Cooldown   time.Duration
+	// BackoffMax caps the spacing between actions within one episode:
+	// the n-th action waits Cooldown×2^(n-1), capped here.
 	BackoffMax time.Duration
 	// MaxActions caps actions per episode (the K in the flapping-link
 	// guarantee): further opportunities are counted as suppressed.
 	MaxActions int
-	// EpisodeQuiet closes a non-link cause episode after this much sim
-	// time without fresh evidence, so a later recurrence starts a fresh
-	// backoff ladder.
-	EpisodeQuiet time.Duration
-	// RetuneBytes/RetuneMaxChannels shape the autotuner pass used by the
-	// re-tune rung.
-	RetuneBytes       int64
-	RetuneMaxChannels int
 }
 
 // DefaultConfig returns the tuning used by the chaos self-heal scenario
 // and the CLIs.
 func DefaultConfig() Config {
 	return Config{
-		Interval:          200 * time.Microsecond,
-		LinkTolerance:     diagnosis.DefaultConfig().LinkTolerance,
-		SuspectAfter:      2,
-		ProbationAfter:    3,
-		Cooldown:          500 * time.Microsecond,
-		BackoffMax:        10 * time.Millisecond,
-		MaxActions:        3,
-		EpisodeQuiet:      5 * time.Millisecond,
-		RetuneBytes:       1 << 17,
-		RetuneMaxChannels: 2,
+		Interval:   200 * time.Microsecond,
+		BackoffMax: 10 * time.Millisecond,
+		MaxActions: 3,
 	}
 }
+
+// The engine's fixed tuning: no caller varies these.
+const (
+	// SuspectAfter is how many consecutive degraded ticks move a link
+	// from suspect to quarantined. A congested-link diagnosis verdict
+	// quarantines immediately, skipping the wait.
+	SuspectAfter = 2
+	// ProbationAfter is how many consecutive clean ticks a quarantined
+	// link must hold before re-admission.
+	ProbationAfter = 3
+	// Cooldown is the base spacing between actions within one episode.
+	Cooldown = 500 * time.Microsecond
+	// EpisodeQuiet closes a non-link cause episode after this much sim
+	// time without fresh evidence, so a later recurrence starts a fresh
+	// backoff ladder.
+	EpisodeQuiet = 5 * time.Millisecond
+	// RetuneBytes and RetuneMaxChannels shape the autotuner pass used by
+	// the re-tune rung.
+	RetuneBytes       = 1 << 17
+	RetuneMaxChannels = 2
+)
+
+// linkTolerance is how far below nominal capacity the capacity left for
+// managed traffic (capacity minus external load) may fall before a link
+// counts as degraded: the doctor's own (diagnosis.DefaultConfig), so both
+// call the same links degraded.
+var linkTolerance = diagnosis.DefaultConfig().LinkTolerance
 
 // linkPhase is one state of the per-link quarantine machine.
 type linkPhase uint8
@@ -131,7 +130,7 @@ type episode struct {
 
 // backoff returns the wait before the episode's next action.
 func (ep *episode) backoff(cfg *Config) sim.Duration {
-	d := cfg.Cooldown << uint(ep.attempts)
+	d := Cooldown << uint(ep.attempts)
 	if d > cfg.BackoffMax || d <= 0 {
 		d = cfg.BackoffMax
 	}
@@ -330,7 +329,7 @@ func (e *Engine) degraded(l netsim.LinkID) bool {
 		return false
 	}
 	left := e.dep.Cluster.Net.Link(l).Capacity - e.dep.Fabric.ExternalRate(l)
-	return left < e.nominal[l]*(1-e.cfg.LinkTolerance)
+	return left < e.nominal[l]*(1-linkTolerance)
 }
 
 // scanLinks walks every link's quarantine state machine off the fabric
@@ -352,7 +351,7 @@ func (e *Engine) scanLinks(now sim.Time) {
 			if !degraded {
 				st.phase = phaseHealthy
 				st.suspect = 0
-			} else if st.suspect++; st.suspect >= e.cfg.SuspectAfter {
+			} else if st.suspect++; st.suspect >= SuspectAfter {
 				e.quarantine(netsim.LinkID(i), now, now)
 			}
 		case phaseQuarantined:
@@ -365,7 +364,7 @@ func (e *Engine) scanLinks(now sim.Time) {
 				// Relapse: same episode, same backoff ladder.
 				st.phase = phaseQuarantined
 				st.clean = 0
-			} else if st.clean++; st.clean >= e.cfg.ProbationAfter {
+			} else if st.clean++; st.clean >= ProbationAfter {
 				e.readmit(netsim.LinkID(i), now)
 			}
 		}
@@ -477,8 +476,8 @@ func (e *Engine) actOnLinks(p *sim.Proc, now sim.Time) {
 				e.emit(code, now, int32(l), int32(ci.ID), -1)
 			case 1:
 				if err := e.ctrl.Autotune(p, ci.ID, policy.AutotuneOptions{
-					Bytes:       e.cfg.RetuneBytes,
-					MaxChannels: e.cfg.RetuneMaxChannels,
+					Bytes:       RetuneBytes,
+					MaxChannels: RetuneMaxChannels,
 				}); err != nil {
 					continue
 				}
@@ -526,8 +525,8 @@ func (e *Engine) actOnCauses(p *sim.Proc, now sim.Time) {
 			// Re-tune the communicator the verdict names; Autotune fails,
 			// and the rung is skipped, if that communicator is gone.
 			if err := e.ctrl.Autotune(p, spec.CommID(k.comm), policy.AutotuneOptions{
-				Bytes:       e.cfg.RetuneBytes,
-				MaxChannels: e.cfg.RetuneMaxChannels,
+				Bytes:       RetuneBytes,
+				MaxChannels: RetuneMaxChannels,
 			}); err != nil {
 				continue
 			}
@@ -564,7 +563,7 @@ func (e *Engine) closeQuietEpisodes(now sim.Time) {
 	out := e.epOrd[:0]
 	for _, k := range e.epOrd {
 		ep := e.eps[k]
-		if ep != nil && now.Sub(ep.lastSeen) > sim.Duration(e.cfg.EpisodeQuiet) {
+		if ep != nil && now.Sub(ep.lastSeen) > sim.Duration(EpisodeQuiet) {
 			delete(e.eps, k)
 			continue
 		}

@@ -285,7 +285,7 @@ func ReadJSONL(r io.Reader) (*Series, error) {
 }
 
 // SeriesOf builds an in-memory Series directly from a live sampler,
-// bypassing the file round-trip (mccs top's -live path).
+// bypassing the file round-trip.
 func SeriesOf(sm *Sampler) *Series {
 	if sm == nil {
 		return nil

@@ -31,9 +31,9 @@ func FuzzReadChrome(f *testing.F) {
 		if err != nil {
 			t.Fatalf("our own export does not parse: %v", err)
 		}
-		if len(back.Spans) != len(rec.Spans) || back.Dropped != rec.Dropped || back.Fingerprint() != rec.Fingerprint() {
+		if len(back.Spans) != len(rec.Spans) || back.Dropped != rec.Dropped || fingerprint(back) != fingerprint(rec) {
 			t.Fatalf("round trip changed the recording: %d spans, %d dropped, %#x -> %d, %d, %#x",
-				len(rec.Spans), rec.Dropped, rec.Fingerprint(), len(back.Spans), back.Dropped, back.Fingerprint())
+				len(rec.Spans), rec.Dropped, fingerprint(rec), len(back.Spans), back.Dropped, fingerprint(back))
 		}
 		var second bytes.Buffer
 		if err := WriteChrome(&second, back); err != nil {

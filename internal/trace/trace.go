@@ -24,9 +24,6 @@
 package trace
 
 import (
-	"hash/fnv"
-	"math"
-
 	"mccs/internal/freelist"
 	"mccs/internal/sim"
 )
@@ -502,53 +499,4 @@ type Recording struct {
 	Spans   []Span
 	Meta    Meta
 	Dropped uint64
-}
-
-// Fingerprint returns an FNV-1a hash over every span's fields, in
-// order. Two runs with the same seed must produce equal fingerprints;
-// the determinism test relies on this.
-func (rec Recording) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	w64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	wf := func(v float64) { w64(math.Float64bits(v)) }
-	for i := range rec.Spans {
-		sp := &rec.Spans[i]
-		w64(uint64(sp.Kind))
-		w64(uint64(uint32(sp.Op)))
-		w64(uint64(sp.Start))
-		w64(uint64(sp.End))
-		w64(uint64(sp.Busy))
-		w64(uint64(uint32(sp.Host)))
-		w64(uint64(uint32(sp.GPU)))
-		w64(uint64(uint32(sp.Comm)))
-		w64(uint64(uint32(sp.Rank)))
-		w64(uint64(uint32(sp.Peer)))
-		w64(uint64(uint32(sp.Channel)))
-		w64(uint64(uint32(sp.Gen)))
-		w64(uint64(uint32(sp.Step)))
-		w64(sp.Seq)
-		w64(uint64(sp.Flow))
-		w64(uint64(sp.Bytes))
-		w64(uint64(uint32(sp.Src)))
-		w64(uint64(uint32(sp.Dst)))
-		h.Write([]byte(sp.Label))
-		for _, l := range sp.Route {
-			w64(uint64(uint32(l)))
-		}
-		for _, s := range sp.Rates {
-			w64(uint64(s.T))
-			wf(s.Bps)
-			w64(uint64(uint32(s.Bottleneck)))
-			wf(s.LinkBps)
-			wf(s.ExtBps)
-			wf(s.CapBps)
-		}
-	}
-	return h.Sum64()
 }

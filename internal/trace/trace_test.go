@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -143,7 +145,7 @@ func TestChromeRoundTrip(t *testing.T) {
 	if len(back.Spans) != len(rec.Spans) {
 		t.Fatalf("round trip: %d spans, want %d", len(back.Spans), len(rec.Spans))
 	}
-	if got, want := back.Fingerprint(), rec.Fingerprint(); got != want {
+	if got, want := fingerprint(back), fingerprint(rec); got != want {
 		t.Errorf("round-trip fingerprint %#x != original %#x", got, want)
 	}
 	if back.Meta.Hosts[1] != "host1" || back.Meta.Links[1].Name != "sw0->h1-nic0" {
@@ -173,11 +175,11 @@ func TestExportDeterministic(t *testing.T) {
 func TestFingerprintSensitivity(t *testing.T) {
 	a := testRecording()
 	b := testRecording()
-	if a.Fingerprint() != b.Fingerprint() {
+	if fingerprint(a) != fingerprint(b) {
 		t.Fatal("identical recordings have different fingerprints")
 	}
 	b.Spans[0].End += 1
-	if a.Fingerprint() == b.Fingerprint() {
+	if fingerprint(a) == fingerprint(b) {
 		t.Error("fingerprint did not change with a span field")
 	}
 }
@@ -333,7 +335,7 @@ func TestChunkedRingMatchesFlatRing(t *testing.T) {
 					capacity, ref.total, r.Len(), r.Dropped(), tapped, len(want))
 			}
 			snap := r.Snapshot()
-			if snap.Dropped != r.Dropped() || snap.Fingerprint() != (Recording{Spans: want}).Fingerprint() {
+			if snap.Dropped != r.Dropped() || fingerprint(snap) != fingerprint(Recording{Spans: want}) {
 				t.Fatalf("cap %d after %d emits: Snapshot differs from the flat ring", capacity, ref.total)
 			}
 		}
@@ -383,7 +385,7 @@ func TestReleaseLeavesRecorderEmpty(t *testing.T) {
 			r.Emit(flowSpan(seq))
 		}
 		before := r.Snapshot()
-		want := before.Fingerprint()
+		want := fingerprint(before)
 		r.Release()
 		if r.Len() != 0 || r.Dropped() != 0 {
 			t.Errorf("cap %d: released recorder has Len %d, Dropped %d", capacity, r.Len(), r.Dropped())
@@ -396,7 +398,7 @@ func TestReleaseLeavesRecorderEmpty(t *testing.T) {
 				t.Fatalf("cap %d: a released recorder still holds a chunk", capacity)
 			}
 		}
-		if before.Fingerprint() != want || len(before.Spans) != capacity || before.Spans[0].Route == nil {
+		if fingerprint(before) != want || len(before.Spans) != capacity || before.Spans[0].Route == nil {
 			t.Errorf("cap %d: the recording taken before Release changed", capacity)
 		}
 
@@ -415,7 +417,7 @@ func TestReleaseLeavesRecorderEmpty(t *testing.T) {
 			ref.emit(opSpan(seq))
 			r.Emit(opSpan(seq))
 		}
-		if got := r.Snapshot(); got.Dropped != 3 || got.Fingerprint() != (Recording{Spans: ref.spans()}).Fingerprint() {
+		if got := r.Snapshot(); got.Dropped != 3 || fingerprint(got) != fingerprint(Recording{Spans: ref.spans()}) {
 			t.Errorf("cap %d: after Release the recorder holds %d spans (%d dropped), not the flat ring's", capacity, len(got.Spans), got.Dropped)
 		}
 		r.Release()
@@ -478,4 +480,52 @@ func TestRecordersShareChunksAcrossGoroutines(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// fingerprint returns an FNV-1a hash over every span's fields, in order:
+// two recordings with equal spans have equal fingerprints.
+func fingerprint(rec Recording) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	w64 := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			b[i] = byte(v >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+	wf := func(v float64) { w64(math.Float64bits(v)) }
+	for i := range rec.Spans {
+		sp := &rec.Spans[i]
+		w64(uint64(sp.Kind))
+		w64(uint64(uint32(sp.Op)))
+		w64(uint64(sp.Start))
+		w64(uint64(sp.End))
+		w64(uint64(sp.Busy))
+		w64(uint64(uint32(sp.Host)))
+		w64(uint64(uint32(sp.GPU)))
+		w64(uint64(uint32(sp.Comm)))
+		w64(uint64(uint32(sp.Rank)))
+		w64(uint64(uint32(sp.Peer)))
+		w64(uint64(uint32(sp.Channel)))
+		w64(uint64(uint32(sp.Gen)))
+		w64(uint64(uint32(sp.Step)))
+		w64(sp.Seq)
+		w64(uint64(sp.Flow))
+		w64(uint64(sp.Bytes))
+		w64(uint64(uint32(sp.Src)))
+		w64(uint64(uint32(sp.Dst)))
+		h.Write([]byte(sp.Label))
+		for _, l := range sp.Route {
+			w64(uint64(uint32(l)))
+		}
+		for _, s := range sp.Rates {
+			w64(uint64(s.T))
+			wf(s.Bps)
+			w64(uint64(uint32(s.Bottleneck)))
+			wf(s.LinkBps)
+			wf(s.ExtBps)
+			wf(s.CapBps)
+		}
+	}
+	return h.Sum64()
 }

@@ -5,13 +5,14 @@ import (
 	"time"
 
 	"mccs/internal/collective"
+	"mccs/internal/collectivetest"
 	"mccs/internal/netsim"
 	"mccs/internal/spec"
 )
 
 // referencePredict, referenceRates and referenceSlowest are the cost model
 // as it was before Predict ran in a reused workspace: every program
-// lowered at once through collective.LowerAll, the link loads and each
+// lowered at once through collectivetest.LowerAll, the link loads and each
 // ECMP connection's own share kept in maps, the pipelined connection set
 // deduplicated through a map. They are kept here, unchanged apart from
 // their names, as the oracle TestPredictMatchesReference and FuzzPredict
@@ -130,7 +131,7 @@ func (m *Model) referencePredict(info *spec.CommInfo, st *spec.Strategy, op coll
 		count /= int64(n)
 	}
 	algo := collective.Select(st, op, n, root, bytes)
-	progs := collective.LowerAll(algo, op, rings, root, count)
+	progs := collectivetest.LowerAll(algo, op, rings, root, count)
 
 	// rounds[s] holds round s's transfers over all channels and ranks,
 	// sizes[s] the largest of them in elements.

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"mccs/internal/collective"
+	"mccs/internal/collectivetest"
 	"mccs/internal/harness"
 	"mccs/internal/mccsd"
 	"mccs/internal/ncclsim"
@@ -110,7 +111,7 @@ func testFig2Fingerprint(t *testing.T) {
 // strategy: the schedule fingerprint of the plain run, and the proxy's
 // step accounting (mccs_proxy_steps_total and the KindStep span stream)
 // of the instrumented run. Results are checked against the
-// schedule-free collective.Oracle in both runs.
+// schedule-free collectivetest.Oracle in both runs.
 type collectiveGolden struct {
 	name     string
 	ranks    int // first `ranks` GPUs of the testbed in host order
@@ -280,7 +281,7 @@ func (c collectiveGolden) run(t *testing.T, env *harness.Env) {
 			inputs[r][j] = float32((r + 1) * (j%5 + 1) % 11)
 		}
 	}
-	want, err := collective.Oracle(c.op, c.root, inputs)
+	want, err := collectivetest.Oracle(c.op, c.root, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func (c collectiveGolden) run(t *testing.T, env *harness.Env) {
 	if err := env.S.Run(); err != nil {
 		t.Fatal(err)
 	}
-	starts, lens := collective.Regions(c.count, c.ranks)
+	starts, lens := collectivetest.Regions(c.count, c.ranks)
 	for rank := range got {
 		if got[rank] == nil {
 			t.Fatalf("rank %d produced no result", rank)
