@@ -41,8 +41,11 @@ race:
 # route-push order), the fabric (an allocation memo and a flow free list
 # sit on its per-message path), gpusim, trace and freelist (device memory,
 # recorder chunks and the one free list behind them and the proxy's
-# snapshot store, all owned by a deployment's mccsd.Scratch) — running
-# them twice under the detector. The chaos checker's producer and verifier
+# snapshot store, all owned by a deployment's mccsd.Scratch) and mccsd
+# itself (an op's one completion is its communicator event's record: the
+# tenant's wake crosses from the service's OpHandle into gpusim's record,
+# and the op-path allocation and byte pins run there) — running them twice
+# under the detector. The chaos checker's producer and verifier
 # goroutines read the script and finished device buffers beside the event
 # loop, and concurrent chaos runs trade device memory, recorder chunks and
 # message snapshots through the one scratch the package keeps; the whole
@@ -50,7 +53,7 @@ race:
 # corpus hashes, one self-heal test, the concurrent-runs test and the
 # cold/warm test (two runs sharing one scratch) run twice there.
 race-hot:
-	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/control/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/policy/ ./internal/remediation/ ./internal/gpusim/ ./internal/trace/ ./internal/freelist/
+	$(GO) test -race -count=2 ./internal/sim/ ./internal/netsim/ ./internal/transport/ ./internal/collective/ ./internal/proxy/ ./internal/control/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/policy/ ./internal/remediation/ ./internal/gpusim/ ./internal/trace/ ./internal/freelist/ ./internal/mccsd/
 	$(GO) test -race -count=2 -run '^(TestCorpusTraceHashPinned|TestSelfHealByteDeterministic|TestConcurrentRunsKeepTheirHashes|TestColdAndWarmRunsAgree)$$' ./internal/chaos/
 
 # fuzz runs the native fuzz targets for 10 s each (their seed corpora also

@@ -262,6 +262,18 @@ func (ri *RecordInstance) Fire(s *sim.Scheduler) {
 	ri.wq.WakeAll(s)
 }
 
+// Done reports whether the record has completed.
+func (ri *RecordInstance) Done() bool { return ri.done }
+
+// WaitHost blocks the calling process until the record completes. An owner
+// that keeps its record inside a larger object waits on it here, with no
+// snapshot in between.
+func (ri *RecordInstance) WaitHost(p *sim.Proc) {
+	for !ri.done {
+		ri.wq.Wait(p)
+	}
+}
+
 // Done reports whether the most recent record has completed (true if never
 // recorded).
 func (e *Event) Done() bool { return e.last == nil || e.last.done }
@@ -291,8 +303,8 @@ func (ei EventInstance) Done() bool { return ei.ri == nil || ei.ri.done }
 
 // WaitHost blocks until the snapshot's record completes.
 func (ei EventInstance) WaitHost(p *sim.Proc) {
-	if !ei.Done() {
-		ei.ri.wq.Wait(p)
+	if ei.ri != nil {
+		ei.ri.WaitHost(p)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/telemetry"
+	"mccs/internal/topo"
 )
 
 func TestFig9QoSOrdering(t *testing.T) {
@@ -82,6 +83,47 @@ func TestFig9QoSOrdering(t *testing.T) {
 	// ...without touching the PFA-protected tenant A.
 	if ratio := float64(pfats.JCT["A"]) / float64(pfa.JCT["A"]); ratio < 0.98 || ratio > 1.02 {
 		t.Errorf("PFA+TS changed A: %v vs PFA %v", pfats.JCT["A"], pfa.JCT["A"])
+	}
+}
+
+// TestFig9ClearsCsSchedule: Fig. 9's PFA+TS run throttles tenant C around
+// tenant B's busy windows while B runs, and must lift C's schedule once B
+// is done, or C stays gated by the windows of a tenant that no longer
+// exists. After RunQoS, C's gate on every host admits traffic at once at
+// every instant of two schedule periods. A schedule with a window holds
+// traffic back somewhere in every span of its period, which is B's mean
+// gap between collectives as policy.ComputeTS estimates it (two periods, in
+// case the last installed schedule's estimate was a little longer). The run
+// is TestFig9QoSOrdering's 12 iterations a tenant: there C's last installed
+// schedule has a window, so a schedule left in place shows (at 6, 8 or 20
+// the last one installed is empty, always allowed, and a run that never
+// clears passes).
+func TestFig9ClearsCsSchedule(t *testing.T) {
+	var env *Env
+	envBuilt = func(e *Env) { env = e }
+	defer func() { envBuilt = nil }()
+	cfg := QoSConfig{Solution: SolutionPFATS, IterationsA: 12, IterationsBC: 12,
+		Observers: Observers{TelemetryEvery: time.Millisecond}}
+	if _, err := RunQoS(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := telemetry.Of(env.S).Counter("mccs_policy_ts_installs_total", "schedules").Value(); n == 0 {
+		t.Fatal("PFA+TS installed no schedule on C")
+	}
+	d := env.Deployment
+	hist, err := d.CommTrace(commOf(d, "B"), 0)
+	if err != nil || len(hist) < 2 {
+		t.Fatalf("B's history holds %d collectives (%v): no period to check C's gate over", len(hist), err)
+	}
+	period := hist[len(hist)-1].Start.Sub(hist[0].Start) / time.Duration(len(hist)-1)
+	end, step := env.S.Now(), period/500
+	for h := range d.Cluster.Hosts {
+		gate := d.Engine(topo.HostID(h)).Gate("C")
+		for at := end; at < end.Add(2*period); at = at.Add(step) {
+			if next := gate.NextAllowed(at); next != at {
+				t.Fatalf("host %d: C's traffic at %v waits until %v: its schedule outlived B", h, at, next)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mccs/internal/allocpin"
 	"mccs/internal/gpusim"
 	"mccs/internal/netsim"
 	"mccs/internal/sim"
@@ -99,17 +100,24 @@ func (r *opPathRig) run(t *testing.T, k int) {
 
 // TestOpPathAllocatesOncePerRankOp pins what an operation costs the service
 // stack, shim call to completion: one heap object per rank — the OpHandle,
-// which carries the request, the completion record, the future and both
-// latency hops — and nothing for the executor, whose latch, channel
-// processes and programs are the rank's own, reused from op to op. Both ops
-// run as two ring programs per rank, spawned and joined on the rank's latch,
-// the AllGather's 7 steps over the AllReduce's 14 and back.
+// which carries the request, the completion record (the op's one
+// completion: the tenant waits on it too) and both latency hops — and
+// nothing for the executor, whose latch, channel processes and programs are
+// the rank's own, reused from op to op. Both ops run as two ring programs
+// per rank, spawned and joined on the rank's latch, the AllGather's 7 steps
+// over the AllReduce's 14 and back.
+//
+// Beside the count it pins the bytes: the OpHandle's size class, 192 (its
+// 192 bytes fill the class). A field that pushes the handle into the next
+// class (208) shows here as a byte step before the benchmark's bytes per op
+// see it.
 //
 // With an application stream the stream's own bookkeeping comes on top, per
 // op: the record instance of Stream.Record, the callback list and closure of
 // Stream.WaitEvent, and the stream's completion callbacks (method values).
-// They are pinned as what they are today, not as a target. Counting the
-// fired events (eventMix, an event observer) adds nothing.
+// They are pinned as what they are today, not as a target, and by count
+// only. Counting the fired events (eventMix, an event observer) adds
+// nothing.
 func TestOpPathAllocatesOncePerRankOp(t *testing.T) {
 	const opsPerRound = 2
 	for _, tc := range []struct {
@@ -117,23 +125,32 @@ func TestOpPathAllocatesOncePerRankOp(t *testing.T) {
 		withStream bool
 		counted    bool
 		perRankOp  int
+		bytes      uint64 // per rank-op; 0: not pinned
 	}{
-		{"no stream", false, false, 1},
-		{"no stream, events counted", false, true, 1},
-		{"stream", true, false, 1 + 5},
+		{"no stream", false, false, 1, 192},
+		{"no stream, events counted", false, true, 1, 192},
+		{"stream", true, false, 1 + 5, 0},
 	} {
 		r := newOpPathRig(t, tc.withStream, true)
 		if tc.counted {
 			r.s.SetEventObserver((&eventMix{}).observe)
 		}
 		r.run(t, 20) // steady state: arenas, rings, queues and tables sized
+		rankOps := r.ranks * opsPerRound
 		// AllocsPerRun divides in integers, which keeps a stray object of
 		// the runtime's out of a count that is otherwise exact (seen once
 		// under the race detector: 2 404 over a window of 2 400).
 		got := testing.AllocsPerRun(50, func() { r.run(t, 1) })
-		if want := float64(r.ranks * opsPerRound * tc.perRankOp); got != want {
+		if want := float64(rankOps * tc.perRankOp); got != want {
 			t.Errorf("%s: %v allocations per round of %d rank-ops, want %v (%d per rank-op)",
-				tc.name, got, r.ranks*opsPerRound, want, tc.perRankOp)
+				tc.name, got, rankOps, want, tc.perRankOp)
+		}
+		if tc.bytes != 0 {
+			got := allocpin.MinBytes(50, func() { r.run(t, 1) })
+			if want := uint64(rankOps) * tc.bytes; got != want {
+				t.Errorf("%s: %d bytes per round of %d rank-ops (%.1f per rank-op), want %d (%d per rank-op)",
+					tc.name, got, rankOps, float64(got)/float64(rankOps), want, tc.bytes)
+			}
 		}
 		r.s.Shutdown()
 	}

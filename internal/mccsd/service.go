@@ -189,25 +189,43 @@ func (s OpStats) AlgBW() float64 { return collective.AlgBW(s.Bytes, s.Elapsed())
 
 // OpHandle tracks one issued operation — and is everything the operation is
 // between the shim call and its completion: the request the proxy runner
-// executes, the completion instance tenant streams wait on, the future the
-// tenant waits on, and the receiver of the two latency hops of the command
-// path. It is the one allocation an operation costs the service. It is not
-// pooled: the tenant holds it for as long as it likes and never hands it
-// back, so only the collector knows when it is free.
+// executes, the completion record that tenant streams and the tenant itself
+// wait on, and the receiver of the two latency hops of the command path. It
+// is the one allocation an operation costs the service. It is not pooled:
+// the tenant holds it for as long as it likes and never hands it back, so
+// only the collector knows when it is free.
+//
+// The record is the op's one completion (paper §4.1: the shim learns of a
+// collective's completion through one event record). Its stats are not
+// kept: Wait builds them from the request and the two instants.
 type OpHandle struct {
 	c      *Comm
 	req    proxy.OpRequest
 	fired  gpusim.RecordInstance // the communicator event's record for this op
-	done   sim.Future[OpStats]
 	issued sim.Time
-	bytes  int64 // output bytes
+	done   sim.Time // when fired completed: the completion reached the tenant
 }
 
 // Wait blocks until the collective completes and returns its stats.
-func (h *OpHandle) Wait(p *sim.Proc) OpStats { return h.done.Wait(p) }
+func (h *OpHandle) Wait(p *sim.Proc) OpStats {
+	h.fired.WaitHost(p)
+	return OpStats{Op: h.req.Op, Issued: h.issued, Done: h.done, Bytes: h.bytes()}
+}
 
 // Ready reports whether the collective has completed.
-func (h *OpHandle) Ready() bool { return h.done.Ready() }
+func (h *OpHandle) Ready() bool { return h.fired.Done() }
+
+// bytes returns the op's output bytes, the AlgBW numerator.
+func (h *OpHandle) bytes() int64 { return h.req.Count * 4 * h.c.outRanks(h.req.Op) }
+
+// outRanks is how many ranks' counts an op outputs: every rank's for an
+// AllGather, one otherwise.
+func (c *Comm) outRanks(op collective.Op) int64 {
+	if op == collective.AllGather {
+		return int64(c.Size())
+	}
+	return 1
+}
 
 // The command path's two hops, as arguments of OnEvent.
 const (
@@ -235,8 +253,8 @@ func (h *OpHandle) OnEvent(hop uint64) {
 		c.pc.Runners[c.rank].Enqueue(&h.req)
 		return
 	}
+	h.done = s.Now()
 	h.fired.Fire(s)
-	h.done.Set(s, OpStats{Op: h.req.Op, Issued: h.issued, Done: s.Now(), Bytes: h.bytes})
 	c.f.telInflight.Add(-1)
 	c.f.telRTT.Observe(s.Now().Sub(h.issued).Seconds())
 	// The cmd span measures the full shim round-trip the tenant observes
@@ -250,7 +268,7 @@ func (h *OpHandle) OnEvent(hop uint64) {
 			Host: int32(c.f.sv.host), GPU: int32(c.dev.ID),
 			Comm: int32(c.ID()), Rank: int32(c.rank),
 			Peer: -1, Channel: -1, Step: -1, Gen: -1,
-			Seq: h.req.Sequence(), Bytes: h.bytes,
+			Seq: h.req.Sequence(), Bytes: h.bytes(),
 			Label: string(c.f.app),
 			Flow:  -1, Src: -1, Dst: -1,
 		})
@@ -297,11 +315,7 @@ func (c *Comm) issue(req proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, err
 	// The proxy slices the buffers by count without looking at their size
 	// again, so a count the tenant never allocated must stop here (compared
 	// in elements: an absurd count cannot overflow its way past the check).
-	outRanks := int64(1)
-	if req.Op == collective.AllGather {
-		outRanks = int64(c.Size())
-	}
-	if room := req.RecvBuf.Bytes() / 4 / outRanks; count > room {
+	if room := req.RecvBuf.Bytes() / 4 / c.outRanks(req.Op); count > room {
 		return nil, fmt.Errorf("mccsd: %s of %d elements into a buffer with room for %d", opName(&req), count, room)
 	}
 	if req.SendBuf != nil && count > req.SendBuf.Bytes()/4 {
@@ -314,7 +328,7 @@ func (c *Comm) issue(req proxy.OpRequest, stream *gpusim.Stream) (*OpHandle, err
 		return nil, fmt.Errorf("mccsd: p2p peer %d invalid for rank %d of %d", req.Peer, c.rank, c.Size())
 	}
 	d := c.f.dep()
-	h := &OpHandle{c: c, req: req, issued: d.S.Now(), bytes: count * 4 * outRanks}
+	h := &OpHandle{c: c, req: req, issued: d.S.Now()}
 	h.req.OnComplete = h
 	req.RecvBuf.Acquire()
 	if req.SendBuf != nil {

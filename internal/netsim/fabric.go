@@ -478,11 +478,12 @@ func (fb *Fabric) ManagedFlows() int {
 // progress advances byte counters to now at current rates.
 func (fb *Fabric) progress() {
 	now := fb.s.Now()
-	dt := now.Sub(fb.lastUpdate).Seconds()
+	elapsed := now.Sub(fb.lastUpdate)
 	fb.lastUpdate = now
-	if dt <= 0 {
+	if elapsed <= 0 {
 		return
 	}
+	dt := elapsed.Seconds()
 	for _, fl := range fb.flows {
 		fl.done += fl.rate * dt
 		if fl.done > fl.bytes {

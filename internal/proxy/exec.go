@@ -286,7 +286,8 @@ type chanRun struct {
 	stepStart          sim.Time
 	busy               sim.Duration
 	sendConn, recvConn *transport.Conn
-	ks, kr, k          int // send slices, receive slices, current slice
+	ks, kr, k          int    // send slices, receive slices, current slice
+	sendAt, recvAt     slicer // where slice k starts on each side
 
 	// The receive in progress.
 	d        transport.Delivery
@@ -352,11 +353,9 @@ func (c *chanRun) step(p *sim.Proc) bool {
 				continue
 			}
 			c.sendSlice()
-			st := &c.prog.Steps[c.si]
 			c.l = 0
 			if c.k < c.kr {
-				c.off, c.l = collective.Part(st.RecvLen, c.kr, c.k)
-				c.off += st.RecvOff
+				c.off, c.l = c.recvAt.next(c.k)
 			}
 			if c.l > 0 {
 				c.at = atRecv
@@ -415,7 +414,37 @@ func (c *chanRun) beginStep(p *sim.Proc) bool {
 	if c.prog.Pipelined {
 		c.ks, c.kr = sliceCount(r.comm.cfg, st.SendLen*4), sliceCount(r.comm.cfg, st.RecvLen*4)
 	}
+	c.sendAt.start(st.SendOff, st.SendLen, c.ks)
+	c.recvAt.start(st.RecvOff, st.RecvLen, c.kr)
 	return true
+}
+
+// slicer walks one side of a step slice by slice, yielding the offsets and
+// lengths collective.Part gives, in order, with one divide per step instead
+// of one per slice.
+type slicer struct {
+	at, base, rem int64 // slice k's offset; Part's base length and remainder
+}
+
+// start points the slicer at slice 0 of n elements at off, cut in parts
+// (none for a side with no slices, whose next is never called).
+func (sl *slicer) start(off, n int64, parts int) {
+	sl.at, sl.base, sl.rem = off, 0, 0
+	if parts > 0 {
+		sl.base, sl.rem = n/int64(parts), n%int64(parts)
+	}
+}
+
+// next returns slice k's offset and length and moves to slice k+1; k counts
+// up from 0, one call each.
+func (sl *slicer) next(k int) (off, n int64) {
+	n = sl.base
+	if int64(k) < sl.rem {
+		n++
+	}
+	off = sl.at
+	sl.at += n
+	return off, n
 }
 
 // conn returns the program's connection from → to, one end of which is peer:
@@ -433,12 +462,10 @@ func (c *chanRun) sendSlice() {
 	if c.k >= c.ks {
 		return
 	}
-	st := &c.prog.Steps[c.si]
-	off, l := collective.Part(st.SendLen, c.ks, c.k)
+	off, l := c.sendAt.next(c.k)
 	if l <= 0 {
 		return
 	}
-	off += st.SendOff
 	var data []float32
 	if c.buf != nil && c.buf.Backed() {
 		data = c.r.comm.snaps.get(l)

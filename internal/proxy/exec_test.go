@@ -479,3 +479,24 @@ func TestExecutingCountsBegunCollectives(t *testing.T) {
 	}
 	r.s.Shutdown()
 }
+
+// TestSlicerMatchesPart: walking a step's side slice by slice yields exactly
+// collective.Part's offsets and lengths, for slice counts past the default
+// MaxSlices and totals below, at and above the count.
+func TestSlicerMatchesPart(t *testing.T) {
+	for _, n := range []int64{0, 1, 2, 7, 8, 9, 63, 64, 65, 1000, 1<<20 + 3} {
+		for parts := 1; parts <= 17; parts++ {
+			var sl slicer
+			const base = 12345
+			sl.start(base, n, parts)
+			for k := 0; k < parts; k++ {
+				off, l := sl.next(k)
+				wantOff, wantL := collective.Part(n, parts, k)
+				if off != base+wantOff || l != wantL {
+					t.Fatalf("%d elements in %d parts, slice %d: (%d, %d), want (%d, %d)",
+						n, parts, k, off-base, l, wantOff, wantL)
+				}
+			}
+		}
+	}
+}

@@ -217,8 +217,8 @@ func TestFuture(t *testing.T) {
 	if got != 42 {
 		t.Fatalf("got %d, want 42", got)
 	}
-	if !f.Ready() {
-		t.Error("future not ready")
+	if !f.set {
+		t.Error("future not set")
 	}
 }
 

@@ -218,9 +218,6 @@ func (f *Future[T]) Set(s *Scheduler, v T) {
 	f.wq.WakeAll(s)
 }
 
-// Ready reports whether the value has been set.
-func (f *Future[T]) Ready() bool { return f.set }
-
 // Wait blocks until the value is set and returns it.
 func (f *Future[T]) Wait(p *Proc) T {
 	for !f.set {
